@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -141,7 +142,30 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _contains_bool(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(_contains_bool, value.values()))
+    if isinstance(value, list):
+        return any(map(_contains_bool, value))
+    return isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    """A finite real config number; ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def _parse_matrix(value, name: str) -> np.ndarray:
+    if _contains_bool(value):
+        raise ConfigError(f"{name} must be numeric, got a boolean")
     if isinstance(value, (int, float)):
         return np.array([[value]], dtype=complex)
     if isinstance(value, list):
@@ -176,8 +200,8 @@ def _build_system(raw: dict, tolerances: Tolerances) -> LevelSystem:
         extra = set(occ_raw) - {"mu", "T"}
         if extra or "T" not in occ_raw:
             raise ConfigError("thermal nbar must be exactly {mu, T}")
-        mu = float(occ_raw["mu"])
-        temperature = float(occ_raw["T"])
+        mu = _real(occ_raw["mu"], "nbar.mu")
+        temperature = _real(occ_raw["T"], "nbar.T")
         if temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
         diag = np.diag(np.diag(epsilon))
@@ -225,11 +249,8 @@ def build_run_config(raw: dict) -> RunConfig:
     if grid_raw is not None:
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid must be an object")
-        try:
-            t_initial = float(grid_raw.get("t_initial", 0.0))
-            t_final = float(grid_raw.get("t_final", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid endpoints: {exc}") from exc
+        t_initial = _real(grid_raw.get("t_initial", 0.0), "grid.t_initial")
+        t_final = _real(grid_raw.get("t_final", 1.0), "grid.t_final")
         if not t_final > t_initial:
             raise ConfigError("grid.t_final must exceed grid.t_initial")
         slices = grid_raw.get("n_slices")
@@ -412,9 +433,7 @@ def cmd_z(config: RunConfig) -> int:
     rows = []
     for n in config.n_slices_list:
         grid = TimeGrid(config.t_initial, config.t_final, n)
-        z = discrete_partition_function(
-            config.system, grid, config.tolerances, config.max_dimension
-        )
+        z = discrete_partition_function(config.system, grid, config.tolerances)
         rows.append(
             {
                 "n_slices": n,

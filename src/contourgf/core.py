@@ -2,9 +2,10 @@
 
 Defines the statistics tag, the level system (single-particle energy
 matrix plus initial occupation matrix), contour time grids and index
-mapping, validation, and the two numerical primitives everything else is
-built on: the unitary propagator of a Hermitian matrix and dense LU
-inversion with a condition estimate.
+mapping, validation, the unitary propagator of a Hermitian matrix, and
+dense LU inversion with a condition estimate.  The discrete route does
+not use the dense LU; it remains as the reference the tests compare the
+structured contour solve against.
 
 All operations are pure functions of their arguments.
 """

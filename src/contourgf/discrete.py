@@ -1,4 +1,4 @@
-"""Discrete contour action matrix and its inverse.
+"""Discrete contour action matrix and its structured inverse.
 
 The finite-difference contour action on an N-slice grid couples the
 retained variables in contour order: forward slots 1..N (times t_1..t_N)
@@ -20,10 +20,31 @@ The discrete Green's function is ``-i D^{-1}``; its blocks approximate
 the continuum branch components to first order in dt away from equal
 times.  The partition function ``(det(1 - zeta rho))^zeta det(D)^{-zeta}``
 equals one up to O(1/N), exactly for eps = 0 or nbar = 0.
+
+D is solved from its distinct blocks, never densely.  The transfer
+blocks h and hbar are normal and commute, so one unitary V diagonalizes
+both.  With ``f_j`` and ``s_j`` the products of the transfer blocks
+before and after contour position j (so ``f_j s_j = l``, the loop
+product) and the d x d matrix ``A = diag(1/l) - V^dag zeta rho^T V``,
+
+* ``det D = det(diag l) det A``,
+* block (j, k) of ``V^dag D^{-1} V`` is
+  ``diag(1/s_j) A^{-1} diag(1/f_k) - [k > j] diag(f_j / f_k)``.
+
+Every factor in the second line has modulus at most one.  The products
+are kept as logarithms, integer counts of forward and backward factors
+times the logarithms of the transfer eigenvalues, so no power of a
+transfer block is formed and no product overflows.  The partition
+function costs O(d^3), independent of N, and the full inverse
+O((N d)^2 d).
+:func:`build_contour_matrix` expands the same blocks into the dense D,
+which serves as the reference.
 """
 
 from __future__ import annotations
 
+import cmath
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +52,14 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_DIMENSION,
     DEFAULT_TOLERANCES,
-    Branch,
     ContourIndex,
     GridTooLargeError,
+    IllConditionedWarning,
     LevelSystem,
+    SingularMatrixError,
     TimeGrid,
     Tolerances,
-    dense_invert,
-    lu_factorization,
+    max_abs,
     validate_system,
 )
 from .continuum import ContourComponent, normalization_prefactor, rho_from_nbar
@@ -54,6 +75,11 @@ __all__ = [
     "extract_component",
 ]
 
+# A is singular when its smallest singular value is within this many
+# roundoffs of its largest term: each entry of A carries a few units of
+# roundoff.
+SINGULAR_ROUNDOFFS = 8
+
 
 @dataclass(frozen=True)
 class ContourMatrix:
@@ -66,11 +92,30 @@ class ContourMatrix:
 
 @dataclass(frozen=True)
 class DiscreteGf:
-    """Discrete Green's function ``-i D^{-1}`` with its grid and system."""
+    """Discrete Green's function ``-i D^{-1}`` with its grid and system.
+
+    ``condition`` estimates the 1-norm condition number of D as
+    ``||D||_1 ||V^dag D^{-1} V||_1``, both norms exact, which lies within
+    a factor d of the true one.  ``partition_function`` is Z from the
+    same factorization (see :func:`discrete_partition_function`).
+    """
 
     matrix: np.ndarray
     grid: TimeGrid
     system: LevelSystem
+    condition: float
+    partition_function: complex
+
+
+@dataclass(frozen=True)
+class _Factorization:
+    """D reduced to its transfer eigenvalues and the d x d matrix A."""
+
+    basis: np.ndarray
+    log_forward: np.ndarray
+    log_backward: np.ndarray
+    a_inverse: np.ndarray
+    log_det: complex
     condition: float
 
 
@@ -87,31 +132,50 @@ def contour_branch_signs(grid: TimeGrid) -> np.ndarray:
     return np.concatenate([np.ones(n), -np.ones(n)])
 
 
+def _contour_blocks(
+    system: LevelSystem,
+    grid: TimeGrid,
+    tolerances: Tolerances,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct blocks of D: forward h, backward hbar and the corner.
+
+    The turning-point block is the identity.
+    """
+    eye = np.eye(system.dimension, dtype=complex)
+    forward = eye - 1j * system.epsilon * grid.dt
+    backward = eye + 1j * system.epsilon * grid.dt
+    rho = rho_from_nbar(system.nbar, system.statistics, tolerances)
+    corner = -system.statistics.zeta * np.atleast_2d(rho).T
+    return forward, backward, corner
+
+
+def _check_dimension(system: LevelSystem, grid: TimeGrid, max_dimension: int) -> int:
+    total = 2 * grid.n_slices * system.dimension
+    if total > max_dimension:
+        raise GridTooLargeError(
+            f"contour matrix dimension {total} exceeds cap {max_dimension}"
+        )
+    return total
+
+
 def build_contour_matrix(
     system: LevelSystem,
     grid: TimeGrid,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> ContourMatrix:
-    """Assemble the discrete contour matrix D.
+    """Assemble the dense contour matrix D from its blocks.
 
-    Raises :class:`~contourgf.core.GridTooLargeError` when ``2 N d``
-    exceeds ``max_dimension``.
+    The solvers never build D; this is the dense reference.  Raises
+    :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
+    ``max_dimension``.
     """
     validate_system(system, tolerances)
     d = system.dimension
     n = grid.n_slices
-    total = 2 * n * d
-    if total > max_dimension:
-        raise GridTooLargeError(
-            f"contour matrix dimension {total} exceeds cap {max_dimension}"
-        )
+    total = _check_dimension(system, grid, max_dimension)
+    forward, backward, corner = _contour_blocks(system, grid, tolerances)
     eye = np.eye(d, dtype=complex)
-    dt = grid.dt
-    forward = eye - 1j * system.epsilon * dt
-    backward = eye + 1j * system.epsilon * dt
-    rho = rho_from_nbar(system.nbar, system.statistics, tolerances)
-    corner = np.atleast_2d(rho).T
     matrix = np.zeros((total, total), dtype=complex)
     for j in range(1, 2 * n + 1):
         matrix[(j - 1) * d : j * d, (j - 1) * d : j * d] = eye
@@ -120,8 +184,208 @@ def build_contour_matrix(
     matrix[n * d : (n + 1) * d, (n - 1) * d : n * d] = -eye
     for j in range(n + 2, 2 * n + 1):
         matrix[(j - 1) * d : j * d, (j - 2) * d : (j - 1) * d] = -backward
-    matrix[0:d, (2 * n - 1) * d :] = -system.statistics.zeta * corner
+    matrix[0:d, (2 * n - 1) * d :] = corner
     return ContourMatrix(matrix, grid, system)
+
+
+def _log_transfer(generator: np.ndarray, sign: int) -> np.ndarray:
+    """``log(1 + sign i x)`` per real x, finite for every finite x."""
+    with np.errstate(over="ignore", divide="ignore"):
+        square = generator * generator
+        modulus = np.where(
+            np.isfinite(square), 0.5 * np.log1p(square), np.log(np.abs(generator))
+        )
+    return modulus + 1j * sign * np.arctan(generator)
+
+
+def _log_prefix(
+    log_forward: np.ndarray, log_backward: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``log f_j`` and ``log s_j`` as (2N, d) arrays, j = 1..2N.
+
+    Built from integer counts of forward and backward factors; ``f_j``
+    and ``s_j`` together hold ``N - 1`` of each.
+    """
+    j = np.arange(1, 2 * n + 1)[:, None]
+    forward = np.minimum(j, n) - 1
+    backward = np.maximum(j - n - 1, 0)
+    log_f = forward * log_forward + backward * log_backward
+    log_s = (n - 1 - forward) * log_forward + (n - 1 - backward) * log_backward
+    return log_f, log_s
+
+
+def _geometric(mu: np.ndarray, count: int) -> np.ndarray:
+    """``sum_{i < count} exp(-i mu)`` per ``mu >= 0``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.expm1(-count * mu) / np.expm1(-mu)
+    return np.where(mu > 0, ratio, float(count))
+
+
+def _inverse_norm(
+    mu_forward: np.ndarray,
+    mu_backward: np.ndarray,
+    n: int,
+    a_inverse: np.ndarray,
+    inv_loop: np.ndarray,
+) -> float:
+    """Exact 1-norm of ``V^dag D^{-1} V``.
+
+    Column (k, b) sums ``|1/s_j|_a |A^{-1}_ab| |1/f_k|_b`` over all j and
+    a != b, the same with a = b over j >= k, and
+    ``|f_j / f_k|_b |A^{-1}_bb / l_b - 1|`` over j < k.  With ``|1/f_k|``
+    and ``|1/s_j|`` geometric within each branch, every such sum is
+    affine in ``|1/f_k|_b`` there, so the largest lies at a branch end:
+    k = 1, N, N + 1 or 2N.  The suffix sums of ``|1/s_j|`` and prefix
+    sums of ``|f_j / f_k|`` at those columns are geometric series.
+    """
+    r_f, r_b = np.exp(-mu_forward), np.exp(-mu_backward)
+    last_f, last_b = np.exp(-(n - 1) * mu_forward), np.exp(-(n - 1) * mu_backward)
+    sum_f, sum_b = _geometric(mu_forward, n), _geometric(mu_backward, n)
+    total = sum_b + last_b * sum_f
+    abs_inv = np.abs(a_inverse)
+    diag = np.diag(abs_inv)
+    off = total @ abs_inv - total * diag
+    turn = np.abs(np.diag(a_inverse) * inv_loop - 1.0)
+    # (|1/f_k|, sum_{j >= k} |1/s_j|, sum_{j < k} |f_j / f_k|) per end column.
+    ends = (
+        (1.0, total, 0.0),
+        (last_f, sum_b + last_b, r_f * _geometric(mu_forward, n - 1)),
+        (last_f, sum_b, sum_f),
+        (last_f * last_b, 1.0, last_b * sum_f + r_b * _geometric(mu_backward, n - 1)),
+    )
+    return float(
+        max(
+            (inv_f * (off + after * diag) + before * turn).max()
+            for inv_f, after, before in ends
+        )
+    )
+
+
+def _factor(
+    system: LevelSystem,
+    grid: TimeGrid,
+    tolerances: Tolerances,
+) -> _Factorization:
+    """Reduce D to its transfer eigenvalues and factor A.
+
+    Raises :class:`~contourgf.core.SingularMatrixError` when the smallest
+    singular value of A falls to roundoff of the terms A is formed from,
+    and warns with :class:`~contourgf.core.IllConditionedWarning` when
+    the condition estimate exceeds ``tolerances.condition_warn``.
+    """
+    validate_system(system, tolerances)
+    d = system.dimension
+    n = grid.n_slices
+    forward, backward, corner = _contour_blocks(system, grid, tolerances)
+    eye = np.eye(d)
+    generator, basis = np.linalg.eigh(1j * (forward - eye))
+    basis_h = basis.conj().T
+    backward_generator = np.diag(basis_h @ (-1j * (backward - eye)) @ basis).real
+    log_forward = _log_transfer(generator, -1)
+    log_backward = _log_transfer(backward_generator, 1)
+    log_loop = (n - 1) * (log_forward + log_backward)
+    inv_loop = np.exp(-log_loop)
+    closure = basis_h @ corner @ basis
+    a = np.diag(inv_loop) + closure
+    # numpy's LAPACK only: scipy's runs on a second BLAS thread pool, and
+    # its small solves stall for milliseconds behind numpy's after the
+    # large products of the fill.
+    smallest = np.linalg.svd(a, compute_uv=False)[-1]
+    scale = max(max_abs(inv_loop), max_abs(closure))
+    threshold = SINGULAR_ROUNDOFFS * d * np.finfo(float).eps * scale
+    if smallest <= threshold:
+        raise SingularMatrixError(
+            f"smallest singular value {smallest:.3e} of the {d}x{d} loop "
+            f"matrix at or below {threshold:.3e}"
+        )
+    sign, log_abs = np.linalg.slogdet(a)
+    log_det = complex(np.sum(log_loop) + log_abs + np.log(sign))
+    a_inverse = np.linalg.inv(a)
+
+    # ||D||_1: each block column holds the identity and the block below it.
+    below = [eye, corner] + ([forward, backward] if n > 1 else [])
+    norm = 1.0 + max(np.abs(block).sum(axis=0).max() for block in below)
+    condition = norm * _inverse_norm(
+        log_forward.real, log_backward.real, n, a_inverse, inv_loop
+    )
+    if condition > tolerances.condition_warn:
+        warnings.warn(
+            f"condition estimate {condition:.3e} exceeds "
+            f"{tolerances.condition_warn:.1e}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return _Factorization(
+        basis, log_forward, log_backward, a_inverse, log_det, condition
+    )
+
+
+def _partition_function(
+    fac: _Factorization,
+    system: LevelSystem,
+    tolerances: Tolerances,
+) -> complex:
+    zeta = system.statistics.zeta
+    prefactor = normalization_prefactor(system.nbar, system.statistics, tolerances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = complex(prefactor * np.exp(-zeta * fac.log_det))
+    if not cmath.isfinite(z):
+        raise FloatingPointError(
+            f"partition function overflows: log det D = {fac.log_det:.6g}"
+        )
+    return z
+
+
+def _add_upper_toeplitz(
+    out: np.ndarray, log_transfer: np.ndarray, basis: np.ndarray
+) -> None:
+    """Add ``i V diag(exp(-(k - j) log t)) V^dag`` to block (j, k), k > j,
+    of the block view ``out`` of shape (n, d, n, d)."""
+    n, d = out.shape[:2]
+    lags = np.arange(1, n)[:, None]
+    powers = np.einsum(
+        "am,sm,bm->sab", 1j * basis, np.exp(-lags * log_transfer), basis.conj()
+    )
+    # padded[n - 1 + lag] is the block at that lag, zero for lag <= 0.
+    padded = np.concatenate([np.zeros((n, d, d), dtype=complex), powers])
+    window = np.lib.stride_tricks.sliding_window_view(padded, n, axis=0)
+    out += window[::-1].transpose(0, 1, 3, 2)
+
+
+def _fill_green(fac: _Factorization, n: int) -> np.ndarray:
+    """``-i D^{-1}`` from the eigenbasis block formula.
+
+    The first term is a rank-d product over all blocks.  The
+    ``[k > j]`` term is block Toeplitz within each branch and, across
+    them, a rank-d product of a forward row factor and a backward
+    column factor, which joins the first term's product there.
+    """
+    basis = fac.basis
+    basis_h = basis.conj().T
+    d = basis.shape[0]
+    half = n * d
+    log_f, log_s = _log_prefix(fac.log_forward, fac.log_backward, n)
+    left = (basis[None, :, :] * np.exp(-log_s)[:, None, :]).reshape(2 * half, d)
+    left = left @ (-1j * fac.a_inverse)
+    right = (np.exp(-log_f)[:, :, None] * basis_h[None, :, :]).transpose(1, 0, 2)
+    right = right.reshape(d, 2 * half)
+    steps = np.arange(n)[:, None]
+    rows = 1j * basis[None, :, :] * np.exp(-(n - 1 - steps) * fac.log_forward)[
+        :, None, :
+    ]
+    cols = np.exp(-steps * fac.log_backward)[:, :, None] * basis_h[None, :, :]
+    out = np.empty((2 * half, 2 * half), dtype=complex)
+    np.matmul(left[:half], right[:, :half], out=out[:half, :half])
+    np.matmul(
+        np.hstack([left[:half], rows.reshape(half, d)]),
+        np.vstack([right[:, half:], cols.transpose(1, 0, 2).reshape(d, half)]),
+        out=out[:half, half:],
+    )
+    np.matmul(left[half:], right, out=out[half:])
+    blocks = out.reshape(2 * n, d, 2 * n, d)
+    _add_upper_toeplitz(blocks[:n, :, :n, :], fac.log_forward, basis)
+    _add_upper_toeplitz(blocks[n:, :, n:, :], fac.log_backward, basis)
+    return out
 
 
 def discrete_green(
@@ -130,35 +394,47 @@ def discrete_green(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> DiscreteGf:
-    """Invert the contour matrix: ``G = -i D^{-1}``.
+    """Discrete Green's function ``G = -i D^{-1}`` by the structured solve.
 
-    The inversion residual obeys the dense-inversion contract of
-    :func:`~contourgf.core.dense_invert`; the condition estimate is
-    carried on the result.
+    Fills the dense ``(2 N d)^2`` result in O((N d)^2 d) from one
+    factorization of the d x d loop matrix A, which also gives the
+    partition function and the condition estimate carried on the
+    result.  Raises :class:`~contourgf.core.GridTooLargeError` when
+    ``2 N d`` exceeds ``max_dimension``,
+    :class:`~contourgf.core.SingularMatrixError` when A is singular to
+    roundoff, and ``FloatingPointError`` when an entry of G or Z is not
+    finite.
     """
-    contour = build_contour_matrix(system, grid, tolerances, max_dimension)
-    result = dense_invert(contour.matrix, tolerances)
-    return DiscreteGf(-1j * result.matrix, grid, system, result.condition)
+    _check_dimension(system, grid, max_dimension)
+    fac = _factor(system, grid, tolerances)
+    z = _partition_function(fac, system, tolerances)
+    # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
+    # G exceeds d^2 max|A^{-1}| + d.
+    d = system.dimension
+    if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
+        raise FloatingPointError("discrete Green's function overflows")
+    matrix = _fill_green(fac, grid.n_slices)
+    return DiscreteGf(matrix, grid, system, fac.condition, z)
 
 
 def discrete_partition_function(
     system: LevelSystem,
     grid: TimeGrid,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> complex:
     """Partition function ``(det(1 - zeta rho))^zeta det(D)^{-zeta}``.
 
-    The determinant comes from the same LU factorization used for
-    inversion (Gaussian integration gives ``det^{-1}`` for bosons and
-    ``det`` for fermions).  Equals 1 exactly for ``eps = 0`` or
-    ``nbar = 0`` and approaches 1 as O(1/N) otherwise.
+    Gaussian integration gives ``det^{-1}`` for bosons and ``det`` for
+    fermions.  ``det D = det(diag l) det A`` and the condition estimate
+    cost O(d^3), independent of N; D is never built, so no grid cap
+    applies.  Equals 1 exactly for ``eps = 0`` or ``nbar = 0`` and
+    approaches 1 as O(1/N) otherwise.  Raises
+    :class:`~contourgf.core.SingularMatrixError` when A is singular to
+    roundoff, which for ``nbar = 0`` happens once ``1/l`` underflows
+    (``l > 1e308``), and ``FloatingPointError`` when Z overflows.
     """
-    contour = build_contour_matrix(system, grid, tolerances, max_dimension)
-    factors = lu_factorization(contour.matrix, tolerances)
-    zeta = system.statistics.zeta
-    prefactor = normalization_prefactor(system.nbar, system.statistics, tolerances)
-    return complex(prefactor * factors.determinant ** (-zeta))
+    fac = _factor(system, grid, tolerances)
+    return _partition_function(fac, system, tolerances)
 
 
 def extract_component(

@@ -364,3 +364,42 @@ def test_seventeen_digit_round_trip(tmp_path, capsys):
     )
     direct = np.array([s.value for s in samples])
     assert np.array_equal(reparsed, direct)
+
+
+@pytest.mark.filterwarnings("ignore::contourgf.IllConditionedWarning")
+@pytest.mark.parametrize("command", ["z", "converge"])
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_huge_epsilon_finite_or_numerical_error(
+    tmp_path, capsys, command, statistics, nbar
+):
+    config = write_config(
+        tmp_path,
+        {"statistics": statistics, "nbar": nbar, "grid.n_slices": [4, 8]},
+    )
+    code = main([command, "--config", config, "--epsilon", "1e200"])
+    captured = capsys.readouterr()
+    assert code in (0, 3)
+    assert "inf" not in captured.out.lower()
+    assert "nan" not in captured.out.lower()
+    if code == 0:
+        assert captured.out.strip()
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_infinite_grid_endpoint_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["z", "--config", config, "--grid.t_final", "Infinity"]) == 2
+    assert "grid.t_final" in capsys.readouterr().err
+
+
+def test_boolean_epsilon_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["z", "--config", config, "--epsilon", "true"]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    flagged = "[[1.0, false], [false, 2.0]]"
+    assert main(["z", "--config", config, "--epsilon", flagged]) == 2
+    assert main(["z", "--config", config, "--nbar", '{"mu": true, "T": 1.0}']) == 2
+    capsys.readouterr()

@@ -1,15 +1,22 @@
 """Tests for the discrete contour matrix and its inverse."""
 
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from contourgf import (
     Branch,
     ContourComponent,
     ContourIndex,
     GridTooLargeError,
+    IllConditionedWarning,
     IndexOutOfRangeError,
     LevelSystem,
+    SingularMatrixError,
     Statistics,
     TimeGrid,
     build_contour_matrix,
@@ -19,12 +26,41 @@ from contourgf import (
     discrete_green,
     discrete_partition_function,
     extract_component,
+    normalization_prefactor,
     oracle_error_bound,
 )
+from contourgf.core import lu_factorization
 
-from conftest import random_system
+from conftest import OCCUPATION_RANGE, random_hermitian, random_system, random_unitary
 
 EXACT_TOL = 1e-13
+# Agreement of the structured solve with the dense LU of D.
+DENSE_TOL = 1e-12
+
+
+def dense_reference(system, grid):
+    """G, Z and the 1-norm condition number from the dense matrix D."""
+    matrix = build_contour_matrix(system, grid).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        determinant = lu_factorization(matrix).determinant
+    zeta = system.statistics.zeta
+    z = normalization_prefactor(system.nbar, system.statistics) * determinant ** (-zeta)
+    return -1j * np.linalg.inv(matrix), z, np.linalg.cond(matrix, 1)
+
+
+def assert_matches_dense(system, grid):
+    gf = discrete_green(system, grid)
+    g_ref, z_ref, condition = dense_reference(system, grid)
+    assert np.abs(gf.matrix - g_ref).max() <= DENSE_TOL * np.abs(g_ref).max()
+    assert abs(gf.partition_function - z_ref) <= DENSE_TOL * abs(z_ref)
+    assert discrete_partition_function(system, grid) == gf.partition_function
+    # Exact for one level, within a factor d otherwise.
+    d = system.dimension
+    ratio = gf.condition / condition
+    assert 1.0 / d - 1e-10 <= ratio <= d + 1e-10
+    if d == 1:
+        assert ratio == pytest.approx(1.0, rel=1e-10)
 
 
 def test_contour_times_ordering():
@@ -120,12 +156,103 @@ def test_extract_component_returns_grid_times():
 
 
 def test_grid_cap():
+    # The cap bounds the dense (2 N d)^2 arrays; Z builds none.
     system = LevelSystem(1.0, 0.5, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 16)
     with pytest.raises(GridTooLargeError):
         build_contour_matrix(system, grid, max_dimension=16)
     with pytest.raises(GridTooLargeError):
-        discrete_partition_function(system, grid, max_dimension=16)
+        discrete_green(system, grid, max_dimension=16)
+    z = discrete_partition_function(system, grid)
+    _, z_ref, _ = dense_reference(system, grid)
+    assert np.isfinite(z)
+    assert abs(z - z_ref) <= DENSE_TOL * abs(z_ref)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n_slices", [1, 2, 8, 64])
+def test_structured_solve_matches_dense(statistics, dimension, n_slices):
+    rng = np.random.default_rng([dimension, n_slices, statistics.zeta + 1])
+    system = random_system(rng, statistics, dimension)
+    assert_matches_dense(system, TimeGrid(0.0, 1.0, n_slices))
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n_slices", [8, 16])
+@pytest.mark.parametrize("spread", [50.0, 100.0, 200.0])
+def test_structured_solve_coarse_grid(statistics, dimension, n_slices, spread):
+    # eps dt up to 25: D is well conditioned, but transfer products span
+    # tens of decades, so only the scaled eigenbasis form keeps accuracy.
+    rng = np.random.default_rng([dimension, n_slices, int(spread)])
+    epsilon = random_hermitian(rng, dimension, -spread, spread)
+    nbar = random_hermitian(rng, dimension, *OCCUPATION_RANGE[statistics])
+    assert_matches_dense(
+        LevelSystem(epsilon, nbar, statistics), TimeGrid(0.0, 1.0, n_slices)
+    )
+
+
+@seed(6)
+@settings(max_examples=30, deadline=None)
+@given(
+    statistics=st.sampled_from(list(Statistics)),
+    dimension=st.integers(min_value=1, max_value=3),
+    n_slices=st.sampled_from([1, 2, 8, 64]),
+    draw=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_structured_solve_matches_dense_property(statistics, dimension, n_slices, draw):
+    system = random_system(np.random.default_rng(draw), statistics, dimension)
+    assert_matches_dense(system, TimeGrid(0.0, 1.0, n_slices))
+
+
+def test_partition_function_large_n_matches_exact_loop_product():
+    # One boson level: Z = (1 - rho) / (1 - rho l) with the loop product
+    # l = (1 + x^2)^(N - 1), x = eps dt, evaluated here in 40 digits.
+    eps, n = 0.7, 100_000
+    x = Decimal(eps * (1.0 / n))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        loop = (1 + x * x) ** (n - 1)
+        exact = Decimal("0.5") / (1 - Decimal("0.5") * loop) - 1
+    z = discrete_partition_function(
+        LevelSystem(eps, 1.0, Statistics.BOSON), TimeGrid(0.0, 1.0, n)
+    )
+    assert abs(z.imag) < 1e-15
+    assert z.real - 1.0 == pytest.approx(float(exact), rel=1e-9)
+
+
+@pytest.mark.parametrize("eps, n", [(1.0, 8), (0.7, 5), (2.0, 64)])
+def test_discrete_pole_is_singular(eps, n):
+    # A boson level with rho l = 1, l = (1 + (eps dt)^2)^(N - 1) the loop
+    # product, makes D singular.
+    loop = (1.0 + (eps / n) ** 2) ** (n - 1)
+    rho = 1.0 / loop
+    system = LevelSystem(eps, rho / (1.0 - rho), Statistics.BOSON)
+    grid = TimeGrid(0.0, 1.0, n)
+    with pytest.raises(SingularMatrixError):
+        discrete_green(system, grid)
+    with pytest.raises(SingularMatrixError):
+        discrete_partition_function(system, grid)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_ill_conditioned_warning(statistics):
+    # Two empty levels and |eps| = 50 on eight slices: kappa_1 ~ 3e12.
+    rng = np.random.default_rng(11)
+    basis = random_unitary(rng, 3)
+    nbar = (basis * np.array([0.0, 0.0, 0.5])) @ basis.conj().T
+    basis = random_unitary(rng, 3)
+    epsilon = (basis * np.array([-50.0, 50.0, 50.0])) @ basis.conj().T
+    system = LevelSystem(epsilon, nbar, statistics)
+    grid = TimeGrid(0.0, 1.0, 8)
+    with pytest.warns(IllConditionedWarning):
+        gf = discrete_green(system, grid)
+    with pytest.warns(IllConditionedWarning):
+        discrete_partition_function(system, grid)
+    condition = np.linalg.cond(build_contour_matrix(system, grid).matrix, 1)
+    assert condition > 1e12
+    assert condition / 3 <= gf.condition <= 3 * condition
 
 
 def test_partition_function_static_cases():
