@@ -73,7 +73,6 @@ from .verify import (
     oracle_error_bound,
     run_oracle_suite,
     run_structure_suite,
-    unequal_time_mask,
 )
 
 __version__ = "0.1.0"
@@ -131,6 +130,5 @@ __all__ = [
     "run_structure_suite",
     "solution_from_constants",
     "thermal_nbar",
-    "unequal_time_mask",
     "validate_system",
 ]

@@ -459,7 +459,9 @@ def cmd_z(config: RunConfig) -> int:
 def cmd_converge(config: RunConfig) -> int:
     if len(config.n_slices_list) < 2:
         raise ConfigError("converge requires grid.n_slices as a list of >= 2 sizes")
-    report = run_oracle_suite(config.system, config.grids(), config.tolerances)
+    report = run_oracle_suite(
+        config.system, config.grids(), config.tolerances, config.max_dimension
+    )
     if config.output_format == "csv":
         lines = ["n_slices,error,error_bound,partition_deviation,fitted_order"]
         order = "" if report.fitted_order is None else _fmt(report.fitted_order)
@@ -493,7 +495,7 @@ def cmd_verify(config: RunConfig, corruption: str | None) -> int:
     extra = None
     if len(config.n_slices_list) >= 2:
         convergence = run_oracle_suite(
-            config.system, config.grids(), config.tolerances
+            config.system, config.grids(), config.tolerances, config.max_dimension
         )
         extra = oracle_checks(convergence)
     report = assemble_report(structure, convergence, extra)

@@ -75,10 +75,11 @@ __all__ = [
     "extract_component",
 ]
 
-# A is singular when its smallest singular value is within this many
-# roundoffs of its largest term: each entry of A carries a few units of
-# roundoff.
+# A is singular when, each row scaled to a largest term of one, its
+# smallest singular value is within this many roundoffs: each entry of A
+# carries a few units of roundoff.
 SINGULAR_ROUNDOFFS = 8
+LOG2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,13 @@ def _log_prefix(
     return log_f, log_s
 
 
+def _ldexp(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``values * 2**exponents`` for a C-contiguous complex array, exact
+    unless it overflows or underflows."""
+    parts = values.view(float).reshape(*values.shape, 2)
+    return np.ldexp(parts, exponents[..., None]).view(complex)[..., 0]
+
+
 def _geometric(mu: np.ndarray, count: int) -> np.ndarray:
     """``sum_{i < count} exp(-i mu)`` per ``mu >= 0``."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -269,9 +277,10 @@ def _factor(
     """Reduce D to its transfer eigenvalues and factor A.
 
     Raises :class:`~contourgf.core.SingularMatrixError` when the smallest
-    singular value of A falls to roundoff of the terms A is formed from,
-    and warns with :class:`~contourgf.core.IllConditionedWarning` when
-    the condition estimate exceeds ``tolerances.condition_warn``.
+    singular value of A, each row scaled by its largest term, falls to
+    roundoff, and warns with :class:`~contourgf.core.IllConditionedWarning`
+    when the condition estimate exceeds ``tolerances.condition_warn``
+    (infinite once ``A^{-1}`` overflows).
     """
     validate_system(system, tolerances)
     d = system.dimension
@@ -286,28 +295,41 @@ def _factor(
     log_loop = (n - 1) * (log_forward + log_backward)
     inv_loop = np.exp(-log_loop)
     closure = basis_h @ corner @ basis
-    a = np.diag(inv_loop) + closure
+    # Row i of A = diag(1/l) + closure is scaled by 2^-shift_i, exactly,
+    # with shift_i the binary exponent of its largest term found in log
+    # form: 1/l_i underflows once l_i > 1e308, and an empty level leaves
+    # the row without a closure term.
+    mantissa, exponent = np.frexp(np.abs(closure).max(axis=1))
+    shift = np.maximum(
+        np.ceil(-log_loop.real / LOG2), np.where(mantissa > 0, exponent, -np.inf)
+    ).astype(int)
+    # Per level, so that a huge log l_i cancels against its own shift
+    # before it is summed with the other levels.
+    log_level = log_loop + shift * LOG2
+    a = np.diag(np.exp(-log_level)) + _ldexp(closure, -shift[:, None])
     # numpy's LAPACK only: scipy's runs on a second BLAS thread pool, and
     # its small solves stall for milliseconds behind numpy's after the
     # large products of the fill.
     smallest = np.linalg.svd(a, compute_uv=False)[-1]
-    scale = max(max_abs(inv_loop), max_abs(closure))
-    threshold = SINGULAR_ROUNDOFFS * d * np.finfo(float).eps * scale
+    threshold = SINGULAR_ROUNDOFFS * d * np.finfo(float).eps
     if smallest <= threshold:
         raise SingularMatrixError(
-            f"smallest singular value {smallest:.3e} of the {d}x{d} loop "
-            f"matrix at or below {threshold:.3e}"
+            f"smallest singular value {smallest:.3e} of the row-scaled "
+            f"{d}x{d} loop matrix at or below {threshold:.3e}"
         )
     sign, log_abs = np.linalg.slogdet(a)
-    log_det = complex(np.sum(log_loop) + log_abs + np.log(sign))
-    a_inverse = np.linalg.inv(a)
+    log_det = complex(np.sum(log_level) + log_abs + np.log(sign))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_inverse = _ldexp(np.linalg.inv(a), -shift[None, :])
 
     # ||D||_1: each block column holds the identity and the block below it.
     below = [eye, corner] + ([forward, backward] if n > 1 else [])
     norm = 1.0 + max(np.abs(block).sum(axis=0).max() for block in below)
-    condition = norm * _inverse_norm(
-        log_forward.real, log_backward.real, n, a_inverse, inv_loop
-    )
+    condition = np.inf
+    if np.isfinite(a_inverse).all():
+        condition = norm * _inverse_norm(
+            log_forward.real, log_backward.real, n, a_inverse, inv_loop
+        )
     if condition > tolerances.condition_warn:
         warnings.warn(
             f"condition estimate {condition:.3e} exceeds "
@@ -430,8 +452,7 @@ def discrete_partition_function(
     applies.  Equals 1 exactly for ``eps = 0`` or ``nbar = 0`` and
     approaches 1 as O(1/N) otherwise.  Raises
     :class:`~contourgf.core.SingularMatrixError` when A is singular to
-    roundoff, which for ``nbar = 0`` happens once ``1/l`` underflows
-    (``l > 1e308``), and ``FloatingPointError`` when Z overflows.
+    roundoff and ``FloatingPointError`` when Z overflows.
     """
     fac = _factor(system, grid, tolerances)
     return _partition_function(fac, system, tolerances)

@@ -7,7 +7,11 @@ anti-Hermiticity, the vanishing rotated block, thermal proportionality
 where defined, the contour boundary conditions, and consistency of the
 solved constants).  The oracle suite compares the closed forms against
 the independently built discrete contour inverse on a sequence of grids
-and fits the convergence order.
+and fits the convergence order.  The closed forms are a rank-d product
+``P [W + c] P^dag`` over the contour, so the suite computes them in
+blocks of contour rows and compares each block with the same rows of the
+discrete inverse: per grid it costs O((N d)^2 d) time and the memory of
+the discrete inverse plus one row block.
 
 Both suites are deterministic given their seed.
 """
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_MAX_DIMENSION,
     DEFAULT_TOLERANCES,
     LevelSystem,
     TimeGrid,
@@ -49,13 +54,16 @@ __all__ = [
     "oracle_error_bound",
     "run_oracle_suite",
     "run_structure_suite",
-    "unequal_time_mask",
 ]
 
 DEFAULT_THRESHOLD = 1e-12
 # Below this error floor a convergence-order fit is meaningless.
 ORDER_FLOOR = 1e-12
 KELDYSH_SIGN_FLIP = "keldysh_sign_flip"
+# Complex entries per row block of the streamed oracle comparison (at
+# least one contour row): 1 MiB, so the few block-sized temporaries stay
+# small next to the discrete inverse.
+ORACLE_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -283,6 +291,42 @@ def run_structure_suite(
     return sorted(results, key=lambda r: r.name)
 
 
+def _continuum_rows(system: LevelSystem, grid: TimeGrid, tolerances: Tolerances):
+    """Kernel for contour rows of the continuum prediction.
+
+    Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
+    constant block between two propagators, so block (n, m) of the
+    prediction is ``-i/2 P_n [W + c(n, m)] P_m^dag`` with ``P_n`` the
+    propagator to contour time ``tau_n``, ``W = 1 + 2 zeta nbar^T`` and
+    the scalar ``c = s_m theta - s_n (1 - theta)`` from the branch signs
+    and the symmetric step ``theta(tau_n - tau_m)``.  Returns
+    ``rows(start, stop)``, which computes contour rows start..stop as a
+    ``((stop - start) d, 2 N d)`` array from two rank-d products.  The
+    system is not validated here.
+    """
+    d = system.dimension
+    tau = contour_times(grid)
+    signs = contour_branch_signs(grid)
+    props = propagator_stack(system.epsilon, tau - grid.t_initial, tolerances)
+    weighted = -0.5j * props @ keldysh_weight(system.nbar, system.statistics)
+    free = -0.5j * props
+    right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        count = stop - start
+        out = weighted[start:stop].reshape(count * d, d) @ right
+        bare = free[start:stop].reshape(count * d, d) @ right
+        delta = tau[start:stop, None] - tau[None, :]
+        theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
+        c = signs[None, :] * theta - signs[start:stop, None] * (1.0 - theta)
+        blocks = bare.reshape(count, d, tau.size, d)
+        blocks *= c[:, None, :, None]
+        out += bare
+        return out
+
+    return rows
+
+
 def continuum_contour_matrix(
     system: LevelSystem,
     grid: TimeGrid,
@@ -291,36 +335,41 @@ def continuum_contour_matrix(
     """Continuum prediction for every block of the discrete inverse.
 
     Assembles the branch components at the contour-ordered times of the
-    grid into one ``(2 N d, 2 N d)`` matrix.
+    grid into one ``(2 N d, 2 N d)`` matrix, at the symmetric step value
+    on equal times.  Costs O((N d)^2 d) time and the result's memory.
+    :func:`run_oracle_suite` streams the same rows instead.
     """
     validate_system(system, tolerances)
-    d = system.dimension
-    tau = contour_times(grid)
-    signs = contour_branch_signs(grid)
-    props = propagator_stack(system.epsilon, tau - grid.t_initial, tolerances)
-    free = np.einsum("nab,mcb->nmac", props, props.conj())
-    weight = keldysh_weight(system.nbar, system.statistics)
-    kel = -1j * np.einsum("nab,mcb->nmac", props @ weight, props.conj())
-    delta = tau[:, None] - tau[None, :]
-    theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
-    ret = -1j * theta[:, :, None, None] * free
-    adv = 1j * (1.0 - theta)[:, :, None, None] * free
-    full = (kel + signs[None, :, None, None] * ret + signs[:, None, None, None] * adv) / 2.0
-    total = 2 * grid.n_slices * d
-    return full.transpose(0, 2, 1, 3).reshape(total, total)
+    return _continuum_rows(system, grid, tolerances)(0, 2 * grid.n_slices)
 
 
-def unequal_time_mask(grid: TimeGrid, dimension: int) -> np.ndarray:
-    """Boolean mask selecting blocks whose row and column times differ.
+def _unequal_time_error(
+    system: LevelSystem,
+    grid: TimeGrid,
+    green: np.ndarray,
+    tolerances: Tolerances,
+) -> float:
+    """Largest |G - continuum| over blocks whose row and column times differ.
 
     Equal-time entries (the same-index diagonal and the cross-branch
-    duplicates of one physical time) are excluded from continuum
-    comparisons: the discrete inverse is contour ordered there while the
-    closed forms carry the symmetric step value.
+    duplicates of one physical time) are excluded: the discrete inverse
+    is contour ordered there while the closed forms carry the symmetric
+    step value.  The prediction is streamed in blocks of contour rows,
+    so only one block of it exists at a time.
     """
+    d = system.dimension
     tau = contour_times(grid)
-    distinct = tau[:, None] != tau[None, :]
-    return np.kron(distinct, np.ones((dimension, dimension), dtype=bool))
+    rows = _continuum_rows(system, grid, tolerances)
+    block = max(1, ORACLE_BLOCK_ENTRIES // (tau.size * d * d))
+    error = 0.0
+    for start in range(0, tau.size, block):
+        stop = min(start + block, tau.size)
+        diff = rows(start, stop)
+        diff -= green[start * d : stop * d]
+        row, col = np.nonzero(tau[start:stop, None] == tau[None, :])
+        diff.reshape(stop - start, d, tau.size, d)[row, :, col, :] = 0.0
+        error = max(error, float(np.abs(diff).max()))
+    return error
 
 
 def oracle_error_bound(system: LevelSystem, grid: TimeGrid) -> float:
@@ -334,6 +383,7 @@ def run_oracle_suite(
     system: LevelSystem,
     grids: list[TimeGrid],
     tolerances: Tolerances = DEFAULT_TOLERANCES,
+    max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> ConvergenceReport:
     """Compare the discrete inverse against the closed forms per grid.
 
@@ -342,7 +392,11 @@ def run_oracle_suite(
     equal times, the error allowance, the partition-function deviation
     |Z - 1|, and the order fitted by least squares on the log-log error
     curve (None when all errors sit at the roundoff floor).  Each grid
-    is factorized once: Z comes with the discrete inverse.
+    is factorized once: Z comes with the discrete inverse, which raises
+    :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
+    ``max_dimension``.  The continuum prediction is compared in blocks of
+    contour rows, so each grid costs O((N d)^2 d) time and the memory of
+    the discrete inverse plus one row block.
     """
     validate_system(system, tolerances)
     if len(grids) < 2:
@@ -359,12 +413,12 @@ def run_oracle_suite(
     bounds = []
     deviations = []
     for grid in grids:
-        disc = discrete_green(system, grid, tolerances)
-        cont = continuum_contour_matrix(system, grid, tolerances)
-        mask = unequal_time_mask(grid, system.dimension)
-        errors.append(float(np.abs((disc.matrix - cont))[mask].max()))
+        disc = discrete_green(system, grid, tolerances, max_dimension)
+        errors.append(_unequal_time_error(system, grid, disc.matrix, tolerances))
         bounds.append(oracle_error_bound(system, grid))
         deviations.append(float(abs(disc.partition_function - 1.0)))
+        # Release this grid's inverse before the next one is filled.
+        del disc
     if max(errors) < ORDER_FLOOR:
         order = None
         details = "errors at roundoff floor; order fit not applicable"

@@ -326,6 +326,18 @@ def test_verify_grid_above_cap(tmp_path, capsys):
     assert "GridTooLarge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["converge", "verify"])
+def test_oracle_commands_honour_max_dimension(tmp_path, capsys, command):
+    # 2 N d = 16 on the finer grid exceeds the configured cap of 8.
+    config = write_config(
+        tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8], "max_dimension": 8}
+    )
+    assert main([command, "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GridTooLargeError" in captured.err
+
+
 def test_converge_json(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -387,6 +399,22 @@ def test_huge_epsilon_finite_or_numerical_error(
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore::contourgf.IllConditionedWarning")
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+@pytest.mark.parametrize("epsilon", ["2000", "1e200"])
+def test_empty_level_partition_function_is_one_at_any_epsilon(
+    tmp_path, capsys, statistics, epsilon
+):
+    # nbar = 0 leaves D unit lower triangular however large 1/l is.
+    config = write_config(
+        tmp_path,
+        {"statistics": statistics, "grid.n_slices": 200, "output.format": "json"},
+    )
+    assert main(["z", "--config", config, "--epsilon", epsilon]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["z_re"], row["z_im"], row["abs_deviation"]) == (1.0, 0.0, 0.0)
 
 
 def test_infinite_grid_endpoint_is_config_error(tmp_path, capsys):

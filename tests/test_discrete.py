@@ -272,6 +272,23 @@ def test_partition_function_static_cases():
         assert abs(z - 1.0) < EXACT_TOL
 
 
+@pytest.mark.filterwarnings("ignore::contourgf.IllConditionedWarning")
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("eps", [2000.0, 1e200])
+@pytest.mark.parametrize("n_slices", [20, 200])
+def test_partition_function_empty_level_after_loop_underflow(statistics, eps, n_slices):
+    # 1/l underflows for l > 1e308, but D stays unit lower triangular.
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    assert discrete_partition_function(LevelSystem(eps, 0.0, statistics), grid) == 1.0
+    # One empty level along an eps eigenvector beside an occupied one:
+    # Z is that of the occupied level alone.
+    two_levels = LevelSystem(np.diag([eps, 1.0]), np.diag([0.0, 0.3]), statistics)
+    occupied = LevelSystem(1.0, 0.3, statistics)
+    z = discrete_partition_function(two_levels, grid)
+    z_ref = discrete_partition_function(occupied, grid)
+    assert abs(z - z_ref) <= DENSE_TOL * abs(z_ref)
+
+
 def test_partition_function_frozen_deviation():
     # Boson eps = 1, nbar = 1 on [0, 1]: closed-form determinant gives
     # |Z - 1| = 0.015741811... at N = 64, quartering at N = 256.

@@ -1,5 +1,7 @@
 """Tests for the structure and convergence suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,62 @@ from contourgf import (
     Statistics,
     TimeGrid,
     assemble_report,
+    contour_branch_signs,
+    contour_times,
     continuum_contour_matrix,
+    discrete_green,
+    keldysh_weight,
     oracle_checks,
     oracle_error_bound,
     run_oracle_suite,
     run_structure_suite,
-    unequal_time_mask,
 )
-from contourgf.verify import KELDYSH_SIGN_FLIP, chebyshev_interior
+from contourgf import verify
+from contourgf.core import DEFAULT_TOLERANCES, propagator_stack
+from contourgf.verify import KELDYSH_SIGN_FLIP, _continuum_rows, chebyshev_interior
 
 from conftest import random_system
+
+# Agreement of the row kernel with the einsum reference, relative to max|G|.
+KERNEL_TOL = 1e-13
+
+
+def continuum_contour_reference(system, grid):
+    """Every block of the continuum prediction from (2N)^2 einsum tensors."""
+    d = system.dimension
+    tau = contour_times(grid)
+    signs = contour_branch_signs(grid)
+    props = propagator_stack(system.epsilon, tau - grid.t_initial)
+    free = np.einsum("nab,mcb->nmac", props, props.conj())
+    weight = keldysh_weight(system.nbar, system.statistics)
+    kel = -1j * np.einsum("nab,mcb->nmac", props @ weight, props.conj())
+    delta = tau[:, None] - tau[None, :]
+    theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
+    ret = -1j * theta[:, :, None, None] * free
+    adv = 1j * (1.0 - theta)[:, :, None, None] * free
+    full = (
+        kel + signs[None, :, None, None] * ret + signs[:, None, None, None] * adv
+    ) / 2.0
+    total = 2 * grid.n_slices * d
+    return full.transpose(0, 2, 1, 3).reshape(total, total)
+
+
+def unequal_time_mask(grid, dimension):
+    """Entries whose row and column contour times differ."""
+    tau = contour_times(grid)
+    distinct = tau[:, None] != tau[None, :]
+    return np.kron(distinct, np.ones((dimension, dimension), dtype=bool))
+
+
+def dense_oracle_errors(system, grids):
+    """Masked max of |G - continuum| per grid from the dense reference."""
+    errors = []
+    for grid in grids:
+        diff = discrete_green(system, grid).matrix - continuum_contour_reference(
+            system, grid
+        )
+        errors.append(float(np.abs(diff)[unequal_time_mask(grid, system.dimension)].max()))
+    return errors
 
 STRUCTURE_CHECK_NAMES = [
     "boundary_final",
@@ -123,6 +171,53 @@ def test_continuum_contour_matrix_shape_and_symmetry():
     # Each of t_1 .. t_{N-1} appears on both branches, t_N and t_0 once:
     # 4N - 2 equal-time pairs.
     assert int((~mask).sum()) == 4 * grid.n_slices - 2
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n_slices", [1, 2, 8, 64])
+def test_continuum_rows_match_reference(statistics, dimension, n_slices):
+    rng = np.random.default_rng([dimension, n_slices, statistics.zeta + 7])
+    system = random_system(rng, statistics, dimension)
+    grid = TimeGrid(0.0, 1.5, n_slices)
+    reference = continuum_contour_reference(system, grid)
+    tol = KERNEL_TOL * np.abs(reference).max()
+    assert np.abs(continuum_contour_matrix(system, grid) - reference).max() <= tol
+    rows = _continuum_rows(system, grid, DEFAULT_TOLERANCES)
+    size = 2 * n_slices
+    # Block sizes that leave a short last block.
+    for block in (3, 5):
+        streamed = np.vstack(
+            [rows(start, min(start + block, size)) for start in range(0, size, block)]
+        )
+        assert np.abs(streamed - reference).max() <= tol
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("entries", [1, 500, 2**16])
+def test_oracle_errors_match_dense_mask(monkeypatch, statistics, dimension, entries):
+    # One contour row per block, blocks that do not divide 2N, one block.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng([dimension, statistics.zeta + 3])
+    system = random_system(rng, statistics, dimension)
+    grids = [TimeGrid(0.0, 1.0, n) for n in (7, 16, 33)]
+    report = run_oracle_suite(system, grids)
+    for error, dense in zip(report.errors, dense_oracle_errors(system, grids)):
+        assert error == pytest.approx(dense, rel=1e-12)
+
+
+def test_oracle_suite_peak_memory_is_the_discrete_result():
+    system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
+    grids = [TimeGrid(0.0, 1.0, n) for n in (128, 256)]
+    result_bytes = (2 * 256 * 2) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        run_oracle_suite(system, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * result_bytes
 
 
 def test_oracle_error_bound_scales():
