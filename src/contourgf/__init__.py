@@ -16,11 +16,9 @@ parallelize over systems or time pairs freely.
 from .core import (
     Branch,
     ContourIndex,
-    DegenerateBoundarySystemError,
     GridTooLargeError,
     IllConditionedWarning,
     IndexOutOfRangeError,
-    InverseResult,
     LevelSystem,
     NonHermitianError,
     OccupationOutOfRangeError,
@@ -29,8 +27,6 @@ from .core import (
     ThermalDivergenceError,
     TimeGrid,
     Tolerances,
-    dense_invert,
-    hermitian_expm,
     validate_system,
 )
 from .continuum import (
@@ -38,7 +34,6 @@ from .continuum import (
     KeldyshComponent,
     SolutionConstants,
     component_table,
-    contour_component,
     fix_constants,
     gf_component,
     initial_boundary_ratio,
@@ -55,7 +50,6 @@ from .continuum import (
     thermal_nbar,
 )
 from .discrete import (
-    ContourMatrix,
     DiscreteGf,
     build_contour_matrix,
     contour_branch_signs,
@@ -82,14 +76,11 @@ __all__ = [
     "CheckResult",
     "ContourComponent",
     "ContourIndex",
-    "ContourMatrix",
     "ConvergenceReport",
-    "DegenerateBoundarySystemError",
     "DiscreteGf",
     "GridTooLargeError",
     "IllConditionedWarning",
     "IndexOutOfRangeError",
-    "InverseResult",
     "KeldyshComponent",
     "LevelSystem",
     "NonHermitianError",
@@ -105,15 +96,12 @@ __all__ = [
     "component_table",
     "continuum_contour_matrix",
     "contour_branch_signs",
-    "contour_component",
     "contour_times",
-    "dense_invert",
     "discrete_green",
     "discrete_partition_function",
     "extract_component",
     "fix_constants",
     "gf_component",
-    "hermitian_expm",
     "initial_boundary_ratio",
     "keldysh_rotate_boson",
     "keldysh_rotate_fermion",

@@ -21,6 +21,13 @@ Contour-branch components follow from the same three functions:
 ``G^{bb'} = (G_K + s(b') G_R + s(b) G_A)/2`` with branch signs
 ``s(+) = +1`` and ``s(-) = -1``, identical for both statistics.
 
+:func:`regularized_step` is the one symmetric step, used by every
+table here and by the oracle's continuum rows.  The step sits at the
+rotated-basis positions of R and A (:func:`rotated_block_layout`), and
+:func:`fix_constants` solves the two boundary conditions for the
+constant blocks of the general solution by block elimination.
+Occupations are range checked in :mod:`contourgf.core` only.
+
 All functions are pure; nothing here keeps state between calls.
 """
 
@@ -35,14 +42,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     Branch,
-    DegenerateBoundarySystemError,
     LevelSystem,
     OccupationOutOfRangeError,
     Statistics,
     ThermalDivergenceError,
     Tolerances,
     as_complex_matrix,
-    hermitian_eigensystem,
+    occupation_eigensystem,
     propagator_stack,
     validate_system,
 )
@@ -52,7 +58,6 @@ __all__ = [
     "KeldyshComponent",
     "SolutionConstants",
     "component_table",
-    "contour_component",
     "fix_constants",
     "gf_component",
     "initial_boundary_ratio",
@@ -98,28 +103,9 @@ class ContourComponent(enum.Enum):
         return Branch.FORWARD if self.value[1] == "+" else Branch.BACKWARD
 
 
-def regularized_step(x: float) -> float:
-    """Unit step with the symmetric value 1/2 at exactly zero."""
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return 0.0
-    return 0.5
-
-
-def _occupation_eigensystem(nbar, statistics, tolerances):
-    occ = as_complex_matrix(nbar, "nbar")
-    vals, vecs = hermitian_eigensystem(occ, "nbar", tolerances)
-    slack = tolerances.eigenvalue
-    if vals.min() < -slack:
-        raise OccupationOutOfRangeError(
-            f"occupation eigenvalue {vals.min():.6g} below 0"
-        )
-    if statistics is Statistics.FERMION and vals.max() > 1 + slack:
-        raise OccupationOutOfRangeError(
-            f"fermionic occupation eigenvalue {vals.max():.6g} above 1"
-        )
-    return vals, vecs
+def regularized_step(x):
+    """Unit step with the symmetric value 1/2 at exactly zero, elementwise."""
+    return 0.5 * (1.0 + np.sign(x))
 
 
 def rho_from_nbar(
@@ -129,32 +115,21 @@ def rho_from_nbar(
 ):
     """Distribution parameter ``rho = nbar (1 + zeta nbar)^(-1)``.
 
-    Scalar input gives a scalar; matrix input is mapped through the
-    eigenbasis of ``nbar``.  Raises
+    Matrix input is mapped through the eigenbasis of ``nbar``; scalar
+    input is the one-level case and gives a scalar.  Raises
     :class:`~contourgf.core.OccupationOutOfRangeError` when the
     occupation leaves the range allowed by the statistics, including the
     divergent fermionic endpoint ``nbar -> 1``.
     """
-    zeta = statistics.zeta
-    if np.isscalar(nbar) or np.ndim(nbar) == 0:
-        val = complex(nbar).real
-        if abs(complex(nbar).imag) > tolerances.hermitian * max(abs(val), 1.0):
-            raise OccupationOutOfRangeError("scalar occupation must be real")
-        vals, vecs = _occupation_eigensystem(val, statistics, tolerances)
-        denom = 1 + zeta * vals[0]
-        if abs(denom) <= tolerances.eigenvalue:
-            raise OccupationOutOfRangeError(
-                f"distribution parameter diverges at occupation {val:.6g}"
-            )
-        return float(vals[0] / denom)
-    vals, vecs = _occupation_eigensystem(nbar, statistics, tolerances)
-    denom = 1 + zeta * vals
+    vals, vecs = occupation_eigensystem(nbar, statistics, tolerances)
+    denom = 1 + statistics.zeta * vals
     if np.abs(denom).min() <= tolerances.eigenvalue:
         raise OccupationOutOfRangeError(
             "distribution parameter diverges at occupation "
             f"{vals[np.abs(denom).argmin()]:.6g}"
         )
-    return (vecs * (vals / denom)) @ vecs.conj().T
+    rho = (vecs * (vals / denom)) @ vecs.conj().T
+    return float(rho[0, 0].real) if np.ndim(nbar) == 0 else rho
 
 
 def thermal_nbar(
@@ -190,19 +165,16 @@ def normalization_prefactor(
     statistics: Statistics,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """Partition-sum prefactor ``(1 - zeta rho)^zeta``.
+    """Partition-sum prefactor ``(1 - zeta rho)^zeta = det(1 + zeta nbar)^(-zeta)``.
 
     Equals ``1/(1 + nbar)`` for bosons and ``1 - nbar`` for fermions
-    (the reciprocal of the two-state trace); matrix occupations use the
-    determinant form ``det(1 - zeta rho)^zeta``.
+    (the reciprocal of the two-state trace).  Taken from the eigenvalues
+    of ``nbar`` directly, so it keeps its digits in the classical limit,
+    where ``rho`` rounds to 1.
     """
-    zeta = statistics.zeta
-    rho = rho_from_nbar(nbar, statistics, tolerances)
-    if np.isscalar(rho):
-        return float((1.0 - zeta * rho) ** zeta)
-    d = rho.shape[0]
-    det = np.linalg.det(np.eye(d) - zeta * rho)
-    return float(det.real ** zeta)
+    vals, _ = occupation_eigensystem(nbar, statistics, tolerances)
+    with np.errstate(over="ignore"):
+        return float(np.prod(1.0 + statistics.zeta * vals) ** -statistics.zeta)
 
 
 def keldysh_rotate_boson(phi_plus, phi_minus):
@@ -294,72 +266,59 @@ def component_table(
     Array of shape ``(len(t_values), len(t_prime_values), d, d)``.
     """
     validate_system(system, tolerances)
+    if not isinstance(component, (KeldyshComponent, ContourComponent)):
+        raise TypeError(f"unsupported component {component!r}")
     t_row = np.asarray(t_values, dtype=float).reshape(-1)
     t_col = np.asarray(t_prime_values, dtype=float).reshape(-1)
-    d = system.dimension
+    if component is KeldyshComponent.ZERO:
+        d = system.dimension
+        return np.zeros((t_row.size, t_col.size, d, d), dtype=complex)
     p_row = propagator_stack(system.epsilon, t_row - t_ref, tolerances)
     p_col = propagator_stack(system.epsilon, t_col - t_ref, tolerances)
-    delta = t_row[:, None] - t_col[None, :]
-    theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
-
-    def retarded():
-        free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
-        return -1j * theta[:, :, None, None] * free
-
-    def advanced():
-        free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
-        return 1j * (1.0 - theta)[:, :, None, None] * free
 
     def keldysh():
         weight = keldysh_weight(system.nbar, system.statistics)
-        return -1j * np.einsum("nab,mcb->nmac", p_row @ weight, p_col.conj())
+        return _sandwich(p_row, weight, p_col)
 
-    if isinstance(component, KeldyshComponent):
-        if component is KeldyshComponent.RETARDED:
-            return retarded()
-        if component is KeldyshComponent.ADVANCED:
-            return advanced()
-        if component is KeldyshComponent.KELDYSH:
-            return keldysh()
-        return np.zeros((t_row.size, t_col.size, d, d), dtype=complex)
-    if isinstance(component, ContourComponent):
-        s_row = component.row_branch.sign
-        s_col = component.col_branch.sign
-        return (keldysh() + s_col * retarded() + s_row * advanced()) / 2.0
-    raise TypeError(f"unsupported component {component!r}")
+    if component is KeldyshComponent.KELDYSH:
+        return keldysh()
+    free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
+    theta = regularized_step(t_row[:, None] - t_col[None, :])[:, :, None, None]
+
+    def retarded():
+        return -1j * theta * free
+
+    def advanced():
+        return 1j * (1.0 - theta) * free
+
+    if component is KeldyshComponent.RETARDED:
+        return retarded()
+    if component is KeldyshComponent.ADVANCED:
+        return advanced()
+    s_row = component.row_branch.sign
+    s_col = component.col_branch.sign
+    return (keldysh() + s_col * retarded() + s_row * advanced()) / 2.0
+
+
+def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.ndarray:
+    """``-i P_n M P_m^dag`` for every pair of propagators, as (n, m, d, d)."""
+    return -1j * np.einsum("nab,mcb->nmac", p_row @ middle, p_col.conj())
 
 
 def gf_component(
     system: LevelSystem,
-    component: KeldyshComponent,
+    component: KeldyshComponent | ContourComponent,
     t: float,
     t_prime: float,
     *,
     t_ref: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """One rotated-basis component at a single time pair.
+    """One rotated-basis or branch-labelled component at a single time pair.
 
     ``t_ref`` is the initial time of the contour; it is required even
     for a single level so the call shape does not change with dimension.
     Returns a ``(d, d)`` complex matrix.
-    """
-    return component_table(system, [t], [t_prime], component, t_ref, tolerances)[0, 0]
-
-
-def contour_component(
-    system: LevelSystem,
-    component: ContourComponent,
-    t: float,
-    t_prime: float,
-    *,
-    t_ref: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """One branch-labelled component at a single time pair.
-
-    Assembled from the rotated-basis components through
-    ``G^{bb'} = (G_K + s(b') G_R + s(b) G_A)/2``.
     """
     return component_table(system, [t], [t_prime], component, t_ref, tolerances)[0, 0]
 
@@ -406,14 +365,6 @@ class SolutionConstants:
         )
 
 
-# Positions of the step-structured blocks in the two-by-two ansatz:
-# the entry there is (c + theta(t - t')) while plain positions hold c.
-_THETA_POSITIONS = {
-    Statistics.BOSON: ((0, 1), (1, 0)),
-    Statistics.FERMION: ((0, 0), (1, 1)),
-}
-
-
 def rotated_block_layout(
     statistics: Statistics,
 ) -> tuple[tuple[KeldyshComponent, KeldyshComponent], ...]:
@@ -432,6 +383,13 @@ def rotated_block_layout(
     )
 
 
+def _has_step(statistics: Statistics, row: int, col: int) -> bool:
+    """Whether the ansatz holds ``c + theta(t - t')`` at a position:
+    where the retarded and advanced components sit."""
+    component = rotated_block_layout(statistics)[row][col]
+    return component in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED)
+
+
 def fix_constants(
     statistics: Statistics,
     nbar,
@@ -442,74 +400,38 @@ def fix_constants(
     The general solution of the contour equations of motion leaves one
     constant block per rotated-basis position.  Two conditions fix them:
     the second-row components vanish at the final time, and at the
-    initial time the first row equals ``-(1 + 2 zeta nbar^T)`` times the
-    second row.  Both are linear, so the blocks follow from one stacked
-    least-squares solve sampled at interior column times; nothing is
-    hard coded.
+    initial time the first row equals ``-W`` times the second row, with
+    ``W = 1 + 2 zeta nbar^T``.  The conditions are block triangular, so
+    per column the second row follows from the first condition and the
+    first row from the second, by elimination in O(d^3):
 
-    Raises
-    ------
-    DegenerateBoundarySystemError
-        If the stacked system is rank deficient.
+    * ``c_2 = -theta(t_f - t') [step at row 2]``,
+    * ``c_1 = -W c_2 - theta(t_i - t') ([step at row 1] + W [step at row 2])``,
+
+    with the step values taken at an interior column time t' and the
+    step positions read from :func:`rotated_block_layout`.  Nothing is
+    hard coded.  Raises
+    :class:`~contourgf.core.OccupationOutOfRangeError` for an occupation
+    outside the range the statistics allow.
     """
-    occ = as_complex_matrix(nbar, "nbar")
-    _occupation_eigensystem(occ, statistics, tolerances)
-    d = occ.shape[0]
-    dim = d * d
-    weight = keldysh_weight(occ, statistics)
-    theta_positions = _THETA_POSITIONS[statistics]
-    eye_small = np.eye(d, dtype=complex)
-    eye_vec = eye_small.reshape(-1)
-    kron_eye = np.eye(dim, dtype=complex)
-    kron_weight = np.kron(weight, np.eye(d))
-
-    t_initial, t_final = 0.0, 1.0
-    # Chebyshev-interior sample times; the step values they induce are
-    # what enters the equations.
-    k = np.arange(3)
-    samples = 0.5 * (t_initial + t_final) + 0.5 * (t_final - t_initial) * np.cos(
-        (2 * k + 1) * math.pi / 6
-    )
-
-    def block_column(row: int, col: int) -> slice:
-        offset = (2 * row + col) * dim
-        return slice(offset, offset + dim)
-
-    rows = []
-    rhs = []
-    for t_prime in samples:
-        step_final = regularized_step(t_final - t_prime)
-        step_initial = regularized_step(t_initial - t_prime)
+    occupation_eigensystem(nbar, statistics, tolerances)
+    weight = keldysh_weight(nbar, statistics)
+    eye = np.eye(weight.shape[0], dtype=complex)
+    t_initial, t_prime, t_final = 0.0, 0.5, 1.0
+    step_final = regularized_step(t_final - t_prime)
+    step_initial = regularized_step(t_initial - t_prime)
+    blocks = {}
+    for col in range(2):
+        first = _has_step(statistics, 0, col)
+        second = _has_step(statistics, 1, col)
         # Second row vanishes at the final time.
-        for col in range(2):
-            coeff = np.zeros((dim, 4 * dim), dtype=complex)
-            coeff[:, block_column(1, col)] = kron_eye
-            shift = step_final if (1, col) in theta_positions else 0.0
-            rows.append(coeff)
-            rhs.append(-shift * eye_vec)
+        blocks[1, col] = -step_final * second * eye
         # First row plus weight times second row vanishes at the initial
         # time.
-        for col in range(2):
-            coeff = np.zeros((dim, 4 * dim), dtype=complex)
-            coeff[:, block_column(0, col)] = kron_eye
-            coeff[:, block_column(1, col)] = kron_weight
-            shift = step_initial if (0, col) in theta_positions else 0.0
-            shift2 = step_initial if (1, col) in theta_positions else 0.0
-            rows.append(coeff)
-            rhs.append(-(shift * eye_vec + shift2 * (kron_weight @ eye_vec)))
-    big_a = np.concatenate(rows, axis=0)
-    big_b = np.concatenate(rhs, axis=0)
-    solution, _, rank, _ = np.linalg.lstsq(big_a, big_b, rcond=None)
-    if rank < 4 * dim:
-        raise DegenerateBoundarySystemError(
-            f"boundary system rank {rank} < {4 * dim}"
+        blocks[0, col] = -weight @ blocks[1, col] - step_initial * (
+            first * eye + second * weight
         )
-    blocks = [
-        solution[block_column(r, c)].reshape(d, d)
-        for r in range(2)
-        for c in range(2)
-    ]
-    return SolutionConstants(*blocks)
+    return SolutionConstants(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
 
 
 def solution_from_constants(
@@ -517,8 +439,8 @@ def solution_from_constants(
     constants: SolutionConstants,
     row: int,
     col: int,
-    t: float,
-    t_prime: float,
+    t_values,
+    t_prime_values,
     *,
     t_ref: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -530,18 +452,18 @@ def solution_from_constants(
     (t' - t_ref))``, with the step term present only at the
     step-structured positions of the statistics' layout.  For a single
     level this is the familiar closed form; for many levels it is the
-    solution whose boundary conditions stay time independent.
+    solution whose boundary conditions stay time independent.  Like
+    :func:`component_table` it tabulates all pairs from two time arrays
+    and returns an array of shape ``(len(t_values), len(t_prime_values),
+    d, d)``.  The system is not validated here.
     """
-    block = {
-        (0, 0): constants.c11,
-        (0, 1): constants.c12,
-        (1, 0): constants.c21,
-        (1, 1): constants.c22,
-    }[(row, col)]
-    d = system.dimension
-    middle = np.array(block, dtype=complex, copy=True)
-    if (row, col) in _THETA_POSITIONS[system.statistics]:
-        middle += regularized_step(t - t_prime) * np.eye(d)
-    left = propagator_stack(system.epsilon, np.array([t - t_ref]), tolerances)[0]
-    right = propagator_stack(system.epsilon, np.array([t_prime - t_ref]), tolerances)[0]
-    return -1j * left @ middle @ right.conj().T
+    block = (constants.c11, constants.c12, constants.c21, constants.c22)[2 * row + col]
+    t_row = np.asarray(t_values, dtype=float).reshape(-1)
+    t_col = np.asarray(t_prime_values, dtype=float).reshape(-1)
+    p_row = propagator_stack(system.epsilon, t_row - t_ref, tolerances)
+    p_col = propagator_stack(system.epsilon, t_col - t_ref, tolerances)
+    out = _sandwich(p_row, block, p_col)
+    if _has_step(system.statistics, row, col):
+        theta = regularized_step(t_row[:, None] - t_col[None, :])
+        out += theta[:, :, None, None] * _sandwich(p_row, np.eye(block.shape[0]), p_col)
+    return out

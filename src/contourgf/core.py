@@ -1,11 +1,12 @@
-"""Domain types and the dense linear-algebra kernel.
+"""Domain types, validation and the dense linear-algebra reference.
 
 Defines the statistics tag, the level system (single-particle energy
 matrix plus initial occupation matrix), contour time grids and index
-mapping, validation, the unitary propagator of a Hermitian matrix, and
-dense LU inversion with a condition estimate.  The discrete route does
-not use the dense LU; it remains as the reference the tests compare the
-structured contour solve against.
+mapping, validation (Hermiticity and the occupation range, checked here
+and nowhere else), the unitary propagators of a Hermitian matrix, and a
+pivoted dense LU with determinant and condition estimate.  No solver
+uses the dense LU; it is the reference the tests compare the structured
+contour solve against.
 
 All operations are pure functions of their arguments.
 """
@@ -17,16 +18,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 __all__ = [
     "Branch",
     "ContourIndex",
-    "DegenerateBoundarySystemError",
     "GridTooLargeError",
     "IllConditionedWarning",
     "IndexOutOfRangeError",
-    "InverseResult",
     "LevelSystem",
     "LuFactorization",
     "NonHermitianError",
@@ -37,9 +36,7 @@ __all__ = [
     "TimeGrid",
     "Tolerances",
     "as_complex_matrix",
-    "dense_invert",
     "hermitian_eigensystem",
-    "hermitian_expm",
     "lu_factorization",
     "max_abs",
     "propagator_stack",
@@ -70,10 +67,6 @@ class SingularMatrixError(ContourGfError):
     """LU factorization met a pivot below the singularity threshold."""
 
 
-class DegenerateBoundarySystemError(ContourGfError):
-    """The boundary-condition linear system is rank deficient."""
-
-
 class GridTooLargeError(ContourGfError):
     """Requested contour matrix dimension exceeds the configured cap."""
 
@@ -96,18 +89,12 @@ class Tolerances:
         Relative bound on ``max|M - M^dag|`` in units of ``max|M|``.
     eigenvalue : float
         Absolute slack allowed on occupation eigenvalue range checks.
-    unitarity : float
-        Bound on ``max|U U^dag - I|`` for computed propagators.
-    inverse : float
-        Relative bound on the inversion residual ``max|M M^-1 - I|``.
     condition_warn : float
         Condition-number estimate above which inversion warns.
     """
 
     hermitian: float = 1e-10
     eigenvalue: float = 1e-10
-    unitarity: float = 1e-10
-    inverse: float = 1e-10
     condition_warn: float = 1e12
 
 
@@ -293,17 +280,7 @@ def validate_system(
     :class:`NonHermitianError` or :class:`OccupationOutOfRangeError`.
     """
     require_hermitian(system.epsilon, "epsilon", tolerances)
-    require_hermitian(system.nbar, "nbar", tolerances)
-    vals = np.linalg.eigvalsh(system.nbar)
-    slack = tolerances.eigenvalue
-    if vals.min() < -slack:
-        raise OccupationOutOfRangeError(
-            f"occupation eigenvalue {vals.min():.6g} below 0"
-        )
-    if system.statistics is Statistics.FERMION and vals.max() > 1 + slack:
-        raise OccupationOutOfRangeError(
-            f"fermionic occupation eigenvalue {vals.max():.6g} above 1"
-        )
+    occupation_eigensystem(system.nbar, system.statistics, tolerances)
     return system
 
 
@@ -323,6 +300,30 @@ def hermitian_eigensystem(
     return w, v
 
 
+def occupation_eigensystem(
+    nbar,
+    statistics: Statistics,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of an occupation matrix, range checked.
+
+    Raises :class:`NonHermitianError` unless ``nbar`` is Hermitian and
+    :class:`OccupationOutOfRangeError` when an eigenvalue is below 0, or
+    above 1 for fermions, by more than ``tolerances.eigenvalue``.
+    """
+    vals, vecs = hermitian_eigensystem(nbar, "nbar", tolerances)
+    slack = tolerances.eigenvalue
+    if vals.min() < -slack:
+        raise OccupationOutOfRangeError(
+            f"occupation eigenvalue {vals.min():.6g} below 0"
+        )
+    if statistics is Statistics.FERMION and vals.max() > 1 + slack:
+        raise OccupationOutOfRangeError(
+            f"fermionic occupation eigenvalue {vals.max():.6g} above 1"
+        )
+    return vals, vecs
+
+
 def propagator_stack(
     matrix: np.ndarray,
     scales: np.ndarray,
@@ -338,27 +339,6 @@ def propagator_stack(
     return np.einsum("ab,kb,cb->kac", v, phases, v.conj())
 
 
-def hermitian_expm(
-    matrix: np.ndarray,
-    scale: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Unitary ``exp(-i M s)`` of a Hermitian ``M`` via eigendecomposition.
-
-    Parameters
-    ----------
-    matrix : (d, d) array
-        Hermitian matrix (checked against ``tolerances.hermitian``).
-    scale : float
-        The real factor s in ``exp(-i M s)``.
-
-    Returns
-    -------
-    (d, d) complex array, unitary within ``tolerances.unitarity``.
-    """
-    return propagator_stack(matrix, np.array([scale]), tolerances)[0]
-
-
 @dataclass(frozen=True)
 class LuFactorization:
     """LU factors of a square matrix plus determinant and conditioning."""
@@ -368,15 +348,6 @@ class LuFactorization:
     determinant: complex
     condition: float
     matrix_norm: float = field(repr=False, default=0.0)
-
-
-@dataclass(frozen=True)
-class InverseResult:
-    """Dense inverse together with determinant and condition estimate."""
-
-    matrix: np.ndarray
-    determinant: complex
-    condition: float
 
 
 def lu_factorization(
@@ -421,19 +392,3 @@ def lu_factorization(
             stacklevel=2,
         )
     return LuFactorization(lu, piv, determinant, condition, norm_max)
-
-
-def dense_invert(
-    matrix: np.ndarray,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> InverseResult:
-    """Invert a square complex matrix by pivoted LU.
-
-    Returns the inverse together with the determinant and the 1-norm
-    condition estimate from the same factorization.  See
-    :func:`lu_factorization` for the error and warning contract.
-    """
-    mat = as_complex_matrix(matrix)
-    factors = lu_factorization(mat, tolerances)
-    inverse = lu_solve((factors.lu, factors.piv), np.eye(mat.shape[0], dtype=complex))
-    return InverseResult(inverse, factors.determinant, factors.condition)

@@ -65,7 +65,6 @@ from .core import (
 from .continuum import ContourComponent, normalization_prefactor, rho_from_nbar
 
 __all__ = [
-    "ContourMatrix",
     "DiscreteGf",
     "build_contour_matrix",
     "contour_branch_signs",
@@ -80,15 +79,6 @@ __all__ = [
 # carries a few units of roundoff.
 SINGULAR_ROUNDOFFS = 8
 LOG2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class ContourMatrix:
-    """The discrete quadratic-form matrix with its grid and system."""
-
-    matrix: np.ndarray
-    grid: TimeGrid
-    system: LevelSystem
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ def _contour_blocks(
     forward = eye - 1j * system.epsilon * grid.dt
     backward = eye + 1j * system.epsilon * grid.dt
     rho = rho_from_nbar(system.nbar, system.statistics, tolerances)
-    corner = -system.statistics.zeta * np.atleast_2d(rho).T
+    corner = -system.statistics.zeta * rho.T
     return forward, backward, corner
 
 
@@ -164,8 +154,8 @@ def build_contour_matrix(
     grid: TimeGrid,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
-) -> ContourMatrix:
-    """Assemble the dense contour matrix D from its blocks.
+) -> np.ndarray:
+    """Assemble the dense ``(2 N d, 2 N d)`` contour matrix D from its blocks.
 
     The solvers never build D; this is the dense reference.  Raises
     :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
@@ -186,7 +176,7 @@ def build_contour_matrix(
     for j in range(n + 2, 2 * n + 1):
         matrix[(j - 1) * d : j * d, (j - 2) * d : (j - 1) * d] = -backward
     matrix[0:d, (2 * n - 1) * d :] = corner
-    return ContourMatrix(matrix, grid, system)
+    return matrix
 
 
 def _log_transfer(generator: np.ndarray, sign: int) -> np.ndarray:

@@ -39,10 +39,16 @@ from .continuum import (
     component_table,
     fix_constants,
     keldysh_weight,
+    regularized_step,
     rotated_block_layout,
     solution_from_constants,
 )
-from .discrete import contour_branch_signs, contour_times, discrete_green
+from .discrete import (
+    _check_dimension,
+    contour_branch_signs,
+    contour_times,
+    discrete_green,
+)
 
 __all__ = [
     "CheckResult",
@@ -128,17 +134,26 @@ def chebyshev_interior(t_initial: float, t_final: float, count: int) -> np.ndarr
     return np.sort(mid + half * np.cos((2 * k + 1) * math.pi / (2 * count)))
 
 
-def _component_tables(system, t_row, t_col, t_ref, tolerances, corruption):
-    """R, A, K tables over t_row x t_col with optional Keldysh corruption."""
-    ret = component_table(system, t_row, t_col, KeldyshComponent.RETARDED, t_ref, tolerances)
-    adv = component_table(system, t_row, t_col, KeldyshComponent.ADVANCED, t_ref, tolerances)
-    kel = component_table(system, t_row, t_col, KeldyshComponent.KELDYSH, t_ref, tolerances)
+def _component_tables(system, t_row, t_col, t_ref, tolerances):
+    """R, A and K tables over t_row x t_col."""
+    return tuple(
+        component_table(system, t_row, t_col, comp, t_ref, tolerances)
+        for comp in (
+            KeldyshComponent.RETARDED,
+            KeldyshComponent.ADVANCED,
+            KeldyshComponent.KELDYSH,
+        )
+    )
+
+
+def _corrupt(kel, t_row, t_col, corruption):
+    """The Keldysh table with the requested test corruption applied."""
     if corruption == KELDYSH_SIGN_FLIP:
         flip = (np.asarray(t_row)[:, None] > np.asarray(t_col)[None, :])
-        kel = np.where(flip[:, :, None, None], -kel, kel)
-    elif corruption is not None:
+        return np.where(flip[:, :, None, None], -kel, kel)
+    if corruption is not None:
         raise ValueError(f"unknown corruption {corruption!r}")
-    return ret, adv, kel
+    return kel
 
 
 def run_structure_suite(
@@ -167,12 +182,12 @@ def run_structure_suite(
     t_interior = np.sort(t_initial + span * rng.uniform(0.05, 0.95, size=3))
     t_row = np.concatenate([[t_initial], t_interior, [t_final]])
 
-    ret, adv, kel = _component_tables(
-        system, t_row, t_col, t_initial, tolerances, corruption
-    )
+    ret, adv, clean_kel = _component_tables(system, t_row, t_col, t_initial, tolerances)
     ret_rev, adv_rev, kel_rev = _component_tables(
-        system, t_col, t_row, t_initial, tolerances, corruption
+        system, t_col, t_row, t_initial, tolerances
     )
+    kel = _corrupt(clean_kel, t_row, t_col, corruption)
+    kel_rev = _corrupt(kel_rev, t_col, t_row, corruption)
     delta = t_row[:, None] - t_col[None, :]
     results = []
 
@@ -270,22 +285,26 @@ def run_structure_suite(
         obs_initial = max(obs_initial, float(np.abs(top + weight @ bottom).max()))
     results.append(CheckResult("boundary_initial", obs_initial, threshold))
 
-    # Solved constants reproduce the closed forms at every position.
+    # Solved constants reproduce the uncorrupted closed forms at every
+    # position.
     constants = fix_constants(system.statistics, system.nbar, tolerances)
-    obs = 0.0
-    pairs = [(float(t), float(tp)) for t in t_row for tp in t_col]
-    for row_idx in range(2):
-        for col_idx in range(2):
-            comp = layout[row_idx][col_idx]
-            for t, tp in pairs:
-                ansatz = solution_from_constants(
-                    system, constants, row_idx, col_idx, t, tp,
-                    t_ref=t_initial, tolerances=tolerances,
-                )
-                direct = component_table(
-                    system, [t], [tp], comp, t_initial, tolerances
-                )[0, 0]
-                obs = max(obs, float(np.abs(ansatz - direct).max()))
+    direct = {
+        KeldyshComponent.RETARDED: ret,
+        KeldyshComponent.ADVANCED: adv,
+        KeldyshComponent.KELDYSH: clean_kel,
+        KeldyshComponent.ZERO: 0.0,
+    }
+    obs = max(
+        max_abs(
+            solution_from_constants(
+                system, constants, row_idx, col_idx, t_row, t_col,
+                t_ref=t_initial, tolerances=tolerances,
+            )
+            - direct[layout[row_idx][col_idx]]
+        )
+        for row_idx in range(2)
+        for col_idx in range(2)
+    )
     results.append(CheckResult("constant_fixing", obs, threshold))
 
     return sorted(results, key=lambda r: r.name)
@@ -316,8 +335,7 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid, tolerances: Tolerances)
         count = stop - start
         out = weighted[start:stop].reshape(count * d, d) @ right
         bare = free[start:stop].reshape(count * d, d) @ right
-        delta = tau[start:stop, None] - tau[None, :]
-        theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
+        theta = regularized_step(tau[start:stop, None] - tau[None, :])
         c = signs[None, :] * theta - signs[start:stop, None] * (1.0 - theta)
         blocks = bare.reshape(count, d, tau.size, d)
         blocks *= c[:, None, :, None]
@@ -392,9 +410,9 @@ def run_oracle_suite(
     equal times, the error allowance, the partition-function deviation
     |Z - 1|, and the order fitted by least squares on the log-log error
     curve (None when all errors sit at the roundoff floor).  Each grid
-    is factorized once: Z comes with the discrete inverse, which raises
-    :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
-    ``max_dimension``.  The continuum prediction is compared in blocks of
+    is factorized once: Z comes with the discrete inverse.  Raises
+    :class:`~contourgf.core.GridTooLargeError` before any grid is filled
+    when ``2 N d`` of the finest grid exceeds ``max_dimension``.  The continuum prediction is compared in blocks of
     contour rows, so each grid costs O((N d)^2 d) time and the memory of
     the discrete inverse plus one row block.
     """
@@ -409,6 +427,8 @@ def run_oracle_suite(
         g.t_initial != first.t_initial or g.t_final != first.t_final for g in grids
     ):
         raise ValueError("grids must share their endpoints")
+    # Refuse an over-cap grid before any fill; the finest is the largest.
+    _check_dimension(system, grids[-1], max_dimension)
     errors = []
     bounds = []
     deviations = []

@@ -17,7 +17,6 @@ from contourgf import (
     Statistics,
     TimeGrid,
     component_table,
-    contour_component,
     discrete_partition_function,
     gf_component,
     initial_boundary_ratio,

@@ -338,6 +338,69 @@ def test_oracle_commands_honour_max_dimension(tmp_path, capsys, command):
     assert "GridTooLargeError" in captured.err
 
 
+@pytest.mark.parametrize("command", ["converge", "verify"])
+def test_over_cap_grid_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    import contourgf.cli
+    import contourgf.verify
+
+    calls = {"discrete_green": 0, "run_structure_suite": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(contourgf.verify, "discrete_green")
+    counted(contourgf.cli, "run_structure_suite")
+    # The coarser grid (2 N d = 8) fits the cap, the finer one does not.
+    config = write_config(
+        tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8], "max_dimension": 8}
+    )
+    assert main([command, "--config", config]) == 2
+    assert "GridTooLargeError" in capsys.readouterr().err
+    assert calls == {"discrete_green": 0, "run_structure_suite": 0}
+
+
+def test_removed_tolerance_key_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, {"tolerances": {"unitarity": 1e-10}})
+    assert main(["z", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unitarity" in captured.err
+
+
+def _classical_limit_z(nbar, n_slices):
+    """``(1 + nbar)^-1 / (1 - rho l)`` for eps = 1 on [0, 1], 50 digits.
+
+    ``l = (1 + dt^2)^(N - 1)`` is the loop product of one level.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        occ = mpmath.mpf(nbar)
+        rho = occ / (1 + occ)
+        loop = (1 + mpmath.mpf(1) / n_slices**2) ** (n_slices - 1)
+        return float(1 / ((1 + occ) * (1 - rho * loop)))
+
+
+@pytest.mark.parametrize("nbar", [1e8, 1e15, 1e300])
+def test_z_classical_limit(tmp_path, capsys, nbar):
+    # rho rounds to 1 here; the prefactor 1/(1 + nbar) must not.
+    config = write_config(
+        tmp_path, {"nbar": nbar, "grid.n_slices": [4, 8], "output.format": "json"}
+    )
+    assert main(["z", "--config", config]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    for row in rows:
+        expected = _classical_limit_z(nbar, row["n_slices"])
+        z = complex(row["z_re"], row["z_im"])
+        assert abs(z - expected) <= 1e-14 * abs(expected)
+
+
 def test_converge_json(tmp_path, capsys):
     config = write_config(
         tmp_path,

@@ -17,7 +17,6 @@ from contourgf import (
     Statistics,
     ThermalDivergenceError,
     component_table,
-    contour_component,
     fix_constants,
     gf_component,
     initial_boundary_ratio,
@@ -248,14 +247,14 @@ def test_retarded_reference_time_invariance():
 
 def test_contour_equal_time_occupations():
     boson = LevelSystem(1.0, 0.8, Statistics.BOSON)
-    value = contour_component(boson, ContourComponent.PLUS_MINUS, 0.4, 0.4, t_ref=0.0)
+    value = gf_component(boson, ContourComponent.PLUS_MINUS, 0.4, 0.4, t_ref=0.0)
     assert value[0, 0] == pytest.approx(-0.8j, abs=1e-15)
-    value = contour_component(boson, ContourComponent.MINUS_PLUS, 0.4, 0.4, t_ref=0.0)
+    value = gf_component(boson, ContourComponent.MINUS_PLUS, 0.4, 0.4, t_ref=0.0)
     assert value[0, 0] == pytest.approx(-1.8j, abs=1e-15)
     fermion = LevelSystem(1.0, 0.4, Statistics.FERMION)
-    value = contour_component(fermion, ContourComponent.PLUS_MINUS, 0.4, 0.4, t_ref=0.0)
+    value = gf_component(fermion, ContourComponent.PLUS_MINUS, 0.4, 0.4, t_ref=0.0)
     assert value[0, 0] == pytest.approx(0.4j, abs=1e-15)
-    value = contour_component(fermion, ContourComponent.MINUS_PLUS, 0.4, 0.4, t_ref=0.0)
+    value = gf_component(fermion, ContourComponent.MINUS_PLUS, 0.4, 0.4, t_ref=0.0)
     assert value[0, 0] == pytest.approx(-0.6j, abs=1e-15)
 
 
@@ -385,6 +384,94 @@ def test_fix_constants_fermion_scalars():
     assert constants.to_scalars()[1] == pytest.approx(1.0, abs=1e-12)
 
 
+# Step-structured positions of the two-by-two ansatz, written out.
+THETA_POSITIONS = {
+    Statistics.BOSON: ((0, 1), (1, 0)),
+    Statistics.FERMION: ((0, 0), (1, 1)),
+}
+
+
+def fix_constants_lstsq(statistics, nbar):
+    """The boundary conditions as one stacked Kronecker least-squares
+    system of size 12 d^2 x 4 d^2, sampled at three interior times."""
+    occ = np.atleast_2d(np.asarray(nbar, dtype=complex))
+    d = occ.shape[0]
+    dim = d * d
+    weight = keldysh_weight(occ, statistics)
+    theta_positions = THETA_POSITIONS[statistics]
+    eye_vec = np.eye(d, dtype=complex).reshape(-1)
+    kron_eye = np.eye(dim, dtype=complex)
+    kron_weight = np.kron(weight, np.eye(d))
+    t_initial, t_final = 0.0, 1.0
+    k = np.arange(3)
+    samples = 0.5 + 0.5 * np.cos((2 * k + 1) * math.pi / 6)
+
+    def block_column(row, col):
+        offset = (2 * row + col) * dim
+        return slice(offset, offset + dim)
+
+    rows, rhs = [], []
+    for t_prime in samples:
+        step_final = 1.0 if t_final > t_prime else 0.0
+        step_initial = 1.0 if t_initial > t_prime else 0.0
+        for col in range(2):
+            coeff = np.zeros((dim, 4 * dim), dtype=complex)
+            coeff[:, block_column(1, col)] = kron_eye
+            shift = step_final if (1, col) in theta_positions else 0.0
+            rows.append(coeff)
+            rhs.append(-shift * eye_vec)
+        for col in range(2):
+            coeff = np.zeros((dim, 4 * dim), dtype=complex)
+            coeff[:, block_column(0, col)] = kron_eye
+            coeff[:, block_column(1, col)] = kron_weight
+            shift = step_initial if (0, col) in theta_positions else 0.0
+            shift2 = step_initial if (1, col) in theta_positions else 0.0
+            rows.append(coeff)
+            rhs.append(-(shift * eye_vec + shift2 * (kron_weight @ eye_vec)))
+    solution, _, rank, _ = np.linalg.lstsq(
+        np.concatenate(rows), np.concatenate(rhs), rcond=None
+    )
+    assert rank == 4 * dim
+    return [solution[block_column(r, c)].reshape(d, d) for r in range(2) for c in range(2)]
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_fix_constants_matches_least_squares(statistics, dimension):
+    rng = np.random.default_rng(40 + dimension)
+    for _ in range(5):
+        system = random_system(rng, statistics, dimension)
+        constants = fix_constants(statistics, system.nbar)
+        reference = fix_constants_lstsq(statistics, system.nbar)
+        scale = np.abs(keldysh_weight(system.nbar, statistics)).max()
+        solved = (constants.c11, constants.c12, constants.c21, constants.c22)
+        for block, ref in zip(solved, reference):
+            assert np.abs(block - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_fix_constants_closed_values_at_sixteen_levels(statistics):
+    rng = np.random.default_rng(45)
+    nbar = random_hermitian(rng, 16, 0.1, 0.9)
+    weight = keldysh_weight(nbar, statistics)
+    constants = fix_constants(statistics, nbar)
+    eye = np.eye(16)
+    if statistics is Statistics.BOSON:
+        expected = (weight, 0 * eye, -eye, 0 * eye)
+    else:
+        expected = (0 * eye, weight, 0 * eye, -eye)
+    solved = (constants.c11, constants.c12, constants.c21, constants.c22)
+    for block, value in zip(solved, expected):
+        np.testing.assert_array_equal(block, value)
+
+
+def test_fix_constants_rejects_out_of_range_occupation():
+    with pytest.raises(OccupationOutOfRangeError):
+        fix_constants(Statistics.FERMION, 1.5)
+    with pytest.raises(OccupationOutOfRangeError):
+        fix_constants(Statistics.BOSON, -0.5)
+
+
 def test_solution_from_constants_matches_components():
     rng = np.random.default_rng(14)
     for statistics in Statistics:
@@ -395,8 +482,8 @@ def test_solution_from_constants_matches_components():
             for col in range(2):
                 for t, t_prime in ((0.9, 0.2), (0.2, 0.9), (0.5, 0.5)):
                     ansatz = solution_from_constants(
-                        system, constants, row, col, t, t_prime, t_ref=0.0
-                    )
+                        system, constants, row, col, [t], [t_prime], t_ref=0.0
+                    )[0, 0]
                     direct = gf_component(
                         system, layout[row][col], t, t_prime, t_ref=0.0
                     )

@@ -22,10 +22,10 @@ from contourgf import (
     build_contour_matrix,
     contour_branch_signs,
     contour_times,
-    contour_component,
     discrete_green,
     discrete_partition_function,
     extract_component,
+    gf_component,
     normalization_prefactor,
     oracle_error_bound,
 )
@@ -40,7 +40,7 @@ DENSE_TOL = 1e-12
 
 def dense_reference(system, grid):
     """G, Z and the 1-norm condition number from the dense matrix D."""
-    matrix = build_contour_matrix(system, grid).matrix
+    matrix = build_contour_matrix(system, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         determinant = lu_factorization(matrix).determinant
@@ -86,7 +86,7 @@ def test_contour_matrix_two_slices_exact():
             [0.0, 0.0, -h.conjugate(), 1.0],
         ]
     )
-    np.testing.assert_allclose(built.matrix, expected, atol=1e-15)
+    np.testing.assert_allclose(built, expected, atol=1e-15)
 
 
 def test_contour_matrix_fermion_corner_sign():
@@ -94,7 +94,7 @@ def test_contour_matrix_fermion_corner_sign():
     system = LevelSystem(0.0, 0.2, Statistics.FERMION)
     grid = TimeGrid(0.0, 1.0, 2)
     built = build_contour_matrix(system, grid)
-    assert built.matrix[0, 3] == pytest.approx(0.25, abs=1e-15)  # 0.2/(1-0.2)
+    assert built[0, 3] == pytest.approx(0.25, abs=1e-15)  # 0.2/(1-0.2)
 
 
 def test_contour_matrix_block_structure():
@@ -104,7 +104,7 @@ def test_contour_matrix_block_structure():
     built = build_contour_matrix(system, grid)
     d = 2
     total = 2 * grid.n_slices * d
-    assert built.matrix.shape == (total, total)
+    assert built.shape == (total, total)
     # Only the diagonal, the first subdiagonal, and the corner block are
     # populated.
     pattern = np.zeros((2 * grid.n_slices, 2 * grid.n_slices), dtype=bool)
@@ -112,7 +112,7 @@ def test_contour_matrix_block_structure():
     for j in range(1, 2 * grid.n_slices):
         pattern[j, j - 1] = True
     pattern[0, -1] = True
-    block_norms = np.abs(built.matrix).reshape(6, d, 6, d).max(axis=(1, 3))
+    block_norms = np.abs(built).reshape(6, d, 6, d).max(axis=(1, 3))
     assert np.all((block_norms > 0) <= pattern)
 
 
@@ -138,7 +138,7 @@ def test_discrete_matches_continuum_components():
         (ContourComponent.MINUS_MINUS, 5, 50),
     ):
         block, t, t_prime = extract_component(gf, comp, n, m)
-        direct = contour_component(system, comp, t, t_prime, t_ref=0.0)
+        direct = gf_component(system, comp, t, t_prime, t_ref=0.0)
         assert np.abs(block - direct).max() < bound
 
 
@@ -250,7 +250,7 @@ def test_ill_conditioned_warning(statistics):
         gf = discrete_green(system, grid)
     with pytest.warns(IllConditionedWarning):
         discrete_partition_function(system, grid)
-    condition = np.linalg.cond(build_contour_matrix(system, grid).matrix, 1)
+    condition = np.linalg.cond(build_contour_matrix(system, grid), 1)
     assert condition > 1e12
     assert condition / 3 <= gf.condition <= 3 * condition
 

@@ -1,9 +1,12 @@
 """Tests for the structure and convergence suites."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from contourgf import (
     LevelSystem,
@@ -24,7 +27,7 @@ from contourgf import verify
 from contourgf.core import DEFAULT_TOLERANCES, propagator_stack
 from contourgf.verify import KELDYSH_SIGN_FLIP, _continuum_rows, chebyshev_interior
 
-from conftest import random_system
+from conftest import random_system, random_unitary
 
 # Agreement of the row kernel with the einsum reference, relative to max|G|.
 KERNEL_TOL = 1e-13
@@ -97,6 +100,58 @@ def test_structure_suite_passes_matrix_systems():
         assert failing == []
 
 
+# Largest occupation eigenvalue per statistics in the property test.
+TOP_OCCUPATION = {Statistics.BOSON: 1e6, Statistics.FERMION: 1.0 - 1e-6}
+
+
+@st.composite
+def extreme_systems(draw):
+    """Systems over both statistics, d = 1..6, eps spectra of 1e-3..1e3,
+    and occupations either exactly 0 or with a spectrum in [top/10, top]
+    for a top of up to 1e6 (bosons) or 1 - 1e-6 (fermions).
+
+    Occupied spectra start at top/10: rotated into a random basis, an
+    eigenvalue of 0 next to one of 1e6 lands about 1e-10 below 0, past
+    the absolute ``Tolerances.eigenvalue`` slack, and is rejected.
+    """
+    statistics = draw(st.sampled_from(list(Statistics)))
+    dimension = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    basis = random_unitary(rng, dimension)
+    epsilon = (basis * (scale * rng.uniform(-1.0, 1.0, dimension))) @ basis.conj().T
+    top = TOP_OCCUPATION[statistics] * draw(
+        st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0)
+    )
+    basis = random_unitary(rng, dimension)
+    spectrum = top * rng.uniform(0.1, 1.0, dimension)
+    nbar = (basis * spectrum) @ basis.conj().T
+    return LevelSystem(epsilon, nbar, statistics)
+
+
+@seed(41)
+@settings(max_examples=60, deadline=None)
+@given(system=extreme_systems())
+def test_structure_suite_passes_across_the_domain(system):
+    # The checks compare products of the Keldysh weight W with absolute
+    # thresholds; their roundoff grows with max|W| (up to 2e6 here), so
+    # the threshold is relative to it.
+    scale = max(1.0, float(np.abs(keldysh_weight(system.nbar, system.statistics)).max()))
+    checks = run_structure_suite(system, threshold=1e-12 * scale)
+    assert [c.name for c in checks] == STRUCTURE_CHECK_NAMES
+    assert [c.name for c in checks if not c.passed] == []
+
+
+def test_structure_suite_constant_fixing_detects_wrong_constants(monkeypatch):
+    system = LevelSystem(1.0, 0.7, Statistics.BOSON)
+    solved = verify.fix_constants(system.statistics, system.nbar)
+    wrong = dataclasses.replace(solved, c21=solved.c21 + 1e-9)
+    monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
+    checks = {c.name: c for c in run_structure_suite(system)}
+    assert not checks["constant_fixing"].passed
+    assert checks["constant_fixing"].observed == pytest.approx(1e-9, rel=1e-6)
+
+
 def test_structure_suite_half_filled_fermion_degenerate_fdt():
     # 1 - 2 nbar = 0 makes the Keldysh component vanish identically;
     # the proportionality check degenerates to 0 = 0.
@@ -126,6 +181,8 @@ def test_structure_suite_corruption_fails_antihermiticity():
     assert checks["causality"].passed
     assert checks["zero_block"].passed
     assert checks["boundary_final"].passed
+    # The solved constants are compared with the uncorrupted tables.
+    assert checks["constant_fixing"].passed
 
 
 def test_structure_suite_rejects_unknown_corruption():
