@@ -54,10 +54,8 @@ def _peak_mib(func, *args, **kwargs):
 @pytest.mark.parametrize("dimension", DIMENSIONS)
 def test_fix_constants(benchmark, dimension, statistics):
     system = _system(statistics, dimension)
-    benchmark.extra_info["peak_mib"] = _peak_mib(
-        fix_constants, statistics, system.nbar
-    )
-    benchmark(fix_constants, statistics, system.nbar)
+    benchmark.extra_info["peak_mib"] = _peak_mib(fix_constants, system)
+    benchmark(fix_constants, system)
 
 
 @pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)

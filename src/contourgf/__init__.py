@@ -27,7 +27,6 @@ from .core import (
     ThermalDivergenceError,
     TimeGrid,
     Tolerances,
-    validate_system,
 )
 from .continuum import (
     ContourComponent,
@@ -118,5 +117,4 @@ __all__ = [
     "run_structure_suite",
     "solution_from_constants",
     "thermal_nbar",
-    "validate_system",
 ]

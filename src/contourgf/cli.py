@@ -36,7 +36,6 @@ from .continuum import (
 )
 from .core import (
     DEFAULT_MAX_DIMENSION,
-    DEFAULT_TOLERANCES,
     GridTooLargeError,
     LevelSystem,
     NonHermitianError,
@@ -47,10 +46,10 @@ from .core import (
     TimeGrid,
     Tolerances,
     max_abs,
-    validate_system,
 )
 from .discrete import discrete_partition_function
 from .verify import (
+    DEFAULT_THRESHOLD,
     KELDYSH_SIGN_FLIP,
     assemble_report,
     oracle_checks,
@@ -126,7 +125,6 @@ class RunConfig:
     seed: int
     threshold: float
     max_dimension: int
-    tolerances: Tolerances
 
     def grid(self) -> TimeGrid:
         if self.n_slices is None:
@@ -134,7 +132,10 @@ class RunConfig:
         return TimeGrid(self.t_initial, self.t_final, self.n_slices)
 
     def grids(self) -> list[TimeGrid]:
-        return [TimeGrid(self.t_initial, self.t_final, n) for n in self.n_slices_list]
+        sizes = self.n_slices_list
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(f"grid.n_slices must be strictly increasing, got {sizes}")
+        return [TimeGrid(self.t_initial, self.t_final, n) for n in sizes]
 
 
 def _fmt(x: float) -> str:
@@ -155,34 +156,59 @@ def _real(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number: {exc}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return number
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """A config integer of at least ``minimum``; an integral float such
+    as ``1e3`` counts, a fraction does not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        number = _real(value, name)
+        if not number.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        value = int(number)
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return value
+
+
 def _parse_matrix(value, name: str) -> np.ndarray:
     if _contains_bool(value):
         raise ConfigError(f"{name} must be numeric, got a boolean")
     if isinstance(value, (int, float)):
-        return np.array([[value]], dtype=complex)
+        value = [[value]]
     if isinstance(value, list):
         try:
             return np.array(value, dtype=complex)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name} is not a numeric matrix: {exc}") from exc
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
         try:
             real = np.array(value.get("re", 0), dtype=float)
             imag = np.array(value.get("im", 0), dtype=float)
             return real + 1j * imag
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name} is not a numeric matrix: {exc}") from exc
     raise ConfigError(f"{name} must be a number, a nested list, or re/im parts")
 
 
-def _build_system(raw: dict, tolerances: Tolerances) -> LevelSystem:
+def _build_system(raw: dict) -> LevelSystem:
+    tol_raw = raw.get("tolerances", {})
+    if not isinstance(tol_raw, dict):
+        raise ConfigError("tolerances must be an object")
+    known = {"hermitian", "eigenvalue", "condition_warn"}
+    if set(tol_raw) - known:
+        raise ConfigError(f"unknown tolerance keys {sorted(set(tol_raw) - known)}")
+    try:
+        tolerances = Tolerances(
+            **{key: _real(val, f"tolerances.{key}") for key, val in tol_raw.items()}
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         statistics = Statistics(str(raw["statistics"]).lower())
     except KeyError as exc:
@@ -215,8 +241,7 @@ def _build_system(raw: dict, tolerances: Tolerances) -> LevelSystem:
     else:
         occ = _parse_matrix(occ_raw, "nbar")
     try:
-        system = LevelSystem(epsilon, occ, statistics)
-        validate_system(system, tolerances)
+        system = LevelSystem(epsilon, occ, statistics, tolerances)
     except (ValueError, NonHermitianError, OccupationOutOfRangeError) as exc:
         raise ConfigError(str(exc)) from exc
     return system
@@ -226,20 +251,7 @@ def build_run_config(raw: dict) -> RunConfig:
     """Validate the raw config dict into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("tolerances must be an object")
-    known = {"hermitian", "eigenvalue", "condition_warn"}
-    if set(tol_raw) - known:
-        raise ConfigError(f"unknown tolerance keys {sorted(set(tol_raw) - known)}")
-    try:
-        tolerances = Tolerances(
-            **{key: float(val) for key, val in tol_raw.items()}
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tolerances: {exc}") from exc
-
-    system = _build_system(raw, tolerances)
+    system = _build_system(raw)
 
     t_initial, t_final = 0.0, 1.0
     n_single: int | None = None
@@ -278,7 +290,7 @@ def build_run_config(raw: dict) -> RunConfig:
     if not isinstance(components, list) or not components:
         raise ConfigError("output.components must be a nonempty list")
     for name in components:
-        if name not in COMPONENT_NAMES:
+        if not isinstance(name, str) or name not in COMPONENT_NAMES:
             raise ConfigError(
                 f"unknown component {name!r}; valid: {sorted(COMPONENT_NAMES)}"
             )
@@ -286,12 +298,9 @@ def build_run_config(raw: dict) -> RunConfig:
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output.path must be a string or null")
 
-    try:
-        seed = int(raw.get("seed", 0))
-        threshold = float(raw.get("threshold", 1e-12))
-        max_dimension = int(raw.get("max_dimension", DEFAULT_MAX_DIMENSION))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scalar field: {exc}") from exc
+    threshold = _real(raw.get("threshold", DEFAULT_THRESHOLD), "threshold")
+    if not threshold > 0:
+        raise ConfigError(f"threshold must be positive, got {threshold!r}")
 
     return RunConfig(
         system=system,
@@ -302,10 +311,11 @@ def build_run_config(raw: dict) -> RunConfig:
         output_format=output_format,
         components=list(components),
         output_path=output_path,
-        seed=seed,
+        seed=_integer(raw.get("seed", 0), "seed", 0),
         threshold=threshold,
-        max_dimension=max_dimension,
-        tolerances=tolerances,
+        max_dimension=_integer(
+            raw.get("max_dimension", DEFAULT_MAX_DIMENSION), "max_dimension", 1
+        ),
     )
 
 
@@ -379,8 +389,7 @@ def iter_samples(config: RunConfig):
         for start in range(0, times.size, GF_ROW_CHUNK):
             chunk = times[start : start + GF_ROW_CHUNK]
             table = component_table(
-                config.system, chunk, times, component, grid.t_initial,
-                config.tolerances,
+                config.system, chunk, times, component, grid.t_initial
             )
             for n_idx, t in enumerate(chunk):
                 for m_idx, t_prime in enumerate(times):
@@ -432,7 +441,7 @@ def cmd_z(config: RunConfig) -> int:
     rows = []
     for n in config.n_slices_list:
         grid = TimeGrid(config.t_initial, config.t_final, n)
-        z = discrete_partition_function(config.system, grid, config.tolerances)
+        z = discrete_partition_function(config.system, grid)
         rows.append(
             {
                 "n_slices": n,
@@ -458,9 +467,7 @@ def cmd_z(config: RunConfig) -> int:
 def cmd_converge(config: RunConfig) -> int:
     if len(config.n_slices_list) < 2:
         raise ConfigError("converge requires grid.n_slices as a list of >= 2 sizes")
-    report = run_oracle_suite(
-        config.system, config.grids(), config.tolerances, config.max_dimension
-    )
+    report = run_oracle_suite(config.system, config.grids(), config.max_dimension)
     if config.output_format == "csv":
         lines = ["n_slices,error,error_bound,partition_deviation,fitted_order"]
         order = "" if report.fitted_order is None else _fmt(report.fitted_order)
@@ -487,7 +494,7 @@ def cmd_verify(config: RunConfig, corruption: str | None) -> int:
     extra = None
     if len(config.n_slices_list) >= 2:
         convergence = run_oracle_suite(
-            config.system, config.grids(), config.tolerances, config.max_dimension
+            config.system, config.grids(), config.max_dimension
         )
         extra = oracle_checks(convergence)
     structure = run_structure_suite(
@@ -496,7 +503,6 @@ def cmd_verify(config: RunConfig, corruption: str | None) -> int:
         t_final=config.t_final,
         seed=config.seed,
         threshold=config.threshold,
-        tolerances=config.tolerances,
         corruption=corruption,
     )
     report = assemble_report(structure, convergence, extra)

@@ -26,7 +26,8 @@ table here and by the oracle's continuum rows.  The step sits at the
 rotated-basis positions of R and A (:func:`rotated_block_layout`), and
 :func:`fix_constants` solves the two boundary conditions for the
 constant blocks of the general solution by block elimination.
-Occupations are range checked in :mod:`contourgf.core` only.
+Everything here reads the eigensystems a :class:`~contourgf.core.LevelSystem`
+checked and stored when it was constructed; nothing is validated again.
 
 All functions are pure; nothing here keeps state between calls.
 """
@@ -40,17 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     Branch,
     LevelSystem,
     OccupationOutOfRangeError,
     Statistics,
     ThermalDivergenceError,
-    Tolerances,
     as_complex_matrix,
-    occupation_eigensystem,
     propagator_stack,
-    validate_system,
 )
 
 __all__ = [
@@ -108,28 +105,21 @@ def regularized_step(x):
     return 0.5 * (1.0 + np.sign(x))
 
 
-def rho_from_nbar(
-    nbar,
-    statistics: Statistics,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-):
+def rho_from_nbar(system: LevelSystem) -> np.ndarray:
     """Distribution parameter ``rho = nbar (1 + zeta nbar)^(-1)``.
 
-    Matrix input is mapped through the eigenbasis of ``nbar``; scalar
-    input is the one-level case and gives a scalar.  Raises
-    :class:`~contourgf.core.OccupationOutOfRangeError` when the
-    occupation leaves the range allowed by the statistics, including the
-    divergent fermionic endpoint ``nbar -> 1``.
+    Mapped through the stored eigenbasis of ``nbar``.  Raises
+    :class:`~contourgf.core.OccupationOutOfRangeError` at the divergent
+    fermionic endpoint ``nbar -> 1`` (within ``tolerances.eigenvalue``).
     """
-    vals, vecs = occupation_eigensystem(nbar, statistics, tolerances)
-    denom = 1 + statistics.zeta * vals
-    if np.abs(denom).min() <= tolerances.eigenvalue:
+    vals, vecs = system.nbar_eigh
+    denom = 1 + system.statistics.zeta * vals
+    if np.abs(denom).min() <= system.tolerances.eigenvalue:
         raise OccupationOutOfRangeError(
             "distribution parameter diverges at occupation "
             f"{vals[np.abs(denom).argmin()]:.6g}"
         )
-    rho = (vecs * (vals / denom)) @ vecs.conj().T
-    return float(rho[0, 0].real) if np.ndim(nbar) == 0 else rho
+    return (vecs * (vals / denom)) @ vecs.conj().T
 
 
 def thermal_nbar(
@@ -160,21 +150,18 @@ def thermal_nbar(
     return 1.0 / (math.exp(x) + 1.0)
 
 
-def normalization_prefactor(
-    nbar,
-    statistics: Statistics,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def normalization_prefactor(system: LevelSystem) -> float:
     """Partition-sum prefactor ``(1 - zeta rho)^zeta = det(1 + zeta nbar)^(-zeta)``.
 
     Equals ``1/(1 + nbar)`` for bosons and ``1 - nbar`` for fermions
-    (the reciprocal of the two-state trace).  Taken from the eigenvalues
-    of ``nbar`` directly, so it keeps its digits in the classical limit,
-    where ``rho`` rounds to 1.
+    (the reciprocal of the two-state trace).  Taken from the stored
+    eigenvalues of ``nbar`` directly, so it keeps its digits in the
+    classical limit, where ``rho`` rounds to 1.
     """
-    vals, _ = occupation_eigensystem(nbar, statistics, tolerances)
+    vals, _ = system.nbar_eigh
+    zeta = system.statistics.zeta
     with np.errstate(over="ignore"):
-        return float(np.prod(1.0 + statistics.zeta * vals) ** -statistics.zeta)
+        return float(np.prod(1.0 + zeta * vals) ** -zeta)
 
 
 def keldysh_rotate_boson(phi_plus, phi_minus):
@@ -246,14 +233,13 @@ def component_table(
     t_prime_values,
     component,
     t_ref: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Tabulate one component over all pairs from two time arrays.
 
     Parameters
     ----------
     system : LevelSystem
-        Validated on entry.
+        Propagators come from its stored energy eigensystem.
     t_values, t_prime_values : 1-d arrays
         Row and column times.
     component : KeldyshComponent or ContourComponent
@@ -265,7 +251,6 @@ def component_table(
     -------
     Array of shape ``(len(t_values), len(t_prime_values), d, d)``.
     """
-    validate_system(system, tolerances)
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
     t_row = np.asarray(t_values, dtype=float).reshape(-1)
@@ -273,8 +258,8 @@ def component_table(
     if component is KeldyshComponent.ZERO:
         d = system.dimension
         return np.zeros((t_row.size, t_col.size, d, d), dtype=complex)
-    p_row = propagator_stack(system.epsilon, t_row - t_ref, tolerances)
-    p_col = propagator_stack(system.epsilon, t_col - t_ref, tolerances)
+    p_row = propagator_stack(system, t_row - t_ref)
+    p_col = propagator_stack(system, t_col - t_ref)
 
     def keldysh():
         weight = keldysh_weight(system.nbar, system.statistics)
@@ -312,7 +297,6 @@ def gf_component(
     t_prime: float,
     *,
     t_ref: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """One rotated-basis or branch-labelled component at a single time pair.
 
@@ -320,7 +304,7 @@ def gf_component(
     for a single level so the call shape does not change with dimension.
     Returns a ``(d, d)`` complex matrix.
     """
-    return component_table(system, [t], [t_prime], component, t_ref, tolerances)[0, 0]
+    return component_table(system, [t], [t_prime], component, t_ref)[0, 0]
 
 
 def initial_boundary_ratio(nbar: float) -> float:
@@ -390,11 +374,7 @@ def _has_step(statistics: Statistics, row: int, col: int) -> bool:
     return component in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED)
 
 
-def fix_constants(
-    statistics: Statistics,
-    nbar,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SolutionConstants:
+def fix_constants(system: LevelSystem) -> SolutionConstants:
     """Solve the boundary conditions for the four constant blocks.
 
     The general solution of the contour equations of motion leaves one
@@ -410,12 +390,10 @@ def fix_constants(
 
     with the step values taken at an interior column time t' and the
     step positions read from :func:`rotated_block_layout`.  Nothing is
-    hard coded.  Raises
-    :class:`~contourgf.core.OccupationOutOfRangeError` for an occupation
-    outside the range the statistics allow.
+    hard coded.
     """
-    occupation_eigensystem(nbar, statistics, tolerances)
-    weight = keldysh_weight(nbar, statistics)
+    statistics = system.statistics
+    weight = keldysh_weight(system.nbar, statistics)
     eye = np.eye(weight.shape[0], dtype=complex)
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
     step_final = regularized_step(t_final - t_prime)
@@ -443,7 +421,6 @@ def solution_from_constants(
     t_prime_values,
     *,
     t_ref: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Evaluate the general solution at one rotated-basis position.
 
@@ -455,13 +432,13 @@ def solution_from_constants(
     solution whose boundary conditions stay time independent.  Like
     :func:`component_table` it tabulates all pairs from two time arrays
     and returns an array of shape ``(len(t_values), len(t_prime_values),
-    d, d)``.  The system is not validated here.
+    d, d)``.
     """
     block = (constants.c11, constants.c12, constants.c21, constants.c22)[2 * row + col]
     t_row = np.asarray(t_values, dtype=float).reshape(-1)
     t_col = np.asarray(t_prime_values, dtype=float).reshape(-1)
-    p_row = propagator_stack(system.epsilon, t_row - t_ref, tolerances)
-    p_col = propagator_stack(system.epsilon, t_col - t_ref, tolerances)
+    p_row = propagator_stack(system, t_row - t_ref)
+    p_col = propagator_stack(system, t_col - t_ref)
     out = _sandwich(p_row, block, p_col)
     if _has_step(system.statistics, row, col):
         theta = regularized_step(t_row[:, None] - t_col[None, :])

@@ -2,11 +2,13 @@
 
 Defines the statistics tag, the level system (single-particle energy
 matrix plus initial occupation matrix), contour time grids and index
-mapping, validation (Hermiticity and the occupation range, checked here
-and nowhere else), the unitary propagators of a Hermitian matrix, and a
-pivoted dense LU with determinant and condition estimate.  No solver
-uses the dense LU; it is the reference the tests compare the structured
-contour solve against.
+mapping, the unitary propagators of a level system, and a pivoted dense
+LU with determinant and condition estimate.  A :class:`LevelSystem` is
+checked once, when it is constructed (Hermiticity of both matrices and
+the occupation range), and keeps the two eigendecompositions the checks
+compute; every other function reads them and checks nothing again.  No
+solver uses the dense LU; it is the reference the tests compare the
+structured contour solve against.
 
 All operations are pure functions of their arguments.
 """
@@ -36,11 +38,9 @@ __all__ = [
     "TimeGrid",
     "Tolerances",
     "as_complex_matrix",
-    "hermitian_eigensystem",
     "lu_factorization",
     "max_abs",
     "propagator_stack",
-    "validate_system",
 ]
 
 # Matrix dimension cap for the discrete contour matrix (2*N*d).
@@ -88,14 +88,25 @@ class Tolerances:
     hermitian : float
         Relative bound on ``max|M - M^dag|`` in units of ``max|M|``.
     eigenvalue : float
-        Absolute slack allowed on occupation eigenvalue range checks.
+        Relative slack on the occupation range, in units of
+        ``max(1, max|eigenvalue|)``.
     condition_warn : float
         Condition-number estimate above which inversion warns.
+
+    Each must be positive and finite (``ValueError`` otherwise): a NaN
+    slack would let every occupation through.
     """
 
     hermitian: float = 1e-10
     eigenvalue: float = 1e-10
     condition_warn: float = 1e12
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"tolerances.{name} must be positive and finite, got {value!r}"
+                )
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -158,11 +169,31 @@ class LevelSystem:
         for bosons and within [0, 1] for fermions.
     statistics : Statistics
         Particle statistics.
+    tolerances : Tolerances
+        Bounds of the construction checks, and the condition estimate
+        above which the discrete solve warns.
+
+    Construction raises :class:`NonHermitianError` unless both matrices
+    are Hermitian within ``tolerances.hermitian * max|M|``, and
+    :class:`OccupationOutOfRangeError` when an occupation eigenvalue is
+    below 0, or above 1 for fermions, by more than
+    ``tolerances.eigenvalue * max(1, max|eigenvalue|)``: ``eigh`` rounds
+    each eigenvalue by about eps times the largest.  No invalid system
+    exists.  The checked eigensystems are kept, eigenvalues ascending:
+    ``epsilon_eigh = (w, V)`` with ``epsilon = V diag(w) V^dag`` and
+    ``nbar_eigh = (lam, U)`` with ``nbar = U diag(lam) U^dag``.
     """
 
     epsilon: np.ndarray
     nbar: np.ndarray
     statistics: Statistics
+    tolerances: Tolerances = DEFAULT_TOLERANCES
+    epsilon_eigh: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+    nbar_eigh: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         eps = as_complex_matrix(self.epsilon, "epsilon")
@@ -173,8 +204,37 @@ class LevelSystem:
             )
         if not isinstance(self.statistics, Statistics):
             raise ValueError("statistics must be a Statistics member")
+        if not isinstance(self.tolerances, Tolerances):
+            raise ValueError("tolerances must be a Tolerances instance")
+        eps_eigh = self._checked_eigh(eps, "epsilon")
+        vals, vecs = self._checked_eigh(occ, "nbar")
+        slack = self.tolerances.eigenvalue * max(1.0, float(np.abs(vals).max()))
+        if vals.min() < -slack:
+            raise OccupationOutOfRangeError(
+                f"occupation eigenvalue {vals.min():.6g} below 0"
+            )
+        if self.statistics is Statistics.FERMION and vals.max() > 1 + slack:
+            raise OccupationOutOfRangeError(
+                f"fermionic occupation eigenvalue {vals.max():.6g} above 1"
+            )
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "nbar", occ)
+        object.__setattr__(self, "epsilon_eigh", eps_eigh)
+        object.__setattr__(self, "nbar_eigh", (vals, vecs))
+
+    def _checked_eigh(
+        self, matrix: np.ndarray, name: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh`` of a matrix after checking ``M == M^dag`` within
+        ``tolerances.hermitian * max|M|``."""
+        dev = max_abs(matrix - matrix.conj().T)
+        bound = self.tolerances.hermitian * max_abs(matrix)
+        if dev > bound:
+            raise NonHermitianError(
+                f"{name} deviates from Hermiticity by {dev:.3e} "
+                f"(allowed {bound:.3e})"
+            )
+        return np.linalg.eigh(matrix)
 
     @property
     def dimension(self) -> int:
@@ -250,90 +310,13 @@ class ContourIndex:
         return float(grid.times[self.slot])
 
 
-def _hermitian_deviation(matrix: np.ndarray) -> float:
-    return max_abs(matrix - matrix.conj().T)
-
-
-def require_hermitian(
-    matrix: np.ndarray,
-    name: str = "matrix",
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> None:
-    """Raise :class:`NonHermitianError` unless ``M == M^dag`` within
-    ``tolerances.hermitian * max|M|``."""
-    dev = _hermitian_deviation(matrix)
-    bound = tolerances.hermitian * max_abs(matrix)
-    if dev > bound:
-        raise NonHermitianError(
-            f"{name} deviates from Hermiticity by {dev:.3e} "
-            f"(allowed {bound:.3e})"
-        )
-
-
-def validate_system(
-    system: LevelSystem,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> LevelSystem:
-    """Check Hermiticity of both matrices and the occupation spectrum.
-
-    Returns the system unchanged on success (idempotent).  Raises
-    :class:`NonHermitianError` or :class:`OccupationOutOfRangeError`.
-    """
-    require_hermitian(system.epsilon, "epsilon", tolerances)
-    occupation_eigensystem(system.nbar, system.statistics, tolerances)
-    return system
-
-
-def hermitian_eigensystem(
-    matrix: np.ndarray,
-    name: str = "matrix",
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, checked first.
-
-    Returns ``(w, V)`` with ``M = V diag(w) V^dag``, eigenvalues
-    ascending.
-    """
-    mat = as_complex_matrix(matrix, name)
-    require_hermitian(mat, name, tolerances)
-    w, v = np.linalg.eigh(mat)
-    return w, v
-
-
-def occupation_eigensystem(
-    nbar,
-    statistics: Statistics,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of an occupation matrix, range checked.
-
-    Raises :class:`NonHermitianError` unless ``nbar`` is Hermitian and
-    :class:`OccupationOutOfRangeError` when an eigenvalue is below 0, or
-    above 1 for fermions, by more than ``tolerances.eigenvalue``.
-    """
-    vals, vecs = hermitian_eigensystem(nbar, "nbar", tolerances)
-    slack = tolerances.eigenvalue
-    if vals.min() < -slack:
-        raise OccupationOutOfRangeError(
-            f"occupation eigenvalue {vals.min():.6g} below 0"
-        )
-    if statistics is Statistics.FERMION and vals.max() > 1 + slack:
-        raise OccupationOutOfRangeError(
-            f"fermionic occupation eigenvalue {vals.max():.6g} above 1"
-        )
-    return vals, vecs
-
-
-def propagator_stack(
-    matrix: np.ndarray,
-    scales: np.ndarray,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """``exp(-i M s)`` for every s in ``scales`` from one diagonalization.
+def propagator_stack(system: LevelSystem, scales: np.ndarray) -> np.ndarray:
+    """``exp(-i epsilon s)`` for every s in ``scales`` from the system's
+    energy eigensystem.
 
     Returns an array of shape ``(len(scales), d, d)``.
     """
-    w, v = hermitian_eigensystem(matrix, "matrix", tolerances)
+    w, v = system.epsilon_eigh
     s = np.asarray(scales, dtype=float).reshape(-1)
     phases = np.exp(-1j * np.outer(s, w))
     return np.einsum("ab,kb,cb->kac", v, phases, v.conj())

@@ -51,16 +51,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_DIMENSION,
-    DEFAULT_TOLERANCES,
     ContourIndex,
     GridTooLargeError,
     IllConditionedWarning,
     LevelSystem,
     SingularMatrixError,
     TimeGrid,
-    Tolerances,
     max_abs,
-    validate_system,
 )
 from .continuum import ContourComponent, normalization_prefactor, rho_from_nbar
 
@@ -124,9 +121,7 @@ def contour_branch_signs(grid: TimeGrid) -> np.ndarray:
 
 
 def _contour_blocks(
-    system: LevelSystem,
-    grid: TimeGrid,
-    tolerances: Tolerances,
+    system: LevelSystem, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct blocks of D: forward h, backward hbar and the corner.
 
@@ -135,7 +130,7 @@ def _contour_blocks(
     eye = np.eye(system.dimension, dtype=complex)
     forward = eye - 1j * system.epsilon * grid.dt
     backward = eye + 1j * system.epsilon * grid.dt
-    rho = rho_from_nbar(system.nbar, system.statistics, tolerances)
+    rho = rho_from_nbar(system)
     corner = -system.statistics.zeta * rho.T
     return forward, backward, corner
 
@@ -152,7 +147,6 @@ def _check_dimension(system: LevelSystem, grid: TimeGrid, max_dimension: int) ->
 def build_contour_matrix(
     system: LevelSystem,
     grid: TimeGrid,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> np.ndarray:
     """Assemble the dense ``(2 N d, 2 N d)`` contour matrix D from its blocks.
@@ -161,11 +155,10 @@ def build_contour_matrix(
     :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
     ``max_dimension``.
     """
-    validate_system(system, tolerances)
     d = system.dimension
     n = grid.n_slices
     total = _check_dimension(system, grid, max_dimension)
-    forward, backward, corner = _contour_blocks(system, grid, tolerances)
+    forward, backward, corner = _contour_blocks(system, grid)
     eye = np.eye(d, dtype=complex)
     matrix = np.zeros((total, total), dtype=complex)
     for j in range(1, 2 * n + 1):
@@ -259,23 +252,21 @@ def _inverse_norm(
     )
 
 
-def _factor(
-    system: LevelSystem,
-    grid: TimeGrid,
-    tolerances: Tolerances,
-) -> _Factorization:
+def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     """Reduce D to its transfer eigenvalues and factor A.
 
     Raises :class:`~contourgf.core.SingularMatrixError` when the smallest
     singular value of A, each row scaled by its largest term, falls to
     roundoff, and warns with :class:`~contourgf.core.IllConditionedWarning`
-    when the condition estimate exceeds ``tolerances.condition_warn``
-    (infinite once ``A^{-1}`` overflows).
+    when the condition estimate exceeds the system's
+    ``tolerances.condition_warn`` (infinite once ``A^{-1}`` overflows).
+    The forward generator gets its own ``eigh``, not the stored one of
+    ``epsilon``, so that this route uses the entries of D and nothing
+    else.
     """
-    validate_system(system, tolerances)
     d = system.dimension
     n = grid.n_slices
-    forward, backward, corner = _contour_blocks(system, grid, tolerances)
+    forward, backward, corner = _contour_blocks(system, grid)
     eye = np.eye(d)
     generator, basis = np.linalg.eigh(1j * (forward - eye))
     basis_h = basis.conj().T
@@ -320,10 +311,10 @@ def _factor(
         condition = norm * _inverse_norm(
             log_forward.real, log_backward.real, n, a_inverse, inv_loop
         )
-    if condition > tolerances.condition_warn:
+    warn_level = system.tolerances.condition_warn
+    if condition > warn_level:
         warnings.warn(
-            f"condition estimate {condition:.3e} exceeds "
-            f"{tolerances.condition_warn:.1e}",
+            f"condition estimate {condition:.3e} exceeds {warn_level:.1e}",
             IllConditionedWarning,
             stacklevel=3,
         )
@@ -332,13 +323,9 @@ def _factor(
     )
 
 
-def _partition_function(
-    fac: _Factorization,
-    system: LevelSystem,
-    tolerances: Tolerances,
-) -> complex:
+def _partition_function(fac: _Factorization, system: LevelSystem) -> complex:
     zeta = system.statistics.zeta
-    prefactor = normalization_prefactor(system.nbar, system.statistics, tolerances)
+    prefactor = normalization_prefactor(system)
     with np.errstate(over="ignore", invalid="ignore"):
         z = complex(prefactor * np.exp(-zeta * fac.log_det))
     if not cmath.isfinite(z):
@@ -403,7 +390,6 @@ def _fill_green(fac: _Factorization, n: int) -> np.ndarray:
 def discrete_green(
     system: LevelSystem,
     grid: TimeGrid,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> DiscreteGf:
     """Discrete Green's function ``G = -i D^{-1}`` by the structured solve.
@@ -418,8 +404,8 @@ def discrete_green(
     finite.
     """
     _check_dimension(system, grid, max_dimension)
-    fac = _factor(system, grid, tolerances)
-    z = _partition_function(fac, system, tolerances)
+    fac = _factor(system, grid)
+    z = _partition_function(fac, system)
     # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
     # G exceeds d^2 max|A^{-1}| + d.
     d = system.dimension
@@ -429,11 +415,7 @@ def discrete_green(
     return DiscreteGf(matrix, grid, system, fac.condition, z)
 
 
-def discrete_partition_function(
-    system: LevelSystem,
-    grid: TimeGrid,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> complex:
+def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
     """Partition function ``(det(1 - zeta rho))^zeta det(D)^{-zeta}``.
 
     Gaussian integration gives ``det^{-1}`` for bosons and ``det`` for
@@ -444,8 +426,8 @@ def discrete_partition_function(
     :class:`~contourgf.core.SingularMatrixError` when A is singular to
     roundoff and ``FloatingPointError`` when Z overflows.
     """
-    fac = _factor(system, grid, tolerances)
-    return _partition_function(fac, system, tolerances)
+    fac = _factor(system, grid)
+    return _partition_function(fac, system)
 
 
 def extract_component(

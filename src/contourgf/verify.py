@@ -25,13 +25,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_DIMENSION,
-    DEFAULT_TOLERANCES,
     LevelSystem,
     TimeGrid,
-    Tolerances,
     max_abs,
     propagator_stack,
-    validate_system,
 )
 from .continuum import (
     ContourComponent,
@@ -134,10 +131,10 @@ def chebyshev_interior(t_initial: float, t_final: float, count: int) -> np.ndarr
     return np.sort(mid + half * np.cos((2 * k + 1) * math.pi / (2 * count)))
 
 
-def _component_tables(system, t_row, t_col, t_ref, tolerances):
+def _component_tables(system, t_row, t_col, t_ref):
     """R, A and K tables over t_row x t_col."""
     return tuple(
-        component_table(system, t_row, t_col, comp, t_ref, tolerances)
+        component_table(system, t_row, t_col, comp, t_ref)
         for comp in (
             KeldyshComponent.RETARDED,
             KeldyshComponent.ADVANCED,
@@ -163,17 +160,21 @@ def run_structure_suite(
     t_final: float = 1.0,
     seed: int = 0,
     threshold: float = DEFAULT_THRESHOLD,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     corruption: str | None = None,
 ) -> list[CheckResult]:
     """Run all structure checks on a deterministic sample of time pairs.
 
     The sample crosses seven Chebyshev-spaced interior column times with
-    the two endpoints plus three seeded interior row times.  Results are
-    sorted by check name.  ``corruption`` is a test hook that flips the
-    sign of the Keldysh component for t > t' before the checks run.
+    the two endpoints plus three seeded interior row times.  Every check
+    compares with ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta
+    nbar^T`` the Keldysh weight, and reports that scaled value as its
+    threshold: the roundoff of the checks that multiply by W grows with
+    it.  Results are sorted by check name.  ``corruption`` is a test
+    hook that flips the sign of the Keldysh component for t > t' before
+    the checks run.
     """
-    validate_system(system, tolerances)
+    weight = keldysh_weight(system.nbar, system.statistics)
+    threshold = threshold * max(1.0, max_abs(weight))
     rng = np.random.default_rng(seed)
     d = system.dimension
     eye = np.eye(d)
@@ -182,10 +183,8 @@ def run_structure_suite(
     t_interior = np.sort(t_initial + span * rng.uniform(0.05, 0.95, size=3))
     t_row = np.concatenate([[t_initial], t_interior, [t_final]])
 
-    ret, adv, clean_kel = _component_tables(system, t_row, t_col, t_initial, tolerances)
-    ret_rev, adv_rev, kel_rev = _component_tables(
-        system, t_col, t_row, t_initial, tolerances
-    )
+    ret, adv, clean_kel = _component_tables(system, t_row, t_col, t_initial)
+    ret_rev, adv_rev, kel_rev = _component_tables(system, t_col, t_row, t_initial)
     kel = _corrupt(clean_kel, t_row, t_col, corruption)
     kel_rev = _corrupt(kel_rev, t_col, t_row, corruption)
     delta = t_row[:, None] - t_col[None, :]
@@ -203,10 +202,8 @@ def run_structure_suite(
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.
     diag = component_table(
-        system, t_row, t_row, KeldyshComponent.RETARDED, t_initial, tolerances
-    ) - component_table(
-        system, t_row, t_row, KeldyshComponent.ADVANCED, t_initial, tolerances
-    )
+        system, t_row, t_row, KeldyshComponent.RETARDED, t_initial
+    ) - component_table(system, t_row, t_row, KeldyshComponent.ADVANCED, t_initial)
     idx = np.arange(t_row.size)
     obs = float(np.abs(diag[idx, idx] + 1j * eye).max())
     results.append(CheckResult("equal_time_jump", obs, threshold))
@@ -236,7 +233,6 @@ def run_structure_suite(
     # only when the occupation commutes with the energy matrix (the
     # transposed occupation must commute as well for the identity to
     # close).
-    weight = keldysh_weight(system.nbar, system.statistics)
     comm = max_abs(system.epsilon @ system.nbar - system.nbar @ system.epsilon)
     comm_t = max_abs(system.epsilon @ system.nbar.T - system.nbar.T @ system.epsilon)
     if comm <= 1e-12 and comm_t <= 1e-12:
@@ -287,7 +283,7 @@ def run_structure_suite(
 
     # Solved constants reproduce the uncorrupted closed forms at every
     # position.
-    constants = fix_constants(system.statistics, system.nbar, tolerances)
+    constants = fix_constants(system)
     direct = {
         KeldyshComponent.RETARDED: ret,
         KeldyshComponent.ADVANCED: adv,
@@ -297,8 +293,7 @@ def run_structure_suite(
     obs = max(
         max_abs(
             solution_from_constants(
-                system, constants, row_idx, col_idx, t_row, t_col,
-                t_ref=t_initial, tolerances=tolerances,
+                system, constants, row_idx, col_idx, t_row, t_col, t_ref=t_initial
             )
             - direct[layout[row_idx][col_idx]]
         )
@@ -310,7 +305,7 @@ def run_structure_suite(
     return sorted(results, key=lambda r: r.name)
 
 
-def _continuum_rows(system: LevelSystem, grid: TimeGrid, tolerances: Tolerances):
+def _continuum_rows(system: LevelSystem, grid: TimeGrid):
     """Kernel for contour rows of the continuum prediction.
 
     Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
@@ -320,13 +315,12 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid, tolerances: Tolerances)
     the scalar ``c = s_m theta - s_n (1 - theta)`` from the branch signs
     and the symmetric step ``theta(tau_n - tau_m)``.  Returns
     ``rows(start, stop)``, which computes contour rows start..stop as a
-    ``((stop - start) d, 2 N d)`` array from two rank-d products.  The
-    system is not validated here.
+    ``((stop - start) d, 2 N d)`` array from two rank-d products.
     """
     d = system.dimension
     tau = contour_times(grid)
     signs = contour_branch_signs(grid)
-    props = propagator_stack(system.epsilon, tau - grid.t_initial, tolerances)
+    props = propagator_stack(system, tau - grid.t_initial)
     weighted = -0.5j * props @ keldysh_weight(system.nbar, system.statistics)
     free = -0.5j * props
     right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
@@ -345,11 +339,7 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid, tolerances: Tolerances)
     return rows
 
 
-def continuum_contour_matrix(
-    system: LevelSystem,
-    grid: TimeGrid,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def continuum_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     """Continuum prediction for every block of the discrete inverse.
 
     Assembles the branch components at the contour-ordered times of the
@@ -357,15 +347,11 @@ def continuum_contour_matrix(
     on equal times.  Costs O((N d)^2 d) time and the result's memory.
     :func:`run_oracle_suite` streams the same rows instead.
     """
-    validate_system(system, tolerances)
-    return _continuum_rows(system, grid, tolerances)(0, 2 * grid.n_slices)
+    return _continuum_rows(system, grid)(0, 2 * grid.n_slices)
 
 
 def _unequal_time_error(
-    system: LevelSystem,
-    grid: TimeGrid,
-    green: np.ndarray,
-    tolerances: Tolerances,
+    system: LevelSystem, grid: TimeGrid, green: np.ndarray
 ) -> float:
     """Largest |G - continuum| over blocks whose row and column times differ.
 
@@ -377,7 +363,7 @@ def _unequal_time_error(
     """
     d = system.dimension
     tau = contour_times(grid)
-    rows = _continuum_rows(system, grid, tolerances)
+    rows = _continuum_rows(system, grid)
     block = max(1, ORACLE_BLOCK_ENTRIES // (tau.size * d * d))
     error = 0.0
     for start in range(0, tau.size, block):
@@ -400,7 +386,6 @@ def oracle_error_bound(system: LevelSystem, grid: TimeGrid) -> float:
 def run_oracle_suite(
     system: LevelSystem,
     grids: list[TimeGrid],
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> ConvergenceReport:
     """Compare the discrete inverse against the closed forms per grid.
@@ -412,11 +397,11 @@ def run_oracle_suite(
     curve (None when all errors sit at the roundoff floor).  Each grid
     is factorized once: Z comes with the discrete inverse.  Raises
     :class:`~contourgf.core.GridTooLargeError` before any grid is filled
-    when ``2 N d`` of the finest grid exceeds ``max_dimension``.  The continuum prediction is compared in blocks of
-    contour rows, so each grid costs O((N d)^2 d) time and the memory of
-    the discrete inverse plus one row block.
+    when ``2 N d`` of the finest grid exceeds ``max_dimension``.  The
+    continuum prediction is compared in blocks of contour rows, so each
+    grid costs O((N d)^2 d) time and the memory of the discrete inverse
+    plus one row block.
     """
-    validate_system(system, tolerances)
     if len(grids) < 2:
         raise ValueError("need at least two grids for a convergence fit")
     sizes = [g.n_slices for g in grids]
@@ -433,8 +418,8 @@ def run_oracle_suite(
     bounds = []
     deviations = []
     for grid in grids:
-        disc = discrete_green(system, grid, tolerances, max_dimension)
-        errors.append(_unequal_time_error(system, grid, disc.matrix, tolerances))
+        disc = discrete_green(system, grid, max_dimension)
+        errors.append(_unequal_time_error(system, grid, disc.matrix))
         bounds.append(oracle_error_bound(system, grid))
         deviations.append(float(abs(disc.partition_function - 1.0)))
         # Release this grid's inverse before the next one is filled.

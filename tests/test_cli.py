@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
+from contourgf import IllConditionedWarning
 from contourgf.cli import (
     COMPONENT_NAMES,
     ConfigError,
@@ -423,6 +426,14 @@ def test_converge_requires_grid_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["converge", "verify"])
+@pytest.mark.parametrize("sizes", [[4, 4], [8, 4]])
+def test_oracle_grid_list_must_increase(tmp_path, capsys, command, sizes):
+    config = write_config(tmp_path, {"grid.n_slices": sizes})
+    assert main([command, "--config", config]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
 def test_seventeen_digit_round_trip(tmp_path, capsys):
     config = write_config(tmp_path, {"epsilon": math.pi, "nbar": 1.0 / 3.0})
     assert main(["gf", "--config", config, "--output.components", '["K"]']) == 0
@@ -494,3 +505,132 @@ def test_boolean_epsilon_is_config_error(tmp_path, capsys):
     assert main(["z", "--config", config, "--epsilon", flagged]) == 2
     assert main(["z", "--config", config, "--nbar", '{"mu": true, "T": 1.0}']) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [
+        ("seed", "1e400"),
+        ("max_dimension", "1e400"),
+        ("threshold", "true"),
+        ("seed", "1.7"),
+        ("seed", "-1"),
+        ("max_dimension", "12.9"),
+        ("max_dimension", "0"),
+        ("threshold", "0"),
+        ("threshold", "-1e-12"),
+        ("tolerances.hermitian", "true"),
+        ("tolerances.eigenvalue", "-1e-10"),
+        ("tolerances.condition_warn", "nan"),
+        pytest.param("epsilon", "1" + "0" * 400, id="epsilon-401-digit-integer"),
+        pytest.param("nbar", "1" + "0" * 400, id="nbar-401-digit-integer"),
+    ],
+)
+def test_bad_scalar_field_is_config_error(tmp_path, capsys, path, text):
+    config = write_config(tmp_path, {"nbar": 0.7})
+    assert main(["verify", "--config", config, f"--{path}", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigError: ")
+    assert path in captured.err
+
+
+def test_config_tolerances_reach_the_system(tmp_path, capsys):
+    config = write_config(tmp_path, {"nbar": -1e-6, "grid.n_slices": [4, 8]})
+    assert main(["z", "--config", config]) == 2
+    assert main(["z", "--config", config, "--tolerances.eigenvalue", "1e-5"]) == 0
+    config = write_config(tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8]})
+    with pytest.warns(IllConditionedWarning):
+        assert main(["z", "--config", config, "--tolerances.condition_warn", "1.5"]) == 0
+    capsys.readouterr()
+
+
+def _rotated(rng, spectrum):
+    """Config ``{re, im}`` form of a Hermitian matrix with this spectrum
+    in a random eigenbasis."""
+    gauss = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    basis, _ = np.linalg.qr(gauss)
+    matrix = (basis * np.asarray(spectrum, dtype=float)) @ basis.conj().T
+    return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+
+
+@pytest.mark.parametrize(
+    "spectrum", [[1e5, 5e5, 1e6], [0.0, 0.0, 1e6]], ids=["occupied", "zeros"]
+)
+@pytest.mark.parametrize("draw", range(3))
+def test_verify_large_boson_occupation_passes(tmp_path, capsys, spectrum, draw):
+    # The structure thresholds scale with max|1 + 2 nbar^T| (about 2e6
+    # here), and the occupation range with max|nbar|.
+    rng = np.random.default_rng([draw, len(spectrum)])
+    nbar = _rotated(rng, spectrum)
+    config = write_config(
+        tmp_path, {"epsilon": _rotated(rng, rng.uniform(-1.0, 1.0, 3)), "nbar": nbar}
+    )
+    assert main(["verify", "--config", config]) == 0
+    report = json.loads(capsys.readouterr().out)
+    weight = np.eye(3) + 2 * (np.array(nbar["re"]) + 1j * np.array(nbar["im"])).T
+    thresholds = {c["threshold"] for c in report["checks"]}
+    assert thresholds == {1e-12 * np.abs(weight).max()}
+    assert main(["verify", "--config", config, "--corrupt-keldysh"]) == 1
+    capsys.readouterr()
+
+
+FUZZ_PATHS = [
+    "seed",
+    "threshold",
+    "max_dimension",
+    "tolerances.hermitian",
+    "tolerances.eigenvalue",
+    "tolerances.condition_warn",
+    "grid.t_initial",
+    "grid.t_final",
+    "grid.n_slices",
+    "epsilon",
+    "nbar",
+    "statistics",
+    "output.format",
+    "output.components",
+]
+
+# Override texts of each kind: booleans, null, out-of-range numbers,
+# negatives, fractions, strings and lists.
+FUZZ_TEXTS = st.one_of(
+    st.sampled_from(["true", "false", "null", "1e400", "-1e400", "1" + "0" * 400]),
+    st.integers(-10**6, -1).map(str),
+    st.floats(-1e6, 0.0).map(repr),
+    st.floats(0.0, 20.0).filter(lambda x: not x.is_integer()).map(repr),
+    st.text("abcnf019.e ", max_size=6),
+    st.lists(st.integers(-2, 6), max_size=3).map(json.dumps),
+    st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2).map(json.dumps),
+)
+
+
+@pytest.mark.filterwarnings("ignore::contourgf.IllConditionedWarning")
+@seed(5)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["gf", "z", "verify", "converge"]),
+    overrides=st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_TEXTS), max_size=3),
+)
+def test_config_fuzz_exit_codes(tmp_path, capsys, command, overrides):
+    config = write_config(
+        tmp_path, {"nbar": 0.7, "grid.n_slices": [2, 4], "output.format": "json"}
+    )
+    argv = [command, "--config", config]
+    for path, text in overrides:
+        argv += [f"--{path}", text]
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        report = json.loads(captured.out)
+        assert command == "verify"
+        assert not report["passed"]
+        assert any(not check["passed"] for check in report["checks"])
+    if code in (2, 3):
+        assert captured.err.startswith("error: ")

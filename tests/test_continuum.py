@@ -50,18 +50,25 @@ def test_regularized_step():
     assert regularized_step(0.0) == 0.5
 
 
+def level(nbar, statistics):
+    """A system with zero energy and the occupation ``nbar``."""
+    return LevelSystem(np.zeros(np.shape(nbar)), nbar, statistics)
+
+
 def test_rho_scalar_values():
-    assert rho_from_nbar(3.0, Statistics.BOSON) == pytest.approx(0.75, abs=1e-15)
-    assert rho_from_nbar(0.25, Statistics.FERMION) == pytest.approx(
+    assert rho_from_nbar(level(3.0, Statistics.BOSON)) == pytest.approx(
+        0.75, abs=1e-15
+    )
+    assert rho_from_nbar(level(0.25, Statistics.FERMION)) == pytest.approx(
         1.0 / 3.0, abs=1e-15
     )
-    assert rho_from_nbar(0.0, Statistics.BOSON) == 0.0
+    assert rho_from_nbar(level(0.0, Statistics.BOSON)) == 0.0
 
 
 def test_rho_matrix_maps_eigenvalues():
     rng = np.random.default_rng(3)
     nbar = random_hermitian(rng, 3, 0.1, 2.0)
-    rho = rho_from_nbar(nbar, Statistics.BOSON)
+    rho = rho_from_nbar(level(nbar, Statistics.BOSON))
     occ_vals = np.sort(np.linalg.eigvalsh(nbar))
     rho_vals = np.sort(np.linalg.eigvalsh(rho))
     np.testing.assert_allclose(rho_vals, occ_vals / (1 + occ_vals), atol=1e-12)
@@ -69,12 +76,12 @@ def test_rho_matrix_maps_eigenvalues():
 
 def test_rho_fermion_diverges_at_unit_occupation():
     with pytest.raises(OccupationOutOfRangeError):
-        rho_from_nbar(1.0, Statistics.FERMION)
+        rho_from_nbar(level(1.0, Statistics.FERMION))
 
 
 def test_rho_rejects_negative_occupation():
     with pytest.raises(OccupationOutOfRangeError):
-        rho_from_nbar(-0.2, Statistics.BOSON)
+        rho_from_nbar(level(-0.2, Statistics.BOSON))
 
 
 def test_thermal_nbar_values():
@@ -114,28 +121,28 @@ def test_thermal_nbar_domain_errors():
 
 
 def test_normalization_prefactor_scalar():
-    assert normalization_prefactor(1.0, Statistics.BOSON) == pytest.approx(
+    assert normalization_prefactor(level(1.0, Statistics.BOSON)) == pytest.approx(
         0.5, abs=1e-15
     )
-    assert normalization_prefactor(0.25, Statistics.FERMION) == pytest.approx(
-        0.75, abs=1e-15
-    )
+    assert normalization_prefactor(
+        level(0.25, Statistics.FERMION)
+    ) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_normalization_prefactor_is_reciprocal_trace():
     # Bosonic trace over occupations is the geometric series in rho;
     # fermionic trace is 1 + rho.  The prefactor is the reciprocal.
     nbar = 0.8
-    rho = rho_from_nbar(nbar, Statistics.BOSON)
+    rho = rho_from_nbar(level(nbar, Statistics.BOSON))
     series = sum(rho**k for k in range(400))
-    assert normalization_prefactor(nbar, Statistics.BOSON) == pytest.approx(
+    assert normalization_prefactor(level(nbar, Statistics.BOSON)) == pytest.approx(
         1.0 / series, abs=1e-14
     )
     nbar = 0.3
-    rho = rho_from_nbar(nbar, Statistics.FERMION)
-    assert normalization_prefactor(nbar, Statistics.FERMION) == pytest.approx(
-        1.0 / (1.0 + rho), abs=1e-14
-    )
+    rho = rho_from_nbar(level(nbar, Statistics.FERMION))
+    assert normalization_prefactor(
+        level(nbar, Statistics.FERMION)
+    ) == pytest.approx(1.0 / (1.0 + rho), abs=1e-14)
 
 
 def test_normalization_prefactor_matrix_factorizes():
@@ -143,7 +150,7 @@ def test_normalization_prefactor_matrix_factorizes():
     nbar = random_hermitian(rng, 3, 0.1, 1.5)
     vals = np.linalg.eigvalsh(nbar)
     expected = np.prod([1.0 / (1.0 + v) for v in vals])
-    assert normalization_prefactor(nbar, Statistics.BOSON) == pytest.approx(
+    assert normalization_prefactor(level(nbar, Statistics.BOSON)) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -363,24 +370,24 @@ def test_rotated_block_layout():
 
 
 def test_fix_constants_boson_scalars():
-    constants = fix_constants(Statistics.BOSON, 0.7)
+    constants = fix_constants(level(0.7, Statistics.BOSON))
     c11, c12, c21, c22 = constants.to_scalars()
     assert c11 == pytest.approx(1.0 + 2.0 * 0.7, abs=1e-12)
     assert c12 == pytest.approx(0.0, abs=1e-12)
     assert c21 == pytest.approx(-1.0, abs=1e-12)
     assert c22 == pytest.approx(0.0, abs=1e-12)
-    constants = fix_constants(Statistics.BOSON, 1.0)
+    constants = fix_constants(level(1.0, Statistics.BOSON))
     assert constants.to_scalars()[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_fix_constants_fermion_scalars():
-    constants = fix_constants(Statistics.FERMION, 0.3)
+    constants = fix_constants(level(0.3, Statistics.FERMION))
     c11, c12, c21, c22 = constants.to_scalars()
     assert c11 == pytest.approx(0.0, abs=1e-12)
     assert c12 == pytest.approx(1.0 - 2.0 * 0.3, abs=1e-12)
     assert c21 == pytest.approx(0.0, abs=1e-12)
     assert c22 == pytest.approx(-1.0, abs=1e-12)
-    constants = fix_constants(Statistics.FERMION, 0.0)
+    constants = fix_constants(level(0.0, Statistics.FERMION))
     assert constants.to_scalars()[1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -441,7 +448,7 @@ def test_fix_constants_matches_least_squares(statistics, dimension):
     rng = np.random.default_rng(40 + dimension)
     for _ in range(5):
         system = random_system(rng, statistics, dimension)
-        constants = fix_constants(statistics, system.nbar)
+        constants = fix_constants(system)
         reference = fix_constants_lstsq(statistics, system.nbar)
         scale = np.abs(keldysh_weight(system.nbar, statistics)).max()
         solved = (constants.c11, constants.c12, constants.c21, constants.c22)
@@ -454,7 +461,7 @@ def test_fix_constants_closed_values_at_sixteen_levels(statistics):
     rng = np.random.default_rng(45)
     nbar = random_hermitian(rng, 16, 0.1, 0.9)
     weight = keldysh_weight(nbar, statistics)
-    constants = fix_constants(statistics, nbar)
+    constants = fix_constants(level(nbar, statistics))
     eye = np.eye(16)
     if statistics is Statistics.BOSON:
         expected = (weight, 0 * eye, -eye, 0 * eye)
@@ -467,16 +474,16 @@ def test_fix_constants_closed_values_at_sixteen_levels(statistics):
 
 def test_fix_constants_rejects_out_of_range_occupation():
     with pytest.raises(OccupationOutOfRangeError):
-        fix_constants(Statistics.FERMION, 1.5)
+        fix_constants(level(1.5, Statistics.FERMION))
     with pytest.raises(OccupationOutOfRangeError):
-        fix_constants(Statistics.BOSON, -0.5)
+        fix_constants(level(-0.5, Statistics.BOSON))
 
 
 def test_solution_from_constants_matches_components():
     rng = np.random.default_rng(14)
     for statistics in Statistics:
         system = random_system(rng, statistics, 2)
-        constants = fix_constants(statistics, system.nbar)
+        constants = fix_constants(system)
         layout = rotated_block_layout(statistics)
         for row in range(2):
             for col in range(2):

@@ -8,6 +8,7 @@ from scipy.linalg import lu_solve
 
 from contourgf import (
     Branch,
+    ContourComponent,
     ContourIndex,
     IllConditionedWarning,
     IndexOutOfRangeError,
@@ -18,11 +19,15 @@ from contourgf import (
     Statistics,
     TimeGrid,
     Tolerances,
-    validate_system,
+    component_table,
+    continuum_contour_matrix,
+    discrete_partition_function,
+    fix_constants,
+    run_structure_suite,
 )
 from contourgf.core import lu_factorization, propagator_stack
 
-from conftest import random_hermitian, taylor_propagator
+from conftest import random_hermitian, random_system, random_unitary, taylor_propagator
 
 ORACLE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -30,9 +35,14 @@ RESIDUAL_TOL = 1e-10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def energy_system(matrix):
+    """An empty level system with ``matrix`` as its energy matrix."""
+    return LevelSystem(matrix, np.zeros(np.shape(matrix)), Statistics.BOSON)
+
+
 def propagator(matrix, scale):
     """``exp(-i M s)`` for one scale, from the propagator stack."""
-    return propagator_stack(matrix, [scale])[0]
+    return propagator_stack(energy_system(matrix), [scale])[0]
 
 
 def lu_inverse(factors):
@@ -93,7 +103,7 @@ def test_propagator_stack_matches_single_calls():
     rng = np.random.default_rng(19)
     matrix = random_hermitian(rng, 2, -1.0, 1.0)
     scales = np.array([-0.7, 0.0, 0.25, 3.0])
-    stack = propagator_stack(matrix, scales)
+    stack = propagator_stack(energy_system(matrix), scales)
     for k, s in enumerate(scales):
         np.testing.assert_allclose(stack[k], propagator(matrix, s), atol=1e-14)
 
@@ -141,29 +151,63 @@ def test_validate_system_accepts_valid_matrices():
     epsilon = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, -0.5]])
     nbar = np.array([[0.5, 0.1], [0.1, 0.5]])  # eigenvalues 0.4, 0.6
     system = LevelSystem(epsilon, nbar, Statistics.BOSON)
-    assert validate_system(system) is system
+    np.testing.assert_allclose(system.nbar_eigh[0], [0.4, 0.6], atol=1e-15)
 
 
 def test_validate_system_rejects_non_hermitian_epsilon():
-    system = LevelSystem(
-        np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), Statistics.BOSON
-    )
     with pytest.raises(NonHermitianError):
-        validate_system(system)
+        LevelSystem(
+            np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), Statistics.BOSON
+        )
 
 
 def test_validate_system_rejects_negative_occupation():
-    system = LevelSystem(0.5, -0.1, Statistics.BOSON)
     with pytest.raises(OccupationOutOfRangeError):
-        validate_system(system)
+        LevelSystem(0.5, -0.1, Statistics.BOSON)
 
 
 def test_validate_system_rejects_overfilled_fermion():
-    system = LevelSystem(0.5, 1.5, Statistics.FERMION)
     with pytest.raises(OccupationOutOfRangeError):
-        validate_system(system)
+        LevelSystem(0.5, 1.5, Statistics.FERMION)
     # The same occupation is fine for bosons.
-    validate_system(LevelSystem(0.5, 1.5, Statistics.BOSON))
+    LevelSystem(0.5, 1.5, Statistics.BOSON)
+
+
+def test_occupation_slack_is_relative_to_the_spectrum():
+    # eigh returns a zero eigenvalue beside 1e6 about 1e-10 below 0.
+    for draw in range(50):
+        basis = random_unitary(np.random.default_rng(draw), 3)
+        nbar = (basis * [0.0, 3e5, 1e6]) @ basis.conj().T
+        LevelSystem(np.zeros((3, 3)), nbar, Statistics.BOSON)
+    basis = random_unitary(np.random.default_rng(50), 2)
+    with pytest.raises(OccupationOutOfRangeError):
+        LevelSystem(
+            np.zeros((2, 2)), (basis * [-1e-3, 1e6]) @ basis.conj().T, Statistics.BOSON
+        )
+
+
+def test_system_is_diagonalized_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    system = random_system(np.random.default_rng(29), Statistics.FERMION, 3)
+    assert len(calls) == 2
+    grid = TimeGrid(0.0, 1.0, 8)
+    times = np.linspace(0.0, 1.0, 5)
+    run_structure_suite(system)
+    component_table(system, times, times, ContourComponent.PLUS_MINUS, 0.0)
+    fix_constants(system)
+    continuum_contour_matrix(system, grid)
+    assert len(calls) == 2
+    # The discrete route diagonalizes its own forward generator.
+    for count in (3, 4):
+        discrete_partition_function(system, grid)
+        assert len(calls) == count
 
 
 def test_level_system_normalizes_scalars():
@@ -227,3 +271,12 @@ def test_tolerances_defaults():
     tol = Tolerances()
     assert tol.hermitian == 1e-10
     assert tol.condition_warn == 1e12
+
+
+def test_tolerances_must_be_positive_and_finite():
+    # A NaN slack would let a negative occupation through.
+    for value in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Tolerances(eigenvalue=value)
+    with pytest.raises(ValueError):
+        LevelSystem(0.5, 0.1, Statistics.BOSON, tolerances=None)

@@ -45,7 +45,7 @@ def dense_reference(system, grid):
         warnings.simplefilter("ignore", IllConditionedWarning)
         determinant = lu_factorization(matrix).determinant
     zeta = system.statistics.zeta
-    z = normalization_prefactor(system.nbar, system.statistics) * determinant ** (-zeta)
+    z = normalization_prefactor(system) * determinant ** (-zeta)
     return -1j * np.linalg.inv(matrix), z, np.linalg.cond(matrix, 1)
 
 
