@@ -11,9 +11,8 @@ test paths; run it with
         benchmarks/bench_discrete.py --benchmark-warmup=on \\
         --benchmark-max-time=0.1 --benchmark-json=BENCH.json
 
-One BLAS thread, as in ``perfbench``: numpy and scipy each bring an
-OpenBLAS thread pool, and on a two-core machine a threaded product in
-some processes waits ~15 ms for the other pool's threads.
+One BLAS thread, as in ``perfbench``, so that the curves do not
+depend on the thread count of the machine.
 """
 
 import tracemalloc

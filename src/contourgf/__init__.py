@@ -15,6 +15,7 @@ parallelize over systems or time pairs freely.
 
 from .core import (
     Branch,
+    ContourComponent,
     ContourIndex,
     GridTooLargeError,
     IllConditionedWarning,
@@ -29,7 +30,6 @@ from .core import (
     Tolerances,
 )
 from .continuum import (
-    ContourComponent,
     KeldyshComponent,
     SolutionConstants,
     component_table,

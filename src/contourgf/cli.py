@@ -28,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import (
-    ContourComponent,
-    KeldyshComponent,
-    component_table,
-    thermal_nbar,
-)
+from .continuum import KeldyshComponent, component_table, thermal_nbar
 from .core import (
     DEFAULT_MAX_DIMENSION,
+    ContourComponent,
     GridTooLargeError,
     LevelSystem,
     NonHermitianError,
@@ -262,8 +258,10 @@ def build_run_config(raw: dict) -> RunConfig:
             raise ConfigError("grid must be an object")
         t_initial = _real(grid_raw.get("t_initial", 0.0), "grid.t_initial")
         t_final = _real(grid_raw.get("t_final", 1.0), "grid.t_final")
-        if not t_final > t_initial:
-            raise ConfigError("grid.t_final must exceed grid.t_initial")
+        try:
+            TimeGrid(t_initial, t_final, 1)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         slices = grid_raw.get("n_slices")
         if slices is None:
             raise ConfigError("grid.n_slices is required when grid is present")
@@ -533,10 +531,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser holds reference cycles, and one left behind per
+# call stays in memory until the cycle collector happens to run.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args, overrides = parser.parse_known_args(argv)
+        args, overrides = _PARSER.parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Branch,
+    ContourComponent,
     LevelSystem,
     OccupationOutOfRangeError,
     Statistics,
@@ -81,23 +81,6 @@ class KeldyshComponent(enum.Enum):
     ADVANCED = "A"
     KELDYSH = "K"
     ZERO = "zero"
-
-
-class ContourComponent(enum.Enum):
-    """Components labelled by (row branch, column branch)."""
-
-    PLUS_PLUS = "++"
-    PLUS_MINUS = "+-"
-    MINUS_PLUS = "-+"
-    MINUS_MINUS = "--"
-
-    @property
-    def row_branch(self) -> Branch:
-        return Branch.FORWARD if self.value[0] == "+" else Branch.BACKWARD
-
-    @property
-    def col_branch(self) -> Branch:
-        return Branch.FORWARD if self.value[1] == "+" else Branch.BACKWARD
 
 
 def regularized_step(x):

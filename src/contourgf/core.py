@@ -1,14 +1,12 @@
-"""Domain types, validation and the dense linear-algebra reference.
+"""Domain types and validation.
 
 Defines the statistics tag, the level system (single-particle energy
-matrix plus initial occupation matrix), contour time grids and index
-mapping, the unitary propagators of a level system, and a pivoted dense
-LU with determinant and condition estimate.  A :class:`LevelSystem` is
-checked once, when it is constructed (Hermiticity of both matrices and
-the occupation range), and keeps the two eigendecompositions the checks
-compute; every other function reads them and checks nothing again.  No
-solver uses the dense LU; it is the reference the tests compare the
-structured contour solve against.
+matrix plus initial occupation matrix), contour time grids, branch
+labels and index mapping, and the unitary propagators of a level
+system.  A :class:`LevelSystem` is checked once, when it is constructed
+(Hermiticity of both matrices and the occupation range), and keeps the
+two eigendecompositions the checks compute; every other function reads
+them and checks nothing again.  The package needs numpy alone.
 
 All operations are pure functions of their arguments.
 """
@@ -16,20 +14,18 @@ All operations are pure functions of their arguments.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 __all__ = [
     "Branch",
+    "ContourComponent",
     "ContourIndex",
     "GridTooLargeError",
     "IllConditionedWarning",
     "IndexOutOfRangeError",
     "LevelSystem",
-    "LuFactorization",
     "NonHermitianError",
     "OccupationOutOfRangeError",
     "SingularMatrixError",
@@ -38,7 +34,6 @@ __all__ = [
     "TimeGrid",
     "Tolerances",
     "as_complex_matrix",
-    "lu_factorization",
     "max_abs",
     "propagator_stack",
 ]
@@ -64,7 +59,7 @@ class ThermalDivergenceError(ContourGfError):
 
 
 class SingularMatrixError(ContourGfError):
-    """LU factorization met a pivot below the singularity threshold."""
+    """A matrix is singular to within its roundoff threshold."""
 
 
 class GridTooLargeError(ContourGfError):
@@ -133,6 +128,23 @@ class Branch(enum.Enum):
     @property
     def sign(self) -> int:
         return 1 if self is Branch.FORWARD else -1
+
+
+class ContourComponent(enum.Enum):
+    """Components labelled by (row branch, column branch)."""
+
+    PLUS_PLUS = "++"
+    PLUS_MINUS = "+-"
+    MINUS_PLUS = "-+"
+    MINUS_MINUS = "--"
+
+    @property
+    def row_branch(self) -> Branch:
+        return Branch.FORWARD if self.value[0] == "+" else Branch.BACKWARD
+
+    @property
+    def col_branch(self) -> Branch:
+        return Branch.FORWARD if self.value[1] == "+" else Branch.BACKWARD
 
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -243,7 +255,11 @@ class LevelSystem:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of N slices on [t_initial, t_final]."""
+    """Uniform grid of N slices on [t_initial, t_final].
+
+    Raises ``ValueError`` unless both endpoints and the span between
+    them are finite, ``t_final > t_initial`` and N is a positive integer.
+    """
 
     t_initial: float
     t_final: float
@@ -254,6 +270,8 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if self.t_final <= self.t_initial:
             raise ValueError("t_final must exceed t_initial")
+        if not np.isfinite(float(self.t_final) - float(self.t_initial)):
+            raise ValueError("grid span t_final - t_initial must be finite")
         if int(self.n_slices) != self.n_slices or self.n_slices < 1:
             raise ValueError("n_slices must be a positive integer")
         object.__setattr__(self, "n_slices", int(self.n_slices))
@@ -320,58 +338,3 @@ def propagator_stack(system: LevelSystem, scales: np.ndarray) -> np.ndarray:
     s = np.asarray(scales, dtype=float).reshape(-1)
     phases = np.exp(-1j * np.outer(s, w))
     return np.einsum("ab,kb,cb->kac", v, phases, v.conj())
-
-
-@dataclass(frozen=True)
-class LuFactorization:
-    """LU factors of a square matrix plus determinant and conditioning."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-    determinant: complex
-    condition: float
-    matrix_norm: float = field(repr=False, default=0.0)
-
-
-def lu_factorization(
-    matrix: np.ndarray,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> LuFactorization:
-    """Pivoted LU with determinant and a 1-norm condition estimate.
-
-    Raises :class:`SingularMatrixError` when a pivot falls below
-    ``max|M| * eps * d``; emits :class:`IllConditionedWarning` when the
-    condition estimate exceeds ``tolerances.condition_warn``.
-    """
-    mat = as_complex_matrix(matrix)
-    norm_max = max_abs(mat)
-    try:
-        with warnings.catch_warnings():
-            # The pivot check below is the singularity decision; scipy's
-            # own warning would duplicate it.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
-        raise SingularMatrixError(str(exc)) from exc
-    pivots = np.abs(np.diag(lu))
-    threshold = norm_max * np.finfo(float).eps * mat.shape[0]
-    if pivots.min() <= threshold:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold {threshold:.3e}"
-        )
-    swaps = int(np.sum(piv != np.arange(mat.shape[0])))
-    determinant = complex((-1) ** swaps * np.prod(np.diag(lu)))
-    gecon = get_lapack_funcs("gecon", (lu,))
-    anorm = np.linalg.norm(mat, 1)
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:  # pragma: no cover - invalid argument only
-        raise SingularMatrixError(f"condition estimate failed (info={info})")
-    condition = float(1.0 / rcond) if rcond > 0 else np.inf
-    if condition > tolerances.condition_warn:
-        warnings.warn(
-            f"condition estimate {condition:.3e} exceeds "
-            f"{tolerances.condition_warn:.1e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    return LuFactorization(lu, piv, determinant, condition, norm_max)

@@ -3,41 +3,48 @@
 The finite-difference contour action on an N-slice grid couples the
 retained variables in contour order: forward slots 1..N (times t_1..t_N)
 followed by backward slots N-1..0 (times t_{N-1}..t_0).  The quadratic
-form matrix D of total dimension 2 N d has
+form matrix D' of total dimension 2 N d has
 
-* identity diagonal blocks,
+* the first diagonal block ``M = 1 + zeta nbar^T`` and identity
+  diagonal blocks after it,
 * forward subdiagonal blocks ``-h`` with ``h = 1 - i eps dt``,
 * a turning-point block ``-1`` (continuity between the branches, no
   evolution factor across the turn),
 * backward subdiagonal blocks ``-hbar`` with ``hbar = 1 + i eps dt``
   (the backward action enters with an overall minus sign, reversing the
   finite-difference orientation),
-* a corner block ``-zeta rho^T`` closing the contour through the
-  initial distribution (plain transposition, matching the many-level
-  Keldysh weight).
+* a corner block ``-zeta nbar^T`` closing the contour.
 
-The discrete Green's function is ``-i D^{-1}``; its blocks approximate
-the continuum branch components to first order in dt away from equal
-times.  The partition function ``(det(1 - zeta rho))^zeta det(D)^{-zeta}``
-equals one up to O(1/N), exactly for eps = 0 or nbar = 0.
+The first block row ``[1 + zeta nbar^T, 0, ..., -zeta nbar^T]`` is the
+boundary condition that carries the initial occupation (plain
+transposition, matching the many-level Keldysh weight); it sums to the
+identity.  The discrete Green's function is
+``G = -i D'^{-1} diag(M, 1, ..., 1)``, finite for every valid occupation
+including a full fermion level; its blocks approximate the continuum
+branch components to first order in dt away from equal times.  The
+partition function ``det(D')^{-zeta}`` equals one up to O(1/N), exactly
+for eps = 0 or nbar = 0.
 
-D is solved from its distinct blocks, never densely.  The transfer
+D' is solved from its distinct blocks, never densely.  The transfer
 blocks h and hbar are normal and commute, so one unitary V diagonalizes
 both.  With ``f_j`` and ``s_j`` the products of the transfer blocks
 before and after contour position j (so ``f_j s_j = l``, the loop
-product) and the d x d matrix ``A = diag(1/l) - V^dag zeta rho^T V``,
+product), ``C = -zeta V^dag nbar^T V`` the rotated corner and the d x d
+matrix ``A' = diag(1/l) + C diag(1 - 1/l)``,
 
-* ``det D = det(diag l) det A``,
-* block (j, k) of ``V^dag D^{-1} V`` is
-  ``diag(1/s_j) A^{-1} diag(1/f_k) - [k > j] diag(f_j / f_k)``.
+* ``det D' = det(diag l) det A'``,
+* block (j, k) of ``V^dag D'^{-1} V`` is ``diag(1/s_j) A'^{-1}`` for
+  k = 1 and ``diag(1/s_j) A'^{-1} (1 - C) diag(1/f_k) - [k > j]
+  diag(f_j / f_k)`` otherwise; ``1 - C = V^dag M V``, so the second
+  form is block (j, k) of ``V^dag G V / (-i)`` for every k.
 
-Every factor in the second line has modulus at most one.  The products
-are kept as logarithms, integer counts of forward and backward factors
-times the logarithms of the transfer eigenvalues, so no power of a
-transfer block is formed and no product overflows.  The partition
+Every transfer factor in the second line has modulus at most one.  The
+products are kept as logarithms, integer counts of forward and backward
+factors times the logarithms of the transfer eigenvalues, so no power
+of a transfer block is formed and no product overflows.  The partition
 function costs O(d^3), independent of N, and the full inverse
-O((N d)^2 d).
-:func:`build_contour_matrix` expands the same blocks into the dense D,
+O((N d)^2 d).  Only the blocks of D' enter: no closed form is used.
+:func:`build_contour_matrix` expands the same blocks into the dense D',
 which serves as the reference.
 """
 
@@ -51,6 +58,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_DIMENSION,
+    ContourComponent,
     ContourIndex,
     GridTooLargeError,
     IllConditionedWarning,
@@ -59,7 +67,6 @@ from .core import (
     TimeGrid,
     max_abs,
 )
-from .continuum import ContourComponent, normalization_prefactor, rho_from_nbar
 
 __all__ = [
     "DiscreteGf",
@@ -71,21 +78,22 @@ __all__ = [
     "extract_component",
 ]
 
-# A is singular when, each row scaled to a largest term of one, its
-# smallest singular value is within this many roundoffs: each entry of A
-# carries a few units of roundoff.
+# A' is singular when, each row scaled to the largest entry of that row
+# of the first block row of D', its smallest singular value is within this
+# many roundoffs: each entry of A' carries a few units of roundoff.
 SINGULAR_ROUNDOFFS = 8
 LOG2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
 class DiscreteGf:
-    """Discrete Green's function ``-i D^{-1}`` with its grid and system.
+    """Discrete Green's function ``-i D'^{-1} diag(M, 1, ..., 1)`` with its
+    grid and system.
 
-    ``condition`` estimates the 1-norm condition number of D as
-    ``||D||_1 ||V^dag D^{-1} V||_1``, both norms exact, which lies within
-    a factor d of the true one.  ``partition_function`` is Z from the
-    same factorization (see :func:`discrete_partition_function`).
+    ``condition`` estimates the 1-norm condition number of D' as
+    ``||D'||_1 ||V^dag D'^{-1} V||_1``, both norms exact, which lies
+    within a factor d of the true one.  ``partition_function`` is Z from
+    the same factorization (see :func:`discrete_partition_function`).
     """
 
     matrix: np.ndarray
@@ -97,13 +105,18 @@ class DiscreteGf:
 
 @dataclass(frozen=True)
 class _Factorization:
-    """D reduced to its transfer eigenvalues and the d x d matrix A."""
+    """D' reduced to its transfer eigenvalues and the d x d matrix A'.
+
+    ``a_inverse`` is ``A'^{-1} V^dag M V``, the factor every block of G
+    shares, and ``det D' = exp(log_det) 2**exponent``.
+    """
 
     basis: np.ndarray
     log_forward: np.ndarray
     log_backward: np.ndarray
     a_inverse: np.ndarray
     log_det: complex
+    exponent: int
     condition: float
 
 
@@ -122,17 +135,19 @@ def contour_branch_signs(grid: TimeGrid) -> np.ndarray:
 
 def _contour_blocks(
     system: LevelSystem, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct blocks of D: forward h, backward hbar and the corner.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct blocks of D': forward h, backward hbar and the first
+    block row's pair, ``1 + zeta nbar^T`` on the diagonal and the corner
+    ``-zeta nbar^T``.
 
-    The turning-point block is the identity.
+    The other diagonal blocks and the turning-point block are the
+    identity.
     """
     eye = np.eye(system.dimension, dtype=complex)
     forward = eye - 1j * system.epsilon * grid.dt
     backward = eye + 1j * system.epsilon * grid.dt
-    rho = rho_from_nbar(system)
-    corner = -system.statistics.zeta * rho.T
-    return forward, backward, corner
+    occupation = system.statistics.zeta * system.nbar.T
+    return forward, backward, eye + occupation, -occupation
 
 
 def _check_dimension(system: LevelSystem, grid: TimeGrid, max_dimension: int) -> int:
@@ -149,19 +164,20 @@ def build_contour_matrix(
     grid: TimeGrid,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> np.ndarray:
-    """Assemble the dense ``(2 N d, 2 N d)`` contour matrix D from its blocks.
+    """Assemble the dense ``(2 N d, 2 N d)`` contour matrix D' from its blocks.
 
-    The solvers never build D; this is the dense reference.  Raises
+    The solvers never build D'; this is the dense reference.  Raises
     :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
     ``max_dimension``.
     """
     d = system.dimension
     n = grid.n_slices
     total = _check_dimension(system, grid, max_dimension)
-    forward, backward, corner = _contour_blocks(system, grid)
+    forward, backward, first, corner = _contour_blocks(system, grid)
     eye = np.eye(d, dtype=complex)
     matrix = np.zeros((total, total), dtype=complex)
-    for j in range(1, 2 * n + 1):
+    matrix[0:d, 0:d] = first
+    for j in range(2, 2 * n + 1):
         matrix[(j - 1) * d : j * d, (j - 1) * d : j * d] = eye
     for j in range(2, n + 1):
         matrix[(j - 1) * d : j * d, (j - 2) * d : (j - 1) * d] = -forward
@@ -217,17 +233,21 @@ def _inverse_norm(
     mu_backward: np.ndarray,
     n: int,
     a_inverse: np.ndarray,
+    first_inverse: np.ndarray,
     inv_loop: np.ndarray,
 ) -> float:
-    """Exact 1-norm of ``V^dag D^{-1} V``.
+    """Exact 1-norm of ``V^dag D'^{-1} V``.
 
-    Column (k, b) sums ``|1/s_j|_a |A^{-1}_ab| |1/f_k|_b`` over all j and
-    a != b, the same with a = b over j >= k, and
-    ``|f_j / f_k|_b |A^{-1}_bb / l_b - 1|`` over j < k.  With ``|1/f_k|``
-    and ``|1/s_j|`` geometric within each branch, every such sum is
-    affine in ``|1/f_k|_b`` there, so the largest lies at a branch end:
-    k = 1, N, N + 1 or 2N.  The suffix sums of ``|1/s_j|`` and prefix
-    sums of ``|f_j / f_k|`` at those columns are geometric series.
+    Column (1, b) sums ``|1/s_j|_a |A'^{-1}_ab|`` over all j and a.  With
+    ``a_inverse`` the shared factor of the other columns, column (k, b)
+    sums ``|1/s_j|_a |a_inverse_ab| |1/f_k|_b`` over all j and a != b,
+    the same with a = b over j >= k, and
+    ``|f_j / f_k|_b |a_inverse_bb / l_b - 1|`` over j < k.  With
+    ``|1/f_k|`` and ``|1/s_j|`` geometric within each branch, every such
+    sum is affine in ``|1/f_k|_b`` there, so the largest lies at a branch
+    end: k = 2, N, N + 1 or 2N.  The suffix sums of ``|1/s_j|`` and
+    prefix sums of ``|f_j / f_k|`` at those columns are geometric series,
+    each the full one of N terms less its last.
     """
     r_f, r_b = np.exp(-mu_forward), np.exp(-mu_backward)
     last_f, last_b = np.exp(-(n - 1) * mu_forward), np.exp(-(n - 1) * mu_backward)
@@ -238,35 +258,34 @@ def _inverse_norm(
     off = total @ abs_inv - total * diag
     turn = np.abs(np.diag(a_inverse) * inv_loop - 1.0)
     # (|1/f_k|, sum_{j >= k} |1/s_j|, sum_{j < k} |f_j / f_k|) per end column.
-    ends = (
-        (1.0, total, 0.0),
-        (last_f, sum_b + last_b, r_f * _geometric(mu_forward, n - 1)),
+    ends = [
         (last_f, sum_b, sum_f),
-        (last_f * last_b, 1.0, last_b * sum_f + r_b * _geometric(mu_backward, n - 1)),
-    )
-    return float(
-        max(
-            (inv_f * (off + after * diag) + before * turn).max()
-            for inv_f, after, before in ends
-        )
-    )
+        (last_f * last_b, 1.0, last_b * sum_f + r_b * (sum_b - last_b)),
+    ]
+    if n > 1:
+        inner = sum_f - last_f
+        ends += [(r_f, sum_b + last_b * inner, r_f), (last_f, sum_b + last_b, r_f * inner)]
+    columns = [total @ np.abs(first_inverse)] + [
+        inv_f * (off + after * diag) + before * turn for inv_f, after, before in ends
+    ]
+    return float(max(column.max() for column in columns))
 
 
 def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
-    """Reduce D to its transfer eigenvalues and factor A.
+    """Reduce D' to its transfer eigenvalues and factor A'.
 
     Raises :class:`~contourgf.core.SingularMatrixError` when the smallest
-    singular value of A, each row scaled by its largest term, falls to
-    roundoff, and warns with :class:`~contourgf.core.IllConditionedWarning`
-    when the condition estimate exceeds the system's
-    ``tolerances.condition_warn`` (infinite once ``A^{-1}`` overflows).
-    The forward generator gets its own ``eigh``, not the stored one of
-    ``epsilon``, so that this route uses the entries of D and nothing
-    else.
+    singular value of A', each row scaled by the largest entry of that
+    row of the first block row of D', falls to roundoff, and warns with
+    :class:`~contourgf.core.IllConditionedWarning` when the condition
+    estimate exceeds the system's ``tolerances.condition_warn``
+    (infinite once ``A'^{-1}`` overflows).  The forward generator gets
+    its own ``eigh``, not the stored one of ``epsilon``, so that this
+    route uses the entries of D' and nothing else.
     """
     d = system.dimension
     n = grid.n_slices
-    forward, backward, corner = _contour_blocks(system, grid)
+    forward, backward, first, corner = _contour_blocks(system, grid)
     eye = np.eye(d)
     generator, basis = np.linalg.eigh(1j * (forward - eye))
     basis_h = basis.conj().T
@@ -276,21 +295,27 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     log_loop = (n - 1) * (log_forward + log_backward)
     inv_loop = np.exp(-log_loop)
     closure = basis_h @ corner @ basis
-    # Row i of A = diag(1/l) + closure is scaled by 2^-shift_i, exactly,
-    # with shift_i the binary exponent of its largest term found in log
-    # form: 1/l_i underflows once l_i > 1e308, and an empty level leaves
-    # the row without a closure term.
-    mantissa, exponent = np.frexp(np.abs(closure).max(axis=1))
-    shift = np.maximum(
-        np.ceil(-log_loop.real / LOG2), np.where(mantissa > 0, exponent, -np.inf)
-    ).astype(int)
-    # Per level, so that a huge log l_i cancels against its own shift
-    # before it is summed with the other levels.
-    log_level = log_loop + shift * LOG2
-    a = np.diag(np.exp(-log_level)) + _ldexp(closure, -shift[:, None])
-    # numpy's LAPACK only: scipy's runs on a second BLAS thread pool, and
-    # its small solves stall for milliseconds behind numpy's after the
-    # large products of the fill.
+    # The first block row sums to the identity: V^dag M V = 1 - C.
+    # Taking it so leaves an empty level's row exactly e_i.
+    rotated_first = eye - closure
+    # Row i of A' = (1 - C) diag(1/l) + C is scaled by 2^-shift_i,
+    # exactly, with shift_i the binary exponent of the largest term of
+    # that row, found in log form: 1/l_k underflows once l_k > 1e308.
+    with np.errstate(divide="ignore"):
+        log2_terms = np.maximum(
+            np.log2(np.abs(rotated_first)) - log_loop.real / LOG2,
+            np.log2(np.abs(closure)),
+        )
+    shift = np.ceil(log2_terms.max(axis=1)).astype(int)
+    # 1/l_i takes its own exponent, so that a huge log l_i cancels
+    # against it before it is summed with the other levels; the rest of
+    # each shift reaches det D' exactly, as a power of two.
+    own = np.ceil(-log_loop.real / LOG2).astype(int)
+    log_level = log_loop + own * LOG2
+    # A' as diag(1/l) + C diag(1 - 1/l): no cancellation when l ~ 1.
+    a = np.diag(_ldexp(np.exp(-log_level), own - shift)) + _ldexp(
+        closure * -np.expm1(-log_loop), -shift[:, None]
+    )
     smallest = np.linalg.svd(a, compute_uv=False)[-1]
     threshold = SINGULAR_ROUNDOFFS * d * np.finfo(float).eps
     if smallest <= threshold:
@@ -301,15 +326,21 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     sign, log_abs = np.linalg.slogdet(a)
     log_det = complex(np.sum(log_level) + log_abs + np.log(sign))
     with np.errstate(over="ignore", invalid="ignore"):
-        a_inverse = _ldexp(np.linalg.inv(a), -shift[None, :])
+        first_inverse = _ldexp(np.linalg.inv(a), -shift[None, :])
+        a_inverse = first_inverse @ rotated_first
 
-    # ||D||_1: each block column holds the identity and the block below it.
-    below = [eye, corner] + ([forward, backward] if n > 1 else [])
-    norm = 1.0 + max(np.abs(block).sum(axis=0).max() for block in below)
+    # ||D'||_1 per block column: M over h (over the turn when N = 1), and
+    # the identity under the corner, over the turn or over h or hbar,
+    # whose entries have equal moduli.
+    others = [corner] + ([eye, backward] if n > 1 else [])
+    norm = max(
+        (np.abs(first) + np.abs(forward if n > 1 else eye)).sum(axis=0).max(),
+        1.0 + max(np.abs(block).sum(axis=0).max() for block in others),
+    )
     condition = np.inf
-    if np.isfinite(a_inverse).all():
+    if np.isfinite(a_inverse).all() and np.isfinite(first_inverse).all():
         condition = norm * _inverse_norm(
-            log_forward.real, log_backward.real, n, a_inverse, inv_loop
+            log_forward.real, log_backward.real, n, a_inverse, first_inverse, inv_loop
         )
     warn_level = system.tolerances.condition_warn
     if condition > warn_level:
@@ -318,19 +349,22 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
             IllConditionedWarning,
             stacklevel=3,
         )
+    exponent = int(np.sum(shift - own))
     return _Factorization(
-        basis, log_forward, log_backward, a_inverse, log_det, condition
+        basis, log_forward, log_backward, a_inverse, log_det, exponent, condition
     )
 
 
 def _partition_function(fac: _Factorization, system: LevelSystem) -> complex:
     zeta = system.statistics.zeta
-    prefactor = normalization_prefactor(system)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = complex(prefactor * np.exp(-zeta * fac.log_det))
+        z = np.exp(-zeta * fac.log_det)
+        parts = np.ldexp([z.real, z.imag], -zeta * fac.exponent)
+    z = complex(*parts)
     if not cmath.isfinite(z):
         raise FloatingPointError(
-            f"partition function overflows: log det D = {fac.log_det:.6g}"
+            f"partition function overflows: log det D' = {fac.log_det:.6g} "
+            f"+ {fac.exponent} log 2"
         )
     return z
 
@@ -352,7 +386,7 @@ def _add_upper_toeplitz(
 
 
 def _fill_green(fac: _Factorization, n: int) -> np.ndarray:
-    """``-i D^{-1}`` from the eigenbasis block formula.
+    """G from the eigenbasis block formula.
 
     The first term is a rank-d product over all blocks.  The
     ``[k > j]`` term is block Toeplitz within each branch and, across
@@ -392,14 +426,15 @@ def discrete_green(
     grid: TimeGrid,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> DiscreteGf:
-    """Discrete Green's function ``G = -i D^{-1}`` by the structured solve.
+    """Discrete Green's function ``G = -i D'^{-1} diag(M, 1, ..., 1)`` by
+    the structured solve.
 
     Fills the dense ``(2 N d)^2`` result in O((N d)^2 d) from one
-    factorization of the d x d loop matrix A, which also gives the
-    partition function and the condition estimate carried on the
+    factorization of the d x d loop matrix A', which also gives the
+    partition function and the condition estimate of D' carried on the
     result.  Raises :class:`~contourgf.core.GridTooLargeError` when
     ``2 N d`` exceeds ``max_dimension``,
-    :class:`~contourgf.core.SingularMatrixError` when A is singular to
+    :class:`~contourgf.core.SingularMatrixError` when A' is singular to
     roundoff, and ``FloatingPointError`` when an entry of G or Z is not
     finite.
     """
@@ -407,7 +442,7 @@ def discrete_green(
     fac = _factor(system, grid)
     z = _partition_function(fac, system)
     # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
-    # G exceeds d^2 max|A^{-1}| + d.
+    # G exceeds d^2 max|a_inverse| + d.
     d = system.dimension
     if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
         raise FloatingPointError("discrete Green's function overflows")
@@ -416,14 +451,16 @@ def discrete_green(
 
 
 def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
-    """Partition function ``(det(1 - zeta rho))^zeta det(D)^{-zeta}``.
+    """Partition function ``det(D')^{-zeta}``.
 
     Gaussian integration gives ``det^{-1}`` for bosons and ``det`` for
-    fermions.  ``det D = det(diag l) det A`` and the condition estimate
-    cost O(d^3), independent of N; D is never built, so no grid cap
-    applies.  Equals 1 exactly for ``eps = 0`` or ``nbar = 0`` and
-    approaches 1 as O(1/N) otherwise.  Raises
-    :class:`~contourgf.core.SingularMatrixError` when A is singular to
+    fermions; the occupation in the first block row of D' normalizes
+    it.  ``det D' = det(diag l) det A'`` and the
+    condition estimate cost O(d^3), independent of N; D' is never built,
+    so no grid cap applies.  Defined for every valid occupation,
+    including a full fermion level.  Equals 1 exactly for ``eps = 0`` or
+    ``nbar = 0`` and approaches 1 as O(1/N) otherwise.  Raises
+    :class:`~contourgf.core.SingularMatrixError` when A' is singular to
     roundoff and ``FloatingPointError`` when Z overflows.
     """
     fac = _factor(system, grid)

@@ -25,13 +25,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_DIMENSION,
+    ContourComponent,
     LevelSystem,
     TimeGrid,
     max_abs,
     propagator_stack,
 )
 from .continuum import (
-    ContourComponent,
     KeldyshComponent,
     component_table,
     fix_constants,
@@ -169,22 +169,27 @@ def run_structure_suite(
     compares with ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta
     nbar^T`` the Keldysh weight, and reports that scaled value as its
     threshold: the roundoff of the checks that multiply by W grows with
-    it.  Results are sorted by check name.  ``corruption`` is a test
-    hook that flips the sign of the Keldysh component for t > t' before
-    the checks run.
+    it.  The sampled times are offsets from ``t_initial``, so the
+    checks do not depend on where the span lies on the time axis.
+    Results are sorted by check name.  ``corruption`` is a test hook
+    that flips the sign of the Keldysh component for t > t' before the
+    checks run.
     """
     weight = keldysh_weight(system.nbar, system.statistics)
     threshold = threshold * max(1.0, max_abs(weight))
     rng = np.random.default_rng(seed)
     d = system.dimension
     eye = np.eye(d)
+    # The closed forms depend on the times only through t - t' and
+    # t - t_initial, so the samples are offsets from t_initial: absolute
+    # times far from zero would round them together.
     span = t_final - t_initial
-    t_col = chebyshev_interior(t_initial, t_final, 7)
-    t_interior = np.sort(t_initial + span * rng.uniform(0.05, 0.95, size=3))
-    t_row = np.concatenate([[t_initial], t_interior, [t_final]])
+    t_col = chebyshev_interior(0.0, span, 7)
+    t_interior = np.sort(span * rng.uniform(0.05, 0.95, size=3))
+    t_row = np.concatenate([[0.0], t_interior, [span]])
 
-    ret, adv, clean_kel = _component_tables(system, t_row, t_col, t_initial)
-    ret_rev, adv_rev, kel_rev = _component_tables(system, t_col, t_row, t_initial)
+    ret, adv, clean_kel = _component_tables(system, t_row, t_col, 0.0)
+    ret_rev, adv_rev, kel_rev = _component_tables(system, t_col, t_row, 0.0)
     kel = _corrupt(clean_kel, t_row, t_col, corruption)
     kel_rev = _corrupt(kel_rev, t_col, t_row, corruption)
     delta = t_row[:, None] - t_col[None, :]
@@ -202,8 +207,8 @@ def run_structure_suite(
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.
     diag = component_table(
-        system, t_row, t_row, KeldyshComponent.RETARDED, t_initial
-    ) - component_table(system, t_row, t_row, KeldyshComponent.ADVANCED, t_initial)
+        system, t_row, t_row, KeldyshComponent.RETARDED, 0.0
+    ) - component_table(system, t_row, t_row, KeldyshComponent.ADVANCED, 0.0)
     idx = np.arange(t_row.size)
     obs = float(np.abs(diag[idx, idx] + 1j * eye).max())
     results.append(CheckResult("equal_time_jump", obs, threshold))
@@ -293,7 +298,7 @@ def run_structure_suite(
     obs = max(
         max_abs(
             solution_from_constants(
-                system, constants, row_idx, col_idx, t_row, t_col, t_ref=t_initial
+                system, constants, row_idx, col_idx, t_row, t_col, t_ref=0.0
             )
             - direct[layout[row_idx][col_idx]]
         )
@@ -305,22 +310,29 @@ def run_structure_suite(
     return sorted(results, key=lambda r: r.name)
 
 
+def _contour_offsets(grid: TimeGrid) -> np.ndarray:
+    """Contour times less ``t_initial``, which the closed forms depend on;
+    absolute times far from zero would round slices together."""
+    return contour_times(TimeGrid(0.0, grid.t_final - grid.t_initial, grid.n_slices))
+
+
 def _continuum_rows(system: LevelSystem, grid: TimeGrid):
     """Kernel for contour rows of the continuum prediction.
 
     Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
     constant block between two propagators, so block (n, m) of the
     prediction is ``-i/2 P_n [W + c(n, m)] P_m^dag`` with ``P_n`` the
-    propagator to contour time ``tau_n``, ``W = 1 + 2 zeta nbar^T`` and
-    the scalar ``c = s_m theta - s_n (1 - theta)`` from the branch signs
-    and the symmetric step ``theta(tau_n - tau_m)``.  Returns
+    propagator over ``tau_n``, contour time n less ``t_initial``,
+    ``W = 1 + 2 zeta nbar^T`` and the scalar
+    ``c = s_m theta - s_n (1 - theta)`` from the branch signs and the
+    symmetric step ``theta(tau_n - tau_m)``.  Returns
     ``rows(start, stop)``, which computes contour rows start..stop as a
     ``((stop - start) d, 2 N d)`` array from two rank-d products.
     """
     d = system.dimension
-    tau = contour_times(grid)
+    tau = _contour_offsets(grid)
     signs = contour_branch_signs(grid)
-    props = propagator_stack(system, tau - grid.t_initial)
+    props = propagator_stack(system, tau)
     weighted = -0.5j * props @ keldysh_weight(system.nbar, system.statistics)
     free = -0.5j * props
     right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
@@ -362,7 +374,7 @@ def _unequal_time_error(
     so only one block of it exists at a time.
     """
     d = system.dimension
-    tau = contour_times(grid)
+    tau = _contour_offsets(grid)
     rows = _continuum_rows(system, grid)
     block = max(1, ORACLE_BLOCK_ENTRIES // (tau.size * d * d))
     error = 0.0

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from contourgf.cli import (
     main,
     tabulate_samples,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASE_CONFIG = {
     "statistics": "boson",
@@ -404,6 +410,56 @@ def test_z_classical_limit(tmp_path, capsys, nbar):
         assert abs(z - expected) <= 1e-14 * abs(expected)
 
 
+def _fermion_z(nbar, n_slices):
+    """``1 + nbar (l - 1)`` for one fermion level, eps = 1 on [0, 1], 50 digits.
+
+    ``l = (1 + dt^2)^(N - 1)`` is the loop product of one level.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        loop = (1 + mpmath.mpf(1) / n_slices**2) ** (n_slices - 1)
+        return float(1 + mpmath.mpf(nbar) * (loop - 1))
+
+
+@pytest.mark.parametrize("nbar", [1.0 - 1e-6, 1.0 - 1e-11, 1.0])
+def test_z_fermion_up_to_full_occupation(tmp_path, capsys, nbar):
+    # The first block row [1 - nbar, -nbar] of D' stays finite at nbar = 1.
+    config = write_config(
+        tmp_path,
+        {
+            "statistics": "fermion",
+            "nbar": nbar,
+            "grid.n_slices": [4, 8],
+            "output.format": "json",
+        },
+    )
+    assert main(["z", "--config", config]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["n_slices"] for row in rows] == [4, 8]
+    for row in rows:
+        expected = _fermion_z(nbar, row["n_slices"])
+        z = complex(row["z_re"], row["z_im"])
+        assert abs(z - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize("command", ["converge", "verify"])
+def test_oracle_commands_pass_at_full_fermion_occupation(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path,
+        {
+            "statistics": "fermion",
+            "nbar": 1.0,
+            "grid.n_slices": [16, 32, 64],
+            "output.format": "json",
+        },
+    )
+    assert main([command, "--config", config]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    convergence = doc if command == "converge" else doc["convergence"]
+    assert 0.8 <= convergence["fitted_order"] <= 1.2
+
+
 def test_converge_json(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -495,6 +551,31 @@ def test_infinite_grid_endpoint_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["z", "--config", config, "--grid.t_final", "Infinity"]) == 2
     assert "grid.t_final" in capsys.readouterr().err
+
+
+def test_infinite_grid_span_is_config_error(tmp_path, capsys):
+    # Both endpoints are finite, their difference is not.
+    config = write_config(tmp_path)
+    code = main(
+        ["z", "--config", config, "--grid.t_initial", "-1e308", "--grid.t_final", "1e308"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "span" in captured.err
+
+
+def test_cli_import_leaves_out_scipy():
+    # The package runs on numpy alone; scipy is a test dependency.
+    script = "import sys, contourgf.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_boolean_epsilon_is_config_error(tmp_path, capsys):

@@ -25,9 +25,10 @@ from contourgf import (
     fix_constants,
     run_structure_suite,
 )
-from contourgf.core import lu_factorization, propagator_stack
+from contourgf.core import propagator_stack
 
 from conftest import random_hermitian, random_system, random_unitary, taylor_propagator
+from dense_lu import lu_factorization
 
 ORACLE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10

@@ -26,27 +26,39 @@ from contourgf import (
     discrete_partition_function,
     extract_component,
     gf_component,
-    normalization_prefactor,
     oracle_error_bound,
 )
-from contourgf.core import lu_factorization
 
-from conftest import OCCUPATION_RANGE, random_hermitian, random_system, random_unitary
+from conftest import (
+    EPSILON_RANGE,
+    OCCUPATION_RANGE,
+    random_hermitian,
+    random_system,
+    random_unitary,
+)
+from dense_lu import lu_factorization
 
 EXACT_TOL = 1e-13
-# Agreement of the structured solve with the dense LU of D.
+# Agreement of the structured solve with the dense LU of D'.
 DENSE_TOL = 1e-12
 
 
 def dense_reference(system, grid):
-    """G, Z and the 1-norm condition number from the dense matrix D."""
+    """G, Z and the 1-norm condition number from the dense matrix D'.
+
+    ``G = -i D'^{-1} diag(M, 1, ..., 1)`` with ``M = 1 + zeta nbar^T``
+    the first diagonal block of D', and ``Z = det(D')^(-zeta)``.
+    """
     matrix = build_contour_matrix(system, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         determinant = lu_factorization(matrix).determinant
     zeta = system.statistics.zeta
-    z = normalization_prefactor(system) * determinant ** (-zeta)
-    return -1j * np.linalg.inv(matrix), z, np.linalg.cond(matrix, 1)
+    z = determinant ** (-zeta)
+    d = system.dimension
+    right = np.eye(matrix.shape[0], dtype=complex)
+    right[:d, :d] = matrix[:d, :d]
+    return -1j * np.linalg.inv(matrix) @ right, z, np.linalg.cond(matrix, 1)
 
 
 def assert_matches_dense(system, grid):
@@ -73,14 +85,14 @@ def test_contour_times_ordering():
 
 
 def test_contour_matrix_two_slices_exact():
-    # N = 2, eps = 1/2, boson nbar = 1: dt = 1/2, rho = 1/2.
+    # N = 2, eps = 1/2, boson nbar = 1: dt = 1/2, first row [1 + nbar, -nbar].
     system = LevelSystem(0.5, 1.0, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 2)
     built = build_contour_matrix(system, grid)
     h = 1.0 - 0.25j
     expected = np.array(
         [
-            [1.0, 0.0, 0.0, -0.5],
+            [2.0, 0.0, 0.0, -1.0],
             [-h, 1.0, 0.0, 0.0],
             [0.0, -1.0, 1.0, 0.0],
             [0.0, 0.0, -h.conjugate(), 1.0],
@@ -90,11 +102,13 @@ def test_contour_matrix_two_slices_exact():
 
 
 def test_contour_matrix_fermion_corner_sign():
-    # Fermionic corner carries +rho (zeta = -1).
+    # Fermionic corner carries +nbar and the first diagonal 1 - nbar
+    # (zeta = -1).
     system = LevelSystem(0.0, 0.2, Statistics.FERMION)
     grid = TimeGrid(0.0, 1.0, 2)
     built = build_contour_matrix(system, grid)
-    assert built[0, 3] == pytest.approx(0.25, abs=1e-15)  # 0.2/(1-0.2)
+    assert built[0, 3] == pytest.approx(0.2, abs=1e-15)
+    assert built[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_contour_matrix_block_structure():
@@ -191,6 +205,25 @@ def test_structured_solve_coarse_grid(statistics, dimension, n_slices, spread):
     assert_matches_dense(
         LevelSystem(epsilon, nbar, statistics), TimeGrid(0.0, 1.0, n_slices)
     )
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n_slices", [1, 2, 8, 64])
+@pytest.mark.parametrize("top", [1.0 - 1e-11, 1.0])
+@pytest.mark.parametrize("filled", [1, 3])
+def test_structured_solve_matches_dense_at_full_fermion_level(
+    dimension, n_slices, top, filled
+):
+    # Up to three occupation eigenvalues at or next to 1: the first
+    # diagonal block 1 - nbar^T of D' is (nearly) singular, D' is not.
+    rng = np.random.default_rng([dimension, n_slices, filled])
+    spectrum = rng.uniform(0.1, 0.9, dimension)
+    spectrum[:filled] = top
+    basis = random_unitary(rng, dimension)
+    nbar = (basis * spectrum) @ basis.conj().T
+    epsilon = random_hermitian(rng, dimension, *EPSILON_RANGE)
+    system = LevelSystem(epsilon, nbar, Statistics.FERMION)
+    assert_matches_dense(system, TimeGrid(0.0, 1.0, n_slices))
 
 
 @seed(6)

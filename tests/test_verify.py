@@ -108,19 +108,24 @@ def test_structure_suite_passes_matrix_systems():
 
 
 # Largest occupation eigenvalue per statistics in the property test.
-TOP_OCCUPATION = {Statistics.BOSON: 1e6, Statistics.FERMION: 1.0 - 1e-6}
+TOP_OCCUPATION = {Statistics.BOSON: 1e6, Statistics.FERMION: 1.0}
 
 
 @st.composite
 def extreme_systems(draw):
     """Systems over both statistics, d = 1..6, eps spectra of 1e-3..1e3,
     and occupations either exactly 0 or with a spectrum that holds a top
-    of up to 1e6 (bosons) or 1 - 1e-6 (fermions) and, beside it, exact
-    zeros and values in [top/10, top].
+    of up to 1e6 (bosons) or 1 (fermions) and, beside it, exact zeros
+    and values in [top/10, top]; with a time span T of 1e-3..1e10 that
+    starts at 0 or at +-T 10^j, j = 0..15.
 
     Rotated into a random basis, an eigenvalue of 0 next to one of 1e6
     comes back from ``eigh`` about 1e-10 below 0; the occupation range
-    check allows that, because its slack is relative.
+    check allows that, because its slack is relative.  Beyond
+    ``|t_initial| = 1e15 T`` the span is no longer resolved at
+    ``t_initial``: ``t_initial + T`` rounds by more than a tenth of T.
+
+    Returns ``(system, t_initial, t_final)``.
     """
     statistics = draw(st.sampled_from(list(Statistics)))
     dimension = draw(st.integers(1, 6))
@@ -135,27 +140,49 @@ def extreme_systems(draw):
     spectrum = top * rng.uniform(0.1, 1.0, dimension) * rng.integers(0, 2, dimension)
     spectrum[0] = top
     nbar = (basis * spectrum) @ basis.conj().T
-    return LevelSystem(epsilon, nbar, statistics)
+    span = 10.0 ** draw(st.integers(-3, 10))
+    offset = draw(st.sampled_from([0.0]) | st.integers(0, 15).map(lambda j: 10.0**j))
+    t_initial = draw(st.sampled_from([1.0, -1.0])) * offset * span
+    return LevelSystem(epsilon, nbar, statistics), t_initial, t_initial + span
 
 
 @seed(41)
 @settings(max_examples=60, deadline=None)
-@given(system=extreme_systems(), n_slices=st.integers(1, 10**6))
-def test_structure_suite_passes_across_the_domain(system, n_slices):
+@given(case=extreme_systems(), n_slices=st.integers(1, 10**6))
+def test_structure_suite_passes_across_the_domain(case, n_slices):
     # The suite scales its threshold by max|W| (up to 2e6 here), so the
     # default threshold is used as it is.
-    checks = run_structure_suite(system)
+    system, t_initial, t_final = case
+    checks = run_structure_suite(system, t_initial=t_initial, t_final=t_final)
     assert [c.name for c in checks] == STRUCTURE_CHECK_NAMES
     assert [c.name for c in checks if not c.passed] == []
     # Z is finite, or the discrete route raises one of its documented
-    # domain errors (A singular to roundoff, Z overflowing).
+    # domain errors (A' singular to roundoff, Z overflowing).
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            z = discrete_partition_function(system, TimeGrid(0.0, 1.0, n_slices))
+            z = discrete_partition_function(
+                system, TimeGrid(t_initial, t_final, n_slices)
+            )
     except (SingularMatrixError, FloatingPointError):
         return
     assert cmath.isfinite(z)
+
+
+@pytest.mark.parametrize("t_initial", [1e12, 1e16, -1e16])
+def test_suites_do_not_depend_on_the_time_origin(t_initial):
+    # At 1e16 the absolute sample times would round to even integers;
+    # as offsets from t_initial they are those of a span starting at 0.
+    system = LevelSystem(1.0, 0.7, Statistics.BOSON)
+    near = run_structure_suite(system, t_initial=0.0, t_final=2.0)
+    far = run_structure_suite(system, t_initial=t_initial, t_final=t_initial + 2.0)
+    assert all(c.passed for c in far)
+    assert [c.observed for c in far] == [c.observed for c in near]
+    near = run_oracle_suite(system, [TimeGrid(0.0, 2.0, n) for n in (16, 32)])
+    far = run_oracle_suite(
+        system, [TimeGrid(t_initial, t_initial + 2.0, n) for n in (16, 32)]
+    )
+    assert far == near
 
 
 def test_structure_suite_constant_fixing_detects_wrong_constants(monkeypatch):
