@@ -94,17 +94,6 @@ class GfSample:
     col: int
     value: complex
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "t_prime": self.t_prime,
-            "component": self.component,
-            "row": self.row,
-            "col": self.col,
-            "re": self.value.real,
-            "im": self.value.imag,
-        }
-
 
 @dataclass
 class RunConfig:
@@ -362,17 +351,23 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
-# Row-chunk size for streaming tabulation; bounds peak memory at
-# chunk * (N + 1) * d^2 complex entries per component.
+# Rows of a component table evaluated at once.  A chunk holds
+# GF_ROW_CHUNK * (N + 1) * d^2 complex entries, and (N + 1) d is capped
+# at max_dimension, so a chunk stays below GF_ROW_CHUNK * max_dimension
+# * d * 16 B: about 32 MiB * d at the default cap of 8192.  The cap is
+# what bounds the memory of gf; the chunking alone would not.
 GF_ROW_CHUNK = 256
 
 
-def iter_samples(config: RunConfig):
-    """Yield samples of every configured component over the time grid.
+def _component_chunks(config: RunConfig):
+    """Yield ``(name, first row, table)`` per component and row chunk.
 
-    Ordering is fixed: components in config order, then row-major over
-    (t, t'), then row-major over matrix indices.  Evaluation is chunked
-    over rows so arbitrary grids stream in bounded memory.
+    Components come in config order, each as consecutive chunks of at
+    most ``GF_ROW_CHUNK`` rows of the time grid against all of its
+    times; a table has shape ``(rows, N + 1, d, d)``.  Raises
+    :class:`~contourgf.core.GridTooLargeError` before any evaluation
+    when ``(N + 1) d`` exceeds ``max_dimension``, and
+    ``FloatingPointError`` when a table is not finite.
     """
     grid = config.grid()
     times = grid.times
@@ -385,43 +380,116 @@ def iter_samples(config: RunConfig):
     for name in config.components:
         component = COMPONENT_NAMES[name]
         for start in range(0, times.size, GF_ROW_CHUNK):
-            chunk = times[start : start + GF_ROW_CHUNK]
             table = component_table(
-                config.system, chunk, times, component, grid.t_initial
+                config.system,
+                times[start : start + GF_ROW_CHUNK],
+                times,
+                component,
+                grid.t_initial,
             )
-            for n_idx, t in enumerate(chunk):
-                for m_idx, t_prime in enumerate(times):
-                    block = table[n_idx, m_idx]
-                    for r in range(d):
-                        for c in range(d):
-                            yield GfSample(
-                                float(t), float(t_prime), name, r, c,
-                                complex(block[r, c]),
-                            )
+            if not np.isfinite(table).all():
+                raise FloatingPointError(
+                    f"component {name} is not finite on rows from t = {times[start]:.17g}"
+                )
+            yield name, start, table
+            # Freed before the next chunk is evaluated.
+            del table
 
 
 def tabulate_samples(config: RunConfig) -> list[GfSample]:
-    """Materialized form of :func:`iter_samples`."""
-    return list(iter_samples(config))
+    """Every entry ``gf`` writes, in its order: components in config
+    order, then row-major over (t, t'), then over matrix indices."""
+    times = config.grid().times.tolist()
+    d = config.system.dimension
+    return [
+        GfSample(times[start + n], t_prime, name, r, c, complex(block[r, c]))
+        for name, start, table in _component_chunks(config)
+        for n, row in enumerate(table)
+        for t_prime, block in zip(times, row)
+        for r in range(d)
+        for c in range(d)
+    ]
+
+
+@dataclass(frozen=True)
+class _GfFormat:
+    """Text of a ``gf`` output format around its records.
+
+    A record is ``lead + time + tail``; ``tail`` is a ``str.format``
+    template of t', name, row and col whose result holds two ``%``
+    slots, for the real and the imaginary part.
+    """
+
+    header: str
+    separator: str
+    lead: str
+    time: str
+    tail: str
+    footer: str
+
+
+# CSV prints a double with %.17g.  JSON prints it with %r, the repr
+# that json.dumps uses for a finite double; a component name is plain
+# ASCII (it is a key of COMPONENT_NAMES), so quoting it is its JSON form.
+_GF_FORMATS = {
+    "csv": _GfFormat(
+        header=CSV_HEADER + "\n",
+        separator="",
+        lead="",
+        time="%.17g",
+        tail=",{t_prime},{name},{row},{col},%.17g,%.17g\n",
+        footer="",
+    ),
+    "json": _GfFormat(
+        header="[\n",
+        separator=",\n",
+        lead='  {"t": ',
+        time="%r",
+        tail=(
+            ', "t_prime": {t_prime}, "component": "{name}", "row": {row}, '
+            '"col": {col}, "re": %r, "im": %r}}'
+        ),
+        footer="\n]\n",
+    ),
+}
 
 
 def _write_gf(config: RunConfig, handle) -> None:
-    if config.output_format == "csv":
-        handle.write(CSV_HEADER + "\n")
-        for s in iter_samples(config):
-            handle.write(
-                f"{_fmt(s.t)},{_fmt(s.t_prime)},{s.component},{s.row},{s.col},"
-                f"{_fmt(s.value.real)},{_fmt(s.value.imag)}\n"
-            )
-    else:
-        handle.write("[\n")
-        first = True
-        for s in iter_samples(config):
-            if not first:
-                handle.write(",\n")
-            handle.write("  " + json.dumps(s.to_dict()))
-            first = False
-        handle.write("\n]\n")
+    """Write the tables one table row at a time.
+
+    Each time is printed once per grid.  Per component, the record
+    tails of one table row are fixed; per table row, they are joined
+    with the row's time into one template, filled by one ``%`` from the
+    row's interleaved real and imaginary parts, and written as one
+    string.  A whole chunk is never joined, so memory stays at one
+    table plus one row of text.
+    """
+    fmt = _GF_FORMATS[config.output_format]
+    times = config.grid().times.tolist()
+    stamps = [fmt.time % t for t in times]
+    d = config.system.dimension
+    handle.write(fmt.header)
+    separator = ""
+    for name, start, table in _component_chunks(config):
+        if start == 0:
+            tails = [
+                fmt.tail.format(t_prime=t_prime, name=name, row=r, col=c)
+                for t_prime in stamps
+                for r in range(d)
+                for c in range(d)
+            ]
+        # One row of interleaved real and imaginary parts per table row.
+        # Neither the table nor this view of it may live on into the
+        # evaluation of the next chunk.
+        parts = table.reshape(len(table), -1).view(np.float64)
+        del table
+        for n, stamp in enumerate(stamps[start : start + len(parts)]):
+            head = fmt.lead + stamp
+            template = head + (fmt.separator + head).join(tails)
+            handle.write(separator + template % tuple(parts[n].tolist()))
+            separator = fmt.separator
+        del parts
+    handle.write(fmt.footer)
 
 
 def cmd_gf(config: RunConfig) -> int:

@@ -204,10 +204,19 @@ def keldysh_weight(nbar, statistics: Statistics) -> np.ndarray:
     """Statistical weight ``1 + 2 zeta nbar^T`` entering the Keldysh
     component and the initial-time boundary condition.
 
-    The transpose is plain transposition (no conjugation).
+    The transpose is plain transposition (no conjugation).  Raises
+    ``FloatingPointError`` when the weight overflows, as it does for a
+    boson occupation near the largest double.
     """
     occ = as_complex_matrix(nbar, "nbar")
-    return np.eye(occ.shape[0]) + 2 * statistics.zeta * occ.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.eye(occ.shape[0]) + 2 * statistics.zeta * occ.T
+    if not np.isfinite(weight).all():
+        raise FloatingPointError(
+            "Keldysh weight 1 + 2 zeta nbar^T overflows: "
+            f"max |nbar| = {np.abs(occ).max():.6g}"
+        )
+    return weight
 
 
 def component_table(

@@ -90,10 +90,13 @@ class DiscreteGf:
     """Discrete Green's function ``-i D'^{-1} diag(M, 1, ..., 1)`` with its
     grid and system.
 
-    ``condition`` estimates the 1-norm condition number of D' as
-    ``||D'||_1 ||V^dag D'^{-1} V||_1``, both norms exact, which lies
-    within a factor d of the true one.  ``partition_function`` is Z from
-    the same factorization (see :func:`discrete_partition_function`).
+    ``condition`` estimates the 1-norm condition number of D' with each
+    row of its first block row divided by that row's largest entry, as
+    ``||D'||_1 ||V^dag D'^{-1} V||_1`` of that matrix, both norms exact,
+    which lies within a factor d of the true one.  The scaling keeps the
+    estimate bounded in the boson classical limit.  ``partition_function``
+    is Z from the same factorization (see
+    :func:`discrete_partition_function`).
     """
 
     matrix: np.ndarray
@@ -233,12 +236,13 @@ def _inverse_norm(
     mu_backward: np.ndarray,
     n: int,
     a_inverse: np.ndarray,
-    first_inverse: np.ndarray,
+    first_column: np.ndarray,
     inv_loop: np.ndarray,
 ) -> float:
-    """Exact 1-norm of ``V^dag D'^{-1} V``.
+    """Exact 1-norm of ``V^dag D'^{-1} V``, its first block column
+    multiplied on the right by ``first_column`` over ``A'^{-1}``.
 
-    Column (1, b) sums ``|1/s_j|_a |A'^{-1}_ab|`` over all j and a.  With
+    Column (1, b) sums ``|1/s_j|_a |first_column_ab|`` over all j and a.  With
     ``a_inverse`` the shared factor of the other columns, column (k, b)
     sums ``|1/s_j|_a |a_inverse_ab| |1/f_k|_b`` over all j and a != b,
     the same with a = b over j >= k, and
@@ -265,7 +269,7 @@ def _inverse_norm(
     if n > 1:
         inner = sum_f - last_f
         ends += [(r_f, sum_b + last_b * inner, r_f), (last_f, sum_b + last_b, r_f * inner)]
-    columns = [total @ np.abs(first_inverse)] + [
+    columns = [total @ np.abs(first_column)] + [
         inv_f * (off + after * diag) + before * turn for inv_f, after, before in ends
     ]
     return float(max(column.max() for column in columns))
@@ -278,10 +282,11 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     singular value of A', each row scaled by the largest entry of that
     row of the first block row of D', falls to roundoff, and warns with
     :class:`~contourgf.core.IllConditionedWarning` when the condition
-    estimate exceeds the system's ``tolerances.condition_warn``
-    (infinite once ``A'^{-1}`` overflows).  The forward generator gets
-    its own ``eigh``, not the stored one of ``epsilon``, so that this
-    route uses the entries of D' and nothing else.
+    estimate (see :class:`DiscreteGf`) exceeds the system's
+    ``tolerances.condition_warn`` (infinite once ``A'^{-1}`` overflows).
+    The forward generator gets its own ``eigh``, not the stored one of
+    ``epsilon``, so that this route uses the entries of D' and nothing
+    else.
     """
     d = system.dimension
     n = grid.n_slices
@@ -325,22 +330,37 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
         )
     sign, log_abs = np.linalg.slogdet(a)
     log_det = complex(np.sum(log_level) + log_abs + np.log(sign))
+    # The estimate is of D' with each row of its first block row divided
+    # by that row's largest entry R: the occupation there grows without
+    # bound in the boson classical limit while Z stays exact.  The first
+    # block row sums to the identity, so no R is below 1/2.  The scaling
+    # multiplies the first block column of the inverse by V^dag R V.
+    scale = np.maximum(
+        np.abs(first).max(axis=1, keepdims=True),
+        np.abs(corner).max(axis=1, keepdims=True),
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        first_inverse = _ldexp(np.linalg.inv(a), -shift[None, :])
-        a_inverse = first_inverse @ rotated_first
-
+        inverse = _ldexp(np.linalg.inv(a), -shift[None, :])
+        a_inverse = inverse @ rotated_first
+        first_column = inverse @ (basis_h @ (scale * basis))
+    # The peak memory of Z falls in _inverse_norm, so nothing that is no
+    # longer needed is kept alive into it.
+    del inverse
     # ||D'||_1 per block column: M over h (over the turn when N = 1), and
     # the identity under the corner, over the turn or over h or hbar,
     # whose entries have equal moduli.
-    others = [corner] + ([eye, backward] if n > 1 else [])
     norm = max(
-        (np.abs(first) + np.abs(forward if n > 1 else eye)).sum(axis=0).max(),
-        1.0 + max(np.abs(block).sum(axis=0).max() for block in others),
+        (np.abs(first) / scale + np.abs(forward if n > 1 else eye)).sum(axis=0).max(),
+        1.0
+        + max(
+            np.abs(block).sum(axis=0).max()
+            for block in [corner / scale] + ([eye, backward] if n > 1 else [])
+        ),
     )
     condition = np.inf
-    if np.isfinite(a_inverse).all() and np.isfinite(first_inverse).all():
+    if np.isfinite(a_inverse).all() and np.isfinite(first_column).all():
         condition = norm * _inverse_norm(
-            log_forward.real, log_backward.real, n, a_inverse, first_inverse, inv_loop
+            log_forward.real, log_backward.real, n, a_inverse, first_column, inv_loop
         )
     warn_level = system.tolerances.condition_warn
     if condition > warn_level:

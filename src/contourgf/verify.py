@@ -123,6 +123,13 @@ class ConvergenceReport:
         }
 
 
+def _worst(values) -> float:
+    """Largest of ``values``, NaN if any is NaN: Python's ``max`` keeps
+    whichever of a NaN and a number comes first."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def chebyshev_interior(t_initial: float, t_final: float, count: int) -> np.ndarray:
     """Chebyshev-spaced points strictly inside (t_initial, t_final)."""
     k = np.arange(count)
@@ -198,11 +205,7 @@ def run_structure_suite(
     # Causality: retarded vanishes for t < t', advanced for t > t'.
     later = delta > 0
     earlier = delta < 0
-    obs = 0.0
-    if earlier.any():
-        obs = max(obs, float(np.abs(ret[earlier]).max()))
-    if later.any():
-        obs = max(obs, float(np.abs(adv[later]).max()))
+    obs = _worst([max_abs(ret[earlier]), max_abs(adv[later])])
     results.append(CheckResult("causality", obs, threshold))
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.
@@ -274,16 +277,15 @@ def run_structure_suite(
         return np.zeros_like(ret[table_row])
 
     final_row = t_row.size - 1
-    obs_final = 0.0
-    for col_idx in range(2):
-        obs_final = max(obs_final, float(np.abs(layout_value(1, col_idx, final_row)).max()))
+    obs_final = _worst(
+        max_abs(layout_value(1, col_idx, final_row)) for col_idx in range(2)
+    )
     results.append(CheckResult("boundary_final", obs_final, threshold))
 
-    obs_initial = 0.0
-    for col_idx in range(2):
-        top = layout_value(0, col_idx, 0)
-        bottom = layout_value(1, col_idx, 0)
-        obs_initial = max(obs_initial, float(np.abs(top + weight @ bottom).max()))
+    obs_initial = _worst(
+        max_abs(layout_value(0, col_idx, 0) + weight @ layout_value(1, col_idx, 0))
+        for col_idx in range(2)
+    )
     results.append(CheckResult("boundary_initial", obs_initial, threshold))
 
     # Solved constants reproduce the uncorrupted closed forms at every
@@ -295,7 +297,7 @@ def run_structure_suite(
         KeldyshComponent.KELDYSH: clean_kel,
         KeldyshComponent.ZERO: 0.0,
     }
-    obs = max(
+    obs = _worst(
         max_abs(
             solution_from_constants(
                 system, constants, row_idx, col_idx, t_row, t_col, t_ref=0.0
@@ -371,21 +373,22 @@ def _unequal_time_error(
     duplicates of one physical time) are excluded: the discrete inverse
     is contour ordered there while the closed forms carry the symmetric
     step value.  The prediction is streamed in blocks of contour rows,
-    so only one block of it exists at a time.
+    so only one block of it exists at a time.  NaN when any compared
+    entry is NaN.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
     rows = _continuum_rows(system, grid)
     block = max(1, ORACLE_BLOCK_ENTRIES // (tau.size * d * d))
-    error = 0.0
+    errors = []
     for start in range(0, tau.size, block):
         stop = min(start + block, tau.size)
         diff = rows(start, stop)
         diff -= green[start * d : stop * d]
         row, col = np.nonzero(tau[start:stop, None] == tau[None, :])
         diff.reshape(stop - start, d, tau.size, d)[row, :, col, :] = 0.0
-        error = max(error, float(np.abs(diff).max()))
-    return error
+        errors.append(max_abs(diff))
+    return _worst(errors)
 
 
 def oracle_error_bound(system: LevelSystem, grid: TimeGrid) -> float:
@@ -408,6 +411,7 @@ def run_oracle_suite(
     |Z - 1|, and the order fitted by least squares on the log-log error
     curve (None when all errors sit at the roundoff floor).  Each grid
     is factorized once: Z comes with the discrete inverse.  Raises
+    ``FloatingPointError`` when an error is not finite, and
     :class:`~contourgf.core.GridTooLargeError` before any grid is filled
     when ``2 N d`` of the finest grid exceeds ``max_dimension``.  The
     continuum prediction is compared in blocks of contour rows, so each
@@ -431,7 +435,12 @@ def run_oracle_suite(
     deviations = []
     for grid in grids:
         disc = discrete_green(system, grid, max_dimension)
-        errors.append(_unequal_time_error(system, grid, disc.matrix))
+        error = _unequal_time_error(system, grid, disc.matrix)
+        if not math.isfinite(error):
+            raise FloatingPointError(
+                f"oracle error on {grid.n_slices} slices is {error!r}"
+            )
+        errors.append(error)
         bounds.append(oracle_error_bound(system, grid))
         deviations.append(float(abs(disc.partition_function - 1.0)))
         # Release this grid's inverse before the next one is filled.

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,20 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from contourgf import IllConditionedWarning
+from contourgf import IllConditionedWarning, cli
 from contourgf.cli import (
     COMPONENT_NAMES,
+    GF_ROW_CHUNK,
     ConfigError,
     apply_overrides,
     build_run_config,
+    load_config,
     main,
     tabulate_samples,
 )
+
+from conftest import random_hermitian
+from gf_reference import gf_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -149,6 +155,179 @@ def test_gf_matrix_epsilon_via_nested_lists(tmp_path, capsys):
     assert main(["gf", "--config", config]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 + 25 * 4
+
+
+# Components for the byte-identity tests: both bases, two aliases
+# ("11" is R, "qq" the zero block) and the Keldysh weight.
+REFERENCE_COMPONENTS = ["R", "11", "qq", "-+", "K"]
+
+
+def _matrix_config(tmp_path, dimension, overrides):
+    """Config of a random boson system with non-commuting eps and nbar."""
+    rng = np.random.default_rng(dimension)
+
+    def parts(matrix):
+        return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+
+    return write_config(
+        tmp_path,
+        {
+            "epsilon": parts(random_hermitian(rng, dimension, -1.5, 1.5)),
+            "nbar": parts(random_hermitian(rng, dimension, 0.2, 1.2)),
+            "grid.t_initial": 0.25,
+            "grid.t_final": 1.5,
+            **overrides,
+        },
+    )
+
+
+def _gf_output(config, capsys, sink, tmp_path):
+    """Bytes ``gf`` writes to stdout or to ``output.path``."""
+    if sink == "stdout":
+        assert main(["gf", "--config", config]) == 0
+        return capsys.readouterr().out
+    out = tmp_path / "table.out"
+    assert main(["gf", "--config", config, "--output.path", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("sink", ["stdout", "path"])
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+# N + 1 rows below, at and one above a chunk of 8 rows, and three chunks.
+@pytest.mark.parametrize("n_slices", [4, 7, 8, 20])
+def test_gf_matches_per_entry_reference(
+    tmp_path, capsys, monkeypatch, sink, output_format, dimension, n_slices
+):
+    monkeypatch.setattr(cli, "GF_ROW_CHUNK", 8)
+    config = _matrix_config(
+        tmp_path,
+        dimension,
+        {
+            "grid.n_slices": n_slices,
+            "output.format": output_format,
+            "output.components": REFERENCE_COMPONENTS,
+        },
+    )
+    expected = gf_text(load_config(config, []))
+    assert _gf_output(config, capsys, sink, tmp_path) == expected
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n_slices", [30, GF_ROW_CHUNK - 1, GF_ROW_CHUNK, GF_ROW_CHUNK + 44]
+)
+def test_gf_matches_per_entry_reference_at_the_row_chunk(
+    tmp_path, capsys, output_format, n_slices
+):
+    config = _matrix_config(
+        tmp_path,
+        1,
+        {
+            "grid.n_slices": n_slices,
+            "output.format": output_format,
+            "output.components": ["11", "K"] if n_slices == 30 else ["+-"],
+        },
+    )
+    expected = gf_text(load_config(config, []))
+    assert _gf_output(config, capsys, "path", tmp_path) == expected
+
+
+# Doubles whose %.17g and repr forms differ in kind: -0 against -0.0,
+# 2 against 2.0, the least subnormal and the largest finite double.  An
+# odd count puts each in both the real and the imaginary slot.
+EDGE_DOUBLES = [-0.0, 5e-324, 1.7976931348623157e308, 2.0, 0.1, 1.0 / 3.0, -2.0]
+
+
+def _edge_table(system, t_values, t_prime_values, component, t_ref):
+    d = system.dimension
+    shape = (len(t_values), len(t_prime_values), d, d, 2)
+    return np.resize(np.array(EDGE_DOUBLES), shape).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_gf_edge_doubles_match_reference(
+    tmp_path, capsys, monkeypatch, output_format, dimension
+):
+    monkeypatch.setattr(cli, "component_table", _edge_table)
+    config = _matrix_config(
+        tmp_path,
+        dimension,
+        {"grid.n_slices": 3, "output.format": output_format, "output.components": ["R", "A"]},
+    )
+    expected = gf_text(load_config(config, []))
+    out = _gf_output(config, capsys, "stdout", tmp_path)
+    assert out == expected
+    if output_format == "csv":
+        assert ",-0," in out and ",2," in out and ",4.9406564584124654e-324" in out
+    else:
+        assert '"re": -0.0' in out and ": 2.0," in out and "1.7976931348623157e+308" in out
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gf_non_finite_table_is_numerical_error(
+    tmp_path, capsys, monkeypatch, output_format, bad
+):
+    # json.dumps would print NaN or Infinity, %.17g and repr nan or inf:
+    # neither is a Green's function.
+    def table(system, t_values, t_prime_values, component, t_ref):
+        out = np.zeros((len(t_values), len(t_prime_values), 1, 1), dtype=complex)
+        out[-1, 0] = complex(0.0, bad)
+        return out
+
+    monkeypatch.setattr(cli, "component_table", table)
+    config = write_config(tmp_path, {"output.format": output_format})
+    assert main(["gf", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FloatingPointError")
+    assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gf_overflowing_phase_is_numerical_error(tmp_path, capsys):
+    # eps t = 1e310 overflows, so the propagator phase is NaN.
+    config = write_config(tmp_path, {"epsilon": 1e300, "grid.t_final": 1e10})
+    assert main(["gf", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FloatingPointError: component R")
+    assert "nan" not in captured.out.lower()
+
+
+def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
+    """The writer holds one chunk's table and one row of text.
+
+    Component evaluation is replaced by a stub that allocates exactly
+    one table per call, so the peak is the writer's own: a writer that
+    joins a chunk's text, or keeps a table while the next one is
+    evaluated, goes past twice the table.
+    """
+    n_slices = 120
+    table_bytes = min(GF_ROW_CHUNK, n_slices + 1) * (n_slices + 1) * 16
+
+    def table(system, t_values, t_prime_values, component, t_ref):
+        return np.full((len(t_values), len(t_prime_values), 1, 1), 0.25 - 0.5j)
+
+    monkeypatch.setattr(cli, "component_table", table)
+    config = write_config(
+        tmp_path,
+        {
+            "grid.n_slices": n_slices,
+            "output.components": ["R", "A", "K"],
+            "output.path": str(tmp_path / "table.csv"),
+        },
+    )
+    for output_format in ("csv", "json"):
+        argv = ["gf", "--config", config, "--output.format", output_format]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table_bytes, (output_format, peak, table_bytes)
 
 
 def test_override_scalar_and_nested(tmp_path, capsys):
@@ -396,6 +575,7 @@ def _classical_limit_z(nbar, n_slices):
         return float(1 / ((1 + occ) * (1 - rho * loop)))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("nbar", [1e8, 1e15, 1e300])
 def test_z_classical_limit(tmp_path, capsys, nbar):
     # rho rounds to 1 here; the prefactor 1/(1 + nbar) must not.
@@ -408,6 +588,39 @@ def test_z_classical_limit(tmp_path, capsys, nbar):
         expected = _classical_limit_z(nbar, row["n_slices"])
         z = complex(row["z_re"], row["z_im"])
         assert abs(z - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "command, output_format",
+    [("gf", "csv"), ("gf", "json"), ("converge", "json"), ("verify", "json")],
+)
+def test_overflowing_keldysh_weight_is_numerical_error(
+    tmp_path, capsys, command, output_format
+):
+    # W = 1 + 2 nbar overflows at boson nbar = 1e308; D' does not.
+    config = write_config(
+        tmp_path,
+        {
+            "nbar": 1e308,
+            "grid.n_slices": 4 if command == "gf" else [4, 8],
+            "output.format": output_format,
+            "output.components": ["R", "A", "K"],
+        },
+    )
+    assert main([command, "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert "Keldysh weight" in captured.err
+    assert "nan" not in captured.out.lower()
+
+
+@pytest.mark.filterwarnings("error")
+def test_z_at_overflowing_keldysh_weight(tmp_path, capsys):
+    config = write_config(
+        tmp_path, {"nbar": 1e308, "grid.n_slices": [4, 8], "output.format": "json"}
+    )
+    assert main(["z", "--config", config]) == 0
+    for row in json.loads(capsys.readouterr().out):
+        assert math.isfinite(row["z_re"]) and math.isfinite(row["z_im"])
 
 
 def _fermion_z(nbar, n_slices):

@@ -43,11 +43,20 @@ EXACT_TOL = 1e-13
 DENSE_TOL = 1e-12
 
 
+def row_equilibrated(matrix, d):
+    """D' with each row of its first block row divided by that row's
+    largest entry, the matrix whose condition ``DiscreteGf`` estimates."""
+    out = matrix.copy()
+    out[:d] /= np.abs(out[:d]).max(axis=1, keepdims=True)
+    return out
+
+
 def dense_reference(system, grid):
     """G, Z and the 1-norm condition number from the dense matrix D'.
 
     ``G = -i D'^{-1} diag(M, 1, ..., 1)`` with ``M = 1 + zeta nbar^T``
-    the first diagonal block of D', and ``Z = det(D')^(-zeta)``.
+    the first diagonal block of D', and ``Z = det(D')^(-zeta)``.  The
+    condition number is that of D' row-equilibrated (:func:`row_equilibrated`).
     """
     matrix = build_contour_matrix(system, grid)
     with warnings.catch_warnings():
@@ -58,7 +67,8 @@ def dense_reference(system, grid):
     d = system.dimension
     right = np.eye(matrix.shape[0], dtype=complex)
     right[:d, :d] = matrix[:d, :d]
-    return -1j * np.linalg.inv(matrix) @ right, z, np.linalg.cond(matrix, 1)
+    condition = np.linalg.cond(row_equilibrated(matrix, d), 1)
+    return -1j * np.linalg.inv(matrix) @ right, z, condition
 
 
 def assert_matches_dense(system, grid):
@@ -192,6 +202,27 @@ def test_structured_solve_matches_dense(statistics, dimension, n_slices):
     assert_matches_dense(system, TimeGrid(0.0, 1.0, n_slices))
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n_slices", [4, 16])
+@pytest.mark.parametrize("nbar", [1e4, 1e8])
+def test_condition_bounded_in_classical_limit(dimension, n_slices, nbar):
+    # One level at a huge boson occupation, the others at 0.5, and a
+    # random eps: the unscaled cond_1(D') grows as nbar.  The occupation
+    # is diagonal, so each row of the first block row holds one level.
+    rng = np.random.default_rng([dimension, n_slices])
+    occupation = np.diag([nbar] + [0.5] * (dimension - 1))
+    epsilon = random_hermitian(rng, dimension, *EPSILON_RANGE)
+    system = LevelSystem(epsilon, occupation, Statistics.BOSON)
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
+        gf = discrete_green(system, grid)
+    matrix = build_contour_matrix(system, grid)
+    condition = np.linalg.cond(row_equilibrated(matrix, dimension), 1)
+    assert 1.0 / dimension - 1e-10 <= gf.condition / condition <= dimension + 1e-10
+    assert gf.condition < 1e-3 * np.linalg.cond(matrix, 1)
+
+
 @pytest.mark.parametrize("statistics", list(Statistics))
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("n_slices", [8, 16])
@@ -283,7 +314,9 @@ def test_ill_conditioned_warning(statistics):
         gf = discrete_green(system, grid)
     with pytest.warns(IllConditionedWarning):
         discrete_partition_function(system, grid)
-    condition = np.linalg.cond(build_contour_matrix(system, grid), 1)
+    condition = np.linalg.cond(
+        row_equilibrated(build_contour_matrix(system, grid), 3), 1
+    )
     assert condition > 1e12
     assert condition / 3 <= gf.condition <= 3 * condition
 

@@ -195,6 +195,18 @@ def test_structure_suite_constant_fixing_detects_wrong_constants(monkeypatch):
     assert checks["constant_fixing"].observed == pytest.approx(1e-9, rel=1e-6)
 
 
+@pytest.mark.parametrize("constant", ["c11", "c22"])
+def test_structure_suite_nan_constant_fails(monkeypatch, constant):
+    # A NaN in the first or the last position the check visits.
+    system = LevelSystem(1.0, 0.7, Statistics.BOSON)
+    solved = verify.fix_constants(system)
+    wrong = dataclasses.replace(solved, **{constant: np.full((1, 1), np.nan)})
+    monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
+    checks = {c.name: c for c in run_structure_suite(system)}
+    assert np.isnan(checks["constant_fixing"].observed)
+    assert not checks["constant_fixing"].passed
+
+
 def test_structure_suite_half_filled_fermion_degenerate_fdt():
     # 1 - 2 nbar = 0 makes the Keldysh component vanish identically;
     # the proportionality check degenerates to 0 = 0.
@@ -305,6 +317,27 @@ def test_oracle_errors_match_dense_mask(monkeypatch, statistics, dimension, entr
     report = run_oracle_suite(system, grids)
     for error, dense in zip(report.errors, dense_oracle_errors(system, grids)):
         assert error == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_oracle_error_keeps_nan(monkeypatch, row):
+    # One contour row per block, the NaN in the first or the last one,
+    # away from equal times.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", 1)
+    system = LevelSystem(1.0, 0.3, Statistics.BOSON)
+    grid = TimeGrid(0.0, 1.0, 8)
+    green = discrete_green(system, grid).matrix.copy()
+    assert np.isfinite(verify._unequal_time_error(system, grid, green))
+    green[row, 3] = np.nan
+    assert np.isnan(verify._unequal_time_error(system, grid, green))
+
+
+def test_oracle_suite_rejects_a_nan_error(monkeypatch):
+    errors = iter([1e-3, np.nan])
+    monkeypatch.setattr(verify, "_unequal_time_error", lambda *args: next(errors))
+    system = LevelSystem(1.0, 0.3, Statistics.BOSON)
+    with pytest.raises(FloatingPointError, match="8 slices"):
+        run_oracle_suite(system, [TimeGrid(0.0, 1.0, n) for n in (4, 8)])
 
 
 def test_oracle_suite_peak_memory_is_the_discrete_result():
