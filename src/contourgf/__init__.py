@@ -27,7 +27,6 @@ from .core import (
     Statistics,
     ThermalDivergenceError,
     TimeGrid,
-    Tolerances,
 )
 from .continuum import (
     KeldyshComponent,
@@ -89,7 +88,6 @@ __all__ = [
     "Statistics",
     "ThermalDivergenceError",
     "TimeGrid",
-    "Tolerances",
     "assemble_report",
     "build_contour_matrix",
     "component_table",

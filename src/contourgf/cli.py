@@ -12,7 +12,8 @@ Subcommands
 
 Configuration is a JSON file passed with ``--config``.  Any scalar
 field can be overridden on the command line by its dotted path, for
-example ``--grid.n_slices 64`` or ``--statistics fermion``.
+example ``--grid.n_slices 64`` or ``--statistics fermion``.  A key
+outside the documented set is a configuration error.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical error.
@@ -40,7 +41,6 @@ from .core import (
     Statistics,
     ThermalDivergenceError,
     TimeGrid,
-    Tolerances,
     max_abs,
 )
 from .discrete import discrete_partition_function
@@ -78,21 +78,20 @@ COMPONENT_NAMES = {
 
 CSV_HEADER = "t,t_prime,component,row,col,re,im"
 
+# The documented keys of the config root and of its grid and output
+# objects; any other key is a configuration error.
+CONFIG_KEYS = {
+    "": {
+        "statistics", "epsilon", "nbar", "grid", "output",
+        "threshold", "seed", "max_dimension",
+    },
+    "grid": {"t_initial", "t_final", "n_slices"},
+    "output": {"format", "components", "path"},
+}
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
-
-
-@dataclass(frozen=True)
-class GfSample:
-    """One tabulated matrix entry of one component."""
-
-    t: float
-    t_prime: float
-    component: str
-    row: int
-    col: int
-    value: complex
 
 
 @dataclass
@@ -181,19 +180,16 @@ def _parse_matrix(value, name: str) -> np.ndarray:
     raise ConfigError(f"{name} must be a number, a nested list, or re/im parts")
 
 
+def _check_keys(raw: dict, section: str) -> None:
+    """Reject the first key of ``raw`` outside ``CONFIG_KEYS[section]``,
+    naming its dotted path and quoting its value."""
+    for key, value in raw.items():
+        if key not in CONFIG_KEYS[section]:
+            path = f"{section}.{key}" if section else key
+            raise ConfigError(f"unknown config key {path!r} = {json.dumps(value)}")
+
+
 def _build_system(raw: dict) -> LevelSystem:
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("tolerances must be an object")
-    known = {"hermitian", "eigenvalue", "condition_warn"}
-    if set(tol_raw) - known:
-        raise ConfigError(f"unknown tolerance keys {sorted(set(tol_raw) - known)}")
-    try:
-        tolerances = Tolerances(
-            **{key: _real(val, f"tolerances.{key}") for key, val in tol_raw.items()}
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     try:
         statistics = Statistics(str(raw["statistics"]).lower())
     except KeyError as exc:
@@ -226,7 +222,7 @@ def _build_system(raw: dict) -> LevelSystem:
     else:
         occ = _parse_matrix(occ_raw, "nbar")
     try:
-        system = LevelSystem(epsilon, occ, statistics, tolerances)
+        system = LevelSystem(epsilon, occ, statistics)
     except (ValueError, NonHermitianError, OccupationOutOfRangeError) as exc:
         raise ConfigError(str(exc)) from exc
     return system
@@ -236,6 +232,7 @@ def build_run_config(raw: dict) -> RunConfig:
     """Validate the raw config dict into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(raw, "")
     system = _build_system(raw)
 
     t_initial, t_final = 0.0, 1.0
@@ -245,6 +242,7 @@ def build_run_config(raw: dict) -> RunConfig:
     if grid_raw is not None:
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid must be an object")
+        _check_keys(grid_raw, "grid")
         t_initial = _real(grid_raw.get("t_initial", 0.0), "grid.t_initial")
         t_final = _real(grid_raw.get("t_final", 1.0), "grid.t_final")
         try:
@@ -270,6 +268,7 @@ def build_run_config(raw: dict) -> RunConfig:
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
         raise ConfigError("output must be an object")
+    _check_keys(out_raw, "output")
     output_format = out_raw.get("format", "csv")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {output_format!r}")
@@ -394,21 +393,6 @@ def _component_chunks(config: RunConfig):
             yield name, start, table
             # Freed before the next chunk is evaluated.
             del table
-
-
-def tabulate_samples(config: RunConfig) -> list[GfSample]:
-    """Every entry ``gf`` writes, in its order: components in config
-    order, then row-major over (t, t'), then over matrix indices."""
-    times = config.grid().times.tolist()
-    d = config.system.dimension
-    return [
-        GfSample(times[start + n], t_prime, name, r, c, complex(block[r, c]))
-        for name, start, table in _component_chunks(config)
-        for n, row in enumerate(table)
-        for t_prime, block in zip(times, row)
-        for r in range(d)
-        for c in range(d)
-    ]
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    OCCUPATION_SLACK,
     ContourComponent,
     LevelSystem,
     OccupationOutOfRangeError,
@@ -93,11 +94,12 @@ def rho_from_nbar(system: LevelSystem) -> np.ndarray:
 
     Mapped through the stored eigenbasis of ``nbar``.  Raises
     :class:`~contourgf.core.OccupationOutOfRangeError` at the divergent
-    fermionic endpoint ``nbar -> 1`` (within ``tolerances.eigenvalue``).
+    fermionic endpoint: an occupation within ``OCCUPATION_SLACK`` (1e-10,
+    absolute) of 1.
     """
     vals, vecs = system.nbar_eigh
     denom = 1 + system.statistics.zeta * vals
-    if np.abs(denom).min() <= system.tolerances.eigenvalue:
+    if np.abs(denom).min() <= OCCUPATION_SLACK:
         raise OccupationOutOfRangeError(
             "distribution parameter diverges at occupation "
             f"{vals[np.abs(denom).argmin()]:.6g}"
@@ -261,20 +263,18 @@ def component_table(
         return keldysh()
     free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
     theta = regularized_step(t_row[:, None] - t_col[None, :])[:, :, None, None]
-
-    def retarded():
-        return -1j * theta * free
-
-    def advanced():
-        return 1j * (1.0 - theta) * free
-
+    # R and A overwrite the free table (and A the step table): the same
+    # products as below, in the same operand order, without table-sized
+    # temporaries.
     if component is KeldyshComponent.RETARDED:
-        return retarded()
+        return np.multiply(-1j * theta, free, out=free)
     if component is KeldyshComponent.ADVANCED:
-        return advanced()
+        return np.multiply(1j * np.subtract(1.0, theta, out=theta), free, out=free)
     s_row = component.row_branch.sign
     s_col = component.col_branch.sign
-    return (keldysh() + s_col * retarded() + s_row * advanced()) / 2.0
+    return (
+        keldysh() + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
+    ) / 2.0
 
 
 def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.ndarray:

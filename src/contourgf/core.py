@@ -32,7 +32,6 @@ __all__ = [
     "Statistics",
     "ThermalDivergenceError",
     "TimeGrid",
-    "Tolerances",
     "as_complex_matrix",
     "max_abs",
     "propagator_stack",
@@ -47,7 +46,7 @@ class ContourGfError(Exception):
 
 
 class NonHermitianError(ContourGfError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
+    """A matrix required to be Hermitian is not, beyond ``HERMITIAN_BOUND``."""
 
 
 class OccupationOutOfRangeError(ContourGfError):
@@ -72,39 +71,6 @@ class IndexOutOfRangeError(ContourGfError, IndexError):
 
 class IllConditionedWarning(UserWarning):
     """Condition estimate of an inverted matrix exceeds the warning level."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used across the package.
-
-    Attributes
-    ----------
-    hermitian : float
-        Relative bound on ``max|M - M^dag|`` in units of ``max|M|``.
-    eigenvalue : float
-        Relative slack on the occupation range, in units of
-        ``max(1, max|eigenvalue|)``.
-    condition_warn : float
-        Condition-number estimate above which inversion warns.
-
-    Each must be positive and finite (``ValueError`` otherwise): a NaN
-    slack would let every occupation through.
-    """
-
-    hermitian: float = 1e-10
-    eigenvalue: float = 1e-10
-    condition_warn: float = 1e12
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"tolerances.{name} must be positive and finite, got {value!r}"
-                )
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 class Statistics(enum.Enum):
@@ -168,6 +134,15 @@ def max_abs(matrix: np.ndarray) -> float:
     return float(np.abs(matrix).max())
 
 
+# Bound on max|M - M^dag| of epsilon and nbar, in units of max|M|.
+HERMITIAN_BOUND = 1e-10
+
+# Slack on the occupation range, in units of max(1, max|eigenvalue|):
+# eigh rounds a zero eigenvalue beside a large one by about eps times
+# the large one.
+OCCUPATION_SLACK = 1e-10
+
+
 @dataclass(frozen=True)
 class LevelSystem:
     """A set of non-interacting levels with an initial occupation.
@@ -181,16 +156,13 @@ class LevelSystem:
         for bosons and within [0, 1] for fermions.
     statistics : Statistics
         Particle statistics.
-    tolerances : Tolerances
-        Bounds of the construction checks, and the condition estimate
-        above which the discrete solve warns.
 
     Construction raises :class:`NonHermitianError` unless both matrices
-    are Hermitian within ``tolerances.hermitian * max|M|``, and
-    :class:`OccupationOutOfRangeError` when an occupation eigenvalue is
-    below 0, or above 1 for fermions, by more than
-    ``tolerances.eigenvalue * max(1, max|eigenvalue|)``: ``eigh`` rounds
-    each eigenvalue by about eps times the largest.  No invalid system
+    are Hermitian within ``HERMITIAN_BOUND * max|M|`` (1e-10 relative),
+    and :class:`OccupationOutOfRangeError` when an occupation eigenvalue
+    is below 0, or above 1 for fermions, by more than
+    ``OCCUPATION_SLACK * max(1, max|eigenvalue|)`` (1e-10 relative):
+    ``eigh`` rounds each eigenvalue by about eps times the largest.  No invalid system
     exists.  The checked eigensystems are kept, eigenvalues ascending:
     ``epsilon_eigh = (w, V)`` with ``epsilon = V diag(w) V^dag`` and
     ``nbar_eigh = (lam, U)`` with ``nbar = U diag(lam) U^dag``.
@@ -199,7 +171,6 @@ class LevelSystem:
     epsilon: np.ndarray
     nbar: np.ndarray
     statistics: Statistics
-    tolerances: Tolerances = DEFAULT_TOLERANCES
     epsilon_eigh: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
@@ -216,11 +187,9 @@ class LevelSystem:
             )
         if not isinstance(self.statistics, Statistics):
             raise ValueError("statistics must be a Statistics member")
-        if not isinstance(self.tolerances, Tolerances):
-            raise ValueError("tolerances must be a Tolerances instance")
         eps_eigh = self._checked_eigh(eps, "epsilon")
         vals, vecs = self._checked_eigh(occ, "nbar")
-        slack = self.tolerances.eigenvalue * max(1.0, float(np.abs(vals).max()))
+        slack = OCCUPATION_SLACK * max(1.0, float(np.abs(vals).max()))
         if vals.min() < -slack:
             raise OccupationOutOfRangeError(
                 f"occupation eigenvalue {vals.min():.6g} below 0"
@@ -234,13 +203,12 @@ class LevelSystem:
         object.__setattr__(self, "epsilon_eigh", eps_eigh)
         object.__setattr__(self, "nbar_eigh", (vals, vecs))
 
-    def _checked_eigh(
-        self, matrix: np.ndarray, name: str
-    ) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _checked_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``eigh`` of a matrix after checking ``M == M^dag`` within
-        ``tolerances.hermitian * max|M|``."""
+        ``HERMITIAN_BOUND * max|M|``."""
         dev = max_abs(matrix - matrix.conj().T)
-        bound = self.tolerances.hermitian * max_abs(matrix)
+        bound = HERMITIAN_BOUND * max_abs(matrix)
         if dev > bound:
             raise NonHermitianError(
                 f"{name} deviates from Hermiticity by {dev:.3e} "

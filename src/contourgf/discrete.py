@@ -82,6 +82,8 @@ __all__ = [
 # of the first block row of D', its smallest singular value is within this
 # many roundoffs: each entry of A' carries a few units of roundoff.
 SINGULAR_ROUNDOFFS = 8
+# _factor warns with IllConditionedWarning above this condition estimate.
+CONDITION_WARN = 1e12
 LOG2 = float(np.log(2.0))
 
 
@@ -144,11 +146,18 @@ def _contour_blocks(
     ``-zeta nbar^T``.
 
     The other diagonal blocks and the turning-point block are the
-    identity.
+    identity.  Raises ``FloatingPointError`` when ``eps dt`` overflows.
     """
     eye = np.eye(system.dimension, dtype=complex)
-    forward = eye - 1j * system.epsilon * grid.dt
-    backward = eye + 1j * system.epsilon * grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = 1j * system.epsilon * grid.dt
+        if not np.isfinite(step).all():
+            raise FloatingPointError(
+                f"transfer blocks 1 -/+ i eps dt overflow: max|eps| = "
+                f"{max_abs(system.epsilon):.6g}, dt = {grid.dt:.6g}"
+            )
+    forward = eye - step
+    backward = eye + step
     occupation = system.statistics.zeta * system.nbar.T
     return forward, backward, eye + occupation, -occupation
 
@@ -282,8 +291,8 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     singular value of A', each row scaled by the largest entry of that
     row of the first block row of D', falls to roundoff, and warns with
     :class:`~contourgf.core.IllConditionedWarning` when the condition
-    estimate (see :class:`DiscreteGf`) exceeds the system's
-    ``tolerances.condition_warn`` (infinite once ``A'^{-1}`` overflows).
+    estimate (see :class:`DiscreteGf`) exceeds ``CONDITION_WARN`` (1e12;
+    infinite once ``A'^{-1}`` overflows).
     The forward generator gets its own ``eigh``, not the stored one of
     ``epsilon``, so that this route uses the entries of D' and nothing
     else.
@@ -362,10 +371,9 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
         condition = norm * _inverse_norm(
             log_forward.real, log_backward.real, n, a_inverse, first_column, inv_loop
         )
-    warn_level = system.tolerances.condition_warn
-    if condition > warn_level:
+    if condition > CONDITION_WARN:
         warnings.warn(
-            f"condition estimate {condition:.3e} exceeds {warn_level:.1e}",
+            f"condition estimate {condition:.3e} exceeds {CONDITION_WARN:.1e}",
             IllConditionedWarning,
             stacklevel=3,
         )

@@ -11,13 +11,12 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 from contourgf.core import (
-    DEFAULT_TOLERANCES,
     IllConditionedWarning,
     SingularMatrixError,
-    Tolerances,
     as_complex_matrix,
     max_abs,
 )
+from contourgf.discrete import CONDITION_WARN
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,13 @@ class LuFactorization:
     matrix_norm: float = field(repr=False, default=0.0)
 
 
-def lu_factorization(
-    matrix: np.ndarray,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> LuFactorization:
+def lu_factorization(matrix: np.ndarray) -> LuFactorization:
     """Pivoted LU with determinant and a 1-norm condition estimate.
 
     Raises :class:`SingularMatrixError` when a pivot falls below
     ``max|M| * eps * d``; emits :class:`IllConditionedWarning` when the
-    condition estimate exceeds ``tolerances.condition_warn``.
+    condition estimate exceeds ``CONDITION_WARN`` (1e12), the level at
+    which the structured solve warns.
     """
     mat = as_complex_matrix(matrix)
     norm_max = max_abs(mat)
@@ -65,10 +62,9 @@ def lu_factorization(
     if info != 0:  # pragma: no cover - invalid argument only
         raise SingularMatrixError(f"condition estimate failed (info={info})")
     condition = float(1.0 / rcond) if rcond > 0 else np.inf
-    if condition > tolerances.condition_warn:
+    if condition > CONDITION_WARN:
         warnings.warn(
-            f"condition estimate {condition:.3e} exceeds "
-            f"{tolerances.condition_warn:.1e}",
+            f"condition estimate {condition:.3e} exceeds {CONDITION_WARN:.1e}",
             IllConditionedWarning,
             stacklevel=2,
         )

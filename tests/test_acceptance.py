@@ -24,9 +24,10 @@ from contourgf import (
     run_structure_suite,
     thermal_nbar,
 )
-from contourgf.cli import build_run_config, main, tabulate_samples
+from contourgf.cli import build_run_config, main
 
 from conftest import random_system, taylor_propagator
+from gf_reference import iter_samples
 
 STRUCTURE_THRESHOLD = 1e-12
 
@@ -245,7 +246,7 @@ def test_acceptance_7_cli_round_trip(tmp_path):
     config_path.write_text(json.dumps(raw))
     if main(["gf", "--config", str(config_path)]) != 0:
         problems.append("gf exit code")
-    samples = tabulate_samples(build_run_config(raw))
+    samples = list(iter_samples(build_run_config(raw)))
     lines = (tmp_path / "table.csv").read_text().strip().splitlines()[1:]
     if len(lines) != len(samples):
         problems.append("row count")

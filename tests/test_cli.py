@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from contourgf import IllConditionedWarning, cli
+from contourgf import cli
 from contourgf.cli import (
     COMPONENT_NAMES,
     GF_ROW_CHUNK,
@@ -22,11 +22,10 @@ from contourgf.cli import (
     build_run_config,
     load_config,
     main,
-    tabulate_samples,
 )
 
 from conftest import random_hermitian
-from gf_reference import gf_text
+from gf_reference import gf_text, iter_samples
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -89,7 +88,9 @@ def test_gf_csv_reparse_bit_exact(tmp_path):
         },
     )
     assert main(["gf", "--config", config]) == 0
-    samples = tabulate_samples(build_run_config(json.loads((tmp_path / "run.json").read_text())))
+    samples = list(
+        iter_samples(build_run_config(json.loads((tmp_path / "run.json").read_text())))
+    )
     lines = out.read_text().strip().splitlines()[1:]
     assert len(lines) == len(samples)
     for line, sample in zip(lines, samples):
@@ -711,7 +712,7 @@ def test_seventeen_digit_round_trip(tmp_path, capsys):
         [[float(line.split(",")[5]), float(line.split(",")[6])] for line in lines[1:]]
     )
     reparsed = values[:, 0] + 1j * values[:, 1]
-    samples = tabulate_samples(
+    samples = iter_samples(
         build_run_config(
             json.loads((tmp_path / "run.json").read_text())
             | {"output": {"components": ["K"], "format": "csv", "path": None}}
@@ -742,6 +743,21 @@ def test_huge_epsilon_finite_or_numerical_error(
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["z", "converge", "verify"])
+def test_overflowing_epsilon_dt_is_numerical_error(tmp_path, capsys, command):
+    # eps dt = 2.5e309 is not a double: the transfer blocks are refused
+    # before anything is computed from them, with no numpy warning.
+    config = write_config(
+        tmp_path,
+        {"epsilon": 1e300, "nbar": 0.3, "grid.t_final": 1e10, "grid.n_slices": [4, 8]},
+    )
+    assert main([command, "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FloatingPointError: transfer blocks")
 
 
 @pytest.mark.filterwarnings("ignore::contourgf.IllConditionedWarning")
@@ -813,9 +829,6 @@ def test_boolean_epsilon_is_config_error(tmp_path, capsys):
         ("max_dimension", "0"),
         ("threshold", "0"),
         ("threshold", "-1e-12"),
-        ("tolerances.hermitian", "true"),
-        ("tolerances.eigenvalue", "-1e-10"),
-        ("tolerances.condition_warn", "nan"),
         pytest.param("epsilon", "1" + "0" * 400, id="epsilon-401-digit-integer"),
         pytest.param("nbar", "1" + "0" * 400, id="nbar-401-digit-integer"),
     ],
@@ -829,14 +842,44 @@ def test_bad_scalar_field_is_config_error(tmp_path, capsys, path, text):
     assert path in captured.err
 
 
-def test_config_tolerances_reach_the_system(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["gf", "z", "verify", "converge"])
+@pytest.mark.parametrize(
+    "overrides, path, quoted",
+    [
+        pytest.param({"max_dimensoin": 8}, "max_dimensoin", "8", id="root"),
+        pytest.param({"grid.nslices": 99}, "grid.nslices", "99", id="grid"),
+        pytest.param({"output.formt": "csv"}, "output.formt", '"csv"', id="output"),
+        pytest.param(
+            {"tolerances.eigenvalue": 1e-5},
+            "tolerances",
+            '{"eigenvalue": 1e-05}',
+            id="tolerances",
+        ),
+    ],
+)
+def test_unknown_config_key_is_config_error(
+    tmp_path, capsys, command, overrides, path, quoted
+):
+    # A misspelled key would otherwise be ignored, and the run would go
+    # on with the default it meant to replace.
+    config = write_config(tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8]})
+    argv = [command, "--config", config]
+    if command == "gf":
+        argv += ["--grid.n_slices", "4"]
+    for key, value in overrides.items():
+        argv += [f"--{key}", json.dumps(value)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ConfigError: unknown config key {path!r} = {quoted}\n"
+
+
+def test_occupation_slack_is_fixed(tmp_path, capsys):
+    # 1e-6 below zero is far outside the slack of 1e-10, and no config
+    # key widens it.
     config = write_config(tmp_path, {"nbar": -1e-6, "grid.n_slices": [4, 8]})
     assert main(["z", "--config", config]) == 2
-    assert main(["z", "--config", config, "--tolerances.eigenvalue", "1e-5"]) == 0
-    config = write_config(tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8]})
-    with pytest.warns(IllConditionedWarning):
-        assert main(["z", "--config", config, "--tolerances.condition_warn", "1.5"]) == 0
-    capsys.readouterr()
+    assert "below 0" in capsys.readouterr().err
 
 
 def _rotated(rng, spectrum):

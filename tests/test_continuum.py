@@ -33,6 +33,8 @@ from contourgf import (
     thermal_nbar,
 )
 
+from contourgf.core import propagator_stack
+
 from conftest import random_hermitian, random_system, taylor_propagator
 
 EXACT_TOL = 1e-13
@@ -338,6 +340,28 @@ def test_component_table_shape_and_consistency():
     assert table.shape == (3, 2, 2, 2)
     single = gf_component(system, KeldyshComponent.RETARDED, 0.5, 0.0, t_ref=0.0)
     np.testing.assert_allclose(table[1, 0], single, atol=1e-15)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
+    # R and A are computed in place; every bit, signs of zeros included,
+    # must match the plain products the gf output was written from.
+    system = random_system(np.random.default_rng(dimension), statistics, dimension)
+    times = np.linspace(-0.5, 2.0, 11)
+    p_row = propagator_stack(system, times[:7] + 0.5)
+    p_col = propagator_stack(system, times + 0.5)
+    free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
+    theta = regularized_step(times[:7, None] - times[None, :])[:, :, None, None]
+    expected = {
+        KeldyshComponent.RETARDED: -1j * theta * free,
+        KeldyshComponent.ADVANCED: 1j * (1.0 - theta) * free,
+    }
+    for component, want in expected.items():
+        table = component_table(system, times[:7], times, component, -0.5)
+        assert np.signbit(want.view(float)).any()
+        assert (want == 0).any()
+        np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
 
 
 def test_component_table_rejects_unknown_component():

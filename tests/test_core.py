@@ -1,5 +1,7 @@
 """Tests for the domain types and the dense linear-algebra kernel."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -18,13 +20,13 @@ from contourgf import (
     SingularMatrixError,
     Statistics,
     TimeGrid,
-    Tolerances,
     component_table,
     continuum_contour_matrix,
     discrete_partition_function,
     fix_constants,
     run_structure_suite,
 )
+from contourgf import core, discrete
 from contourgf.core import propagator_stack
 
 from conftest import random_hermitian, random_system, random_unitary, taylor_propagator
@@ -269,15 +271,34 @@ def test_contour_index_times():
 
 
 def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.hermitian == 1e-10
-    assert tol.condition_warn == 1e12
+    # The three bounds are module constants with fixed values.
+    assert core.HERMITIAN_BOUND == 1e-10
+    assert core.OCCUPATION_SLACK == 1e-10
+    assert discrete.CONDITION_WARN == 1e12
 
 
-def test_tolerances_must_be_positive_and_finite():
-    # A NaN slack would let a negative occupation through.
-    for value in (0.0, -1e-10, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            Tolerances(eigenvalue=value)
-    with pytest.raises(ValueError):
+def test_level_system_has_exactly_three_fields():
+    system = LevelSystem(0.5, 0.1, Statistics.BOSON)
+    assert [f.name for f in fields(system) if f.init] == ["epsilon", "nbar", "statistics"]
+    with pytest.raises(TypeError):
+        LevelSystem(0.5, 0.1, Statistics.BOSON, None)
+    with pytest.raises(TypeError):
         LevelSystem(0.5, 0.1, Statistics.BOSON, tolerances=None)
+
+
+def test_bounds_are_relative():
+    # Hermiticity: a deviation of 1e-11 max|M| passes and 1e-9 max|M|
+    # fails, at any scale of M.
+    zero = np.zeros((2, 2))
+    for scale in (1e-6, 1.0, 1e6):
+        LevelSystem(scale * np.array([[1.0, 1e-11], [0.0, -1.0]]), zero, Statistics.BOSON)
+        with pytest.raises(NonHermitianError):
+            LevelSystem(scale * np.array([[1.0, 1e-9], [0.0, -1.0]]), zero, Statistics.BOSON)
+    # Occupation: the slack is 1e-10 max(1, max|eigenvalue|).
+    for top, inside, outside in ((0.5, -5e-11, -2e-10), (1e6, -5e-5, -2e-4)):
+        LevelSystem(zero, np.diag([inside, top]), Statistics.BOSON)
+        with pytest.raises(OccupationOutOfRangeError):
+            LevelSystem(zero, np.diag([outside, top]), Statistics.BOSON)
+    LevelSystem(0.0, 1.0 + 5e-11, Statistics.FERMION)
+    with pytest.raises(OccupationOutOfRangeError):
+        LevelSystem(0.0, 1.0 + 2e-10, Statistics.FERMION)
