@@ -1,11 +1,11 @@
 """Cost curves of the oracle suite over N and d.
 
 ``run_oracle_suite`` is timed on the grid pair (N / 2, N) for N in
-{64, 128, 256, 512, 1024} and d in {1, 2, 4}, up to 2 N d = 2048: there
-a comparison that builds the dense continuum matrix peaks near 0.5 GiB.
-Each case also records, in ``extra_info``, the ``tracemalloc`` peak of
-one untimed call and the bytes of the discrete inverse on the finer
-grid.  The file sits outside the test paths; run it with
+{64, 128, 256, 512, 1024} and d in {1, 2, 4}, up to 2 N d = 8192, the
+default cap.  Each case also records, in ``extra_info``, the
+``tracemalloc`` peak of one untimed call and the size a dense discrete
+inverse of the finer grid would have, which the streamed suite never
+allocates.  The file sits outside the test paths; run it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_oracle.py --benchmark-warmup=on \\
@@ -23,7 +23,7 @@ from contourgf import LevelSystem, Statistics, TimeGrid, run_oracle_suite
 
 DIMENSIONS = [1, 2, 4]
 SLICES = [64, 128, 256, 512, 1024]
-DIMENSION_LIMIT = 2048
+DIMENSION_LIMIT = 8192
 
 
 def _system(dimension):

@@ -42,8 +42,9 @@ Every transfer factor in the second line has modulus at most one.  The
 products are kept as logarithms, integer counts of forward and backward
 factors times the logarithms of the transfer eigenvalues, so no power
 of a transfer block is formed and no product overflows.  The partition
-function costs O(d^3), independent of N, and the full inverse
-O((N d)^2 d).  Only the blocks of D' enter: no closed form is used.
+function costs O(d^3), independent of N, each contour row of G
+O(N d^2) and the full inverse O((N d)^2 d).  Only the blocks of D'
+enter: no closed form is used.
 :func:`build_contour_matrix` expands the same blocks into the dense D',
 which serves as the reference.
 """
@@ -397,33 +398,46 @@ def _partition_function(fac: _Factorization, system: LevelSystem) -> complex:
     return z
 
 
-def _add_upper_toeplitz(
-    out: np.ndarray, log_transfer: np.ndarray, basis: np.ndarray
-) -> None:
-    """Add ``i V diag(exp(-(k - j) log t)) V^dag`` to block (j, k), k > j,
-    of the block view ``out`` of shape (n, d, n, d)."""
-    n, d = out.shape[:2]
+def _upper_toeplitz(log_transfer: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    """One branch's ``[k > j]`` term, ``i V diag(exp(-(k - j) log t))
+    V^dag`` in block (j, k) for k > j and zero otherwise, as a read-only
+    ``(n, d, n d)`` view of the 2n - 1 lag blocks: entry [j, a] is row a
+    of block row j, contiguous over (k, b)."""
+    d = basis.shape[0]
     lags = np.arange(1, n)[:, None]
     powers = np.einsum(
-        "am,sm,bm->sab", 1j * basis, np.exp(-lags * log_transfer), basis.conj()
+        "am,sm,bm->asb", 1j * basis, np.exp(-lags * log_transfer), basis.conj()
     )
-    # padded[n - 1 + lag] is the block at that lag, zero for lag <= 0.
-    padded = np.concatenate([np.zeros((n, d, d), dtype=complex), powers])
-    window = np.lib.stride_tricks.sliding_window_view(padded, n, axis=0)
-    out += window[::-1].transpose(0, 1, 3, 2)
+    # padded[a, n - 1 + lag] is row a of the block at that lag, zero for
+    # lag <= 0.
+    padded = np.concatenate([np.zeros((d, n, d), dtype=complex), powers], axis=1)
+    padded = padded.reshape(d, (2 * n - 1) * d)
+    # window[a, s] is row a of the blocks at lags s - n + 1 .. s.
+    window = np.lib.stride_tricks.sliding_window_view(padded, n * d, axis=1)[:, ::d]
+    return window[:, ::-1].transpose(1, 0, 2)
 
 
-def _fill_green(fac: _Factorization, n: int) -> np.ndarray:
-    """G from the eigenbasis block formula.
+def _green_rows(fac: _Factorization, n: int):
+    """Kernel for contour rows of G from one factorization.
 
-    The first term is a rank-d product over all blocks.  The
-    ``[k > j]`` term is block Toeplitz within each branch and, across
-    them, a rank-d product of a forward row factor and a backward
-    column factor, which joins the first term's product there.
+    Block (j, k) of G is a rank-d product over all blocks plus, for
+    k > j, the ``[k > j]`` term of the eigenbasis block formula.  That
+    term is block Toeplitz within each branch and, across them, a rank-d
+    product of a forward row factor and a backward column factor, which
+    joins the first term's product there.  Returns
+    ``rows(start, stop, out=None)``, which computes contour rows
+    start..stop as a ``((stop - start) d, 2 N d)`` array, into ``out``
+    when given; ``rows(0, 2 N)`` is the dense G.  The kernel itself holds
+    O(N d^2) memory.  Raises ``FloatingPointError`` when an entry of G
+    could overflow.
     """
     basis = fac.basis
     basis_h = basis.conj().T
     d = basis.shape[0]
+    # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
+    # G exceeds d^2 max|a_inverse| + d.
+    if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
+        raise FloatingPointError("discrete Green's function overflows")
     half = n * d
     log_f, log_s = _log_prefix(fac.log_forward, fac.log_backward, n)
     left = (basis[None, :, :] * np.exp(-log_s)[:, None, :]).reshape(2 * half, d)
@@ -431,22 +445,37 @@ def _fill_green(fac: _Factorization, n: int) -> np.ndarray:
     right = (np.exp(-log_f)[:, :, None] * basis_h[None, :, :]).transpose(1, 0, 2)
     right = right.reshape(d, 2 * half)
     steps = np.arange(n)[:, None]
-    rows = 1j * basis[None, :, :] * np.exp(-(n - 1 - steps) * fac.log_forward)[
-        :, None, :
-    ]
+    forward_rows = 1j * basis[None, :, :] * np.exp(
+        -(n - 1 - steps) * fac.log_forward
+    )[:, None, :]
+    forward_rows = forward_rows.reshape(half, d)
     cols = np.exp(-steps * fac.log_backward)[:, :, None] * basis_h[None, :, :]
-    out = np.empty((2 * half, 2 * half), dtype=complex)
-    np.matmul(left[:half], right[:, :half], out=out[:half, :half])
-    np.matmul(
-        np.hstack([left[:half], rows.reshape(half, d)]),
-        np.vstack([right[:, half:], cols.transpose(1, 0, 2).reshape(d, half)]),
-        out=out[:half, half:],
-    )
-    np.matmul(left[half:], right, out=out[half:])
-    blocks = out.reshape(2 * n, d, 2 * n, d)
-    _add_upper_toeplitz(blocks[:n, :, :n, :], fac.log_forward, basis)
-    _add_upper_toeplitz(blocks[n:, :, n:, :], fac.log_backward, basis)
-    return out
+    cross = np.vstack([right[:, half:], cols.transpose(1, 0, 2).reshape(d, half)])
+    forward_toeplitz = _upper_toeplitz(fac.log_forward, basis, n)
+    backward_toeplitz = _upper_toeplitz(fac.log_backward, basis, n)
+
+    def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        count = stop - start
+        # Rows start..split are forward, split..stop backward; either
+        # range may be empty.
+        split = min(max(start, n), stop)
+        within = split - start
+        forward = slice(start * d, split * d)
+        if out is None:
+            out = np.empty((count * d, 2 * half), dtype=complex)
+        top, bottom = out[: within * d], out[within * d :]
+        np.matmul(left[forward], right[:, :half], out=top[:, :half])
+        np.matmul(
+            np.hstack([left[forward], forward_rows[forward]]), cross, out=top[:, half:]
+        )
+        np.matmul(left[split * d : stop * d], right, out=bottom)
+        block_rows = out.reshape(count, d, 2 * half)
+        block_rows[:within, :, :half] += forward_toeplitz[start:split]
+        if split < stop:
+            block_rows[within:, :, half:] += backward_toeplitz[split - n : stop - n]
+        return out
+
+    return rows
 
 
 def discrete_green(
@@ -457,24 +486,20 @@ def discrete_green(
     """Discrete Green's function ``G = -i D'^{-1} diag(M, 1, ..., 1)`` by
     the structured solve.
 
-    Fills the dense ``(2 N d)^2`` result in O((N d)^2 d) from one
-    factorization of the d x d loop matrix A', which also gives the
-    partition function and the condition estimate of D' carried on the
-    result.  Raises :class:`~contourgf.core.GridTooLargeError` when
-    ``2 N d`` exceeds ``max_dimension``,
-    :class:`~contourgf.core.SingularMatrixError` when A' is singular to
-    roundoff, and ``FloatingPointError`` when an entry of G or Z is not
-    finite.
+    Computes the dense ``(2 N d)^2`` result as one call of the row
+    kernel, in O((N d)^2 d) from one factorization of the d x d loop
+    matrix A', which also gives the partition function and the condition
+    estimate of D' carried on the result.  Raises
+    :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
+    ``max_dimension``, :class:`~contourgf.core.SingularMatrixError` when
+    A' is singular to roundoff, and ``FloatingPointError`` when an entry
+    of G or Z is not finite.
     """
     _check_dimension(system, grid, max_dimension)
     fac = _factor(system, grid)
     z = _partition_function(fac, system)
-    # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
-    # G exceeds d^2 max|a_inverse| + d.
-    d = system.dimension
-    if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
-        raise FloatingPointError("discrete Green's function overflows")
-    matrix = _fill_green(fac, grid.n_slices)
+    n = grid.n_slices
+    matrix = _green_rows(fac, n)(0, 2 * n)
     return DiscreteGf(matrix, grid, system, fac.condition, z)
 
 

@@ -8,10 +8,10 @@ where defined, the contour boundary conditions, and consistency of the
 solved constants).  The oracle suite compares the closed forms against
 the independently built discrete contour inverse on a sequence of grids
 and fits the convergence order.  The closed forms are a rank-d product
-``P [W + c] P^dag`` over the contour, so the suite computes them in
-blocks of contour rows and compares each block with the same rows of the
-discrete inverse: per grid it costs O((N d)^2 d) time and the memory of
-the discrete inverse plus one row block.
+``P [W + c] P^dag`` over the contour, and the discrete inverse a rank-d
+product plus a block-Toeplitz term, so the suite computes both in blocks
+of contour rows and compares them block by block: per grid it costs
+O((N d)^2 d) time and the memory of a few row blocks, independent of N.
 
 Both suites are deterministic given their seed.
 """
@@ -36,15 +36,15 @@ from .continuum import (
     component_table,
     fix_constants,
     keldysh_weight,
-    regularized_step,
     rotated_block_layout,
     solution_from_constants,
 )
 from .discrete import (
     _check_dimension,
-    contour_branch_signs,
+    _factor,
+    _green_rows,
+    _partition_function,
     contour_times,
-    discrete_green,
 )
 
 __all__ = [
@@ -64,8 +64,8 @@ DEFAULT_THRESHOLD = 1e-12
 ORDER_FLOOR = 1e-12
 KELDYSH_SIGN_FLIP = "keldysh_sign_flip"
 # Complex entries per row block of the streamed oracle comparison (at
-# least one contour row): 1 MiB, so the few block-sized temporaries stay
-# small next to the discrete inverse.
+# least one contour row): 1 MiB.  A few block-sized temporaries set the
+# comparison's memory, whatever the grid.
 ORACLE_BLOCK_ENTRIES = 2**16
 
 
@@ -327,24 +327,28 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid):
     propagator over ``tau_n``, contour time n less ``t_initial``,
     ``W = 1 + 2 zeta nbar^T`` and the scalar
     ``c = s_m theta - s_n (1 - theta)`` from the branch signs and the
-    symmetric step ``theta(tau_n - tau_m)``.  Returns
-    ``rows(start, stop)``, which computes contour rows start..stop as a
-    ``((stop - start) d, 2 N d)`` array from two rank-d products.
+    symmetric step ``theta(tau_n - tau_m)``.  Contour times increase
+    along the forward branch and decrease along the backward one, so c
+    is ``sign(n - m)``, the contour ordering of the two positions.
+    Returns ``rows(start, stop, out=None)``, which computes contour rows
+    start..stop as a ``((stop - start) d, 2 N d)`` array from two rank-d
+    products, into ``out`` when given.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
-    signs = contour_branch_signs(grid)
+    # ordering[2N - 1 - n] is the row sign(n - m), m = 0 .. 2N - 1.
+    lags = np.sign(np.arange(tau.size - 1, -tau.size, -1, dtype=float))
+    ordering = np.lib.stride_tricks.sliding_window_view(lags, tau.size)
     props = propagator_stack(system, tau)
     weighted = -0.5j * props @ keldysh_weight(system.nbar, system.statistics)
     free = -0.5j * props
     right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
 
-    def rows(start: int, stop: int) -> np.ndarray:
+    def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         count = stop - start
-        out = weighted[start:stop].reshape(count * d, d) @ right
+        out = np.matmul(weighted[start:stop].reshape(count * d, d), right, out=out)
         bare = free[start:stop].reshape(count * d, d) @ right
-        theta = regularized_step(tau[start:stop, None] - tau[None, :])
-        c = signs[None, :] * theta - signs[start:stop, None] * (1.0 - theta)
+        c = ordering[tau.size - stop : tau.size - start][::-1]
         blocks = bare.reshape(count, d, tau.size, d)
         blocks *= c[:, None, :, None]
         out += bare
@@ -364,27 +368,33 @@ def continuum_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     return _continuum_rows(system, grid)(0, 2 * grid.n_slices)
 
 
-def _unequal_time_error(
-    system: LevelSystem, grid: TimeGrid, green: np.ndarray
-) -> float:
+def _unequal_time_error(system: LevelSystem, grid: TimeGrid, green_rows) -> float:
     """Largest |G - continuum| over blocks whose row and column times differ.
 
-    Equal-time entries (the same-index diagonal and the cross-branch
-    duplicates of one physical time) are excluded: the discrete inverse
-    is contour ordered there while the closed forms carry the symmetric
-    step value.  The prediction is streamed in blocks of contour rows,
-    so only one block of it exists at a time.  NaN when any compared
-    entry is NaN.
+    ``green_rows(start, stop, out)`` writes contour rows start..stop of
+    the discrete G into ``out``, as the kernel of :func:`_continuum_rows`
+    does for the prediction.  Equal-time entries (the same-index
+    diagonal and the cross-branch duplicates of one physical time) are
+    excluded: the discrete inverse is contour ordered there while the
+    closed forms carry the symmetric step value.  Both are streamed in
+    blocks of contour rows into two block buffers allocated once, so
+    only one block of each exists at a time and no block is allocated
+    anew.  NaN when any compared entry is NaN.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
     rows = _continuum_rows(system, grid)
     block = max(1, ORACLE_BLOCK_ENTRIES // (tau.size * d * d))
+    # Block-sized arrays allocated and freed per block would be returned
+    # to the system and page-faulted back each time.
+    predicted = np.empty((min(block, tau.size) * d, tau.size * d), dtype=complex)
+    discrete = np.empty_like(predicted)
     errors = []
     for start in range(0, tau.size, block):
         stop = min(start + block, tau.size)
-        diff = rows(start, stop)
-        diff -= green[start * d : stop * d]
+        count = (stop - start) * d
+        diff = rows(start, stop, predicted[:count])
+        diff -= green_rows(start, stop, discrete[:count])
         row, col = np.nonzero(tau[start:stop, None] == tau[None, :])
         diff.reshape(stop - start, d, tau.size, d)[row, :, col, :] = 0.0
         errors.append(max_abs(diff))
@@ -410,13 +420,15 @@ def run_oracle_suite(
     equal times, the error allowance, the partition-function deviation
     |Z - 1|, and the order fitted by least squares on the log-log error
     curve (None when all errors sit at the roundoff floor).  Each grid
-    is factorized once: Z comes with the discrete inverse.  Raises
-    ``FloatingPointError`` when an error is not finite, and
-    :class:`~contourgf.core.GridTooLargeError` before any grid is filled
-    when ``2 N d`` of the finest grid exceeds ``max_dimension``.  The
-    continuum prediction is compared in blocks of contour rows, so each
-    grid costs O((N d)^2 d) time and the memory of the discrete inverse
-    plus one row block.
+    is factorized once: Z, the condition estimate and the rows of the
+    discrete inverse come from that factorization.  Raises
+    ``FloatingPointError`` when an error, Z or an entry of G is not
+    finite, and :class:`~contourgf.core.GridTooLargeError` before any
+    grid is factorized when ``2 N d`` of the finest grid exceeds
+    ``max_dimension``.  The discrete inverse and the continuum
+    prediction are compared in blocks of contour rows, so each grid
+    costs O((N d)^2 d) time and the memory of a few row blocks: the cap
+    bounds the work here, not the memory.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids for a convergence fit")
@@ -428,23 +440,22 @@ def run_oracle_suite(
         g.t_initial != first.t_initial or g.t_final != first.t_final for g in grids
     ):
         raise ValueError("grids must share their endpoints")
-    # Refuse an over-cap grid before any fill; the finest is the largest.
+    # Refuse an over-cap grid before any work; the finest is the largest.
     _check_dimension(system, grids[-1], max_dimension)
     errors = []
     bounds = []
     deviations = []
     for grid in grids:
-        disc = discrete_green(system, grid, max_dimension)
-        error = _unequal_time_error(system, grid, disc.matrix)
+        fac = _factor(system, grid)
+        z = _partition_function(fac, system)
+        error = _unequal_time_error(system, grid, _green_rows(fac, grid.n_slices))
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"oracle error on {grid.n_slices} slices is {error!r}"
             )
         errors.append(error)
         bounds.append(oracle_error_bound(system, grid))
-        deviations.append(float(abs(disc.partition_function - 1.0)))
-        # Release this grid's inverse before the next one is filled.
-        del disc
+        deviations.append(float(abs(z - 1.0)))
     if max(errors) < ORDER_FLOOR:
         order = None
         details = "errors at roundoff floor; order fit not applicable"

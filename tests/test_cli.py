@@ -23,8 +23,9 @@ from contourgf.cli import (
     load_config,
     main,
 )
+from contourgf.core import IllConditionedWarning
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 from gf_reference import gf_text, iter_samples
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -532,7 +533,7 @@ def test_over_cap_grid_refused_before_any_work(tmp_path, capsys, monkeypatch, co
     import contourgf.cli
     import contourgf.verify
 
-    calls = {"discrete_green": 0, "run_structure_suite": 0}
+    calls = {"_factor": 0, "run_structure_suite": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -543,7 +544,7 @@ def test_over_cap_grid_refused_before_any_work(tmp_path, capsys, monkeypatch, co
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(contourgf.verify, "discrete_green")
+    counted(contourgf.verify, "_factor")
     counted(contourgf.cli, "run_structure_suite")
     # The coarser grid (2 N d = 8) fits the cap, the finer one does not.
     config = write_config(
@@ -551,7 +552,13 @@ def test_over_cap_grid_refused_before_any_work(tmp_path, capsys, monkeypatch, co
     )
     assert main([command, "--config", config]) == 2
     assert "GridTooLargeError" in capsys.readouterr().err
-    assert calls == {"discrete_green": 0, "run_structure_suite": 0}
+    assert calls == {"_factor": 0, "run_structure_suite": 0}
+    # The counters see the work once the cap admits both grids.
+    config = write_config(
+        tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8], "max_dimension": 16}
+    )
+    assert main([command, "--config", config]) in (0, 1)
+    assert calls == {"_factor": 2, "run_structure_suite": int(command == "verify")}
 
 
 def test_removed_tolerance_key_is_config_error(tmp_path, capsys):
@@ -743,6 +750,34 @@ def test_huge_epsilon_finite_or_numerical_error(
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_converge_warns_once_per_ill_conditioned_grid(tmp_path, capsys, statistics):
+    # Two empty levels and |eps| = 50: condition estimates about 3e12 on
+    # eight slices and 1e14 on ten.  The warning names the caller of the
+    # oracle suite, in cli.
+    rng = np.random.default_rng(11)
+    basis = random_unitary(rng, 3)
+    nbar = (basis * np.array([0.0, 0.0, 0.5])) @ basis.conj().T
+    basis = random_unitary(rng, 3)
+    epsilon = (basis * np.array([-50.0, 50.0, 50.0])) @ basis.conj().T
+    config = write_config(
+        tmp_path,
+        {
+            "statistics": statistics,
+            "epsilon": {"re": epsilon.real.tolist(), "im": epsilon.imag.tolist()},
+            "nbar": {"re": nbar.real.tolist(), "im": nbar.imag.tolist()},
+            "grid.n_slices": [8, 10],
+        },
+    )
+    with pytest.warns(IllConditionedWarning) as record:
+        assert main(["converge", "--config", config]) in (0, 1)
+    warned = [w for w in record if issubclass(w.category, IllConditionedWarning)]
+    assert len(warned) == 2
+    assert all(Path(w.filename).name == "cli.py" for w in warned)
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["8", "10"]
 
 
 @pytest.mark.filterwarnings("error")

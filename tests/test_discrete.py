@@ -28,6 +28,8 @@ from contourgf import (
     gf_component,
     oracle_error_bound,
 )
+from contourgf.core import max_abs
+from contourgf.discrete import _factor, _green_rows
 
 from conftest import (
     EPSILON_RANGE,
@@ -200,6 +202,27 @@ def test_structured_solve_matches_dense(statistics, dimension, n_slices):
     rng = np.random.default_rng([dimension, n_slices, statistics.zeta + 1])
     system = random_system(rng, statistics, dimension)
     assert_matches_dense(system, TimeGrid(0.0, 1.0, n_slices))
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("n_slices", [1, 2, 8, 64])
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_green_rows_match_dense(statistics, dimension, n_slices, block):
+    # One contour row per call, three rows (which divides no 2N above 2
+    # and, for N = 8 and 64, straddles the turn), and all 2N at once.
+    rng = np.random.default_rng([dimension, n_slices, statistics.zeta + 3])
+    system = random_system(rng, statistics, dimension)
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    dense = discrete_green(system, grid).matrix
+    rows = _green_rows(_factor(system, grid), n_slices)
+    total = 2 * n_slices
+    block = block or total
+    stacked = np.vstack(
+        [rows(start, min(start + block, total)) for start in range(0, total, block)]
+    )
+    assert stacked.shape == dense.shape
+    assert max_abs(stacked - dense) <= EXACT_TOL * max_abs(dense)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

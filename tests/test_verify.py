@@ -327,9 +327,14 @@ def test_oracle_error_keeps_nan(monkeypatch, row):
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     green = discrete_green(system, grid).matrix.copy()
-    assert np.isfinite(verify._unequal_time_error(system, grid, green))
+
+    def green_rows(start, stop, out):
+        out[:] = green[start:stop]
+        return out
+
+    assert np.isfinite(verify._unequal_time_error(system, grid, green_rows))
     green[row, 3] = np.nan
-    assert np.isnan(verify._unequal_time_error(system, grid, green))
+    assert np.isnan(verify._unequal_time_error(system, grid, green_rows))
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
@@ -351,6 +356,21 @@ def test_oracle_suite_peak_memory_is_the_discrete_result():
     finally:
         tracemalloc.stop()
     assert peak < 2 * result_bytes
+
+
+@pytest.mark.parametrize("sizes", [(64, 128), (512, 1024)])
+def test_oracle_suite_peak_is_independent_of_n(sizes):
+    # The discrete rows are streamed like the continuum ones: a few row
+    # blocks, not the 32 MiB inverse at 2 N d = 4096.
+    system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
+    grids = [TimeGrid(0.0, 1.0, n) for n in sizes]
+    tracemalloc.start()
+    try:
+        run_oracle_suite(system, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_oracle_error_bound_scales():
