@@ -5,11 +5,14 @@
 default cap.  Each case also records, in ``extra_info``, the
 ``tracemalloc`` peak of one untimed call and the size a dense discrete
 inverse of the finer grid would have, which the streamed suite never
-allocates.  The file sits outside the test paths; run it with
+allocates.  Cases are timed by ``benchmark(...)``, so the warm-up and
+``--benchmark-max-time`` flags below set how long each case warms up
+and runs (at least five rounds).  The file sits outside the test paths;
+run it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_oracle.py --benchmark-warmup=on \\
-        --benchmark-max-time=0.1 --benchmark-json=BENCH.json
+        --benchmark-max-time=1 --benchmark-json=BENCH.json
 
 One BLAS thread, as in ``perfbench`` and ``bench_discrete.py``.
 """
@@ -59,7 +62,5 @@ def test_oracle_suite(benchmark, dimension, n_slices):
         tracemalloc.stop()
     benchmark.extra_info["peak_mib"] = peak / 2**20
     benchmark.extra_info["inverse_mib"] = total**2 * 16 / 2**20
-    report = benchmark.pedantic(
-        run_oracle_suite, args=(system, grids), rounds=5, iterations=1
-    )
+    report = benchmark(run_oracle_suite, system, grids)
     assert all(e < b for e, b in zip(report.errors, report.error_bounds))

@@ -12,9 +12,13 @@ package, for example ``src`` of a second checkout of the parent commit
 and ``src`` of this one.  The calls come from ``perfbench/workloads.py``
 of this checkout; generated configs go to a temporary directory, and
 nothing is written under ``perfbench/`` or into either tree.  Both
-trees run with one BLAS thread, as perfbench does.  Exits 0 when every
-call has the same exit code and identical stdout in both trees, 1
-otherwise.
+trees run with one BLAS thread, as perfbench does.  When a call's
+stdout differs and both outputs parse as JSON, its line also gives the
+largest relative difference over their numeric fields and the field
+where it occurs, so a change in the last bits of a ``converge`` error
+can be told from a real change.
+Exits 0 when every call has the same exit code and identical stdout in
+both trees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,13 +52,15 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
     """Run every call in this process against the package in ``src``;
-    one record per call with its exit code and stdout digest."""
+    one record per call with its exit code, stdout digest and the file
+    that holds its stdout, in a directory the caller removes."""
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(1, str(WORKLOADS_DIR))
     from contourgf import cli
     from workloads import WORKLOADS, build_calls
 
     records = []
+    outputs = tempfile.mkdtemp(prefix="compare_outputs_")
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
         for seed in seeds:
@@ -67,6 +75,9 @@ def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
                     ):
                         code = cli.main(call.argv(config_path))
                     stdout.flush()
+                    output = os.path.join(outputs, f"{len(records)}.out")
+                    with open(output, "wb") as handle:
+                        handle.write(buffer.getvalue())
                     records.append(
                         {
                             "seed": seed,
@@ -74,9 +85,53 @@ def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
                             "label": call.label,
                             "exit": code,
                             "sha256": hashlib.sha256(buffer.getvalue()).hexdigest(),
+                            "output": output,
                         }
                     )
     return records
+
+
+def numeric_fields(doc, path=""):
+    """``(path, value)`` of every int or float leaf of a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_fields(value, f"{path}.{key}")
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from numeric_fields(value, f"{path}[{index}]")
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, doc
+
+
+def relative_difference(a: float, b: float) -> float:
+    """``|a - b| / max(|a|, |b|)``; infinite when exactly one is not finite."""
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def json_difference(old_path: str, new_path: str) -> str | None:
+    """The largest relative difference over the numeric fields of two
+    JSON outputs and the field where it occurs, or None when either is
+    not JSON."""
+    try:
+        with open(old_path, encoding="utf-8") as handle:
+            old = json.load(handle)
+        with open(new_path, encoding="utf-8") as handle:
+            new = json.load(handle)
+    except ValueError:
+        return None
+    old_fields = list(numeric_fields(old))
+    new_fields = list(numeric_fields(new))
+    if [p for p, _ in old_fields] != [p for p, _ in new_fields]:
+        return "numeric fields differ in layout"
+    worst, path = max(
+        ((relative_difference(a, b), p) for (p, a), (_, b) in zip(old_fields, new_fields)),
+        default=(0.0, ""),
+    )
+    return f"max_rel_diff {worst:.3g} at {path or 'the root'}"
 
 
 def collect(src: str, seeds: list[int], size: str) -> list[dict]:
@@ -114,7 +169,24 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.old and args.new):
         parser.error("OLD_SRC and NEW_SRC are required")
     old = collect(args.old, seeds, args.size)
-    new = collect(args.new, seeds, args.size)
+    try:
+        new = collect(args.new, seeds, args.size)
+        try:
+            return report(old, new)
+        finally:
+            remove_outputs(new)
+    finally:
+        remove_outputs(old)
+
+
+def remove_outputs(records: list[dict]) -> None:
+    """Delete the directory of stdout files that ``run_tree`` left."""
+    if records:
+        shutil.rmtree(os.path.dirname(records[0]["output"]), ignore_errors=True)
+
+
+def report(old: list[dict], new: list[dict]) -> int:
+    """Print one line per call and the count of identical calls."""
     if [(r["seed"], r["label"]) for r in old] != [(r["seed"], r["label"]) for r in new]:
         print("error: the trees ran different call lists", file=sys.stderr)
         return 1
@@ -123,11 +195,15 @@ def main(argv: list[str] | None = None) -> int:
     for a, b in zip(old, new):
         same = a["exit"] == b["exit"] and a["sha256"] == b["sha256"]
         differing += not same
-        verdict = "same" if a["sha256"] == b["sha256"] else "DIFFERS"
-        print(
+        line = (
             f"{a['seed']} {a['workload']} {a['label']} {a['exit']} {b['exit']} "
-            f"{verdict} {a['sha256'][:16]}"
+            f"{'same' if a['sha256'] == b['sha256'] else 'DIFFERS'} {a['sha256'][:16]}"
         )
+        if a["sha256"] != b["sha256"]:
+            difference = json_difference(a["output"], b["output"])
+            if difference is not None:
+                line += f" {difference}"
+        print(line)
     print(f"{len(old) - differing}/{len(old)} calls identical")
     return 0 if differing == 0 else 1
 

@@ -16,7 +16,8 @@ example ``--grid.n_slices 64`` or ``--statistics fermion``.  A key
 outside the documented set is a configuration error.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical error.
+3 numerical error, 141 (128 + SIGPIPE) when standard output is closed
+before the output is written, as by ``contourgf gf ... | head``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -59,6 +61,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# What a shell reports for a command that a closed pipe stopped.
+EXIT_BROKEN_PIPE = 128 + 13
 
 COMPONENT_NAMES = {
     "R": KeldyshComponent.RETARDED,
@@ -281,8 +285,15 @@ def build_run_config(raw: dict) -> RunConfig:
                 f"unknown component {name!r}; valid: {sorted(COMPONENT_NAMES)}"
             )
     output_path = out_raw.get("path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output.path must be a string or null")
+    if output_path is not None:
+        if not isinstance(output_path, str):
+            raise ConfigError("output.path must be a string or null")
+        # Checked here, so verify and converge refuse it before any work.
+        folder = os.path.dirname(output_path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(
+                f"output.path {output_path!r}: no directory {folder!r}"
+            )
 
     threshold = _real(raw.get("threshold", DEFAULT_THRESHOLD), "threshold")
     if not threshold > 0:
@@ -329,15 +340,34 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def load_config(path: str, overrides: list[str]) -> RunConfig:
+    """The validated config of the JSON file at ``path`` with the
+    overrides applied.  A file that cannot be read, is not UTF-8 or is
+    not JSON, and a config nested too deeply to parse or validate,
+    raise :class:`ConfigError`."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    apply_overrides(raw, overrides)
-    return build_run_config(raw)
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to parse") from exc
+    try:
+        apply_overrides(raw, overrides)
+        return build_run_config(raw)
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to validate") from exc
+
+
+def _open_output(path: str):
+    """``path`` opened for writing; one that cannot be is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output.path {path!r}: {exc.strerror}") from exc
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -346,7 +376,7 @@ def _write_output(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _open_output(path) as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -480,7 +510,7 @@ def cmd_gf(config: RunConfig) -> int:
     if config.output_path is None:
         _write_gf(config, sys.stdout)
     else:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+        with _open_output(config.output_path) as handle:
             _write_gf(config, handle)
     return EXIT_OK
 
@@ -596,13 +626,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, overrides)
         if args.command == "gf":
-            return cmd_gf(config)
-        if args.command == "z":
-            return cmd_z(config)
-        if args.command == "converge":
-            return cmd_converge(config)
-        corruption = KELDYSH_SIGN_FLIP if getattr(args, "corrupt_keldysh", False) else None
-        return cmd_verify(config, corruption)
+            code = cmd_gf(config)
+        elif args.command == "z":
+            code = cmd_z(config)
+        elif args.command == "converge":
+            code = cmd_converge(config)
+        else:
+            corruption = (
+                KELDYSH_SIGN_FLIP if getattr(args, "corrupt_keldysh", False) else None
+            )
+            code = cmd_verify(config, corruption)
+        # Flushed here, so that a closed stdout is caught here too.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except (ConfigError, GridTooLargeError, ThermalDivergenceError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -618,7 +656,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_BROKEN_PIPE:
+        # The reader is gone: what is still buffered goes to the null
+        # device, so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

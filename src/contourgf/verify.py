@@ -7,11 +7,13 @@ anti-Hermiticity, the vanishing rotated block, thermal proportionality
 where defined, the contour boundary conditions, and consistency of the
 solved constants).  The oracle suite compares the closed forms against
 the independently built discrete contour inverse on a sequence of grids
-and fits the convergence order.  The closed forms are a rank-d product
-``P [W + c] P^dag`` over the contour, and the discrete inverse a rank-d
-product plus a block-Toeplitz term, so the suite computes both in blocks
-of contour rows and compares them block by block: per grid it costs
-O((N d)^2 d) time and the memory of a few row blocks, independent of N.
+and fits the convergence order.  Along a contour row the closed forms
+are one rank-d product with the greater weight for the columns before
+the row and one with the lesser weight for the columns after it, and the
+discrete inverse is a rank-d product plus a block-Toeplitz term, so the
+suite computes both in blocks of contour rows and compares them block by
+block: per grid it costs O((N d)^2 d) time and the memory of a few row
+blocks, independent of N.
 
 Both suites are deterministic given their seed.
 """
@@ -329,29 +331,42 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid):
     ``c = s_m theta - s_n (1 - theta)`` from the branch signs and the
     symmetric step ``theta(tau_n - tau_m)``.  Contour times increase
     along the forward branch and decrease along the backward one, so c
-    is ``sign(n - m)``, the contour ordering of the two positions.
+    is ``sign(n - m)``, the contour ordering of the two positions: a
+    column before the row carries ``W + 1``, twice the greater weight
+    ``1 + zeta nbar^T``, a column after it ``W - 1``, twice the lesser
+    weight ``zeta nbar^T``, and the row's own column their mean ``W``.
     Returns ``rows(start, stop, out=None)``, which computes contour rows
-    start..stop as a ``((stop - start) d, 2 N d)`` array from two rank-d
-    products, into ``out`` when given.
+    start..stop as a ``((stop - start) d, 2 N d)`` array, into ``out``
+    (C-contiguous) when given: the columns up to ``stop`` as one rank-d
+    product with the greater weight and those from ``stop`` on as one
+    with the lesser weight, each written in place.  Only the square of
+    columns start..stop, where the ordering changes inside the block,
+    also takes the lesser product, for its columns after the row and
+    for the mean on its diagonal.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
-    # ordering[2N - 1 - n] is the row sign(n - m), m = 0 .. 2N - 1.
-    lags = np.sign(np.arange(tau.size - 1, -tau.size, -1, dtype=float))
-    ordering = np.lib.stride_tricks.sliding_window_view(lags, tau.size)
     props = propagator_stack(system, tau)
-    weighted = -0.5j * props @ keldysh_weight(system.nbar, system.statistics)
-    free = -0.5j * props
+    weight = keldysh_weight(system.nbar, system.statistics)
+    greater = -0.5j * props @ (weight + np.eye(d))
+    lesser = -0.5j * props @ (weight - np.eye(d))
     right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
 
     def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         count = stop - start
-        out = np.matmul(weighted[start:stop].reshape(count * d, d), right, out=out)
-        bare = free[start:stop].reshape(count * d, d) @ right
-        c = ordering[tau.size - stop : tau.size - start][::-1]
-        blocks = bare.reshape(count, d, tau.size, d)
-        blocks *= c[:, None, :, None]
-        out += bare
+        if out is None:
+            out = np.empty((count * d, tau.size * d), dtype=complex)
+        low, high = start * d, stop * d
+        greater_rows = greater[start:stop].reshape(count * d, d)
+        lesser_rows = lesser[start:stop].reshape(count * d, d)
+        np.matmul(greater_rows, right[:, :high], out=out[:, :high])
+        np.matmul(lesser_rows, right[:, high:], out=out[:, high:])
+        square = out.reshape(count, d, tau.size, d)[:, :, start:stop]
+        square_after = (lesser_rows @ right[:, low:high]).reshape(count, d, count, d)
+        later = ~np.tri(count, dtype=bool)
+        np.copyto(square, square_after, where=later[:, None, :, None])
+        k = np.arange(count)
+        square[k, :, k] = 0.5 * (square[k, :, k] + square_after[k, :, k])
         return out
 
     return rows
@@ -362,8 +377,11 @@ def continuum_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
 
     Assembles the branch components at the contour-ordered times of the
     grid into one ``(2 N d, 2 N d)`` matrix, at the symmetric step value
-    on equal times.  Costs O((N d)^2 d) time and the result's memory.
-    :func:`run_oracle_suite` streams the same rows instead.
+    on equal times.  It is the all-rows call of the row kernel, whose
+    diagonal square is then the whole matrix: the greater-weighted
+    product, with the lesser-weighted one over the columns after each
+    row, in O((N d)^2 d) time and twice the result's memory.
+    :func:`run_oracle_suite` streams blocks of rows instead.
     """
     return _continuum_rows(system, grid)(0, 2 * grid.n_slices)
 

@@ -909,6 +909,112 @@ def test_unknown_config_key_is_config_error(
     assert captured.err == f"error: ConfigError: unknown config key {path!r} = {quoted}\n"
 
 
+def _assert_config_error(captured, *needles):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigError: ")
+    assert "Traceback" not in captured.err
+    for needle in needles:
+        assert needle in captured.err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"statistics": "boson\xff"}')
+    assert main(["z", "--config", str(path)]) == 2
+    _assert_config_error(capsys.readouterr(), "UTF-8")
+
+
+NESTED = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "text, overrides",
+    [
+        pytest.param(NESTED, [], id="file"),
+        # Deep enough for the validation, not for the JSON parser.
+        pytest.param(None, ["--nbar", "[" * 900 + "0.3" + "]" * 900], id="nbar"),
+        pytest.param(None, ["--nbar", NESTED], id="override"),
+    ],
+)
+def test_deeply_nested_config_is_config_error(tmp_path, capsys, text, overrides):
+    if text is None:
+        config = write_config(tmp_path)
+    else:
+        config = tmp_path / "nested.json"
+        config.write_text(text)
+    assert main(["z", "--config", str(config), *overrides]) == 2
+    _assert_config_error(capsys.readouterr(), "nested too deeply")
+
+
+@pytest.mark.parametrize("command", ["gf", "z", "verify", "converge"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, monkeypatch, command):
+    import contourgf.verify
+
+    factored = []
+    original = contourgf.verify._factor
+    monkeypatch.setattr(
+        contourgf.verify, "_factor", lambda *a: factored.append(1) or original(*a)
+    )
+    argv = [command, "--config", write_config(tmp_path, {"grid.n_slices": [4, 8]})]
+    if command == "gf":
+        argv += ["--grid.n_slices", "4"]
+    missing = str(tmp_path / "missing" / "out.txt")
+    assert main([*argv, "--output.path", missing]) == 2
+    _assert_config_error(capsys.readouterr(), repr(missing))
+    # Refused before the oracle suite runs.
+    assert factored == []
+    # A directory exists but cannot be opened as a file.
+    assert main([*argv, "--output.path", str(tmp_path)]) == 2
+    _assert_config_error(capsys.readouterr(), repr(str(tmp_path)))
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["gf", "z", "verify", "converge"])
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch, command):
+    argv = [command, "--config", write_config(tmp_path, {"grid.n_slices": [4, 8]})]
+    if command == "gf":
+        argv += ["--grid.n_slices", "4"]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, n_slices",
+    # gf writes more than a pipe holds; converge writes once, at the end.
+    [("gf", 200), ("converge", [4, 8])],
+)
+def test_closed_pipe_process_has_no_traceback(tmp_path, command, n_slices):
+    config = write_config(tmp_path, {"grid.n_slices": n_slices, "nbar": 0.7})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "contourgf.cli", command, "--config", config],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=False,
+            env={
+                **os.environ,
+                "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            },
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""
+
+
 def test_occupation_slack_is_fixed(tmp_path, capsys):
     # 1e-6 below zero is far outside the slack of 1e-10, and no config
     # key widens it.

@@ -303,6 +303,20 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
             [rows(start, min(start + block, size)) for start in range(0, size, block)]
         )
         assert np.abs(streamed - reference).max() <= tol
+    # Blocks that straddle the turn, start on the backward branch or hold
+    # only its last row, written into a NaN-filled buffer: the products
+    # before, on and after the block's diagonal square cover every entry.
+    d = system.dimension
+    last = size - 1
+    for start, stop in [
+        (n_slices - 1, min(n_slices + 2, size)),
+        (n_slices, size),
+        (min(n_slices + 1, last), min(n_slices + 3, size)),
+        (last, size),
+    ]:
+        out = np.full(((stop - start) * d, size * d), np.nan, dtype=complex)
+        assert rows(start, stop, out) is out
+        assert np.abs(out - reference[start * d : stop * d]).max() <= tol
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -321,20 +335,51 @@ def test_oracle_errors_match_dense_mask(monkeypatch, statistics, dimension, entr
 
 @pytest.mark.parametrize("row", [0, -1])
 def test_oracle_error_keeps_nan(monkeypatch, row):
-    # One contour row per block, the NaN in the first or the last one,
-    # away from equal times.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", 1)
+    # The NaN in the first or the last contour row, away from equal
+    # times; one row per block, 3-row blocks that do not divide 2N = 16,
+    # one block.
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
-    green = discrete_green(system, grid).matrix.copy()
+    clean = discrete_green(system, grid).matrix
+    for entries in (1, 48, 2**16):
+        monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+        green = clean.copy()
 
-    def green_rows(start, stop, out):
-        out[:] = green[start:stop]
-        return out
+        def green_rows(start, stop, out):
+            out[:] = green[start:stop]
+            return out
 
-    assert np.isfinite(verify._unequal_time_error(system, grid, green_rows))
-    green[row, 3] = np.nan
-    assert np.isnan(verify._unequal_time_error(system, grid, green_rows))
+        assert np.isfinite(verify._unequal_time_error(system, grid, green_rows))
+        green[row, 3] = np.nan
+        assert np.isnan(verify._unequal_time_error(system, grid, green_rows))
+
+
+@pytest.mark.parametrize("entries", [1, 48, 2**16])
+@pytest.mark.parametrize("row", [0, 8, 14])
+def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
+    # One contour row per block, 3-row blocks that do not divide 2N = 16,
+    # one block.  Forward row k and backward row 2N - 2 - k share a
+    # time; the next column does not.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    system = LevelSystem(1.0, 0.3, Statistics.BOSON)
+    grid = TimeGrid(0.0, 1.0, 8)
+    tau = contour_times(grid)
+    partner = 2 * grid.n_slices - 2 - row
+    assert tau[row] == tau[partner] and tau[row] != tau[partner + 1]
+    clean = discrete_green(system, grid).matrix
+
+    def error_with_nan_at(column):
+        green = clean.copy()
+        green[row, column] = np.nan
+
+        def green_rows(start, stop, out):
+            out[:] = green[start:stop]
+            return out
+
+        return verify._unequal_time_error(system, grid, green_rows)
+
+    assert np.isfinite(error_with_nan_at(partner))
+    assert np.isnan(error_with_nan_at(partner + 1))
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
