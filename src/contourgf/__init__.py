@@ -16,10 +16,8 @@ parallelize over systems or time pairs freely.
 from .core import (
     Branch,
     ContourComponent,
-    ContourIndex,
     GridTooLargeError,
     IllConditionedWarning,
-    IndexOutOfRangeError,
     LevelSystem,
     NonHermitianError,
     OccupationOutOfRangeError,
@@ -35,10 +33,6 @@ from .continuum import (
     fix_constants,
     gf_component,
     initial_boundary_ratio,
-    keldysh_rotate_boson,
-    keldysh_rotate_fermion,
-    keldysh_unrotate_boson,
-    keldysh_unrotate_fermion,
     keldysh_weight,
     normalization_prefactor,
     regularized_step,
@@ -49,18 +43,14 @@ from .continuum import (
 )
 from .discrete import (
     DiscreteGf,
-    build_contour_matrix,
-    contour_branch_signs,
     contour_times,
     discrete_green,
     discrete_partition_function,
-    extract_component,
 )
 from .verify import (
     CheckResult,
     ConvergenceReport,
     assemble_report,
-    continuum_contour_matrix,
     oracle_checks,
     oracle_error_bound,
     run_oracle_suite,
@@ -73,12 +63,10 @@ __all__ = [
     "Branch",
     "CheckResult",
     "ContourComponent",
-    "ContourIndex",
     "ConvergenceReport",
     "DiscreteGf",
     "GridTooLargeError",
     "IllConditionedWarning",
-    "IndexOutOfRangeError",
     "KeldyshComponent",
     "LevelSystem",
     "NonHermitianError",
@@ -89,21 +77,13 @@ __all__ = [
     "ThermalDivergenceError",
     "TimeGrid",
     "assemble_report",
-    "build_contour_matrix",
     "component_table",
-    "continuum_contour_matrix",
-    "contour_branch_signs",
     "contour_times",
     "discrete_green",
     "discrete_partition_function",
-    "extract_component",
     "fix_constants",
     "gf_component",
     "initial_boundary_ratio",
-    "keldysh_rotate_boson",
-    "keldysh_rotate_fermion",
-    "keldysh_unrotate_boson",
-    "keldysh_unrotate_fermion",
     "keldysh_weight",
     "normalization_prefactor",
     "oracle_checks",

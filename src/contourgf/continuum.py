@@ -47,7 +47,6 @@ from .core import (
     OccupationOutOfRangeError,
     Statistics,
     ThermalDivergenceError,
-    as_complex_matrix,
     propagator_stack,
 )
 
@@ -59,10 +58,6 @@ __all__ = [
     "fix_constants",
     "gf_component",
     "initial_boundary_ratio",
-    "keldysh_rotate_boson",
-    "keldysh_rotate_fermion",
-    "keldysh_unrotate_boson",
-    "keldysh_unrotate_fermion",
     "keldysh_weight",
     "normalization_prefactor",
     "regularized_step",
@@ -71,9 +66,6 @@ __all__ = [
     "solution_from_constants",
     "thermal_nbar",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 class KeldyshComponent(enum.Enum):
     """Components in the rotated (Keldysh) basis."""
@@ -149,60 +141,7 @@ def normalization_prefactor(system: LevelSystem) -> float:
         return float(np.prod(1.0 + zeta * vals) ** -zeta)
 
 
-def keldysh_rotate_boson(phi_plus, phi_minus):
-    """Rotate branch fields to (classical, quantum) components.
-
-    ``phi_cl = (phi_plus + phi_minus)/sqrt(2)``,
-    ``phi_q = (phi_plus - phi_minus)/sqrt(2)``; conjugate fields rotate
-    identically.
-    """
-    plus = np.asarray(phi_plus)
-    minus = np.asarray(phi_minus)
-    return (plus + minus) / _SQRT2, (plus - minus) / _SQRT2
-
-
-def keldysh_unrotate_boson(phi_cl, phi_q):
-    """Inverse of :func:`keldysh_rotate_boson`."""
-    cl = np.asarray(phi_cl)
-    q = np.asarray(phi_q)
-    return (cl + q) / _SQRT2, (cl - q) / _SQRT2
-
-
-def keldysh_rotate_fermion(phi_plus, phi_minus, phibar_plus, phibar_minus):
-    """Rotate fermionic branch fields; barred fields rotate differently.
-
-    Unbarred: ``phi_1 = (phi_plus + phi_minus)/sqrt(2)``,
-    ``phi_2 = (phi_plus - phi_minus)/sqrt(2)``.
-    Barred: ``phibar_1 = (phibar_plus - phibar_minus)/sqrt(2)``,
-    ``phibar_2 = (phibar_plus + phibar_minus)/sqrt(2)``.
-    """
-    p = np.asarray(phi_plus)
-    m = np.asarray(phi_minus)
-    bp = np.asarray(phibar_plus)
-    bm = np.asarray(phibar_minus)
-    return (
-        (p + m) / _SQRT2,
-        (p - m) / _SQRT2,
-        (bp - bm) / _SQRT2,
-        (bp + bm) / _SQRT2,
-    )
-
-
-def keldysh_unrotate_fermion(phi_1, phi_2, phibar_1, phibar_2):
-    """Inverse of :func:`keldysh_rotate_fermion`."""
-    f1 = np.asarray(phi_1)
-    f2 = np.asarray(phi_2)
-    b1 = np.asarray(phibar_1)
-    b2 = np.asarray(phibar_2)
-    return (
-        (f1 + f2) / _SQRT2,
-        (f1 - f2) / _SQRT2,
-        (b2 + b1) / _SQRT2,
-        (b2 - b1) / _SQRT2,
-    )
-
-
-def keldysh_weight(nbar, statistics: Statistics) -> np.ndarray:
+def keldysh_weight(system: LevelSystem) -> np.ndarray:
     """Statistical weight ``1 + 2 zeta nbar^T`` entering the Keldysh
     component and the initial-time boundary condition.
 
@@ -210,9 +149,9 @@ def keldysh_weight(nbar, statistics: Statistics) -> np.ndarray:
     ``FloatingPointError`` when the weight overflows, as it does for a
     boson occupation near the largest double.
     """
-    occ = as_complex_matrix(nbar, "nbar")
+    occ = system.nbar
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.eye(occ.shape[0]) + 2 * statistics.zeta * occ.T
+        weight = np.eye(system.dimension) + 2 * system.statistics.zeta * occ.T
     if not np.isfinite(weight).all():
         raise FloatingPointError(
             "Keldysh weight 1 + 2 zeta nbar^T overflows: "
@@ -256,7 +195,7 @@ def component_table(
     p_col = propagator_stack(system, t_col - t_ref)
 
     def keldysh():
-        weight = keldysh_weight(system.nbar, system.statistics)
+        weight = keldysh_weight(system)
         return _sandwich(p_row, weight, p_col)
 
     if component is KeldyshComponent.KELDYSH:
@@ -329,17 +268,6 @@ class SolutionConstants:
     c21: np.ndarray
     c22: np.ndarray
 
-    def to_scalars(self) -> tuple[complex, complex, complex, complex]:
-        """The four constants as scalars (single-level systems only)."""
-        if self.c11.shape != (1, 1):
-            raise ValueError("constants are matrix valued")
-        return (
-            complex(self.c11[0, 0]),
-            complex(self.c12[0, 0]),
-            complex(self.c21[0, 0]),
-            complex(self.c22[0, 0]),
-        )
-
 
 def rotated_block_layout(
     statistics: Statistics,
@@ -385,7 +313,7 @@ def fix_constants(system: LevelSystem) -> SolutionConstants:
     hard coded.
     """
     statistics = system.statistics
-    weight = keldysh_weight(system.nbar, statistics)
+    weight = keldysh_weight(system)
     eye = np.eye(weight.shape[0], dtype=complex)
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
     step_final = regularized_step(t_final - t_prime)

@@ -2,8 +2,8 @@
 
 Defines the statistics tag, the level system (single-particle energy
 matrix plus initial occupation matrix), contour time grids, branch
-labels and index mapping, and the unitary propagators of a level
-system.  A :class:`LevelSystem` is checked once, when it is constructed
+labels, and the unitary propagators of a level system.  A
+:class:`LevelSystem` is checked once, when it is constructed
 (Hermiticity of both matrices and the occupation range), and keeps the
 two eigendecompositions the checks compute; every other function reads
 them and checks nothing again.  The package needs numpy alone.
@@ -21,10 +21,8 @@ import numpy as np
 __all__ = [
     "Branch",
     "ContourComponent",
-    "ContourIndex",
     "GridTooLargeError",
     "IllConditionedWarning",
-    "IndexOutOfRangeError",
     "LevelSystem",
     "NonHermitianError",
     "OccupationOutOfRangeError",
@@ -63,10 +61,6 @@ class SingularMatrixError(ContourGfError):
 
 class GridTooLargeError(ContourGfError):
     """Requested contour matrix dimension exceeds the configured cap."""
-
-
-class IndexOutOfRangeError(ContourGfError, IndexError):
-    """Contour index refers to an eliminated or nonexistent variable."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -252,48 +246,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """Slice times t_0 .. t_N, endpoints included."""
         return np.linspace(self.t_initial, self.t_final, self.n_slices + 1)
-
-
-@dataclass(frozen=True)
-class ContourIndex:
-    """A retained contour variable: branch plus slice index.
-
-    The forward branch keeps slots 1..N (slot 0 is eliminated by the
-    initial-distribution constraint); the backward branch keeps slots
-    0..N-1 (slot N is identified with the forward endpoint).
-    """
-
-    branch: Branch
-    slot: int
-
-    def position(self, n_slices: int) -> int:
-        """1-based position in the contour-ordered basis of length 2N.
-
-        Forward slot n sits at position n; backward slot n sits at
-        position 2N - n (the backward branch is stored in decreasing
-        time order).
-        """
-        n = self.slot
-        big_n = n_slices
-        if self.branch is Branch.FORWARD:
-            if not 1 <= n <= big_n:
-                raise IndexOutOfRangeError(
-                    f"forward slot {n} outside retained range 1..{big_n}"
-                )
-            return n
-        if not 0 <= n <= big_n - 1:
-            raise IndexOutOfRangeError(
-                f"backward slot {n} outside retained range 0..{big_n - 1}"
-            )
-        return 2 * big_n - n
-
-    def time(self, grid: TimeGrid) -> float:
-        """Physical time of this slot on the grid."""
-        if not 0 <= self.slot <= grid.n_slices:
-            raise IndexOutOfRangeError(
-                f"slot {self.slot} outside grid 0..{grid.n_slices}"
-            )
-        return float(grid.times[self.slot])
 
 
 def propagator_stack(system: LevelSystem, scales: np.ndarray) -> np.ndarray:

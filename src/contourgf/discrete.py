@@ -45,8 +45,6 @@ of a transfer block is formed and no product overflows.  The partition
 function costs O(d^3), independent of N, each contour row of G
 O(N d^2) and the full inverse O((N d)^2 d).  Only the blocks of D'
 enter: no closed form is used.
-:func:`build_contour_matrix` expands the same blocks into the dense D',
-which serves as the reference.
 """
 
 from __future__ import annotations
@@ -59,8 +57,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_DIMENSION,
-    ContourComponent,
-    ContourIndex,
     GridTooLargeError,
     IllConditionedWarning,
     LevelSystem,
@@ -71,12 +67,9 @@ from .core import (
 
 __all__ = [
     "DiscreteGf",
-    "build_contour_matrix",
-    "contour_branch_signs",
     "contour_times",
     "discrete_green",
     "discrete_partition_function",
-    "extract_component",
 ]
 
 # A' is singular when, each row scaled to the largest entry of that row
@@ -133,12 +126,6 @@ def contour_times(grid: TimeGrid) -> np.ndarray:
     return np.concatenate([times[1:], times[n - 1 :: -1]])
 
 
-def contour_branch_signs(grid: TimeGrid) -> np.ndarray:
-    """Branch sign (+1 forward, -1 backward) per contour position."""
-    n = grid.n_slices
-    return np.concatenate([np.ones(n), -np.ones(n)])
-
-
 def _contour_blocks(
     system: LevelSystem, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -170,35 +157,6 @@ def _check_dimension(system: LevelSystem, grid: TimeGrid, max_dimension: int) ->
             f"contour matrix dimension {total} exceeds cap {max_dimension}"
         )
     return total
-
-
-def build_contour_matrix(
-    system: LevelSystem,
-    grid: TimeGrid,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-) -> np.ndarray:
-    """Assemble the dense ``(2 N d, 2 N d)`` contour matrix D' from its blocks.
-
-    The solvers never build D'; this is the dense reference.  Raises
-    :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
-    ``max_dimension``.
-    """
-    d = system.dimension
-    n = grid.n_slices
-    total = _check_dimension(system, grid, max_dimension)
-    forward, backward, first, corner = _contour_blocks(system, grid)
-    eye = np.eye(d, dtype=complex)
-    matrix = np.zeros((total, total), dtype=complex)
-    matrix[0:d, 0:d] = first
-    for j in range(2, 2 * n + 1):
-        matrix[(j - 1) * d : j * d, (j - 1) * d : j * d] = eye
-    for j in range(2, n + 1):
-        matrix[(j - 1) * d : j * d, (j - 2) * d : (j - 1) * d] = -forward
-    matrix[n * d : (n + 1) * d, (n - 1) * d : n * d] = -eye
-    for j in range(n + 2, 2 * n + 1):
-        matrix[(j - 1) * d : j * d, (j - 2) * d : (j - 1) * d] = -backward
-    matrix[0:d, (2 * n - 1) * d :] = corner
-    return matrix
 
 
 def _log_transfer(generator: np.ndarray, sign: int) -> np.ndarray:
@@ -519,30 +477,3 @@ def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
     fac = _factor(system, grid)
     return _partition_function(fac, system)
 
-
-def extract_component(
-    gf: DiscreteGf,
-    component: ContourComponent,
-    n: int,
-    m: int,
-) -> tuple[np.ndarray, float, float]:
-    """One ``(d, d)`` block of the discrete Green's function.
-
-    ``n`` and ``m`` are slice indices on the row and column branches
-    selected by ``component``.  Eliminated variables (forward slot 0,
-    backward slot N) raise
-    :class:`~contourgf.core.IndexOutOfRangeError`.
-
-    Returns
-    -------
-    (block, t, t_prime)
-        The block and the physical times of the two slots.
-    """
-    grid = gf.grid
-    d = gf.system.dimension
-    row = ContourIndex(component.row_branch, n)
-    col = ContourIndex(component.col_branch, m)
-    j = row.position(grid.n_slices)
-    k = col.position(grid.n_slices)
-    block = gf.matrix[(j - 1) * d : j * d, (k - 1) * d : k * d]
-    return block, row.time(grid), col.time(grid)

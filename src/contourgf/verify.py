@@ -53,8 +53,6 @@ __all__ = [
     "CheckResult",
     "ConvergenceReport",
     "assemble_report",
-    "chebyshev_interior",
-    "continuum_contour_matrix",
     "oracle_checks",
     "oracle_error_bound",
     "run_oracle_suite",
@@ -184,7 +182,7 @@ def run_structure_suite(
     that flips the sign of the Keldysh component for t > t' before the
     checks run.
     """
-    weight = keldysh_weight(system.nbar, system.statistics)
+    weight = keldysh_weight(system)
     threshold = threshold * max(1.0, max_abs(weight))
     rng = np.random.default_rng(seed)
     d = system.dimension
@@ -347,7 +345,7 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid):
     d = system.dimension
     tau = _contour_offsets(grid)
     props = propagator_stack(system, tau)
-    weight = keldysh_weight(system.nbar, system.statistics)
+    weight = keldysh_weight(system)
     greater = -0.5j * props @ (weight + np.eye(d))
     lesser = -0.5j * props @ (weight - np.eye(d))
     right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
@@ -370,20 +368,6 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid):
         return out
 
     return rows
-
-
-def continuum_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
-    """Continuum prediction for every block of the discrete inverse.
-
-    Assembles the branch components at the contour-ordered times of the
-    grid into one ``(2 N d, 2 N d)`` matrix, at the symmetric step value
-    on equal times.  It is the all-rows call of the row kernel, whose
-    diagonal square is then the whole matrix: the greater-weighted
-    product, with the lesser-weighted one over the columns after each
-    row, in O((N d)^2 d) time and twice the result's memory.
-    :func:`run_oracle_suite` streams blocks of rows instead.
-    """
-    return _continuum_rows(system, grid)(0, 2 * grid.n_slices)
 
 
 def _unequal_time_error(system: LevelSystem, grid: TimeGrid, green_rows) -> float:

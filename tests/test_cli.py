@@ -598,6 +598,28 @@ def test_z_classical_limit(tmp_path, capsys, nbar):
         assert abs(z - expected) <= 1e-14 * abs(expected)
 
 
+def test_z_beyond_input_resolution_is_numerical_error(tmp_path, capsys):
+    # Two boson levels, nbar with eigenvalues 1e15 and 0.5 rotated by 0.7
+    # rad: the entries of size 1e15, rounded to doubles, fix the small
+    # eigenvalue only to about 0.1, so Z cannot be recovered.
+    c, s = math.cos(0.7), math.sin(0.7)
+    rotation = np.array([[c, -s], [s, c]])
+    nbar = rotation @ np.diag([1e15, 0.5]) @ rotation.T
+    config = write_config(
+        tmp_path,
+        {
+            "epsilon": [[1.0, 0.2], [0.2, -0.5]],
+            "nbar": nbar.tolist(),
+            "output.format": "json",
+        },
+    )
+    assert main(["z", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SingularMatrixError" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "command, output_format",
     [("gf", "csv"), ("gf", "json"), ("converge", "json"), ("verify", "json")],

@@ -20,10 +20,6 @@ from contourgf import (
     fix_constants,
     gf_component,
     initial_boundary_ratio,
-    keldysh_rotate_boson,
-    keldysh_rotate_fermion,
-    keldysh_unrotate_boson,
-    keldysh_unrotate_fermion,
     keldysh_weight,
     normalization_prefactor,
     regularized_step,
@@ -158,12 +154,69 @@ def test_normalization_prefactor_matrix_factorizes():
 
 
 def test_keldysh_weight_transposes_without_conjugation():
+    # Occupation eigenvalues 0.355 and 0.845: valid for both statistics.
     nbar = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    weight = keldysh_weight(nbar, Statistics.BOSON)
+    weight = keldysh_weight(level(nbar, Statistics.BOSON))
     expected = np.array([[2.0, 0.2 - 0.4j], [0.2 + 0.4j, 2.4]])
     np.testing.assert_allclose(weight, expected, atol=1e-15)
-    weight = keldysh_weight(nbar, Statistics.FERMION)
+    weight = keldysh_weight(level(nbar, Statistics.FERMION))
     np.testing.assert_allclose(weight, 2 * np.eye(2) - expected, atol=1e-15)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def keldysh_rotate_boson(phi_plus, phi_minus):
+    """Rotate branch fields to (classical, quantum) components.
+
+    ``phi_cl = (phi_plus + phi_minus)/sqrt(2)``,
+    ``phi_q = (phi_plus - phi_minus)/sqrt(2)``; conjugate fields rotate
+    identically.
+    """
+    plus = np.asarray(phi_plus)
+    minus = np.asarray(phi_minus)
+    return (plus + minus) / _SQRT2, (plus - minus) / _SQRT2
+
+
+def keldysh_unrotate_boson(phi_cl, phi_q):
+    """Inverse of :func:`keldysh_rotate_boson`."""
+    cl = np.asarray(phi_cl)
+    q = np.asarray(phi_q)
+    return (cl + q) / _SQRT2, (cl - q) / _SQRT2
+
+
+def keldysh_rotate_fermion(phi_plus, phi_minus, phibar_plus, phibar_minus):
+    """Rotate fermionic branch fields; barred fields rotate differently.
+
+    Unbarred: ``phi_1 = (phi_plus + phi_minus)/sqrt(2)``,
+    ``phi_2 = (phi_plus - phi_minus)/sqrt(2)``.
+    Barred: ``phibar_1 = (phibar_plus - phibar_minus)/sqrt(2)``,
+    ``phibar_2 = (phibar_plus + phibar_minus)/sqrt(2)``.
+    """
+    p = np.asarray(phi_plus)
+    m = np.asarray(phi_minus)
+    bp = np.asarray(phibar_plus)
+    bm = np.asarray(phibar_minus)
+    return (
+        (p + m) / _SQRT2,
+        (p - m) / _SQRT2,
+        (bp - bm) / _SQRT2,
+        (bp + bm) / _SQRT2,
+    )
+
+
+def keldysh_unrotate_fermion(phi_1, phi_2, phibar_1, phibar_2):
+    """Inverse of :func:`keldysh_rotate_fermion`."""
+    f1 = np.asarray(phi_1)
+    f2 = np.asarray(phi_2)
+    b1 = np.asarray(phibar_1)
+    b2 = np.asarray(phibar_2)
+    return (
+        (f1 + f2) / _SQRT2,
+        (f1 - f2) / _SQRT2,
+        (b2 + b1) / _SQRT2,
+        (b2 - b1) / _SQRT2,
+    )
 
 
 @seed(4)
@@ -393,26 +446,32 @@ def test_rotated_block_layout():
     assert fermion[1] == (KeldyshComponent.ZERO, KeldyshComponent.ADVANCED)
 
 
+def scalars(constants):
+    """The four solved constants of a single level as complex scalars."""
+    blocks = (constants.c11, constants.c12, constants.c21, constants.c22)
+    return tuple(complex(block.item()) for block in blocks)
+
+
 def test_fix_constants_boson_scalars():
     constants = fix_constants(level(0.7, Statistics.BOSON))
-    c11, c12, c21, c22 = constants.to_scalars()
+    c11, c12, c21, c22 = scalars(constants)
     assert c11 == pytest.approx(1.0 + 2.0 * 0.7, abs=1e-12)
     assert c12 == pytest.approx(0.0, abs=1e-12)
     assert c21 == pytest.approx(-1.0, abs=1e-12)
     assert c22 == pytest.approx(0.0, abs=1e-12)
     constants = fix_constants(level(1.0, Statistics.BOSON))
-    assert constants.to_scalars()[0] == pytest.approx(3.0, abs=1e-12)
+    assert scalars(constants)[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_fix_constants_fermion_scalars():
     constants = fix_constants(level(0.3, Statistics.FERMION))
-    c11, c12, c21, c22 = constants.to_scalars()
+    c11, c12, c21, c22 = scalars(constants)
     assert c11 == pytest.approx(0.0, abs=1e-12)
     assert c12 == pytest.approx(1.0 - 2.0 * 0.3, abs=1e-12)
     assert c21 == pytest.approx(0.0, abs=1e-12)
     assert c22 == pytest.approx(-1.0, abs=1e-12)
     constants = fix_constants(level(0.0, Statistics.FERMION))
-    assert constants.to_scalars()[1] == pytest.approx(1.0, abs=1e-12)
+    assert scalars(constants)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 # Step-structured positions of the two-by-two ansatz, written out.
@@ -428,7 +487,7 @@ def fix_constants_lstsq(statistics, nbar):
     occ = np.atleast_2d(np.asarray(nbar, dtype=complex))
     d = occ.shape[0]
     dim = d * d
-    weight = keldysh_weight(occ, statistics)
+    weight = np.eye(d) + 2 * statistics.zeta * occ.T
     theta_positions = THETA_POSITIONS[statistics]
     eye_vec = np.eye(d, dtype=complex).reshape(-1)
     kron_eye = np.eye(dim, dtype=complex)
@@ -474,7 +533,7 @@ def test_fix_constants_matches_least_squares(statistics, dimension):
         system = random_system(rng, statistics, dimension)
         constants = fix_constants(system)
         reference = fix_constants_lstsq(statistics, system.nbar)
-        scale = np.abs(keldysh_weight(system.nbar, statistics)).max()
+        scale = np.abs(keldysh_weight(system)).max()
         solved = (constants.c11, constants.c12, constants.c21, constants.c22)
         for block, ref in zip(solved, reference):
             assert np.abs(block - ref).max() <= 1e-12 * scale
@@ -484,8 +543,9 @@ def test_fix_constants_matches_least_squares(statistics, dimension):
 def test_fix_constants_closed_values_at_sixteen_levels(statistics):
     rng = np.random.default_rng(45)
     nbar = random_hermitian(rng, 16, 0.1, 0.9)
-    weight = keldysh_weight(nbar, statistics)
-    constants = fix_constants(level(nbar, statistics))
+    system = level(nbar, statistics)
+    weight = keldysh_weight(system)
+    constants = fix_constants(system)
     eye = np.eye(16)
     if statistics is Statistics.BOSON:
         expected = (weight, 0 * eye, -eye, 0 * eye)

@@ -11,25 +11,26 @@ from scipy.linalg import lu_solve
 from contourgf import (
     Branch,
     ContourComponent,
-    ContourIndex,
     IllConditionedWarning,
-    IndexOutOfRangeError,
     LevelSystem,
     NonHermitianError,
     OccupationOutOfRangeError,
     SingularMatrixError,
+    SolutionConstants,
     Statistics,
     TimeGrid,
     component_table,
-    continuum_contour_matrix,
     discrete_partition_function,
     fix_constants,
     run_structure_suite,
 )
-from contourgf import core, discrete
+import contourgf
+from contourgf import cli, continuum, core, discrete, verify
 from contourgf.core import propagator_stack
+from contourgf.verify import _continuum_rows
 
 from conftest import random_hermitian, random_system, random_unitary, taylor_propagator
+from dense_contour import ContourIndex, IndexOutOfRangeError
 from dense_lu import lu_factorization
 
 ORACLE_TOL = 1e-12
@@ -205,7 +206,7 @@ def test_system_is_diagonalized_once(monkeypatch):
     run_structure_suite(system)
     component_table(system, times, times, ContourComponent.PLUS_MINUS, 0.0)
     fix_constants(system)
-    continuum_contour_matrix(system, grid)
+    _continuum_rows(system, grid)(0, 2 * grid.n_slices)
     assert len(calls) == 2
     # The discrete route diagonalizes its own forward generator.
     for count in (3, 4):
@@ -284,6 +285,70 @@ def test_level_system_has_exactly_three_fields():
         LevelSystem(0.5, 0.1, Statistics.BOSON, None)
     with pytest.raises(TypeError):
         LevelSystem(0.5, 0.1, Statistics.BOSON, tolerances=None)
+
+
+PUBLIC_NAMES = [
+    "Branch",
+    "CheckResult",
+    "ContourComponent",
+    "ConvergenceReport",
+    "DiscreteGf",
+    "GridTooLargeError",
+    "IllConditionedWarning",
+    "KeldyshComponent",
+    "LevelSystem",
+    "NonHermitianError",
+    "OccupationOutOfRangeError",
+    "SingularMatrixError",
+    "SolutionConstants",
+    "Statistics",
+    "ThermalDivergenceError",
+    "TimeGrid",
+    "assemble_report",
+    "component_table",
+    "contour_times",
+    "discrete_green",
+    "discrete_partition_function",
+    "fix_constants",
+    "gf_component",
+    "initial_boundary_ratio",
+    "keldysh_weight",
+    "normalization_prefactor",
+    "oracle_checks",
+    "oracle_error_bound",
+    "regularized_step",
+    "rho_from_nbar",
+    "rotated_block_layout",
+    "run_oracle_suite",
+    "run_structure_suite",
+    "solution_from_constants",
+    "thermal_nbar",
+]
+
+# Reference code the tests keep in tests/: no program path calls it.
+TEST_ONLY_NAMES = [
+    "ContourIndex",
+    "IndexOutOfRangeError",
+    "build_contour_matrix",
+    "contour_branch_signs",
+    "continuum_contour_matrix",
+    "extract_component",
+    "keldysh_rotate_boson",
+    "keldysh_rotate_fermion",
+    "keldysh_unrotate_boson",
+    "keldysh_unrotate_fermion",
+]
+
+
+def test_public_surface():
+    # The package ships the two routes and their cross-check, no more.
+    assert sorted(contourgf.__all__) == PUBLIC_NAMES
+    for module in (contourgf, core, continuum, discrete, verify, cli):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+        for name in TEST_ONLY_NAMES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(SolutionConstants, "to_scalars")
 
 
 def test_bounds_are_relative():

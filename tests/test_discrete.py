@@ -11,20 +11,15 @@ from hypothesis import strategies as st
 from contourgf import (
     Branch,
     ContourComponent,
-    ContourIndex,
     GridTooLargeError,
     IllConditionedWarning,
-    IndexOutOfRangeError,
     LevelSystem,
     SingularMatrixError,
     Statistics,
     TimeGrid,
-    build_contour_matrix,
-    contour_branch_signs,
     contour_times,
     discrete_green,
     discrete_partition_function,
-    extract_component,
     gf_component,
     oracle_error_bound,
 )
@@ -37,6 +32,12 @@ from conftest import (
     random_hermitian,
     random_system,
     random_unitary,
+)
+from dense_contour import (
+    ContourIndex,
+    IndexOutOfRangeError,
+    build_contour_matrix,
+    extract_component,
 )
 from dense_lu import lu_factorization
 
@@ -93,7 +94,6 @@ def test_contour_times_ordering():
         contour_times(grid),
         [0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0.0],
     )
-    np.testing.assert_allclose(contour_branch_signs(grid), [1, 1, 1, 1, -1, -1, -1, -1])
 
 
 def test_contour_matrix_two_slices_exact():
@@ -185,8 +185,6 @@ def test_grid_cap():
     # The cap bounds the dense (2 N d)^2 arrays; Z builds none.
     system = LevelSystem(1.0, 0.5, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 16)
-    with pytest.raises(GridTooLargeError):
-        build_contour_matrix(system, grid, max_dimension=16)
     with pytest.raises(GridTooLargeError):
         discrete_green(system, grid, max_dimension=16)
     z = discrete_partition_function(system, grid)

@@ -17,9 +17,7 @@ from contourgf import (
     Statistics,
     TimeGrid,
     assemble_report,
-    contour_branch_signs,
     contour_times,
-    continuum_contour_matrix,
     discrete_green,
     discrete_partition_function,
     keldysh_weight,
@@ -42,10 +40,10 @@ def continuum_contour_reference(system, grid):
     """Every block of the continuum prediction from (2N)^2 einsum tensors."""
     d = system.dimension
     tau = contour_times(grid)
-    signs = contour_branch_signs(grid)
+    signs = np.repeat([1.0, -1.0], grid.n_slices)
     props = propagator_stack(system, tau - grid.t_initial)
     free = np.einsum("nab,mcb->nmac", props, props.conj())
-    weight = keldysh_weight(system.nbar, system.statistics)
+    weight = keldysh_weight(system)
     kel = -1j * np.einsum("nab,mcb->nmac", props @ weight, props.conj())
     delta = tau[:, None] - tau[None, :]
     theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
@@ -94,7 +92,7 @@ def test_structure_suite_passes_reference_system():
     assert [c.name for c in checks] == STRUCTURE_CHECK_NAMES
     assert all(c.passed for c in checks)
     # Every threshold is scaled by max|W|, here 1 + 2 * 0.7.
-    scale = float(np.abs(keldysh_weight(system.nbar, system.statistics)).max())
+    scale = float(np.abs(keldysh_weight(system)).max())
     assert all(c.threshold == 1e-12 * scale for c in checks)
 
 
@@ -276,7 +274,7 @@ def test_chebyshev_interior_bounds():
 def test_continuum_contour_matrix_shape_and_symmetry():
     system = LevelSystem(1.0, 0.4, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 4)
-    full = continuum_contour_matrix(system, grid)
+    full = _continuum_rows(system, grid)(0, 2 * grid.n_slices)
     assert full.shape == (8, 8)
     mask = unequal_time_mask(grid, 1)
     assert mask.shape == (8, 8)
@@ -294,9 +292,9 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     grid = TimeGrid(0.0, 1.5, n_slices)
     reference = continuum_contour_reference(system, grid)
     tol = KERNEL_TOL * np.abs(reference).max()
-    assert np.abs(continuum_contour_matrix(system, grid) - reference).max() <= tol
     rows = _continuum_rows(system, grid)
     size = 2 * n_slices
+    assert np.abs(rows(0, size) - reference).max() <= tol
     # Block sizes that leave a short last block.
     for block in (3, 5):
         streamed = np.vstack(
