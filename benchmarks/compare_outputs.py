@@ -1,9 +1,13 @@
 """Compare the CLI output of two ``src/`` trees on every perfbench call.
 
 Builds the calls of all four perfbench workloads (oracle, partition,
-tabulate, structure) for each seed, runs them through ``cli.main`` of
-each tree, one subprocess per tree, and reports per call the exit codes
-and whether the sha256 of standard output is the same::
+tabulate, structure) for each seed, plus two that perfbench does not
+make: the oracle config run as ``verify``, whose report then carries
+the convergence suite and its checks, and the first structure call with
+``--corrupt-keldysh``, whose report fails.  It runs them through
+``cli.main`` of each tree, one subprocess per tree, and reports per
+call the exit codes and whether the sha256 of standard output is the
+same::
 
     python benchmarks/compare_outputs.py OLD_SRC NEW_SRC --seeds 101-110
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -50,6 +55,28 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def seed_calls(seed: int, size: str) -> list[tuple[str, object]]:
+    """``(workload, call)`` of every perfbench call for ``seed``, then the
+    oracle config as ``verify`` and the first structure call corrupted."""
+    from workloads import WORKLOADS, build_calls
+
+    calls = [(w, call) for w in WORKLOADS for call in build_calls(w, seed, size)]
+    oracle = build_calls("oracle", seed, size)[0]
+    structure = build_calls("structure", seed, size)[0]
+    return calls + [
+        (
+            "oracle",
+            dataclasses.replace(oracle, label="verify-oracle", command="verify"),
+        ),
+        (
+            "structure",
+            dataclasses.replace(
+                structure, label="verify-corrupt", extra=("--corrupt-keldysh",)
+            ),
+        ),
+    ]
+
+
 def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
     """Run every call in this process against the package in ``src``;
     one record per call with its exit code, stdout digest and the file
@@ -57,37 +84,35 @@ def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(1, str(WORKLOADS_DIR))
     from contourgf import cli
-    from workloads import WORKLOADS, build_calls
 
     records = []
     outputs = tempfile.mkdtemp(prefix="compare_outputs_")
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
         for seed in seeds:
-            for workload in WORKLOADS:
-                for call in build_calls(workload, seed, size):
-                    with open(config_path, "w", encoding="utf-8") as handle:
-                        json.dump(call.config, handle)
-                    buffer = io.BytesIO()
-                    stdout = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
-                        io.StringIO()
-                    ):
-                        code = cli.main(call.argv(config_path))
-                    stdout.flush()
-                    output = os.path.join(outputs, f"{len(records)}.out")
-                    with open(output, "wb") as handle:
-                        handle.write(buffer.getvalue())
-                    records.append(
-                        {
-                            "seed": seed,
-                            "workload": workload,
-                            "label": call.label,
-                            "exit": code,
-                            "sha256": hashlib.sha256(buffer.getvalue()).hexdigest(),
-                            "output": output,
-                        }
-                    )
+            for workload, call in seed_calls(seed, size):
+                with open(config_path, "w", encoding="utf-8") as handle:
+                    json.dump(call.config, handle)
+                buffer = io.BytesIO()
+                stdout = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
+                    io.StringIO()
+                ):
+                    code = cli.main(call.argv(config_path))
+                stdout.flush()
+                output = os.path.join(outputs, f"{len(records)}.out")
+                with open(output, "wb") as handle:
+                    handle.write(buffer.getvalue())
+                records.append(
+                    {
+                        "seed": seed,
+                        "workload": workload,
+                        "label": call.label,
+                        "exit": code,
+                        "sha256": hashlib.sha256(buffer.getvalue()).hexdigest(),
+                        "output": output,
+                    }
+                )
     return records
 
 

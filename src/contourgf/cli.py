@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,9 +48,7 @@ from .core import (
 from .discrete import discrete_partition_function
 from .verify import (
     DEFAULT_THRESHOLD,
-    KELDYSH_SIGN_FLIP,
     assemble_report,
-    oracle_checks,
     run_oracle_suite,
     run_structure_suite,
 )
@@ -178,9 +176,14 @@ def _parse_matrix(value, name: str) -> np.ndarray:
         try:
             real = np.array(value.get("re", 0), dtype=float)
             imag = np.array(value.get("im", 0), dtype=float)
-            return real + 1j * imag
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name} is not a numeric matrix: {exc}") from exc
+        # A lone part means the other is zero; two parts must not broadcast.
+        if "re" in value and "im" in value and real.shape != imag.shape:
+            raise ConfigError(
+                f"{name}.re has shape {real.shape} but {name}.im has shape {imag.shape}"
+            )
+        return real + 1j * imag
     raise ConfigError(f"{name} must be a number, a nested list, or re/im parts")
 
 
@@ -562,30 +565,28 @@ def cmd_converge(config: RunConfig) -> int:
             )
         text = "\n".join(lines)
     else:
-        text = json.dumps({"schema": 1, **report.to_dict()}, indent=2)
+        text = json.dumps({"schema": 1, **asdict(report)}, indent=2)
     _write_output(text, config.output_path)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, corruption: str | None) -> int:
+def cmd_verify(config: RunConfig, corrupt_keldysh: bool) -> int:
     # The oracle suite runs first, so that a grid over the cap is refused
     # before any other work; the report order does not depend on it.
     convergence = None
-    extra = None
     if len(config.n_slices_list) >= 2:
         convergence = run_oracle_suite(
             config.system, config.grids(), config.max_dimension
         )
-        extra = oracle_checks(convergence)
     structure = run_structure_suite(
         config.system,
         t_initial=config.t_initial,
         t_final=config.t_final,
         seed=config.seed,
         threshold=config.threshold,
-        corruption=corruption,
+        corrupt_keldysh=corrupt_keldysh,
     )
-    report = assemble_report(structure, convergence, extra)
+    report = assemble_report(structure, convergence)
     _write_output(json.dumps(report, indent=2), config.output_path)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
@@ -632,10 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "converge":
             code = cmd_converge(config)
         else:
-            corruption = (
-                KELDYSH_SIGN_FLIP if getattr(args, "corrupt_keldysh", False) else None
-            )
-            code = cmd_verify(config, corruption)
+            code = cmd_verify(config, args.corrupt_keldysh)
         # Flushed here, so that a closed stdout is caught here too.
         sys.stdout.flush()
         return code

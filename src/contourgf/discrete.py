@@ -107,16 +107,17 @@ class _Factorization:
     """D' reduced to its transfer eigenvalues and the d x d matrix A'.
 
     ``a_inverse`` is ``A'^{-1} V^dag M V``, the factor every block of G
-    shares, and ``det D' = exp(log_det) 2**exponent``.
+    shares, on a grid of ``n_slices`` slices; ``partition_function`` is
+    ``det(D')^{-zeta}``.
     """
 
     basis: np.ndarray
     log_forward: np.ndarray
     log_backward: np.ndarray
     a_inverse: np.ndarray
-    log_det: complex
-    exponent: int
+    n_slices: int
     condition: float
+    partition_function: complex
 
 
 def contour_times(grid: TimeGrid) -> np.ndarray:
@@ -244,14 +245,16 @@ def _inverse_norm(
 
 
 def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
-    """Reduce D' to its transfer eigenvalues and factor A'.
+    """Reduce D' to its transfer eigenvalues, factor A' and take Z from
+    the determinant.
 
     Raises :class:`~contourgf.core.SingularMatrixError` when the smallest
     singular value of A', each row scaled by the largest entry of that
-    row of the first block row of D', falls to roundoff, and warns with
+    row of the first block row of D', falls to roundoff, warns with
     :class:`~contourgf.core.IllConditionedWarning` when the condition
     estimate (see :class:`DiscreteGf`) exceeds ``CONDITION_WARN`` (1e12;
-    infinite once ``A'^{-1}`` overflows).
+    infinite once ``A'^{-1}`` overflows), and then raises
+    ``FloatingPointError`` when Z overflows.
     The forward generator gets its own ``eigh``, not the stored one of
     ``epsilon``, so that this route uses the entries of D' and nothing
     else.
@@ -336,24 +339,21 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
             IllConditionedWarning,
             stacklevel=3,
         )
+    # Z = det(D')^{-zeta} with det D' = exp(log_det) 2**exponent.
     exponent = int(np.sum(shift - own))
-    return _Factorization(
-        basis, log_forward, log_backward, a_inverse, log_det, exponent, condition
-    )
-
-
-def _partition_function(fac: _Factorization, system: LevelSystem) -> complex:
     zeta = system.statistics.zeta
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.exp(-zeta * fac.log_det)
-        parts = np.ldexp([z.real, z.imag], -zeta * fac.exponent)
+        z = np.exp(-zeta * log_det)
+        parts = np.ldexp([z.real, z.imag], -zeta * exponent)
     z = complex(*parts)
     if not cmath.isfinite(z):
         raise FloatingPointError(
-            f"partition function overflows: log det D' = {fac.log_det:.6g} "
-            f"+ {fac.exponent} log 2"
+            f"partition function overflows: log det D' = {log_det:.6g} "
+            f"+ {exponent} log 2"
         )
-    return z
+    return _Factorization(
+        basis, log_forward, log_backward, a_inverse, n, condition, z
+    )
 
 
 def _upper_toeplitz(log_transfer: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
@@ -375,7 +375,7 @@ def _upper_toeplitz(log_transfer: np.ndarray, basis: np.ndarray, n: int) -> np.n
     return window[:, ::-1].transpose(1, 0, 2)
 
 
-def _green_rows(fac: _Factorization, n: int):
+def _green_rows(fac: _Factorization):
     """Kernel for contour rows of G from one factorization.
 
     Block (j, k) of G is a rank-d product over all blocks plus, for
@@ -392,6 +392,7 @@ def _green_rows(fac: _Factorization, n: int):
     basis = fac.basis
     basis_h = basis.conj().T
     d = basis.shape[0]
+    n = fac.n_slices
     # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
     # G exceeds d^2 max|a_inverse| + d.
     if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
@@ -455,10 +456,8 @@ def discrete_green(
     """
     _check_dimension(system, grid, max_dimension)
     fac = _factor(system, grid)
-    z = _partition_function(fac, system)
-    n = grid.n_slices
-    matrix = _green_rows(fac, n)(0, 2 * n)
-    return DiscreteGf(matrix, grid, system, fac.condition, z)
+    matrix = _green_rows(fac)(0, 2 * grid.n_slices)
+    return DiscreteGf(matrix, grid, system, fac.condition, fac.partition_function)
 
 
 def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
@@ -474,6 +473,5 @@ def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
     :class:`~contourgf.core.SingularMatrixError` when A' is singular to
     roundoff and ``FloatingPointError`` when Z overflows.
     """
-    fac = _factor(system, grid)
-    return _partition_function(fac, system)
+    return _factor(system, grid).partition_function
 

@@ -5,15 +5,16 @@ deterministic sample of time pairs and checks the exact relations they
 must satisfy (causality, the equal-time jump, conjugation, Keldysh
 anti-Hermiticity, the vanishing rotated block, thermal proportionality
 where defined, the contour boundary conditions, and consistency of the
-solved constants).  The oracle suite compares the closed forms against
-the independently built discrete contour inverse on a sequence of grids
-and fits the convergence order.  Along a contour row the closed forms
-are one rank-d product with the greater weight for the columns before
-the row and one with the lesser weight for the columns after it, and the
-discrete inverse is a rank-d product plus a block-Toeplitz term, so the
-suite computes both in blocks of contour rows and compares them block by
+solved constants), each on one table per component and orientation.
+The oracle suite compares the closed forms against the independently
+built discrete contour inverse on a sequence of grids and fits the
+convergence order.  Along a contour row the closed forms are one rank-d
+product with the greater weight for the columns before the row and one
+with the lesser weight for the columns after it, and the discrete
+inverse is a rank-d product plus a block-Toeplitz term, so the suite
+computes both in blocks of contour rows and compares them block by
 block: per grid it costs O((N d)^2 d) time and the memory of a few row
-blocks, independent of N.
+blocks, independent of N.  Reports serialize from their dataclasses.
 
 Both suites are deterministic given their seed.
 """
@@ -21,7 +22,7 @@ Both suites are deterministic given their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,13 +42,7 @@ from .continuum import (
     rotated_block_layout,
     solution_from_constants,
 )
-from .discrete import (
-    _check_dimension,
-    _factor,
-    _green_rows,
-    _partition_function,
-    contour_times,
-)
+from .discrete import _check_dimension, _factor, _green_rows, contour_times
 
 __all__ = [
     "CheckResult",
@@ -62,7 +57,6 @@ __all__ = [
 DEFAULT_THRESHOLD = 1e-12
 # Below this error floor a convergence-order fit is meaningless.
 ORDER_FLOOR = 1e-12
-KELDYSH_SIGN_FLIP = "keldysh_sign_flip"
 # Complex entries per row block of the streamed oracle comparison (at
 # least one contour row): 1 MiB.  A few block-sized temporaries set the
 # comparison's memory, whatever the grid.
@@ -71,29 +65,21 @@ ORACLE_BLOCK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one structure check.
+    """Outcome of one structure check; its fields in order are the keys
+    of its report entry.
 
     ``passed`` is derived: it is true exactly when ``observed`` does not
     exceed ``threshold``.
     """
 
     name: str
+    passed: bool = field(init=False)
     observed: float
     threshold: float
     details: str = ""
-    passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passed", bool(self.observed <= self.threshold))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "details": self.details,
-        }
 
 
 @dataclass(frozen=True)
@@ -112,22 +98,12 @@ class ConvergenceReport:
     fitted_order: float | None
     details: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "grid_sizes": list(self.grid_sizes),
-            "errors": list(self.errors),
-            "error_bounds": list(self.error_bounds),
-            "partition_deviations": list(self.partition_deviations),
-            "fitted_order": self.fitted_order,
-            "details": self.details,
-        }
-
 
 def _worst(values) -> float:
-    """Largest of ``values``, NaN if any is NaN: Python's ``max`` keeps
-    whichever of a NaN and a number comes first."""
+    """Largest of ``values``, 0 for none, NaN if any is NaN: Python's
+    ``max`` keeps whichever of a NaN and a number comes first."""
     values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def chebyshev_interior(t_initial: float, t_final: float, count: int) -> np.ndarray:
@@ -138,28 +114,6 @@ def chebyshev_interior(t_initial: float, t_final: float, count: int) -> np.ndarr
     return np.sort(mid + half * np.cos((2 * k + 1) * math.pi / (2 * count)))
 
 
-def _component_tables(system, t_row, t_col, t_ref):
-    """R, A and K tables over t_row x t_col."""
-    return tuple(
-        component_table(system, t_row, t_col, comp, t_ref)
-        for comp in (
-            KeldyshComponent.RETARDED,
-            KeldyshComponent.ADVANCED,
-            KeldyshComponent.KELDYSH,
-        )
-    )
-
-
-def _corrupt(kel, t_row, t_col, corruption):
-    """The Keldysh table with the requested test corruption applied."""
-    if corruption == KELDYSH_SIGN_FLIP:
-        flip = (np.asarray(t_row)[:, None] > np.asarray(t_col)[None, :])
-        return np.where(flip[:, :, None, None], -kel, kel)
-    if corruption is not None:
-        raise ValueError(f"unknown corruption {corruption!r}")
-    return kel
-
-
 def run_structure_suite(
     system: LevelSystem,
     *,
@@ -167,26 +121,28 @@ def run_structure_suite(
     t_final: float = 1.0,
     seed: int = 0,
     threshold: float = DEFAULT_THRESHOLD,
-    corruption: str | None = None,
+    corrupt_keldysh: bool = False,
 ) -> list[CheckResult]:
     """Run all structure checks on a deterministic sample of time pairs.
 
     The sample crosses seven Chebyshev-spaced interior column times with
-    the two endpoints plus three seeded interior row times.  Every check
-    compares with ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta
-    nbar^T`` the Keldysh weight, and reports that scaled value as its
-    threshold: the roundoff of the checks that multiply by W grows with
-    it.  The sampled times are offsets from ``t_initial``, so the
-    checks do not depend on where the span lies on the time axis.
-    Results are sorted by check name.  ``corruption`` is a test hook
-    that flips the sign of the Keldysh component for t > t' before the
-    checks run.
+    the two endpoints plus three seeded interior row times.  R, A and K
+    are tabulated once over row times by column times, and A and K once
+    the other way round; each check reads its components there and
+    reports the largest entry of its deviations.  Every check compares
+    with ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta nbar^T`` the
+    Keldysh weight, and reports that scaled value as its threshold: the
+    roundoff of the checks that multiply by W grows with it.  The
+    sampled times are offsets from ``t_initial``, so the checks do not
+    depend on where the span lies on the time axis.  Results are sorted
+    by check name.  ``corrupt_keldysh`` is a test hook that flips the
+    sign of the Keldysh component for t > t' before the checks run; the
+    solved constants are still compared with the uncorrupted one.
     """
+    ret, adv, kel, zero = KeldyshComponent  # in definition order
     weight = keldysh_weight(system)
     threshold = threshold * max(1.0, max_abs(weight))
     rng = np.random.default_rng(seed)
-    d = system.dimension
-    eye = np.eye(d)
     # The closed forms depend on the times only through t - t' and
     # t - t_initial, so the samples are offsets from t_initial: absolute
     # times far from zero would round them together.
@@ -195,47 +151,55 @@ def run_structure_suite(
     t_interior = np.sort(span * rng.uniform(0.05, 0.95, size=3))
     t_row = np.concatenate([[0.0], t_interior, [span]])
 
-    ret, adv, clean_kel = _component_tables(system, t_row, t_col, 0.0)
-    ret_rev, adv_rev, kel_rev = _component_tables(system, t_col, t_row, 0.0)
-    kel = _corrupt(clean_kel, t_row, t_col, corruption)
-    kel_rev = _corrupt(kel_rev, t_col, t_row, corruption)
+    d = system.dimension
     delta = t_row[:, None] - t_col[None, :]
+    forward = {
+        c: component_table(system, t_row, t_col, c, 0.0) for c in (ret, adv, kel)
+    }
+    # One zero block, which broadcasts against any table or table row.
+    forward[zero] = np.zeros((1, 1, d, d))
+    clean = dict(forward)  # constant_fixing reads the uncorrupted K
+    # backward[c][i, j] is component c at (t_col[j], t_row[i]).
+    backward = {
+        c: component_table(system, t_col, t_row, c, 0.0).transpose(1, 0, 2, 3)
+        for c in (adv, kel)
+    }
+    if corrupt_keldysh:
+        # Flip the sign of K(t, t') for t > t' in both orientations.
+        for table, later in ((forward, delta > 0), (backward, delta < 0)):
+            table[kel] = np.where(later[:, :, None, None], -table[kel], table[kel])
     results = []
 
+    def check(name, deviations, details=""):
+        observed = _worst(map(max_abs, deviations))
+        results.append(CheckResult(name, observed, threshold, details))
+
     # Causality: retarded vanishes for t < t', advanced for t > t'.
-    later = delta > 0
-    earlier = delta < 0
-    obs = _worst([max_abs(ret[earlier]), max_abs(adv[later])])
-    results.append(CheckResult("causality", obs, threshold))
+    check("causality", (forward[ret][delta < 0], forward[adv][delta > 0]))
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.
-    diag = component_table(
-        system, t_row, t_row, KeldyshComponent.RETARDED, 0.0
-    ) - component_table(system, t_row, t_row, KeldyshComponent.ADVANCED, 0.0)
+    diag = component_table(system, t_row, t_row, ret, 0.0) - component_table(
+        system, t_row, t_row, adv, 0.0
+    )
     idx = np.arange(t_row.size)
-    obs = float(np.abs(diag[idx, idx] + 1j * eye).max())
-    results.append(CheckResult("equal_time_jump", obs, threshold))
+    check("equal_time_jump", [diag[idx, idx] + 1j * np.eye(d)])
 
     # Conjugation: R(t,t')^dag = A(t',t).
-    obs = float(
-        np.abs(np.conjugate(np.swapaxes(ret, 2, 3)) - adv_rev.transpose(1, 0, 2, 3)).max()
-    )
-    results.append(CheckResult("conjugation", obs, threshold))
+    check("conjugation", [forward[ret].conj().swapaxes(2, 3) - backward[adv]])
 
     # Keldysh anti-Hermiticity: K(t,t')^dag = -K(t',t).
-    obs = float(
-        np.abs(np.conjugate(np.swapaxes(kel, 2, 3)) + kel_rev.transpose(1, 0, 2, 3)).max()
+    check(
+        "keldysh_antihermiticity", [forward[kel].conj().swapaxes(2, 3) + backward[kel]]
     )
-    results.append(CheckResult("keldysh_antihermiticity", obs, threshold))
 
     # The rotated zero block, assembled from the branch components.
     combo = {}
-    for comp in ContourComponent:
-        s_row = comp.row_branch.sign
-        s_col = comp.col_branch.sign
-        combo[comp.value] = (kel + s_col * ret + s_row * adv) / 2.0
-    zero = (combo["++"] + combo["--"] - combo["+-"] - combo["-+"]) / 2.0
-    results.append(CheckResult("zero_block", float(np.abs(zero).max()), threshold))
+    for c in ContourComponent:
+        s_row, s_col = c.row_branch.sign, c.col_branch.sign
+        combo[c.value] = (
+            forward[kel] + s_col * forward[ret] + s_row * forward[adv]
+        ) / 2.0
+    check("zero_block", [(combo["++"] + combo["--"] - combo["+-"] - combo["-+"]) / 2.0])
 
     # Thermal proportionality K = (R - A) (1 + 2 zeta nbar^T), defined
     # only when the occupation commutes with the energy matrix (the
@@ -244,70 +208,38 @@ def run_structure_suite(
     comm = max_abs(system.epsilon @ system.nbar - system.nbar @ system.epsilon)
     comm_t = max_abs(system.epsilon @ system.nbar.T - system.nbar.T @ system.epsilon)
     if comm <= 1e-12 and comm_t <= 1e-12:
-        mask = delta != 0
-        diff = kel - (ret - adv) @ weight
-        obs = float(np.abs(diff[mask]).max()) if mask.any() else 0.0
-        results.append(CheckResult("fdt_proportionality", obs, threshold))
+        diff = forward[kel] - (forward[ret] - forward[adv]) @ weight
+        check("fdt_proportionality", [diff[delta != 0]])
     else:
-        results.append(
-            CheckResult(
-                "fdt_proportionality",
-                0.0,
-                threshold,
-                details=(
-                    "not applicable: occupation does not commute with the "
-                    f"energy matrix (max |[eps, nbar]| = {comm:.3e})"
-                ),
-            )
+        check(
+            "fdt_proportionality",
+            [],
+            "not applicable: occupation does not commute with the energy "
+            f"matrix (max |[eps, nbar]| = {comm:.3e})",
         )
 
     # Boundary conditions: the second rotated row vanishes at the final
     # time; at the initial time the first row is -(1 + 2 zeta nbar^T)
     # times the second.
     layout = rotated_block_layout(system.statistics)
-
-    def layout_value(row_idx, col_idx, table_row):
-        comp = layout[row_idx][col_idx]
-        if comp is KeldyshComponent.RETARDED:
-            return ret[table_row]
-        if comp is KeldyshComponent.ADVANCED:
-            return adv[table_row]
-        if comp is KeldyshComponent.KELDYSH:
-            return kel[table_row]
-        return np.zeros_like(ret[table_row])
-
-    final_row = t_row.size - 1
-    obs_final = _worst(
-        max_abs(layout_value(1, col_idx, final_row)) for col_idx in range(2)
-    )
-    results.append(CheckResult("boundary_final", obs_final, threshold))
-
-    obs_initial = _worst(
-        max_abs(layout_value(0, col_idx, 0) + weight @ layout_value(1, col_idx, 0))
-        for col_idx in range(2)
-    )
-    results.append(CheckResult("boundary_initial", obs_initial, threshold))
+    first, second = ([forward[c] for c in row] for row in layout)
+    check("boundary_final", (table[-1] for table in second))
+    check("boundary_initial", (a[0] + weight @ b[0] for a, b in zip(first, second)))
 
     # Solved constants reproduce the uncorrupted closed forms at every
     # position.
     constants = fix_constants(system)
-    direct = {
-        KeldyshComponent.RETARDED: ret,
-        KeldyshComponent.ADVANCED: adv,
-        KeldyshComponent.KELDYSH: clean_kel,
-        KeldyshComponent.ZERO: 0.0,
-    }
-    obs = _worst(
-        max_abs(
+    check(
+        "constant_fixing",
+        (
             solution_from_constants(
-                system, constants, row_idx, col_idx, t_row, t_col, t_ref=0.0
+                system, constants, row, col, t_row, t_col, t_ref=0.0
             )
-            - direct[layout[row_idx][col_idx]]
-        )
-        for row_idx in range(2)
-        for col_idx in range(2)
+            - clean[layout[row][col]]
+            for row in range(2)
+            for col in range(2)
+        ),
     )
-    results.append(CheckResult("constant_fixing", obs, threshold))
 
     return sorted(results, key=lambda r: r.name)
 
@@ -449,15 +381,14 @@ def run_oracle_suite(
     deviations = []
     for grid in grids:
         fac = _factor(system, grid)
-        z = _partition_function(fac, system)
-        error = _unequal_time_error(system, grid, _green_rows(fac, grid.n_slices))
+        error = _unequal_time_error(system, grid, _green_rows(fac))
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"oracle error on {grid.n_slices} slices is {error!r}"
             )
         errors.append(error)
         bounds.append(oracle_error_bound(system, grid))
-        deviations.append(float(abs(z - 1.0)))
+        deviations.append(float(abs(fac.partition_function - 1.0)))
     if max(errors) < ORDER_FLOOR:
         order = None
         details = "errors at roundoff floor; order fit not applicable"
@@ -466,18 +397,14 @@ def run_oracle_suite(
         order = float(-slope)
         details = ""
     return ConvergenceReport(
-        tuple(sizes),
-        tuple(errors),
-        tuple(bounds),
-        tuple(deviations),
-        order,
-        details,
+        tuple(sizes), tuple(errors), tuple(bounds), tuple(deviations), order, details
     )
 
 
 def oracle_checks(report: ConvergenceReport) -> list[CheckResult]:
     """Pass/fail view of a convergence report for exit-code decisions."""
-    checks = [
+    order = report.fitted_order
+    return [
         CheckResult(
             f"oracle_error_n{size}",
             err,
@@ -485,38 +412,32 @@ def oracle_checks(report: ConvergenceReport) -> list[CheckResult]:
             details="max block deviation vs closed forms, off equal times",
         )
         for size, err, bound in zip(report.grid_sizes, report.errors, report.error_bounds)
+    ] + [
+        CheckResult(
+            "oracle_order",
+            0.0 if order is None else abs(order - 1.0),
+            0.2,
+            details=(
+                "not applicable: " + report.details
+                if order is None
+                else f"fitted order {order:.4f}"
+            ),
+        )
     ]
-    if report.fitted_order is None:
-        checks.append(
-            CheckResult(
-                "oracle_order",
-                0.0,
-                0.2,
-                details="not applicable: " + report.details,
-            )
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "oracle_order",
-                abs(report.fitted_order - 1.0),
-                0.2,
-                details=f"fitted order {report.fitted_order:.4f}",
-            )
-        )
-    return checks
 
 
 def assemble_report(
     structure: list[CheckResult],
     convergence: ConvergenceReport | None = None,
-    extra_checks: list[CheckResult] | None = None,
 ) -> dict:
-    """Versioned report document for serialization."""
-    checks = list(structure) + list(extra_checks or [])
+    """Versioned report document for serialization: the structure checks,
+    followed by the oracle checks of ``convergence`` when given."""
+    checks = list(structure)
+    if convergence is not None:
+        checks += oracle_checks(convergence)
     return {
         "schema": 1,
-        "checks": [c.to_dict() for c in checks],
-        "convergence": convergence.to_dict() if convergence else None,
+        "checks": [asdict(c) for c in checks],
+        "convergence": asdict(convergence) if convergence is not None else None,
         "passed": all(c.passed for c in checks),
     }

@@ -159,6 +159,27 @@ def test_gf_matrix_epsilon_via_nested_lists(tmp_path, capsys):
     assert len(lines) == 1 + 25 * 4
 
 
+# Both parts given with different shapes: broadcasting them would make a
+# matrix the config does not write.
+@pytest.mark.parametrize(
+    "parts, shapes",
+    [
+        ({"re": 1, "im": [[0, 0.5], [-0.5, 0]]}, ("()", "(2, 2)")),
+        ({"re": [[1, 1]], "im": [[0], [0]]}, ("(1, 2)", "(2, 1)")),
+    ],
+)
+@pytest.mark.parametrize("field", ["epsilon", "nbar"])
+def test_re_im_parts_of_different_shapes_are_config_error(
+    tmp_path, capsys, field, parts, shapes
+):
+    other = "nbar" if field == "epsilon" else "epsilon"
+    config = write_config(tmp_path, {field: parts, other: [[1.0, 0.0], [0.0, 0.5]]})
+    assert main(["z", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{field}.re has shape {shapes[0]} but {field}.im has shape {shapes[1]}" in err
+
+
 # Components for the byte-identity tests: both bases, two aliases
 # ("11" is R, "qq" the zero block) and the Keldysh weight.
 REFERENCE_COMPONENTS = ["R", "11", "qq", "-+", "K"]
@@ -717,6 +738,28 @@ def test_converge_json(tmp_path, capsys):
     assert doc["schema"] == 1
     assert doc["grid_sizes"] == [16, 32, 64]
     assert 0.8 <= doc["fitted_order"] <= 1.2
+
+
+def test_report_key_order(tmp_path, capsys):
+    convergence_keys = [
+        "grid_sizes",
+        "errors",
+        "error_bounds",
+        "partition_deviations",
+        "fitted_order",
+        "details",
+    ]
+    config = write_config(
+        tmp_path, {"nbar": 0.7, "grid.n_slices": [16, 32], "output.format": "json"}
+    )
+    assert main(["verify", "--config", config]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema", "checks", "convergence", "passed"]
+    for check in doc["checks"]:
+        assert list(check) == ["name", "passed", "observed", "threshold", "details"]
+    assert list(doc["convergence"]) == convergence_keys
+    assert main(["converge", "--config", config]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["schema", *convergence_keys]
 
 
 def test_converge_requires_grid_list(tmp_path, capsys):

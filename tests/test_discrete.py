@@ -213,7 +213,7 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     system = random_system(rng, statistics, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
     dense = discrete_green(system, grid).matrix
-    rows = _green_rows(_factor(system, grid), n_slices)
+    rows = _green_rows(_factor(system, grid))
     total = 2 * n_slices
     block = block or total
     stacked = np.vstack(
