@@ -1,10 +1,12 @@
 """Compare the CLI output of two ``src/`` trees on every perfbench call.
 
 Builds the calls of all four perfbench workloads (oracle, partition,
-tabulate, structure) for each seed, plus two that perfbench does not
+tabulate, structure) for each seed, plus four that perfbench does not
 make: the oracle config run as ``verify``, whose report then carries
-the convergence suite and its checks, and the first structure call with
-``--corrupt-keldysh``, whose report fails.  It runs them through
+the convergence suite and its checks, the first structure call with
+``--corrupt-keldysh``, whose report fails, and the partition config as
+``z`` and the oracle config as ``converge``, both with ``--output.format
+csv``, so that the CSV writers of both commands are compared too.  It runs them through
 ``cli.main`` of each tree, one subprocess per tree, and reports per
 call the exit codes and whether the sha256 of standard output is the
 same::
@@ -57,12 +59,15 @@ def parse_seeds(text: str) -> list[int]:
 
 def seed_calls(seed: int, size: str) -> list[tuple[str, object]]:
     """``(workload, call)`` of every perfbench call for ``seed``, then the
-    oracle config as ``verify`` and the first structure call corrupted."""
+    oracle config as ``verify``, the first structure call corrupted and
+    the partition and oracle calls as CSV."""
     from workloads import WORKLOADS, build_calls
 
     calls = [(w, call) for w in WORKLOADS for call in build_calls(w, seed, size)]
     oracle = build_calls("oracle", seed, size)[0]
     structure = build_calls("structure", seed, size)[0]
+    partition = build_calls("partition", seed, size)[0]
+    csv = ("--output.format", "csv")
     return calls + [
         (
             "oracle",
@@ -74,6 +79,8 @@ def seed_calls(seed: int, size: str) -> list[tuple[str, object]]:
                 structure, label="verify-corrupt", extra=("--corrupt-keldysh",)
             ),
         ),
+        ("partition", dataclasses.replace(partition, label="z-csv", extra=csv)),
+        ("oracle", dataclasses.replace(oracle, label="converge-csv", extra=csv)),
     ]
 
 

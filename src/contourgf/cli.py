@@ -15,6 +15,12 @@ field can be overridden on the command line by its dotted path, for
 example ``--grid.n_slices 64`` or ``--statistics fermion``.  A key
 outside the documented set is a configuration error.
 
+``grid.n_slices`` is a positive integer (an integral float such as
+``64.0`` counts) or a list of them, strictly increasing; ``gf`` takes
+exactly one.  A run is checked before it writes: a configuration error,
+:class:`~contourgf.core.GridTooLargeError` included, writes nothing to
+standard output or to ``output.path``.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical error, 141 (128 + SIGPIPE) when standard output is closed
 before the output is written, as by ``contourgf gf ... | head``.
@@ -23,11 +29,13 @@ before the output is written, as by ``contourgf gf ... | head``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +51,7 @@ from .core import (
     Statistics,
     ThermalDivergenceError,
     TimeGrid,
+    as_complex_matrix,
     max_abs,
 )
 from .discrete import discrete_partition_function
@@ -103,8 +112,7 @@ class RunConfig:
     system: LevelSystem
     t_initial: float
     t_final: float
-    n_slices: int | None
-    n_slices_list: list[int]
+    n_slices: tuple[int, ...]
     output_format: str
     components: list[str]
     output_path: str | None
@@ -112,20 +120,13 @@ class RunConfig:
     threshold: float
     max_dimension: int
 
-    def grid(self) -> TimeGrid:
-        if self.n_slices is None:
-            raise ConfigError("grid.n_slices must be a single integer here")
-        return TimeGrid(self.t_initial, self.t_final, self.n_slices)
-
     def grids(self) -> list[TimeGrid]:
-        sizes = self.n_slices_list
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ConfigError(f"grid.n_slices must be strictly increasing, got {sizes}")
-        return [TimeGrid(self.t_initial, self.t_final, n) for n in sizes]
+        return [TimeGrid(self.t_initial, self.t_final, n) for n in self.n_slices]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(x) -> str:
+    """A CSV cell: an integer as it is, None empty, another number %.17g."""
+    return "" if x is None else str(x) if isinstance(x, int) else f"{x:.17g}"
 
 
 def _contains_bool(value) -> bool:
@@ -209,30 +210,28 @@ def _build_system(raw: dict) -> LevelSystem:
         raise ConfigError("missing field: nbar")
     epsilon = _parse_matrix(raw["epsilon"], "epsilon")
     occ_raw = raw["nbar"]
-    if isinstance(occ_raw, dict) and "mu" in occ_raw:
-        extra = set(occ_raw) - {"mu", "T"}
-        if extra or "T" not in occ_raw:
+    thermal = isinstance(occ_raw, dict) and "mu" in occ_raw
+    if thermal:
+        if set(occ_raw) != {"mu", "T"}:
             raise ConfigError("thermal nbar must be exactly {mu, T}")
         mu = _real(occ_raw["mu"], "nbar.mu")
         temperature = _real(occ_raw["T"], "nbar.T")
-        if temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
-        diag = np.diag(np.diag(epsilon))
-        if max_abs(epsilon - diag) > 0:
-            raise ConfigError(
-                "thermal nbar requires a diagonal epsilon (one energy per level)"
-            )
-        levels = np.diag(epsilon).real
-        occ = np.diag(
-            [thermal_nbar(float(e), mu, temperature, statistics) for e in levels]
-        )
     else:
         occ = _parse_matrix(occ_raw, "nbar")
     try:
-        system = LevelSystem(epsilon, occ, statistics)
+        if thermal:
+            # Square first: np.diag of any other shape is not the levels.
+            levels = np.diag(as_complex_matrix(epsilon, "epsilon")).tolist()
+            if max_abs(epsilon - np.diag(levels)) > 0:
+                raise ConfigError(
+                    "thermal nbar requires a diagonal epsilon (one energy per level)"
+                )
+            occ = np.diag(
+                [thermal_nbar(e.real, mu, temperature, statistics) for e in levels]
+            )
+        return LevelSystem(epsilon, occ, statistics)
     except (ValueError, NonHermitianError, OccupationOutOfRangeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return system
 
 
 def build_run_config(raw: dict) -> RunConfig:
@@ -242,9 +241,7 @@ def build_run_config(raw: dict) -> RunConfig:
     _check_keys(raw, "")
     system = _build_system(raw)
 
-    t_initial, t_final = 0.0, 1.0
-    n_single: int | None = None
-    n_list: list[int] = []
+    t_initial, t_final, n_slices = 0.0, 1.0, ()
     grid_raw = raw.get("grid")
     if grid_raw is not None:
         if not isinstance(grid_raw, dict):
@@ -259,18 +256,16 @@ def build_run_config(raw: dict) -> RunConfig:
         slices = grid_raw.get("n_slices")
         if slices is None:
             raise ConfigError("grid.n_slices is required when grid is present")
-        if isinstance(slices, list):
-            if not slices or not all(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                for n in slices
-            ):
-                raise ConfigError("grid.n_slices list must hold positive integers")
-            n_list = list(slices)
-        elif isinstance(slices, int) and not isinstance(slices, bool) and slices >= 1:
-            n_single = slices
-            n_list = [slices]
-        else:
-            raise ConfigError(f"bad grid.n_slices: {slices!r}")
+        if slices == []:
+            raise ConfigError("grid.n_slices must not be an empty list")
+        n_slices = tuple(
+            _integer(n, "grid.n_slices", 1)
+            for n in (slices if isinstance(slices, list) else [slices])
+        )
+        if any(b <= a for a, b in zip(n_slices, n_slices[1:])):
+            raise ConfigError(
+                f"grid.n_slices must be strictly increasing, got {list(n_slices)}"
+            )
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -306,8 +301,7 @@ def build_run_config(raw: dict) -> RunConfig:
         system=system,
         t_initial=t_initial,
         t_final=t_final,
-        n_slices=n_single,
-        n_slices_list=n_list,
+        n_slices=n_slices,
         output_format=output_format,
         components=list(components),
         output_path=output_path,
@@ -365,22 +359,19 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
         raise ConfigError("config is nested too deeply to validate") from exc
 
 
-def _open_output(path: str):
-    """``path`` opened for writing; one that cannot be is a config error."""
+def _output(path: str | None):
+    """A context manager of standard output, or of ``path`` opened for
+    writing; a path that cannot be opened is a config error naming it."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write output.path {path!r}: {exc.strerror}") from exc
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with _open_output(path) as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
 
 
 # Rows of a component table evaluated at once.  A chunk holds
@@ -389,43 +380,6 @@ def _write_output(text: str, path: str | None) -> None:
 # * d * 16 B: about 32 MiB * d at the default cap of 8192.  The cap is
 # what bounds the memory of gf; the chunking alone would not.
 GF_ROW_CHUNK = 256
-
-
-def _component_chunks(config: RunConfig):
-    """Yield ``(name, first row, table)`` per component and row chunk.
-
-    Components come in config order, each as consecutive chunks of at
-    most ``GF_ROW_CHUNK`` rows of the time grid against all of its
-    times; a table has shape ``(rows, N + 1, d, d)``.  Raises
-    :class:`~contourgf.core.GridTooLargeError` before any evaluation
-    when ``(N + 1) d`` exceeds ``max_dimension``, and
-    ``FloatingPointError`` when a table is not finite.
-    """
-    grid = config.grid()
-    times = grid.times
-    d = config.system.dimension
-    if (grid.n_slices + 1) * d > config.max_dimension:
-        raise GridTooLargeError(
-            f"component table dimension {(grid.n_slices + 1) * d} "
-            f"exceeds cap {config.max_dimension}"
-        )
-    for name in config.components:
-        component = COMPONENT_NAMES[name]
-        for start in range(0, times.size, GF_ROW_CHUNK):
-            table = component_table(
-                config.system,
-                times[start : start + GF_ROW_CHUNK],
-                times,
-                component,
-                grid.t_initial,
-            )
-            if not np.isfinite(table).all():
-                raise FloatingPointError(
-                    f"component {name} is not finite on rows from t = {times[start]:.17g}"
-                )
-            yield name, start, table
-            # Freed before the next chunk is evaluated.
-            del table
 
 
 @dataclass(frozen=True)
@@ -471,58 +425,80 @@ _GF_FORMATS = {
 }
 
 
-def _write_gf(config: RunConfig, handle) -> None:
-    """Write the tables one table row at a time.
+def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
+    """Write the tables of ``grid`` one table row at a time.
 
-    Each time is printed once per grid.  Per component, the record
-    tails of one table row are fixed; per table row, they are joined
-    with the row's time into one template, filled by one ``%`` from the
-    row's interleaved real and imaginary parts, and written as one
-    string.  A whole chunk is never joined, so memory stays at one
-    table plus one row of text.
+    Components come in config order, each evaluated in chunks of at
+    most ``GF_ROW_CHUNK`` rows of the time grid against all of its
+    times; a chunk's table has shape ``(rows, N + 1, d, d)`` and is freed
+    before the next is evaluated.  Each time is printed once per grid.
+    Per component, the record tails of one table row are fixed; per
+    table row, they are joined with the row's time into one template,
+    filled by one ``%`` from the row's interleaved real and imaginary
+    parts, and written as one string.  A whole chunk is never joined, so
+    memory stays at one table plus one row of text.  Raises
+    ``FloatingPointError`` when a table is not finite, after the rows
+    before it.
     """
     fmt = _GF_FORMATS[config.output_format]
-    times = config.grid().times.tolist()
-    stamps = [fmt.time % t for t in times]
+    times = grid.times
+    stamps = [fmt.time % t for t in times.tolist()]
     d = config.system.dimension
     handle.write(fmt.header)
     separator = ""
-    for name, start, table in _component_chunks(config):
-        if start == 0:
-            tails = [
-                fmt.tail.format(t_prime=t_prime, name=name, row=r, col=c)
-                for t_prime in stamps
-                for r in range(d)
-                for c in range(d)
-            ]
-        # One row of interleaved real and imaginary parts per table row.
-        # Neither the table nor this view of it may live on into the
-        # evaluation of the next chunk.
-        parts = table.reshape(len(table), -1).view(np.float64)
-        del table
-        for n, stamp in enumerate(stamps[start : start + len(parts)]):
-            head = fmt.lead + stamp
-            template = head + (fmt.separator + head).join(tails)
-            handle.write(separator + template % tuple(parts[n].tolist()))
-            separator = fmt.separator
-        del parts
+    for name in config.components:
+        tails = [
+            fmt.tail.format(t_prime=t_prime, name=name, row=r, col=c)
+            for t_prime in stamps
+            for r in range(d)
+            for c in range(d)
+        ]
+        for start in range(0, times.size, GF_ROW_CHUNK):
+            table = component_table(
+                config.system,
+                times[start : start + GF_ROW_CHUNK],
+                times,
+                COMPONENT_NAMES[name],
+                grid.t_initial,
+            )
+            if not np.isfinite(table).all():
+                raise FloatingPointError(
+                    f"component {name} is not finite on rows from t = {times[start]:.17g}"
+                )
+            # One row of interleaved real and imaginary parts per table
+            # row.  Neither the table nor this view of it may live on
+            # into the evaluation of the next chunk.
+            parts = table.reshape(len(table), -1).view(np.float64)
+            del table
+            for n, stamp in enumerate(stamps[start : start + len(parts)]):
+                head = fmt.lead + stamp
+                template = head + (fmt.separator + head).join(tails)
+                handle.write(separator + template % tuple(parts[n].tolist()))
+                separator = fmt.separator
+            del parts
     handle.write(fmt.footer)
 
 
 def cmd_gf(config: RunConfig) -> int:
-    if config.output_path is None:
-        _write_gf(config, sys.stdout)
-    else:
-        with _open_output(config.output_path) as handle:
-            _write_gf(config, handle)
+    # Refused before the output is opened, so a refused run writes nothing.
+    if len(config.n_slices) != 1:
+        raise ConfigError("gf requires grid.n_slices as a single integer")
+    (grid,) = config.grids()
+    dimension = (grid.n_slices + 1) * config.system.dimension
+    if dimension > config.max_dimension:
+        raise GridTooLargeError(
+            f"component table dimension {dimension} exceeds cap {config.max_dimension}"
+        )
+    with _output(config.output_path) as handle:
+        _write_gf(config, grid, handle)
     return EXIT_OK
 
 
 def cmd_z(config: RunConfig) -> int:
-    if not config.n_slices_list:
+    if not config.n_slices:
         raise ConfigError("z requires grid.n_slices (integer or list)")
     rows = []
-    for n in config.n_slices_list:
+    for n in config.n_slices:
         grid = TimeGrid(config.t_initial, config.t_final, n)
         z = discrete_partition_function(config.system, grid)
         rows.append(
@@ -534,39 +510,37 @@ def cmd_z(config: RunConfig) -> int:
             }
         )
     if config.output_format == "csv":
-        lines = ["n_slices,z_re,z_im,abs_deviation"]
-        for row in rows:
-            lines.append(
-                f"{row['n_slices']},{_fmt(row['z_re'])},{_fmt(row['z_im'])},"
-                f"{_fmt(row['abs_deviation'])}"
-            )
-        text = "\n".join(lines)
+        text = _csv("n_slices,z_re,z_im,abs_deviation", (r.values() for r in rows))
     else:
         text = json.dumps(rows, indent=2)
-    _write_output(text, config.output_path)
+    with _output(config.output_path) as handle:
+        handle.write(text)
+        handle.write("\n")
     return EXIT_OK
 
 
 def cmd_converge(config: RunConfig) -> int:
-    if len(config.n_slices_list) < 2:
+    if len(config.n_slices) < 2:
         raise ConfigError("converge requires grid.n_slices as a list of >= 2 sizes")
     report = run_oracle_suite(config.system, config.grids(), config.max_dimension)
     if config.output_format == "csv":
-        lines = ["n_slices,error,error_bound,partition_deviation,fitted_order"]
-        order = "" if report.fitted_order is None else _fmt(report.fitted_order)
-        for size, err, bound, dev in zip(
-            report.grid_sizes,
-            report.errors,
-            report.error_bounds,
-            report.partition_deviations,
-        ):
-            lines.append(
-                f"{size},{_fmt(err)},{_fmt(bound)},{_fmt(dev)},{order}"
-            )
-        text = "\n".join(lines)
+        text = _csv(
+            "n_slices,error,error_bound,partition_deviation,fitted_order",
+            (
+                (*row, report.fitted_order)
+                for row in zip(
+                    report.grid_sizes,
+                    report.errors,
+                    report.error_bounds,
+                    report.partition_deviations,
+                )
+            ),
+        )
     else:
         text = json.dumps({"schema": 1, **asdict(report)}, indent=2)
-    _write_output(text, config.output_path)
+    with _output(config.output_path) as handle:
+        handle.write(text)
+        handle.write("\n")
     return EXIT_OK
 
 
@@ -574,7 +548,7 @@ def cmd_verify(config: RunConfig, corrupt_keldysh: bool) -> int:
     # The oracle suite runs first, so that a grid over the cap is refused
     # before any other work; the report order does not depend on it.
     convergence = None
-    if len(config.n_slices_list) >= 2:
+    if len(config.n_slices) >= 2:
         convergence = run_oracle_suite(
             config.system, config.grids(), config.max_dimension
         )
@@ -587,7 +561,9 @@ def cmd_verify(config: RunConfig, corrupt_keldysh: bool) -> int:
         corrupt_keldysh=corrupt_keldysh,
     )
     report = assemble_report(structure, convergence)
-    _write_output(json.dumps(report, indent=2), config.output_path)
+    with _output(config.output_path) as handle:
+        handle.write(json.dumps(report, indent=2))
+        handle.write("\n")
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
@@ -626,14 +602,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         config = load_config(args.config, overrides)
-        if args.command == "gf":
-            code = cmd_gf(config)
-        elif args.command == "z":
-            code = cmd_z(config)
-        elif args.command == "converge":
-            code = cmd_converge(config)
-        else:
-            code = cmd_verify(config, args.corrupt_keldysh)
+        # Looked up per call, so that a rebinding of a command is seen.
+        code = {
+            "gf": cmd_gf,
+            "z": cmd_z,
+            "converge": cmd_converge,
+            "verify": partial(
+                cmd_verify, corrupt_keldysh=getattr(args, "corrupt_keldysh", False)
+            ),
+        }[args.command](config)
         # Flushed here, so that a closed stdout is caught here too.
         sys.stdout.flush()
         return code

@@ -353,6 +353,53 @@ def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
         assert peak < 2 * table_bytes, (output_format, peak, table_bytes)
 
 
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        pytest.param({"grid.n_slices": [8, 16]}, "ConfigError", id="two-sizes"),
+        pytest.param({"max_dimension": 4}, "GridTooLargeError", id="over-cap"),
+        # Beyond what linspace can allocate.
+        pytest.param({"grid.n_slices": 10**23}, "GridTooLargeError", id="huge"),
+    ],
+)
+@pytest.mark.parametrize("sink", ["stdout", "path"])
+def test_refused_gf_writes_nothing(tmp_path, capsys, overrides, error, sink):
+    out = tmp_path / "table.out"
+    out.write_bytes(b"kept\n")
+    if sink == "path":
+        overrides = {**overrides, "output.path": str(out)}
+    assert main(["gf", "--config", write_config(tmp_path, overrides)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ")
+    assert out.read_bytes() == b"kept\n"
+
+
+def test_refused_gf_formats_no_times(tmp_path, capsys):
+    argv = ["gf", "--config", write_config(tmp_path, {"grid.n_slices": 100_000})]
+    assert main(argv) == 2
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == ""
+    assert peak < 2**20, peak
+
+
+def test_integral_float_slice_counts(tmp_path, capsys):
+    # 8.0 is the integer 8 and [8] is a single size, as with seed.
+    config = write_config(tmp_path, {"nbar": 0.7})
+    outputs = {}
+    for command, text in [
+        ("gf", "8"), ("gf", "8.0"), ("gf", "[8]"), ("z", "[4, 8]"), ("z", "[4.0, 8]")
+    ]:
+        assert main([command, "--config", config, "--grid.n_slices", text]) == 0
+        outputs.setdefault(command, set()).add(capsys.readouterr().out)
+    assert len(outputs["gf"]) == len(outputs["z"]) == 1
+
+
 def test_override_scalar_and_nested(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["gf", "--config", config, "--grid.n_slices", "2"]) == 0
@@ -418,6 +465,15 @@ def test_thermal_config_errors(tmp_path, capsys):
     # Bosonic occupation diverges at eps <= mu.
     config = write_config(tmp_path, {"nbar": {"mu": 2.0, "T": 1.0}})
     assert main(["gf", "--config", config]) == 2
+
+
+@pytest.mark.parametrize("epsilon", ["[1, 2]", "[[[1]]]", "[[1, 2, 3]]"])
+def test_thermal_nbar_with_non_square_epsilon_is_config_error(
+    tmp_path, capsys, epsilon
+):
+    config = write_config(tmp_path, {"nbar": {"mu": 0.0, "T": 1.0}})
+    assert main(["z", "--config", config, "--epsilon", epsilon]) == 2
+    _assert_config_error(capsys.readouterr(), "epsilon")
 
 
 def test_config_validation_errors(tmp_path, capsys):
@@ -762,13 +818,50 @@ def test_report_key_order(tmp_path, capsys):
     assert list(json.loads(capsys.readouterr().out)) == ["schema", *convergence_keys]
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_z_and_converge_csv_cells_are_the_json_numbers(tmp_path, capsys, epsilon):
+    config = write_config(
+        tmp_path, {"epsilon": epsilon, "nbar": 0.7, "grid.n_slices": [4, 8, 16]}
+    )
+
+    def run(command, output_format):
+        argv = [command, "--config", config, "--output.format", output_format]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def cell(x):
+        return "" if x is None else str(x) if isinstance(x, int) else f"{x:.17g}"
+
+    rows = json.loads(run("z", "json"))
+    header, *lines = run("z", "csv").splitlines()
+    assert header == "n_slices,z_re,z_im,abs_deviation"
+    assert lines == [",".join(cell(x) for x in row.values()) for row in rows]
+    if epsilon:
+        # Z is real here; its imaginary part is a negative zero.
+        assert {line.split(",")[2] for line in lines} == {"-0"}
+
+    doc = json.loads(run("converge", "json"))
+    header, *lines = run("converge", "csv").splitlines()
+    assert header == "n_slices,error,error_bound,partition_deviation,fitted_order"
+    columns = zip(
+        doc["grid_sizes"], doc["errors"], doc["error_bounds"], doc["partition_deviations"]
+    )
+    assert lines == [
+        ",".join(cell(x) for x in (*row, doc["fitted_order"])) for row in columns
+    ]
+    assert lines[0].split(",")[0] == "4"
+    # At eps = 0 the discrete inverse is exact and no order is fitted.
+    assert (doc["fitted_order"] is None) == (epsilon == 0.0)
+    assert lines[0].endswith(",") == (epsilon == 0.0)
+
+
 def test_converge_requires_grid_list(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["converge", "--config", config]) == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["converge", "verify"])
+@pytest.mark.parametrize("command", ["z", "converge", "verify"])
 @pytest.mark.parametrize("sizes", [[4, 4], [8, 4]])
 def test_oracle_grid_list_must_increase(tmp_path, capsys, command, sizes):
     config = write_config(tmp_path, {"grid.n_slices": sizes})
@@ -929,6 +1022,11 @@ def test_boolean_epsilon_is_config_error(tmp_path, capsys):
         ("max_dimension", "0"),
         ("threshold", "0"),
         ("threshold", "-1e-12"),
+        ("grid.n_slices", "true"),
+        ("grid.n_slices", "1.5"),
+        ("grid.n_slices", "0"),
+        ("grid.n_slices", "[4, true]"),
+        ("grid.n_slices", "[8, 4]"),
         pytest.param("epsilon", "1" + "0" * 400, id="epsilon-401-digit-integer"),
         pytest.param("nbar", "1" + "0" * 400, id="nbar-401-digit-integer"),
     ],
