@@ -19,7 +19,9 @@ outside the documented set is a configuration error.
 ``64.0`` counts) or a list of them, strictly increasing; ``gf`` takes
 exactly one.  A run is checked before it writes: a configuration error,
 :class:`~contourgf.core.GridTooLargeError` included, writes nothing to
-standard output or to ``output.path``.
+standard output or to ``output.path``.  An output that cannot be
+opened, or that fails while it is written (a full device), is a
+configuration error too, named on stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical error, 141 (128 + SIGPIPE) when standard output is closed
@@ -359,15 +361,25 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
         raise ConfigError("config is nested too deeply to validate") from exc
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    """A context manager of standard output, or of ``path`` opened for
-    writing; a path that cannot be opened is a config error naming it."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
+    """Standard output, or ``path`` opened for writing, flushed at the
+    end.  A path that cannot be opened, or an output that cannot be
+    written (a full device, say), is a config error naming it; a closed
+    standard output raises ``BrokenPipeError``."""
+    name = "standard output" if path is None else f"output.path {path!r}"
     try:
-        return open(path, "w", encoding="utf-8")
+        with (
+            contextlib.nullcontext(sys.stdout)
+            if path is None
+            else open(path, "w", encoding="utf-8")
+        ) as handle:
+            yield handle
+            handle.flush()
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise ConfigError(f"cannot write output.path {path!r}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _csv(header: str, rows) -> str:
@@ -603,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, overrides)
         # Looked up per call, so that a rebinding of a command is seen.
-        code = {
+        return {
             "gf": cmd_gf,
             "z": cmd_z,
             "converge": cmd_converge,
@@ -611,9 +623,6 @@ def main(argv: list[str] | None = None) -> int:
                 cmd_verify, corrupt_keldysh=getattr(args, "corrupt_keldysh", False)
             ),
         }[args.command](config)
-        # Flushed here, so that a closed stdout is caught here too.
-        sys.stdout.flush()
-        return code
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
     except (ConfigError, GridTooLargeError, ThermalDivergenceError) as exc:
@@ -632,9 +641,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     code = main()
-    if code == EXIT_BROKEN_PIPE:
-        # The reader is gone: what is still buffered goes to the null
-        # device, so the flush at exit does not fail again.
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # Standard output takes nothing more (its reader is gone, or its
+        # device is full): what is still buffered goes to the null device,
+        # so the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

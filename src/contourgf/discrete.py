@@ -375,19 +375,46 @@ def _upper_toeplitz(log_transfer: np.ndarray, basis: np.ndarray, n: int) -> np.n
     return window[:, ::-1].transpose(1, 0, 2)
 
 
-def _green_rows(fac: _Factorization):
-    """Kernel for contour rows of G from one factorization.
+def _add_toeplitz(toeplitz, start: int, stop: int, out: np.ndarray) -> None:
+    """Add the within-branch ``[k > j]`` term of G to contour rows
+    start..stop in ``out``, a C-contiguous ``((stop - start) d, 2 N d)``
+    array; ``toeplitz`` holds the views of :func:`_upper_toeplitz` for
+    the forward and the backward branch."""
+    forward, backward = toeplitz
+    n, d, half = forward.shape
+    # Rows start..split are forward, split..stop backward; either range
+    # may be empty.
+    split = min(max(start, n), stop)
+    within = split - start
+    block_rows = out.reshape(stop - start, d, 2 * half)
+    block_rows[:within, :, :half] += forward[start:split]
+    if split < stop:
+        block_rows[within:, :, half:] += backward[split - n : stop - n]
+
+
+@dataclass(frozen=True)
+class _GreenFactors:
+    """Factors of G: block (j, k) is ``left[j] @ right[:, k]``, plus
+    ``forward_rows[j] @ cross[:, k - N]`` for a forward row j and a
+    backward column k, plus the ``toeplitz`` term of
+    :func:`_add_toeplitz`; ``[j]`` is the j-th group of d rows."""
+
+    left: np.ndarray
+    right: np.ndarray
+    forward_rows: np.ndarray
+    cross: np.ndarray
+    toeplitz: tuple[np.ndarray, np.ndarray]
+
+
+def _green_factors(fac: _Factorization) -> _GreenFactors:
+    """Rank-d and Toeplitz factors of G from one factorization.
 
     Block (j, k) of G is a rank-d product over all blocks plus, for
     k > j, the ``[k > j]`` term of the eigenbasis block formula.  That
     term is block Toeplitz within each branch and, across them, a rank-d
-    product of a forward row factor and a backward column factor, which
-    joins the first term's product there.  Returns
-    ``rows(start, stop, out=None)``, which computes contour rows
-    start..stop as a ``((stop - start) d, 2 N d)`` array, into ``out``
-    when given; ``rows(0, 2 N)`` is the dense G.  The kernel itself holds
-    O(N d^2) memory.  Raises ``FloatingPointError`` when an entry of G
-    could overflow.
+    product of a forward row factor and a backward column factor.  The
+    factors hold O(N d^2) memory.  Raises ``FloatingPointError`` when an
+    entry of G could overflow.
     """
     basis = fac.basis
     basis_h = basis.conj().T
@@ -407,31 +434,51 @@ def _green_rows(fac: _Factorization):
     forward_rows = 1j * basis[None, :, :] * np.exp(
         -(n - 1 - steps) * fac.log_forward
     )[:, None, :]
-    forward_rows = forward_rows.reshape(half, d)
-    cols = np.exp(-steps * fac.log_backward)[:, :, None] * basis_h[None, :, :]
-    cross = np.vstack([right[:, half:], cols.transpose(1, 0, 2).reshape(d, half)])
-    forward_toeplitz = _upper_toeplitz(fac.log_forward, basis, n)
-    backward_toeplitz = _upper_toeplitz(fac.log_backward, basis, n)
+    cross = np.exp(-steps * fac.log_backward)[:, :, None] * basis_h[None, :, :]
+    return _GreenFactors(
+        left,
+        right,
+        forward_rows.reshape(half, d),
+        cross.transpose(1, 0, 2).reshape(d, half),
+        (
+            _upper_toeplitz(fac.log_forward, basis, n),
+            _upper_toeplitz(fac.log_backward, basis, n),
+        ),
+    )
+
+
+def _green_rows(fac: _Factorization):
+    """Kernel for contour rows of G from one factorization.
+
+    Returns ``rows(start, stop, out=None)``, which computes contour rows
+    start..stop from the factors of :func:`_green_factors` as a
+    ``((stop - start) d, 2 N d)`` array, into ``out`` when given;
+    ``rows(0, 2 N)`` is the dense G.  Raises ``FloatingPointError`` when
+    an entry of G could overflow.
+    """
+    factors = _green_factors(fac)
+    left, right = factors.left, factors.right
+    n = fac.n_slices
+    d = left.shape[1]
+    half = n * d
+    backward_columns = np.vstack([right[:, half:], factors.cross])
 
     def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        count = stop - start
         # Rows start..split are forward, split..stop backward; either
         # range may be empty.
         split = min(max(start, n), stop)
-        within = split - start
         forward = slice(start * d, split * d)
         if out is None:
-            out = np.empty((count * d, 2 * half), dtype=complex)
-        top, bottom = out[: within * d], out[within * d :]
+            out = np.empty(((stop - start) * d, 2 * half), dtype=complex)
+        top, bottom = out[: (split - start) * d], out[(split - start) * d :]
         np.matmul(left[forward], right[:, :half], out=top[:, :half])
         np.matmul(
-            np.hstack([left[forward], forward_rows[forward]]), cross, out=top[:, half:]
+            np.hstack([left[forward], factors.forward_rows[forward]]),
+            backward_columns,
+            out=top[:, half:],
         )
         np.matmul(left[split * d : stop * d], right, out=bottom)
-        block_rows = out.reshape(count, d, 2 * half)
-        block_rows[:within, :, :half] += forward_toeplitz[start:split]
-        if split < stop:
-            block_rows[within:, :, half:] += backward_toeplitz[split - n : stop - n]
+        _add_toeplitz(factors.toeplitz, start, stop, out)
         return out
 
     return rows

@@ -12,9 +12,11 @@ convergence order.  Along a contour row the closed forms are one rank-d
 product with the greater weight for the columns before the row and one
 with the lesser weight for the columns after it, and the discrete
 inverse is a rank-d product plus a block-Toeplitz term, so the suite
-computes both in blocks of contour rows and compares them block by
-block: per grid it costs O((N d)^2 d) time and the memory of a few row
-blocks, independent of N.  Reports serialize from their dataclasses.
+computes their difference directly, in blocks of contour rows: one
+product of the stacked factors per column segment, written into one
+block buffer, with the equal-time pairs found once per grid.  Per grid
+it costs O((N d)^2 d) time and the memory of one row block and the
+O(N d^2) factors.  Reports serialize from their dataclasses.
 
 Both suites are deterministic given their seed.
 """
@@ -42,7 +44,13 @@ from .continuum import (
     rotated_block_layout,
     solution_from_constants,
 )
-from .discrete import _check_dimension, _factor, _green_rows, contour_times
+from .discrete import (
+    _add_toeplitz,
+    _check_dimension,
+    _factor,
+    _green_factors,
+    contour_times,
+)
 
 __all__ = [
     "CheckResult",
@@ -58,8 +66,9 @@ DEFAULT_THRESHOLD = 1e-12
 # Below this error floor a convergence-order fit is meaningless.
 ORDER_FLOOR = 1e-12
 # Complex entries per row block of the streamed oracle comparison (at
-# least one contour row): 1 MiB.  A few block-sized temporaries set the
-# comparison's memory, whatever the grid.
+# least one contour row): 1 MiB.  The block buffer and the jump on its
+# square, no larger than it, set the comparison's memory with the
+# O(N d^2) factors.
 ORACLE_BLOCK_ENTRIES = 2**16
 
 
@@ -250,8 +259,9 @@ def _contour_offsets(grid: TimeGrid) -> np.ndarray:
     return contour_times(TimeGrid(0.0, grid.t_final - grid.t_initial, grid.n_slices))
 
 
-def _continuum_rows(system: LevelSystem, grid: TimeGrid):
-    """Kernel for contour rows of the continuum prediction.
+def _continuum_factors(system: LevelSystem, grid: TimeGrid):
+    """Row and column factors of the continuum prediction, from the
+    closed forms.
 
     Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
     constant block between two propagators, so block (n, m) of the
@@ -265,72 +275,147 @@ def _continuum_rows(system: LevelSystem, grid: TimeGrid):
     column before the row carries ``W + 1``, twice the greater weight
     ``1 + zeta nbar^T``, a column after it ``W - 1``, twice the lesser
     weight ``zeta nbar^T``, and the row's own column their mean ``W``.
-    Returns ``rows(start, stop, out=None)``, which computes contour rows
-    start..stop as a ``((stop - start) d, 2 N d)`` array, into ``out``
-    (C-contiguous) when given: the columns up to ``stop`` as one rank-d
-    product with the greater weight and those from ``stop`` on as one
-    with the lesser weight, each written in place.  Only the square of
-    columns start..stop, where the ordering changes inside the block,
-    also takes the lesser product, for its columns after the row and
-    for the mean on its diagonal.
+    Returns ``(greater, lesser, right)``: block (n, m) is
+    ``greater[n] @ right[:, m]`` before the row and
+    ``lesser[n] @ right[:, m]`` after it, and ``greater[n] - lesser[n]``
+    is the jump ``-i P_n``.  The row factors are ``(2 N d, d)`` arrays,
+    ``[n]`` the n-th group of d rows, and ``right`` is ``(d, 2 N d)``.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
     props = propagator_stack(system, tau)
+    right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
+    props = props.reshape(-1, d)
     weight = keldysh_weight(system)
     greater = -0.5j * props @ (weight + np.eye(d))
     lesser = -0.5j * props @ (weight - np.eye(d))
-    right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
+    return greater, lesser, right
 
-    def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+
+def _equal_time_pairs(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (n, m) with ``tau_n == tau_m``, sorted by n then m.
+
+    One sort groups the equal times; every member of a group is paired
+    with every member, itself included.
+    """
+    order = np.argsort(tau, kind="stable")
+    ordered = tau[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, tau.size])
+    # Per sorted position, the first position and the size of its group;
+    # each position is repeated once per member of its group.
+    first = np.repeat(starts, sizes)
+    size = np.repeat(sizes, sizes)
+    position = np.repeat(np.arange(tau.size), size)
+    member = np.arange(position.size) - np.repeat(np.cumsum(size) - size, size)
+    row, col = order[position], order[first[position] + member]
+    by_row = np.lexsort((col, row))
+    return row[by_row], col[by_row]
+
+
+def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
+    """Kernel for contour rows of ``G - C``, the discrete inverse of
+    ``fac`` less the continuum prediction.
+
+    Along a block of contour rows, G is a rank-d product over the forward
+    columns and, for forward rows, a rank-2d one over the backward
+    columns (:func:`~contourgf.discrete._green_factors`), and the
+    prediction takes its greater row factor on the columns up to the
+    block's last row and its lesser one after them
+    (:func:`_continuum_factors`).  So between the discrete split ``N d``
+    and the continuum cut ``stop d``, at most three column segments,
+    each segment is one product ``[L_G | L_C] @ [R_G; -R_C]`` written in
+    place.  The block-Toeplitz term of G is added after it, and on the
+    block's square of columns start..stop, where the ordering changes
+    inside the block, the jump ``-i P_n P_m^dag`` from the greater to
+    the lesser weight: in full after the row, half of it on the
+    diagonal.  Returns ``rows(start, stop, out)``, which writes contour
+    rows start..stop into ``out``, a C-contiguous
+    ``((stop - start) d, 2 N d)`` array.  Raises ``FloatingPointError``
+    when an entry of G could overflow.
+    """
+    d = system.dimension
+    n = grid.n_slices
+    half = n * d
+    discrete = _green_factors(fac)
+    greater, lesser, right = _continuum_factors(system, grid)
+    # Column factors [R_G; -R_C; cross], the last zero on the forward
+    # columns, for the row factors [L_G | L_C | forward rows].
+    columns = np.zeros((3 * d, 2 * half), dtype=complex)
+    columns[:d] = discrete.right
+    np.negative(right, out=columns[d : 2 * d])
+    columns[2 * d :, half:] = discrete.cross
+    left, toeplitz = discrete.left, discrete.toeplitz
+    forward_rows = np.zeros_like(left)
+    forward_rows[:half] = discrete.forward_rows
+    # 1 after the row, 1/2 on the diagonal, 0 before it, for the jump on
+    # the square; built for the first block, the largest.
+    weights = np.empty((0, 1, 0))
+
+    def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        nonlocal weights
         count = stop - start
-        if out is None:
-            out = np.empty((count * d, tau.size * d), dtype=complex)
-        low, high = start * d, stop * d
-        greater_rows = greater[start:stop].reshape(count * d, d)
-        lesser_rows = lesser[start:stop].reshape(count * d, d)
-        np.matmul(greater_rows, right[:, :high], out=out[:, :high])
-        np.matmul(lesser_rows, right[:, high:], out=out[:, high:])
-        square = out.reshape(count, d, tau.size, d)[:, :, start:stop]
-        square_after = (lesser_rows @ right[:, low:high]).reshape(count, d, count, d)
-        later = ~np.tri(count, dtype=bool)
-        np.copyto(square, square_after, where=later[:, None, :, None])
-        k = np.arange(count)
-        square[k, :, k] = 0.5 * (square[k, :, k] + square_after[k, :, k])
+        cut = stop * d
+        block = slice(start * d, cut)
+        bounds = sorted({0, half, cut, 2 * half})
+        for low, high in zip(bounds, bounds[1:]):
+            factors = [left[block], (greater if high <= cut else lesser)[block]]
+            if low >= half and start < n:
+                factors.append(forward_rows[block])
+            np.matmul(
+                np.hstack(factors),
+                columns[: len(factors) * d, low:high],
+                out=out[:, low:high],
+            )
+        _add_toeplitz(toeplitz, start, stop, out)
+        if len(weights) < count:
+            steps = np.arange(count)
+            later = (np.repeat(steps, d) >= steps[:, None]).astype(float)
+            later.reshape(count, count, d)[steps, steps] = 0.5
+            weights = later[:, None, :]
+        # With -R_C, (lesser - greater) R_C is the jump -i P_n P_m^dag.
+        jumps = (lesser[block] - greater[block]) @ columns[d : 2 * d, start * d : cut]
+        jumps = jumps.reshape(count, d, count * d)
+        jumps *= weights[:count, :, : count * d]
+        out.reshape(count, d, 2 * half)[:, :, start * d : cut] += jumps
         return out
 
     return rows
 
 
-def _unequal_time_error(system: LevelSystem, grid: TimeGrid, green_rows) -> float:
+def _unequal_time_error(system: LevelSystem, grid: TimeGrid, difference_rows) -> float:
     """Largest |G - continuum| over blocks whose row and column times differ.
 
-    ``green_rows(start, stop, out)`` writes contour rows start..stop of
-    the discrete G into ``out``, as the kernel of :func:`_continuum_rows`
-    does for the prediction.  Equal-time entries (the same-index
-    diagonal and the cross-branch duplicates of one physical time) are
-    excluded: the discrete inverse is contour ordered there while the
-    closed forms carry the symmetric step value.  Both are streamed in
-    blocks of contour rows into two block buffers allocated once, so
-    only one block of each exists at a time and no block is allocated
-    anew.  NaN when any compared entry is NaN.
+    ``difference_rows(start, stop, out)`` writes contour rows start..stop
+    of ``G - C`` into ``out``, as the kernel of :func:`_difference_rows`
+    does.  Equal-time entries (the same-index diagonal and the
+    cross-branch duplicates of one physical time) are excluded: the
+    discrete inverse is contour ordered there while the closed forms
+    carry the symmetric step value.  Their pairs are found once per
+    grid, and each block zeroes its slice of them.  The rows are
+    streamed in blocks into one block buffer allocated once, so no block
+    is allocated anew.  NaN when any compared entry is NaN.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
-    rows = _continuum_rows(system, grid)
-    block = max(1, ORACLE_BLOCK_ENTRIES // (tau.size * d * d))
-    # Block-sized arrays allocated and freed per block would be returned
+    width = tau.size * d
+    block = max(1, ORACLE_BLOCK_ENTRIES // (width * d))
+    starts = np.arange(0, tau.size, block)
+    # The flat positions in G - C of the d x d blocks of the equal-time
+    # pairs, in row order, and where each block of rows begins there.
+    pair_rows, pair_cols = _equal_time_pairs(tau)
+    entries = np.arange(d)[:, None] * width + np.arange(d)
+    flat = ((pair_rows * width + pair_cols) * d)[:, None, None] + entries
+    flat = flat.reshape(-1)
+    edges = np.searchsorted(pair_rows, np.r_[starts, tau.size]) * d * d
+    # A block-sized array allocated and freed per block would be returned
     # to the system and page-faulted back each time.
-    predicted = np.empty((min(block, tau.size) * d, tau.size * d), dtype=complex)
-    discrete = np.empty_like(predicted)
+    buffer = np.empty((min(block, tau.size) * d, width), dtype=complex)
     errors = []
-    for start in range(0, tau.size, block):
+    for start, low, high in zip(starts, edges, edges[1:]):
         stop = min(start + block, tau.size)
-        count = (stop - start) * d
-        diff = rows(start, stop, predicted[:count])
-        diff -= green_rows(start, stop, discrete[:count])
-        row, col = np.nonzero(tau[start:stop, None] == tau[None, :])
-        diff.reshape(stop - start, d, tau.size, d)[row, :, col, :] = 0.0
+        diff = difference_rows(start, stop, buffer[: (stop - start) * d])
+        diff.reshape(-1)[flat[low:high] - start * d * width] = 0.0
         errors.append(max_abs(diff))
     return _worst(errors)
 
@@ -359,10 +444,11 @@ def run_oracle_suite(
     ``FloatingPointError`` when an error, Z or an entry of G is not
     finite, and :class:`~contourgf.core.GridTooLargeError` before any
     grid is factorized when ``2 N d`` of the finest grid exceeds
-    ``max_dimension``.  The discrete inverse and the continuum
-    prediction are compared in blocks of contour rows, so each grid
-    costs O((N d)^2 d) time and the memory of a few row blocks: the cap
-    bounds the work here, not the memory.
+    ``max_dimension``.  The discrete inverse less the continuum
+    prediction is computed in blocks of contour rows
+    (:func:`_difference_rows`), so each grid costs O((N d)^2 d) time and
+    the memory of one row block: the cap bounds the work here, not the
+    memory.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids for a convergence fit")
@@ -381,7 +467,7 @@ def run_oracle_suite(
     deviations = []
     for grid in grids:
         fac = _factor(system, grid)
-        error = _unequal_time_error(system, grid, _green_rows(fac))
+        error = _unequal_time_error(system, grid, _difference_rows(system, grid, fac))
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"oracle error on {grid.n_slices} slices is {error!r}"

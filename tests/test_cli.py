@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import errno
 import json
 import math
 import os
@@ -1176,6 +1177,70 @@ def test_closed_pipe_process_has_no_traceback(tmp_path, command, n_slices):
         os.close(write_end)
     assert result.returncode == 141
     assert result.stderr == ""
+
+
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+class _FullDevice:
+    """A standard output on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, NO_SPACE)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, NO_SPACE)
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full"
+)
+
+
+@pytest.mark.parametrize("to_path", [False, pytest.param(True, marks=needs_dev_full)])
+@pytest.mark.parametrize("command", ["gf", "z", "verify", "converge"])
+def test_full_output_is_config_error(tmp_path, capsys, monkeypatch, command, to_path):
+    argv = [command, "--config", write_config(tmp_path, {"grid.n_slices": [4, 8]})]
+    if command == "gf":
+        argv += ["--grid.n_slices", "4"]
+    if to_path:
+        argv += ["--output.path", "/dev/full"]
+    else:
+        monkeypatch.setattr(sys, "stdout", _FullDevice())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    target = "output.path '/dev/full'" if to_path else "standard output"
+    _assert_config_error(captured, target, NO_SPACE)
+    assert captured.err.count("\n") == 1
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "command, n_slices",
+    # gf writes more than a buffer holds; z writes once, at the end.
+    [("gf", 200), ("z", [4, 8])],
+)
+@pytest.mark.parametrize("to_path", [False, True])
+def test_full_device_process_has_no_traceback(tmp_path, command, n_slices, to_path):
+    config = write_config(tmp_path, {"grid.n_slices": n_slices, "nbar": 0.7})
+    argv = [sys.executable, "-m", "contourgf.cli", command, "--config", config]
+    if to_path:
+        argv += ["--output.path", "/dev/full"]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            argv,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=False,
+            env={
+                **os.environ,
+                "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            },
+        )
+    assert result.returncode == 2
+    target = "output.path '/dev/full'" if to_path else "standard output"
+    assert result.stderr == f"error: ConfigError: cannot write {target}: {NO_SPACE}\n"
 
 
 def test_occupation_slack_is_fixed(tmp_path, capsys):

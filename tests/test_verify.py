@@ -26,9 +26,10 @@ from contourgf import (
     run_oracle_suite,
     run_structure_suite,
 )
-from contourgf import verify
+from contourgf import discrete, verify
 from contourgf.core import propagator_stack
-from contourgf.verify import _continuum_rows, chebyshev_interior
+from contourgf.discrete import _factor, _upper_toeplitz
+from contourgf.verify import chebyshev_interior
 
 from conftest import random_system, random_unitary
 
@@ -54,6 +55,19 @@ def continuum_contour_reference(system, grid):
     ) / 2.0
     total = 2 * grid.n_slices * d
     return full.transpose(0, 2, 1, 3).reshape(total, total)
+
+
+def continuum_from_factors(system, grid):
+    """The dense continuum prediction from ``_continuum_factors``: the
+    greater product before the row, the lesser one after it and their
+    mean on the diagonal."""
+    greater, lesser, right = verify._continuum_factors(system, grid)
+    steps = np.arange(2 * grid.n_slices)
+    order = np.sign(steps[:, None] - steps[None, :])
+    greater_share = np.kron(
+        0.5 * (1.0 + order), np.ones((system.dimension, system.dimension))
+    )
+    return greater_share * (greater @ right) + (1.0 - greater_share) * (lesser @ right)
 
 
 def unequal_time_mask(grid, dimension):
@@ -268,7 +282,7 @@ def test_chebyshev_interior_bounds():
 def test_continuum_contour_matrix_shape_and_symmetry():
     system = LevelSystem(1.0, 0.4, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 4)
-    full = _continuum_rows(system, grid)(0, 2 * grid.n_slices)
+    full = continuum_from_factors(system, grid)
     assert full.shape == (8, 8)
     mask = unequal_time_mask(grid, 1)
     assert mask.shape == (8, 8)
@@ -286,19 +300,36 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     grid = TimeGrid(0.0, 1.5, n_slices)
     reference = continuum_contour_reference(system, grid)
     tol = KERNEL_TOL * np.abs(reference).max()
-    rows = _continuum_rows(system, grid)
+    assert np.abs(continuum_from_factors(system, grid) - reference).max() <= tol
+    # The jump between the two weights is -i P_n.
+    greater, lesser, _ = verify._continuum_factors(system, grid)
+    props = propagator_stack(system, contour_times(grid) - grid.t_initial)
+    assert np.abs(greater - lesser + 1j * props.reshape(-1, dimension)).max() <= tol
+    # The fused kernel gives G - C by contour rows.
+    green = discrete_green(system, grid).matrix
+    difference = green - reference
+    tol = KERNEL_TOL * max(np.abs(reference).max(), np.abs(green).max())
+    rows = verify._difference_rows(system, grid, _factor(system, grid))
     size = 2 * n_slices
-    assert np.abs(rows(0, size) - reference).max() <= tol
-    # Block sizes that leave a short last block.
-    for block in (3, 5):
-        streamed = np.vstack(
-            [rows(start, min(start + block, size)) for start in range(0, size, block)]
-        )
-        assert np.abs(streamed - reference).max() <= tol
-    # Blocks that straddle the turn, start on the backward branch or hold
-    # only its last row, written into a NaN-filled buffer: the products
-    # before, on and after the block's diagonal square cover every entry.
     d = system.dimension
+
+    def block_rows(start, stop):
+        # A NaN-filled buffer: the segment products cover every entry.
+        out = np.full(((stop - start) * d, size * d), np.nan, dtype=complex)
+        assert rows(start, stop, out) is out
+        return out
+
+    # One block, and block sizes that leave a short last block.
+    for block in (size, 3, 5):
+        streamed = np.vstack(
+            [
+                block_rows(start, min(start + block, size))
+                for start in range(0, size, block)
+            ]
+        )
+        assert np.abs(streamed - difference).max() <= tol
+    # Blocks that straddle the turn, start on the backward branch or hold
+    # only its last row.
     last = size - 1
     for start, stop in [
         (n_slices - 1, min(n_slices + 2, size)),
@@ -306,9 +337,20 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
         (min(n_slices + 1, last), min(n_slices + 3, size)),
         (last, size),
     ]:
-        out = np.full(((stop - start) * d, size * d), np.nan, dtype=complex)
-        assert rows(start, stop, out) is out
-        assert np.abs(out - reference[start * d : stop * d]).max() <= tol
+        out = block_rows(start, stop)
+        assert np.abs(out - difference[start * d : stop * d]).max() <= tol
+
+
+@pytest.mark.parametrize("n_slices", [1, 2, 7, 33])
+def test_equal_time_pairs_match_dense(n_slices):
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    tau = verify._contour_offsets(grid)
+    row, col = verify._equal_time_pairs(tau)
+    dense_row, dense_col = np.nonzero(tau[:, None] == tau[None, :])
+    # np.nonzero orders by row, then column, as the pairs are.
+    assert row.tolist() == dense_row.tolist()
+    assert col.tolist() == dense_col.tolist()
+    assert row.size == 4 * n_slices - 2
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -325,6 +367,21 @@ def test_oracle_errors_match_dense_mask(monkeypatch, statistics, dimension, entr
         assert error == pytest.approx(dense, rel=1e-12)
 
 
+def dense_difference_rows(system, grid):
+    """``G - C`` from the dense references, and a ``difference_rows``
+    kernel that reads its rows: entries can be set per test."""
+    difference = discrete_green(system, grid).matrix - continuum_contour_reference(
+        system, grid
+    )
+    d = system.dimension
+
+    def difference_rows(start, stop, out):
+        out[:] = difference[start * d : stop * d]
+        return out
+
+    return difference, difference_rows
+
+
 @pytest.mark.parametrize("row", [0, -1])
 def test_oracle_error_keeps_nan(monkeypatch, row):
     # The NaN in the first or the last contour row, away from equal
@@ -332,18 +389,12 @@ def test_oracle_error_keeps_nan(monkeypatch, row):
     # one block.
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
-    clean = discrete_green(system, grid).matrix
     for entries in (1, 48, 2**16):
         monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
-        green = clean.copy()
-
-        def green_rows(start, stop, out):
-            out[:] = green[start:stop]
-            return out
-
-        assert np.isfinite(verify._unequal_time_error(system, grid, green_rows))
-        green[row, 3] = np.nan
-        assert np.isnan(verify._unequal_time_error(system, grid, green_rows))
+        difference, difference_rows = dense_difference_rows(system, grid)
+        assert np.isfinite(verify._unequal_time_error(system, grid, difference_rows))
+        difference[row, 3] = np.nan
+        assert np.isnan(verify._unequal_time_error(system, grid, difference_rows))
 
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
@@ -358,20 +409,44 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     tau = contour_times(grid)
     partner = 2 * grid.n_slices - 2 - row
     assert tau[row] == tau[partner] and tau[row] != tau[partner + 1]
-    clean = discrete_green(system, grid).matrix
 
     def error_with_nan_at(column):
-        green = clean.copy()
-        green[row, column] = np.nan
-
-        def green_rows(start, stop, out):
-            out[:] = green[start:stop]
-            return out
-
-        return verify._unequal_time_error(system, grid, green_rows)
+        difference, difference_rows = dense_difference_rows(system, grid)
+        difference[row, column] = np.nan
+        return verify._unequal_time_error(system, grid, difference_rows)
 
     assert np.isfinite(error_with_nan_at(partner))
     assert np.isnan(error_with_nan_at(partner + 1))
+
+
+@pytest.mark.parametrize("entries", [1, 48, 2**16])
+def test_fused_rows_keep_nan(monkeypatch, entries):
+    # A NaN in a discrete factor reaches the error through the fused
+    # product.  The Toeplitz term, made dense, sets single entries: a NaN
+    # on the same-index diagonal is excluded, one a column later is not.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    system = LevelSystem(1.0, 0.3, Statistics.BOSON)
+    grid = TimeGrid(0.0, 1.0, 8)
+    fac = _factor(system, grid)
+    clean = verify._green_factors(fac)
+
+    def error_with(**changes):
+        factors = dataclasses.replace(clean, **changes)
+        monkeypatch.setattr(verify, "_green_factors", lambda fac: factors)
+        return verify._unequal_time_error(
+            system, grid, verify._difference_rows(system, grid, fac)
+        )
+
+    assert np.isfinite(error_with())
+    for row in (0, 15):
+        left = clean.left.copy()
+        left[row] = np.nan
+        assert np.isnan(error_with(left=left))
+    for column in (3, 4):
+        forward = np.array(clean.toeplitz[0])
+        forward[3, 0, column] = np.nan
+        toeplitz = (forward, clean.toeplitz[1])
+        assert np.isnan(error_with(toeplitz=toeplitz)) == (column == 4)
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
@@ -408,6 +483,49 @@ def test_oracle_suite_peak_is_independent_of_n(sizes):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def oracle_mutant_checks():
+    """Oracle checks of a boson d = 2 system on grids (32, 64, 128)."""
+    system = random_system(np.random.default_rng(43), Statistics.BOSON, 2)
+    grids = [TimeGrid(0.0, 1.0, n) for n in (32, 64, 128)]
+    return oracle_checks(run_oracle_suite(system, grids))
+
+
+def test_oracle_passes_unmutated():
+    assert all(c.passed for c in oracle_mutant_checks())
+
+
+def test_oracle_fails_with_unit_keldysh_weight(monkeypatch):
+    # W -> 1 on the continuum side only.
+    monkeypatch.setattr(
+        verify, "keldysh_weight", lambda system: np.eye(system.dimension)
+    )
+    assert not all(c.passed for c in oracle_mutant_checks())
+
+
+def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
+    # Every lag of the discrete Toeplitz term moved one block later.
+    def later(log_transfer, basis, n):
+        toeplitz = _upper_toeplitz(log_transfer, basis, n)
+        d = basis.shape[0]
+        shifted = np.zeros_like(toeplitz)
+        shifted[:, :, d:] = toeplitz[:, :, :-d]
+        return shifted
+
+    monkeypatch.setattr(discrete, "_upper_toeplitz", later)
+    assert not all(c.passed for c in oracle_mutant_checks())
+
+
+def test_oracle_fails_with_flipped_cross_branch_term(monkeypatch):
+    green_factors = verify._green_factors
+
+    def flipped(fac):
+        factors = green_factors(fac)
+        return dataclasses.replace(factors, cross=-factors.cross)
+
+    monkeypatch.setattr(verify, "_green_factors", flipped)
+    assert not all(c.passed for c in oracle_mutant_checks())
 
 
 def test_oracle_error_bound_scales():
