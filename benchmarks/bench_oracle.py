@@ -5,7 +5,11 @@
 default cap.  Each case also records, in ``extra_info``, the
 ``tracemalloc`` peak of one untimed call and the size a dense discrete
 inverse of the finer grid would have, which the streamed suite never
-allocates.  Cases are timed by ``benchmark(...)``, so the warm-up and
+allocates.  ``test_grid_error`` times the per-grid layer on the same
+N and d: the comparison of one grid, ``_unequal_time_error`` over the
+row kernel of ``_difference_rows``, from a factorization and a
+workspace made before the timing, as the suite makes its workspace once
+for all grids; its peak is that of one untimed call.  Cases are timed by ``benchmark(...)``, so the warm-up and
 ``--benchmark-max-time`` flags below set how long each case warms up
 and runs (at least five rounds).  The file sits outside the test paths;
 run it with
@@ -22,11 +26,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contourgf import LevelSystem, Statistics, TimeGrid, run_oracle_suite
+from contourgf import LevelSystem, Statistics, TimeGrid, run_oracle_suite, verify
+from contourgf.discrete import _factor
 
 DIMENSIONS = [1, 2, 4]
 SLICES = [64, 128, 256, 512, 1024]
 DIMENSION_LIMIT = 8192
+
+
+def _peak_mib(function, *args):
+    """``tracemalloc`` peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _system(dimension):
@@ -54,13 +69,26 @@ def test_oracle_suite(benchmark, dimension, n_slices):
         pytest.skip("contour dimension above the benchmarked size")
     system = _system(dimension)
     grids = [TimeGrid(0.0, 1.0, n_slices // 2), TimeGrid(0.0, 1.0, n_slices)]
-    tracemalloc.start()
-    try:
-        run_oracle_suite(system, grids)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    benchmark.extra_info["peak_mib"] = peak / 2**20
+    benchmark.extra_info["peak_mib"] = _peak_mib(run_oracle_suite, system, grids)
     benchmark.extra_info["inverse_mib"] = total**2 * 16 / 2**20
     report = benchmark(run_oracle_suite, system, grids)
     assert all(e < b for e, b in zip(report.errors, report.error_bounds))
+
+
+@pytest.mark.parametrize("dimension", DIMENSIONS)
+@pytest.mark.parametrize("n_slices", SLICES)
+def test_grid_error(benchmark, dimension, n_slices):
+    if 2 * n_slices * dimension > DIMENSION_LIMIT:
+        pytest.skip("contour dimension above the benchmarked size")
+    system = _system(dimension)
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    fac = _factor(system, grid)
+    workspace = verify._workspace(system, [grid])
+
+    def grid_error():
+        rows = verify._difference_rows(system, grid, fac)
+        return verify._unequal_time_error(system, grid, rows, workspace)
+
+    benchmark.extra_info["peak_mib"] = _peak_mib(grid_error)
+    error = benchmark(grid_error)
+    assert error < verify.oracle_error_bound(system, grid)

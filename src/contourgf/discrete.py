@@ -356,65 +356,59 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     )
 
 
-def _upper_toeplitz(log_transfer: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    """One branch's ``[k > j]`` term, ``i V diag(exp(-(k - j) log t))
-    V^dag`` in block (j, k) for k > j and zero otherwise, as a read-only
-    ``(n, d, n d)`` view of the 2n - 1 lag blocks: entry [j, a] is row a
-    of block row j, contiguous over (k, b)."""
+def _lag_blocks(fac: _Factorization) -> tuple[np.ndarray, np.ndarray]:
+    """The within-branch ``[k > j]`` term of G by lag, from ``fac`` alone:
+    block (j, k) is ``i V diag(exp(-lag log t)) V^dag`` at lag ``k - j``
+    = 1..N-1 (t the branch's transfer eigenvalues) and zero at lag <= 0.
+    Returns the forward and the backward table as new ``(d, 2N - 1, d)``
+    arrays, ``[:, N - 1 + lag]`` the block at lag 1 - N .. N - 1."""
+    basis = fac.basis
     d = basis.shape[0]
+    n = fac.n_slices
     lags = np.arange(1, n)[:, None]
-    powers = np.einsum(
-        "am,sm,bm->asb", 1j * basis, np.exp(-lags * log_transfer), basis.conj()
-    )
-    # padded[a, n - 1 + lag] is row a of the block at that lag, zero for
-    # lag <= 0.
-    padded = np.concatenate([np.zeros((d, n, d), dtype=complex), powers], axis=1)
-    padded = padded.reshape(d, (2 * n - 1) * d)
+    tables = np.zeros((2, d, 2 * n - 1, d), dtype=complex)
+    for table, log_transfer in zip(tables, (fac.log_forward, fac.log_backward)):
+        powers = np.exp(-lags * log_transfer)
+        np.einsum("am,sm,bm->asb", 1j * basis, powers, basis.conj(), out=table[:, n:])
+    return tables[0], tables[1]
+
+
+def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz view of a lag table of :func:`_lag_blocks`: block
+    (j, k) is the table's block at lag ``k - j``.  A read-only float
+    ``(N, d, 2 N d)`` view, entry [j, a] row a of block row j as
+    interleaved real and imaginary parts, contiguous over (k, b): numpy
+    buffers a strided add by 8192 items, so floats halve its buffers."""
+    d, lags, _ = table.shape
+    n = (lags + 1) // 2
+    padded = table.reshape(d, lags * d).view(float)
     # window[a, s] is row a of the blocks at lags s - n + 1 .. s.
-    window = np.lib.stride_tricks.sliding_window_view(padded, n * d, axis=1)[:, ::d]
-    return window[:, ::-1].transpose(1, 0, 2)
-
-
-def _add_toeplitz(toeplitz, start: int, stop: int, out: np.ndarray) -> None:
-    """Add the within-branch ``[k > j]`` term of G to contour rows
-    start..stop in ``out``, a C-contiguous ``((stop - start) d, 2 N d)``
-    array; ``toeplitz`` holds the views of :func:`_upper_toeplitz` for
-    the forward and the backward branch."""
-    forward, backward = toeplitz
-    n, d, half = forward.shape
-    # Rows start..split are forward, split..stop backward; either range
-    # may be empty.
-    split = min(max(start, n), stop)
-    within = split - start
-    block_rows = out.reshape(stop - start, d, 2 * half)
-    block_rows[:within, :, :half] += forward[start:split]
-    if split < stop:
-        block_rows[within:, :, half:] += backward[split - n : stop - n]
+    window = np.lib.stride_tricks.sliding_window_view(padded, 2 * n * d, axis=1)
+    return window[:, :: 2 * d][:, ::-1].transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
 class _GreenFactors:
-    """Factors of G: block (j, k) is ``left[j] @ right[:, k]``, plus
-    ``forward_rows[j] @ cross[:, k - N]`` for a forward row j and a
-    backward column k, plus the ``toeplitz`` term of
-    :func:`_add_toeplitz`; ``[j]`` is the j-th group of d rows."""
+    """Rank-d factors of G: block (j, k) is ``left[j] @ columns[:d, k]``,
+    plus ``forward_rows[j] @ columns[d:, k]`` for a forward row j (the
+    cross-branch term, zero over the forward columns), plus the
+    within-branch term of :func:`_lag_blocks`; ``[j]`` is the j-th group
+    of d rows."""
 
     left: np.ndarray
-    right: np.ndarray
     forward_rows: np.ndarray
-    cross: np.ndarray
-    toeplitz: tuple[np.ndarray, np.ndarray]
+    columns: np.ndarray
 
 
 def _green_factors(fac: _Factorization) -> _GreenFactors:
-    """Rank-d and Toeplitz factors of G from one factorization.
+    """Rank-d factors of G from one factorization.
 
     Block (j, k) of G is a rank-d product over all blocks plus, for
-    k > j, the ``[k > j]`` term of the eigenbasis block formula.  That
-    term is block Toeplitz within each branch and, across them, a rank-d
-    product of a forward row factor and a backward column factor.  The
-    factors hold O(N d^2) memory.  Raises ``FloatingPointError`` when an
-    entry of G could overflow.
+    k > j, the ``[k > j]`` term of the eigenbasis block formula.  Across
+    the branches that term is a rank-d product of a forward row factor
+    and a backward column factor; within a branch it depends only on the
+    lag (:func:`_lag_blocks`).  The factors hold O(N d^2) memory.  Raises
+    ``FloatingPointError`` when an entry of G could overflow.
     """
     basis = fac.basis
     basis_h = basis.conj().T
@@ -428,60 +422,73 @@ def _green_factors(fac: _Factorization) -> _GreenFactors:
     log_f, log_s = _log_prefix(fac.log_forward, fac.log_backward, n)
     left = (basis[None, :, :] * np.exp(-log_s)[:, None, :]).reshape(2 * half, d)
     left = left @ (-1j * fac.a_inverse)
-    right = (np.exp(-log_f)[:, :, None] * basis_h[None, :, :]).transpose(1, 0, 2)
-    right = right.reshape(d, 2 * half)
+    columns = np.zeros((2 * d, 2 * half), dtype=complex)
+    right = np.exp(-log_f)[:, :, None] * basis_h[None, :, :]
+    columns[:d] = right.transpose(1, 0, 2).reshape(d, 2 * half)
     steps = np.arange(n)[:, None]
     forward_rows = 1j * basis[None, :, :] * np.exp(
         -(n - 1 - steps) * fac.log_forward
     )[:, None, :]
     cross = np.exp(-steps * fac.log_backward)[:, :, None] * basis_h[None, :, :]
-    return _GreenFactors(
-        left,
-        right,
-        forward_rows.reshape(half, d),
-        cross.transpose(1, 0, 2).reshape(d, half),
-        (
-            _upper_toeplitz(fac.log_forward, basis, n),
-            _upper_toeplitz(fac.log_backward, basis, n),
-        ),
-    )
+    columns[d:, half:] = cross.transpose(1, 0, 2).reshape(d, half)
+    return _GreenFactors(left, forward_rows.reshape(half, d), columns)
 
 
-def _green_rows(fac: _Factorization):
-    """Kernel for contour rows of G from one factorization.
+def _row_kernel(factors, crossing, columns: np.ndarray, toeplitz):
+    """Kernel for contour rows of low-rank products plus a within-branch
+    block-Toeplitz term.
 
-    Returns ``rows(start, stop, out=None)``, which computes contour rows
-    start..stop from the factors of :func:`_green_factors` as a
-    ``((stop - start) d, 2 N d)`` array, into ``out`` when given;
-    ``rows(0, 2 N)`` is the dense G.  Raises ``FloatingPointError`` when
-    an entry of G could overflow.
+    ``factors`` and ``crossing`` are lists of ``(2 N d, d)`` row factors,
+    stacked side by side per block, for the stacked column factors
+    ``columns``: ``crossing`` from the forward rows to the backward
+    columns, ``factors`` elsewhere.  ``toeplitz`` holds the forward and
+    the backward view of :func:`_upper_toeplitz`.  Returns
+    ``rows(start, stop, out=None)``, which writes contour rows start..stop
+    into ``out`` (a new array when None), C-contiguous and
+    ``((stop - start) d, 2 N d)``.
     """
-    factors = _green_factors(fac)
-    left, right = factors.left, factors.right
-    n = fac.n_slices
-    d = left.shape[1]
+    forward_toeplitz, backward_toeplitz = toeplitz
+    n, d = forward_toeplitz.shape[:2]
     half = n * d
-    backward_columns = np.vstack([right[:, half:], factors.cross])
+    full = columns[: len(factors) * d]
+    cross = columns[: len(crossing) * d, half:]
+
+    def stacked(row_factors, low: int, high: int) -> np.ndarray:
+        return np.concatenate([f[low * d : high * d] for f in row_factors], axis=1)
 
     def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(((stop - start) * d, 2 * half), dtype=complex)
         # Rows start..split are forward, split..stop backward; either
         # range may be empty.
         split = min(max(start, n), stop)
-        forward = slice(start * d, split * d)
-        if out is None:
-            out = np.empty(((stop - start) * d, 2 * half), dtype=complex)
-        top, bottom = out[: (split - start) * d], out[(split - start) * d :]
-        np.matmul(left[forward], right[:, :half], out=top[:, :half])
-        np.matmul(
-            np.hstack([left[forward], factors.forward_rows[forward]]),
-            backward_columns,
-            out=top[:, half:],
-        )
-        np.matmul(left[split * d : stop * d], right, out=bottom)
-        _add_toeplitz(factors.toeplitz, start, stop, out)
+        within = split - start
+        # Per row the forward and the backward columns, as floats.
+        block_rows = out.view(float).reshape(stop - start, d, 2, 2 * half)
+        if within:
+            top = out[: within * d]
+            np.matmul(stacked(factors, start, split), full[:, :half], out=top[:, :half])
+            np.matmul(stacked(crossing, start, split), cross, out=top[:, half:])
+            block_rows[:within, :, 0] += forward_toeplitz[start:split]
+        if split < stop:
+            np.matmul(stacked(factors, split, stop), full, out=out[within * d :])
+            block_rows[within:, :, 1] += backward_toeplitz[split - n : stop - n]
         return out
 
     return rows
+
+
+def _green_rows(fac: _Factorization):
+    """Kernel for contour rows of G from one factorization, by
+    :func:`_row_kernel`; ``rows(0, 2 N)`` is the dense G.  Raises
+    ``FloatingPointError`` when an entry of G could overflow."""
+    factors = _green_factors(fac)
+    return _row_kernel(
+        [factors.left],
+        [factors.left, factors.forward_rows],
+        factors.columns,
+        tuple(map(_upper_toeplitz, _lag_blocks(fac))),
+    )
 
 
 def discrete_green(

@@ -8,15 +8,15 @@ where defined, the contour boundary conditions, and consistency of the
 solved constants), each on one table per component and orientation.
 The oracle suite compares the closed forms against the independently
 built discrete contour inverse on a sequence of grids and fits the
-convergence order.  Along a contour row the closed forms are one rank-d
-product with the greater weight for the columns before the row and one
-with the lesser weight for the columns after it, and the discrete
-inverse is a rank-d product plus a block-Toeplitz term, so the suite
-computes their difference directly, in blocks of contour rows: one
-product of the stacked factors per column segment, written into one
-block buffer, with the equal-time pairs found once per grid.  Per grid
-it costs O((N d)^2 d) time and the memory of one row block and the
-O(N d^2) factors.  Reports serialize from their dataclasses.
+convergence order.  Along a contour row the closed forms are a rank-d
+product with the greater weight, less the jump to the lesser weight
+after the row; within a branch that jump, like the discrete inverse's
+own within-branch term, depends only on the lag.  So the suite computes
+the difference directly, in blocks of contour rows: at most two
+products of stacked low-rank factors and one block-Toeplitz add per
+branch, into one block buffer that serves every grid.  Per grid it costs
+O((N d)^2 d) time and O(N d^2) memory besides that buffer.  Reports
+serialize from their dataclasses.
 
 Both suites are deterministic given their seed.
 """
@@ -45,10 +45,12 @@ from .continuum import (
     solution_from_constants,
 )
 from .discrete import (
-    _add_toeplitz,
     _check_dimension,
     _factor,
     _green_factors,
+    _lag_blocks,
+    _row_kernel,
+    _upper_toeplitz,
     contour_times,
 )
 
@@ -66,10 +68,10 @@ DEFAULT_THRESHOLD = 1e-12
 # Below this error floor a convergence-order fit is meaningless.
 ORDER_FLOOR = 1e-12
 # Complex entries per row block of the streamed oracle comparison (at
-# least one contour row): 1 MiB.  The block buffer and the jump on its
-# square, no larger than it, set the comparison's memory with the
-# O(N d^2) factors.
-ORACLE_BLOCK_ENTRIES = 2**16
+# least one contour row): 768 KiB, and 384 KiB more for the float buffer
+# of its magnitudes.  Allocated once per suite, the two set the
+# comparison's memory with the O(N d^2) factors of one grid.
+ORACLE_BLOCK_ENTRIES = 3 * 2**14
 
 
 @dataclass(frozen=True)
@@ -315,75 +317,62 @@ def _equal_time_pairs(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
     """Kernel for contour rows of ``G - C``, the discrete inverse of
-    ``fac`` less the continuum prediction.
+    ``fac`` less the continuum prediction, by
+    :func:`~contourgf.discrete._row_kernel`.
 
-    Along a block of contour rows, G is a rank-d product over the forward
-    columns and, for forward rows, a rank-2d one over the backward
-    columns (:func:`~contourgf.discrete._green_factors`), and the
-    prediction takes its greater row factor on the columns up to the
-    block's last row and its lesser one after them
-    (:func:`_continuum_factors`).  So between the discrete split ``N d``
-    and the continuum cut ``stop d``, at most three column segments,
-    each segment is one product ``[L_G | L_C] @ [R_G; -R_C]`` written in
-    place.  The block-Toeplitz term of G is added after it, and on the
-    block's square of columns start..stop, where the ordering changes
-    inside the block, the jump ``-i P_n P_m^dag`` from the greater to
-    the lesser weight: in full after the row, half of it on the
-    diagonal.  Returns ``rows(start, stop, out)``, which writes contour
-    rows start..stop into ``out``, a C-contiguous
-    ``((stop - start) d, 2 N d)`` array.  Raises ``FloatingPointError``
-    when an entry of G could overflow.
+    C is the greater product of :func:`_continuum_factors` less the jump
+    ``-i U(tau_n - tau_m)`` to the lesser one after the row; every
+    backward column is after a forward row.  Within a branch the jump,
+    like G's own within-branch term, depends only on the lag, so it
+    joins G's lag tables once per grid: ``-i U(-lag dt)`` forward,
+    ``-i U(lag dt)`` backward and ``-i/2`` at lag 0, where the row's own
+    column takes the mean.  So a block costs ``[L_G | L_C^>] @ [R_G;
+    -R_C]``, ``[L_G | L_C^< | forward rows] @ [R_G; -R_C; cross]`` from
+    forward rows to backward columns, and one Toeplitz add.  Raises
+    ``FloatingPointError`` when an entry of G could overflow.
     """
     d = system.dimension
     n = grid.n_slices
-    half = n * d
     discrete = _green_factors(fac)
     greater, lesser, right = _continuum_factors(system, grid)
-    # Column factors [R_G; -R_C; cross], the last zero on the forward
-    # columns, for the row factors [L_G | L_C | forward rows].
-    columns = np.zeros((3 * d, 2 * half), dtype=complex)
-    columns[:d] = discrete.right
-    np.negative(right, out=columns[d : 2 * d])
-    columns[2 * d :, half:] = discrete.cross
-    left, toeplitz = discrete.left, discrete.toeplitz
-    forward_rows = np.zeros_like(left)
-    forward_rows[:half] = discrete.forward_rows
-    # 1 after the row, 1/2 on the diagonal, 0 before it, for the jump on
-    # the square; built for the first block, the largest.
-    weights = np.empty((0, 1, 0))
-
-    def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        nonlocal weights
-        count = stop - start
-        cut = stop * d
-        block = slice(start * d, cut)
-        bounds = sorted({0, half, cut, 2 * half})
-        for low, high in zip(bounds, bounds[1:]):
-            factors = [left[block], (greater if high <= cut else lesser)[block]]
-            if low >= half and start < n:
-                factors.append(forward_rows[block])
-            np.matmul(
-                np.hstack(factors),
-                columns[: len(factors) * d, low:high],
-                out=out[:, low:high],
-            )
-        _add_toeplitz(toeplitz, start, stop, out)
-        if len(weights) < count:
-            steps = np.arange(count)
-            later = (np.repeat(steps, d) >= steps[:, None]).astype(float)
-            later.reshape(count, count, d)[steps, steps] = 0.5
-            weights = later[:, None, :]
-        # With -R_C, (lesser - greater) R_C is the jump -i P_n P_m^dag.
-        jumps = (lesser[block] - greater[block]) @ columns[d : 2 * d, start * d : cut]
-        jumps = jumps.reshape(count, d, count * d)
-        jumps *= weights[:count, :, : count * d]
-        out.reshape(count, d, 2 * half)[:, :, start * d : cut] += jumps
-        return out
-
-    return rows
+    columns = np.vstack([discrete.columns[:d], right, discrete.columns[d:]])
+    columns[d : 2 * d] *= -1
+    left, forward_rows = discrete.left, discrete.forward_rows
+    # The copied factors go before the lag tables, where a grid peaks.
+    del discrete, right
+    # Forward tau is dt, 2 dt, ..., so -R_C holds -P_m^dag = -U(-(m + 1) dt):
+    # i times it is the forward jump at lag m + 1, i times its adjoint the
+    # backward one.
+    earlier = columns[d : 2 * d].reshape(d, -1, d)[:, : n - 1]
+    forward, backward = _lag_blocks(fac)
+    forward[:, n:] += 1j * earlier
+    backward[:, n:] += 1j * earlier.conj().transpose(2, 1, 0)
+    forward[:, n - 1] = backward[:, n - 1] = -0.5j * np.eye(d)
+    return _row_kernel(
+        [left, greater],
+        [left, lesser, forward_rows],
+        columns,
+        (_upper_toeplitz(forward), _upper_toeplitz(backward)),
+    )
 
 
-def _unequal_time_error(system: LevelSystem, grid: TimeGrid, difference_rows) -> float:
+def _block_rows(system: LevelSystem, grid: TimeGrid) -> int:
+    """Contour rows per streamed block: at least one, at most all."""
+    rows = ORACLE_BLOCK_ENTRIES // (2 * grid.n_slices * system.dimension**2)
+    return min(max(1, rows), 2 * grid.n_slices)
+
+
+def _workspace(system: LevelSystem, grids) -> tuple[np.ndarray, np.ndarray]:
+    """Flat complex block and float magnitude buffers for the largest row
+    block over ``grids``."""
+    d = system.dimension
+    entries = max(_block_rows(system, g) * 2 * g.n_slices * d * d for g in grids)
+    return np.empty(entries, dtype=complex), np.empty(entries)
+
+
+def _unequal_time_error(
+    system: LevelSystem, grid: TimeGrid, difference_rows, workspace
+) -> float:
     """Largest |G - continuum| over blocks whose row and column times differ.
 
     ``difference_rows(start, stop, out)`` writes contour rows start..stop
@@ -392,14 +381,15 @@ def _unequal_time_error(system: LevelSystem, grid: TimeGrid, difference_rows) ->
     cross-branch duplicates of one physical time) are excluded: the
     discrete inverse is contour ordered there while the closed forms
     carry the symmetric step value.  Their pairs are found once per
-    grid, and each block zeroes its slice of them.  The rows are
-    streamed in blocks into one block buffer allocated once, so no block
-    is allocated anew.  NaN when any compared entry is NaN.
+    grid, and each block zeroes its slice of them.  The blocks stream
+    through ``workspace``, from :func:`_workspace` for grids including
+    this one, so no block-sized array is allocated.  NaN when any
+    compared entry is NaN.
     """
     d = system.dimension
     tau = _contour_offsets(grid)
     width = tau.size * d
-    block = max(1, ORACLE_BLOCK_ENTRIES // (width * d))
+    block = _block_rows(system, grid)
     starts = np.arange(0, tau.size, block)
     # The flat positions in G - C of the d x d blocks of the equal-time
     # pairs, in row order, and where each block of rows begins there.
@@ -408,15 +398,15 @@ def _unequal_time_error(system: LevelSystem, grid: TimeGrid, difference_rows) ->
     flat = ((pair_rows * width + pair_cols) * d)[:, None, None] + entries
     flat = flat.reshape(-1)
     edges = np.searchsorted(pair_rows, np.r_[starts, tau.size]) * d * d
-    # A block-sized array allocated and freed per block would be returned
-    # to the system and page-faulted back each time.
-    buffer = np.empty((min(block, tau.size) * d, width), dtype=complex)
+    buffer, magnitudes = workspace
     errors = []
     for start, low, high in zip(starts, edges, edges[1:]):
         stop = min(start + block, tau.size)
-        diff = difference_rows(start, stop, buffer[: (stop - start) * d])
+        shape = ((stop - start) * d, width)
+        size = shape[0] * width
+        diff = difference_rows(start, stop, buffer[:size].reshape(shape))
         diff.reshape(-1)[flat[low:high] - start * d * width] = 0.0
-        errors.append(max_abs(diff))
+        errors.append(float(np.abs(diff, out=magnitudes[:size].reshape(shape)).max()))
     return _worst(errors)
 
 
@@ -446,9 +436,9 @@ def run_oracle_suite(
     grid is factorized when ``2 N d`` of the finest grid exceeds
     ``max_dimension``.  The discrete inverse less the continuum
     prediction is computed in blocks of contour rows
-    (:func:`_difference_rows`), so each grid costs O((N d)^2 d) time and
-    the memory of one row block: the cap bounds the work here, not the
-    memory.
+    (:func:`_difference_rows`) through one block buffer for all grids,
+    so each grid costs O((N d)^2 d) time and the memory of one row block:
+    the cap bounds the work here, not the memory.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids for a convergence fit")
@@ -462,12 +452,15 @@ def run_oracle_suite(
         raise ValueError("grids must share their endpoints")
     # Refuse an over-cap grid before any work; the finest is the largest.
     _check_dimension(system, grids[-1], max_dimension)
+    workspace = _workspace(system, grids)
     errors = []
     bounds = []
     deviations = []
     for grid in grids:
         fac = _factor(system, grid)
-        error = _unequal_time_error(system, grid, _difference_rows(system, grid, fac))
+        error = _unequal_time_error(
+            system, grid, _difference_rows(system, grid, fac), workspace
+        )
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"oracle error on {grid.n_slices} slices is {error!r}"

@@ -28,7 +28,7 @@ from contourgf import (
 )
 from contourgf import discrete, verify
 from contourgf.core import propagator_stack
-from contourgf.discrete import _factor, _upper_toeplitz
+from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
 
 from conftest import random_system, random_unitary
@@ -353,6 +353,12 @@ def test_equal_time_pairs_match_dense(n_slices):
     assert row.size == 4 * n_slices - 2
 
 
+def assert_oracle_errors_match_dense(system, grids):
+    report = run_oracle_suite(system, grids)
+    for error, dense in zip(report.errors, dense_oracle_errors(system, grids)):
+        assert error == pytest.approx(dense, rel=1e-12)
+
+
 @pytest.mark.parametrize("statistics", list(Statistics))
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("entries", [1, 500, 2**16])
@@ -362,9 +368,47 @@ def test_oracle_errors_match_dense_mask(monkeypatch, statistics, dimension, entr
     rng = np.random.default_rng([dimension, statistics.zeta + 3])
     system = random_system(rng, statistics, dimension)
     grids = [TimeGrid(0.0, 1.0, n) for n in (7, 16, 33)]
-    report = run_oracle_suite(system, grids)
-    for error, dense in zip(report.errors, dense_oracle_errors(system, grids)):
-        assert error == pytest.approx(dense, rel=1e-12)
+    assert_oracle_errors_match_dense(system, grids)
+
+
+def rotated(rng, spectrum):
+    basis = random_unitary(rng, len(spectrum))
+    return (basis * np.asarray(spectrum)) @ basis.conj().T
+
+
+def extreme_case(name, rng):
+    """``(system, span)`` of a named extreme input of the oracle."""
+    boson, fermion = Statistics.BOSON, Statistics.FERMION
+    if name == "span-1e3":
+        return random_system(rng, boson, 2), 1e3
+    epsilon = rotated(rng, [1.0, -0.5])
+    systems = {
+        # eps dt up to 1.4e3: the lag powers fall to about 1e-65.
+        "large-eps": ([[1e4, 3.0], [3.0, -2e3]], [0.5, 0.2], boson),
+        # The lag powers of the top level underflow to zero on N = 33.
+        "huge-eps": ([[5e11, 3.0], [3.0, -2e3]], [0.5, 0.2], boson),
+        "boson-nbar-1e3": (epsilon, [1e3, 0.5], boson),
+        "fermion-nearly-full": (epsilon, [1 - 1e-9, 0.3], fermion),
+    }
+    epsilon, occupation, statistics = systems[name]
+    return LevelSystem(epsilon, rotated(rng, occupation), statistics), 1.0
+
+
+@pytest.mark.parametrize("entries", [1, 500, 2**16])
+@pytest.mark.parametrize(
+    "case",
+    ["large-eps", "huge-eps", "boson-nbar-1e3", "fermion-nearly-full", "span-1e3"],
+)
+def test_oracle_errors_match_dense_mask_at_extremes(monkeypatch, case, entries):
+    # Lag powers that underflow, Keldysh weights up to about 2e3, a
+    # fermion level one part in 1e9 from full and a span of 1e3.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    system, span = extreme_case(case, np.random.default_rng(47))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_oracle_errors_match_dense(
+            system, [TimeGrid(0.0, span, n) for n in (7, 16, 33)]
+        )
 
 
 def dense_difference_rows(system, grid):
@@ -392,9 +436,14 @@ def test_oracle_error_keeps_nan(monkeypatch, row):
     for entries in (1, 48, 2**16):
         monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
         difference, difference_rows = dense_difference_rows(system, grid)
-        assert np.isfinite(verify._unequal_time_error(system, grid, difference_rows))
+        workspace = verify._workspace(system, [grid])
+        assert np.isfinite(
+            verify._unequal_time_error(system, grid, difference_rows, workspace)
+        )
         difference[row, 3] = np.nan
-        assert np.isnan(verify._unequal_time_error(system, grid, difference_rows))
+        assert np.isnan(
+            verify._unequal_time_error(system, grid, difference_rows, workspace)
+        )
 
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
@@ -413,7 +462,9 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     def error_with_nan_at(column):
         difference, difference_rows = dense_difference_rows(system, grid)
         difference[row, column] = np.nan
-        return verify._unequal_time_error(system, grid, difference_rows)
+        return verify._unequal_time_error(
+            system, grid, difference_rows, verify._workspace(system, [grid])
+        )
 
     assert np.isfinite(error_with_nan_at(partner))
     assert np.isnan(error_with_nan_at(partner + 1))
@@ -422,8 +473,9 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
 def test_fused_rows_keep_nan(monkeypatch, entries):
     # A NaN in a discrete factor reaches the error through the fused
-    # product.  The Toeplitz term, made dense, sets single entries: a NaN
-    # on the same-index diagonal is excluded, one a column later is not.
+    # product.  A NaN in the lag-0 block of the Toeplitz term sits on the
+    # same-index diagonal and is excluded; one in the lag-1 block, a
+    # column later, is not.
     monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
@@ -434,7 +486,10 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
         factors = dataclasses.replace(clean, **changes)
         monkeypatch.setattr(verify, "_green_factors", lambda fac: factors)
         return verify._unequal_time_error(
-            system, grid, verify._difference_rows(system, grid, fac)
+            system,
+            grid,
+            verify._difference_rows(system, grid, fac),
+            verify._workspace(system, [grid]),
         )
 
     assert np.isfinite(error_with())
@@ -442,11 +497,16 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
         left = clean.left.copy()
         left[row] = np.nan
         assert np.isnan(error_with(left=left))
-    for column in (3, 4):
-        forward = np.array(clean.toeplitz[0])
-        forward[3, 0, column] = np.nan
-        toeplitz = (forward, clean.toeplitz[1])
-        assert np.isnan(error_with(toeplitz=toeplitz)) == (column == 4)
+    upper_toeplitz = verify._upper_toeplitz
+    for lag in (0, 1):
+
+        def with_nan(table, lag=lag):
+            table = table.copy()
+            table[:, grid.n_slices - 1 + lag] = np.nan
+            return upper_toeplitz(table)
+
+        monkeypatch.setattr(verify, "_upper_toeplitz", with_nan)
+        assert np.isnan(error_with()) == (lag == 1)
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
@@ -468,6 +528,25 @@ def test_oracle_suite_peak_memory_is_the_discrete_result():
     finally:
         tracemalloc.stop()
     assert peak < 2 * result_bytes
+
+
+def test_grid_error_allocates_no_block():
+    # With the caller's workspace, one grid allocates its equal-time
+    # pairs, the per-block row factor stacks and numpy's buffers for the
+    # strided Toeplitz add (192 KiB), not a block (768 KiB).
+    system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
+    grid = TimeGrid(0.0, 1.0, 256)
+    rows = verify._difference_rows(system, grid, _factor(system, grid))
+    workspace = verify._workspace(system, [grid])
+    assert workspace[0].size == verify.ORACLE_BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        error = verify._unequal_time_error(system, grid, rows, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(error)
+    assert peak < verify.ORACLE_BLOCK_ENTRIES * np.dtype(complex).itemsize / 2
 
 
 @pytest.mark.parametrize("sizes", [(64, 128), (512, 1024)])
@@ -506,14 +585,17 @@ def test_oracle_fails_with_unit_keldysh_weight(monkeypatch):
 
 def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
     # Every lag of the discrete Toeplitz term moved one block later.
-    def later(log_transfer, basis, n):
-        toeplitz = _upper_toeplitz(log_transfer, basis, n)
-        d = basis.shape[0]
-        shifted = np.zeros_like(toeplitz)
-        shifted[:, :, d:] = toeplitz[:, :, :-d]
-        return shifted
+    lag_blocks = verify._lag_blocks
 
-    monkeypatch.setattr(discrete, "_upper_toeplitz", later)
+    def later(fac):
+        shifted = []
+        for table in lag_blocks(fac):
+            moved = np.zeros_like(table)
+            moved[:, fac.n_slices :] = table[:, fac.n_slices - 1 : -1]
+            shifted.append(moved)
+        return tuple(shifted)
+
+    monkeypatch.setattr(verify, "_lag_blocks", later)
     assert not all(c.passed for c in oracle_mutant_checks())
 
 
@@ -522,10 +604,46 @@ def test_oracle_fails_with_flipped_cross_branch_term(monkeypatch):
 
     def flipped(fac):
         factors = green_factors(fac)
-        return dataclasses.replace(factors, cross=-factors.cross)
+        columns = factors.columns.copy()
+        columns[fac.basis.shape[0] :] *= -1
+        return dataclasses.replace(factors, columns=columns)
 
     monkeypatch.setattr(verify, "_green_factors", flipped)
     assert not all(c.passed for c in oracle_mutant_checks())
+
+
+def test_oracle_fails_without_m_in_the_source(monkeypatch):
+    # G = -i D'^{-1} diag(M, 1, ...) with M dropped: the shared factor
+    # A'^{-1} V^dag M V loses its V^dag M V.
+    factor = verify._factor
+
+    def without_m(system, grid):
+        fac = factor(system, grid)
+        m = np.eye(system.dimension) + system.statistics.zeta * system.nbar.T
+        a_inverse = fac.a_inverse @ np.linalg.inv(fac.basis.conj().T @ m @ fac.basis)
+        return dataclasses.replace(fac, a_inverse=a_inverse)
+
+    monkeypatch.setattr(verify, "_factor", without_m)
+    assert not all(c.passed for c in oracle_mutant_checks())
+
+
+def test_oracle_fails_with_a_dt_error_in_h(monkeypatch):
+    # h = 1 - 1.05 i eps dt and hbar = 1 + 1.05 i eps dt: a step 5 % too
+    # long, an error that does not shrink with N.  The per-grid errors
+    # (about 0.036, 0.029, 0.026) stay inside today's bound (0.19, 0.097,
+    # 0.048); only the order fit (|order - 1| about 0.76) fails.
+    contour_blocks = discrete._contour_blocks
+
+    def stretched(system, grid):
+        forward, backward, first, corner = contour_blocks(system, grid)
+        eye = np.eye(system.dimension)
+        forward, backward = (eye + 1.05 * (b - eye) for b in (forward, backward))
+        return forward, backward, first, corner
+
+    monkeypatch.setattr(discrete, "_contour_blocks", stretched)
+    checks = oracle_mutant_checks()
+    assert not all(c.passed for c in checks)
+    assert not checks[-1].passed
 
 
 def test_oracle_error_bound_scales():
