@@ -82,7 +82,7 @@ def test_grid_error(benchmark, dimension, n_slices):
         pytest.skip("contour dimension above the benchmarked size")
     system = _system(dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
-    fac = _factor(system, grid)
+    fac = _factor(system, [grid])[0]
     workspace = verify._workspace(system, [grid])
 
     def grid_error():

@@ -56,7 +56,7 @@ from .core import (
     as_complex_matrix,
     max_abs,
 )
-from .discrete import discrete_partition_function
+from .discrete import _factor
 from .verify import (
     DEFAULT_THRESHOLD,
     assemble_report,
@@ -510,12 +510,11 @@ def cmd_z(config: RunConfig) -> int:
     if not config.n_slices:
         raise ConfigError("z requires grid.n_slices (integer or list)")
     rows = []
-    for n in config.n_slices:
-        grid = TimeGrid(config.t_initial, config.t_final, n)
-        z = discrete_partition_function(config.system, grid)
+    for fac in _factor(config.system, config.grids()):
+        z = fac.partition_function
         rows.append(
             {
-                "n_slices": n,
+                "n_slices": fac.n_slices,
                 "z_re": z.real,
                 "z_im": z.imag,
                 "abs_deviation": abs(z - 1.0),

@@ -215,7 +215,7 @@ class LevelSystem:
         return self.epsilon.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeGrid:
     """Uniform grid of N slices on [t_initial, t_final].
 

@@ -45,6 +45,12 @@ of a transfer block is formed and no product overflows.  The partition
 function costs O(d^3), independent of N, each contour row of G
 O(N d^2) and the full inverse O((N d)^2 d).  Only the blocks of D'
 enter: no closed form is used.
+
+All grids of a run are factorized in one pass, with the grid as the
+leading axis of every array and each linalg call made once over the
+stack.  The refusals come first for an ``eps dt`` that overflows on any
+grid; then, grid by grid in the order given, a singular A' raises, an
+ill-conditioned D' warns, and an overflowing Z raises.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ class DiscreteGf:
     partition_function: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Factorization:
     """D' reduced to its transfer eigenvalues and the d x d matrix A'.
 
@@ -128,23 +134,27 @@ def contour_times(grid: TimeGrid) -> np.ndarray:
 
 
 def _contour_blocks(
-    system: LevelSystem, grid: TimeGrid
+    system: LevelSystem, grids: list[TimeGrid]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct blocks of D': forward h, backward hbar and the first
+    """The distinct blocks of D' on each of ``grids``: forward h and
+    backward hbar as ``(G, d, d)`` stacks over the G grids, and the first
     block row's pair, ``1 + zeta nbar^T`` on the diagonal and the corner
-    ``-zeta nbar^T``.
+    ``-zeta nbar^T``, which no grid changes.
 
     The other diagonal blocks and the turning-point block are the
-    identity.  Raises ``FloatingPointError`` when ``eps dt`` overflows.
+    identity.  Raises ``FloatingPointError``, naming the first such grid,
+    when ``eps dt`` overflows.
     """
     eye = np.eye(system.dimension, dtype=complex)
+    dt = np.array([grid.dt for grid in grids])
     with np.errstate(over="ignore", invalid="ignore"):
-        step = 1j * system.epsilon * grid.dt
-        if not np.isfinite(step).all():
-            raise FloatingPointError(
-                f"transfer blocks 1 -/+ i eps dt overflow: max|eps| = "
-                f"{max_abs(system.epsilon):.6g}, dt = {grid.dt:.6g}"
-            )
+        step = 1j * system.epsilon * dt[:, None, None]
+    finite = np.isfinite(step).all(axis=(1, 2))
+    if not finite.all():
+        raise FloatingPointError(
+            f"transfer blocks 1 -/+ i eps dt overflow: max|eps| = "
+            f"{max_abs(system.epsilon):.6g}, dt = {dt[finite.argmin()]:.6g}"
+        )
     forward = eye - step
     backward = eye + step
     occupation = system.statistics.zeta * system.nbar.T
@@ -193,23 +203,25 @@ def _ldexp(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return np.ldexp(parts, exponents[..., None]).view(complex)[..., 0]
 
 
-def _geometric(mu: np.ndarray, count: int) -> np.ndarray:
+def _geometric(mu: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``sum_{i < count} exp(-i mu)`` per ``mu >= 0``."""
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.expm1(-count * mu) / np.expm1(-mu)
-    return np.where(mu > 0, ratio, float(count))
+    return np.where(mu > 0, ratio, count)
 
 
 def _inverse_norm(
     mu_forward: np.ndarray,
     mu_backward: np.ndarray,
-    n: int,
+    n: np.ndarray,
     a_inverse: np.ndarray,
     first_column: np.ndarray,
     inv_loop: np.ndarray,
-) -> float:
+) -> np.ndarray:
     """Exact 1-norm of ``V^dag D'^{-1} V``, its first block column
-    multiplied on the right by ``first_column`` over ``A'^{-1}``.
+    multiplied on the right by ``first_column`` over ``A'^{-1}``, per grid
+    of a stack: the arrays lead with the grid axis and ``n`` is the
+    ``(G, 1)`` column of slice counts.
 
     Column (1, b) sums ``|1/s_j|_a |first_column_ab|`` over all j and a.  With
     ``a_inverse`` the shared factor of the other columns, column (k, b)
@@ -218,58 +230,66 @@ def _inverse_norm(
     ``|f_j / f_k|_b |a_inverse_bb / l_b - 1|`` over j < k.  With
     ``|1/f_k|`` and ``|1/s_j|`` geometric within each branch, every such
     sum is affine in ``|1/f_k|_b`` there, so the largest lies at a branch
-    end: k = 2, N, N + 1 or 2N.  The suffix sums of ``|1/s_j|`` and
-    prefix sums of ``|f_j / f_k|`` at those columns are geometric series,
-    each the full one of N terms less its last.
+    end: k = 2, N, N + 1 or 2N, the first two only when N > 1.  The
+    suffix sums of ``|1/s_j|`` and prefix sums of ``|f_j / f_k|`` at those
+    columns are geometric series, each the full one of N terms less its
+    last.
     """
     r_f, r_b = np.exp(-mu_forward), np.exp(-mu_backward)
     last_f, last_b = np.exp(-(n - 1) * mu_forward), np.exp(-(n - 1) * mu_backward)
     sum_f, sum_b = _geometric(mu_forward, n), _geometric(mu_backward, n)
-    total = sum_b + last_b * sum_f
+    total = (sum_b + last_b * sum_f)[:, None, :]
+    largest = (total @ np.abs(first_column)).max(axis=(1, 2))
     abs_inv = np.abs(a_inverse)
-    diag = np.diag(abs_inv)
-    off = total @ abs_inv - total * diag
-    turn = np.abs(np.diag(a_inverse) * inv_loop - 1.0)
-    # (|1/f_k|, sum_{j >= k} |1/s_j|, sum_{j < k} |f_j / f_k|) per end column.
-    ends = [
-        (last_f, sum_b, sum_f),
-        (last_f * last_b, 1.0, last_b * sum_f + r_b * (sum_b - last_b)),
-    ]
-    if n > 1:
-        inner = sum_f - last_f
-        ends += [(r_f, sum_b + last_b * inner, r_f), (last_f, sum_b + last_b, r_f * inner)]
-    columns = [total @ np.abs(first_column)] + [
-        inv_f * (off + after * diag) + before * turn for inv_f, after, before in ends
-    ]
-    return float(max(column.max() for column in columns))
+    diag = np.diagonal(abs_inv, axis1=1, axis2=2)
+    off = (total @ abs_inv)[:, 0] - total[:, 0] * diag
+    turn = np.abs(np.diagonal(a_inverse, axis1=1, axis2=2) * inv_loop - 1.0)
+    inner = sum_f - last_f
+    multi = n[:, 0] > 1
+
+    def end(inv_f, after, before, present=True):
+        # An end column is reduced as it is made, so only one is alive.
+        column = (inv_f * (off + after * diag) + before * turn).max(axis=1)
+        np.maximum(largest, column * present, out=largest)
+
+    # |1/f_k|, sum_{j >= k} |1/s_j| and sum_{j < k} |f_j / f_k| per end.
+    end(last_f, sum_b, sum_f)
+    end(last_f * last_b, 1.0, last_b * sum_f + r_b * (sum_b - last_b))
+    end(r_f, sum_b + last_b * inner, r_f, multi)
+    end(last_f, sum_b + last_b, r_f * inner, multi)
+    return largest
 
 
-def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
-    """Reduce D' to its transfer eigenvalues, factor A' and take Z from
-    the determinant.
+def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
+    """Reduce D' on each of ``grids`` to its transfer eigenvalues, factor
+    A' and take Z from the determinant, in one pass over the stacked
+    grids.
 
-    Raises :class:`~contourgf.core.SingularMatrixError` when the smallest
-    singular value of A', each row scaled by the largest entry of that
-    row of the first block row of D', falls to roundoff, warns with
-    :class:`~contourgf.core.IllConditionedWarning` when the condition
-    estimate (see :class:`DiscreteGf`) exceeds ``CONDITION_WARN`` (1e12;
-    infinite once ``A'^{-1}`` overflows), and then raises
-    ``FloatingPointError`` when Z overflows.
-    The forward generator gets its own ``eigh``, not the stored one of
-    ``epsilon``, so that this route uses the entries of D' and nothing
-    else.
+    Raises ``FloatingPointError`` when ``eps dt`` overflows on any grid,
+    before anything is computed from the blocks.  Then, grid by grid in
+    the order given: raises :class:`~contourgf.core.SingularMatrixError`
+    when the smallest singular value of A', each row scaled by the
+    largest entry of that row of the first block row of D', falls to
+    roundoff; warns with :class:`~contourgf.core.IllConditionedWarning`
+    when the condition estimate (see :class:`DiscreteGf`) exceeds
+    ``CONDITION_WARN`` (1e12; infinite once ``A'^{-1}`` overflows); and
+    raises ``FloatingPointError`` when Z overflows.  Each grid's forward
+    generator gets its own ``eigh``, not the stored one of ``epsilon``,
+    so that this route uses the entries of D' and nothing else.
     """
     d = system.dimension
-    n = grid.n_slices
-    forward, backward, first, corner = _contour_blocks(system, grid)
+    n = np.array([grid.n_slices for grid in grids])[:, None]
+    forward, backward, first, corner = _contour_blocks(system, grids)
     eye = np.eye(d)
     generator, basis = np.linalg.eigh(1j * (forward - eye))
-    basis_h = basis.conj().T
-    backward_generator = np.diag(basis_h @ (-1j * (backward - eye)) @ basis).real
+    basis_h = basis.conj().swapaxes(1, 2)
+    backward_generator = np.diagonal(
+        basis_h @ (-1j * (backward - eye)) @ basis, axis1=1, axis2=2
+    ).real
     log_forward = _log_transfer(generator, -1)
     log_backward = _log_transfer(backward_generator, 1)
+    del generator, backward_generator
     log_loop = (n - 1) * (log_forward + log_backward)
-    inv_loop = np.exp(-log_loop)
     closure = basis_h @ corner @ basis
     # The first block row sums to the identity: V^dag M V = 1 - C.
     # Taking it so leaves an empty level's row exactly e_i.
@@ -279,28 +299,32 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
     # that row, found in log form: 1/l_k underflows once l_k > 1e308.
     with np.errstate(divide="ignore"):
         log2_terms = np.maximum(
-            np.log2(np.abs(rotated_first)) - log_loop.real / LOG2,
+            np.log2(np.abs(rotated_first)) - (log_loop.real / LOG2)[:, None, :],
             np.log2(np.abs(closure)),
         )
-    shift = np.ceil(log2_terms.max(axis=1)).astype(int)
+    shift = np.ceil(log2_terms.max(axis=2)).astype(int)
+    del log2_terms
     # 1/l_i takes its own exponent, so that a huge log l_i cancels
     # against it before it is summed with the other levels; the rest of
     # each shift reaches det D' exactly, as a power of two.
     own = np.ceil(-log_loop.real / LOG2).astype(int)
     log_level = log_loop + own * LOG2
     # A' as diag(1/l) + C diag(1 - 1/l): no cancellation when l ~ 1.
-    a = np.diag(_ldexp(np.exp(-log_level), own - shift)) + _ldexp(
-        closure * -np.expm1(-log_loop), -shift[:, None]
-    )
-    smallest = np.linalg.svd(a, compute_uv=False)[-1]
+    a = np.zeros_like(closure)
+    levels = np.arange(d)
+    a[:, levels, levels] = _ldexp(np.exp(-log_level), own - shift)
+    a += _ldexp(closure * -np.expm1(-log_loop)[:, None, :], -shift[:, :, None])
+    del closure
+    smallest = np.linalg.svd(a, compute_uv=False)[:, -1]
     threshold = SINGULAR_ROUNDOFFS * d * np.finfo(float).eps
-    if smallest <= threshold:
-        raise SingularMatrixError(
-            f"smallest singular value {smallest:.3e} of the row-scaled "
-            f"{d}x{d} loop matrix at or below {threshold:.3e}"
-        )
+    singular = smallest <= threshold
+    # A singular grid is refused below, after the grids before it; the
+    # identity in its place keeps the stacked inverse defined.
+    a[singular] = eye
     sign, log_abs = np.linalg.slogdet(a)
-    log_det = complex(np.sum(log_level) + log_abs + np.log(sign))
+    log_det = log_level.sum(axis=1) + log_abs + np.log(sign)
+    exponent = (shift - own).sum(axis=1)
+    del sign, log_abs, log_level, own
     # The estimate is of D' with each row of its first block row divided
     # by that row's largest entry R: the occupation there grows without
     # bound in the boson classical limit while Z stays exact.  The first
@@ -311,49 +335,80 @@ def _factor(system: LevelSystem, grid: TimeGrid) -> _Factorization:
         np.abs(corner).max(axis=1, keepdims=True),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        inverse = _ldexp(np.linalg.inv(a), -shift[None, :])
+        inverse = _ldexp(np.linalg.inv(a), -shift[:, None, :])
         a_inverse = inverse @ rotated_first
         first_column = inverse @ (basis_h @ (scale * basis))
-    # The peak memory of Z falls in _inverse_norm, so nothing that is no
-    # longer needed is kept alive into it.
-    del inverse
     # ||D'||_1 per block column: M over h (over the turn when N = 1), and
     # the identity under the corner, over the turn or over h or hbar,
     # whose entries have equal moduli.
-    norm = max(
-        (np.abs(first) / scale + np.abs(forward if n > 1 else eye)).sum(axis=0).max(),
-        1.0
-        + max(
-            np.abs(block).sum(axis=0).max()
-            for block in [corner / scale] + ([eye, backward] if n > 1 else [])
-        ),
+    single = n[:, 0] == 1
+    lower = np.abs(forward)
+    lower[single] = eye
+    below = np.maximum(1.0, np.abs(backward).sum(axis=1).max(axis=1))
+    below[single] = 0.0
+    norm = np.maximum(
+        (np.abs(first) / scale + lower).sum(axis=1).max(axis=1),
+        1.0 + np.maximum(np.abs(corner / scale).sum(axis=0).max(), below),
     )
-    condition = np.inf
-    if np.isfinite(a_inverse).all() and np.isfinite(first_column).all():
-        condition = norm * _inverse_norm(
-            log_forward.real, log_backward.real, n, a_inverse, first_column, inv_loop
-        )
-    if condition > CONDITION_WARN:
-        warnings.warn(
-            f"condition estimate {condition:.3e} exceeds {CONDITION_WARN:.1e}",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
+    # The peak memory of Z falls in _inverse_norm, so nothing that is no
+    # longer needed is kept alive into it.
+    del inverse, basis_h, rotated_first, a, shift, scale, lower, below, single
+    del forward, backward, first, corner
+    finite = np.isfinite(a_inverse).all(axis=(1, 2)) & np.isfinite(first_column).all(
+        axis=(1, 2)
+    )
+    # The grids where A'^{-1} overflows are left out of the norm; most
+    # runs have none, and then no argument is copied.
+    kept = slice(None) if finite.all() else finite
+    condition = np.full(len(grids), np.inf)
+    condition[kept] = norm[kept] * _inverse_norm(
+        log_forward.real[kept],
+        log_backward.real[kept],
+        n[kept],
+        a_inverse[kept],
+        first_column[kept],
+        np.exp(-log_loop[kept]),
+    )
+    del first_column, finite, norm
     # Z = det(D')^{-zeta} with det D' = exp(log_det) 2**exponent.
-    exponent = int(np.sum(shift - own))
     zeta = system.statistics.zeta
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(-zeta * log_det)
         parts = np.ldexp([z.real, z.imag], -zeta * exponent)
-    z = complex(*parts)
-    if not cmath.isfinite(z):
-        raise FloatingPointError(
-            f"partition function overflows: log det D' = {log_det:.6g} "
-            f"+ {exponent} log 2"
+    # Each grid's arrays are copied out of the stacks, so that a caller
+    # done with one grid frees its memory.
+    factorizations = []
+    for index, grid in enumerate(grids):
+        if singular[index]:
+            raise SingularMatrixError(
+                f"smallest singular value {smallest[index]:.3e} of the row-scaled "
+                f"{d}x{d} loop matrix at or below {threshold:.3e}"
+            )
+        if condition[index] > CONDITION_WARN:
+            warnings.warn(
+                f"condition estimate {condition[index]:.3e} exceeds "
+                f"{CONDITION_WARN:.1e}",
+                IllConditionedWarning,
+                stacklevel=3,
+            )
+        z = complex(*parts[:, index])
+        if not cmath.isfinite(z):
+            raise FloatingPointError(
+                f"partition function overflows: log det D' = {log_det[index]:.6g} "
+                f"+ {exponent[index]} log 2"
+            )
+        factorizations.append(
+            _Factorization(
+                basis[index].copy(),
+                log_forward[index].copy(),
+                log_backward[index].copy(),
+                a_inverse[index].copy(),
+                grid.n_slices,
+                float(condition[index]),
+                z,
+            )
         )
-    return _Factorization(
-        basis, log_forward, log_backward, a_inverse, n, condition, z
-    )
+    return factorizations
 
 
 def _lag_blocks(fac: _Factorization) -> tuple[np.ndarray, np.ndarray]:
@@ -509,7 +564,7 @@ def discrete_green(
     of G or Z is not finite.
     """
     _check_dimension(system, grid, max_dimension)
-    fac = _factor(system, grid)
+    (fac,) = _factor(system, [grid])
     matrix = _green_rows(fac)(0, 2 * grid.n_slices)
     return DiscreteGf(matrix, grid, system, fac.condition, fac.partition_function)
 
@@ -524,8 +579,11 @@ def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
     so no grid cap applies.  Defined for every valid occupation,
     including a full fermion level.  Equals 1 exactly for ``eps = 0`` or
     ``nbar = 0`` and approaches 1 as O(1/N) otherwise.  Raises
+    ``FloatingPointError`` when ``eps dt`` overflows; then raises
     :class:`~contourgf.core.SingularMatrixError` when A' is singular to
-    roundoff and ``FloatingPointError`` when Z overflows.
+    roundoff, warns with :class:`~contourgf.core.IllConditionedWarning`
+    when the condition estimate exceeds 1e12, and raises
+    ``FloatingPointError`` when Z overflows, in that order.
     """
-    return _factor(system, grid).partition_function
+    return _factor(system, [grid])[0].partition_function
 

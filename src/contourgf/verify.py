@@ -428,13 +428,20 @@ def run_oracle_suite(
     and identical endpoints.  Reports the maximum block error away from
     equal times, the error allowance, the partition-function deviation
     |Z - 1|, and the order fitted by least squares on the log-log error
-    curve (None when all errors sit at the roundoff floor).  Each grid
-    is factorized once: Z, the condition estimate and the rows of the
-    discrete inverse come from that factorization.  Raises
-    ``FloatingPointError`` when an error, Z or an entry of G is not
-    finite, and :class:`~contourgf.core.GridTooLargeError` before any
-    grid is factorized when ``2 N d`` of the finest grid exceeds
-    ``max_dimension``.  The discrete inverse less the continuum
+    curve (None when all errors sit at the roundoff floor).  All grids
+    are factorized once, in one stacked pass before any comparison: Z,
+    the condition estimate and the rows of the discrete inverse come
+    from that factorization.  Raises
+    :class:`~contourgf.core.GridTooLargeError` before any grid is
+    factorized when ``2 N d`` of the finest grid exceeds
+    ``max_dimension``, and ``FloatingPointError`` when ``eps dt``
+    overflows on any grid.  Then, grid by grid: raises
+    :class:`~contourgf.core.SingularMatrixError` when A' is singular,
+    warns with :class:`~contourgf.core.IllConditionedWarning` when D'
+    is ill-conditioned and raises ``FloatingPointError`` when Z
+    overflows, for every grid before any comparison; after that, raises
+    ``FloatingPointError`` when an error or an entry of G is not
+    finite.  The discrete inverse less the continuum
     prediction is computed in blocks of contour rows
     (:func:`_difference_rows`) through one block buffer for all grids,
     so each grid costs O((N d)^2 d) time and the memory of one row block:
@@ -452,12 +459,14 @@ def run_oracle_suite(
         raise ValueError("grids must share their endpoints")
     # Refuse an over-cap grid before any work; the finest is the largest.
     _check_dimension(system, grids[-1], max_dimension)
+    factorizations = _factor(system, grids)
     workspace = _workspace(system, grids)
     errors = []
     bounds = []
     deviations = []
     for grid in grids:
-        fac = _factor(system, grid)
+        # Each grid's factorization is released once its grid is done.
+        fac = factorizations.pop(0)
         error = _unequal_time_error(
             system, grid, _difference_rows(system, grid, fac), workspace
         )

@@ -65,7 +65,7 @@ def build_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     d = system.dimension
     n = grid.n_slices
     total = 2 * n * d
-    forward, backward, first, corner = _contour_blocks(system, grid)
+    (forward,), (backward,), first, corner = _contour_blocks(system, [grid])
     eye = np.eye(d, dtype=complex)
     matrix = np.zeros((total, total), dtype=complex)
     matrix[0:d, 0:d] = first

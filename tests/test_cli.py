@@ -636,7 +636,8 @@ def test_over_cap_grid_refused_before_any_work(tmp_path, capsys, monkeypatch, co
         tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8], "max_dimension": 16}
     )
     assert main([command, "--config", config]) in (0, 1)
-    assert calls == {"_factor": 2, "run_structure_suite": int(command == "verify")}
+    # One stacked factorization serves both grids.
+    assert calls == {"_factor": 1, "run_structure_suite": int(command == "verify")}
 
 
 def test_removed_tolerance_key_is_config_error(tmp_path, capsys):
@@ -937,6 +938,67 @@ def test_converge_warns_once_per_ill_conditioned_grid(tmp_path, capsys, statisti
     assert all(Path(w.filename).name == "cli.py" for w in warned)
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["8", "10"]
+
+
+def test_z_warns_once_per_ill_conditioned_grid(tmp_path, capsys):
+    # The system of the converge test above: both grids of one stacked
+    # factorization are ill-conditioned, and each warns.
+    rng = np.random.default_rng(11)
+    basis = random_unitary(rng, 3)
+    nbar = (basis * np.array([0.0, 0.0, 0.5])) @ basis.conj().T
+    basis = random_unitary(rng, 3)
+    epsilon = (basis * np.array([-50.0, 50.0, 50.0])) @ basis.conj().T
+    config = write_config(
+        tmp_path,
+        {
+            "epsilon": {"re": epsilon.real.tolist(), "im": epsilon.imag.tolist()},
+            "nbar": {"re": nbar.real.tolist(), "im": nbar.imag.tolist()},
+            "grid.n_slices": [8, 10],
+        },
+    )
+    with pytest.warns(IllConditionedWarning) as record:
+        assert main(["z", "--config", config]) == 0
+    warned = [w for w in record if issubclass(w.category, IllConditionedWarning)]
+    assert len(warned) == 2
+    assert all(Path(w.filename).name == "cli.py" for w in warned)
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["8", "10"]
+
+
+def test_z_singular_middle_grid_is_numerical_error(tmp_path, capsys):
+    # One boson level with rho l = 1 on eight slices, l = (1 + (eps dt)^2)^(N - 1)
+    # the loop product: A' is singular on the middle grid of three only.
+    eps, n = 1.0, 8
+    rho = 1.0 / (1.0 + (eps / n) ** 2) ** (n - 1)
+    config = write_config(
+        tmp_path,
+        {"epsilon": eps, "nbar": rho / (1.0 - rho), "grid.n_slices": [4, n, 16]},
+    )
+    assert main(["z", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SingularMatrixError: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_z_coarsest_grid_epsilon_dt_overflow_is_numerical_error(tmp_path, capsys):
+    # eps dt = 2.5e309 on four slices only; on 1e10 slices it is 1e300.
+    config = write_config(
+        tmp_path,
+        {
+            "epsilon": 1e300,
+            "nbar": 0.3,
+            "grid.t_final": 1e10,
+            "grid.n_slices": [4, 10**10],
+        },
+    )
+    assert main(["z", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FloatingPointError: transfer blocks")
+    assert "dt = 2.5e+09" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.filterwarnings("error")

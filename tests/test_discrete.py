@@ -213,7 +213,7 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     system = random_system(rng, statistics, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
     dense = discrete_green(system, grid).matrix
-    rows = _green_rows(_factor(system, grid))
+    rows = _green_rows(_factor(system, [grid])[0])
     total = 2 * n_slices
     block = block or total
     stacked = np.vstack(
@@ -221,6 +221,37 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     )
     assert stacked.shape == dense.shape
     assert max_abs(stacked - dense) <= EXACT_TOL * max_abs(dense)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+@pytest.mark.parametrize("commuting", [False, True])
+def test_stacked_factorization_matches_one_grid_per_call(
+    statistics, dimension, commuting
+):
+    # N = 1 is in the stack: the norm of D' and _inverse_norm branch on
+    # N > 1.  The results must agree bit for bit.
+    rng = np.random.default_rng([dimension, int(commuting), statistics.zeta + 5])
+    low, high = OCCUPATION_RANGE[statistics]
+    if commuting:
+        basis = random_unitary(rng, dimension)
+        epsilon = (basis * rng.uniform(*EPSILON_RANGE, dimension)) @ basis.conj().T
+        nbar = (basis * rng.uniform(low, high, dimension)) @ basis.conj().T
+        system = LevelSystem(epsilon, nbar, statistics)
+    else:
+        system = random_system(rng, statistics, dimension)
+    grids = [TimeGrid(0.0, 1.0, n) for n in (1, 2, 7, 64)]
+    stacked = _factor(system, grids)
+    assert [fac.n_slices for fac in stacked] == [1, 2, 7, 64]
+    for grid, fac in zip(grids, stacked):
+        (single,) = _factor(system, [grid])
+        bits = [
+            (z.real.hex(), z.imag.hex())
+            for z in (fac.partition_function, single.partition_function)
+        ]
+        assert bits[0] == bits[1]
+        assert fac.condition.hex() == single.condition.hex()
+        assert fac.a_inverse.tobytes() == single.a_inverse.tobytes()
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

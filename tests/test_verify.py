@@ -309,7 +309,7 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     green = discrete_green(system, grid).matrix
     difference = green - reference
     tol = KERNEL_TOL * max(np.abs(reference).max(), np.abs(green).max())
-    rows = verify._difference_rows(system, grid, _factor(system, grid))
+    rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
     size = 2 * n_slices
     d = system.dimension
 
@@ -479,7 +479,7 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
     monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
-    fac = _factor(system, grid)
+    fac = _factor(system, [grid])[0]
     clean = verify._green_factors(fac)
 
     def error_with(**changes):
@@ -536,7 +536,7 @@ def test_grid_error_allocates_no_block():
     # strided Toeplitz add (192 KiB), not a block (768 KiB).
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     grid = TimeGrid(0.0, 1.0, 256)
-    rows = verify._difference_rows(system, grid, _factor(system, grid))
+    rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
     workspace = verify._workspace(system, [grid])
     assert workspace[0].size == verify.ORACLE_BLOCK_ENTRIES
     tracemalloc.start()
@@ -617,11 +617,16 @@ def test_oracle_fails_without_m_in_the_source(monkeypatch):
     # A'^{-1} V^dag M V loses its V^dag M V.
     factor = verify._factor
 
-    def without_m(system, grid):
-        fac = factor(system, grid)
+    def without_m(system, grids):
         m = np.eye(system.dimension) + system.statistics.zeta * system.nbar.T
-        a_inverse = fac.a_inverse @ np.linalg.inv(fac.basis.conj().T @ m @ fac.basis)
-        return dataclasses.replace(fac, a_inverse=a_inverse)
+        return [
+            dataclasses.replace(
+                fac,
+                a_inverse=fac.a_inverse
+                @ np.linalg.inv(fac.basis.conj().T @ m @ fac.basis),
+            )
+            for fac in factor(system, grids)
+        ]
 
     monkeypatch.setattr(verify, "_factor", without_m)
     assert not all(c.passed for c in oracle_mutant_checks())
@@ -634,8 +639,8 @@ def test_oracle_fails_with_a_dt_error_in_h(monkeypatch):
     # 0.048); only the order fit (|order - 1| about 0.76) fails.
     contour_blocks = discrete._contour_blocks
 
-    def stretched(system, grid):
-        forward, backward, first, corner = contour_blocks(system, grid)
+    def stretched(system, grids):
+        forward, backward, first, corner = contour_blocks(system, grids)
         eye = np.eye(system.dimension)
         forward, backward = (eye + 1.05 * (b - eye) for b in (forward, backward))
         return forward, backward, first, corner
