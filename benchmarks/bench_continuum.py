@@ -4,7 +4,8 @@
 {1, 2, 4, 8, 16}, both statistics, with energy and occupation matrices
 in independent random eigenbases so the two do not commute.  Each case
 also records, in ``extra_info``, the ``tracemalloc`` peak of one untimed
-call.  The file sits outside the test paths; run it with
+call, and a suite case the number of ``propagator_stack`` calls it
+makes.  The file sits outside the test paths; run it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_continuum.py --benchmark-warmup=on \\
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from contourgf import LevelSystem, Statistics, fix_constants, run_structure_suite
+from contourgf import continuum, core, verify
 
 DIMENSIONS = [1, 2, 4, 8, 16]
 OCCUPATIONS = {Statistics.BOSON: (0.0, 3.0), Statistics.FERMION: (0.05, 0.95)}
@@ -60,8 +62,19 @@ def test_fix_constants(benchmark, dimension, statistics):
 
 @pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
 @pytest.mark.parametrize("dimension", DIMENSIONS)
-def test_structure_suite(benchmark, dimension, statistics):
+def test_structure_suite(benchmark, monkeypatch, dimension, statistics):
     system = _system(statistics, dimension)
     benchmark.extra_info["peak_mib"] = _peak_mib(run_structure_suite, system)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return core.propagator_stack(*args)
+
+    with monkeypatch.context() as patch:
+        for module in (continuum, verify):
+            patch.setattr(module, "propagator_stack", counted)
+        run_structure_suite(system)
+    benchmark.extra_info["propagator_stack_calls"] = len(calls)
     checks = benchmark(run_structure_suite, system)
     assert all(c.passed for c in checks)

@@ -21,10 +21,10 @@ Contour-branch components follow from the same three functions:
 ``G^{bb'} = (G_K + s(b') G_R + s(b) G_A)/2`` with branch signs
 ``s(+) = +1`` and ``s(-) = -1``, identical for both statistics.
 
-:func:`regularized_step` is the one symmetric step, used by every
-table here and by the oracle's continuum rows.  The step sits at the
-rotated-basis positions of R and A (:func:`rotated_block_layout`), and
-:func:`fix_constants` solves the two boundary conditions for the
+:func:`regularized_step` is the one symmetric step of every table here
+(the oracle's continuum rows take the contour order instead).  It sits
+at the rotated-basis positions of R and A (:func:`rotated_block_layout`),
+and :func:`fix_constants` solves the two boundary conditions for the
 constant blocks of the general solution by block elimination.
 Everything here reads the eigensystems a :class:`~contourgf.core.LevelSystem`
 checked and stored when it was constructed; nothing is validated again.
@@ -186,31 +186,47 @@ def component_table(
     """
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
-    t_row = np.asarray(t_values, dtype=float).reshape(-1)
-    t_col = np.asarray(t_prime_values, dtype=float).reshape(-1)
-    if component is KeldyshComponent.ZERO:
-        d = system.dimension
-        return np.zeros((t_row.size, t_col.size, d, d), dtype=complex)
-    p_row = propagator_stack(system, t_row - t_ref)
-    p_col = propagator_stack(system, t_col - t_ref)
+    return _over_times(system, t_values, t_prime_values, t_ref, component)
+
+
+def _over_times(system, rows, cols, t_ref, what) -> np.ndarray:
+    """:func:`_tabulate` over all pairs of two time arrays: the set-up that
+    :func:`component_table` and :func:`solution_from_constants` each had."""
+    t_row, t_col = (np.asarray(t, dtype=float).reshape(-1) for t in (rows, cols))
+    p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
+    theta = regularized_step(t_row[:, None] - t_col)
+    return _tabulate(system, p_row, p_col, theta, what)
+
+
+def _tabulate(system, p_row, p_col, theta, what) -> np.ndarray:
+    """The tables of :func:`component_table` and :func:`solution_from_constants`:
+    ``what``, a component or a ``(constants, row, col)`` position, over all pairs
+    of the stacks ``p_row`` and ``p_col``; their step table ``theta`` is only read."""
+    if what is KeldyshComponent.ZERO:
+        return np.zeros(theta.shape + p_row.shape[1:], dtype=complex)
+    theta = theta[:, :, None, None]
+    if isinstance(what, tuple):
+        constants, row, col = what
+        out = _sandwich(p_row, getattr(constants, f"c{row + 1}{col + 1}"), p_col)
+        if _has_step(system.statistics, row, col):
+            out += theta * _sandwich(p_row, np.eye(system.dimension), p_col)
+        return out
 
     def keldysh():
-        weight = keldysh_weight(system)
-        return _sandwich(p_row, weight, p_col)
+        return _sandwich(p_row, keldysh_weight(system), p_col)
 
-    if component is KeldyshComponent.KELDYSH:
+    if what is KeldyshComponent.KELDYSH:
         return keldysh()
     free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
-    theta = regularized_step(t_row[:, None] - t_col[None, :])[:, :, None, None]
-    # R and A overwrite the free table (and A the step table): the same
-    # products as below, in the same operand order, without table-sized
-    # temporaries.
-    if component is KeldyshComponent.RETARDED:
+    # R and A overwrite the free table: the same products as below, in
+    # the same operand order, with no temporary beyond the step factor.
+    if what is KeldyshComponent.RETARDED:
         return np.multiply(-1j * theta, free, out=free)
-    if component is KeldyshComponent.ADVANCED:
-        return np.multiply(1j * np.subtract(1.0, theta, out=theta), free, out=free)
-    s_row = component.row_branch.sign
-    s_col = component.col_branch.sign
+    if what is KeldyshComponent.ADVANCED:
+        step = np.subtract(1.0, theta, dtype=complex)
+        return np.multiply(np.multiply(1j, step, out=step), free, out=free)
+    s_row = what.row_branch.sign
+    s_col = what.col_branch.sign
     return (
         keldysh() + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
     ) / 2.0
@@ -354,13 +370,4 @@ def solution_from_constants(
     and returns an array of shape ``(len(t_values), len(t_prime_values),
     d, d)``.
     """
-    block = (constants.c11, constants.c12, constants.c21, constants.c22)[2 * row + col]
-    t_row = np.asarray(t_values, dtype=float).reshape(-1)
-    t_col = np.asarray(t_prime_values, dtype=float).reshape(-1)
-    p_row = propagator_stack(system, t_row - t_ref)
-    p_col = propagator_stack(system, t_col - t_ref)
-    out = _sandwich(p_row, block, p_col)
-    if _has_step(system.statistics, row, col):
-        theta = regularized_step(t_row[:, None] - t_col[None, :])
-        out += theta[:, :, None, None] * _sandwich(p_row, np.eye(block.shape[0]), p_col)
-    return out
+    return _over_times(system, t_values, t_prime_values, t_ref, (constants, row, col))

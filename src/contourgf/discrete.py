@@ -278,7 +278,8 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     so that this route uses the entries of D' and nothing else.
     """
     d = system.dimension
-    n = np.array([grid.n_slices for grid in grids])[:, None]
+    # Float counts only scale logarithms; integer ones wrap from 2^63 on.
+    n = np.array([grid.n_slices for grid in grids], dtype=float)[:, None]
     forward, backward, first, corner = _contour_blocks(system, grids)
     eye = np.eye(d)
     generator, basis = np.linalg.eigh(1j * (forward - eye))

@@ -38,11 +38,11 @@ from .core import (
 )
 from .continuum import (
     KeldyshComponent,
-    component_table,
+    _tabulate,
     fix_constants,
     keldysh_weight,
+    regularized_step,
     rotated_block_layout,
-    solution_from_constants,
 )
 from .discrete import (
     _check_dimension,
@@ -137,18 +137,21 @@ def run_structure_suite(
     """Run all structure checks on a deterministic sample of time pairs.
 
     The sample crosses seven Chebyshev-spaced interior column times with
-    the two endpoints plus three seeded interior row times.  R, A and K
-    are tabulated once over row times by column times, and A and K once
-    the other way round; each check reads its components there and
-    reports the largest entry of its deviations.  Every check compares
+    the two endpoints plus three seeded interior row times.  Every table
+    comes from one row and one column propagator stack, through the
+    evaluator of ``component_table``: R, A and K over row times by column
+    times, A and K the other way round, R and A at equal times, the
+    solutions from the solved constants and, one at a time, the four
+    branch components, which ``zero_block`` compares with R, A and K.
+    Each check reports the largest entry of its deviations and compares
     with ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta nbar^T`` the
-    Keldysh weight, and reports that scaled value as its threshold: the
-    roundoff of the checks that multiply by W grows with it.  The
-    sampled times are offsets from ``t_initial``, so the checks do not
-    depend on where the span lies on the time axis.  Results are sorted
-    by check name.  ``corrupt_keldysh`` is a test hook that flips the
-    sign of the Keldysh component for t > t' before the checks run; the
-    solved constants are still compared with the uncorrupted one.
+    Keldysh weight, reported as its threshold: the roundoff of the checks
+    that multiply by W grows with it.  The sampled times are offsets from
+    ``t_initial``, so the checks do not depend on where the span lies on
+    the time axis.  Results are sorted by check name.  ``corrupt_keldysh``
+    is a test hook that flips the sign of K for t > t' before the checks
+    run; ``zero_block`` and ``constant_fixing`` still compare with the
+    uncorrupted tables.
     """
     ret, adv, kel, zero = KeldyshComponent  # in definition order
     weight = keldysh_weight(system)
@@ -164,15 +167,14 @@ def run_structure_suite(
 
     d = system.dimension
     delta = t_row[:, None] - t_col[None, :]
-    forward = {
-        c: component_table(system, t_row, t_col, c, 0.0) for c in (ret, adv, kel)
-    }
-    # One zero block, which broadcasts against any table or table row.
-    forward[zero] = np.zeros((1, 1, d, d))
-    clean = dict(forward)  # constant_fixing reads the uncorrupted K
+    p_row, p_col = propagator_stack(system, t_row), propagator_stack(system, t_col)
+    theta = regularized_step(delta)
+    forward = {c: _tabulate(system, p_row, p_col, theta, c) for c in (ret, adv, kel)}
+    forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
+    clean = dict(forward)  # zero_block and constant_fixing read these
     # backward[c][i, j] is component c at (t_col[j], t_row[i]).
     backward = {
-        c: component_table(system, t_col, t_row, c, 0.0).transpose(1, 0, 2, 3)
+        c: _tabulate(system, p_col, p_row, 1.0 - theta.T, c).transpose(1, 0, 2, 3)
         for c in (adv, kel)
     }
     if corrupt_keldysh:
@@ -189,11 +191,9 @@ def run_structure_suite(
     check("causality", (forward[ret][delta < 0], forward[adv][delta > 0]))
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.
-    diag = component_table(system, t_row, t_row, ret, 0.0) - component_table(
-        system, t_row, t_row, adv, 0.0
-    )
-    idx = np.arange(t_row.size)
-    check("equal_time_jump", [diag[idx, idx] + 1j * np.eye(d)])
+    same = regularized_step(t_row[:, None] - t_row)
+    r_same, a_same = (_tabulate(system, p_row, p_row, same, c) for c in (ret, adv))
+    check("equal_time_jump", [np.diagonal(r_same - a_same) + 1j * np.eye(d)[..., None]])
 
     # Conjugation: R(t,t')^dag = A(t',t).
     check("conjugation", [forward[ret].conj().swapaxes(2, 3) - backward[adv]])
@@ -203,14 +203,18 @@ def run_structure_suite(
         "keldysh_antihermiticity", [forward[kel].conj().swapaxes(2, 3) + backward[kel]]
     )
 
-    # The rotated zero block, assembled from the branch components.
-    combo = {}
-    for c in ContourComponent:
-        s_row, s_col = c.row_branch.sign, c.col_branch.sign
-        combo[c.value] = (
-            forward[kel] + s_col * forward[ret] + s_row * forward[adv]
-        ) / 2.0
-    check("zero_block", [(combo["++"] + combo["--"] - combo["+-"] - combo["-+"]) / 2.0])
+    # Branch components, one table at a time: ++ - +- = R, ++ - -+ = A,
+    # ++ + -- = K and the rotated zero block ++ + -- - +- - -+ = 0.
+    def rotation():
+        pp, *others = ContourComponent
+        plus = total = _tabulate(system, p_row, p_col, theta, pp)
+        for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
+            other = sign * _tabulate(system, p_row, p_col, theta, branch)
+            yield plus - other - clean[c]
+            total = total - other
+        yield total
+
+    check("zero_block", rotation())
 
     # Thermal proportionality K = (R - A) (1 + 2 zeta nbar^T), defined
     # only when the occupation commutes with the energy matrix (the
@@ -243,9 +247,7 @@ def run_structure_suite(
     check(
         "constant_fixing",
         (
-            solution_from_constants(
-                system, constants, row, col, t_row, t_col, t_ref=0.0
-            )
+            _tabulate(system, p_row, p_col, theta, (constants, row, col))
             - clean[layout[row][col]]
             for row in range(2)
             for col in range(2)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from contourgf.cli import (
     load_config,
     main,
 )
-from contourgf.core import IllConditionedWarning
+from contourgf.core import IllConditionedWarning, LevelSystem, Statistics, TimeGrid
+from contourgf.discrete import _factor
 
 from conftest import random_hermitian, random_unitary
 from gf_reference import gf_text, iter_samples
@@ -675,6 +677,29 @@ def test_z_classical_limit(tmp_path, capsys, nbar):
         expected = _classical_limit_z(nbar, row["n_slices"])
         z = complex(row["z_re"], row["z_im"])
         assert abs(z - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "text, n_slices",
+    [(str(2**63 + 5), 2**63 + 5), (str(2**64 - 1), 2**64 - 1), ("1e20", 10**20)],
+)
+def test_z_slice_counts_past_int64(tmp_path, capsys, text, n_slices):
+    # Counts past 2^63 once wrapped (uint64) or ended in a TypeError
+    # (object array); the condition estimate must not fall with N.
+    config = write_config(tmp_path, {"output.format": "json"})
+    with pytest.warns(IllConditionedWarning):
+        assert main(["z", "--config", config, "--grid.n_slices", text]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (record,) = json.loads(captured.out)
+    assert record["n_slices"] == n_slices
+    assert math.isfinite(record["z_re"]) and math.isfinite(record["z_im"])
+    system = LevelSystem(1.0, 0.0, Statistics.BOSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        below = _factor(system, [TimeGrid(0.0, 1.0, 2**63 - 1)])[0].condition
+        condition = _factor(system, [TimeGrid(0.0, 1.0, n_slices)])[0].condition
+    assert condition >= below > 1e19
 
 
 def test_z_beyond_input_resolution_is_numerical_error(tmp_path, capsys):

@@ -29,6 +29,7 @@ from contourgf import (
     thermal_nbar,
 )
 
+from contourgf import continuum
 from contourgf.core import propagator_stack
 
 from conftest import random_hermitian, random_system, taylor_propagator
@@ -399,22 +400,39 @@ def test_component_table_shape_and_consistency():
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
     # R and A are computed in place; every bit, signs of zeros included,
-    # must match the plain products the gf output was written from.
+    # must match the plain products the gf output was written from, and
+    # so must K and the branch components.  The shared step table is
+    # read, never written.
     system = random_system(np.random.default_rng(dimension), statistics, dimension)
     times = np.linspace(-0.5, 2.0, 11)
     p_row = propagator_stack(system, times[:7] + 0.5)
     p_col = propagator_stack(system, times + 0.5)
     free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
-    theta = regularized_step(times[:7, None] - times[None, :])[:, :, None, None]
+    step = regularized_step(times[:7, None] - times[None, :])
+    theta = step[:, :, None, None]
+    kel = -1j * np.einsum("nab,mcb->nmac", p_row @ keldysh_weight(system), p_col.conj())
     expected = {
         KeldyshComponent.RETARDED: -1j * theta * free,
         KeldyshComponent.ADVANCED: 1j * (1.0 - theta) * free,
+        KeldyshComponent.KELDYSH: kel,
     }
+    # The tables hold signed zeros, and R and A exact zeros, so that the
+    # bits pin the signs too.
+    assert all(np.signbit(want.view(float)).any() for want in expected.values())
+    assert (expected[KeldyshComponent.RETARDED] == 0).any()
+    assert (expected[KeldyshComponent.ADVANCED] == 0).any()
+    for c in ContourComponent:
+        s_row, s_col = c.row_branch.sign, c.col_branch.sign
+        expected[c] = (
+            kel + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
+        ) / 2.0
+    kept = step.copy()
     for component, want in expected.items():
         table = component_table(system, times[:7], times, component, -0.5)
-        assert np.signbit(want.view(float)).any()
-        assert (want == 0).any()
-        np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
+        shared = continuum._tabulate(system, p_row, p_col, step, component)
+        for got in (table, shared):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(step.view(np.uint64), kept.view(np.uint64))
 
 
 def test_component_table_rejects_unknown_component():

@@ -11,7 +11,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from contourgf import (
+    ContourComponent,
     IllConditionedWarning,
+    KeldyshComponent,
     LevelSystem,
     SingularMatrixError,
     Statistics,
@@ -26,7 +28,7 @@ from contourgf import (
     run_oracle_suite,
     run_structure_suite,
 )
-from contourgf import discrete, verify
+from contourgf import continuum, discrete, verify
 from contourgf.core import propagator_stack
 from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
@@ -250,6 +252,100 @@ def test_structure_suite_corruption_fails_antihermiticity():
     assert checks["boundary_final"].passed
     # The solved constants are compared with the uncorrupted tables.
     assert checks["constant_fixing"].passed
+
+
+def test_structure_suite_builds_two_propagator_stacks(monkeypatch):
+    # Every table of the suite comes from one row and one column stack.
+    calls = []
+
+    def counted(system, scales):
+        calls.append(len(scales))
+        return propagator_stack(system, scales)
+
+    for module in (continuum, verify):
+        monkeypatch.setattr(module, "propagator_stack", counted)
+    system = random_system(np.random.default_rng(5), Statistics.FERMION, 2)
+    assert all(c.passed for c in run_structure_suite(system))
+    assert calls == [5, 7]
+
+
+def _evaluator_with(replacements):
+    """The evaluator with ``replacements[what](system, rows, cols, theta)``
+    in place of the table of each component it names; the positions of
+    the general solution, ``(constants, row, col)`` tuples, pass through."""
+
+    def evaluate(system, rows, cols, theta, what):
+        if not isinstance(what, tuple) and what in replacements:
+            return replacements[what](system, rows, cols, theta)
+        return continuum._tabulate(system, rows, cols, theta, what)
+
+    return evaluate
+
+
+def _as(component, rows=lambda p: p, cols=lambda p: p, theta=lambda t: t, scale=1):
+    """A replacement that evaluates ``component`` with its propagator stacks
+    and step table passed through the given maps, times ``scale``."""
+    return lambda system, p_row, p_col, step: scale * continuum._tabulate(
+        system, rows(p_row), cols(p_col), theta(step), component
+    )
+
+
+RET, ADV, KEL, _ = KeldyshComponent
+PM, MP = ContourComponent.PLUS_MINUS, ContourComponent.MINUS_PLUS
+STRUCTURE_MUTANTS = {
+    # A with the step of R: nonzero after t', so at the final time too.
+    "boundary_final": {ADV: _as(ADV, theta=lambda t: 1.0 - t)},
+    # K without the weight W: R with a unit step.
+    "boundary_initial": {KEL: _as(RET, theta=np.ones_like)},
+    # R without its step: nonzero before t'.
+    "causality": {RET: _as(RET, theta=np.ones_like)},
+    # A from conjugated propagators: still causal, no longer R^dag.
+    "conjugation": {ADV: _as(ADV, rows=np.conj, cols=np.conj)},
+    # Handled by the test: the solved c11 and c22 swapped.
+    "constant_fixing": {},
+    # A's step 1 at equal times, so R - A is -3i/2 there; equal times
+    # cannot see a common theta(0).
+    "equal_time_jump": {ADV: _as(ADV, theta=lambda t: np.where(t == 0.5, 0.0, t))},
+    # K from conjugated propagators: still anti-Hermitian, not (R - A) W.
+    "fdt_proportionality": {KEL: _as(KEL, rows=np.conj, cols=np.conj)},
+    # K times i: Hermitian instead of anti-Hermitian.
+    "keldysh_antihermiticity": {KEL: _as(KEL, scale=1j)},
+    # The +- and -+ branch components swapped.
+    "zero_block": {PM: _as(MP), MP: _as(PM)},
+}
+
+
+def commuting_pair(statistics):
+    """Two levels whose occupation commutes with the energy matrix (and,
+    both real, with its transpose), so that every check applies."""
+    c, s = np.cos(0.6), np.sin(0.6)
+    rotation = np.array([[c, -s], [s, c]])
+    occupation = [0.3, 0.8] if statistics is Statistics.FERMION else [0.3, 1.7]
+    return LevelSystem(
+        rotation @ np.diag([1.0, -0.4]) @ rotation.T,
+        rotation @ np.diag(occupation) @ rotation.T,
+        statistics,
+    )
+
+
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
+@pytest.mark.parametrize("name", STRUCTURE_CHECK_NAMES)
+def test_each_structure_check_fails_its_mutant(monkeypatch, name, statistics):
+    system = commuting_pair(statistics)
+    clean = {c.name: c for c in run_structure_suite(system)}
+    assert all(c.passed for c in clean.values())
+    assert "not applicable" not in clean["fdt_proportionality"].details
+    if name == "constant_fixing":
+        solved = verify.fix_constants(system)
+        wrong = dataclasses.replace(solved, c11=solved.c22, c22=solved.c11)
+        monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
+    monkeypatch.setattr(verify, "_tabulate", _evaluator_with(STRUCTURE_MUTANTS[name]))
+    checks = {c.name: c for c in run_structure_suite(system)}
+    assert not checks[name].passed
+    if name == "zero_block":
+        # The swap leaves R - A = -i U(t - t') off equal times, whose
+        # largest entry, that of a 2 x 2 unitary, is at least 1/sqrt(2).
+        assert checks[name].observed > 0.5
 
 
 def test_structure_suite_deterministic():
