@@ -4,8 +4,9 @@
 {1, 2, 4, 8, 16}, both statistics, with energy and occupation matrices
 in independent random eigenbases so the two do not commute.  Each case
 also records, in ``extra_info``, the ``tracemalloc`` peak of one untimed
-call, and a suite case the number of ``propagator_stack`` calls it
-makes.  The file sits outside the test paths; run it with
+call, and a suite case the numbers of ``propagator_stack`` and
+``np.einsum`` calls it makes.  The file sits outside the test paths; run
+it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_continuum.py --benchmark-warmup=on \\
@@ -65,16 +66,23 @@ def test_fix_constants(benchmark, dimension, statistics):
 def test_structure_suite(benchmark, monkeypatch, dimension, statistics):
     system = _system(statistics, dimension)
     benchmark.extra_info["peak_mib"] = _peak_mib(run_structure_suite, system)
-    calls = []
+    calls, einsums = [], []
+    einsum = np.einsum
 
     def counted(*args):
         calls.append(None)
         return core.propagator_stack(*args)
 
+    def counted_einsum(*args, **kwargs):
+        einsums.append(None)
+        return einsum(*args, **kwargs)
+
     with monkeypatch.context() as patch:
         for module in (continuum, verify):
             patch.setattr(module, "propagator_stack", counted)
+        patch.setattr(np, "einsum", counted_einsum)
         run_structure_suite(system)
     benchmark.extra_info["propagator_stack_calls"] = len(calls)
+    benchmark.extra_info["einsum_calls"] = len(einsums)
     checks = benchmark(run_structure_suite, system)
     assert all(c.passed for c in checks)

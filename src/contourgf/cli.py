@@ -36,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -59,6 +59,7 @@ from .core import (
 from .discrete import _factor
 from .verify import (
     DEFAULT_THRESHOLD,
+    _as_dict,
     assemble_report,
     run_oracle_suite,
     run_structure_suite,
@@ -126,17 +127,33 @@ class RunConfig:
         return [TimeGrid(self.t_initial, self.t_final, n) for n in self.n_slices]
 
 
+# Nesting levels a matrix value may have: numpy builds no array of more
+# than 64 dimensions.
+MAX_NESTING = 64
+
+
 def _cell(x) -> str:
     """A CSV cell: an integer as it is, None empty, another number %.17g."""
     return "" if x is None else str(x) if isinstance(x, int) else f"{x:.17g}"
 
 
-def _contains_bool(value) -> bool:
+def _contains_bool(value, depth: int = 0) -> bool:
+    """Whether a boolean sits anywhere in nested lists and dicts.  Only
+    containers recurse, so a row of numbers is one loop, not one call per
+    number.  Raises :class:`ConfigError` for more than ``MAX_NESTING``
+    levels of lists and dicts."""
     if isinstance(value, dict):
-        return any(map(_contains_bool, value.values()))
-    if isinstance(value, list):
-        return any(map(_contains_bool, value))
-    return isinstance(value, bool)
+        value = value.values()
+    elif not isinstance(value, list):
+        return type(value) is bool
+    if depth >= MAX_NESTING:
+        raise ConfigError("config is nested too deeply to validate")
+    for item in value:
+        if type(item) is bool:
+            return True
+        if isinstance(item, (list, dict)) and _contains_bool(item, depth + 1):
+            return True
+    return False
 
 
 def _real(value, name: str) -> float:
@@ -548,7 +565,7 @@ def cmd_converge(config: RunConfig) -> int:
             ),
         )
     else:
-        text = json.dumps({"schema": 1, **asdict(report)}, indent=2)
+        text = json.dumps({"schema": 1, **_as_dict(report)}, indent=2)
     with _output(config.output_path) as handle:
         handle.write(text)
         handle.write("\n")

@@ -35,6 +35,7 @@ All functions are pure; nothing here keeps state between calls.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,50 +192,88 @@ def component_table(
 
 def _over_times(system, rows, cols, t_ref, what) -> np.ndarray:
     """:func:`_tabulate` over all pairs of two time arrays: the set-up that
-    :func:`component_table` and :func:`solution_from_constants` each had."""
+    :func:`component_table` and :func:`solution_from_constants` each had.
+    The one table is the only reader of the pair's products."""
     t_row, t_col = (np.asarray(t, dtype=float).reshape(-1) for t in (rows, cols))
     p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
     theta = regularized_step(t_row[:, None] - t_col)
-    return _tabulate(system, p_row, p_col, theta, what)
+    return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, what)
 
 
-def _tabulate(system, p_row, p_col, theta, what) -> np.ndarray:
+class _Pair:
+    """Two propagator stacks and their products over all pairs, each
+    computed once, when a table first reads it: ``free = P_n P_m^dag``
+    and ``keldysh = -i P_n W P_m^dag`` (W from :func:`keldysh_weight`).
+    Unless ``shared``, R and A overwrite ``free``: no later table reads it.
+    """
+
+    def __init__(self, system, p_row, p_col, *, shared=True):
+        self.system, self.p_row, self.p_col = system, p_row, p_col
+        self.shared = shared
+
+    @functools.cached_property
+    def free(self) -> np.ndarray:
+        return _products(self.p_row, self.p_col)
+
+    @functools.cached_property
+    def keldysh(self) -> np.ndarray:
+        return _sandwich(self.p_row, keldysh_weight(self.system), self.p_col)
+
+
+def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     """The tables of :func:`component_table` and :func:`solution_from_constants`:
-    ``what``, a component or a ``(constants, row, col)`` position, over all pairs
-    of the stacks ``p_row`` and ``p_col``; their step table ``theta`` is only read."""
+    ``what``, a component or a ``(constants, row, col)`` position, over the
+    stacks of ``pair``, from its products; the step table ``theta`` is only
+    read."""
     if what is KeldyshComponent.ZERO:
-        return np.zeros(theta.shape + p_row.shape[1:], dtype=complex)
+        return np.zeros(theta.shape + pair.p_row.shape[1:], dtype=complex)
     theta = theta[:, :, None, None]
     if isinstance(what, tuple):
         constants, row, col = what
+        p_row, p_col = pair.p_row, pair.p_col
         out = _sandwich(p_row, getattr(constants, f"c{row + 1}{col + 1}"), p_col)
-        if _has_step(system.statistics, row, col):
-            out += theta * _sandwich(p_row, np.eye(system.dimension), p_col)
+        if _has_step(pair.system.statistics, row, col):
+            out += theta * _sandwich(p_row, np.eye(pair.system.dimension), p_col)
         return out
-
-    def keldysh():
-        return _sandwich(p_row, keldysh_weight(system), p_col)
-
     if what is KeldyshComponent.KELDYSH:
-        return keldysh()
-    free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
-    # R and A overwrite the free table: the same products as below, in
+        return pair.keldysh
+    free = pair.free
+    # R and A may overwrite the free table: the same products as below, in
     # the same operand order, with no temporary beyond the step factor.
+    out = None if pair.shared else free
     if what is KeldyshComponent.RETARDED:
-        return np.multiply(-1j * theta, free, out=free)
+        return np.multiply(-1j * theta, free, out=out)
     if what is KeldyshComponent.ADVANCED:
         step = np.subtract(1.0, theta, dtype=complex)
-        return np.multiply(np.multiply(1j, step, out=step), free, out=free)
+        return np.multiply(np.multiply(1j, step, out=step), free, out=out)
     s_row = what.row_branch.sign
     s_col = what.col_branch.sign
+    kel = pair.keldysh
     return (
-        keldysh() + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
+        kel + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
     ) / 2.0
+
+
+def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``P_n Q_m^dag`` for every pair from two stacks, as a C-contiguous
+    (n, m, d, d) table.
+
+    Each entry sums over b in order, exactly as ``einsum("nab,mcb->nmac")``
+    does, so the table is the same to the bit, signs of zeros included;
+    only the order in which the output entries are visited changes.  Of
+    those orders, (c, n, a, m) was the fastest over the structure suite's
+    tables: against the plain layout, 1.4x on a 5 x 7 table at d = 10 and
+    4x on gf's 31 x 31 table at d = 2 (2-vCPU Xeon, numpy 2.4).  At d = 1
+    its transpose is already contiguous, so gf's largest tables are not
+    copied; (m, c, a, n) copies them, 3.5x slower there.
+    """
+    table = np.einsum("nab,mcb->cnam", p, q.conj())
+    return np.ascontiguousarray(table.transpose(1, 3, 2, 0))
 
 
 def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.ndarray:
     """``-i P_n M P_m^dag`` for every pair of propagators, as (n, m, d, d)."""
-    return -1j * np.einsum("nab,mcb->nmac", p_row @ middle, p_col.conj())
+    return -1j * _products(p_row @ middle, p_col)
 
 
 def gf_component(

@@ -6,6 +6,11 @@ must satisfy (causality, the equal-time jump, conjugation, Keldysh
 anti-Hermiticity, the vanishing rotated block, thermal proportionality
 where defined, the contour boundary conditions, and consistency of the
 solved constants), each on one table per component and orientation.
+Every table is a product of two propagator stacks, and the suite
+computes the free and the Keldysh product of each pair of stacks once
+(row by column, column by row, and row by row times): every table over
+that pair reads them.  The row-by-column pair is released before the
+column-by-row one is built, so at most one pair's products are alive.
 The oracle suite compares the closed forms against the independently
 built discrete contour inverse on a sequence of grids and fits the
 convergence order.  Along a contour row the closed forms are a rank-d
@@ -24,7 +29,7 @@ Both suites are deterministic given their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .core import (
 )
 from .continuum import (
     KeldyshComponent,
+    _Pair,
     _tabulate,
     fix_constants,
     keldysh_weight,
@@ -139,19 +145,24 @@ def run_structure_suite(
     The sample crosses seven Chebyshev-spaced interior column times with
     the two endpoints plus three seeded interior row times.  Every table
     comes from one row and one column propagator stack, through the
-    evaluator of ``component_table``: R, A and K over row times by column
-    times, A and K the other way round, R and A at equal times, the
-    solutions from the solved constants and, one at a time, the four
-    branch components, which ``zero_block`` compares with R, A and K.
-    Each check reports the largest entry of its deviations and compares
-    with ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta nbar^T`` the
-    Keldysh weight, reported as its threshold: the roundoff of the checks
-    that multiply by W grows with it.  The sampled times are offsets from
+    evaluator of ``component_table``, which reads the free and the
+    Keldysh product of a pair of stacks, each computed once per pair.
+    In order: over row by column times R, A and K, then, while that
+    pair's products are alive, the four branch components one at a time,
+    which ``zero_block`` compares with R, A and K, and the solutions from
+    the solved constants, which ``constant_fixing`` compares with the
+    tables at their positions; then that pair is released, and R and A
+    at equal times (row by row), then A and K over column by row times,
+    each come from a pair of their own.  Each check reports the largest
+    entry of its deviations and compares with
+    ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta nbar^T`` the Keldysh
+    weight, reported as its threshold: the roundoff of the checks that
+    multiply by W grows with it.  The sampled times are offsets from
     ``t_initial``, so the checks do not depend on where the span lies on
     the time axis.  Results are sorted by check name.  ``corrupt_keldysh``
-    is a test hook that flips the sign of K for t > t' before the checks
-    run; ``zero_block`` and ``constant_fixing`` still compare with the
-    uncorrupted tables.
+    is a test hook that flips the sign of K for t > t' after
+    ``zero_block`` and ``constant_fixing`` ran and before the other
+    checks, so those two compare with the uncorrupted tables.
     """
     ret, adv, kel, zero = KeldyshComponent  # in definition order
     weight = keldysh_weight(system)
@@ -169,31 +180,64 @@ def run_structure_suite(
     delta = t_row[:, None] - t_col[None, :]
     p_row, p_col = propagator_stack(system, t_row), propagator_stack(system, t_col)
     theta = regularized_step(delta)
-    forward = {c: _tabulate(system, p_row, p_col, theta, c) for c in (ret, adv, kel)}
-    forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
-    clean = dict(forward)  # zero_block and constant_fixing read these
-    # backward[c][i, j] is component c at (t_col[j], t_row[i]).
-    backward = {
-        c: _tabulate(system, p_col, p_row, 1.0 - theta.T, c).transpose(1, 0, 2, 3)
-        for c in (adv, kel)
-    }
-    if corrupt_keldysh:
-        # Flip the sign of K(t, t') for t > t' in both orientations.
-        for table, later in ((forward, delta > 0), (backward, delta < 0)):
-            table[kel] = np.where(later[:, :, None, None], -table[kel], table[kel])
+    layout = rotated_block_layout(system.statistics)
     results = []
 
     def check(name, deviations, details=""):
         observed = _worst(map(max_abs, deviations))
         results.append(CheckResult(name, observed, threshold, details))
 
+    # Row by column times: R, A and K, then the two checks that compare
+    # them with other tables over the same stacks, while the pair's
+    # products are alive.
+    pair = _Pair(system, p_row, p_col)
+    forward = {c: _tabulate(pair, theta, c) for c in (ret, adv, kel)}
+    forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
+
+    # Branch components, one table at a time: ++ - +- = R, ++ - -+ = A,
+    # ++ + -- = K and the rotated zero block ++ + -- - +- - -+ = 0.
+    def rotation():
+        pp, *others = ContourComponent
+        plus = total = _tabulate(pair, theta, pp)
+        for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
+            other = sign * _tabulate(pair, theta, branch)
+            yield plus - other - forward[c]
+            total = total - other
+        yield total
+
+    check("zero_block", rotation())
+
+    # Solved constants reproduce the closed forms at every position.
+    constants = fix_constants(system)
+    check(
+        "constant_fixing",
+        (
+            _tabulate(pair, theta, (constants, row, col)) - forward[layout[row][col]]
+            for row in range(2)
+            for col in range(2)
+        ),
+    )
+
+    # Equal-time jump: R(t,t) - A(t,t) = -i.  The forward products go
+    # first.
+    pair = _Pair(system, p_row, p_row)
+    same = regularized_step(t_row[:, None] - t_row)
+    jump = np.diagonal(_tabulate(pair, same, ret) - _tabulate(pair, same, adv))
+    check("equal_time_jump", [jump + 1j * np.eye(d)[..., None]])
+
+    # backward[c][i, j] is component c at (t_col[j], t_row[i]); A is the
+    # one reader of the free product.
+    pair = _Pair(system, p_col, p_row, shared=False)
+    backward = {
+        c: _tabulate(pair, 1.0 - theta.T, c).transpose(1, 0, 2, 3) for c in (adv, kel)
+    }
+    if corrupt_keldysh:
+        # Flip the sign of K(t, t') for t > t' in both orientations.
+        for table, later in ((forward, delta > 0), (backward, delta < 0)):
+            table[kel] = np.where(later[:, :, None, None], -table[kel], table[kel])
+
     # Causality: retarded vanishes for t < t', advanced for t > t'.
     check("causality", (forward[ret][delta < 0], forward[adv][delta > 0]))
-
-    # Equal-time jump: R(t,t) - A(t,t) = -i.
-    same = regularized_step(t_row[:, None] - t_row)
-    r_same, a_same = (_tabulate(system, p_row, p_row, same, c) for c in (ret, adv))
-    check("equal_time_jump", [np.diagonal(r_same - a_same) + 1j * np.eye(d)[..., None]])
 
     # Conjugation: R(t,t')^dag = A(t',t).
     check("conjugation", [forward[ret].conj().swapaxes(2, 3) - backward[adv]])
@@ -202,19 +246,6 @@ def run_structure_suite(
     check(
         "keldysh_antihermiticity", [forward[kel].conj().swapaxes(2, 3) + backward[kel]]
     )
-
-    # Branch components, one table at a time: ++ - +- = R, ++ - -+ = A,
-    # ++ + -- = K and the rotated zero block ++ + -- - +- - -+ = 0.
-    def rotation():
-        pp, *others = ContourComponent
-        plus = total = _tabulate(system, p_row, p_col, theta, pp)
-        for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
-            other = sign * _tabulate(system, p_row, p_col, theta, branch)
-            yield plus - other - clean[c]
-            total = total - other
-        yield total
-
-    check("zero_block", rotation())
 
     # Thermal proportionality K = (R - A) (1 + 2 zeta nbar^T), defined
     # only when the occupation commutes with the energy matrix (the
@@ -236,23 +267,9 @@ def run_structure_suite(
     # Boundary conditions: the second rotated row vanishes at the final
     # time; at the initial time the first row is -(1 + 2 zeta nbar^T)
     # times the second.
-    layout = rotated_block_layout(system.statistics)
     first, second = ([forward[c] for c in row] for row in layout)
     check("boundary_final", (table[-1] for table in second))
     check("boundary_initial", (a[0] + weight @ b[0] for a, b in zip(first, second)))
-
-    # Solved constants reproduce the uncorrupted closed forms at every
-    # position.
-    constants = fix_constants(system)
-    check(
-        "constant_fixing",
-        (
-            _tabulate(system, p_row, p_col, theta, (constants, row, col))
-            - clean[layout[row][col]]
-            for row in range(2)
-            for col in range(2)
-        ),
-    )
 
     return sorted(results, key=lambda r: r.name)
 
@@ -527,7 +544,14 @@ def assemble_report(
         checks += oracle_checks(convergence)
     return {
         "schema": 1,
-        "checks": [asdict(c) for c in checks],
-        "convergence": asdict(convergence) if convergence is not None else None,
+        "checks": [_as_dict(c) for c in checks],
+        "convergence": _as_dict(convergence) if convergence is not None else None,
         "passed": all(c.passed for c in checks),
     }
+
+
+def _as_dict(record) -> dict:
+    """A report dataclass as a dict of its fields in order.  Unlike
+    ``dataclasses.asdict`` it copies nothing: the values are numbers,
+    strings and tuples of numbers, which serialize as they are."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}

@@ -1098,6 +1098,27 @@ def test_boolean_epsilon_is_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["epsilon", "nbar"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[true]",
+        "[[0.5, false], [0.0, 0.5]]",
+        "[[[0.5]], [[true]]]",
+        '{"re": [false]}',
+        '{"re": [[0.5]], "im": [[true]]}',
+        '{"im": [[[0.0], [false]]]}',
+    ],
+    ids=["depth1", "depth2", "depth3", "re-depth1", "im-depth2", "im-depth3"],
+)
+def test_nested_boolean_matrix_is_config_error(tmp_path, capsys, field, text):
+    # Every value would parse as a complex array; only the boolean check
+    # names the fault, at whatever depth the boolean sits.
+    config = write_config(tmp_path)
+    assert main(["z", "--config", config, f"--{field}", text]) == 2
+    _assert_config_error(capsys.readouterr(), f"{field} must be numeric, got a boolean")
+
+
 @pytest.mark.parametrize(
     "path, text",
     [
@@ -1195,6 +1216,18 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys, text, overrides)
         config.write_text(text)
     assert main(["z", "--config", str(config), *overrides]) == 2
     _assert_config_error(capsys.readouterr(), "nested too deeply")
+
+
+@pytest.mark.parametrize("levels", [64, 65])
+def test_matrix_nesting_limit(tmp_path, capsys, levels):
+    # numpy builds arrays of up to 64 dimensions; one level more is
+    # refused by the boolean check before numpy sees it.
+    config = write_config(tmp_path)
+    nested = "[" * levels + "0.3" + "]" * levels
+    assert main(["z", "--config", config, "--nbar", nested]) == 2
+    captured = capsys.readouterr()
+    _assert_config_error(captured)
+    assert ("nested too deeply" in captured.err) == (levels > 64)
 
 
 @pytest.mark.parametrize("command", ["gf", "z", "verify", "converge"])

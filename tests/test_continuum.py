@@ -427,12 +427,53 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
             kel + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
         ) / 2.0
     kept = step.copy()
+    # One pair serves every component, so a table that wrote into a
+    # shared product would change the ones after it.
+    pair = continuum._Pair(system, p_row, p_col)
     for component, want in expected.items():
         table = component_table(system, times[:7], times, component, -0.5)
-        shared = continuum._tabulate(system, p_row, p_col, step, component)
+        shared = continuum._tabulate(pair, step, component)
         for got in (table, shared):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     np.testing.assert_array_equal(step.view(np.uint64), kept.view(np.uint64))
+
+
+# Entries of the largest table the layout test draws: 4 MiB of complex.
+PRODUCT_ENTRIES = 2**18
+
+
+@st.composite
+def product_stacks(draw):
+    """Two stacks of d x d matrices, d in 1..32 and n, m in 1..64 with at
+    most ``PRODUCT_ENTRIES`` entries in their table, some entries zeros
+    of either sign."""
+    d = draw(st.integers(1, 32))
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(1, max(1, min(64, PRODUCT_ENTRIES // (n * d * d)))))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def stack(count):
+        values = rng.normal(size=(count, d, d, 2))
+        signed_zero = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)
+        values = np.where(rng.random(values.shape) < zeros, signed_zero, values)
+        return values.view(complex)[..., 0]
+
+    return stack(n), stack(m)
+
+
+@seed(18)
+@settings(max_examples=60, deadline=None)
+@given(stacks=product_stacks())
+def test_products_layout_is_bit_exact(stacks):
+    # The einsum layout of the helper changes only the loop order over
+    # the output, never the order of the sum over b.
+    p, q = stacks
+    got = continuum._products(p, q)
+    want = np.einsum("nab,mcb->nmac", p, q.conj())
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_component_table_rejects_unknown_component():

@@ -33,7 +33,7 @@ from contourgf.core import propagator_stack
 from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
 
-from conftest import random_system, random_unitary
+from conftest import random_hermitian, random_system, random_unitary
 
 # Agreement of the row kernel with the einsum reference, relative to max|G|.
 KERNEL_TOL = 1e-13
@@ -269,25 +269,74 @@ def test_structure_suite_builds_two_propagator_stacks(monkeypatch):
     assert calls == [5, 7]
 
 
-def _evaluator_with(replacements):
-    """The evaluator with ``replacements[what](system, rows, cols, theta)``
-    in place of the table of each component it names; the positions of
-    the general solution, ``(constants, row, col)`` tuples, pass through."""
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
+def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
+    # 13 einsums: the two propagator stacks; the free and the Keldysh
+    # product of the row-column and the column-row pair; the free product
+    # of the row-row pair; the four solved constants and the two step
+    # terms between the stacks.  W is computed by the suite, by
+    # fix_constants and once per pair that has a Keldysh product.
+    einsums, weights = [], []
+    einsum = np.einsum
 
-    def evaluate(system, rows, cols, theta, what):
+    def counted_einsum(*args, **kwargs):
+        einsums.append(args[0])
+        return einsum(*args, **kwargs)
+
+    def counted_weight(system):
+        weights.append(None)
+        return keldysh_weight(system)
+
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    for module in (continuum, verify):
+        monkeypatch.setattr(module, "keldysh_weight", counted_weight)
+    system = random_system(np.random.default_rng(18), statistics, 3)
+    assert all(c.passed for c in run_structure_suite(system))
+    assert len(einsums) == 13
+    assert len(weights) <= 4
+
+
+def test_structure_suite_memory_peak():
+    # The products of one pair of stacks at a time: the row-column pair
+    # is released before the column-row pair is built.
+    rng = np.random.default_rng(10)
+    epsilon = random_hermitian(rng, 10, -1.0, 1.0)
+    nbar = random_hermitian(rng, 10, 0.0, 3.0)
+    system = LevelSystem(epsilon, nbar, Statistics.BOSON)
+    run_structure_suite(system)
+    tracemalloc.start()
+    try:
+        run_structure_suite(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 700 * 2**10
+
+
+def _evaluator_with(replacements):
+    """The evaluator with ``replacements[what](pair, theta)`` in place of
+    the table of each component it names; the positions of the general
+    solution, ``(constants, row, col)`` tuples, pass through."""
+
+    def evaluate(pair, theta, what):
         if not isinstance(what, tuple) and what in replacements:
-            return replacements[what](system, rows, cols, theta)
-        return continuum._tabulate(system, rows, cols, theta, what)
+            return replacements[what](pair, theta)
+        return continuum._tabulate(pair, theta, what)
 
     return evaluate
 
 
 def _as(component, rows=lambda p: p, cols=lambda p: p, theta=lambda t: t, scale=1):
-    """A replacement that evaluates ``component`` with its propagator stacks
-    and step table passed through the given maps, times ``scale``."""
-    return lambda system, p_row, p_col, step: scale * continuum._tabulate(
-        system, rows(p_row), cols(p_col), theta(step), component
-    )
+    """A replacement that evaluates ``component`` over a fresh pair of the
+    pair's propagator stacks and its step table, passed through the given
+    maps, times ``scale``; the suite's own pair and its products are left
+    as they are."""
+
+    def replacement(pair, step):
+        mapped = continuum._Pair(pair.system, rows(pair.p_row), cols(pair.p_col))
+        return scale * continuum._tabulate(mapped, theta(step), component)
+
+    return replacement
 
 
 RET, ADV, KEL, _ = KeldyshComponent
