@@ -508,6 +508,13 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     handle.write(fmt.footer)
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """``text`` and a newline to :func:`_output` of ``path``."""
+    with _output(path) as handle:
+        handle.write(text)
+        handle.write("\n")
+
+
 def cmd_gf(config: RunConfig) -> int:
     # Refused before the output is opened, so a refused run writes nothing.
     if len(config.n_slices) != 1:
@@ -541,9 +548,7 @@ def cmd_z(config: RunConfig) -> int:
         text = _csv("n_slices,z_re,z_im,abs_deviation", (r.values() for r in rows))
     else:
         text = json.dumps(rows, indent=2)
-    with _output(config.output_path) as handle:
-        handle.write(text)
-        handle.write("\n")
+    _write_text(config.output_path, text)
     return EXIT_OK
 
 
@@ -566,9 +571,7 @@ def cmd_converge(config: RunConfig) -> int:
         )
     else:
         text = json.dumps({"schema": 1, **_as_dict(report)}, indent=2)
-    with _output(config.output_path) as handle:
-        handle.write(text)
-        handle.write("\n")
+    _write_text(config.output_path, text)
     return EXIT_OK
 
 
@@ -589,9 +592,7 @@ def cmd_verify(config: RunConfig, corrupt_keldysh: bool) -> int:
         corrupt_keldysh=corrupt_keldysh,
     )
     report = assemble_report(structure, convergence)
-    with _output(config.output_path) as handle:
-        handle.write(json.dumps(report, indent=2))
-        handle.write("\n")
+    _write_text(config.output_path, json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 

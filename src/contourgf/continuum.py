@@ -230,10 +230,10 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     theta = theta[:, :, None, None]
     if isinstance(what, tuple):
         constants, row, col = what
-        p_row, p_col = pair.p_row, pair.p_col
-        out = _sandwich(p_row, getattr(constants, f"c{row + 1}{col + 1}"), p_col)
+        middle = getattr(constants, f"c{row + 1}{col + 1}")
+        out = _sandwich(pair.p_row, middle, pair.p_col)
         if _has_step(pair.system.statistics, row, col):
-            out += theta * _sandwich(p_row, np.eye(pair.system.dimension), p_col)
+            out += theta * (-1j * pair.free)
         return out
     if what is KeldyshComponent.KELDYSH:
         return pair.keldysh

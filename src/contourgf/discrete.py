@@ -38,13 +38,16 @@ matrix ``A' = diag(1/l) + C diag(1 - 1/l)``,
   diag(f_j / f_k)`` otherwise; ``1 - C = V^dag M V``, so the second
   form is block (j, k) of ``V^dag G V / (-i)`` for every k.
 
-Every transfer factor in the second line has modulus at most one.  The
-products are kept as logarithms, integer counts of forward and backward
-factors times the logarithms of the transfer eigenvalues, so no power
-of a transfer block is formed and no product overflows.  The partition
-function costs O(d^3), independent of N, each contour row of G
-O(N d^2) and the full inverse O((N d)^2 d).  Only the blocks of D'
-enter: no closed form is used.
+Every transfer factor in the second line has modulus at most one: an
+entry ``t^-k``, k < N, of the power table of the forward or the backward
+transfer eigenvalues t, taken from their logarithms, or a product of
+two entries, so no product overflows.  The partition function costs
+O(d^3), independent of N, each contour row of G O(N d^2) and the full
+inverse O((N d)^2 d).  Only the blocks of D' enter: no closed form is
+used.  G is held as :class:`_Operands`, whose layout this module owns:
+:mod:`contourgf.verify` writes the continuum prediction in that form,
+subtracts it, and streams the rows of the difference by
+:func:`_row_kernel`.
 
 All grids of a run are factorized in one pass, with the grid as the
 leading axis of every array and each linalg call made once over the
@@ -178,22 +181,6 @@ def _log_transfer(generator: np.ndarray, sign: int) -> np.ndarray:
             np.isfinite(square), 0.5 * np.log1p(square), np.log(np.abs(generator))
         )
     return modulus + 1j * sign * np.arctan(generator)
-
-
-def _log_prefix(
-    log_forward: np.ndarray, log_backward: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``log f_j`` and ``log s_j`` as (2N, d) arrays, j = 1..2N.
-
-    Built from integer counts of forward and backward factors; ``f_j``
-    and ``s_j`` together hold ``N - 1`` of each.
-    """
-    j = np.arange(1, 2 * n + 1)[:, None]
-    forward = np.minimum(j, n) - 1
-    backward = np.maximum(j - n - 1, 0)
-    log_f = forward * log_forward + backward * log_backward
-    log_s = (n - 1 - forward) * log_forward + (n - 1 - backward) * log_backward
-    return log_f, log_s
 
 
 def _ldexp(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -412,26 +399,104 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     return factorizations
 
 
-def _lag_blocks(fac: _Factorization) -> tuple[np.ndarray, np.ndarray]:
-    """The within-branch ``[k > j]`` term of G by lag, from ``fac`` alone:
-    block (j, k) is ``i V diag(exp(-lag log t)) V^dag`` at lag ``k - j``
-    = 1..N-1 (t the branch's transfer eigenvalues) and zero at lag <= 0.
-    Returns the forward and the backward table as new ``(d, 2N - 1, d)``
-    arrays, ``[:, N - 1 + lag]`` the block at lag 1 - N .. N - 1."""
+@dataclass
+class _Operands:
+    """G, the continuum prediction C or ``G - C`` as low-rank products
+    plus a within-branch lag term.  With ``[j]`` the j-th group of d rows
+    of the row factors (tuples of ``(2 N d, r_i)`` or, cross, ``(N d, c_i)``
+    arrays, side by side), block (j, k) is ``rows[j] @ columns[:, k]``, or
+    ``cross_rows[j] @ cross_columns[:, k - N]`` from a forward row j to a
+    backward column k, plus, within a branch and for k >= j, the lag block
+    ``left @ diag(powers[branch, k - j]) @ right``, ``(left, powers,
+    right) = lags`` with ``powers`` ``(2, N, s)``, forward branch first.
+    """
+
+    rows: tuple[np.ndarray, ...]
+    columns: np.ndarray
+    cross_rows: tuple[np.ndarray, ...]
+    cross_columns: np.ndarray
+    lags: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __isub__(self, other: _Operands) -> _Operands:
+        """Subtract ``other`` in place: its row factors follow these, its
+        column and lag factors are stacked under these, negated.  Each of
+        this set's factors is released once it is copied."""
+        self.rows += other.rows
+        self.cross_rows += other.cross_rows
+        self.columns = _stack(self.columns, other.columns)
+        self.cross_columns = _stack(self.cross_columns, other.cross_columns)
+        self.lags = (
+            np.concatenate([self.lags[0], other.lags[0]], axis=1),
+            np.concatenate([self.lags[1], other.lags[1]], axis=2),
+            _stack(self.lags[2], other.lags[2]),
+        )
+        return self
+
+
+def _stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """``[top; -bottom]``, copied into place and negated there: a ufunc
+    or ``np.concatenate`` reading a strided view buffers it."""
+    out = np.empty((len(top) + len(bottom), top.shape[1]), dtype=complex)
+    out[: len(top)] = top
+    negated = out[len(top) :]
+    negated[:] = bottom
+    np.negative(negated, out=negated)
+    return out
+
+
+def _green_operands(fac: _Factorization) -> _Operands:
+    """G's operands from one factorization.
+
+    Block (j, k) of G is ``V diag(1/s_j) A'^{-1} V^dag M V diag(1/f_k)
+    V^dag / i`` plus, for k > j, ``i V diag(f_j / f_k) V^dag``.  ``1/s_j``
+    and ``1/f_k`` hold at most N - 1 transfer factors of each branch, a
+    product of two power table entries, and ``f_j / f_k`` is one: across
+    the branches a forward row factor times a backward column factor,
+    within a branch the power at the lag.  Raises ``FloatingPointError``
+    when an entry of G could overflow.
+    """
     basis = fac.basis
+    basis_h = basis.conj().T
     d = basis.shape[0]
     n = fac.n_slices
-    lags = np.arange(1, n)[:, None]
-    tables = np.zeros((2, d, 2 * n - 1, d), dtype=complex)
-    for table, log_transfer in zip(tables, (fac.log_forward, fac.log_backward)):
-        powers = np.exp(-lags * log_transfer)
-        np.einsum("am,sm,bm->asb", 1j * basis, powers, basis.conj(), out=table[:, n:])
-    return tables[0], tables[1]
+    # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
+    # G exceeds d^2 max|a_inverse| + d.
+    if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
+        raise FloatingPointError("discrete Green's function overflows")
+    half = n * d
+    # powers[branch, k] = t^-k for k < N, forward branch first; |t| >= 1.
+    logs = np.stack([fac.log_forward, fac.log_backward])[:, None, :]
+    powers = np.exp(-np.arange(n)[:, None] * logs)
+    forward, backward = powers
+    # Contour position j: 1/s_j for forward rows then backward rows, and
+    # 1/f_k for forward columns then backward columns.
+    inv_s = np.concatenate([forward[::-1] * backward[-1], backward[::-1]])
+    inv_f = np.concatenate([forward, forward[-1] * backward])
+    left = (basis[None, :, :] * inv_s[:, None, :]).reshape(2 * half, d)
+    left = left @ (-1j * fac.a_inverse)
+
+    def column_factor(scale: np.ndarray) -> np.ndarray:
+        right = scale[:, :, None] * basis_h[None, :, :]
+        return right.transpose(1, 0, 2).reshape(d, -1)
+
+    columns = column_factor(inv_f)
+    forward_rows = 1j * basis[None, :, :] * forward[::-1, None, :]
+    cross_columns = np.concatenate([columns[:, half:], column_factor(backward)])
+    # The table serves as the lag powers, zero at lag 0.
+    powers[:, 0] = 0.0
+    return _Operands(
+        (left,),
+        columns,
+        (left[:half], forward_rows.reshape(half, d)),
+        cross_columns,
+        (1j * basis, powers, basis_h),
+    )
 
 
 def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
-    """Block-Toeplitz view of a lag table of :func:`_lag_blocks`: block
-    (j, k) is the table's block at lag ``k - j``.  A read-only float
+    """Block-Toeplitz view of a ``(d, 2 N - 1, d)`` lag table,
+    ``[:, N - 1 + lag]`` the block at lag 1 - N .. N - 1: block (j, k) is
+    the table's block at lag ``k - j``.  A read-only float
     ``(N, d, 2 N d)`` view, entry [j, a] row a of block row j as
     interleaved real and imaginary parts, contiguous over (k, b): numpy
     buffers a strided add by 8192 items, so floats halve its buffers."""
@@ -443,71 +508,26 @@ def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
     return window[:, :: 2 * d][:, ::-1].transpose(1, 0, 2)
 
 
-@dataclass(frozen=True)
-class _GreenFactors:
-    """Rank-d factors of G: block (j, k) is ``left[j] @ columns[:d, k]``,
-    plus ``forward_rows[j] @ columns[d:, k]`` for a forward row j (the
-    cross-branch term, zero over the forward columns), plus the
-    within-branch term of :func:`_lag_blocks`; ``[j]`` is the j-th group
-    of d rows."""
+def _row_kernel(operands: _Operands):
+    """Kernel for contour rows of ``operands``.
 
-    left: np.ndarray
-    forward_rows: np.ndarray
-    columns: np.ndarray
-
-
-def _green_factors(fac: _Factorization) -> _GreenFactors:
-    """Rank-d factors of G from one factorization.
-
-    Block (j, k) of G is a rank-d product over all blocks plus, for
-    k > j, the ``[k > j]`` term of the eigenbasis block formula.  Across
-    the branches that term is a rank-d product of a forward row factor
-    and a backward column factor; within a branch it depends only on the
-    lag (:func:`_lag_blocks`).  The factors hold O(N d^2) memory.  Raises
-    ``FloatingPointError`` when an entry of G could overflow.
+    Returns ``rows(start, stop, out=None)``, which writes contour rows
+    start..stop into ``out`` (a new array when None), C-contiguous and
+    ``((stop - start) d, 2 N d)``: per block of rows at most two products
+    of the stacked row factors with the column factors, and one
+    block-Toeplitz add of the lag blocks per branch, which the kernel
+    forms once, zero below lag 0.
     """
-    basis = fac.basis
-    basis_h = basis.conj().T
-    d = basis.shape[0]
-    n = fac.n_slices
-    # |V|, |1/s_j|, |1/f_k| and |f_j / f_k| are at most 1, so no entry of
-    # G exceeds d^2 max|a_inverse| + d.
-    if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
-        raise FloatingPointError("discrete Green's function overflows")
+    left, powers, right = operands.lags
+    n, d = powers.shape[1], left.shape[0]
     half = n * d
-    log_f, log_s = _log_prefix(fac.log_forward, fac.log_backward, n)
-    left = (basis[None, :, :] * np.exp(-log_s)[:, None, :]).reshape(2 * half, d)
-    left = left @ (-1j * fac.a_inverse)
-    columns = np.zeros((2 * d, 2 * half), dtype=complex)
-    right = np.exp(-log_f)[:, :, None] * basis_h[None, :, :]
-    columns[:d] = right.transpose(1, 0, 2).reshape(d, 2 * half)
-    steps = np.arange(n)[:, None]
-    forward_rows = 1j * basis[None, :, :] * np.exp(
-        -(n - 1 - steps) * fac.log_forward
-    )[:, None, :]
-    cross = np.exp(-steps * fac.log_backward)[:, :, None] * basis_h[None, :, :]
-    columns[d:, half:] = cross.transpose(1, 0, 2).reshape(d, half)
-    return _GreenFactors(left, forward_rows.reshape(half, d), columns)
-
-
-def _row_kernel(factors, crossing, columns: np.ndarray, toeplitz):
-    """Kernel for contour rows of low-rank products plus a within-branch
-    block-Toeplitz term.
-
-    ``factors`` and ``crossing`` are lists of ``(2 N d, d)`` row factors,
-    stacked side by side per block, for the stacked column factors
-    ``columns``: ``crossing`` from the forward rows to the backward
-    columns, ``factors`` elsewhere.  ``toeplitz`` holds the forward and
-    the backward view of :func:`_upper_toeplitz`.  Returns
-    ``rows(start, stop, out=None)``, which writes contour rows start..stop
-    into ``out`` (a new array when None), C-contiguous and
-    ``((stop - start) d, 2 N d)``.
-    """
-    forward_toeplitz, backward_toeplitz = toeplitz
-    n, d = forward_toeplitz.shape[:2]
-    half = n * d
-    full = columns[: len(factors) * d]
-    cross = columns[: len(crossing) * d, half:]
+    tables = np.zeros((2, d, 2 * n - 1, d), dtype=complex)
+    np.einsum("am,zsm,mb->zasb", left, powers, right, out=tables[:, :, n - 1 :])
+    forward_toeplitz, backward_toeplitz = map(_upper_toeplitz, tables)
+    # The rows close over the factors, not the set, whose lag factors are
+    # not needed once the tables are formed.
+    factors, columns = operands.rows, operands.columns
+    crossing, cross_columns = operands.cross_rows, operands.cross_columns
 
     def stacked(row_factors, low: int, high: int) -> np.ndarray:
         return np.concatenate([f[low * d : high * d] for f in row_factors], axis=1)
@@ -523,28 +543,16 @@ def _row_kernel(factors, crossing, columns: np.ndarray, toeplitz):
         block_rows = out.view(float).reshape(stop - start, d, 2, 2 * half)
         if within:
             top = out[: within * d]
-            np.matmul(stacked(factors, start, split), full[:, :half], out=top[:, :half])
-            np.matmul(stacked(crossing, start, split), cross, out=top[:, half:])
+            head = top[:, :half]
+            np.matmul(stacked(factors, start, split), columns[:, :half], out=head)
+            np.matmul(stacked(crossing, start, split), cross_columns, out=top[:, half:])
             block_rows[:within, :, 0] += forward_toeplitz[start:split]
         if split < stop:
-            np.matmul(stacked(factors, split, stop), full, out=out[within * d :])
+            np.matmul(stacked(factors, split, stop), columns, out=out[within * d :])
             block_rows[within:, :, 1] += backward_toeplitz[split - n : stop - n]
         return out
 
     return rows
-
-
-def _green_rows(fac: _Factorization):
-    """Kernel for contour rows of G from one factorization, by
-    :func:`_row_kernel`; ``rows(0, 2 N)`` is the dense G.  Raises
-    ``FloatingPointError`` when an entry of G could overflow."""
-    factors = _green_factors(fac)
-    return _row_kernel(
-        [factors.left],
-        [factors.left, factors.forward_rows],
-        factors.columns,
-        tuple(map(_upper_toeplitz, _lag_blocks(fac))),
-    )
 
 
 def discrete_green(
@@ -566,7 +574,7 @@ def discrete_green(
     """
     _check_dimension(system, grid, max_dimension)
     (fac,) = _factor(system, [grid])
-    matrix = _green_rows(fac)(0, 2 * grid.n_slices)
+    matrix = _row_kernel(_green_operands(fac))(0, 2 * grid.n_slices)
     return DiscreteGf(matrix, grid, system, fac.condition, fac.partition_function)
 
 

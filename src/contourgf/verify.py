@@ -16,12 +16,14 @@ built discrete contour inverse on a sequence of grids and fits the
 convergence order.  Along a contour row the closed forms are a rank-d
 product with the greater weight, less the jump to the lesser weight
 after the row; within a branch that jump, like the discrete inverse's
-own within-branch term, depends only on the lag.  So the suite computes
-the difference directly, in blocks of contour rows: at most two
-products of stacked low-rank factors and one block-Toeplitz add per
-branch, into one block buffer that serves every grid.  Per grid it costs
-O((N d)^2 d) time and O(N d^2) memory besides that buffer.  Reports
-serialize from their dataclasses.
+own within-branch term, depends only on the lag.  So the suite writes
+the closed forms in the inverse's operand form, which ``discrete`` owns,
+subtracts them, and streams the difference by ``discrete``'s row kernel
+in blocks of contour rows: at most two products of stacked low-rank
+factors and one block-Toeplitz add per branch, into one block buffer
+that serves every grid.  Per grid it costs O((N d)^2 d) time and
+O(N d^2) memory besides that buffer.  Reports serialize from their
+dataclasses.
 
 Both suites are deterministic given their seed.
 """
@@ -53,10 +55,9 @@ from .continuum import (
 from .discrete import (
     _check_dimension,
     _factor,
-    _green_factors,
-    _lag_blocks,
+    _green_operands,
+    _Operands,
     _row_kernel,
-    _upper_toeplitz,
     contour_times,
 )
 
@@ -280,9 +281,9 @@ def _contour_offsets(grid: TimeGrid) -> np.ndarray:
     return contour_times(TimeGrid(0.0, grid.t_final - grid.t_initial, grid.n_slices))
 
 
-def _continuum_factors(system: LevelSystem, grid: TimeGrid):
-    """Row and column factors of the continuum prediction, from the
-    closed forms.
+def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
+    """The continuum prediction C in the operand form of
+    :class:`~contourgf.discrete._Operands`, from the closed forms.
 
     Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
     constant block between two propagators, so block (n, m) of the
@@ -296,21 +297,35 @@ def _continuum_factors(system: LevelSystem, grid: TimeGrid):
     column before the row carries ``W + 1``, twice the greater weight
     ``1 + zeta nbar^T``, a column after it ``W - 1``, twice the lesser
     weight ``zeta nbar^T``, and the row's own column their mean ``W``.
-    Returns ``(greater, lesser, right)``: block (n, m) is
-    ``greater[n] @ right[:, m]`` before the row and
-    ``lesser[n] @ right[:, m]`` after it, and ``greater[n] - lesser[n]``
-    is the jump ``-i P_n``.  The row factors are ``(2 N d, d)`` arrays,
-    ``[n]`` the n-th group of d rows, and ``right`` is ``(d, 2 N d)``.
+    So over the column factors ``P_m^dag`` the row factors are the
+    greater ``-i/2 P_n (W + 1)`` and, every backward column being after a
+    forward row, the cross rows the lesser ``-i/2 P_n (W - 1)``.  Within a
+    branch the jump between the two, ``-i U(tau_n - tau_m)``, depends
+    only on the lag, and the row's own column takes half of it: the lag
+    blocks are ``i U(-lag dt)`` forward, ``i U(lag dt)`` backward and
+    ``i/2`` at lag 0, from the energy eigensystem.
     """
     d = system.dimension
+    n = grid.n_slices
     tau = _contour_offsets(grid)
     props = propagator_stack(system, tau)
-    right = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
+    columns = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
     props = props.reshape(-1, d)
     weight = keldysh_weight(system)
     greater = -0.5j * props @ (weight + np.eye(d))
-    lesser = -0.5j * props @ (weight - np.eye(d))
-    return greater, lesser, right
+    lesser = -0.5j * props[: n * d] @ (weight - np.eye(d))
+    # Forward tau is dt, 2 dt, ..., N dt: the lags' phases exp(-i w lag dt).
+    energies, basis = system.epsilon_eigh
+    phases = np.exp(-1j * np.outer(tau[: n - 1], energies))
+    powers = np.full((2, n, d), 0.5, dtype=complex)
+    powers[0, 1:], powers[1, 1:] = phases.conj(), phases
+    return _Operands(
+        (greater,),
+        columns,
+        (lesser,),
+        columns[:, n * d :],
+        (1j * basis, powers, basis.conj().T),
+    )
 
 
 def _equal_time_pairs(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,43 +351,14 @@ def _equal_time_pairs(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
     """Kernel for contour rows of ``G - C``, the discrete inverse of
-    ``fac`` less the continuum prediction, by
-    :func:`~contourgf.discrete._row_kernel`.
-
-    C is the greater product of :func:`_continuum_factors` less the jump
-    ``-i U(tau_n - tau_m)`` to the lesser one after the row; every
-    backward column is after a forward row.  Within a branch the jump,
-    like G's own within-branch term, depends only on the lag, so it
-    joins G's lag tables once per grid: ``-i U(-lag dt)`` forward,
-    ``-i U(lag dt)`` backward and ``-i/2`` at lag 0, where the row's own
-    column takes the mean.  So a block costs ``[L_G | L_C^>] @ [R_G;
-    -R_C]``, ``[L_G | L_C^< | forward rows] @ [R_G; -R_C; cross]`` from
-    forward rows to backward columns, and one Toeplitz add.  Raises
+    ``fac`` less the continuum prediction of
+    :func:`_continuum_operands`, by
+    :func:`~contourgf.discrete._row_kernel`.  Raises
     ``FloatingPointError`` when an entry of G could overflow.
     """
-    d = system.dimension
-    n = grid.n_slices
-    discrete = _green_factors(fac)
-    greater, lesser, right = _continuum_factors(system, grid)
-    columns = np.vstack([discrete.columns[:d], right, discrete.columns[d:]])
-    columns[d : 2 * d] *= -1
-    left, forward_rows = discrete.left, discrete.forward_rows
-    # The copied factors go before the lag tables, where a grid peaks.
-    del discrete, right
-    # Forward tau is dt, 2 dt, ..., so -R_C holds -P_m^dag = -U(-(m + 1) dt):
-    # i times it is the forward jump at lag m + 1, i times its adjoint the
-    # backward one.
-    earlier = columns[d : 2 * d].reshape(d, -1, d)[:, : n - 1]
-    forward, backward = _lag_blocks(fac)
-    forward[:, n:] += 1j * earlier
-    backward[:, n:] += 1j * earlier.conj().transpose(2, 1, 0)
-    forward[:, n - 1] = backward[:, n - 1] = -0.5j * np.eye(d)
-    return _row_kernel(
-        [left, greater],
-        [left, lesser, forward_rows],
-        columns,
-        (_upper_toeplitz(forward), _upper_toeplitz(backward)),
-    )
+    operands = _green_operands(fac)
+    operands -= _continuum_operands(system, grid)
+    return _row_kernel(operands)
 
 
 def _block_rows(system: LevelSystem, grid: TimeGrid) -> int:

@@ -27,7 +27,7 @@ from contourgf import (
 import contourgf
 from contourgf import cli, continuum, core, discrete, verify
 from contourgf.core import propagator_stack
-from contourgf.verify import _continuum_factors
+from contourgf.verify import _continuum_operands
 
 from conftest import random_hermitian, random_system, random_unitary, taylor_propagator
 from dense_contour import ContourIndex, IndexOutOfRangeError
@@ -206,7 +206,7 @@ def test_system_is_diagonalized_once(monkeypatch):
     run_structure_suite(system)
     component_table(system, times, times, ContourComponent.PLUS_MINUS, 0.0)
     fix_constants(system)
-    _continuum_factors(system, grid)
+    _continuum_operands(system, grid)
     assert len(calls) == 2
     # The discrete route diagonalizes its own forward generator.
     for count in (3, 4):

@@ -24,7 +24,7 @@ from contourgf import (
     oracle_error_bound,
 )
 from contourgf.core import max_abs
-from contourgf.discrete import _factor, _green_rows
+from contourgf.discrete import _factor, _green_operands, _row_kernel
 
 from conftest import (
     EPSILON_RANGE,
@@ -213,7 +213,7 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     system = random_system(rng, statistics, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
     dense = discrete_green(system, grid).matrix
-    rows = _green_rows(_factor(system, [grid])[0])
+    rows = _row_kernel(_green_operands(_factor(system, [grid])[0]))
     total = 2 * n_slices
     block = block or total
     stacked = np.vstack(

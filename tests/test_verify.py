@@ -1,7 +1,9 @@
 """Tests for the structure and convergence suites."""
 
+import ast
 import cmath
 import dataclasses
+import inspect
 import tracemalloc
 import warnings
 
@@ -59,17 +61,12 @@ def continuum_contour_reference(system, grid):
     return full.transpose(0, 2, 1, 3).reshape(total, total)
 
 
-def continuum_from_factors(system, grid):
-    """The dense continuum prediction from ``_continuum_factors``: the
-    greater product before the row, the lesser one after it and their
-    mean on the diagonal."""
-    greater, lesser, right = verify._continuum_factors(system, grid)
-    steps = np.arange(2 * grid.n_slices)
-    order = np.sign(steps[:, None] - steps[None, :])
-    greater_share = np.kron(
-        0.5 * (1.0 + order), np.ones((system.dimension, system.dimension))
-    )
-    return greater_share * (greater @ right) + (1.0 - greater_share) * (lesser @ right)
+def continuum_from_operands(system, grid):
+    """The dense continuum prediction from ``_continuum_operands``, by the
+    row kernel that streams ``G - C``: the greater product before the row,
+    the lesser one after it and their mean on the diagonal."""
+    operands = verify._continuum_operands(system, grid)
+    return discrete._row_kernel(operands)(0, 2 * grid.n_slices)
 
 
 def unequal_time_mask(grid, dimension):
@@ -271,10 +268,10 @@ def test_structure_suite_builds_two_propagator_stacks(monkeypatch):
 
 @pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
 def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
-    # 13 einsums: the two propagator stacks; the free and the Keldysh
+    # 11 einsums: the two propagator stacks; the free and the Keldysh
     # product of the row-column and the column-row pair; the free product
-    # of the row-row pair; the four solved constants and the two step
-    # terms between the stacks.  W is computed by the suite, by
+    # of the row-row pair; the four solved constants, whose step terms
+    # read the row-column free product.  W is computed by the suite, by
     # fix_constants and once per pair that has a Keldysh product.
     einsums, weights = [], []
     einsum = np.einsum
@@ -292,7 +289,7 @@ def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
         monkeypatch.setattr(module, "keldysh_weight", counted_weight)
     system = random_system(np.random.default_rng(18), statistics, 3)
     assert all(c.passed for c in run_structure_suite(system))
-    assert len(einsums) == 13
+    assert len(einsums) == 11
     assert len(weights) <= 4
 
 
@@ -427,7 +424,7 @@ def test_chebyshev_interior_bounds():
 def test_continuum_contour_matrix_shape_and_symmetry():
     system = LevelSystem(1.0, 0.4, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 4)
-    full = continuum_from_factors(system, grid)
+    full = continuum_from_operands(system, grid)
     assert full.shape == (8, 8)
     mask = unequal_time_mask(grid, 1)
     assert mask.shape == (8, 8)
@@ -445,11 +442,14 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     grid = TimeGrid(0.0, 1.5, n_slices)
     reference = continuum_contour_reference(system, grid)
     tol = KERNEL_TOL * np.abs(reference).max()
-    assert np.abs(continuum_from_factors(system, grid) - reference).max() <= tol
-    # The jump between the two weights is -i P_n.
-    greater, lesser, _ = verify._continuum_factors(system, grid)
+    assert np.abs(continuum_from_operands(system, grid) - reference).max() <= tol
+    # The jump between the two weights on the forward rows is -i P_n.
+    operands = verify._continuum_operands(system, grid)
+    (greater,), (lesser,) = operands.rows, operands.cross_rows
+    half = n_slices * dimension
     props = propagator_stack(system, contour_times(grid) - grid.t_initial)
-    assert np.abs(greater - lesser + 1j * props.reshape(-1, dimension)).max() <= tol
+    jump = greater[:half] - lesser + 1j * props.reshape(-1, dimension)[:half]
+    assert np.abs(jump).max() <= tol
     # The fused kernel gives G - C by contour rows.
     green = discrete_green(system, grid).matrix
     difference = green - reference
@@ -625,11 +625,16 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     fac = _factor(system, [grid])[0]
-    clean = verify._green_factors(fac)
+    clean = verify._green_operands(fac)
+    green_operands = verify._green_operands
 
     def error_with(**changes):
-        factors = dataclasses.replace(clean, **changes)
-        monkeypatch.setattr(verify, "_green_factors", lambda fac: factors)
+        # The difference is taken in place, so each call gets a fresh set.
+        monkeypatch.setattr(
+            verify,
+            "_green_operands",
+            lambda fac: dataclasses.replace(green_operands(fac), **changes),
+        )
         return verify._unequal_time_error(
             system,
             grid,
@@ -639,19 +644,14 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
 
     assert np.isfinite(error_with())
     for row in (0, 15):
-        left = clean.left.copy()
+        left = clean.rows[0].copy()
         left[row] = np.nan
-        assert np.isnan(error_with(left=left))
-    upper_toeplitz = verify._upper_toeplitz
+        assert np.isnan(error_with(rows=(left,)))
+    left, powers, right = clean.lags
     for lag in (0, 1):
-
-        def with_nan(table, lag=lag):
-            table = table.copy()
-            table[:, grid.n_slices - 1 + lag] = np.nan
-            return upper_toeplitz(table)
-
-        monkeypatch.setattr(verify, "_upper_toeplitz", with_nan)
-        assert np.isnan(error_with()) == (lag == 1)
+        with_nan = powers.copy()
+        with_nan[:, lag] = np.nan
+        assert np.isnan(error_with(lags=(left, with_nan, right))) == (lag == 1)
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
@@ -673,6 +673,47 @@ def test_oracle_suite_peak_memory_is_the_discrete_result():
     finally:
         tracemalloc.stop()
     assert peak < 2 * result_bytes
+
+
+def test_difference_rows_build_peak():
+    # Building the kernel of G - C at N = 256, d = 2 keeps the row
+    # factors, the stacked column factors and the lag tables (285 KB), and
+    # for a while the two operand sets besides.  The subtraction releases
+    # each factor of G once it is copied (317 KB); one that kept both sets
+    # alive until it returned peaked at 400 KB.  The bound is the peak of
+    # the earlier layout, which added the continuum jump into the discrete
+    # lag tables in place: 346,480 B (numpy 2.4).
+    system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
+    grid = TimeGrid(0.0, 1.0, 256)
+    fac = _factor(system, [grid])[0]
+    verify._difference_rows(system, grid, fac)
+    tracemalloc.start()
+    try:
+        verify._difference_rows(system, grid, fac)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 346_480
+
+
+def test_verify_reads_the_discrete_route_through_its_operands():
+    # The operand layout of G has one owner: verify builds C in that
+    # form and leaves the rest of the discrete route to discrete.
+    tree = ast.parse(inspect.getsource(verify))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "discrete"
+        for alias in node.names
+    }
+    assert imported == {
+        "_check_dimension",
+        "_factor",
+        "_green_operands",
+        "_Operands",
+        "_row_kernel",
+        "contour_times",
+    }
 
 
 def test_grid_error_allocates_no_block():
@@ -730,30 +771,29 @@ def test_oracle_fails_with_unit_keldysh_weight(monkeypatch):
 
 def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
     # Every lag of the discrete Toeplitz term moved one block later.
-    lag_blocks = verify._lag_blocks
+    green_operands = verify._green_operands
 
     def later(fac):
-        shifted = []
-        for table in lag_blocks(fac):
-            moved = np.zeros_like(table)
-            moved[:, fac.n_slices :] = table[:, fac.n_slices - 1 : -1]
-            shifted.append(moved)
-        return tuple(shifted)
+        operands = green_operands(fac)
+        left, powers, right = operands.lags
+        moved = np.zeros_like(powers)
+        moved[:, 1:] = powers[:, :-1]
+        return dataclasses.replace(operands, lags=(left, moved, right))
 
-    monkeypatch.setattr(verify, "_lag_blocks", later)
+    monkeypatch.setattr(verify, "_green_operands", later)
     assert not all(c.passed for c in oracle_mutant_checks())
 
 
 def test_oracle_fails_with_flipped_cross_branch_term(monkeypatch):
-    green_factors = verify._green_factors
+    green_operands = verify._green_operands
 
     def flipped(fac):
-        factors = green_factors(fac)
-        columns = factors.columns.copy()
+        operands = green_operands(fac)
+        columns = operands.cross_columns.copy()
         columns[fac.basis.shape[0] :] *= -1
-        return dataclasses.replace(factors, columns=columns)
+        return dataclasses.replace(operands, cross_columns=columns)
 
-    monkeypatch.setattr(verify, "_green_factors", flipped)
+    monkeypatch.setattr(verify, "_green_operands", flipped)
     assert not all(c.passed for c in oracle_mutant_checks())
 
 
