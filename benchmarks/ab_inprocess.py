@@ -100,13 +100,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--size", default="full", choices=["full", "tiny"])
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     sides = {"old": load_cli(args.old, "contourgf_old"),
              "new": load_cli(args.new, "contourgf_new")}
-    calls = build_calls(args.workload, args.seed, args.size)
+    calls = build_calls(args.workload, args.seed, "full")
     with tempfile.TemporaryDirectory() as tmp:
         argvs = []
         for index, call in enumerate(calls):

@@ -643,10 +643,20 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
         )
 
     assert np.isfinite(error_with())
+    half = len(clean.cross_rows[0])
     for row in (0, 15):
         left = clean.rows[0].copy()
         left[row] = np.nan
-        assert np.isnan(error_with(rows=(left,)))
+        # The forward rows' first cross factor is the same left factor.
+        cross = (left[:half], *clean.cross_rows[1:])
+        assert np.isnan(error_with(rows=(left,), cross_rows=cross))
+    # A NaN in a cross factor alone reaches the error through the
+    # forward rows' backward columns.
+    for factor in range(len(clean.cross_rows)):
+        cross = list(clean.cross_rows)
+        cross[factor] = cross[factor].copy()
+        cross[factor][0] = np.nan
+        assert np.isnan(error_with(cross_rows=tuple(cross)))
     left, powers, right = clean.lags
     for lag in (0, 1):
         with_nan = powers.copy()
