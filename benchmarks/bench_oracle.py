@@ -6,7 +6,7 @@ default cap.  Each case also records, in ``extra_info``, the
 ``tracemalloc`` peak of one untimed call and the size a dense discrete
 inverse of the finer grid would have, which the streamed suite never
 allocates.  ``test_grid_error`` times the per-grid layer on the same
-N and d: the comparison of one grid, ``_unequal_time_error`` over the
+N and d: the comparison of one grid, ``_grid_error`` over the
 row kernel of ``_difference_rows``, from a factorization and a
 workspace made before the timing, as the suite makes its workspace once
 for all grids; its peak is that of one untimed call.  Cases are timed by ``benchmark(...)``, so the warm-up and
@@ -87,7 +87,7 @@ def test_grid_error(benchmark, dimension, n_slices):
 
     def grid_error():
         rows = verify._difference_rows(system, grid, fac)
-        return verify._unequal_time_error(system, grid, rows, workspace)
+        return verify._grid_error(system, grid, rows, workspace)
 
     benchmark.extra_info["peak_mib"] = _peak_mib(grid_error)
     error = benchmark(grid_error)

@@ -22,7 +22,8 @@ trees run with one BLAS thread, as perfbench does.  When a call's
 stdout differs and both outputs parse as JSON, its line also gives the
 largest relative difference over their numeric fields and the field
 where it occurs, so a change in the last bits of a ``converge`` error
-can be told from a real change.
+can be told from a real change; when no numeric field differs, it
+names the first leaf that does, such as ``.checks[9].details``.
 Exits 0 when every call has the same exit code and identical stdout in
 both trees, 1 otherwise.
 """
@@ -57,16 +58,16 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def seed_calls(seed: int, size: str) -> list[tuple[str, object]]:
+def seed_calls(seed: int) -> list[tuple[str, object]]:
     """``(workload, call)`` of every perfbench call for ``seed``, then the
     oracle config as ``verify``, the first structure call corrupted and
     the partition and oracle calls as CSV."""
     from workloads import WORKLOADS, build_calls
 
-    calls = [(w, call) for w in WORKLOADS for call in build_calls(w, seed, size)]
-    oracle = build_calls("oracle", seed, size)[0]
-    structure = build_calls("structure", seed, size)[0]
-    partition = build_calls("partition", seed, size)[0]
+    calls = [(w, call) for w in WORKLOADS for call in build_calls(w, seed)]
+    oracle = build_calls("oracle", seed)[0]
+    structure = build_calls("structure", seed)[0]
+    partition = build_calls("partition", seed)[0]
     csv = ("--output.format", "csv")
     return calls + [
         (
@@ -84,7 +85,7 @@ def seed_calls(seed: int, size: str) -> list[tuple[str, object]]:
     ]
 
 
-def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
+def run_tree(src: str, seeds: list[int]) -> list[dict]:
     """Run every call in this process against the package in ``src``;
     one record per call with its exit code, stdout digest and the file
     that holds its stdout, in a directory the caller removes."""
@@ -97,7 +98,7 @@ def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
         for seed in seeds:
-            for workload, call in seed_calls(seed, size):
+            for workload, call in seed_calls(seed):
                 with open(config_path, "w", encoding="utf-8") as handle:
                     json.dump(call.config, handle)
                 buffer = io.BytesIO()
@@ -123,16 +124,20 @@ def run_tree(src: str, seeds: list[int], size: str) -> list[dict]:
     return records
 
 
-def numeric_fields(doc, path=""):
-    """``(path, value)`` of every int or float leaf of a JSON document."""
+def leaves(doc, path=""):
+    """``(path, value)`` of every leaf of a JSON document, in order."""
     if isinstance(doc, dict):
         for key, value in doc.items():
-            yield from numeric_fields(value, f"{path}.{key}")
+            yield from leaves(value, f"{path}.{key}")
     elif isinstance(doc, list):
         for index, value in enumerate(doc):
-            yield from numeric_fields(value, f"{path}[{index}]")
-    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+            yield from leaves(value, f"{path}[{index}]")
+    else:
         yield path, doc
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def relative_difference(a: float, b: float) -> float:
@@ -146,8 +151,8 @@ def relative_difference(a: float, b: float) -> float:
 
 def json_difference(old_path: str, new_path: str) -> str | None:
     """The largest relative difference over the numeric fields of two
-    JSON outputs and the field where it occurs, or None when either is
-    not JSON."""
+    JSON outputs and the field where it occurs or, when no numeric field
+    differs, the first leaf that does; None when either is not JSON."""
     try:
         with open(old_path, encoding="utf-8") as handle:
             old = json.load(handle)
@@ -155,18 +160,28 @@ def json_difference(old_path: str, new_path: str) -> str | None:
             new = json.load(handle)
     except ValueError:
         return None
-    old_fields = list(numeric_fields(old))
-    new_fields = list(numeric_fields(new))
+    old_leaves, new_leaves = list(leaves(old)), list(leaves(new))
+    old_fields = [(p, v) for p, v in old_leaves if is_number(v)]
+    new_fields = [(p, v) for p, v in new_leaves if is_number(v)]
     if [p for p, _ in old_fields] != [p for p, _ in new_fields]:
         return "numeric fields differ in layout"
     worst, path = max(
         ((relative_difference(a, b), p) for (p, a), (_, b) in zip(old_fields, new_fields)),
         default=(0.0, ""),
     )
+    if worst == 0.0:
+        first = next(
+            (p for (p, a), (q, b) in zip(old_leaves, new_leaves) if (p, a) != (q, b)),
+            None,
+        )
+        if first is None:
+            same = len(old_leaves) == len(new_leaves)
+            return "every leaf is the same" if same else "leaves differ in layout"
+        return f"no numeric field differs; first differing leaf {first or 'the root'}"
     return f"max_rel_diff {worst:.3g} at {path or 'the root'}"
 
 
-def collect(src: str, seeds: list[int], size: str) -> list[dict]:
+def collect(src: str, seeds: list[int]) -> list[dict]:
     """Records of ``src`` from a fresh interpreter."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
@@ -175,7 +190,7 @@ def collect(src: str, seeds: list[int], size: str) -> list[dict]:
         env[key] = "1"
     seed_text = ",".join(map(str, seeds))
     result = subprocess.run(
-        [sys.executable, __file__, "--run", src, "--seeds", seed_text, "--size", size],
+        [sys.executable, __file__, "--run", src, "--seeds", seed_text],
         capture_output=True,
         text=True,
         env=env,
@@ -191,18 +206,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("old", nargs="?", help="src directory of the reference tree")
     parser.add_argument("new", nargs="?", help="src directory of the changed tree")
     parser.add_argument("--seeds", default="101-110", help="e.g. 101-110 or 1,5,9")
-    parser.add_argument("--size", default="full", choices=["full", "tiny"])
     parser.add_argument("--run", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     if args.run:
-        json.dump(run_tree(args.run, seeds, args.size), sys.stdout)
+        json.dump(run_tree(args.run, seeds), sys.stdout)
         return 0
     if not (args.old and args.new):
         parser.error("OLD_SRC and NEW_SRC are required")
-    old = collect(args.old, seeds, args.size)
+    old = collect(args.old, seeds)
     try:
-        new = collect(args.new, seeds, args.size)
+        new = collect(args.new, seeds)
         try:
             return report(old, new)
         finally:

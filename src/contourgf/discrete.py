@@ -21,7 +21,8 @@ transposition, matching the many-level Keldysh weight); it sums to the
 identity.  The discrete Green's function is
 ``G = -i D'^{-1} diag(M, 1, ..., 1)``, finite for every valid occupation
 including a full fermion level; its blocks approximate the continuum
-branch components to first order in dt away from equal times.  The
+branch components to first order in dt, at equal times with the step
+taken by contour order (the row the later position).  The
 partition function ``det(D')^{-zeta}`` equals one up to O(1/N), exactly
 for eps = 0 or nbar = 0.
 

@@ -15,15 +15,17 @@ The oracle suite compares the closed forms against the independently
 built discrete contour inverse on a sequence of grids and fits the
 convergence order.  Along a contour row the closed forms are a rank-d
 product with the greater weight, less the jump to the lesser weight
-after the row; within a branch that jump, like the discrete inverse's
-own within-branch term, depends only on the lag.  So the suite writes
-the closed forms in the inverse's operand form, which ``discrete`` owns,
-subtracts them, and streams the difference by ``discrete``'s row kernel
-in blocks of contour rows: at most two products of stacked low-rank
-factors and one block-Toeplitz add per branch, into one block buffer
-that serves every grid.  Per grid it costs O((N d)^2 d) time and
-O(N d^2) memory besides that buffer.  Reports serialize from their
-dataclasses.
+after the row; at the row's own column the step takes the contour
+order, the row the later position, as in the discrete inverse, so the
+comparison covers every entry.  Within a branch that jump, like the
+discrete inverse's own within-branch term, depends only on the lag.  So
+the suite writes the closed forms in the inverse's operand form, which
+``discrete`` owns, subtracts them, and streams the difference by
+``discrete``'s row kernel in blocks of contour rows: at most two
+products of stacked low-rank factors and one block-Toeplitz add per
+branch, into one block buffer that serves every grid.  Per grid it
+costs O((N d)^2 d) time and O(N d^2) memory besides that buffer.
+Reports serialize from their dataclasses.
 
 Both suites are deterministic given their seed.
 """
@@ -291,19 +293,19 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
     propagator over ``tau_n``, contour time n less ``t_initial``,
     ``W = 1 + 2 zeta nbar^T`` and the scalar
     ``c = s_m theta - s_n (1 - theta)`` from the branch signs and the
-    symmetric step ``theta(tau_n - tau_m)``.  Contour times increase
-    along the forward branch and decrease along the backward one, so c
-    is ``sign(n - m)``, the contour ordering of the two positions: a
-    column before the row carries ``W + 1``, twice the greater weight
-    ``1 + zeta nbar^T``, a column after it ``W - 1``, twice the lesser
-    weight ``zeta nbar^T``, and the row's own column their mean ``W``.
-    So over the column factors ``P_m^dag`` the row factors are the
-    greater ``-i/2 P_n (W + 1)`` and, every backward column being after a
-    forward row, the cross rows the lesser ``-i/2 P_n (W - 1)``.  Within a
-    branch the jump between the two, ``-i U(tau_n - tau_m)``, depends
-    only on the lag, and the row's own column takes half of it: the lag
-    blocks are ``i U(-lag dt)`` forward, ``i U(lag dt)`` backward and
-    ``i/2`` at lag 0, from the energy eigensystem.
+    step ``theta(tau_n - tau_m)``, taken at equal times by contour order
+    with the row as the later position, as the discrete inverse takes
+    it.  Contour times increase along the forward branch and decrease
+    along the backward one, so c is 1 for a column at or before the row
+    and -1 for a column after it: ``W + 1``, twice the greater weight
+    ``1 + zeta nbar^T``, and ``W - 1``, twice the lesser weight
+    ``zeta nbar^T``.  So over the column factors ``P_m^dag`` the row
+    factors are the greater ``-i/2 P_n (W + 1)`` and, every backward
+    column being after a forward row, the cross rows the lesser
+    ``-i/2 P_n (W - 1)``.  Within a branch the jump between the two,
+    ``-i U(tau_n - tau_m)`` after the row, depends only on the lag: the
+    lag blocks are ``i U(-lag dt)`` forward and ``i U(lag dt)`` backward,
+    zero at lag 0, from the energy eigensystem.
     """
     d = system.dimension
     n = grid.n_slices
@@ -317,7 +319,7 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
     # Forward tau is dt, 2 dt, ..., N dt: the lags' phases exp(-i w lag dt).
     energies, basis = system.epsilon_eigh
     phases = np.exp(-1j * np.outer(tau[: n - 1], energies))
-    powers = np.full((2, n, d), 0.5, dtype=complex)
+    powers = np.zeros((2, n, d), dtype=complex)
     powers[0, 1:], powers[1, 1:] = phases.conj(), phases
     return _Operands(
         (greater,),
@@ -326,27 +328,6 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
         columns[:, n * d :],
         (1j * basis, powers, basis.conj().T),
     )
-
-
-def _equal_time_pairs(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (n, m) with ``tau_n == tau_m``, sorted by n then m.
-
-    One sort groups the equal times; every member of a group is paired
-    with every member, itself included.
-    """
-    order = np.argsort(tau, kind="stable")
-    ordered = tau[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    sizes = np.diff(np.r_[starts, tau.size])
-    # Per sorted position, the first position and the size of its group;
-    # each position is repeated once per member of its group.
-    first = np.repeat(starts, sizes)
-    size = np.repeat(sizes, sizes)
-    position = np.repeat(np.arange(tau.size), size)
-    member = np.arange(position.size) - np.repeat(np.cumsum(size) - size, size)
-    row, col = order[position], order[first[position] + member]
-    by_row = np.lexsort((col, row))
-    return row[by_row], col[by_row]
 
 
 def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
@@ -375,43 +356,30 @@ def _workspace(system: LevelSystem, grids) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(entries, dtype=complex), np.empty(entries)
 
 
-def _unequal_time_error(
+def _grid_error(
     system: LevelSystem, grid: TimeGrid, difference_rows, workspace
 ) -> float:
-    """Largest |G - continuum| over blocks whose row and column times differ.
+    """Largest entry of |G - C| on ``grid``.
 
     ``difference_rows(start, stop, out)`` writes contour rows start..stop
     of ``G - C`` into ``out``, as the kernel of :func:`_difference_rows`
-    does.  Equal-time entries (the same-index diagonal and the
-    cross-branch duplicates of one physical time) are excluded: the
-    discrete inverse is contour ordered there while the closed forms
-    carry the symmetric step value.  Their pairs are found once per
-    grid, and each block zeroes its slice of them.  The blocks stream
-    through ``workspace``, from :func:`_workspace` for grids including
-    this one, so no block-sized array is allocated.  NaN when any
-    compared entry is NaN.
+    does.  The blocks stream through ``workspace``, from
+    :func:`_workspace` for grids including this one, so no block-sized
+    array is allocated.  NaN when any entry is NaN.
     """
     d = system.dimension
-    tau = _contour_offsets(grid)
-    width = tau.size * d
+    size = 2 * grid.n_slices
+    width = size * d
     block = _block_rows(system, grid)
-    starts = np.arange(0, tau.size, block)
-    # The flat positions in G - C of the d x d blocks of the equal-time
-    # pairs, in row order, and where each block of rows begins there.
-    pair_rows, pair_cols = _equal_time_pairs(tau)
-    entries = np.arange(d)[:, None] * width + np.arange(d)
-    flat = ((pair_rows * width + pair_cols) * d)[:, None, None] + entries
-    flat = flat.reshape(-1)
-    edges = np.searchsorted(pair_rows, np.r_[starts, tau.size]) * d * d
     buffer, magnitudes = workspace
     errors = []
-    for start, low, high in zip(starts, edges, edges[1:]):
-        stop = min(start + block, tau.size)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
         shape = ((stop - start) * d, width)
-        size = shape[0] * width
-        diff = difference_rows(start, stop, buffer[:size].reshape(shape))
-        diff.reshape(-1)[flat[low:high] - start * d * width] = 0.0
-        errors.append(float(np.abs(diff, out=magnitudes[:size].reshape(shape)).max()))
+        entries = shape[0] * width
+        diff = difference_rows(start, stop, buffer[:entries].reshape(shape))
+        magnitude = np.abs(diff, out=magnitudes[:entries].reshape(shape))
+        errors.append(float(magnitude.max()))
     return _worst(errors)
 
 
@@ -430,8 +398,8 @@ def run_oracle_suite(
     """Compare the discrete inverse against the closed forms per grid.
 
     Requires at least two grids with strictly increasing slice counts
-    and identical endpoints.  Reports the maximum block error away from
-    equal times, the error allowance, the partition-function deviation
+    and identical endpoints.  Reports the largest entry of |G - C| over
+    every block, the error allowance, the partition-function deviation
     |Z - 1|, and the order fitted by least squares on the log-log error
     curve (None when all errors sit at the roundoff floor).  All grids
     are factorized once, in one stacked pass before any comparison: Z,
@@ -472,9 +440,8 @@ def run_oracle_suite(
     for grid in grids:
         # Each grid's factorization is released once its grid is done.
         fac = factorizations.pop(0)
-        error = _unequal_time_error(
-            system, grid, _difference_rows(system, grid, fac), workspace
-        )
+        rows = _difference_rows(system, grid, fac)
+        error = _grid_error(system, grid, rows, workspace)
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"oracle error on {grid.n_slices} slices is {error!r}"
@@ -502,7 +469,7 @@ def oracle_checks(report: ConvergenceReport) -> list[CheckResult]:
             f"oracle_error_n{size}",
             err,
             bound,
-            details="max block deviation vs closed forms, off equal times",
+            details="max block deviation vs closed forms",
         )
         for size, err, bound in zip(report.grid_sizes, report.errors, report.error_bounds)
     ] + [

@@ -51,7 +51,9 @@ def continuum_contour_reference(system, grid):
     weight = keldysh_weight(system)
     kel = -1j * np.einsum("nab,mcb->nmac", props @ weight, props.conj())
     delta = tau[:, None] - tau[None, :]
-    theta = np.where(delta > 0, 1.0, np.where(delta < 0, 0.0, 0.5))
+    # At equal times the contour order: the row is the later position, so
+    # theta is 1 on the forward branch and 0 on the backward one.
+    theta = np.where(delta == 0, signs[:, None] > 0, delta > 0).astype(float)
     ret = -1j * theta[:, :, None, None] * free
     adv = 1j * (1.0 - theta)[:, :, None, None] * free
     full = (
@@ -63,27 +65,20 @@ def continuum_contour_reference(system, grid):
 
 def continuum_from_operands(system, grid):
     """The dense continuum prediction from ``_continuum_operands``, by the
-    row kernel that streams ``G - C``: the greater product before the row,
-    the lesser one after it and their mean on the diagonal."""
+    row kernel that streams ``G - C``: the greater product at and before
+    the row, the lesser one after it."""
     operands = verify._continuum_operands(system, grid)
     return discrete._row_kernel(operands)(0, 2 * grid.n_slices)
 
 
-def unequal_time_mask(grid, dimension):
-    """Entries whose row and column contour times differ."""
-    tau = contour_times(grid)
-    distinct = tau[:, None] != tau[None, :]
-    return np.kron(distinct, np.ones((dimension, dimension), dtype=bool))
-
-
 def dense_oracle_errors(system, grids):
-    """Masked max of |G - continuum| per grid from the dense reference."""
+    """Max of |G - continuum| per grid from the dense reference."""
     errors = []
     for grid in grids:
         diff = discrete_green(system, grid).matrix - continuum_contour_reference(
             system, grid
         )
-        errors.append(float(np.abs(diff)[unequal_time_mask(grid, system.dimension)].max()))
+        errors.append(float(np.abs(diff).max()))
     return errors
 
 STRUCTURE_CHECK_NAMES = [
@@ -426,11 +421,31 @@ def test_continuum_contour_matrix_shape_and_symmetry():
     grid = TimeGrid(0.0, 1.0, 4)
     full = continuum_from_operands(system, grid)
     assert full.shape == (8, 8)
-    mask = unequal_time_mask(grid, 1)
-    assert mask.shape == (8, 8)
-    # Each of t_1 .. t_{N-1} appears on both branches, t_N and t_0 once:
-    # 4N - 2 equal-time pairs.
-    assert int((~mask).sum()) == 4 * grid.n_slices - 2
+    props = propagator_stack(system, contour_times(grid))[:, 0, 0]
+    weight = keldysh_weight(system)[0, 0]
+
+    def weighted(c, rows, cols):
+        return -0.5j * props[rows] * (weight + c) * props[cols].conj()
+
+    # The step at equal times takes the contour order, the row the later
+    # position: the diagonal blocks carry the greater weight.
+    size = 2 * grid.n_slices
+    index = np.arange(size)
+    np.testing.assert_allclose(
+        full[index, index], weighted(1.0, index, index), rtol=0, atol=1e-15
+    )
+    # Each of t_1 .. t_{N-1} appears on both branches.  The backward
+    # copy of a forward row's time comes after it on the contour (the
+    # lesser weight), and the forward copy of a backward row's time
+    # before it (the greater weight).
+    forward = np.arange(grid.n_slices - 1)
+    partner = size - 2 - forward
+    np.testing.assert_allclose(
+        full[forward, partner], weighted(-1.0, forward, partner), rtol=0, atol=1e-15
+    )
+    np.testing.assert_allclose(
+        full[partner, forward], weighted(1.0, partner, forward), rtol=0, atol=1e-15
+    )
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -484,18 +499,6 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     ]:
         out = block_rows(start, stop)
         assert np.abs(out - difference[start * d : stop * d]).max() <= tol
-
-
-@pytest.mark.parametrize("n_slices", [1, 2, 7, 33])
-def test_equal_time_pairs_match_dense(n_slices):
-    grid = TimeGrid(0.0, 1.0, n_slices)
-    tau = verify._contour_offsets(grid)
-    row, col = verify._equal_time_pairs(tau)
-    dense_row, dense_col = np.nonzero(tau[:, None] == tau[None, :])
-    # np.nonzero orders by row, then column, as the pairs are.
-    assert row.tolist() == dense_row.tolist()
-    assert col.tolist() == dense_col.tolist()
-    assert row.size == 4 * n_slices - 2
 
 
 def assert_oracle_errors_match_dense(system, grids):
@@ -573,22 +576,17 @@ def dense_difference_rows(system, grid):
 
 @pytest.mark.parametrize("row", [0, -1])
 def test_oracle_error_keeps_nan(monkeypatch, row):
-    # The NaN in the first or the last contour row, away from equal
-    # times; one row per block, 3-row blocks that do not divide 2N = 16,
-    # one block.
+    # The NaN in the first or the last contour row; one row per block,
+    # 3-row blocks that do not divide 2N = 16, one block.
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     for entries in (1, 48, 2**16):
         monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
         difference, difference_rows = dense_difference_rows(system, grid)
         workspace = verify._workspace(system, [grid])
-        assert np.isfinite(
-            verify._unequal_time_error(system, grid, difference_rows, workspace)
-        )
+        assert np.isfinite(verify._grid_error(system, grid, difference_rows, workspace))
         difference[row, 3] = np.nan
-        assert np.isnan(
-            verify._unequal_time_error(system, grid, difference_rows, workspace)
-        )
+        assert np.isnan(verify._grid_error(system, grid, difference_rows, workspace))
 
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
@@ -596,7 +594,7 @@ def test_oracle_error_keeps_nan(monkeypatch, row):
 def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     # One contour row per block, 3-row blocks that do not divide 2N = 16,
     # one block.  Forward row k and backward row 2N - 2 - k share a
-    # time; the next column does not.
+    # time; the next column does not.  The error covers both.
     monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
@@ -607,20 +605,55 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     def error_with_nan_at(column):
         difference, difference_rows = dense_difference_rows(system, grid)
         difference[row, column] = np.nan
-        return verify._unequal_time_error(
+        return verify._grid_error(
             system, grid, difference_rows, verify._workspace(system, [grid])
         )
 
-    assert np.isfinite(error_with_nan_at(partner))
     assert np.isnan(error_with_nan_at(partner + 1))
+    assert np.isnan(error_with_nan_at(partner))
+
+
+@st.composite
+def nan_positions(draw):
+    """``(n_slices, dimension, entries, row, column)``: a grid, a block
+    size and an entry of G - C, in about half the draws in the row's
+    same-index diagonal block or in the cross-branch partner of its time."""
+    n_slices = draw(st.integers(1, 16))
+    d = draw(st.integers(1, 3))
+    entries = draw(st.sampled_from([1, 48, 2**16]))
+    size = 2 * n_slices
+    row = draw(st.integers(0, size - 1))
+    partner = (size - 2 - row) % size
+    col = draw(st.sampled_from([row, partner]) | st.integers(0, size - 1))
+    a, b = (draw(st.integers(0, d - 1)) for _ in range(2))
+    return n_slices, d, entries, row * d + a, col * d + b
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None)
+@given(position=nan_positions())
+def test_oracle_error_keeps_nan_at_every_entry(position):
+    # The error is the plain max of |G - C| over every entry, so a NaN
+    # anywhere reaches it, equal times included.
+    n_slices, dimension, entries, row, column = position
+    rng = np.random.default_rng(dimension)
+    system = random_system(rng, Statistics.BOSON, dimension)
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+        workspace = verify._workspace(system, [grid])
+        difference, difference_rows = dense_difference_rows(system, grid)
+        error = verify._grid_error(system, grid, difference_rows, workspace)
+        assert error == np.abs(difference).max()
+        difference[row, column] = np.nan
+        assert np.isnan(verify._grid_error(system, grid, difference_rows, workspace))
 
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
 def test_fused_rows_keep_nan(monkeypatch, entries):
     # A NaN in a discrete factor reaches the error through the fused
-    # product.  A NaN in the lag-0 block of the Toeplitz term sits on the
-    # same-index diagonal and is excluded; one in the lag-1 block, a
-    # column later, is not.
+    # product, and one in the lag-0 block of the Toeplitz term, on the
+    # same-index diagonal, as one in the lag-1 block does.
     monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
@@ -635,7 +668,7 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
             "_green_operands",
             lambda fac: dataclasses.replace(green_operands(fac), **changes),
         )
-        return verify._unequal_time_error(
+        return verify._grid_error(
             system,
             grid,
             verify._difference_rows(system, grid, fac),
@@ -661,12 +694,12 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
     for lag in (0, 1):
         with_nan = powers.copy()
         with_nan[:, lag] = np.nan
-        assert np.isnan(error_with(lags=(left, with_nan, right))) == (lag == 1)
+        assert np.isnan(error_with(lags=(left, with_nan, right)))
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
     errors = iter([1e-3, np.nan])
-    monkeypatch.setattr(verify, "_unequal_time_error", lambda *args: next(errors))
+    monkeypatch.setattr(verify, "_grid_error", lambda *args: next(errors))
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     with pytest.raises(FloatingPointError, match="8 slices"):
         run_oracle_suite(system, [TimeGrid(0.0, 1.0, n) for n in (4, 8)])
@@ -727,8 +760,8 @@ def test_verify_reads_the_discrete_route_through_its_operands():
 
 
 def test_grid_error_allocates_no_block():
-    # With the caller's workspace, one grid allocates its equal-time
-    # pairs, the per-block row factor stacks and numpy's buffers for the
+    # With the caller's workspace, one grid allocates the per-block row
+    # factor stacks and numpy's buffers for the
     # strided Toeplitz add (192 KiB), not a block (768 KiB).
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     grid = TimeGrid(0.0, 1.0, 256)
@@ -737,7 +770,7 @@ def test_grid_error_allocates_no_block():
     assert workspace[0].size == verify.ORACLE_BLOCK_ENTRIES
     tracemalloc.start()
     try:
-        error = verify._unequal_time_error(system, grid, rows, workspace)
+        error = verify._grid_error(system, grid, rows, workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,6 +824,23 @@ def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
         return dataclasses.replace(operands, lags=(left, moved, right))
 
     monkeypatch.setattr(verify, "_green_operands", later)
+    assert not all(c.passed for c in oracle_mutant_checks())
+
+
+def test_oracle_fails_with_symmetric_step_in_g(monkeypatch):
+    # G's lag-0 powers 1/2: its same-index diagonal blocks take the mean
+    # of the greater and the lesser weight, the symmetric step, and are
+    # off by i/2 from the contour-ordered prediction.
+    green_operands = verify._green_operands
+
+    def symmetric(fac):
+        operands = green_operands(fac)
+        left, powers, right = operands.lags
+        powers = powers.copy()
+        powers[:, 0] = 0.5
+        return dataclasses.replace(operands, lags=(left, powers, right))
+
+    monkeypatch.setattr(verify, "_green_operands", symmetric)
     assert not all(c.passed for c in oracle_mutant_checks())
 
 
