@@ -48,7 +48,10 @@ inverse O((N d)^2 d).  Only the blocks of D' enter: no closed form is
 used.  G is held as :class:`_Operands`, whose layout this module owns:
 :mod:`contourgf.verify` writes the continuum prediction in that form,
 subtracts it, and streams the rows of the difference by
-:func:`_row_kernel`.
+:func:`_row_kernel`, in any order of row blocks.  Within a branch the
+kernel splits each lag that reaches past the block's own span of
+columns into two powers, so a block is products of low-rank factors
+but for that span, where it adds the lag blocks from a table.
 
 All grids of a run are factorized in one pass, with the grid as the
 leading axis of every array and each linalg call made once over the
@@ -410,6 +413,10 @@ class _Operands:
     backward column k, plus, within a branch and for k >= j, the lag block
     ``left @ diag(powers[branch, k - j]) @ right``, ``(left, powers,
     right) = lags`` with ``powers`` ``(2, N, s)``, forward branch first.
+    ``powers[:, 0]`` is the lag-0 coefficient; ``powers[:, m]`` for
+    m >= 1 is geometric, the m-th power of ``powers[:, 1]`` entry by
+    entry to roundoff, with no modulus above one: :func:`_row_kernel`
+    splits a lag between two such factors.
     """
 
     rows: tuple[np.ndarray, ...]
@@ -421,11 +428,14 @@ class _Operands:
     def __isub__(self, other: _Operands) -> _Operands:
         """Subtract ``other`` in place: its row factors follow these, its
         column and lag factors are stacked under these, negated.  Each of
-        this set's factors is released once it is copied."""
+        this set's factors is released once it is copied, and so are
+        ``other``'s column factors, which it keeps as None, before the
+        lag factors are joined."""
         self.rows += other.rows
         self.cross_rows += other.cross_rows
         self.columns = _stack(self.columns, other.columns)
         self.cross_columns = _stack(self.cross_columns, other.cross_columns)
+        other.columns = other.cross_columns = None
         self.lags = (
             np.concatenate([self.lags[0], other.lags[0]], axis=1),
             np.concatenate([self.lags[1], other.lags[1]], axis=2),
@@ -495,62 +505,120 @@ def _green_operands(fac: _Factorization) -> _Operands:
 
 
 def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
-    """Block-Toeplitz view of a ``(d, 2 N - 1, d)`` lag table,
-    ``[:, N - 1 + lag]`` the block at lag 1 - N .. N - 1: block (j, k) is
+    """Block-Toeplitz view of a ``(d, 2 w - 1, d)`` lag table,
+    ``[:, w - 1 + lag]`` the block at lag 1 - w .. w - 1: block (j, k) is
     the table's block at lag ``k - j``.  A read-only float
-    ``(N, d, 2 N d)`` view, entry [j, a] row a of block row j as
+    ``(w, d, 2 w d)`` view, entry [j, a] row a of block row j as
     interleaved real and imaginary parts, contiguous over (k, b): numpy
-    buffers a strided add by 8192 items, so floats halve its buffers."""
+    buffers a strided add by 8192 items, so floats halve its buffers.
+    Its top-left corners are the views of fewer rows and columns."""
     d, lags, _ = table.shape
-    n = (lags + 1) // 2
+    w = (lags + 1) // 2
     padded = table.reshape(d, lags * d).view(float)
-    # window[a, s] is row a of the blocks at lags s - n + 1 .. s.
-    window = np.lib.stride_tricks.sliding_window_view(padded, 2 * n * d, axis=1)
-    return window[:, :: 2 * d][:, ::-1].transpose(1, 0, 2)
+    row, item = padded.strides
+    # Entry [j, a, x] is padded[a, 2 d (w - 1 - j) + x].
+    return np.lib.stride_tricks.as_strided(
+        padded[:, 2 * d * (w - 1) :],
+        shape=(w, d, 2 * w * d),
+        strides=(-2 * d * item, row, item),
+        writeable=False,
+    )
 
 
-def _row_kernel(operands: _Operands):
+def _row_kernel(operands: _Operands, block: int | None = None):
     """Kernel for contour rows of ``operands``.
 
     Returns ``rows(start, stop, out=None)``, which writes contour rows
     start..stop into ``out`` (a new array when None), C-contiguous and
-    ``((stop - start) d, 2 N d)``: per block of rows at most two products
-    of the stacked row factors with the column factors, and one
-    block-Toeplitz add of the lag blocks per branch, which the kernel
-    forms once, zero below lag 0.
+    ``((stop - start) d, 2 N d)``.  It takes the rows in pieces of at
+    most w = min(``block``, N) rows of one branch, w = N when ``block``
+    is None, so a call of at most ``block`` rows is at most one piece
+    per branch.  A piece from row ``low`` adds the lag blocks of columns
+    low .. low + w - 1 from a block-Toeplitz view of lags 0 .. w - 1,
+    formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.
+    Past those columns, with a = low + w - 1 >= j and P the geometric
+    powers with ``P[0] = 1``, the lag block at row j and column k is
+    ``left diag(P[a - j]) @ diag(P[k - a]) right``, each factor of
+    modulus at most one when ``powers`` is.  So a piece takes one
+    product of its row factors, with the lag factors of its rows beside
+    them, and the column factors there, with their lag factors under
+    them; one without lag factors over the columns before; and, for
+    forward rows, one of the cross factors over the backward columns.
+    With w = N no product carries lag factors.
     """
     left, powers, right = operands.lags
-    n, d = powers.shape[1], left.shape[0]
+    n, d, s = powers.shape[1], left.shape[0], left.shape[1]
     half = n * d
-    tables = np.zeros((2, d, 2 * n - 1, d), dtype=complex)
-    np.einsum("am,zsm,mb->zasb", left, powers, right, out=tables[:, :, n - 1 :])
-    forward_toeplitz, backward_toeplitz = map(_upper_toeplitz, tables)
-    # The rows close over the factors, not the set, whose lag factors are
-    # not needed once the tables are formed.
+    width = n if block is None else min(block, n)
+    # tables[branch, a, w - 1 + lag, b] = (left diag(powers[lag]) right)_ab.
+    mixed = (left.T[:, :, None] * right[:, None, :]).reshape(s, d * d)
+    tables = np.zeros((2, d, 2 * width - 1, d), dtype=complex)
+    lagged = (powers[:, :width] @ mixed).reshape(2, width, d, d)
+    tables[:, :, width - 1 :] = lagged.transpose(0, 2, 1, 3)
+    squares = tuple(map(_upper_toeplitz, tables))
+    # The rows close over the factors, not the set.
     factors, columns = operands.rows, operands.columns
     crossing, cross_columns = operands.cross_rows, operands.cross_columns
+    r = len(columns)
+    # The column factors past a piece's table columns, copied in per
+    # piece, over the lag factors diag(P[k - a]) right of one branch,
+    # filled when the branch changes; made when a piece first needs it.
+    past = None
+    filled = None
 
-    def stacked(row_factors, low: int, high: int) -> np.ndarray:
-        return np.concatenate([f[low * d : high * d] for f in row_factors], axis=1)
+    def stacked(row_factors, low: int, high: int, *beside) -> np.ndarray:
+        return np.concatenate(
+            [f[low * d : high * d] for f in row_factors] + list(beside), axis=1
+        )
+
+    def products(branch: int, low: int, high: int, reach: int, out) -> None:
+        # Contour rows low..high of ``branch``, whose columns end at
+        # ``end``, but for the lag blocks on columns low..reach.
+        nonlocal past, filled
+        end = (branch + 1) * n
+        if reach < end:
+            v, count = high - low, end - reach
+            # Row j takes left diag(P[a - j]), a = low + w - 1 >= j.
+            lags = left * powers[branch, width - v : width][::-1, None, :]
+            if v == width:
+                lags[-1] = left
+            row = stacked(factors, low, high, lags.reshape(v * d, s))
+            if past is None:
+                past = np.empty((r + s, n - width, d), dtype=complex)
+            if filled != branch:
+                # A product, not a broadcast, which numpy would buffer.
+                band = powers[branch, 1 : n - width + 1].T[:, :, None]
+                np.matmul(band, right[:, None, :], out=past[r:])
+                filled = branch
+            ahead = columns[:, reach * d : end * d]
+            past[:r, :count] = ahead.reshape(r, count, d)
+            operand = past.reshape(r + s, -1)[:, : count * d]
+            np.matmul(row, operand, out=out[:, reach * d : end * d])
+        else:
+            row = stacked(factors, low, high)
+        np.matmul(row[:, :r], columns[:, : reach * d], out=out[:, : reach * d])
+        if not branch:
+            np.matmul(stacked(crossing, low, high), cross_columns, out=out[:, half:])
 
     def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty(((stop - start) * d, 2 * half), dtype=complex)
-        # Rows start..split are forward, split..stop backward; either
-        # range may be empty.
-        split = min(max(start, n), stop)
-        within = split - start
-        # Per row the forward and the backward columns, as floats.
-        block_rows = out.view(float).reshape(stop - start, d, 2, 2 * half)
-        if within:
-            top = out[: within * d]
-            head = top[:, :half]
-            np.matmul(stacked(factors, start, split), columns[:, :half], out=head)
-            np.matmul(stacked(crossing, start, split), cross_columns, out=top[:, half:])
-            block_rows[:within, :, 0] += forward_toeplitz[start:split]
-        if split < stop:
-            np.matmul(stacked(factors, split, stop), columns, out=out[within * d :])
-            block_rows[within:, :, 1] += backward_toeplitz[split - n : stop - n]
+        # Rows start..min(stop, N) are forward, max(start, N)..stop
+        # backward; either range may be empty.
+        for branch, first, last in ((0, start, min(stop, n)), (1, max(start, n), stop)):
+            end = (branch + 1) * n
+            for low in range(first, last, width):
+                high = min(low + width, last)
+                reach = min(low + width, end)
+                piece = out[(low - start) * d : (high - start) * d]
+                products(branch, low, high, reach, piece)
+                # The lag blocks on columns low..reach from the table, as
+                # floats [row, a, (column, b, part)], once the products'
+                # temporaries are released: numpy buffers a strided add.
+                v, u = high - low, 2 * (reach - low) * d
+                added = piece.view(float).reshape(v, d, 4 * half)
+                added = added[:, :, 2 * low * d : 2 * low * d + u]
+                added += squares[branch][:v, :, :u]
         return out
 
     return rows

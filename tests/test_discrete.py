@@ -224,6 +224,37 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("n_slices", [1, 2, 7, 16])
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_green_rows_as_products_match_dense_inverse(
+    statistics, dimension, n_slices, block
+):
+    # A kernel built for ``block`` rows takes pieces of at most
+    # min(block, N) rows of one branch, and past a piece its lag term is
+    # a product split at the piece's last row.  Every partition of the
+    # 2N rows must give the dense inverse of D': calls of one row, calls
+    # of ``block`` rows (across the turn where block does not divide N),
+    # calls longer than the built square, which take several pieces per
+    # branch, and the calls in reverse order, as the oracle streams them.
+    rng = np.random.default_rng([dimension, n_slices, block, statistics.zeta + 9])
+    system = random_system(rng, statistics, dimension)
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    dense = dense_reference(system, grid)[0]
+    rows = _row_kernel(_green_operands(_factor(system, [grid])[0]), block)
+    total = 2 * n_slices
+    d = dimension
+    for length in (1, block, 2 * block + 1, total):
+        starts = range(0, total, length)
+        for order in (starts, reversed(starts)):
+            for start in order:
+                stop = min(start + length, total)
+                got = rows(start, stop)
+                want = dense[start * d : stop * d]
+                assert max_abs(got - want) <= DENSE_TOL * max_abs(dense)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
 @pytest.mark.parametrize("commuting", [False, True])
 def test_stacked_factorization_matches_one_grid_per_call(

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -465,40 +466,48 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     props = propagator_stack(system, contour_times(grid) - grid.t_initial)
     jump = greater[:half] - lesser + 1j * props.reshape(-1, dimension)[:half]
     assert np.abs(jump).max() <= tol
-    # The fused kernel gives G - C by contour rows.
+    # The fused kernel gives G - C by contour rows, built for the suite's
+    # blocks and for blocks of one and of three rows, whose lag terms
+    # past a piece are products.
     green = discrete_green(system, grid).matrix
     difference = green - reference
     tol = KERNEL_TOL * max(np.abs(reference).max(), np.abs(green).max())
-    rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
+    fac = _factor(system, [grid])[0]
     size = 2 * n_slices
     d = system.dimension
+    row_entries = 2 * n_slices * d * d
+    for entries in (verify.ORACLE_BLOCK_ENTRIES, row_entries, 3 * row_entries):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+            assert verify._block_rows(system, grid) == min(entries // row_entries, size)
+            rows = verify._difference_rows(system, grid, fac)
 
-    def block_rows(start, stop):
-        # A NaN-filled buffer: the segment products cover every entry.
-        out = np.full(((stop - start) * d, size * d), np.nan, dtype=complex)
-        assert rows(start, stop, out) is out
-        return out
+        def block_rows(start, stop):
+            # A NaN-filled buffer: the segment products cover every entry.
+            out = np.full(((stop - start) * d, size * d), np.nan, dtype=complex)
+            assert rows(start, stop, out) is out
+            return out
 
-    # One block, and block sizes that leave a short last block.
-    for block in (size, 3, 5):
-        streamed = np.vstack(
-            [
-                block_rows(start, min(start + block, size))
-                for start in range(0, size, block)
-            ]
-        )
-        assert np.abs(streamed - difference).max() <= tol
-    # Blocks that straddle the turn, start on the backward branch or hold
-    # only its last row.
-    last = size - 1
-    for start, stop in [
-        (n_slices - 1, min(n_slices + 2, size)),
-        (n_slices, size),
-        (min(n_slices + 1, last), min(n_slices + 3, size)),
-        (last, size),
-    ]:
-        out = block_rows(start, stop)
-        assert np.abs(out - difference[start * d : stop * d]).max() <= tol
+        # One block, and block sizes that leave a short last block.
+        for block in (size, 3, 5):
+            streamed = np.vstack(
+                [
+                    block_rows(start, min(start + block, size))
+                    for start in range(0, size, block)
+                ]
+            )
+            assert np.abs(streamed - difference).max() <= tol
+        # Blocks that straddle the turn, start on the backward branch or
+        # hold only its last row.
+        last = size - 1
+        for start, stop in [
+            (n_slices - 1, min(n_slices + 2, size)),
+            (n_slices, size),
+            (min(n_slices + 1, last), min(n_slices + 3, size)),
+            (last, size),
+        ]:
+            out = block_rows(start, stop)
+            assert np.abs(out - difference[start * d : stop * d]).max() <= tol
 
 
 def assert_oracle_errors_match_dense(system, grids):
@@ -613,29 +622,46 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     assert np.isnan(error_with_nan_at(partner))
 
 
+NONFINITE = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+             complex(-np.inf, 0.0), complex(0.0, np.inf), complex(0.0, -np.inf)]
+
+
 @st.composite
-def nan_positions(draw):
-    """``(n_slices, dimension, entries, row, column)``: a grid, a block
-    size and an entry of G - C, in about half the draws in the row's
-    same-index diagonal block or in the cross-branch partner of its time."""
+def planted_entries(draw):
+    """``(n_slices, dimension, entries, damp, row, column, value)``: a
+    grid, a block size, a factor for the forward rows of G - C, and an
+    entry with a value to plant there, NaN, an infinite part, or a
+    finite value up to twice the largest entry in any phase.  In about
+    half the draws the row is forward, in a block that may be skipped,
+    which a damped difference lets every forward block be; in about
+    half the column is in the row's same-index diagonal block or in the
+    cross-branch partner of its time."""
     n_slices = draw(st.integers(1, 16))
     d = draw(st.integers(1, 3))
     entries = draw(st.sampled_from([1, 48, 2**16]))
+    damp = draw(st.sampled_from([1.0, 1e-3]))
     size = 2 * n_slices
-    row = draw(st.integers(0, size - 1))
+    row = draw(st.integers(0, n_slices - 1) | st.integers(0, size - 1))
     partner = (size - 2 - row) % size
     col = draw(st.sampled_from([row, partner]) | st.integers(0, size - 1))
     a, b = (draw(st.integers(0, d - 1)) for _ in range(2))
-    return n_slices, d, entries, row * d + a, col * d + b
+    finite = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2 * np.pi))
+    value = draw(st.sampled_from(NONFINITE) | finite)
+    return n_slices, d, entries, damp, row * d + a, col * d + b, value
 
 
-@seed(23)
-@settings(max_examples=60, deadline=None)
-@given(position=nan_positions())
-def test_oracle_error_keeps_nan_at_every_entry(position):
-    # The error is the plain max of |G - C| over every entry, so a NaN
-    # anywhere reaches it, equal times included.
-    n_slices, dimension, entries, row, column = position
+def plain_max(difference):
+    return np.abs(difference).max()
+
+
+@seed(31)
+@settings(max_examples=120, deadline=None)
+@given(case=planted_entries())
+def test_grid_error_is_the_plain_max(case):
+    # The error is the plain max of |G - C| over every entry, equal times
+    # included, bit for bit, though blocks that cannot hold the maximum
+    # skip their magnitudes; a NaN or an infinity anywhere reaches it.
+    n_slices, dimension, entries, damp, row, column, value = case
     rng = np.random.default_rng(dimension)
     system = random_system(rng, Statistics.BOSON, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
@@ -643,10 +669,35 @@ def test_oracle_error_keeps_nan_at_every_entry(position):
         patch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
         workspace = verify._workspace(system, [grid])
         difference, difference_rows = dense_difference_rows(system, grid)
+        difference[: n_slices * dimension] *= damp
+        largest = plain_max(difference)
+        assert verify._grid_error(system, grid, difference_rows, workspace) == largest
+        if isinstance(value, tuple):
+            scale, phase = value
+            value = scale * largest * cmath.exp(1j * phase)
+        difference[row, column] = value
         error = verify._grid_error(system, grid, difference_rows, workspace)
-        assert error == np.abs(difference).max()
-        difference[row, column] = np.nan
-        assert np.isnan(verify._grid_error(system, grid, difference_rows, workspace))
+    want = plain_max(difference)
+    assert error == want or np.isnan(error) and np.isnan(want)
+
+
+def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
+    # One row per block at d = 1: the magnitude buffer ends with the last
+    # block whose magnitudes were taken.  With the forward rows damped,
+    # that is the first backward row: every forward block was skipped.
+    # With the first row's largest entry planted past the others, it is
+    # the first row.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", 1)
+    system = LevelSystem(1.0, 0.3, Statistics.BOSON)
+    grid = TimeGrid(0.0, 1.0, 8)
+    difference, difference_rows = dense_difference_rows(system, grid)
+    difference[:8] *= 1e-3
+    workspace = verify._workspace(system, [grid])
+    for last in (8, 0):
+        error = verify._grid_error(system, grid, difference_rows, workspace)
+        assert error == plain_max(difference)
+        np.testing.assert_array_equal(workspace[1], np.abs(difference[last]))
+        difference[0, 5] = 2 * error
 
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
@@ -718,25 +769,56 @@ def test_oracle_suite_peak_memory_is_the_discrete_result():
     assert peak < 2 * result_bytes
 
 
-def test_difference_rows_build_peak():
-    # Building the kernel of G - C at N = 256, d = 2 keeps the row
-    # factors, the stacked column factors and the lag tables (285 KB), and
-    # for a while the two operand sets besides.  The subtraction releases
-    # each factor of G once it is copied (317 KB); one that kept both sets
-    # alive until it returned peaked at 400 KB.  The bound is the peak of
-    # the earlier layout, which added the continuum jump into the discrete
-    # lag tables in place: 346,480 B (numpy 2.4).
-    system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
+def difference_rows_build_peak(dimension):
+    """``tracemalloc`` peak of building the kernel of G - C at N = 256."""
+    system = random_system(np.random.default_rng(41), Statistics.BOSON, dimension)
     grid = TimeGrid(0.0, 1.0, 256)
     fac = _factor(system, [grid])[0]
     verify._difference_rows(system, grid, fac)
     tracemalloc.start()
     try:
         verify._difference_rows(system, grid, fac)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 346_480
+
+
+def test_difference_rows_build_peak():
+    # Building the kernel of G - C at N = 256, d = 2 keeps the row,
+    # column and lag factors of both sets and the lag tables of a block's
+    # own square (257 KB); its buffer for the factors past a block is
+    # made by the first block that needs it.  The subtraction sets the
+    # peak (315 KB): it releases each of G's factors, and C's column
+    # factors, once they are copied; one that kept both sets alive until
+    # it returned peaked at 400 KB.  The bound is the peak of the layout
+    # that added the continuum jump into the discrete lag tables in
+    # place: 346,480 B (numpy 2.4).
+    assert difference_rows_build_peak(2) <= 346_480
+
+
+def test_difference_rows_build_peak_one_level():
+    # At d = 1 the lag powers are as large as a column factor.  The bound
+    # is the peak with dense lag tables of every lag, 98,408 B (numpy
+    # 2.4); this build peaks at about 90 KB, in the subtraction.
+    assert difference_rows_build_peak(1) <= 98_408
+
+
+def test_oracle_suite_frees_each_kernel_before_the_next_build(monkeypatch):
+    # A grid's kernel holds its factors (about 141 KiB at N = 128, d = 2);
+    # it must be gone before the next grid's kernel is built.
+    kernels = []
+    difference_rows = verify._difference_rows
+
+    def tracked(system, grid, fac):
+        assert all(kernel() is None for kernel in kernels)
+        rows = difference_rows(system, grid, fac)
+        kernels.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(verify, "_difference_rows", tracked)
+    system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
+    run_oracle_suite(system, [TimeGrid(0.0, 1.0, n) for n in (32, 64, 128)])
+    assert len(kernels) == 3
 
 
 def test_verify_reads_the_discrete_route_through_its_operands():
@@ -760,9 +842,10 @@ def test_verify_reads_the_discrete_route_through_its_operands():
 
 
 def test_grid_error_allocates_no_block():
-    # With the caller's workspace, one grid allocates the per-block row
-    # factor stacks and numpy's buffers for the
-    # strided Toeplitz add (192 KiB), not a block (768 KiB).
+    # With the caller's workspace, one grid allocates the kernel's buffer
+    # for the factors past a block (59 KiB, kept), the per-block row
+    # factor stacks and numpy's iterator buffers for the Toeplitz add on
+    # a block's own square: 171 KiB at the peak, not a block (768 KiB).
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     grid = TimeGrid(0.0, 1.0, 256)
     rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
@@ -813,7 +896,10 @@ def test_oracle_fails_with_unit_keldysh_weight(monkeypatch):
 
 
 def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
-    # Every lag of the discrete Toeplitz term moved one block later.
+    # Every lag of the discrete Toeplitz term moved one block later.  The
+    # moved powers are not geometric (zero at lag 1), so the kernel reads
+    # them as written only on the columns within a block's height of its
+    # first row: one block per grid puts every lag there.
     green_operands = verify._green_operands
 
     def later(fac):
@@ -824,6 +910,7 @@ def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
         return dataclasses.replace(operands, lags=(left, moved, right))
 
     monkeypatch.setattr(verify, "_green_operands", later)
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", (2 * 128 * 2) ** 2)
     assert not all(c.passed for c in oracle_mutant_checks())
 
 
