@@ -8,7 +8,8 @@ memory allocator and the machine's state from one pass to the next,
 which separate processes do not: there, changes of a few per cent drown
 in the spread between runs.  For each side it prints the median pass
 time with its quartiles, the pairs that side won, and the
-``tracemalloc`` peak of one pass::
+``tracemalloc`` peak of one pass; then whether the two trees wrote the
+same bytes on every call of every pass::
 
     python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --workload oracle \\
         --seed 7 --pairs 200
@@ -18,8 +19,10 @@ package, for example ``src`` of a second checkout of the parent commit
 and ``src`` of this one.  The calls come from ``perfbench/workloads.py``
 of this checkout, as in ``compare_outputs.py``; the configs go to a
 temporary directory, and nothing is written under ``perfbench/`` or into
-either tree.  Output goes to an in-memory buffer per call.  BLAS runs
-with one thread unless the environment sets it.
+either tree.  Output goes to perfbench's hashing sink, which keeps
+only a count and a digest of the bytes, so the peak is the program's
+and not an output buffer's.  BLAS runs with one thread unless the
+environment sets it.
 """
 
 from __future__ import annotations
@@ -56,19 +59,24 @@ def load_cli(src: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, argvs) -> tuple[float, list[int]]:
+def run_pass(cli, argvs) -> tuple[float, list[int], list[str]]:
     """Seconds of one pass over ``argvs`` through ``cli.main``, summed
-    over the calls, and the exit codes."""
-    seconds, codes = 0.0, []
+    over the calls, the exit codes and the digests of the outputs."""
+    from run import _HashingWriter
+
+    seconds, codes, digests = 0.0, [], []
     for argv in argvs:
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        sink = _HashingWriter(keep=False)
+        stdout = io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8", newline="")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
             io.StringIO()
         ):
             start = time.perf_counter()
             codes.append(cli.main(argv))
             seconds += time.perf_counter() - start
-    return seconds, codes
+            stdout.flush()
+        digests.append(sink.sha.hexdigest())
+    return seconds, codes, digests
 
 
 def peak_bytes(cli, argvs) -> int:
@@ -113,13 +121,19 @@ def main(argv: list[str] | None = None) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(call.config, handle)
             argvs.append(call.argv(path))
-        codes = {side: run_pass(cli, argvs)[1] for side, cli in sides.items()}
+        first = {side: run_pass(cli, argvs) for side, cli in sides.items()}
+        codes = {side: first[side][1] for side in sides}
+        # The digests each call's output had, over both trees and all passes.
+        digests = [set(pair) for pair in zip(first["old"][2], first["new"][2])]
         peaks = {side: peak_bytes(cli, argvs) for side, cli in sides.items()}
         times = {side: [] for side in sides}
         for pair in range(args.pairs):
             order = ("old", "new") if pair % 2 == 0 else ("new", "old")
             for side in order:
-                times[side].append(run_pass(sides[side], argvs)[0])
+                seconds, _, outputs = run_pass(sides[side], argvs)
+                times[side].append(seconds)
+                for seen, digest in zip(digests, outputs):
+                    seen.add(digest)
     wins = {"old": 0, "new": 0}
     for old, new in zip(times["old"], times["new"]):
         wins["old" if old < new else "new"] += old != new
@@ -133,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
               f"peak {peaks[side] / 2**20:.4f} MiB, exit codes {codes[side]}")
     ratio = summary(times["new"])["median"] / summary(times["old"])["median"]
     print(f"new/old median: {ratio:.4f}")
+    differ = [call.label for call, seen in zip(calls, digests) if len(seen) > 1]
+    print("outputs: " + (f"differ on {differ}" if differ else
+                         "identical on every call of every pass"))
     return 0
 
 

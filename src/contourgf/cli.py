@@ -407,23 +407,31 @@ def _csv(header: str, rows) -> str:
 # GF_ROW_CHUNK * (N + 1) * d^2 complex entries, and (N + 1) d is capped
 # at max_dimension, so a chunk stays below GF_ROW_CHUNK * max_dimension
 # * d * 16 B: about 32 MiB * d at the default cap of 8192.  The cap is
-# what bounds the memory of gf; the chunking alone would not.
+# what bounds the memory of gf; the chunking alone would not.  Beside
+# the table of its E doubles, the writer holds a buffer that sorts half
+# of the chunk's rows, and at most E / GF_DISTINCT_RATIO words.
 GF_ROW_CHUNK = 256
+# A chunk is printed from its distinct doubles, each formatted once,
+# when at most one double in GF_DISTINCT_RATIO is distinct.  At that
+# limit the words (about 83 B each: the string, its reference and its
+# key) still take less than the table's 8 B per double.
+GF_DISTINCT_RATIO = 12
 
 
 @dataclass(frozen=True)
 class _GfFormat:
     """Text of a ``gf`` output format around its records.
 
-    A record is ``lead + time + tail``; ``tail`` is a ``str.format``
-    template of t', name, row and col whose result holds two ``%``
-    slots, for the real and the imaginary part.
+    A record is ``lead + time + tail``.  Times and values are printed
+    with the ``%`` format ``number``; ``tail`` is a ``str.format``
+    template of t', name, row, col and ``value``, the ``%`` slot of the
+    real and of the imaginary part.
     """
 
     header: str
     separator: str
     lead: str
-    time: str
+    number: str
     tail: str
     footer: str
 
@@ -436,22 +444,97 @@ _GF_FORMATS = {
         header=CSV_HEADER + "\n",
         separator="",
         lead="",
-        time="%.17g",
-        tail=",{t_prime},{name},{row},{col},%.17g,%.17g\n",
+        number="%.17g",
+        tail=",{t_prime},{name},{row},{col},{value},{value}\n",
         footer="",
     ),
     "json": _GfFormat(
         header="[\n",
         separator=",\n",
         lead='  {"t": ',
-        time="%r",
+        number="%r",
         tail=(
             ', "t_prime": {t_prime}, "component": "{name}", "row": {row}, '
-            '"col": {col}, "re": %r, "im": %r}}'
+            '"col": {col}, "re": {value}, "im": {value}}}'
         ),
         footer="\n]\n",
     ),
 }
+
+
+def _sorted_distinct(values: np.ndarray, limit: int) -> np.ndarray | None:
+    """The distinct entries of the sorted 1-d array ``values``, or None
+    when there are more than ``limit`` of them."""
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep] if np.count_nonzero(keep) <= limit else None
+
+
+def _distinct_bits(bits: np.ndarray, limit: int) -> np.ndarray | None:
+    """The distinct entries of the 2-d array ``bits``, sorted, or None
+    when there are more than ``limit`` of them.  Its rows are sorted in
+    three pieces, the first eighth, the rest of the first half and the
+    second half, so the sort buffer holds at most half of its rows,
+    rounded up, and
+    a table with most entries distinct is refused after an eighth; the
+    distinct entries of the pieces are merged by sorting them again."""
+    distinct = np.empty(0, dtype=bits.dtype)
+    eighth, half = -(-len(bits) // 8), (len(bits) + 1) // 2
+    for rows in (bits[:eighth], bits[eighth:half], bits[half:]):
+        found = _sorted_distinct(np.sort(rows, axis=None), limit)
+        if found is None:
+            return None
+        distinct = _sorted_distinct(np.sort(np.concatenate((distinct, found))), limit)
+        if distinct is None:
+            return None
+    return distinct
+
+
+def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> None:
+    """Write the records of one chunk's ``table``, one string per table
+    row, after ``separator``; ``stamps`` are the row times as printed.
+
+    The tails of a row's records are fixed; per row they are joined with
+    the row's time into one template, filled by one ``%`` from the row's
+    interleaved real and imaginary parts.  ``tails(fmt.number)`` are
+    those tails, and ``tails("%s")`` the same with string slots.  When at
+    most one double in ``GF_DISTINCT_RATIO`` of a chunk of at least as
+    many rows is distinct, each distinct
+    double is formatted once, and a row is filled from those words,
+    looked up by the bits of its doubles: -0.0 and 0.0 stay apart, so
+    the bytes are those of formatting in place, as is done otherwise.
+    What this holds is freed when it returns.
+    """
+    parts = table.reshape(len(table), -1).view(np.float64)
+    bits = parts.view(np.int64)
+    # A chunk of fewer than GF_DISTINCT_RATIO rows is formatted in place
+    # without the test: its limit is less than one row's doubles, and no
+    # component stays under that (a table of t - t' alone holds a value
+    # for each difference of a row and a column, a step's zeros aside).
+    # That is a grid of N < 11, or the last few rows of a grid.
+    distinct = (
+        _distinct_bits(bits, parts.size // GF_DISTINCT_RATIO)
+        if len(parts) >= GF_DISTINCT_RATIO
+        else None
+    )
+    if distinct is None:
+        row_tails = tails(fmt.number)
+        rows = map(np.ndarray.tolist, parts)
+    else:
+        row_tails = tails("%s")
+        # One double at a time: a list of them would cost 32 B each.
+        words = np.fromiter(
+            (fmt.number % x for x in map(float, distinct.view(np.float64))),
+            dtype=object,
+            count=distinct.size,
+        )
+        rows = (words.take(distinct.searchsorted(row)).tolist() for row in bits)
+    for stamp, values in zip(stamps, rows):
+        head = fmt.lead + stamp
+        template = separator + head + (fmt.separator + head).join(row_tails)
+        handle.write(template % tuple(values))
+        separator = fmt.separator
 
 
 def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
@@ -459,29 +542,37 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
 
     Components come in config order, each evaluated in chunks of at
     most ``GF_ROW_CHUNK`` rows of the time grid against all of its
-    times; a chunk's table has shape ``(rows, N + 1, d, d)`` and is freed
-    before the next is evaluated.  Each time is printed once per grid.
-    Per component, the record tails of one table row are fixed; per
-    table row, they are joined with the row's time into one template,
-    filled by one ``%`` from the row's interleaved real and imaginary
-    parts, and written as one string.  A whole chunk is never joined, so
-    memory stays at one table plus one row of text.  Raises
+    times; a chunk's table has shape ``(rows, N + 1, d, d)`` and is
+    written by :func:`_write_chunk`, which frees all it holds, and the
+    table is freed before the next is evaluated.  Each time is printed
+    once per grid.  A whole chunk is never joined, so memory stays at one
+    table of E doubles, a sort buffer of half its rows, at most
+    ``E / GF_DISTINCT_RATIO`` words and one row of text.  Raises
     ``FloatingPointError`` when a table is not finite, after the rows
     before it.
     """
     fmt = _GF_FORMATS[config.output_format]
     times = grid.times
-    stamps = [fmt.time % t for t in times.tolist()]
+    stamps = [fmt.number % t for t in times.tolist()]
     d = config.system.dimension
     handle.write(fmt.header)
     separator = ""
     for name in config.components:
-        tails = [
-            fmt.tail.format(t_prime=t_prime, name=name, row=r, col=c)
-            for t_prime in stamps
-            for r in range(d)
-            for c in range(d)
-        ]
+        built = {}
+
+        def tails(value, name=name, built=built):
+            """The record tails of a table row with ``value`` slots, built
+            when a chunk of this component first needs them."""
+            if value not in built:
+                tail = fmt.tail.replace("{value}", value)
+                built[value] = [
+                    tail.format(t_prime=t_prime, name=name, row=r, col=c)
+                    for t_prime in stamps
+                    for r in range(d)
+                    for c in range(d)
+                ]
+            return built[value]
+
         for start in range(0, times.size, GF_ROW_CHUNK):
             table = component_table(
                 config.system,
@@ -494,17 +585,12 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
                 raise FloatingPointError(
                     f"component {name} is not finite on rows from t = {times[start]:.17g}"
                 )
-            # One row of interleaved real and imaginary parts per table
-            # row.  Neither the table nor this view of it may live on
-            # into the evaluation of the next chunk.
-            parts = table.reshape(len(table), -1).view(np.float64)
+            _write_chunk(
+                handle, fmt, table, stamps[start : start + len(table)], tails, separator
+            )
+            # Not kept into the evaluation of the next chunk.
             del table
-            for n, stamp in enumerate(stamps[start : start + len(parts)]):
-                head = fmt.lead + stamp
-                template = head + (fmt.separator + head).join(tails)
-                handle.write(separator + template % tuple(parts[n].tolist()))
-                separator = fmt.separator
-            del parts
+            separator = fmt.separator
     handle.write(fmt.footer)
 
 

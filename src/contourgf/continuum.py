@@ -240,12 +240,17 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     free = pair.free
     # R and A may overwrite the free table: the same products as below, in
     # the same operand order, with no temporary beyond the step factor.
+    # That factor is built as its real part 0.0 and its imaginary part,
+    # which is -1j * theta and 1j * (1 - theta) to the bit, signs of zeros
+    # included, without the buffer that casts theta to complex.
     out = None if pair.shared else free
-    if what is KeldyshComponent.RETARDED:
-        return np.multiply(-1j * theta, free, out=out)
-    if what is KeldyshComponent.ADVANCED:
-        step = np.subtract(1.0, theta, dtype=complex)
-        return np.multiply(np.multiply(1j, step, out=step), free, out=out)
+    if what in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED):
+        step = np.zeros(theta.shape, dtype=complex)
+        if what is KeldyshComponent.RETARDED:
+            np.negative(theta, out=step.imag)
+        else:
+            np.subtract(1.0, theta, out=step.imag)
+        return np.multiply(step, free, out=out)
     s_row = what.row_branch.sign
     s_col = what.col_branch.sign
     kel = pair.keldysh

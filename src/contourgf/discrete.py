@@ -85,10 +85,12 @@ __all__ = [
     "discrete_partition_function",
 ]
 
-# A' is singular when, each row scaled to the largest entry of that row
-# of the first block row of D', its smallest singular value is within this
-# many roundoffs: each entry of A' carries a few units of roundoff.
-SINGULAR_ROUNDOFFS = 8
+# A' is singular when, each row scaled to the largest of the terms it is
+# computed from, its smallest singular value is at most this many
+# roundoffs times d: a relative error of one roundoff in those terms (in
+# nbar as given, or in the arithmetic) then moves Z by about 1/(32 d) of
+# itself or more.  A row's scale is rounded up to a power of two.
+SINGULAR_ROUNDOFFS = 32
 # _factor warns with IllConditionedWarning above this condition estimate.
 CONDITION_WARN = 1e12
 LOG2 = float(np.log(2.0))
@@ -259,11 +261,12 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     Raises ``FloatingPointError`` when ``eps dt`` overflows on any grid,
     before anything is computed from the blocks.  Then, grid by grid in
     the order given: raises :class:`~contourgf.core.SingularMatrixError`
-    when the smallest singular value of A', each row scaled by the
-    largest entry of that row of the first block row of D', falls to
-    roundoff; warns with :class:`~contourgf.core.IllConditionedWarning`
+    when the smallest singular value of A' = diag(1/l) + C diag(1 - 1/l),
+    each row scaled by the largest of the terms it is computed from, falls
+    to roundoff; warns with :class:`~contourgf.core.IllConditionedWarning`
     when the condition estimate (see :class:`DiscreteGf`) exceeds
-    ``CONDITION_WARN`` (1e12; infinite once ``A'^{-1}`` overflows); and
+    ``CONDITION_WARN`` (1e12; infinite once ``A'^{-1}`` or the norm of
+    ``D'^{-1}`` overflows); and
     raises ``FloatingPointError`` when Z overflows.  Each grid's forward
     generator gets its own ``eigh``, not the stored one of ``epsilon``,
     so that this route uses the entries of D' and nothing else.
@@ -286,27 +289,28 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     # The first block row sums to the identity: V^dag M V = 1 - C.
     # Taking it so leaves an empty level's row exactly e_i.
     rotated_first = eye - closure
-    # Row i of A' = (1 - C) diag(1/l) + C is scaled by 2^-shift_i,
-    # exactly, with shift_i the binary exponent of the largest term of
-    # that row, found in log form: 1/l_k underflows once l_k > 1e308.
+    # A' = diag(1/l) + C diag(1 - 1/l), with 1 - 1/l from expm1: no
+    # cancellation when l ~ 1.  Row i is scaled by 2^-shift_i, exactly,
+    # with shift_i the binary exponent of the largest of the terms that
+    # row is computed from, 1/l_i and |C_ik| |1 - 1/l_k|, found in log
+    # form: 1/l_i underflows once l_i > 1e308, and C may be near overflow.
+    gap = -np.expm1(-log_loop)
     with np.errstate(divide="ignore"):
-        log2_terms = np.maximum(
-            np.log2(np.abs(rotated_first)) - (log_loop.real / LOG2)[:, None, :],
-            np.log2(np.abs(closure)),
-        )
-    shift = np.ceil(log2_terms.max(axis=2)).astype(int)
+        log2_terms = np.log2(np.abs(closure)) + np.log2(np.abs(gap))[:, None, :]
+    shift = np.ceil(
+        np.maximum(log2_terms.max(axis=2), -log_loop.real / LOG2)
+    ).astype(int)
     del log2_terms
     # 1/l_i takes its own exponent, so that a huge log l_i cancels
     # against it before it is summed with the other levels; the rest of
     # each shift reaches det D' exactly, as a power of two.
     own = np.ceil(-log_loop.real / LOG2).astype(int)
     log_level = log_loop + own * LOG2
-    # A' as diag(1/l) + C diag(1 - 1/l): no cancellation when l ~ 1.
     a = np.zeros_like(closure)
     levels = np.arange(d)
     a[:, levels, levels] = _ldexp(np.exp(-log_level), own - shift)
-    a += _ldexp(closure * -np.expm1(-log_loop)[:, None, :], -shift[:, :, None])
-    del closure
+    a += _ldexp(closure * gap[:, None, :], -shift[:, :, None])
+    del closure, gap
     smallest = np.linalg.svd(a, compute_uv=False)[:, -1]
     threshold = SINGULAR_ROUNDOFFS * d * np.finfo(float).eps
     singular = smallest <= threshold
@@ -353,14 +357,17 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     # runs have none, and then no argument is copied.
     kept = slice(None) if finite.all() else finite
     condition = np.full(len(grids), np.inf)
-    condition[kept] = norm[kept] * _inverse_norm(
-        log_forward.real[kept],
-        log_backward.real[kept],
-        n[kept],
-        a_inverse[kept],
-        first_column[kept],
-        np.exp(-log_loop[kept]),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        condition[kept] = norm[kept] * _inverse_norm(
+            log_forward.real[kept],
+            log_backward.real[kept],
+            n[kept],
+            a_inverse[kept],
+            first_column[kept],
+            np.exp(-log_loop[kept]),
+        )
+    # A norm past overflow (inf - inf among its sums) is infinite.
+    condition[np.isnan(condition)] = np.inf
     del first_column, finite, norm
     # Z = det(D')^{-zeta} with det D' = exp(log_det) 2**exponent.
     zeta = system.statistics.zeta

@@ -260,9 +260,13 @@ def test_gf_matches_per_entry_reference_at_the_row_chunk(
 
 
 # Doubles whose %.17g and repr forms differ in kind: -0 against -0.0,
-# 2 against 2.0, the least subnormal and the largest finite double.  An
-# odd count puts each in both the real and the imaginary slot.
-EDGE_DOUBLES = [-0.0, 5e-324, 1.7976931348623157e308, 2.0, 0.1, 1.0 / 3.0, -2.0]
+# 2 against 2.0, the least subnormal, the largest finite double and an
+# exponent form.  0.0 equals -0.0 as a float, so a writer that looks up
+# a double's text by its value, not its bits, prints one for the other.
+# An odd count puts each in both the real and the imaginary slot.
+EDGE_DOUBLES = [
+    -0.0, 0.0, 5e-324, 1.7976931348623157e308, 2.0, 0.1, 1.0 / 3.0, -2.0, 1e-05,
+]
 
 
 def _edge_table(system, t_values, t_prime_values, component, t_ref):
@@ -277,18 +281,30 @@ def test_gf_edge_doubles_match_reference(
     tmp_path, capsys, monkeypatch, output_format, dimension
 ):
     monkeypatch.setattr(cli, "component_table", _edge_table)
-    config = _matrix_config(
-        tmp_path,
-        dimension,
-        {"grid.n_slices": 3, "output.format": output_format, "output.components": ["R", "A"]},
-    )
-    expected = gf_text(load_config(config, []))
-    out = _gf_output(config, capsys, "stdout", tmp_path)
-    assert out == expected
-    if output_format == "csv":
-        assert ",-0," in out and ",2," in out and ",4.9406564584124654e-324" in out
-    else:
-        assert '"re": -0.0' in out and ": 2.0," in out and "1.7976931348623157e+308" in out
+    deduplicated = _distinct_bits_spy(monkeypatch)
+    # Four rows are formatted in place; twelve from their distinct doubles.
+    for n_slices, from_distinct in ((3, []), (11, [True, True])):
+        config = _matrix_config(
+            tmp_path,
+            dimension,
+            {
+                "grid.n_slices": n_slices,
+                "output.format": output_format,
+                "output.components": ["R", "A"],
+            },
+        )
+        expected = gf_text(load_config(config, []))
+        deduplicated.clear()
+        out = _gf_output(config, capsys, "stdout", tmp_path)
+        assert deduplicated == from_distinct
+        assert out == expected
+        if output_format == "csv":
+            assert ",-0," in out and ",2," in out and ",4.9406564584124654e-324" in out
+            assert ",-0\n" in out and ",0\n" in out
+        else:
+            assert '"re": -0.0' in out and ": 2.0," in out
+            assert "1.7976931348623157e+308" in out
+            assert '"im": -0.0}' in out and '"im": 0.0}' in out
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -354,6 +370,112 @@ def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2 * table_bytes, (output_format, peak, table_bytes)
+
+
+def _distinct_bits_spy(monkeypatch):
+    """Record, per chunk, whether the writer printed it from its distinct
+    doubles."""
+    deduplicated = []
+    distinct_bits = cli._distinct_bits
+
+    def spy(bits, limit):
+        distinct = distinct_bits(bits, limit)
+        deduplicated.append(distinct is not None)
+        return distinct
+
+    monkeypatch.setattr(cli, "_distinct_bits", spy)
+    return deduplicated
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_gf_writer_peak_at_the_distinct_limit(tmp_path, monkeypatch, output_format):
+    """A table with one distinct double in ``GF_DISTINCT_RATIO`` is
+    printed from its distinct doubles, and the writer holds that table,
+    the words and about six rows of text, nothing more.
+
+    A word is a str of 17 to 19 characters (66 to 68 B), its reference
+    and its 8 B key, less than the 96 B of the 12 doubles it stands for,
+    so the words take less than a second table.  The text is the times
+    and the record tails, about a row each, and one row's template, text,
+    encoded text and values.  A writer that held a chunk-sized array
+    beside the words goes past this.
+    """
+    n_slices = 120
+    entries = 2 * (n_slices + 1) ** 2
+    table_bytes = entries * 8
+    distinct = entries // cli.GF_DISTINCT_RATIO
+
+    def table(system, t_values, t_prime_values, component, t_ref):
+        # One table and nothing more: the values repeat in place.
+        values = 1.0 / 3.0 + np.arange(distinct) / 7.0
+        out = np.empty((len(t_values), len(t_prime_values), 1, 1, 2))
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, distinct):
+            piece = flat[start : start + distinct]
+            piece[:] = values[: piece.size]
+        return out.view(complex)[..., 0]
+
+    monkeypatch.setattr(cli, "component_table", table)
+    config = write_config(
+        tmp_path,
+        {
+            "grid.n_slices": n_slices,
+            "output.format": output_format,
+            "output.path": str(tmp_path / "table.out"),
+        },
+    )
+    assert main(["gf", "--config", config]) == 0
+    deduplicated = _distinct_bits_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert main(["gf", "--config", config]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deduplicated == [True]
+    out = (tmp_path / "table.out").read_text(encoding="utf-8")
+    assert out == gf_text(load_config(config, []))
+    row_bytes = len(out) // (n_slices + 1)
+    assert peak < 2 * table_bytes + 6 * row_bytes, (peak, table_bytes, row_bytes)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_gf_chunks_switch_between_distinct_and_in_place(
+    tmp_path, capsys, monkeypatch, output_format, dimension
+):
+    """The grid's 41 times from 0.25 to 1.5 in chunks of twelve rows: the
+    rows before t = 0.6 and after t = 0.98 hold five doubles, -0.0 and 0.0
+    among them, the rows between a distinct double in every entry.  So
+    the first chunk is printed from its distinct doubles, the second in
+    place, the third from its distinct doubles again, and the last, of
+    five rows, in place without the test; the output matches the
+    per-entry reference."""
+    monkeypatch.setattr(cli, "GF_ROW_CHUNK", 12)
+
+    def table(system, t_values, t_prime_values, component, t_ref):
+        shape = (len(t_values), len(t_prime_values), dimension, dimension, 2)
+        few = np.resize(np.array([-0.0, 0.0, 0.5, -1.25, 0.0]), shape)
+        many = np.arange(np.prod(shape)).reshape(shape) / 7.0 + 1e-3
+        t = np.asarray(t_values)[:, None, None, None, None]
+        parts = np.where((t < 0.6) | (t > 0.98), few, many)
+        return parts.view(complex)[..., 0]
+
+    monkeypatch.setattr(cli, "component_table", table)
+    config = _matrix_config(
+        tmp_path,
+        dimension,
+        {
+            "grid.n_slices": 40,
+            "output.format": output_format,
+            "output.components": ["R", "K"],
+        },
+    )
+    deduplicated = _distinct_bits_spy(monkeypatch)
+    expected = gf_text(load_config(config, []))
+    out = _gf_output(config, capsys, "stdout", tmp_path)
+    assert deduplicated == [True, False, True] * 2
+    assert out == expected
 
 
 @pytest.mark.parametrize(
@@ -722,6 +844,18 @@ def test_z_beyond_input_resolution_is_numerical_error(tmp_path, capsys):
     assert captured.out == ""
     assert "SingularMatrixError" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::contourgf.core.IllConditionedWarning")
+def test_z_of_a_huge_boson_occupation_without_motion_is_one(tmp_path, capsys):
+    # At eps = 0 the loop factor l is 1, so A' is the identity and Z = 1
+    # for any nbar, however far its entries are from resolving 1 + nbar.
+    config = write_config(
+        tmp_path, {"epsilon": 0.0, "nbar": 1e15, "grid.n_slices": [16, 32]}
+    )
+    assert main(["z", "--config", config]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["16,1,0,0", "32,1,0,0"]
 
 
 @pytest.mark.parametrize(

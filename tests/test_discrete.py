@@ -1,5 +1,6 @@
 """Tests for the discrete contour matrix and its inverse."""
 
+import math
 import warnings
 from decimal import Decimal, localcontext
 
@@ -367,6 +368,65 @@ def test_partition_function_large_n_matches_exact_loop_product():
     )
     assert abs(z.imag) < 1e-15
     assert z.real - 1.0 == pytest.approx(float(exact), rel=1e-9)
+
+
+# The d = 1 sweep: occupations from empty to 1e300 (boson) or full
+# (fermion), energies from 0 to 1e3 and grids from one slice to 1e12.
+ONE_LEVEL_OCCUPATIONS = {
+    Statistics.BOSON: [0.0, 1e-300, 1e-8, 0.3, 1.0, 10.0, 1e6, 1e15, 1e100, 1e300],
+    Statistics.FERMION: [0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-12, 1.0],
+}
+ONE_LEVEL_ENERGIES = [0.0, 1e-200, 1e-12, 1e-3, 0.5, 1.0, 7.0, 1e3]
+ONE_LEVEL_SLICES = [1, 2, 16, 1024, 10**6, 10**12]
+# Relative agreement with the closed form, beyond the pole's amplification.
+ONE_LEVEL_TOL = 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::contourgf.core.IllConditionedWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_one_level_partition_function_matches_closed_form(statistics):
+    """Z of one level against its closed form, with
+    ``x = nbar (l - 1)`` and ``l - 1 = expm1((N - 1) log1p((eps dt)^2))``:
+    ``1 / (1 - x)`` for a boson and ``1 + x`` for a fermion.
+
+    A boson Z near its pole carries the relative error of x amplified by
+    ``x / |1 - x|``, which the tolerance allows; a raise is allowed only
+    within roundoff of the pole.  The closed form stays here: the
+    discrete route never sees it.
+    """
+    mismatches = []
+    for nbar in ONE_LEVEL_OCCUPATIONS[statistics]:
+        for eps in ONE_LEVEL_ENERGIES:
+            for n in ONE_LEVEL_SLICES:
+                loop_gap = math.expm1((n - 1) * math.log1p((eps / n) ** 2))
+                x = nbar * loop_gap
+                case = (nbar, eps, n)
+                try:
+                    z = discrete_partition_function(
+                        LevelSystem(eps, nbar, statistics), TimeGrid(0.0, 1.0, n)
+                    )
+                except SingularMatrixError:
+                    if abs(1.0 - x) > ONE_LEVEL_TOL * max(1.0, x):
+                        mismatches.append((case, "raised"))
+                    continue
+                if statistics is Statistics.FERMION:
+                    exact, amplification = 1.0 + x, 1.0
+                else:
+                    # Once x overflows, 1 / (1 - x) is -1 / x, and the
+                    # amplification x / |1 - x| is 1.
+                    if math.isinf(x):
+                        exact, amplification = -1.0 / nbar / loop_gap, 1.0
+                    else:
+                        exact = 1.0 / (1.0 - x)
+                        amplification = max(1.0, x * abs(exact))
+                # A subnormal Z keeps fewer bits than the tolerance asks.
+                tolerance = max(
+                    ONE_LEVEL_TOL * abs(exact) * amplification, 2 * math.ulp(exact)
+                )
+                if abs(z - exact) > tolerance:
+                    mismatches.append((case, z, exact))
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("eps, n", [(1.0, 8), (0.7, 5), (2.0, 64)])
