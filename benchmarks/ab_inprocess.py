@@ -14,6 +14,12 @@ same bytes on every call of every pass::
     python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --workload oracle \\
         --seed 7 --pairs 200
 
+With ``--gf-writer`` in place of ``--workload`` it runs the cases of
+``bench_gf_writer.py`` instead (N in 30, 120 and 480, d in 1 and 2, CSV
+and JSON), each a group of its own with its own pairs, so the writer's
+cost curve is measured interleaved.  ``--json PATH`` also writes the
+results to ``PATH``.
+
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``contourgf``
 package, for example ``src`` of a second checkout of the parent commit
 and ``src`` of this one.  The calls come from ``perfbench/workloads.py``
@@ -32,6 +38,7 @@ import contextlib
 import gc
 import importlib.util
 import io
+import itertools
 import json
 import os
 import statistics
@@ -95,61 +102,103 @@ def summary(times: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(sides, labels, argvs, pairs) -> dict:
+    """Interleaved A/B of the calls ``argvs``, named by ``labels``: per side
+    the pass times, the pairs won and the peak, and the calls whose output
+    differed."""
+    first = {side: run_pass(cli, argvs) for side, cli in sides.items()}
+    # The digests each call's output had, over both trees and all passes.
+    digests = [set(pair) for pair in zip(first["old"][2], first["new"][2])]
+    peaks = {side: peak_bytes(cli, argvs) for side, cli in sides.items()}
+    times = {side: [] for side in sides}
+    for pair in range(pairs):
+        order = ("old", "new") if pair % 2 == 0 else ("new", "old")
+        for side in order:
+            seconds, _, outputs = run_pass(sides[side], argvs)
+            times[side].append(seconds)
+            for seen, digest in zip(digests, outputs):
+                seen.add(digest)
+    wins = {"old": 0, "new": 0}
+    for old, new in zip(times["old"], times["new"]):
+        wins["old" if old < new else "new"] += old != new
+    result = {"calls": labels, "pairs": pairs,
+              "differ": [label for label, seen in zip(labels, digests) if len(seen) > 1]}
+    for side in sides:
+        result[side] = {**summary(times[side]), "wins": wins[side],
+                        "peak_bytes": peaks[side], "exit_codes": first[side][1]}
+    result["new_over_old"] = result["new"]["median"] / result["old"]["median"]
+    return result
+
+
+def report(result) -> None:
+    for side in ("old", "new"):
+        s = result[side]
+        print(f"{side}: median {s['median'] * 1e3:.3f} ms "
+              f"(quartiles {s['q1'] * 1e3:.3f}-{s['q3'] * 1e3:.3f}), "
+              f"faster in {s['wins']}/{result['pairs']} pairs, "
+              f"peak {s['peak_bytes'] / 2**20:.4f} MiB, exit codes {s['exit_codes']}")
+    print(f"new/old median: {result['new_over_old']:.4f}")
+    print("outputs: " + (f"differ on {result['differ']}" if result["differ"] else
+                         "identical on every call of every pass"))
+
+
 def main(argv: list[str] | None = None) -> int:
     # Before numpy is first imported, by the workloads.
     for key in BLAS_ENV:
         os.environ.setdefault(key, "1")
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "benchmarks"))
     from workloads import WORKLOADS, build_calls
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="src directory of the reference tree")
     parser.add_argument("new", help="src directory of the changed tree")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--workload", choices=WORKLOADS)
+    group.add_argument("--gf-writer", action="store_true",
+                       help="the cases of bench_gf_writer.py, one at a time")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--json", help="also write the results to this file")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     sides = {"old": load_cli(args.old, "contourgf_old"),
              "new": load_cli(args.new, "contourgf_new")}
-    calls = build_calls(args.workload, args.seed, "full")
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = []
-        for index, call in enumerate(calls):
+
+        def argv_of(index, config, call_argv):
             path = os.path.join(tmp, f"{index}.json")
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(call.config, handle)
-            argvs.append(call.argv(path))
-        first = {side: run_pass(cli, argvs) for side, cli in sides.items()}
-        codes = {side: first[side][1] for side in sides}
-        # The digests each call's output had, over both trees and all passes.
-        digests = [set(pair) for pair in zip(first["old"][2], first["new"][2])]
-        peaks = {side: peak_bytes(cli, argvs) for side, cli in sides.items()}
-        times = {side: [] for side in sides}
-        for pair in range(args.pairs):
-            order = ("old", "new") if pair % 2 == 0 else ("new", "old")
-            for side in order:
-                seconds, _, outputs = run_pass(sides[side], argvs)
-                times[side].append(seconds)
-                for seen, digest in zip(digests, outputs):
-                    seen.add(digest)
-    wins = {"old": 0, "new": 0}
-    for old, new in zip(times["old"], times["new"]):
-        wins["old" if old < new else "new"] += old != new
-    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
-          f"{len(calls)} calls per pass")
-    for side in sides:
-        s = summary(times[side])
-        print(f"{side}: median {s['median'] * 1e3:.3f} ms "
-              f"(quartiles {s['q1'] * 1e3:.3f}-{s['q3'] * 1e3:.3f}), "
-              f"faster in {wins[side]}/{args.pairs} pairs, "
-              f"peak {peaks[side] / 2**20:.4f} MiB, exit codes {codes[side]}")
-    ratio = summary(times["new"])["median"] / summary(times["old"])["median"]
-    print(f"new/old median: {ratio:.4f}")
-    differ = [call.label for call, seen in zip(calls, digests) if len(seen) > 1]
-    print("outputs: " + (f"differ on {differ}" if differ else
-                         "identical on every call of every pass"))
+                json.dump(config, handle)
+            return call_argv(path)
+
+        if args.gf_writer:
+            import bench_gf_writer as bench
+
+            for index, (n_slices, dimension, output_format) in enumerate(
+                itertools.product(bench.SLICES, bench.DIMENSIONS, ("csv", "json"))
+            ):
+                label = f"gf-{output_format}-d{dimension}-n{n_slices}"
+                config = bench.gf_config(dimension, n_slices, output_format)
+                call = argv_of(index, config, lambda path: ["gf", "--config", path])
+                result = compare(sides, [label], [call], args.pairs)
+                print(f"{label}, {args.pairs} pairs")
+                report(result)
+                results.append(result)
+        else:
+            calls = build_calls(args.workload, args.seed, "full")
+            argvs = [argv_of(i, call.config, call.argv) for i, call in enumerate(calls)]
+            result = compare(sides, [call.label for call in calls], argvs, args.pairs)
+            result.update(workload=args.workload, seed=args.seed)
+            print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
+                  f"{len(calls)} calls per pass")
+            report(result)
+            results.append(result)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(results, handle, indent=2)
     return 0
 
 

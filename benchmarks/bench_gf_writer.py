@@ -14,6 +14,8 @@ The file sits outside the test paths; run it with
         --benchmark-json=BENCH.json
 
 One BLAS thread, as in ``perfbench`` and the other benchmark files.
+``benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --gf-writer`` runs the same
+cases on two trees in interleaved pairs.
 """
 
 import contextlib
@@ -22,8 +24,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-
-from contourgf import cli
 
 SLICES = [30, 120, 480]
 DIMENSIONS = [1, 2]
@@ -44,7 +44,8 @@ class _Sink:
         pass
 
 
-def _config(tmp_path, dimension, n_slices, output_format):
+def gf_config(dimension, n_slices, output_format) -> dict:
+    """The config of one case, as its JSON object."""
     rng = np.random.default_rng(dimension)
 
     def hermitian(spectrum):
@@ -55,19 +56,26 @@ def _config(tmp_path, dimension, n_slices, output_format):
         matrix = (basis * spectrum) @ basis.conj().T
         return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
-    raw = {
+    return {
         "statistics": "boson",
         "epsilon": hermitian(rng.uniform(-1.0, 1.0, size=dimension)),
         "nbar": hermitian(np.linspace(0.2, 1.2, dimension)),
         "grid": {"t_initial": 0.0, "t_final": 2.0, "n_slices": n_slices},
         "output": {"format": output_format, "components": COMPONENTS, "path": None},
     }
+
+
+def _config(tmp_path, dimension, n_slices, output_format):
     path = tmp_path / "gf.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(gf_config(dimension, n_slices, output_format)))
     return str(path)
 
 
 def _gf(config):
+    # Imported here, so that benchmarks/ab_inprocess.py can take the cases
+    # of this file beside two trees of its own.
+    from contourgf import cli
+
     sink = _Sink()
     with contextlib.redirect_stdout(sink):
         code = cli.main(["gf", "--config", config])

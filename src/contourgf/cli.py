@@ -409,23 +409,29 @@ def _csv(header: str, rows) -> str:
 # * d * 16 B: about 32 MiB * d at the default cap of 8192.  The cap is
 # what bounds the memory of gf; the chunking alone would not.  Beside
 # the table of its E doubles, the writer holds a buffer that sorts half
-# of the chunk's rows, and at most E / GF_DISTINCT_RATIO words.
+# of the chunk's rows during the distinct test, at most
+# E / GF_DISTINCT_RATIO words, one lookup block's index arrays (about
+# 32 B per key), and one row's pieces and text.
 GF_ROW_CHUNK = 256
 # A chunk is printed from its distinct doubles, each formatted once,
 # when at most one double in GF_DISTINCT_RATIO is distinct.  At that
 # limit the words (about 83 B each: the string, its reference and its
 # key) still take less than the table's 8 B per double.
 GF_DISTINCT_RATIO = 12
+# Doubles whose words are looked up with one sort: the rows of a chunk
+# printed from its distinct doubles go in blocks of as many rows as
+# hold at most this many doubles, or of one row.
+GF_LOOKUP_KEYS = 1024
 
 
 @dataclass(frozen=True)
 class _GfFormat:
     """Text of a ``gf`` output format around its records.
 
-    A record is ``lead + time + tail``.  Times and values are printed
+    A record is ``lead + time + tail + re + middle + im + end``, and
+    records are joined by ``separator``.  Times and values are printed
     with the ``%`` format ``number``; ``tail`` is a ``str.format``
-    template of t', name, row, col and ``value``, the ``%`` slot of the
-    real and of the imaginary part.
+    template of t', name, row and col.
     """
 
     header: str
@@ -433,6 +439,8 @@ class _GfFormat:
     lead: str
     number: str
     tail: str
+    middle: str
+    end: str
     footer: str
 
 
@@ -445,7 +453,9 @@ _GF_FORMATS = {
         separator="",
         lead="",
         number="%.17g",
-        tail=",{t_prime},{name},{row},{col},{value},{value}\n",
+        tail=",{t_prime},{name},{row},{col},",
+        middle=",",
+        end="\n",
         footer="",
     ),
     "json": _GfFormat(
@@ -453,10 +463,10 @@ _GF_FORMATS = {
         separator=",\n",
         lead='  {"t": ',
         number="%r",
-        tail=(
-            ', "t_prime": {t_prime}, "component": "{name}", "row": {row}, '
-            '"col": {col}, "re": {value}, "im": {value}}}'
-        ),
+        tail=', "t_prime": {t_prime}, "component": "{name}", "row": {row}, '
+        '"col": {col}, "re": ',
+        middle=', "im": ',
+        end="}",
         footer="\n]\n",
     ),
 }
@@ -491,20 +501,38 @@ def _distinct_bits(bits: np.ndarray, limit: int) -> np.ndarray | None:
     return distinct
 
 
+def _word_rows(bits: np.ndarray, distinct: np.ndarray):
+    """Per row of ``bits``, the index in ``distinct`` (sorted, holding
+    every entry of ``bits``) of each of its entries.  The rows are looked
+    up in blocks of at most ``GF_LOOKUP_KEYS`` entries, or of one row,
+    each sorted first, so the search walks ``distinct`` once per block."""
+    step = max(1, GF_LOOKUP_KEYS // bits.shape[1])
+    for start in range(0, len(bits), step):
+        keys = bits[start : start + step].reshape(-1)
+        order = keys.argsort()
+        index = np.empty_like(order)
+        index[order] = distinct.searchsorted(keys[order])
+        # Not held while the block's rows are written.
+        del order
+        yield from index.reshape(-1, bits.shape[1])
+
+
 def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> None:
     """Write the records of one chunk's ``table``, one string per table
-    row, after ``separator``; ``stamps`` are the row times as printed.
+    row, after ``separator``; ``stamps`` are the row times as printed and
+    ``tails`` the formatted tails of a row's records.
 
-    The tails of a row's records are fixed; per row they are joined with
-    the row's time into one template, filled by one ``%`` from the row's
-    interleaved real and imaginary parts.  ``tails(fmt.number)`` are
-    those tails, and ``tails("%s")`` the same with string slots.  When at
-    most one double in ``GF_DISTINCT_RATIO`` of a chunk of at least as
-    many rows is distinct, each distinct
-    double is formatted once, and a row is filled from those words,
-    looked up by the bits of its doubles: -0.0 and 0.0 stay apart, so
-    the bytes are those of formatting in place, as is done otherwise.
-    What this holds is freed when it returns.
+    When at most one double in ``GF_DISTINCT_RATIO`` of a chunk of at
+    least as many rows is distinct, each distinct double is formatted
+    once, into a word.  A row is then one ``str.join`` of its record
+    pieces: the lead and the stamp, carrying the previous record's end
+    and separator, the tail, the real part's word, the middle and the
+    imaginary part's word, and the last record's end.  The words are
+    looked up by the bits of the doubles: -0.0 and 0.0 stay apart, so
+    the bytes are those of formatting in place.  Otherwise a row's tails
+    are joined with its stamp into one template, filled by one ``%``
+    from the row's interleaved real and imaginary parts.  What this
+    holds is freed when it returns.
     """
     parts = table.reshape(len(table), -1).view(np.float64)
     bits = parts.view(np.int64)
@@ -519,21 +547,33 @@ def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> Non
         else None
     )
     if distinct is None:
-        row_tails = tails(fmt.number)
-        rows = map(np.ndarray.tolist, parts)
-    else:
-        row_tails = tails("%s")
-        # One double at a time: a list of them would cost 32 B each.
-        words = np.fromiter(
-            (fmt.number % x for x in map(float, distinct.view(np.float64))),
-            dtype=object,
-            count=distinct.size,
-        )
-        rows = (words.take(distinct.searchsorted(row)).tolist() for row in bits)
-    for stamp, values in zip(stamps, rows):
-        head = fmt.lead + stamp
-        template = separator + head + (fmt.separator + head).join(row_tails)
-        handle.write(template % tuple(values))
+        slots = fmt.number + fmt.middle + fmt.number + fmt.end
+        row_tails = [tail + slots for tail in tails]
+        for stamp, values in zip(stamps, map(np.ndarray.tolist, parts)):
+            head = fmt.lead + stamp
+            template = separator + head + (fmt.separator + head).join(row_tails)
+            handle.write(template % tuple(values))
+            separator = fmt.separator
+        return
+    # One double at a time: a list of them would cost 32 B each.
+    words = np.fromiter(
+        map(fmt.number.__mod__, memoryview(distinct.view(np.float64))),
+        dtype=object,
+        count=distinct.size,
+    )
+    records = len(tails)
+    pieces = [None] * (5 * records + 1)
+    pieces[1::5] = tails
+    pieces[3::5] = [fmt.middle] * records
+    pieces[-1] = fmt.end
+    carry = fmt.end + fmt.separator + fmt.lead
+    for stamp, index in zip(stamps, _word_rows(bits, distinct)):
+        pieces[0:-1:5] = [carry + stamp] * records
+        pieces[0] = separator + fmt.lead + stamp
+        row = words.take(index).tolist()
+        pieces[2::5] = row[0::2]
+        pieces[4::5] = row[1::2]
+        handle.write("".join(pieces))
         separator = fmt.separator
 
 
@@ -545,9 +585,10 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     times; a chunk's table has shape ``(rows, N + 1, d, d)`` and is
     written by :func:`_write_chunk`, which frees all it holds, and the
     table is freed before the next is evaluated.  Each time is printed
-    once per grid.  A whole chunk is never joined, so memory stays at one
-    table of E doubles, a sort buffer of half its rows, at most
-    ``E / GF_DISTINCT_RATIO`` words and one row of text.  Raises
+    once per grid.  A whole chunk is never joined, so memory stays at
+    one table of E doubles; a sort buffer of half its rows, during the
+    distinct test only; at most ``E / GF_DISTINCT_RATIO`` words; one
+    lookup block's index arrays; and one row's pieces and text.  Raises
     ``FloatingPointError`` when a table is not finite, after the rows
     before it.
     """
@@ -558,21 +599,8 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     handle.write(fmt.header)
     separator = ""
     for name in config.components:
-        built = {}
-
-        def tails(value, name=name, built=built):
-            """The record tails of a table row with ``value`` slots, built
-            when a chunk of this component first needs them."""
-            if value not in built:
-                tail = fmt.tail.replace("{value}", value)
-                built[value] = [
-                    tail.format(t_prime=t_prime, name=name, row=r, col=c)
-                    for t_prime in stamps
-                    for r in range(d)
-                    for c in range(d)
-                ]
-            return built[value]
-
+        # Built after the component's first table, not beside it.
+        tails = None
         for start in range(0, times.size, GF_ROW_CHUNK):
             table = component_table(
                 config.system,
@@ -585,6 +613,13 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
                 raise FloatingPointError(
                     f"component {name} is not finite on rows from t = {times[start]:.17g}"
                 )
+            if tails is None:
+                tails = [
+                    fmt.tail.format(t_prime=t_prime, name=name, row=r, col=c)
+                    for t_prime in stamps
+                    for r in range(d)
+                    for c in range(d)
+                ]
             _write_chunk(
                 handle, fmt, table, stamps[start : start + len(table)], tails, separator
             )

@@ -220,6 +220,11 @@ class _Pair:
         return _sandwich(self.p_row, keldysh_weight(self.system), self.p_col)
 
 
+# Rows of R and A multiplied by their step factor at a time: the factor
+# is a complex table of these rows, so it stays a small part of the table.
+_STEP_ROWS = 16
+
+
 def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     """The tables of :func:`component_table` and :func:`solution_from_constants`:
     ``what``, a component or a ``(constants, row, col)`` position, over the
@@ -238,19 +243,22 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     if what is KeldyshComponent.KELDYSH:
         return pair.keldysh
     free = pair.free
-    # R and A may overwrite the free table: the same products as below, in
-    # the same operand order, with no temporary beyond the step factor.
-    # That factor is built as its real part 0.0 and its imaginary part,
-    # which is -1j * theta and 1j * (1 - theta) to the bit, signs of zeros
-    # included, without the buffer that casts theta to complex.
-    out = None if pair.shared else free
     if what in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED):
-        step = np.zeros(theta.shape, dtype=complex)
-        if what is KeldyshComponent.RETARDED:
-            np.negative(theta, out=step.imag)
-        else:
-            np.subtract(1.0, theta, out=step.imag)
-        return np.multiply(step, free, out=out)
+        # The same products as below, in the same operand order, one block
+        # of rows at a time, into the free table unless the pair is shared.
+        # The step factor is built as its real part 0.0 and its imaginary
+        # part, which is -1j * theta and 1j * (1 - theta) to the bit, signs
+        # of zeros included, without the buffer that casts theta to complex.
+        out = np.empty_like(free) if pair.shared else free
+        for start in range(0, len(free), _STEP_ROWS):
+            rows = slice(start, start + _STEP_ROWS)
+            step = np.zeros(theta[rows].shape, dtype=complex)
+            if what is KeldyshComponent.RETARDED:
+                np.negative(theta[rows], out=step.imag)
+            else:
+                np.subtract(1.0, theta[rows], out=step.imag)
+            np.multiply(step, free[rows], out=out[rows])
+        return out
     s_row = what.row_branch.sign
     s_col = what.col_branch.sign
     kel = pair.keldysh
@@ -277,8 +285,11 @@ def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.ndarray:
-    """``-i P_n M P_m^dag`` for every pair of propagators, as (n, m, d, d)."""
-    return -1j * _products(p_row @ middle, p_col)
+    """``-i P_n M P_m^dag`` for every pair of propagators, as (n, m, d, d).
+    Scaled in place: ``x * -1j`` is ``-1j * x`` to the bit."""
+    out = _products(p_row @ middle, p_col)
+    out *= -1j
+    return out
 
 
 def gf_component(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import errno
+import io
 import json
 import math
 import os
@@ -476,6 +477,97 @@ def test_gf_chunks_switch_between_distinct_and_in_place(
     out = _gf_output(config, capsys, "stdout", tmp_path)
     assert deduplicated == [True, False, True] * 2
     assert out == expected
+
+
+# Doubles for the row assembly test: both zeros, the least subnormal,
+# two doubles whose %.17g and repr differ in form, and three whose repr
+# needs all 17 digits.
+ASSEMBLY_DOUBLES = [
+    0.0, -0.0, 5e-324, 1e-05, 1e16,
+    0.30000000000000004, -1.2345678901234567, 2.2250738585072014e-308,
+]
+ASSEMBLY_COMPONENTS = ["R", "K"]
+
+
+@seed(23)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    dimension=st.sampled_from([1, 2, 3]),
+    n_slices=st.integers(1, 40),
+    row_chunk=st.sampled_from([5, 12, 256]),
+    block_rows=st.integers(0, 5),
+    output_format=st.sampled_from(["csv", "json"]),
+    first_distinct=st.booleans(),
+    data=st.data(),
+)
+def test_gf_row_assemblies_match_reference(
+    dimension, n_slices, row_chunk, block_rows, output_format, first_distinct, data
+):
+    """Both row assemblies, a row joined from the words of its distinct
+    doubles and a row filled in place, against the per-entry reference.
+
+    Each chunk of the stub table draws its doubles from
+    ``ASSEMBLY_DOUBLES`` alone, so that a chunk of at least
+    ``GF_DISTINCT_RATIO`` rows is printed from its distinct doubles, or
+    with a third of them distinct, so that it is printed in place; the
+    first chunk of the output is either.  The words are looked up in
+    blocks of no more than one row, of several rows, or of several rows
+    and a ragged last block.
+    """
+    config = build_run_config(
+        {
+            **BASE_CONFIG,
+            "epsilon": np.eye(dimension).tolist(),
+            "nbar": (0.5 * np.eye(dimension)).tolist(),
+            "grid": {"t_initial": 0.0, "t_final": 1.0, "n_slices": n_slices},
+            "output": {"format": output_format, "components": ASSEMBLY_COMPONENTS},
+        }
+    )
+    (grid,) = config.grids()
+    starts = range(0, n_slices + 1, row_chunk)
+    distinct_chunks = [first_distinct] + data.draw(
+        st.lists(st.booleans(), min_size=len(starts) - 1, max_size=len(starts) - 1)
+    )
+    chunk_of = {grid.times[start]: index for index, start in enumerate(starts)}
+    components = [COMPONENT_NAMES[name] for name in ASSEMBLY_COMPONENTS]
+    width = 2 * (n_slices + 1) * dimension**2
+    table_seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def table(system, t_values, t_prime_values, component, t_ref):
+        chunk = chunk_of[t_values[0]]
+        rng = np.random.default_rng([table_seed, chunk, components.index(component)])
+        shape = (len(t_values), len(t_prime_values), dimension, dimension, 2)
+        parts = rng.choice(ASSEMBLY_DOUBLES, size=shape)
+        if not distinct_chunks[chunk]:
+            every_third = parts.reshape(-1)[::3]
+            every_third[:] = 0.1 + np.arange(every_third.size) / 7.0
+        return parts.view(complex)[..., 0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "component_table", table)
+        patch.setattr(cli, "GF_ROW_CHUNK", row_chunk)
+        patch.setattr(
+            cli,
+            "GF_LOOKUP_KEYS",
+            block_rows * width + data.draw(st.integers(0, width - 1)),
+        )
+        deduplicated = _distinct_bits_spy(patch)
+        out = io.StringIO()
+        cli._write_gf(config, grid, out)
+        expected = gf_text(config)
+    tested = [
+        distinct
+        for start, distinct in zip(starts, distinct_chunks)
+        if min(row_chunk, n_slices + 1 - start) >= cli.GF_DISTINCT_RATIO
+    ]
+    assert deduplicated == tested * len(components)
+    # Compared as lines with their ends, so a failure names the first
+    # line that differs without a diff of the whole output.
+    assert out.getvalue().splitlines(True) == expected.splitlines(True)
 
 
 @pytest.mark.parametrize(

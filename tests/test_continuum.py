@@ -438,6 +438,16 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
     np.testing.assert_array_equal(step.view(np.uint64), kept.view(np.uint64))
 
 
+@pytest.mark.parametrize("step_rows", [1, 3])
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_step_blocks_are_bit_exact(monkeypatch, statistics, dimension, step_rows):
+    # The seven table rows above in blocks of one row, and of three rows
+    # with a ragged last block, into the free table and into a new one.
+    monkeypatch.setattr(continuum, "_STEP_ROWS", step_rows)
+    test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension)
+
+
 # Entries of the largest table the layout test draws: 4 MiB of complex.
 PRODUCT_ENTRIES = 2**18
 
