@@ -6,6 +6,9 @@ that counts and discards what is written.  The components are R and K
 of one boson system whose energy and occupation do not commute.  Each
 case records, in ``extra_info``, the rows written, the rows per second
 at the median time, and the ``tracemalloc`` peak of one untimed call.
+``test_formatter`` times the formatter of gf's doubles alone, on the
+doubles of one of those tables, at kernel blocks of 512 to 8,192
+doubles, beside CPython's ``%`` of the same doubles.
 The file sits outside the test paths; run it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
@@ -20,6 +23,8 @@ cases on two trees in interleaved pairs.
 
 import contextlib
 import json
+import statistics
+import time
 import tracemalloc
 
 import numpy as np
@@ -103,3 +108,55 @@ def test_gf_writer(benchmark, tmp_path, n_slices, dimension, output_format):
     chars = benchmark(_gf, config)
     benchmark.extra_info["chars"] = chars
     benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
+
+
+# Block sizes of the formatter's kernel timed by test_formatter.
+FORMAT_BLOCKS = [512, 1024, 2048, 4096, 8192]
+# Doubles formatted per timed call: the first of the K table below.
+FORMAT_DOUBLES = 16_384
+
+
+def _table_doubles():
+    """The doubles of the K table of the d = 2 case at N = 120, in
+    table order: what gf formats in place."""
+    from contourgf import cli
+
+    config = cli.build_run_config(gf_config(2, 120, "json"))
+    (grid,) = config.grids()
+    table = cli.component_table(
+        config.system, grid.times, grid.times, cli.COMPONENT_NAMES["K"], grid.t_initial
+    )
+    return table.reshape(-1).view(np.float64)[:FORMAT_DOUBLES].copy()
+
+
+@pytest.mark.parametrize("spec", ["%r", "%.17g"])
+@pytest.mark.parametrize("block", FORMAT_BLOCKS)
+def test_formatter(benchmark, monkeypatch, block, spec):
+    """Doubles per second of ``_doubles.format_doubles`` with its kernel
+    on blocks of ``block`` doubles, against CPython's ``%`` of the same
+    doubles one at a time (``cpython_doubles_per_s``, the median of five
+    passes), and the ``tracemalloc`` peak of one call per double."""
+    from contourgf import _doubles
+
+    monkeypatch.setattr(_doubles, "BLOCK", block)
+    values = _table_doubles()
+    words = values.tolist()
+    expected = [(spec % x).encode() for x in words]
+    assert _doubles.format_doubles(values, spec).tolist() == expected
+    tracemalloc.start()
+    try:
+        _doubles.format_doubles(values, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cpython = []
+    for _ in range(5):
+        start = time.perf_counter()
+        [spec % x for x in words]
+        cpython.append(time.perf_counter() - start)
+    benchmark(_doubles.format_doubles, values, spec)
+    median = benchmark.stats.stats.median
+    benchmark.extra_info["doubles"] = values.size
+    benchmark.extra_info["doubles_per_s"] = values.size / median
+    benchmark.extra_info["cpython_doubles_per_s"] = values.size / statistics.median(cpython)
+    benchmark.extra_info["peak_bytes_per_double"] = peak / values.size

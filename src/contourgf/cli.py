@@ -410,13 +410,16 @@ def _csv(header: str, rows) -> str:
 # what bounds the memory of gf; the chunking alone would not.  Beside
 # the table of its E doubles, the writer holds a buffer that sorts half
 # of the chunk's rows during the distinct test, at most
-# E / GF_DISTINCT_RATIO words, one lookup block's index arrays (about
-# 32 B per key), and one row's pieces and text.
+# E / GF_DISTINCT_RATIO words, the arrays of one pass of the formatter
+# (about 80 B per double of its BLOCK) and the words of one block of
+# rows formatted in place, one lookup block's index arrays (about 32 B
+# per key), and one row's pieces and text.
 GF_ROW_CHUNK = 256
 # A chunk is printed from its distinct doubles, each formatted once,
-# when at most one double in GF_DISTINCT_RATIO is distinct.  At that
-# limit the words (about 83 B each: the string, its reference and its
-# key) still take less than the table's 8 B per double.
+# when at most one double in GF_DISTINCT_RATIO is distinct: the test
+# and the lookups cost less than formatting every double.  At that
+# limit the words (about 64 B each: the bytes and its reference) and
+# their keys still take less than the table's 8 B per double.
 GF_DISTINCT_RATIO = 12
 # Doubles whose words are looked up with one sort: the rows of a chunk
 # printed from its distinct doubles go in blocks of as many rows as
@@ -429,18 +432,19 @@ class _GfFormat:
     """Text of a ``gf`` output format around its records.
 
     A record is ``lead + time + tail + re + middle + im + end``, and
-    records are joined by ``separator``.  Times and values are printed
-    with the ``%`` format ``number``; ``tail`` is a ``str.format``
-    template of t', name, row and col.
+    records are joined by ``separator``, all ASCII bytes.  Times and
+    values are printed by :func:`format_doubles` with the ``%`` format
+    ``number``; ``tail`` is a bytes ``%`` template of t', name, row and
+    col.
     """
 
     header: str
-    separator: str
-    lead: str
+    separator: bytes
+    lead: bytes
     number: str
-    tail: str
-    middle: str
-    end: str
+    tail: bytes
+    middle: bytes
+    end: bytes
     footer: str
 
 
@@ -450,23 +454,22 @@ class _GfFormat:
 _GF_FORMATS = {
     "csv": _GfFormat(
         header=CSV_HEADER + "\n",
-        separator="",
-        lead="",
+        separator=b"",
+        lead=b"",
         number="%.17g",
-        tail=",{t_prime},{name},{row},{col},",
-        middle=",",
-        end="\n",
+        tail=b",%s,%s,%d,%d,",
+        middle=b",",
+        end=b"\n",
         footer="",
     ),
     "json": _GfFormat(
         header="[\n",
-        separator=",\n",
-        lead='  {"t": ',
+        separator=b",\n",
+        lead=b'  {"t": ',
         number="%r",
-        tail=', "t_prime": {t_prime}, "component": "{name}", "row": {row}, '
-        '"col": {col}, "re": ',
-        middle=', "im": ',
-        end="}",
+        tail=b', "t_prime": %s, "component": "%s", "row": %d, "col": %d, "re": ',
+        middle=b', "im": ',
+        end=b"}",
         footer="\n]\n",
     ),
 }
@@ -517,23 +520,37 @@ def _word_rows(bits: np.ndarray, distinct: np.ndarray):
         yield from index.reshape(-1, bits.shape[1])
 
 
+def _formatted_rows(parts: np.ndarray, spec: str):
+    """The words of each row of the 2-d array ``parts``, formatted in
+    place by :func:`format_doubles`, one block of as many rows as hold
+    at most ``BLOCK`` doubles, or of one row, at a time."""
+    from ._doubles import BLOCK, format_doubles
+
+    step = max(1, BLOCK // parts.shape[1])
+    for start in range(0, len(parts), step):
+        block = parts[start : start + step]
+        yield from format_doubles(block.reshape(-1), spec).reshape(block.shape)
+
+
 def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> None:
     """Write the records of one chunk's ``table``, one string per table
     row, after ``separator``; ``stamps`` are the row times as printed and
-    ``tails`` the formatted tails of a row's records.
+    ``tails`` the printed tails of a row's records, both as bytes.
 
-    When at most one double in ``GF_DISTINCT_RATIO`` of a chunk of at
-    least as many rows is distinct, each distinct double is formatted
-    once, into a word.  A row is then one ``str.join`` of its record
-    pieces: the lead and the stamp, carrying the previous record's end
-    and separator, the tail, the real part's word, the middle and the
-    imaginary part's word, and the last record's end.  The words are
-    looked up by the bits of the doubles: -0.0 and 0.0 stay apart, so
-    the bytes are those of formatting in place.  Otherwise a row's tails
-    are joined with its stamp into one template, filled by one ``%``
-    from the row's interleaved real and imaginary parts.  What this
-    holds is freed when it returns.
+    Every word comes from :func:`format_doubles`.  When at most one
+    double in ``GF_DISTINCT_RATIO`` of a chunk of at least as many rows
+    is distinct, each distinct double is formatted once, and a row's
+    words are looked up by the bits of its doubles: -0.0 and 0.0 stay
+    apart, so the bytes are those of formatting in place.  Otherwise
+    the chunk's doubles are formatted in place, in table order.  A row
+    is then one ``bytes.join`` of its record pieces, decoded once: the
+    lead and the stamp, carrying the previous record's end and
+    separator, the tail, the real part's word, the middle and the
+    imaginary part's word, and the last record's end.  What this holds
+    is freed when it returns.
     """
+    from ._doubles import format_doubles
+
     parts = table.reshape(len(table), -1).view(np.float64)
     bits = parts.view(np.int64)
     # A chunk of fewer than GF_DISTINCT_RATIO rows is formatted in place
@@ -547,33 +564,25 @@ def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> Non
         else None
     )
     if distinct is None:
-        slots = fmt.number + fmt.middle + fmt.number + fmt.end
-        row_tails = [tail + slots for tail in tails]
-        for stamp, values in zip(stamps, map(np.ndarray.tolist, parts)):
-            head = fmt.lead + stamp
-            template = separator + head + (fmt.separator + head).join(row_tails)
-            handle.write(template % tuple(values))
-            separator = fmt.separator
-        return
-    # One double at a time: a list of them would cost 32 B each.
-    words = np.fromiter(
-        map(fmt.number.__mod__, memoryview(distinct.view(np.float64))),
-        dtype=object,
-        count=distinct.size,
-    )
+        rows = _formatted_rows(parts, fmt.number)
+    else:
+        # As bytes objects: a row takes them by reference, where the
+        # words of an S24 array would each be a new object per row.
+        words = format_doubles(distinct.view(np.float64), fmt.number).astype(object)
+        rows = map(words.take, _word_rows(bits, distinct))
     records = len(tails)
     pieces = [None] * (5 * records + 1)
     pieces[1::5] = tails
     pieces[3::5] = [fmt.middle] * records
     pieces[-1] = fmt.end
     carry = fmt.end + fmt.separator + fmt.lead
-    for stamp, index in zip(stamps, _word_rows(bits, distinct)):
+    for stamp, row in zip(stamps, rows):
         pieces[0:-1:5] = [carry + stamp] * records
         pieces[0] = separator + fmt.lead + stamp
-        row = words.take(index).tolist()
+        row = row.tolist()
         pieces[2::5] = row[0::2]
         pieces[4::5] = row[1::2]
-        handle.write("".join(pieces))
+        handle.write(b"".join(pieces).decode())
         separator = fmt.separator
 
 
@@ -588,16 +597,21 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     once per grid.  A whole chunk is never joined, so memory stays at
     one table of E doubles; a sort buffer of half its rows, during the
     distinct test only; at most ``E / GF_DISTINCT_RATIO`` words; one
-    lookup block's index arrays; and one row's pieces and text.  Raises
-    ``FloatingPointError`` when a table is not finite, after the rows
-    before it.
+    pass of the formatter (``BLOCK`` doubles) and the words of one block
+    of rows formatted in place (``BLOCK`` doubles, or one row);
+    one lookup block's index arrays; and one row's pieces and text.
+    Raises ``FloatingPointError`` when a table is not finite, after the
+    rows before it.
     """
+    # Imported by the one command that prints doubles, not with the CLI.
+    from ._doubles import format_doubles
+
     fmt = _GF_FORMATS[config.output_format]
     times = grid.times
-    stamps = [fmt.number % t for t in times.tolist()]
+    stamps = format_doubles(times, fmt.number).tolist()
     d = config.system.dimension
     handle.write(fmt.header)
-    separator = ""
+    separator = b""
     for name in config.components:
         # Built after the component's first table, not beside it.
         tails = None
@@ -615,7 +629,7 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
                 )
             if tails is None:
                 tails = [
-                    fmt.tail.format(t_prime=t_prime, name=name, row=r, col=c)
+                    fmt.tail % (t_prime, name.encode(), r, c)
                     for t_prime in stamps
                     for r in range(d)
                     for c in range(d)

@@ -78,8 +78,13 @@ class KeldyshComponent(enum.Enum):
 
 
 def regularized_step(x):
-    """Unit step with the symmetric value 1/2 at exactly zero, elementwise."""
-    return 0.5 * (1.0 + np.sign(x))
+    """Unit step with the symmetric value 1/2 at exactly zero, elementwise.
+    Built in the one array of ``sign(x)``: ``(sign(x) + 1) * 0.5`` is
+    ``0.5 * (1 + sign(x))`` to the bit."""
+    step = np.sign(x)
+    step += 1.0
+    step *= 0.5
+    return step
 
 
 def rho_from_nbar(system: LevelSystem) -> np.ndarray:
@@ -193,10 +198,15 @@ def component_table(
 def _over_times(system, rows, cols, t_ref, what) -> np.ndarray:
     """:func:`_tabulate` over all pairs of two time arrays: the set-up that
     :func:`component_table` and :func:`solution_from_constants` each had.
-    The one table is the only reader of the pair's products."""
+    The one table is the only reader of the pair's products, and the
+    step table is built only for a table that reads it."""
     t_row, t_col = (np.asarray(t, dtype=float).reshape(-1) for t in (rows, cols))
     p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
-    theta = regularized_step(t_row[:, None] - t_col)
+    if isinstance(what, tuple):
+        stepped = _has_step(system.statistics, *what[1:])
+    else:
+        stepped = what not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO)
+    theta = regularized_step(t_row[:, None] - t_col) if stepped else None
     return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, what)
 
 
@@ -220,51 +230,72 @@ class _Pair:
         return _sandwich(self.p_row, keldysh_weight(self.system), self.p_col)
 
 
-# Rows of R and A multiplied by their step factor at a time: the factor
-# is a complex table of these rows, so it stays a small part of the table.
+# Rows of R, A and the branch components multiplied by their step
+# factor at a time: the factor and a block's temporaries are complex
+# tables of these rows, so they stay a small part of the table.
 _STEP_ROWS = 16
+# Entries of a block of a product table at d >= 2 in the einsum's own
+# layout, before the block is copied into the table: 512 KB.
+_PRODUCT_ENTRIES = 2**15
 
 
 def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     """The tables of :func:`component_table` and :func:`solution_from_constants`:
     ``what``, a component or a ``(constants, row, col)`` position, over the
-    stacks of ``pair``, from its products; the step table ``theta`` is only
-    read."""
+    stacks of ``pair``, from its products.  The step table ``theta`` is
+    only read; it may be None for a table that does not read it (K, the
+    zero block and a position without a step)."""
     if what is KeldyshComponent.ZERO:
-        return np.zeros(theta.shape + pair.p_row.shape[1:], dtype=complex)
-    theta = theta[:, :, None, None]
+        shape = (len(pair.p_row), len(pair.p_col)) + pair.p_row.shape[1:]
+        return np.zeros(shape, dtype=complex)
     if isinstance(what, tuple):
         constants, row, col = what
         middle = getattr(constants, f"c{row + 1}{col + 1}")
         out = _sandwich(pair.p_row, middle, pair.p_col)
         if _has_step(pair.system.statistics, row, col):
-            out += theta * (-1j * pair.free)
+            out += theta[:, :, None, None] * (-1j * pair.free)
         return out
     if what is KeldyshComponent.KELDYSH:
         return pair.keldysh
     free = pair.free
+    theta = theta[:, :, None, None]
+    # The same products as the whole-table expressions, in the same
+    # operand order, one block of rows at a time, into the free table
+    # unless the pair is shared.  The Keldysh table is only read.
+    blocks = [slice(start, start + _STEP_ROWS) for start in range(0, len(free), _STEP_ROWS)]
     if what in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED):
-        # The same products as below, in the same operand order, one block
-        # of rows at a time, into the free table unless the pair is shared.
-        # The step factor is built as its real part 0.0 and its imaginary
-        # part, which is -1j * theta and 1j * (1 - theta) to the bit, signs
-        # of zeros included, without the buffer that casts theta to complex.
         out = np.empty_like(free) if pair.shared else free
-        for start in range(0, len(free), _STEP_ROWS):
-            rows = slice(start, start + _STEP_ROWS)
-            step = np.zeros(theta[rows].shape, dtype=complex)
+        # The step factor keeps its real part 0.0, and each block writes
+        # its imaginary part: -1j * theta and 1j * (1 - theta) to the bit,
+        # signs of zeros included, without the buffer that casts theta to
+        # complex.
+        factor = np.zeros(theta[blocks[0]].shape, dtype=complex)
+        for rows in blocks:
+            step = factor[: len(theta[rows])]
             if what is KeldyshComponent.RETARDED:
                 np.negative(theta[rows], out=step.imag)
             else:
                 np.subtract(1.0, theta[rows], out=step.imag)
             np.multiply(step, free[rows], out=out[rows])
         return out
-    s_row = what.row_branch.sign
-    s_col = what.col_branch.sign
-    kel = pair.keldysh
-    return (
-        kel + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
-    ) / 2.0
+    # (kel + s_col (-1j theta free) + s_row (1j (1 - theta) free)) / 2,
+    # each operation as in that expression, the sums in place in the
+    # first term, which is the table when one block holds all its rows.
+    s_row, s_col = what.row_branch.sign, what.col_branch.sign
+    out = np.empty_like(free) if pair.shared and len(blocks) > 1 else free
+    for rows in blocks:
+        step, block = theta[rows], free[rows]
+        total = np.multiply(-1j * step, block)
+        np.multiply(s_col, total, out=total)
+        term = np.multiply(1j * (1.0 - step), block)
+        np.multiply(s_row, term, out=term)
+        np.add(pair.keldysh[rows], total, out=total)
+        np.add(total, term, out=total)
+        np.divide(total, 2.0, out=total)
+        if len(blocks) == 1:
+            return total
+        out[rows] = total
+    return out
 
 
 def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -276,12 +307,26 @@ def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     only the order in which the output entries are visited changes.  Of
     those orders, (c, n, a, m) was the fastest over the structure suite's
     tables: against the plain layout, 1.4x on a 5 x 7 table at d = 10 and
-    4x on gf's 31 x 31 table at d = 2 (2-vCPU Xeon, numpy 2.4).  At d = 1
-    its transpose is already contiguous, so gf's largest tables are not
-    copied; (m, c, a, n) copies them, 3.5x slower there.
+    4x on gf's 31 x 31 table at d = 2 (2-vCPU Xeon, numpy 2.4), and an
+    einsum into the table through a transposed view runs in the plain
+    order, as slowly.  At d = 1 its transpose is already contiguous, so
+    gf's largest tables are not copied; (m, c, a, n) copies them, 3.5x
+    slower there.  At d >= 2 a table of more than ``_PRODUCT_ENTRIES``
+    entries is computed in blocks of rows of at most that many entries,
+    or of one row, each copied into the table, so beside the table the
+    einsum's own layout holds at most one such block.
     """
-    table = np.einsum("nab,mcb->cnam", p, q.conj())
-    return np.ascontiguousarray(table.transpose(1, 3, 2, 0))
+    q = q.conj()
+    d = p.shape[-1]
+    step = max(1, _PRODUCT_ENTRIES // max(1, len(q) * d * d))
+    if d == 1 or len(p) <= step:
+        table = np.einsum("nab,mcb->cnam", p, q)
+        return np.ascontiguousarray(table.transpose(1, 3, 2, 0))
+    out = np.empty((len(p), len(q), d, d), dtype=complex)
+    for start in range(0, len(p), step):
+        rows = slice(start, start + step)
+        out[rows] = np.einsum("nab,mcb->cnam", p[rows], q).transpose(1, 3, 2, 0)
+    return out
 
 
 def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.ndarray:

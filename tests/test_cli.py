@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from contourgf import cli
+from contourgf import _doubles, cli
 from contourgf.cli import (
     COMPONENT_NAMES,
     GF_ROW_CHUNK,
@@ -306,6 +306,34 @@ def test_gf_edge_doubles_match_reference(
             assert '"re": -0.0' in out and ": 2.0," in out
             assert "1.7976931348623157e+308" in out
             assert '"im": -0.0}' in out and '"im": 0.0}' in out
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_gf_with_every_word_from_cpython_matches_reference(
+    tmp_path, capsys, monkeypatch, output_format
+):
+    """The formatter's CPython fallback alone, for every lane of both row
+    assemblies, times included, prints the reference bytes."""
+    kernel = _doubles._kernel
+
+    def nothing_certain(x, spec, out):
+        kernel(x, spec, out)
+        out[:] = ord("?")
+        return np.ones(len(x), dtype=bool)
+
+    monkeypatch.setattr(_doubles, "_kernel", nothing_certain)
+    for n_slices in (3, 11):
+        config = _matrix_config(
+            tmp_path,
+            2,
+            {
+                "grid.n_slices": n_slices,
+                "output.format": output_format,
+                "output.components": REFERENCE_COMPONENTS,
+            },
+        )
+        expected = gf_text(load_config(config, []))
+        assert _gf_output(config, capsys, "stdout", tmp_path) == expected
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -1312,6 +1340,24 @@ def test_cli_import_leaves_out_scipy():
         env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")},
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_formatter(tmp_path):
+    # Only gf prints doubles: z, verify and converge do not load the
+    # formatter, nor does the set-up that imports the CLI.
+    script = (
+        "import sys, contourgf.cli as cli; "
+        f"cli.main(['z', '--config', {write_config(tmp_path)!r}]); "
+        "print('contourgf._doubles' in sys.modules, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert result.stderr.strip() == "False"
 
 
 def test_boolean_epsilon_is_config_error(tmp_path, capsys):

@@ -443,7 +443,8 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
 @pytest.mark.parametrize("dimension", [1, 3])
 def test_step_blocks_are_bit_exact(monkeypatch, statistics, dimension, step_rows):
     # The seven table rows above in blocks of one row, and of three rows
-    # with a ragged last block, into the free table and into a new one.
+    # with a ragged last block, into the free table and into a new one:
+    # R and A, and ++, +-, -+ and --, whose sums go in place.
     monkeypatch.setattr(continuum, "_STEP_ROWS", step_rows)
     test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension)
 
@@ -483,6 +484,44 @@ def test_products_layout_is_bit_exact(stacks):
     want = np.einsum("nab,mcb->nmac", p, q.conj())
     assert got.flags.c_contiguous
     assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_step_table_only_for_tables_that_read_it(monkeypatch, statistics):
+    system = LevelSystem(1.0, 0.3, statistics)
+    constants = fix_constants(system)
+    built = []
+    step = continuum.regularized_step
+    monkeypatch.setattr(continuum, "regularized_step", lambda x: built.append(x) or step(x))
+    times = np.linspace(0.0, 1.0, 5)
+    for component in [*KeldyshComponent, *ContourComponent]:
+        built.clear()
+        component_table(system, times, times, component, 0.0)
+        reads = component not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO)
+        assert len(built) == reads, component
+    for row in range(2):
+        for col in range(2):
+            built.clear()
+            solution_from_constants(system, constants, row, col, times, times, t_ref=0.0)
+            assert len(built) == continuum._has_step(statistics, row, col)
+
+
+@pytest.mark.parametrize("entries", [1, 40, 2**15])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_product_blocks_are_bit_exact(monkeypatch, entries, dimension):
+    # Blocks of one row, of a few rows with a ragged last block, and one
+    # block for the whole table; at d = 1 the table is never copied.
+    monkeypatch.setattr(continuum, "_PRODUCT_ENTRIES", entries)
+    rng = np.random.default_rng(dimension)
+    p, q = (
+        rng.normal(size=(count, dimension, dimension, 2)).view(complex)[..., 0]
+        for count in (11, 5)
+    )
+    p[3] = -0.0
+    got = continuum._products(p, q)
+    want = np.einsum("nab,mcb->nmac", p, q.conj())
+    assert got.flags.c_contiguous
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
