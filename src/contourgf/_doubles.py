@@ -5,10 +5,11 @@ A finite nonzero double is ``x = m 2^e`` with a 53-bit integer ``m``.
 Each binary exponent has a decimal exponent ``k`` that puts
 ``y = |x| 10^k`` between ``1e16`` and ``2e17``, and a scale
 ``C = 2^(e + 121) 10^k`` rounded to an integer of 122 to 126 bits,
-built with Python integers on first use.  ``m C / 2^64``, from the
-32-bit limbs of both, gives ``y`` as an integer part and a 57-bit
-fraction, with an error below ``2^-24``.  ``%.17g`` takes the 17 digits
-of ``y`` (or of ``y / 10``) rounded to nearest; ``%r``, the shortest
+built with Python integers when a block first holds the exponent.
+``m C / 2^64``, from the 32-bit limbs of both, gives ``y`` as an
+integer part and a 57-bit fraction, with an error below ``2^-24``.
+``%.17g`` takes the 17 digits of ``y`` (or of ``y / 10``) rounded to
+nearest; ``%r``, the shortest
 digits inside the rounding interval ``y -/+ u/2`` (``u`` the spacing of
 doubles at ``x`` in units of ``y``, and ``u/4`` below a power of two),
 and of those the nearest to ``y``: the digits CPython prints, as Steele
@@ -81,46 +82,49 @@ def format_doubles(values, spec: str) -> np.ndarray:
     return out
 
 
+def _filled(table: np.ndarray, known: np.ndarray, index: np.ndarray, row) -> np.ndarray:
+    """``table`` with its rows that ``index`` reads built first, each by
+    ``row(i)`` and marked in ``known``: a table is built on first use
+    only as far as it is read."""
+    if not known.take(index).all():
+        # A set, not np.unique: that imports numpy.ma on first use.
+        for i in set(index[~known.take(index)].tolist()):
+            table[i] = row(i)
+            known[i] = True
+    return table
+
+
 @functools.cache
 def _scales() -> dict:
-    """Per biased exponent, the limbs of the scale above bit 32, its bits
-    above 64 (the spacing of doubles in units of 2^-57 of y) and ``k``;
-    exponents 0 and 2047 take the entries of 1 and 2046, which no certain
-    lane reads.  Then the digit tables."""
-    tens = [10**k for k in range(350)]
-    limbs, spacing, ks = [], [], []
-    for biased in range(2048):
-        e = min(max(biased, 1), 2046) - 1075
-        # floor(log10(2^(e + 52))), the decimal exponent of m = 2^52,
-        # as in Ryu: exact for |e + 52| <= 1650.
-        power = abs(e + 52)
-        exponent = (power * 78913) >> 18
-        k = 16 - exponent if e + 52 >= 0 else 17 + exponent
-        num = (1 << max(e + 121, 0)) * tens[max(k, 0)]
-        den = (1 << max(-e - 121, 0)) * tens[max(-k, 0)]
-        scale = (2 * num + den) // (2 * den)
-        limbs.append([(scale >> shift) & 0xFFFFFFFF for shift in (32, 64, 96)])
-        spacing.append(scale >> 64)
-        ks.append(k)
-    group = np.arange(10_000)
+    """Per biased exponent, ``k`` and, built as read (:func:`_filled`),
+    the limbs of the scale above bit 32 and its bits above 64 (the
+    spacing of doubles in units of 2^-57 of y); exponents 0 and 2047
+    take the entries of 1 and 2046, which no certain lane reads.  Then
+    the digit tables."""
+    e = np.clip(np.arange(2048), 1, 2046) - 1075
+    # floor(log10(2^(e + 52))), the decimal exponent of m = 2^52, as in
+    # Ryu: exact for |e + 52| <= 1650.
+    exponent = (np.abs(e + 52) * 78913) >> 18
+    group = np.arange(10_000, dtype=np.uint32)
+    places = [group // 1000, group // 100 % 10, group // 10 % 10, group % 10]
     # Per group of 4 digits (and of the last 2), the position after
     # its last nonzero digit among the 18, or 0 for a group of zeros.
-    trailing = sum((group % 10**t == 0).astype(np.uint8) for t in (1, 2, 3))
-    last = np.where(group > 0, 4 - trailing, 0).astype(np.uint8)
+    last = np.zeros(group.size, dtype=np.uint8)
+    for place, digit in enumerate(places):
+        last[digit > 0] = place + 1
     return {
-        "limbs": np.array(limbs, dtype=_U64).T.copy(),
-        "spacing": np.array(spacing, dtype=_U64),
-        "k": np.array(ks, dtype=np.intp),
-        "four": (group[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
-        .astype(np.uint8)
-        .view(np.uint32)
-        .reshape(-1),
+        "scale": np.zeros((4, 2048), dtype=_U64),
+        "known": np.zeros(2048, dtype=bool),
+        "k": np.where(e + 52 >= 0, 16 - exponent, 17 + exponent).astype(np.intp),
+        # The ASCII of each group's 4 digits, little-endian.
+        "four": sum(digit << 8 * place for place, digit in enumerate(places))
+        + np.uint32(0x30303030),
         # The last two digits, a NUL and the constants of a layout.
         "two": np.frombuffer(
             b"".join(b"%02d\0-.0e+" % i for i in range(100)), dtype=_U64
         ),
-        "last": [last + (last > 0) * np.uint8(start) for start in (0, 4, 8, 12)]
-        + [np.where(group[:100] > 0, 18 - (group[:100] % 10 == 0), 0).astype(np.uint8)],
+        # The last 2 digits are read as the group "00" and them.
+        "last": [last + (last > 0) * np.uint8(start) for start in (0, 4, 8, 12, 14)],
         "align": np.array([1, 10, 100], dtype=_U64),
         # Each lane's source row in a gather, in full: an in-place add
         # of a broadcast column allocates a buffer.
@@ -128,34 +132,23 @@ def _scales() -> dict:
     }
 
 
+def _scale(biased: int) -> list:
+    """The row of :func:`_scales` for a biased exponent: the limbs of
+    ``C = 2^(e + 121) 10^k``, rounded, above bit 32, and ``C >> 64``."""
+    e = min(max(biased, 1), 2046) - 1075
+    k = int(_scales()["k"][biased])
+    num = (1 << max(e + 121, 0)) * 10 ** max(k, 0)
+    den = (1 << max(-e - 121, 0)) * 10 ** max(-k, 0)
+    scale = (2 * num + den) // (2 * den)
+    return [(scale >> shift) & 0xFFFFFFFF for shift in (32, 64, 96)] + [scale >> 64]
+
+
 @functools.cache
 def _layout(spec: str):
-    """For ``spec``: per layout, the source positions of its 24 bytes;
-    per decimal point, the notation and the exponent word."""
+    """For ``spec``: per layout, built as read (:func:`_filled`), the
+    source positions of its 24 bytes; per decimal point, the notation
+    and the exponent word."""
     shortest = spec == "%r"
-    rows = []
-    for negative in (False, True):
-        for count in range(_DIGITS):
-            digits = list(range(max(count, 1)))
-            for form in range(_FORMS):
-                text = [_MINUS] if negative else []
-                if form < len(_FIXED):
-                    point = _FIXED[form]
-                    if point <= 0:
-                        text += [_ZERO, _DOT] + [_ZERO] * -point + digits
-                    elif count <= point:
-                        text += digits + [_ZERO] * (point - count)
-                        text += [_DOT, _ZERO] if shortest else []
-                    else:
-                        text += digits[:point] + [_DOT] + digits[point:]
-                else:
-                    flags = form - len(_FIXED)
-                    text += digits[:1] + ([_DOT] + digits[1:] if count > 1 else [])
-                    text += [_E, _EXPONENT_MINUS if flags & 2 else _PLUS]
-                    text += _EXPONENT_DIGITS[0 if flags & 1 else 1 :]
-                # Only layouts that no double takes run past 24 bytes.
-                text = text[:24]
-                rows.append(text + [_NUL] * (24 - len(text)))
     points = np.arange(-_POINT_OFFSET, _POINT_OFFSET + 1)
     exponents = points - 1
     fixed = (points >= _FIXED[0]) & (points <= (16 if shortest else 17))
@@ -165,7 +158,35 @@ def _layout(spec: str):
         len(_FIXED) + 2 * (exponents < 0) + (np.abs(exponents) >= 100),
     )
     words = b"".join(b"-%03d\0\0\0\0" % abs(e) for e in exponents.tolist())
-    return np.array(rows, dtype=np.intp), forms, np.frombuffer(words, dtype=_U64)
+    layouts = 2 * _DIGITS * _FORMS
+    positions = np.zeros((layouts, 24), dtype=np.intp), np.zeros(layouts, dtype=bool)
+    return positions, forms, np.frombuffer(words, dtype=_U64)
+
+
+def _positions(spec: str, layout: int) -> list:
+    """The row of :func:`_layout` for a layout: sign, count of
+    significant digits and notation."""
+    negative, layout = divmod(layout, _DIGITS * _FORMS)
+    count, form = divmod(layout, _FORMS)
+    digits = list(range(max(count, 1)))
+    text = [_MINUS] if negative else []
+    if form < len(_FIXED):
+        point = _FIXED[form]
+        if point <= 0:
+            text += [_ZERO, _DOT] + [_ZERO] * -point + digits
+        elif count <= point:
+            text += digits + [_ZERO] * (point - count)
+            text += [_DOT, _ZERO] if spec == "%r" else []
+        else:
+            text += digits[:point] + [_DOT] + digits[point:]
+    else:
+        flags = form - len(_FIXED)
+        text += digits[:1] + ([_DOT] + digits[1:] if count > 1 else [])
+        text += [_E, _EXPONENT_MINUS if flags & 2 else _PLUS]
+        text += _EXPONENT_DIGITS[0 if flags & 1 else 1 :]
+    # Only layouts that no double takes run past 24 bytes.
+    text = text[:24]
+    return text + [_NUL] * (24 - len(text))
 
 
 def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
@@ -174,7 +195,7 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     whose rows hold no text.  Each array is freed after its last read,
     so a block holds about ten of its uint64 arrays at a time."""
     scales = _scales()
-    positions, forms, exponent_words = _layout(spec)
+    (positions, layouts), forms, exponent_words = _layout(spec)
     shortest = spec == "%r"
     bits = x.view(_U64)
     biased = bits >> _U64(52)
@@ -194,7 +215,9 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     m_low &= _U64(0xFFFFFFFF)
     # m C / 2^64 as high 2^64 + low, from the limbs of C above bit 32:
     # the terms left out come to less than 2^33 in units of 2^-57 of y.
-    c1, c2, c3 = scales["limbs"]
+    # Filled by columns, which the takes read contiguous.
+    _filled(scales["scale"].T, scales["known"], index, _scale)
+    c1, c2, c3, spacing = scales["scale"]
     middle = c3.take(index)
     high = middle * m_high
     middle *= m_low
@@ -239,7 +262,7 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     if shortest:
         # The rounding interval: the integers from bottom to top lie in
         # it.  Its ends are uncertain within the margin of an integer.
-        half = scales["spacing"].take(index)
+        half = spacing.take(index)
         half >>= _U64(1)
         end = fraction + half
         top = end >> _U64(_FRACTION)
@@ -332,6 +355,7 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     layout += np.multiply(count, _FORMS, dtype=np.intp)
     del count
     layout += (bits >> _U64(63)).view(np.int64) * (_DIGITS * _FORMS)
+    _filled(positions, layouts, layout, functools.partial(_positions, spec))
     gather = np.empty((min(len(x), _LAYOUT_LANES), 24), dtype=np.intp)
     for start in range(0, len(x), _LAYOUT_LANES):
         lanes = layout[start : start + _LAYOUT_LANES]

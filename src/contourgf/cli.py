@@ -438,14 +438,14 @@ class _GfFormat:
     col.
     """
 
-    header: str
+    header: bytes
     separator: bytes
     lead: bytes
     number: str
     tail: bytes
     middle: bytes
     end: bytes
-    footer: str
+    footer: bytes
 
 
 # CSV prints a double with %.17g.  JSON prints it with %r, the repr
@@ -453,24 +453,24 @@ class _GfFormat:
 # ASCII (it is a key of COMPONENT_NAMES), so quoting it is its JSON form.
 _GF_FORMATS = {
     "csv": _GfFormat(
-        header=CSV_HEADER + "\n",
+        header=CSV_HEADER.encode() + b"\n",
         separator=b"",
         lead=b"",
         number="%.17g",
         tail=b",%s,%s,%d,%d,",
         middle=b",",
         end=b"\n",
-        footer="",
+        footer=b"",
     ),
     "json": _GfFormat(
-        header="[\n",
+        header=b"[\n",
         separator=b",\n",
         lead=b'  {"t": ',
         number="%r",
         tail=b', "t_prime": %s, "component": "%s", "row": %d, "col": %d, "re": ',
         middle=b', "im": ',
         end=b"}",
-        footer="\n]\n",
+        footer=b"\n]\n",
     ),
 }
 
@@ -532,10 +532,11 @@ def _formatted_rows(parts: np.ndarray, spec: str):
         yield from format_doubles(block.reshape(-1), spec).reshape(block.shape)
 
 
-def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> None:
-    """Write the records of one chunk's ``table``, one string per table
-    row, after ``separator``; ``stamps`` are the row times as printed and
-    ``tails`` the printed tails of a row's records, both as bytes.
+def _write_chunk(write, fmt: _GfFormat, table, stamps, tails, separator) -> None:
+    """Write the records of one chunk's ``table`` by ``write``, one bytes
+    object per table row, after ``separator``; ``stamps`` are the row
+    times as printed and ``tails`` the printed tails of a row's records,
+    both as bytes.
 
     Every word comes from :func:`format_doubles`.  When at most one
     double in ``GF_DISTINCT_RATIO`` of a chunk of at least as many rows
@@ -543,7 +544,7 @@ def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> Non
     words are looked up by the bits of its doubles: -0.0 and 0.0 stay
     apart, so the bytes are those of formatting in place.  Otherwise
     the chunk's doubles are formatted in place, in table order.  A row
-    is then one ``bytes.join`` of its record pieces, decoded once: the
+    is then one ``bytes.join`` of its record pieces: the
     lead and the stamp, carrying the previous record's end and
     separator, the tail, the real part's word, the middle and the
     imaginary part's word, and the last record's end.  What this holds
@@ -582,8 +583,20 @@ def _write_chunk(handle, fmt: _GfFormat, table, stamps, tails, separator) -> Non
         row = row.tolist()
         pieces[2::5] = row[0::2]
         pieces[4::5] = row[1::2]
-        handle.write(b"".join(pieces).decode())
+        write(b"".join(pieces))
         separator = fmt.separator
+
+
+def _byte_writer(handle):
+    """A function that writes ASCII bytes to the text stream ``handle``:
+    to its binary buffer, after the text it holds, when it has one whose
+    encoding and line ends leave ASCII as it is, so a row is neither
+    decoded nor encoded again; otherwise decoded, as text."""
+    buffer, encoding = getattr(handle, "buffer", None), getattr(handle, "encoding", None)
+    if buffer is None or not encoding or os.linesep != "\n" or "\n0".encode(encoding) != b"\n0":
+        return lambda data: handle.write(data.decode())
+    handle.flush()
+    return buffer.write
 
 
 def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
@@ -610,7 +623,8 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     times = grid.times
     stamps = format_doubles(times, fmt.number).tolist()
     d = config.system.dimension
-    handle.write(fmt.header)
+    write = _byte_writer(handle)
+    write(fmt.header)
     separator = b""
     for name in config.components:
         # Built after the component's first table, not beside it.
@@ -635,12 +649,12 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
                     for c in range(d)
                 ]
             _write_chunk(
-                handle, fmt, table, stamps[start : start + len(table)], tails, separator
+                write, fmt, table, stamps[start : start + len(table)], tails, separator
             )
             # Not kept into the evaluation of the next chunk.
             del table
             separator = fmt.separator
-    handle.write(fmt.footer)
+    write(fmt.footer)
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -202,10 +202,7 @@ def _over_times(system, rows, cols, t_ref, what) -> np.ndarray:
     step table is built only for a table that reads it."""
     t_row, t_col = (np.asarray(t, dtype=float).reshape(-1) for t in (rows, cols))
     p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
-    if isinstance(what, tuple):
-        stepped = _has_step(system.statistics, *what[1:])
-    else:
-        stepped = what not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO)
+    stepped = _reads_step(system.statistics, what)
     theta = regularized_step(t_row[:, None] - t_col) if stepped else None
     return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, what)
 
@@ -243,35 +240,37 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     """The tables of :func:`component_table` and :func:`solution_from_constants`:
     ``what``, a component or a ``(constants, row, col)`` position, over the
     stacks of ``pair``, from its products.  The step table ``theta`` is
-    only read; it may be None for a table that does not read it (K, the
-    zero block and a position without a step)."""
-    if what is KeldyshComponent.ZERO:
-        shape = (len(pair.p_row), len(pair.p_col)) + pair.p_row.shape[1:]
-        return np.zeros(shape, dtype=complex)
+    only read, where :func:`_reads_step` says so; it may be None for
+    any other table."""
+    stepped = _reads_step(pair.system.statistics, what)
     if isinstance(what, tuple):
         constants, row, col = what
         middle = getattr(constants, f"c{row + 1}{col + 1}")
         out = _sandwich(pair.p_row, middle, pair.p_col)
-        if _has_step(pair.system.statistics, row, col):
+        if stepped:
             out += theta[:, :, None, None] * (-1j * pair.free)
         return out
-    if what is KeldyshComponent.KELDYSH:
-        return pair.keldysh
+    if not stepped:
+        if what is KeldyshComponent.KELDYSH:
+            return pair.keldysh
+        shape = (len(pair.p_row), len(pair.p_col)) + pair.p_row.shape[1:]
+        return np.zeros(shape, dtype=complex)
     free = pair.free
     theta = theta[:, :, None, None]
     # The same products as the whole-table expressions, in the same
     # operand order, one block of rows at a time, into the free table
     # unless the pair is shared.  The Keldysh table is only read.
-    blocks = [slice(start, start + _STEP_ROWS) for start in range(0, len(free), _STEP_ROWS)]
+    starts = range(0, len(free), _STEP_ROWS)
     if what in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED):
         out = np.empty_like(free) if pair.shared else free
         # The step factor keeps its real part 0.0, and each block writes
         # its imaginary part: -1j * theta and 1j * (1 - theta) to the bit,
         # signs of zeros included, without the buffer that casts theta to
         # complex.
-        factor = np.zeros(theta[blocks[0]].shape, dtype=complex)
-        for rows in blocks:
-            step = factor[: len(theta[rows])]
+        factor = np.zeros(theta[:_STEP_ROWS].shape, dtype=complex)
+        for start in starts:
+            rows = slice(start, start + _STEP_ROWS)
+            step = factor[: len(free) - start]
             if what is KeldyshComponent.RETARDED:
                 np.negative(theta[rows], out=step.imag)
             else:
@@ -282,8 +281,9 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     # each operation as in that expression, the sums in place in the
     # first term, which is the table when one block holds all its rows.
     s_row, s_col = what.row_branch.sign, what.col_branch.sign
-    out = np.empty_like(free) if pair.shared and len(blocks) > 1 else free
-    for rows in blocks:
+    out = np.empty_like(free) if pair.shared and len(starts) > 1 else free
+    for start in starts:
+        rows = slice(start, start + _STEP_ROWS)
         step, block = theta[rows], free[rows]
         total = np.multiply(-1j * step, block)
         np.multiply(s_col, total, out=total)
@@ -292,10 +292,19 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
         np.add(pair.keldysh[rows], total, out=total)
         np.add(total, term, out=total)
         np.divide(total, 2.0, out=total)
-        if len(blocks) == 1:
+        if len(starts) == 1:
             return total
         out[rows] = total
     return out
+
+
+def _reads_step(statistics: Statistics, what) -> bool:
+    """Whether :func:`_tabulate` reads the step table for ``what``: for R,
+    A and the branch components, and for a position of the ansatz with
+    a step; not for K, the zero block or a position without a step."""
+    if isinstance(what, tuple):
+        return _has_step(statistics, *what[1:])
+    return what not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO)
 
 
 def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -311,17 +320,16 @@ def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     einsum into the table through a transposed view runs in the plain
     order, as slowly.  At d = 1 its transpose is already contiguous, so
     gf's largest tables are not copied; (m, c, a, n) copies them, 3.5x
-    slower there.  At d >= 2 a table of more than ``_PRODUCT_ENTRIES``
-    entries is computed in blocks of rows of at most that many entries,
-    or of one row, each copied into the table, so beside the table the
-    einsum's own layout holds at most one such block.
+    slower there.  At d >= 2 the table is computed in blocks of rows of
+    at most ``_PRODUCT_ENTRIES`` entries, or of one row, each copied into
+    the table, so beside the table the einsum's own layout holds at most
+    one such block.
     """
     q = q.conj()
     d = p.shape[-1]
+    if d == 1:
+        return np.einsum("nab,mcb->cnam", p, q).transpose(1, 3, 2, 0)
     step = max(1, _PRODUCT_ENTRIES // max(1, len(q) * d * d))
-    if d == 1 or len(p) <= step:
-        table = np.einsum("nab,mcb->cnam", p, q)
-        return np.ascontiguousarray(table.transpose(1, 3, 2, 0))
     out = np.empty((len(p), len(q), d, d), dtype=complex)
     for start in range(0, len(p), step):
         rows = slice(start, start + step)

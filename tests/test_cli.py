@@ -337,6 +337,30 @@ def test_gf_with_every_word_from_cpython_matches_reference(
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_gf_text_is_the_same_through_any_text_stream(tmp_path, output_format):
+    """Rows written as bytes to a stream's buffer, after text already in
+    it, or decoded where the stream has no buffer or an encoding that
+    changes ASCII, give the same text."""
+    config = _matrix_config(
+        tmp_path, 2, {"grid.n_slices": 11, "output.format": output_format}
+    )
+    run = load_config(config, [])
+    (grid,) = run.grids()
+    expected = gf_text(run)
+    streams = [io.StringIO()] + [
+        io.TextIOWrapper(io.BytesIO(), encoding=encoding, newline="")
+        for encoding in ("utf-8", "utf-16")
+    ]
+    for stream in streams:
+        stream.write("kept\n")
+        cli._write_gf(run, grid, stream)
+        stream.flush()
+        raw = getattr(stream, "buffer", None)
+        text = stream.getvalue() if raw is None else raw.getvalue().decode(stream.encoding)
+        assert text == "kept\n" + expected, stream
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gf_non_finite_table_is_numerical_error(
     tmp_path, capsys, monkeypatch, output_format, bad

@@ -151,3 +151,21 @@ def test_subnormals_and_non_finite_values_go_to_cpython(spec):
     assert _doubles._kernel(values, spec, out).tolist() == [True] * 5 + [False]
     want = [(spec % x).encode() for x in values.tolist()]
     assert format_doubles(values, spec).tolist() == want
+
+
+def test_tables_are_built_only_as_far_as_read():
+    # The families above read every exponent's scale and compare it
+    # with CPython; here, a row is built once, when first read.
+    built = []
+    table, known = np.zeros((8, 2)), np.zeros(8, dtype=bool)
+
+    def row(i):
+        built.append(i)
+        return [i, -i]
+
+    for index, new in (([3, 5, 3], [3, 5]), ([5, 3], []), ([0, 5], [0])):
+        built.clear()
+        _doubles._filled(table, known, np.array(index), row)
+        assert sorted(built) == new
+    assert np.flatnonzero(known).tolist() == [0, 3, 5]
+    assert table[:, 0].tolist() == [0, 0, 0, 3, 0, 5, 0, 0]
