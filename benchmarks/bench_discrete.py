@@ -1,9 +1,9 @@
 """Cost curves of the discrete route over N and d.
 
-``discrete_partition_function`` is timed at N in {64, 1024, 16384,
-262144} and ``discrete_green`` at N up to 2 N d = 4096, half the
-default contour-matrix cap (the cap itself means a 1 GiB result), for
-d in {1, 2, 4}.  The factorizations of one run are timed over its
+The partition function is timed at N in {64, 1024, 16384, 262144} for
+d in {1, 2, 4}, as ``z`` computes it: one grid of ``_factor``.  No
+command builds a dense G; ``bench_oracle.py`` times the streamed rows
+that ``verify`` builds.  The factorizations of one run are timed over its
 number of grids G in {1, 3, 8} (N = 192, 384, ..., as perfbench's
 ``partition`` workload), as the one stacked ``_factor`` call (the
 layer) and as a ``z`` command through ``cli.main`` (the command that
@@ -27,20 +27,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contourgf import (
-    LevelSystem,
-    Statistics,
-    TimeGrid,
-    discrete_green,
-    discrete_partition_function,
-)
+from contourgf import LevelSystem, Statistics, TimeGrid
 from contourgf.cli import main
 from contourgf.discrete import _factor
 
 DIMENSIONS = [1, 2, 4]
 PARTITION_SLICES = [64, 1024, 16384, 262144]
-GREEN_DIMENSION_LIMIT = 4096
-GREEN_SLICES = [64, 256, 1024, 2048]
 RUN_GRIDS = [1, 3, 8]
 
 
@@ -74,22 +66,10 @@ def _record_peak(benchmark, func, *args):
 @pytest.mark.parametrize("n_slices", PARTITION_SLICES)
 def test_partition_function(benchmark, dimension, n_slices):
     system = _system(dimension)
-    grid = TimeGrid(0.0, 1.0, n_slices)
-    _record_peak(benchmark, discrete_partition_function, system, grid)
-    z = benchmark(discrete_partition_function, system, grid)
-    assert np.isfinite(z)
-
-
-@pytest.mark.parametrize("dimension", DIMENSIONS)
-@pytest.mark.parametrize("n_slices", GREEN_SLICES)
-def test_green(benchmark, dimension, n_slices):
-    if 2 * n_slices * dimension > GREEN_DIMENSION_LIMIT:
-        pytest.skip("result above the benchmarked size")
-    system = _system(dimension)
-    grid = TimeGrid(0.0, 1.0, n_slices)
-    _record_peak(benchmark, discrete_green, system, grid)
-    gf = benchmark.pedantic(discrete_green, args=(system, grid), rounds=5, iterations=1)
-    assert np.isfinite(gf.partition_function)
+    grids = [TimeGrid(0.0, 1.0, n_slices)]
+    _record_peak(benchmark, _factor, system, grids)
+    (fac,) = benchmark(_factor, system, grids)
+    assert np.isfinite(fac.partition_function)
 
 
 def _run_slices(grid_count):

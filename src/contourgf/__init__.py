@@ -9,8 +9,10 @@ Two independent computational routes are provided and cross-checked:
 
 :mod:`contourgf.verify` binds the two routes together with structure and
 convergence suites; :mod:`contourgf.cli` exposes them as a command-line
-tool.  All functions are pure and keep no global state, so callers may
-parallelize over systems or time pairs freely.
+tool.  Every result depends only on the arguments, so callers may
+parallelize over systems or time pairs freely; the private number
+formatter of ``gf`` fills lookup tables per process on first use, which
+changes no output.
 """
 
 from .core import (
@@ -31,22 +33,12 @@ from .continuum import (
     SolutionConstants,
     component_table,
     fix_constants,
-    gf_component,
-    initial_boundary_ratio,
     keldysh_weight,
-    normalization_prefactor,
     regularized_step,
-    rho_from_nbar,
     rotated_block_layout,
-    solution_from_constants,
     thermal_nbar,
 )
-from .discrete import (
-    DiscreteGf,
-    contour_times,
-    discrete_green,
-    discrete_partition_function,
-)
+from .discrete import contour_times
 from .verify import (
     CheckResult,
     ConvergenceReport,
@@ -64,7 +56,6 @@ __all__ = [
     "CheckResult",
     "ContourComponent",
     "ConvergenceReport",
-    "DiscreteGf",
     "GridTooLargeError",
     "IllConditionedWarning",
     "KeldyshComponent",
@@ -79,20 +70,13 @@ __all__ = [
     "assemble_report",
     "component_table",
     "contour_times",
-    "discrete_green",
-    "discrete_partition_function",
     "fix_constants",
-    "gf_component",
-    "initial_boundary_ratio",
     "keldysh_weight",
-    "normalization_prefactor",
     "oracle_checks",
     "oracle_error_bound",
     "regularized_step",
-    "rho_from_nbar",
     "rotated_block_layout",
     "run_oracle_suite",
     "run_structure_suite",
-    "solution_from_constants",
     "thermal_nbar",
 ]

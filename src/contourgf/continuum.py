@@ -2,10 +2,9 @@
 
 Conventions
 -----------
-The statistics sign is ``zeta`` (+1 bosons, -1 fermions).  The
-distribution parameter is ``rho = nbar (1 + zeta nbar)^(-1)`` and the
-thermal occupation is ``nbar = 1/(exp((eps - mu)/T) - zeta)``.  With the
-step function theta (value 1/2 at coinciding times) the components are
+The statistics sign is ``zeta`` (+1 bosons, -1 fermions).  The thermal
+occupation is ``nbar = 1/(exp((eps - mu)/T) - zeta)``.  With the step
+function theta (value 1/2 at coinciding times) the components are
 
 * retarded   ``G_R(t, t') = -i theta(t - t') exp(-i eps (t - t'))``
 * advanced   ``G_A(t, t') = +i theta(t' - t) exp(-i eps (t - t'))``
@@ -42,10 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OCCUPATION_SLACK,
     ContourComponent,
     LevelSystem,
-    OccupationOutOfRangeError,
     Statistics,
     ThermalDivergenceError,
     propagator_stack,
@@ -57,14 +54,9 @@ __all__ = [
     "SolutionConstants",
     "component_table",
     "fix_constants",
-    "gf_component",
-    "initial_boundary_ratio",
     "keldysh_weight",
-    "normalization_prefactor",
     "regularized_step",
-    "rho_from_nbar",
     "rotated_block_layout",
-    "solution_from_constants",
     "thermal_nbar",
 ]
 
@@ -85,24 +77,6 @@ def regularized_step(x):
     step += 1.0
     step *= 0.5
     return step
-
-
-def rho_from_nbar(system: LevelSystem) -> np.ndarray:
-    """Distribution parameter ``rho = nbar (1 + zeta nbar)^(-1)``.
-
-    Mapped through the stored eigenbasis of ``nbar``.  Raises
-    :class:`~contourgf.core.OccupationOutOfRangeError` at the divergent
-    fermionic endpoint: an occupation within ``OCCUPATION_SLACK`` (1e-10,
-    absolute) of 1.
-    """
-    vals, vecs = system.nbar_eigh
-    denom = 1 + system.statistics.zeta * vals
-    if np.abs(denom).min() <= OCCUPATION_SLACK:
-        raise OccupationOutOfRangeError(
-            "distribution parameter diverges at occupation "
-            f"{vals[np.abs(denom).argmin()]:.6g}"
-        )
-    return (vecs * (vals / denom)) @ vecs.conj().T
 
 
 def thermal_nbar(
@@ -131,20 +105,6 @@ def thermal_nbar(
     if statistics is Statistics.BOSON:
         return 1.0 / math.expm1(x)
     return 1.0 / (math.exp(x) + 1.0)
-
-
-def normalization_prefactor(system: LevelSystem) -> float:
-    """Partition-sum prefactor ``(1 - zeta rho)^zeta = det(1 + zeta nbar)^(-zeta)``.
-
-    Equals ``1/(1 + nbar)`` for bosons and ``1 - nbar`` for fermions
-    (the reciprocal of the two-state trace).  Taken from the stored
-    eigenvalues of ``nbar`` directly, so it keeps its digits in the
-    classical limit, where ``rho`` rounds to 1.
-    """
-    vals, _ = system.nbar_eigh
-    zeta = system.statistics.zeta
-    with np.errstate(over="ignore"):
-        return float(np.prod(1.0 + zeta * vals) ** -zeta)
 
 
 def keldysh_weight(system: LevelSystem) -> np.ndarray:
@@ -192,19 +152,15 @@ def component_table(
     """
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
-    return _over_times(system, t_values, t_prime_values, t_ref, component)
-
-
-def _over_times(system, rows, cols, t_ref, what) -> np.ndarray:
-    """:func:`_tabulate` over all pairs of two time arrays: the set-up that
-    :func:`component_table` and :func:`solution_from_constants` each had.
-    The one table is the only reader of the pair's products, and the
-    step table is built only for a table that reads it."""
-    t_row, t_col = (np.asarray(t, dtype=float).reshape(-1) for t in (rows, cols))
+    # The one table is the only reader of the pair's products, and the
+    # step table is built only for a table that reads it.
+    t_row, t_col = (
+        np.asarray(t, dtype=float).reshape(-1) for t in (t_values, t_prime_values)
+    )
     p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
-    stepped = _reads_step(system.statistics, what)
+    stepped = _reads_step(system.statistics, component)
     theta = regularized_step(t_row[:, None] - t_col) if stepped else None
-    return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, what)
+    return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, component)
 
 
 class _Pair:
@@ -237,9 +193,12 @@ _PRODUCT_ENTRIES = 2**15
 
 
 def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
-    """The tables of :func:`component_table` and :func:`solution_from_constants`:
+    """The tables of :func:`component_table` and the structure suite:
     ``what``, a component or a ``(constants, row, col)`` position, over the
-    stacks of ``pair``, from its products.  The step table ``theta`` is
+    stacks of ``pair``, from its products.  A position holds the general
+    solution ``-i P_n [c + theta(t - t')] P_m^dag`` with the constant
+    block c of :class:`SolutionConstants` there, the step term only where
+    the statistics' layout puts R or A.  The step table ``theta`` is
     only read, where :func:`_reads_step` says so; it may be None for
     any other table."""
     stepped = _reads_step(pair.system.statistics, what)
@@ -345,36 +304,6 @@ def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.nd
     return out
 
 
-def gf_component(
-    system: LevelSystem,
-    component: KeldyshComponent | ContourComponent,
-    t: float,
-    t_prime: float,
-    *,
-    t_ref: float,
-) -> np.ndarray:
-    """One rotated-basis or branch-labelled component at a single time pair.
-
-    ``t_ref`` is the initial time of the contour; it is required even
-    for a single level so the call shape does not change with dimension.
-    Returns a ``(d, d)`` complex matrix.
-    """
-    return component_table(system, [t], [t_prime], component, t_ref)[0, 0]
-
-
-def initial_boundary_ratio(nbar: float) -> float:
-    """Quantum-to-classical boundary weight ``1/(1 + 2 nbar)`` at the
-    initial time of a bosonic single level.
-
-    Decays toward zero with growing occupation, which is the classical
-    limit of the boundary condition.
-    """
-    val = float(nbar)
-    if val < 0:
-        raise OccupationOutOfRangeError(f"occupation {val:.6g} below 0")
-    return 1.0 / (1.0 + 2.0 * val)
-
-
 @dataclass(frozen=True)
 class SolutionConstants:
     """Constant blocks of the general two-by-two contour solution.
@@ -454,28 +383,3 @@ def fix_constants(system: LevelSystem) -> SolutionConstants:
             first * eye + second * weight
         )
     return SolutionConstants(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
-
-
-def solution_from_constants(
-    system: LevelSystem,
-    constants: SolutionConstants,
-    row: int,
-    col: int,
-    t_values,
-    t_prime_values,
-    *,
-    t_ref: float,
-) -> np.ndarray:
-    """Evaluate the general solution at one rotated-basis position.
-
-    The constant block sits between the two propagators:
-    ``-i exp(-i eps (t - t_ref)) [c + theta(t - t')] exp(+i eps
-    (t' - t_ref))``, with the step term present only at the
-    step-structured positions of the statistics' layout.  For a single
-    level this is the familiar closed form; for many levels it is the
-    solution whose boundary conditions stay time independent.  Like
-    :func:`component_table` it tabulates all pairs from two time arrays
-    and returns an array of shape ``(len(t_values), len(t_prime_values),
-    d, d)``.
-    """
-    return _over_times(system, t_values, t_prime_values, t_ref, (constants, row, col))

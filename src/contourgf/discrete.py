@@ -43,9 +43,9 @@ Every transfer factor in the second line has modulus at most one: an
 entry ``t^-k``, k < N, of the power table of the forward or the backward
 transfer eigenvalues t, taken from their logarithms, or a product of
 two entries, so no product overflows.  The partition function costs
-O(d^3), independent of N, each contour row of G O(N d^2) and the full
-inverse O((N d)^2 d).  Only the blocks of D' enter: no closed form is
-used.  G is held as :class:`_Operands`, whose layout this module owns:
+O(d^3), independent of N, and each contour row of G O(N d^2).  Only
+the blocks of D' enter: no closed form is used.  G is held as
+:class:`_Operands`, whose layout this module owns:
 :mod:`contourgf.verify` writes the continuum prediction in that form,
 subtracts it, and streams the rows of the difference by
 :func:`_row_kernel`, in any order of row blocks.  Within a branch the
@@ -69,8 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_DIMENSION,
-    GridTooLargeError,
     IllConditionedWarning,
     LevelSystem,
     SingularMatrixError,
@@ -78,12 +76,7 @@ from .core import (
     max_abs,
 )
 
-__all__ = [
-    "DiscreteGf",
-    "contour_times",
-    "discrete_green",
-    "discrete_partition_function",
-]
+__all__ = ["contour_times"]
 
 # A' is singular when, each row scaled to the largest of the terms it is
 # computed from, its smallest singular value is at most this many
@@ -96,34 +89,18 @@ CONDITION_WARN = 1e12
 LOG2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
-class DiscreteGf:
-    """Discrete Green's function ``-i D'^{-1} diag(M, 1, ..., 1)`` with its
-    grid and system.
-
-    ``condition`` estimates the 1-norm condition number of D' with each
-    row of its first block row divided by that row's largest entry, as
-    ``||D'||_1 ||V^dag D'^{-1} V||_1`` of that matrix, both norms exact,
-    which lies within a factor d of the true one.  The scaling keeps the
-    estimate bounded in the boson classical limit.  ``partition_function``
-    is Z from the same factorization (see
-    :func:`discrete_partition_function`).
-    """
-
-    matrix: np.ndarray
-    grid: TimeGrid
-    system: LevelSystem
-    condition: float
-    partition_function: complex
-
-
 @dataclass(frozen=True, slots=True)
 class _Factorization:
     """D' reduced to its transfer eigenvalues and the d x d matrix A'.
 
     ``a_inverse`` is ``A'^{-1} V^dag M V``, the factor every block of G
     shares, on a grid of ``n_slices`` slices; ``partition_function`` is
-    ``det(D')^{-zeta}``.
+    ``det(D')^{-zeta}``.  ``condition`` estimates the 1-norm condition
+    number of D' with each row of its first block row divided by that
+    row's largest entry, as ``||D'||_1 ||V^dag D'^{-1} V||_1`` of that
+    matrix, both norms exact, which lies within a factor d of the true
+    one.  The scaling keeps the estimate bounded in the boson classical
+    limit.
     """
 
     basis: np.ndarray
@@ -168,15 +145,6 @@ def _contour_blocks(
     backward = eye + step
     occupation = system.statistics.zeta * system.nbar.T
     return forward, backward, eye + occupation, -occupation
-
-
-def _check_dimension(system: LevelSystem, grid: TimeGrid, max_dimension: int) -> int:
-    total = 2 * grid.n_slices * system.dimension
-    if total > max_dimension:
-        raise GridTooLargeError(
-            f"contour matrix dimension {total} exceeds cap {max_dimension}"
-        )
-    return total
 
 
 def _log_transfer(generator: np.ndarray, sign: int) -> np.ndarray:
@@ -264,7 +232,7 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     when the smallest singular value of A' = diag(1/l) + C diag(1 - 1/l),
     each row scaled by the largest of the terms it is computed from, falls
     to roundoff; warns with :class:`~contourgf.core.IllConditionedWarning`
-    when the condition estimate (see :class:`DiscreteGf`) exceeds
+    when the condition estimate (see :class:`_Factorization`) exceeds
     ``CONDITION_WARN`` (1e12; infinite once ``A'^{-1}`` or the norm of
     ``D'^{-1}`` overflows); and
     raises ``FloatingPointError`` when Z overflows.  Each grid's forward
@@ -532,16 +500,16 @@ def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_kernel(operands: _Operands, block: int | None = None):
+def _row_kernel(operands: _Operands, block: int):
     """Kernel for contour rows of ``operands``.
 
     Returns ``rows(start, stop, out=None)``, which writes contour rows
     start..stop into ``out`` (a new array when None), C-contiguous and
     ``((stop - start) d, 2 N d)``.  It takes the rows in pieces of at
-    most w = min(``block``, N) rows of one branch, w = N when ``block``
-    is None, so a call of at most ``block`` rows is at most one piece
-    per branch.  A piece from row ``low`` adds the lag blocks of columns
-    low .. low + w - 1 from a block-Toeplitz view of lags 0 .. w - 1,
+    most w = min(``block``, N) rows of one branch, so a call of at most
+    ``block`` rows is at most one piece per branch.  A piece from row
+    ``low`` adds the lag blocks of columns low .. low + w - 1 from a
+    block-Toeplitz view of lags 0 .. w - 1,
     formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.
     Past those columns, with a = low + w - 1 >= j and P the geometric
     powers with ``P[0] = 1``, the lag block at row j and column k is
@@ -556,7 +524,7 @@ def _row_kernel(operands: _Operands, block: int | None = None):
     left, powers, right = operands.lags
     n, d, s = powers.shape[1], left.shape[0], left.shape[1]
     half = n * d
-    width = n if block is None else min(block, n)
+    width = min(block, n)
     # tables[branch, a, w - 1 + lag, b] = (left diag(powers[lag]) right)_ab.
     mixed = (left.T[:, :, None] * right[:, None, :]).reshape(s, d * d)
     tables = np.zeros((2, d, 2 * width - 1, d), dtype=complex)
@@ -629,46 +597,3 @@ def _row_kernel(operands: _Operands, block: int | None = None):
         return out
 
     return rows
-
-
-def discrete_green(
-    system: LevelSystem,
-    grid: TimeGrid,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-) -> DiscreteGf:
-    """Discrete Green's function ``G = -i D'^{-1} diag(M, 1, ..., 1)`` by
-    the structured solve.
-
-    Computes the dense ``(2 N d)^2`` result as one call of the row
-    kernel, in O((N d)^2 d) from one factorization of the d x d loop
-    matrix A', which also gives the partition function and the condition
-    estimate of D' carried on the result.  Raises
-    :class:`~contourgf.core.GridTooLargeError` when ``2 N d`` exceeds
-    ``max_dimension``, :class:`~contourgf.core.SingularMatrixError` when
-    A' is singular to roundoff, and ``FloatingPointError`` when an entry
-    of G or Z is not finite.
-    """
-    _check_dimension(system, grid, max_dimension)
-    (fac,) = _factor(system, [grid])
-    matrix = _row_kernel(_green_operands(fac))(0, 2 * grid.n_slices)
-    return DiscreteGf(matrix, grid, system, fac.condition, fac.partition_function)
-
-
-def discrete_partition_function(system: LevelSystem, grid: TimeGrid) -> complex:
-    """Partition function ``det(D')^{-zeta}``.
-
-    Gaussian integration gives ``det^{-1}`` for bosons and ``det`` for
-    fermions; the occupation in the first block row of D' normalizes
-    it.  ``det D' = det(diag l) det A'`` and the
-    condition estimate cost O(d^3), independent of N; D' is never built,
-    so no grid cap applies.  Defined for every valid occupation,
-    including a full fermion level.  Equals 1 exactly for ``eps = 0`` or
-    ``nbar = 0`` and approaches 1 as O(1/N) otherwise.  Raises
-    ``FloatingPointError`` when ``eps dt`` overflows; then raises
-    :class:`~contourgf.core.SingularMatrixError` when A' is singular to
-    roundoff, warns with :class:`~contourgf.core.IllConditionedWarning`
-    when the condition estimate exceeds 1e12, and raises
-    ``FloatingPointError`` when Z overflows, in that order.
-    """
-    return _factor(system, [grid])[0].partition_function
-

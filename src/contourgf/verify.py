@@ -43,6 +43,7 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_DIMENSION,
     ContourComponent,
+    GridTooLargeError,
     LevelSystem,
     TimeGrid,
     max_abs,
@@ -58,7 +59,6 @@ from .continuum import (
     rotated_block_layout,
 )
 from .discrete import (
-    _check_dimension,
     _factor,
     _green_operands,
     _Operands,
@@ -454,7 +454,11 @@ def run_oracle_suite(
     ):
         raise ValueError("grids must share their endpoints")
     # Refuse an over-cap grid before any work; the finest is the largest.
-    _check_dimension(system, grids[-1], max_dimension)
+    total = 2 * grids[-1].n_slices * system.dimension
+    if total > max_dimension:
+        raise GridTooLargeError(
+            f"contour matrix dimension {total} exceeds cap {max_dimension}"
+        )
     factorizations = _factor(system, grids)
     workspace = _workspace(system, grids)
     errors = []

@@ -1,16 +1,17 @@
-"""Dense contour matrix D' and block access to a dense discrete G.
+"""Dense contour matrix D', the dense discrete G and block access to it.
 
 The reference the tests compare the structured contour solve against:
-D' expanded from the solver's own blocks, and the (d, d) block of G at a
-pair of branch slots.  No solver builds D' or reads G by slot.
+D' expanded from the solver's own blocks, G as one call of the row
+kernel the oracle streams, and the (d, d) block of G at a pair of branch
+slots.  No solver builds D' or the dense G, or reads G by slot.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from contourgf import Branch, ContourComponent, DiscreteGf, LevelSystem, TimeGrid
-from contourgf.discrete import _contour_blocks
+from contourgf import Branch, ContourComponent, LevelSystem, TimeGrid
+from contourgf.discrete import _contour_blocks, _factor, _green_operands, _row_kernel
 
 
 class IndexOutOfRangeError(IndexError):
@@ -80,24 +81,33 @@ def build_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     return matrix
 
 
+def dense_green(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
+    """``G = -i D'^{-1} diag(M, 1, ..., 1)`` on ``grid`` as a dense
+    ``(2 N d, 2 N d)`` array: the factorization the commands run, and all
+    2N contour rows in one call of the row kernel the oracle streams."""
+    (fac,) = _factor(system, [grid])
+    total = 2 * grid.n_slices
+    return _row_kernel(_green_operands(fac), total)(0, total)
+
+
 def extract_component(
-    gf: DiscreteGf,
+    green: np.ndarray,
+    grid: TimeGrid,
     component: ContourComponent,
     n: int,
     m: int,
 ) -> tuple[np.ndarray, float, float]:
-    """One ``(d, d)`` block of the discrete Green's function and the
-    physical times of its two slots.
+    """One ``(d, d)`` block of the dense discrete Green's function
+    ``green`` on ``grid`` and the physical times of its two slots.
 
     ``n`` and ``m`` are slice indices on the row and column branches
     selected by ``component``.  Eliminated variables (forward slot 0,
     backward slot N) raise :class:`IndexOutOfRangeError`.
     """
-    grid = gf.grid
-    d = gf.system.dimension
+    d = len(green) // (2 * grid.n_slices)
     row = ContourIndex(component.row_branch, n)
     col = ContourIndex(component.col_branch, m)
     j = row.position(grid.n_slices)
     k = col.position(grid.n_slices)
-    block = gf.matrix[(j - 1) * d : j * d, (k - 1) * d : k * d]
+    block = green[(j - 1) * d : j * d, (k - 1) * d : k * d]
     return block, row.time(grid), col.time(grid)

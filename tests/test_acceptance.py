@@ -17,14 +17,13 @@ from contourgf import (
     Statistics,
     TimeGrid,
     component_table,
-    discrete_partition_function,
-    gf_component,
-    initial_boundary_ratio,
+    keldysh_weight,
     run_oracle_suite,
     run_structure_suite,
     thermal_nbar,
 )
 from contourgf.cli import build_run_config, main
+from contourgf.discrete import _factor
 
 from conftest import random_system, taylor_propagator
 from gf_reference import iter_samples
@@ -86,6 +85,12 @@ def test_acceptance_2_oracle_equivalence():
     )
 
 
+def partition_function(system, n_slices):
+    """Z on ``n_slices`` slices of [0, 1], as ``z`` computes it."""
+    (fac,) = _factor(system, [TimeGrid(0.0, 1.0, n_slices)])
+    return fac.partition_function
+
+
 def test_acceptance_3_partition_function():
     start = time.perf_counter()
     problems = []
@@ -98,17 +103,13 @@ def test_acceptance_3_partition_function():
     ]
     for system in cases:
         label = f"{system.statistics.value} d={system.dimension}"
-        anchor = abs(
-            discrete_partition_function(system, TimeGrid(0.0, 1.0, 32)) - 1.0
-        )
+        anchor = abs(partition_function(system, 32) - 1.0)
         # The constant in the O(1/N) envelope, estimated at N = 32 with
         # a 10% margin for the approach to the asymptote.
         constant = 1.1 * 32 * anchor
         previous = anchor
         for n in (64, 128, 256):
-            deviation = abs(
-                discrete_partition_function(system, TimeGrid(0.0, 1.0, n)) - 1.0
-            )
+            deviation = abs(partition_function(system, n) - 1.0)
             if deviation > constant / n:
                 problems.append(
                     f"{label} N={n}: {deviation:.3e} > {constant / n:.3e}"
@@ -122,9 +123,7 @@ def test_acceptance_3_partition_function():
         LevelSystem(1.3, 0.0, Statistics.BOSON),
         LevelSystem(1.3, 0.0, Statistics.FERMION),
     ):
-        deviation = abs(
-            discrete_partition_function(system, TimeGrid(0.0, 1.0, 64)) - 1.0
-        )
+        deviation = abs(partition_function(system, 64) - 1.0)
         if deviation > 1e-13:
             problems.append(
                 f"exact case {system.statistics.value}: {deviation:.3e}"
@@ -149,7 +148,9 @@ def test_acceptance_4_thermal_consistency():
         )
         system = LevelSystem(np.diag(levels), np.diag(occ), statistics)
         t, t_prime = 0.9, 0.3
-        kel = gf_component(system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=0.0)
+        kel = component_table(
+            system, [t], [t_prime], KeldyshComponent.KELDYSH, 0.0
+        )[0, 0]
         zeta = statistics.zeta
         expected = np.diag(
             [
@@ -163,14 +164,22 @@ def test_acceptance_4_thermal_consistency():
     assert _report(4, "thermal consistency", ok, "; ".join(problems))
 
 
+def classicality_ratio(nbar):
+    """The quantum-to-classical weight ``1/W`` of a boson level's
+    initial boundary condition, ``W = 1 + 2 nbar`` as the boundary
+    condition takes it."""
+    weight = keldysh_weight(LevelSystem(1.0, nbar, Statistics.BOSON))
+    return 1.0 / weight[0, 0].real
+
+
 def test_acceptance_5_classicality_ratio():
     problems = []
-    if initial_boundary_ratio(0.0) != 1.0:
+    if classicality_ratio(0.0) != 1.0:
         problems.append("ratio at zero occupation")
-    if initial_boundary_ratio(49.5) > 0.01:
+    if classicality_ratio(49.5) > 0.01:
         problems.append("ratio at occupation 49.5")
     grid = np.logspace(-3.0, 3.0, 100)
-    values = [initial_boundary_ratio(v) for v in grid]
+    values = [classicality_ratio(v) for v in grid]
     if not all(a > b for a, b in zip(values, values[1:])):
         problems.append("not strictly decreasing")
     ok = not problems
@@ -217,9 +226,9 @@ def test_acceptance_6_many_level_reduction():
         system = random_system(rng, statistics, 2)
         weight = np.eye(2) + 2 * statistics.zeta * system.nbar.T
         for t, t_prime in pairs:
-            kel = gf_component(
-                system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=0.0
-            )
+            kel = component_table(
+                system, [t], [t_prime], KeldyshComponent.KELDYSH, 0.0
+            )[0, 0]
             left = taylor_propagator(system.epsilon, t)
             right = taylor_propagator(system.epsilon, t_prime)
             oracle = -1j * left @ weight @ right.conj().T

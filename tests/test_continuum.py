@@ -16,23 +16,21 @@ from contourgf import (
     OccupationOutOfRangeError,
     Statistics,
     ThermalDivergenceError,
+    TimeGrid,
     component_table,
     fix_constants,
-    gf_component,
-    initial_boundary_ratio,
     keldysh_weight,
-    normalization_prefactor,
     regularized_step,
-    rho_from_nbar,
     rotated_block_layout,
-    solution_from_constants,
     thermal_nbar,
 )
 
 from contourgf import continuum
 from contourgf.core import propagator_stack
+from contourgf.discrete import _factor
 
 from conftest import random_hermitian, random_system, taylor_propagator
+from dense_contour import build_contour_matrix
 
 EXACT_TOL = 1e-13
 ORACLE_TOL = 1e-12
@@ -54,6 +52,42 @@ def level(nbar, statistics):
     return LevelSystem(np.zeros(np.shape(nbar)), nbar, statistics)
 
 
+def point(system, component, t, t_prime, t_ref=0.0):
+    """The ``(d, d)`` block of ``component`` at one time pair."""
+    return component_table(system, [t], [t_prime], component, t_ref)[0, 0]
+
+
+def rho_from_nbar(system):
+    """The paper's distribution parameter ``rho = nbar (1 + zeta nbar)^(-1)``,
+    through the stored eigenbasis of ``nbar``."""
+    vals, vecs = system.nbar_eigh
+    return (vecs * (vals / (1 + system.statistics.zeta * vals))) @ vecs.conj().T
+
+
+def normalization_prefactor(system):
+    """The paper's partition-sum prefactor
+    ``(1 - zeta rho)^zeta = det(1 + zeta nbar)^(-zeta)``."""
+    zeta = system.statistics.zeta
+    return float(np.prod(1.0 + zeta * system.nbar_eigh[0]) ** -zeta)
+
+
+def assert_partition_function_carries_prefactor(system):
+    """Z of ``z`` in the paper's form.  D' with its first block row
+    multiplied by ``(1 + zeta nbar^T)^(-1)`` is Kamenev's contour matrix
+    D, whose closing row is ``[1, 0, ..., -zeta rho^T]``, so
+    ``Z = det(D')^(-zeta) = (1 - zeta rho)^zeta det(D)^(-zeta)``."""
+    grid = TimeGrid(0.0, 1.0, 8)
+    d, zeta = system.dimension, system.statistics.zeta
+    kamenev = build_contour_matrix(system, grid)
+    kamenev[:d] = np.linalg.solve(np.eye(d) + zeta * system.nbar.T, kamenev[:d])
+    np.testing.assert_allclose(kamenev[:d, :d], np.eye(d), atol=1e-14)
+    rho = rho_from_nbar(system)
+    np.testing.assert_allclose(kamenev[:d, -d:], -zeta * rho.T, atol=1e-14)
+    expected = normalization_prefactor(system) * np.linalg.det(kamenev) ** -zeta
+    z = _factor(system, [grid])[0].partition_function
+    assert z == pytest.approx(expected, rel=1e-12)
+
+
 def test_rho_scalar_values():
     assert rho_from_nbar(level(3.0, Statistics.BOSON)) == pytest.approx(
         0.75, abs=1e-15
@@ -71,16 +105,6 @@ def test_rho_matrix_maps_eigenvalues():
     occ_vals = np.sort(np.linalg.eigvalsh(nbar))
     rho_vals = np.sort(np.linalg.eigvalsh(rho))
     np.testing.assert_allclose(rho_vals, occ_vals / (1 + occ_vals), atol=1e-12)
-
-
-def test_rho_fermion_diverges_at_unit_occupation():
-    with pytest.raises(OccupationOutOfRangeError):
-        rho_from_nbar(level(1.0, Statistics.FERMION))
-
-
-def test_rho_rejects_negative_occupation():
-    with pytest.raises(OccupationOutOfRangeError):
-        rho_from_nbar(level(-0.2, Statistics.BOSON))
 
 
 def test_thermal_nbar_values():
@@ -126,6 +150,8 @@ def test_normalization_prefactor_scalar():
     assert normalization_prefactor(
         level(0.25, Statistics.FERMION)
     ) == pytest.approx(0.75, abs=1e-15)
+    for statistics, nbar in ((Statistics.BOSON, 1.0), (Statistics.FERMION, 0.25)):
+        assert_partition_function_carries_prefactor(LevelSystem(0.8, nbar, statistics))
 
 
 def test_normalization_prefactor_is_reciprocal_trace():
@@ -152,6 +178,12 @@ def test_normalization_prefactor_matrix_factorizes():
     assert normalization_prefactor(level(nbar, Statistics.BOSON)) == pytest.approx(
         expected, rel=1e-12
     )
+    epsilon = random_hermitian(rng, 3, -2.0, 2.0)
+    for statistics in Statistics:
+        occupation = nbar / 2.0 if statistics is Statistics.FERMION else nbar
+        assert_partition_function_carries_prefactor(
+            LevelSystem(epsilon, occupation, statistics)
+        )
 
 
 def test_keldysh_weight_transposes_without_conjugation():
@@ -256,16 +288,16 @@ def test_rotation_preserves_quadratic_form():
 
 def test_retarded_at_equal_times():
     system = LevelSystem(1.3, 0.4, Statistics.BOSON)
-    value = gf_component(system, KeldyshComponent.RETARDED, 0.5, 0.5, t_ref=0.0)
+    value = point(system, KeldyshComponent.RETARDED, 0.5, 0.5)
     assert value[0, 0] == pytest.approx(-0.5j, abs=1e-15)
-    value = gf_component(system, KeldyshComponent.ADVANCED, 0.5, 0.5, t_ref=0.0)
+    value = point(system, KeldyshComponent.ADVANCED, 0.5, 0.5)
     assert value[0, 0] == pytest.approx(0.5j, abs=1e-15)
 
 
 def test_keldysh_scalar_frozen_value():
     # eps = 1, nbar = 1/2 boson: -2i exp(-i (t - t')) at (0.7, 0.2).
     system = LevelSystem(1.0, 0.5, Statistics.BOSON)
-    value = gf_component(system, KeldyshComponent.KELDYSH, 0.7, 0.2, t_ref=0.0)
+    value = point(system, KeldyshComponent.KELDYSH, 0.7, 0.2)
     assert value[0, 0] == pytest.approx(
         -0.958851077208406 - 1.7551651237807455j, abs=1e-14
     )
@@ -273,19 +305,19 @@ def test_keldysh_scalar_frozen_value():
 
 def test_keldysh_static_boson():
     system = LevelSystem(0.0, 1.0, Statistics.BOSON)
-    value = gf_component(system, KeldyshComponent.KELDYSH, 0.9, 0.1, t_ref=0.0)
+    value = point(system, KeldyshComponent.KELDYSH, 0.9, 0.1)
     assert value[0, 0] == pytest.approx(-3.0j, abs=1e-15)
 
 
 def test_keldysh_empty_fermion():
     system = LevelSystem(0.0, 0.0, Statistics.FERMION)
-    value = gf_component(system, KeldyshComponent.KELDYSH, 0.9, 0.1, t_ref=0.0)
+    value = point(system, KeldyshComponent.KELDYSH, 0.9, 0.1)
     assert value[0, 0] == pytest.approx(-1.0j, abs=1e-15)
 
 
 def test_zero_component_vanishes():
     system = LevelSystem(1.0, 0.5, Statistics.FERMION)
-    value = gf_component(system, KeldyshComponent.ZERO, 0.3, 0.8, t_ref=0.0)
+    value = point(system, KeldyshComponent.ZERO, 0.3, 0.8)
     assert value[0, 0] == 0.0
 
 
@@ -293,7 +325,7 @@ def test_keldysh_matrix_against_series_oracle():
     rng = np.random.default_rng(8)
     system = random_system(rng, Statistics.FERMION, 2)
     t, t_prime, t_ref = 0.8, 0.3, 0.1
-    value = gf_component(system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=t_ref)
+    value = point(system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=t_ref)
     weight = np.eye(2) - 2 * system.nbar.T
     left = taylor_propagator(system.epsilon, t - t_ref)
     right = taylor_propagator(system.epsilon, t_prime - t_ref)
@@ -303,21 +335,21 @@ def test_keldysh_matrix_against_series_oracle():
 
 def test_retarded_reference_time_invariance():
     system = LevelSystem(0.9, 0.6, Statistics.BOSON)
-    a = gf_component(system, KeldyshComponent.RETARDED, 1.1, 0.4, t_ref=0.0)
-    b = gf_component(system, KeldyshComponent.RETARDED, 1.1, 0.4, t_ref=-5.0)
+    a = point(system, KeldyshComponent.RETARDED, 1.1, 0.4)
+    b = point(system, KeldyshComponent.RETARDED, 1.1, 0.4, t_ref=-5.0)
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
 def test_contour_equal_time_occupations():
     boson = LevelSystem(1.0, 0.8, Statistics.BOSON)
-    value = gf_component(boson, ContourComponent.PLUS_MINUS, 0.4, 0.4, t_ref=0.0)
+    value = point(boson, ContourComponent.PLUS_MINUS, 0.4, 0.4)
     assert value[0, 0] == pytest.approx(-0.8j, abs=1e-15)
-    value = gf_component(boson, ContourComponent.MINUS_PLUS, 0.4, 0.4, t_ref=0.0)
+    value = point(boson, ContourComponent.MINUS_PLUS, 0.4, 0.4)
     assert value[0, 0] == pytest.approx(-1.8j, abs=1e-15)
     fermion = LevelSystem(1.0, 0.4, Statistics.FERMION)
-    value = gf_component(fermion, ContourComponent.PLUS_MINUS, 0.4, 0.4, t_ref=0.0)
+    value = point(fermion, ContourComponent.PLUS_MINUS, 0.4, 0.4)
     assert value[0, 0] == pytest.approx(0.4j, abs=1e-15)
-    value = gf_component(fermion, ContourComponent.MINUS_PLUS, 0.4, 0.4, t_ref=0.0)
+    value = point(fermion, ContourComponent.MINUS_PLUS, 0.4, 0.4)
     assert value[0, 0] == pytest.approx(-0.6j, abs=1e-15)
 
 
@@ -351,20 +383,16 @@ def test_contour_components_reassemble_rotated_basis():
 
 def test_causality_is_exact():
     system = LevelSystem(1.7, 0.2, Statistics.FERMION)
-    assert gf_component(
-        system, KeldyshComponent.RETARDED, 0.2, 0.9, t_ref=0.0
-    )[0, 0] == 0.0
-    assert gf_component(
-        system, KeldyshComponent.ADVANCED, 0.9, 0.2, t_ref=0.0
-    )[0, 0] == 0.0
+    assert point(system, KeldyshComponent.RETARDED, 0.2, 0.9)[0, 0] == 0.0
+    assert point(system, KeldyshComponent.ADVANCED, 0.9, 0.2)[0, 0] == 0.0
 
 
 def test_conjugation_between_retarded_and_advanced():
     rng = np.random.default_rng(10)
     system = random_system(rng, Statistics.FERMION, 3)
     t, t_prime = 0.85, 0.25
-    ret = gf_component(system, KeldyshComponent.RETARDED, t, t_prime, t_ref=0.0)
-    adv = gf_component(system, KeldyshComponent.ADVANCED, t_prime, t, t_ref=0.0)
+    ret = point(system, KeldyshComponent.RETARDED, t, t_prime)
+    adv = point(system, KeldyshComponent.ADVANCED, t_prime, t)
     assert np.abs(ret.conj().T - adv).max() < EXACT_TOL
 
 
@@ -372,8 +400,8 @@ def test_keldysh_anti_hermiticity():
     rng = np.random.default_rng(12)
     system = random_system(rng, Statistics.BOSON, 3)
     t, t_prime = 0.15, 0.65
-    kel = gf_component(system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=0.0)
-    kel_swap = gf_component(system, KeldyshComponent.KELDYSH, t_prime, t, t_ref=0.0)
+    kel = point(system, KeldyshComponent.KELDYSH, t, t_prime)
+    kel_swap = point(system, KeldyshComponent.KELDYSH, t_prime, t)
     assert np.abs(kel.conj().T + kel_swap).max() < EXACT_TOL
 
 
@@ -381,9 +409,9 @@ def test_fdt_proportionality_single_level():
     system = LevelSystem(1.2, 0.6, Statistics.BOSON)
     weight = 1.0 + 2.0 * 0.6
     for t, t_prime in ((0.7, 0.2), (0.2, 0.7)):
-        kel = gf_component(system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=0.0)
-        ret = gf_component(system, KeldyshComponent.RETARDED, t, t_prime, t_ref=0.0)
-        adv = gf_component(system, KeldyshComponent.ADVANCED, t, t_prime, t_ref=0.0)
+        kel = point(system, KeldyshComponent.KELDYSH, t, t_prime)
+        ret = point(system, KeldyshComponent.RETARDED, t, t_prime)
+        adv = point(system, KeldyshComponent.ADVANCED, t, t_prime)
         assert abs(kel[0, 0] - (ret - adv)[0, 0] * weight) < EXACT_TOL
 
 
@@ -392,7 +420,7 @@ def test_component_table_shape_and_consistency():
     t_vals = np.array([0.0, 0.5, 1.0])
     table = component_table(system, t_vals, t_vals[:2], KeldyshComponent.RETARDED, 0.0)
     assert table.shape == (3, 2, 2, 2)
-    single = gf_component(system, KeldyshComponent.RETARDED, 0.5, 0.0, t_ref=0.0)
+    single = point(system, KeldyshComponent.RETARDED, 0.5, 0.0)
     np.testing.assert_allclose(table[1, 0], single, atol=1e-15)
 
 
@@ -500,11 +528,17 @@ def test_step_table_only_for_tables_that_read_it(monkeypatch, statistics):
         component_table(system, times, times, component, 0.0)
         reads = component not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO)
         assert len(built) == reads, component
+    # A position of the ansatz reads the step table where it has a step,
+    # and is tabulated without one elsewhere.
+    stack = propagator_stack(system, times)
+    pair = continuum._Pair(system, stack, stack)
     for row in range(2):
         for col in range(2):
-            built.clear()
-            solution_from_constants(system, constants, row, col, times, times, t_ref=0.0)
-            assert len(built) == continuum._has_step(statistics, row, col)
+            position = (constants, row, col)
+            stepped = continuum._has_step(statistics, row, col)
+            assert continuum._reads_step(statistics, position) == stepped
+            if not stepped:
+                continuum._tabulate(pair, None, position)
 
 
 @pytest.mark.parametrize("entries", [1, 40, 2**15])
@@ -531,12 +565,16 @@ def test_component_table_rejects_unknown_component():
         component_table(system, [0.0], [0.0], "R", 0.0)
 
 
+def initial_boundary_ratio(nbar):
+    """Quantum-to-classical weight ``1/(1 + 2 nbar)`` of a boson level's
+    initial boundary condition, from its solved constant ``c11 = W``."""
+    return 1.0 / fix_constants(level(nbar, Statistics.BOSON)).c11.item().real
+
+
 def test_initial_boundary_ratio_values():
     assert initial_boundary_ratio(0.0) == 1.0
     assert initial_boundary_ratio(1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert initial_boundary_ratio(49.5) == pytest.approx(0.01, abs=1e-17)
-    with pytest.raises(OccupationOutOfRangeError):
-        initial_boundary_ratio(-0.5)
 
 
 def test_initial_boundary_ratio_decreases():
@@ -672,21 +710,22 @@ def test_fix_constants_rejects_out_of_range_occupation():
 
 
 def test_solution_from_constants_matches_components():
+    # Each position of the ansatz, tabulated as the structure suite does,
+    # is the component that the statistics' layout puts there.
     rng = np.random.default_rng(14)
+    times = np.array([0.2, 0.5, 0.9])
     for statistics in Statistics:
         system = random_system(rng, statistics, 2)
         constants = fix_constants(system)
         layout = rotated_block_layout(statistics)
+        stack = propagator_stack(system, times)
+        pair = continuum._Pair(system, stack, stack)
+        theta = regularized_step(times[:, None] - times)
         for row in range(2):
             for col in range(2):
-                for t, t_prime in ((0.9, 0.2), (0.2, 0.9), (0.5, 0.5)):
-                    ansatz = solution_from_constants(
-                        system, constants, row, col, [t], [t_prime], t_ref=0.0
-                    )[0, 0]
-                    direct = gf_component(
-                        system, layout[row][col], t, t_prime, t_ref=0.0
-                    )
-                    assert np.abs(ansatz - direct).max() < ORACLE_TOL
+                ansatz = continuum._tabulate(pair, theta, (constants, row, col))
+                direct = component_table(system, times, times, layout[row][col], 0.0)
+                assert np.abs(ansatz - direct).max() < ORACLE_TOL
 
 
 def test_scalar_closed_forms_from_first_principles():
@@ -696,7 +735,7 @@ def test_scalar_closed_forms_from_first_principles():
     system = LevelSystem(eps, nbar, Statistics.BOSON)
     t, t_prime = 0.95, 0.15
     phase = cmath.exp(-1j * eps * (t - t_prime))
-    ret = gf_component(system, KeldyshComponent.RETARDED, t, t_prime, t_ref=0.0)
+    ret = point(system, KeldyshComponent.RETARDED, t, t_prime)
     assert ret[0, 0] == pytest.approx(-1j * phase, abs=1e-14)
-    kel = gf_component(system, KeldyshComponent.KELDYSH, t, t_prime, t_ref=0.0)
+    kel = point(system, KeldyshComponent.KELDYSH, t, t_prime)
     assert kel[0, 0] == pytest.approx(-1j * (1 + 2 * nbar) * phase, abs=1e-14)

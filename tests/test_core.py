@@ -1,5 +1,8 @@
 """Tests for the domain types and the dense linear-algebra kernel."""
 
+import inspect
+import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -20,7 +23,6 @@ from contourgf import (
     Statistics,
     TimeGrid,
     component_table,
-    discrete_partition_function,
     fix_constants,
     run_structure_suite,
 )
@@ -210,7 +212,7 @@ def test_system_is_diagonalized_once(monkeypatch):
     assert len(calls) == 2
     # The discrete route diagonalizes its own forward generator.
     for count in (3, 4):
-        discrete_partition_function(system, grid)
+        discrete._factor(system, [grid])
         assert len(calls) == count
 
 
@@ -292,7 +294,6 @@ PUBLIC_NAMES = [
     "CheckResult",
     "ContourComponent",
     "ConvergenceReport",
-    "DiscreteGf",
     "GridTooLargeError",
     "IllConditionedWarning",
     "KeldyshComponent",
@@ -307,21 +308,14 @@ PUBLIC_NAMES = [
     "assemble_report",
     "component_table",
     "contour_times",
-    "discrete_green",
-    "discrete_partition_function",
     "fix_constants",
-    "gf_component",
-    "initial_boundary_ratio",
     "keldysh_weight",
-    "normalization_prefactor",
     "oracle_checks",
     "oracle_error_bound",
     "regularized_step",
-    "rho_from_nbar",
     "rotated_block_layout",
     "run_oracle_suite",
     "run_structure_suite",
-    "solution_from_constants",
     "thermal_nbar",
 ]
 
@@ -332,11 +326,14 @@ TEST_ONLY_NAMES = [
     "build_contour_matrix",
     "contour_branch_signs",
     "continuum_contour_matrix",
+    "dense_green",
     "extract_component",
     "keldysh_rotate_boson",
     "keldysh_rotate_fermion",
     "keldysh_unrotate_boson",
     "keldysh_unrotate_fermion",
+    "normalization_prefactor",
+    "rho_from_nbar",
 ]
 
 
@@ -349,6 +346,59 @@ def test_public_surface():
         for name in TEST_ONLY_NAMES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(SolutionConstants, "to_scalars")
+
+
+def test_commands_enter_every_public_function(tmp_path, capsys):
+    # The library ships what the commands run: verify, converge and z on
+    # a two-level boson, gf as CSV and verify on a thermal fermion enter
+    # every function the package exports.
+    boson = {
+        "statistics": "boson",
+        "epsilon": [[1.0, 0.3], [0.3, -0.5]],
+        "nbar": [[0.4, 0.1], [0.1, 0.2]],
+        "grid": {"t_initial": 0.0, "t_final": 1.0, "n_slices": [16, 32]},
+    }
+    table = dict(
+        boson,
+        grid={"t_initial": 0.0, "t_final": 1.0, "n_slices": 8},
+        output={"format": "csv", "components": ["R", "K", "+-"], "path": None},
+    )
+    thermal = dict(
+        boson,
+        statistics="fermion",
+        epsilon=[[1.0, 0.0], [0.0, -0.5]],
+        nbar={"mu": 0.2, "T": 0.8},
+    )
+    runs = [
+        ("verify", boson),
+        ("converge", boson),
+        ("z", boson),
+        ("gf", table),
+        ("verify", thermal),
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    for index, (command, raw) in enumerate(runs):
+        config = tmp_path / f"run{index}.json"
+        config.write_text(json.dumps(raw))
+        sys.setprofile(profile)
+        try:
+            code = cli.main([command, "--config", str(config)])
+        finally:
+            sys.setprofile(None)
+        assert code == 0, command
+    capsys.readouterr()
+    missed = [
+        name
+        for name in contourgf.__all__
+        if inspect.isfunction(value := getattr(contourgf, name))
+        and value.__code__ not in entered
+    ]
+    assert missed == []
 
 
 def test_bounds_are_relative():

@@ -18,11 +18,10 @@ from contourgf import (
     SingularMatrixError,
     Statistics,
     TimeGrid,
+    component_table,
     contour_times,
-    discrete_green,
-    discrete_partition_function,
-    gf_component,
     oracle_error_bound,
+    run_oracle_suite,
 )
 from contourgf.core import max_abs
 from contourgf.discrete import _factor, _green_operands, _row_kernel
@@ -38,6 +37,7 @@ from dense_contour import (
     ContourIndex,
     IndexOutOfRangeError,
     build_contour_matrix,
+    dense_green,
     extract_component,
 )
 from dense_lu import lu_factorization
@@ -47,9 +47,14 @@ EXACT_TOL = 1e-13
 DENSE_TOL = 1e-12
 
 
+def partition_function(system, grid):
+    """Z of one grid, from the factorization ``z`` runs."""
+    return _factor(system, [grid])[0].partition_function
+
+
 def row_equilibrated(matrix, d):
     """D' with each row of its first block row divided by that row's
-    largest entry, the matrix whose condition ``DiscreteGf`` estimates."""
+    largest entry, the matrix whose condition ``_factor`` estimates."""
     out = matrix.copy()
     out[:d] /= np.abs(out[:d]).max(axis=1, keepdims=True)
     return out
@@ -76,14 +81,14 @@ def dense_reference(system, grid):
 
 
 def assert_matches_dense(system, grid):
-    gf = discrete_green(system, grid)
+    (fac,) = _factor(system, [grid])
     g_ref, z_ref, condition = dense_reference(system, grid)
-    assert np.abs(gf.matrix - g_ref).max() <= DENSE_TOL * np.abs(g_ref).max()
-    assert abs(gf.partition_function - z_ref) <= DENSE_TOL * abs(z_ref)
-    assert discrete_partition_function(system, grid) == gf.partition_function
+    green = dense_green(system, grid)
+    assert np.abs(green - g_ref).max() <= DENSE_TOL * np.abs(g_ref).max()
+    assert abs(fac.partition_function - z_ref) <= DENSE_TOL * abs(z_ref)
     # Exact for one level, within a factor d otherwise.
     d = system.dimension
-    ratio = gf.condition / condition
+    ratio = fac.condition / condition
     assert 1.0 / d - 1e-10 <= ratio <= d + 1e-10
     if d == 1:
         assert ratio == pytest.approx(1.0, rel=1e-10)
@@ -148,15 +153,14 @@ def test_static_empty_inverse_is_lower_triangle():
     # below the contour diagonal.
     system = LevelSystem(0.0, 0.0, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 4)
-    gf = discrete_green(system, grid)
     expected = -1j * np.tril(np.ones((8, 8)))
-    np.testing.assert_allclose(gf.matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(dense_green(system, grid), expected, atol=1e-14)
 
 
 def test_discrete_matches_continuum_components():
     system = LevelSystem(1.0, 0.5, Statistics.FERMION)
     grid = TimeGrid(0.0, 1.0, 64)
-    gf = discrete_green(system, grid)
+    green = dense_green(system, grid)
     bound = oracle_error_bound(system, grid)
     for comp, n, m in (
         (ContourComponent.PLUS_PLUS, 40, 10),
@@ -164,31 +168,31 @@ def test_discrete_matches_continuum_components():
         (ContourComponent.MINUS_PLUS, 25, 60),
         (ContourComponent.MINUS_MINUS, 5, 50),
     ):
-        block, t, t_prime = extract_component(gf, comp, n, m)
-        direct = gf_component(system, comp, t, t_prime, t_ref=0.0)
+        block, t, t_prime = extract_component(green, grid, comp, n, m)
+        direct = component_table(system, [t], [t_prime], comp, 0.0)[0, 0]
         assert np.abs(block - direct).max() < bound
 
 
 def test_extract_component_returns_grid_times():
     system = LevelSystem(0.3, 0.1, Statistics.BOSON)
     grid = TimeGrid(0.0, 2.0, 4)
-    gf = discrete_green(system, grid)
-    _, t, t_prime = extract_component(gf, ContourComponent.PLUS_MINUS, 3, 2)
+    green = dense_green(system, grid)
+    _, t, t_prime = extract_component(green, grid, ContourComponent.PLUS_MINUS, 3, 2)
     assert t == ContourIndex(Branch.FORWARD, 3).time(grid)
     assert t_prime == ContourIndex(Branch.BACKWARD, 2).time(grid)
     with pytest.raises(IndexOutOfRangeError):
-        extract_component(gf, ContourComponent.PLUS_PLUS, 0, 2)
+        extract_component(green, grid, ContourComponent.PLUS_PLUS, 0, 2)
     with pytest.raises(IndexOutOfRangeError):
-        extract_component(gf, ContourComponent.PLUS_MINUS, 1, 4)
+        extract_component(green, grid, ContourComponent.PLUS_MINUS, 1, 4)
 
 
 def test_grid_cap():
-    # The cap bounds the dense (2 N d)^2 arrays; Z builds none.
+    # The cap bounds the oracle's 2 N d on the finest grid; Z has none.
     system = LevelSystem(1.0, 0.5, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 16)
     with pytest.raises(GridTooLargeError):
-        discrete_green(system, grid, max_dimension=16)
-    z = discrete_partition_function(system, grid)
+        run_oracle_suite(system, [TimeGrid(0.0, 1.0, 8), grid], max_dimension=16)
+    z = partition_function(system, grid)
     _, z_ref, _ = dense_reference(system, grid)
     assert np.isfinite(z)
     assert abs(z - z_ref) <= DENSE_TOL * abs(z_ref)
@@ -213,9 +217,9 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     rng = np.random.default_rng([dimension, n_slices, statistics.zeta + 3])
     system = random_system(rng, statistics, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
-    dense = discrete_green(system, grid).matrix
-    rows = _row_kernel(_green_operands(_factor(system, [grid])[0]))
+    dense = dense_green(system, grid)
     total = 2 * n_slices
+    rows = _row_kernel(_green_operands(_factor(system, [grid])[0]), total)
     block = block or total
     stacked = np.vstack(
         [rows(start, min(start + block, total)) for start in range(0, total, block)]
@@ -300,11 +304,11 @@ def test_condition_bounded_in_classical_limit(dimension, n_slices, nbar):
     grid = TimeGrid(0.0, 1.0, n_slices)
     with warnings.catch_warnings():
         warnings.simplefilter("error", IllConditionedWarning)
-        gf = discrete_green(system, grid)
+        (fac,) = _factor(system, [grid])
     matrix = build_contour_matrix(system, grid)
     condition = np.linalg.cond(row_equilibrated(matrix, dimension), 1)
-    assert 1.0 / dimension - 1e-10 <= gf.condition / condition <= dimension + 1e-10
-    assert gf.condition < 1e-3 * np.linalg.cond(matrix, 1)
+    assert 1.0 / dimension - 1e-10 <= fac.condition / condition <= dimension + 1e-10
+    assert fac.condition < 1e-3 * np.linalg.cond(matrix, 1)
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -363,7 +367,7 @@ def test_partition_function_large_n_matches_exact_loop_product():
         ctx.prec = 40
         loop = (1 + x * x) ** (n - 1)
         exact = Decimal("0.5") / (1 - Decimal("0.5") * loop) - 1
-    z = discrete_partition_function(
+    z = partition_function(
         LevelSystem(eps, 1.0, Statistics.BOSON), TimeGrid(0.0, 1.0, n)
     )
     assert abs(z.imag) < 1e-15
@@ -403,7 +407,7 @@ def test_one_level_partition_function_matches_closed_form(statistics):
                 x = nbar * loop_gap
                 case = (nbar, eps, n)
                 try:
-                    z = discrete_partition_function(
+                    z = partition_function(
                         LevelSystem(eps, nbar, statistics), TimeGrid(0.0, 1.0, n)
                     )
                 except SingularMatrixError:
@@ -438,9 +442,7 @@ def test_discrete_pole_is_singular(eps, n):
     system = LevelSystem(eps, rho / (1.0 - rho), Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, n)
     with pytest.raises(SingularMatrixError):
-        discrete_green(system, grid)
-    with pytest.raises(SingularMatrixError):
-        discrete_partition_function(system, grid)
+        _factor(system, [grid])
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -454,14 +456,12 @@ def test_ill_conditioned_warning(statistics):
     system = LevelSystem(epsilon, nbar, statistics)
     grid = TimeGrid(0.0, 1.0, 8)
     with pytest.warns(IllConditionedWarning):
-        gf = discrete_green(system, grid)
-    with pytest.warns(IllConditionedWarning):
-        discrete_partition_function(system, grid)
+        (fac,) = _factor(system, [grid])
     condition = np.linalg.cond(
         row_equilibrated(build_contour_matrix(system, grid), 3), 1
     )
     assert condition > 1e12
-    assert condition / 3 <= gf.condition <= 3 * condition
+    assert condition / 3 <= fac.condition <= 3 * condition
 
 
 def test_partition_function_static_cases():
@@ -471,13 +471,13 @@ def test_partition_function_static_cases():
         (Statistics.BOSON, 1.3),
         (Statistics.FERMION, 0.7),
     ):
-        z = discrete_partition_function(
+        z = partition_function(
             LevelSystem(0.0, occupation, statistics), grid
         )
         assert abs(z - 1.0) < EXACT_TOL
     # nbar = 0: the corner vanishes and det D = 1.
     for statistics in Statistics:
-        z = discrete_partition_function(LevelSystem(1.2, 0.0, statistics), grid)
+        z = partition_function(LevelSystem(1.2, 0.0, statistics), grid)
         assert abs(z - 1.0) < EXACT_TOL
 
 
@@ -488,13 +488,13 @@ def test_partition_function_static_cases():
 def test_partition_function_empty_level_after_loop_underflow(statistics, eps, n_slices):
     # 1/l underflows for l > 1e308, but D stays unit lower triangular.
     grid = TimeGrid(0.0, 1.0, n_slices)
-    assert discrete_partition_function(LevelSystem(eps, 0.0, statistics), grid) == 1.0
+    assert partition_function(LevelSystem(eps, 0.0, statistics), grid) == 1.0
     # One empty level along an eps eigenvector beside an occupied one:
     # Z is that of the occupied level alone.
     two_levels = LevelSystem(np.diag([eps, 1.0]), np.diag([0.0, 0.3]), statistics)
     occupied = LevelSystem(1.0, 0.3, statistics)
-    z = discrete_partition_function(two_levels, grid)
-    z_ref = discrete_partition_function(occupied, grid)
+    z = partition_function(two_levels, grid)
+    z_ref = partition_function(occupied, grid)
     assert abs(z - z_ref) <= DENSE_TOL * abs(z_ref)
 
 
@@ -502,9 +502,9 @@ def test_partition_function_frozen_deviation():
     # Boson eps = 1, nbar = 1 on [0, 1]: closed-form determinant gives
     # |Z - 1| = 0.015741811... at N = 64, quartering at N = 256.
     system = LevelSystem(1.0, 1.0, Statistics.BOSON)
-    z64 = discrete_partition_function(system, TimeGrid(0.0, 1.0, 64))
+    z64 = partition_function(system, TimeGrid(0.0, 1.0, 64))
     assert abs(z64 - 1.0) == pytest.approx(0.01574181142848441, rel=1e-10)
-    z256 = discrete_partition_function(system, TimeGrid(0.0, 1.0, 256))
+    z256 = partition_function(system, TimeGrid(0.0, 1.0, 256))
     assert abs(z256 - 1.0) == pytest.approx(0.003913799251015426, rel=1e-10)
     assert abs(z64 - 1.0) / abs(z256 - 1.0) == pytest.approx(4.0, rel=0.05)
 
@@ -513,7 +513,7 @@ def test_partition_function_matrix_case_shrinks():
     rng = np.random.default_rng(27)
     system = random_system(rng, Statistics.FERMION, 2)
     deviations = [
-        abs(discrete_partition_function(system, TimeGrid(0.0, 1.0, n)) - 1.0)
+        abs(partition_function(system, TimeGrid(0.0, 1.0, n)) - 1.0)
         for n in (16, 32, 64)
     ]
     assert deviations[0] > deviations[1] > deviations[2]
@@ -529,9 +529,9 @@ def test_rotated_components_are_statistics_independent():
     grid = TimeGrid(0.0, 1.0, 48)
     blocks = {}
     for statistics in Statistics:
-        gf = discrete_green(LevelSystem(eps, occ, statistics), grid)
-        pp, t, tp = extract_component(gf, ContourComponent.PLUS_PLUS, 30, 10)
-        pm, _, _ = extract_component(gf, ContourComponent.PLUS_MINUS, 30, 10)
+        green = dense_green(LevelSystem(eps, occ, statistics), grid)
+        pp, t, tp = extract_component(green, grid, ContourComponent.PLUS_PLUS, 30, 10)
+        pm, _, _ = extract_component(green, grid, ContourComponent.PLUS_MINUS, 30, 10)
         blocks[statistics] = pp - pm
     bound = oracle_error_bound(LevelSystem(eps, occ, Statistics.BOSON), grid)
     assert np.abs(blocks[Statistics.BOSON] - blocks[Statistics.FERMION]).max() < 2 * bound
@@ -542,12 +542,11 @@ def test_zero_block_emerges_with_refinement():
     norms = []
     for n in (16, 64):
         grid = TimeGrid(0.0, 1.0, n)
-        gf = discrete_green(system, grid)
-        slot_row, slot_col = 3 * n // 4, n // 4
-        pp, _, _ = extract_component(gf, ContourComponent.PLUS_PLUS, slot_row, slot_col)
-        pm, _, _ = extract_component(gf, ContourComponent.PLUS_MINUS, slot_row, slot_col)
-        mp, _, _ = extract_component(gf, ContourComponent.MINUS_PLUS, slot_row, slot_col)
-        mm, _, _ = extract_component(gf, ContourComponent.MINUS_MINUS, slot_row, slot_col)
+        green = dense_green(system, grid)
+        pp, pm, mp, mm = (
+            extract_component(green, grid, component, 3 * n // 4, n // 4)[0]
+            for component in ContourComponent
+        )
         norms.append(np.abs((pp + mm - pm - mp) / 2.0).max())
     assert norms[0] < oracle_error_bound(system, TimeGrid(0.0, 1.0, 16))
     assert norms[1] < norms[0] / 2.0
@@ -559,16 +558,11 @@ def test_rotated_keldysh_combination():
     grid = TimeGrid(0.0, 1.0, 64)
     for statistics in Statistics:
         system = LevelSystem(1.1, 0.45, statistics)
-        gf = discrete_green(system, grid)
-        pp, t, tp = extract_component(gf, ContourComponent.PLUS_PLUS, 48, 16)
-        mm, _, _ = extract_component(gf, ContourComponent.MINUS_MINUS, 48, 16)
+        green = dense_green(system, grid)
+        pp, t, tp = extract_component(green, grid, ContourComponent.PLUS_PLUS, 48, 16)
+        mm, _, _ = extract_component(green, grid, ContourComponent.MINUS_MINUS, 48, 16)
         weight = 1.0 + 2.0 * statistics.zeta * 0.45
         expected = -1j * weight * np.exp(-1j * 1.1 * (t - tp))
         bound = oracle_error_bound(system, grid)
         assert abs((pp + mm)[0, 0] - expected) < bound
 
-
-def test_discrete_green_reports_condition():
-    system = LevelSystem(1.0, 0.5, Statistics.BOSON)
-    gf = discrete_green(system, TimeGrid(0.0, 1.0, 8))
-    assert gf.condition >= 1.0

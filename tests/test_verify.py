@@ -23,8 +23,6 @@ from contourgf import (
     TimeGrid,
     assemble_report,
     contour_times,
-    discrete_green,
-    discrete_partition_function,
     keldysh_weight,
     oracle_checks,
     oracle_error_bound,
@@ -37,6 +35,7 @@ from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
 
 from conftest import random_hermitian, random_system, random_unitary
+from dense_contour import dense_green
 
 # Agreement of the row kernel with the einsum reference, relative to max|G|.
 KERNEL_TOL = 1e-13
@@ -69,16 +68,15 @@ def continuum_from_operands(system, grid):
     row kernel that streams ``G - C``: the greater product at and before
     the row, the lesser one after it."""
     operands = verify._continuum_operands(system, grid)
-    return discrete._row_kernel(operands)(0, 2 * grid.n_slices)
+    total = 2 * grid.n_slices
+    return discrete._row_kernel(operands, total)(0, total)
 
 
 def dense_oracle_errors(system, grids):
     """Max of |G - continuum| per grid from the dense reference."""
     errors = []
     for grid in grids:
-        diff = discrete_green(system, grid).matrix - continuum_contour_reference(
-            system, grid
-        )
+        diff = dense_green(system, grid) - continuum_contour_reference(system, grid)
         errors.append(float(np.abs(diff).max()))
     return errors
 
@@ -168,9 +166,8 @@ def test_structure_suite_passes_across_the_domain(case, n_slices):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            z = discrete_partition_function(
-                system, TimeGrid(t_initial, t_final, n_slices)
-            )
+            (fac,) = _factor(system, [TimeGrid(t_initial, t_final, n_slices)])
+            z = fac.partition_function
     except (SingularMatrixError, FloatingPointError):
         return
     assert cmath.isfinite(z)
@@ -469,7 +466,7 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     # The fused kernel gives G - C by contour rows, built for the suite's
     # blocks and for blocks of one and of three rows, whose lag terms
     # past a piece are products.
-    green = discrete_green(system, grid).matrix
+    green = dense_green(system, grid)
     difference = green - reference
     tol = KERNEL_TOL * max(np.abs(reference).max(), np.abs(green).max())
     fac = _factor(system, [grid])[0]
@@ -571,9 +568,7 @@ def test_oracle_errors_match_dense_mask_at_extremes(monkeypatch, case, entries):
 def dense_difference_rows(system, grid):
     """``G - C`` from the dense references, and a ``difference_rows``
     kernel that reads its rows: entries can be set per test."""
-    difference = discrete_green(system, grid).matrix - continuum_contour_reference(
-        system, grid
-    )
+    difference = dense_green(system, grid) - continuum_contour_reference(system, grid)
     d = system.dimension
 
     def difference_rows(start, stop, out):
@@ -832,7 +827,6 @@ def test_verify_reads_the_discrete_route_through_its_operands():
         for alias in node.names
     }
     assert imported == {
-        "_check_dimension",
         "_factor",
         "_green_operands",
         "_Operands",
