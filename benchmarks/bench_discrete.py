@@ -22,7 +22,6 @@ depend on the thread count of the machine.
 import contextlib
 import io
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ import pytest
 from contourgf import LevelSystem, Statistics, TimeGrid
 from contourgf.cli import main
 from contourgf.discrete import _factor
+
+from cases import peak_mib, random_matrices
 
 DIMENSIONS = [1, 2, 4]
 PARTITION_SLICES = [64, 1024, 16384, 262144]
@@ -39,27 +40,8 @@ RUN_GRIDS = [1, 3, 8]
 def _system(dimension):
     """Fermion levels with eps in [-1, 1] and nbar in [0.2, 0.8], in
     independent random eigenbases so the two do not commute."""
-    rng = np.random.default_rng(dimension)
-
-    def hermitian(spectrum):
-        gauss = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
-            size=(dimension, dimension)
-        )
-        basis, _ = np.linalg.qr(gauss)
-        return (basis * spectrum) @ basis.conj().T
-
-    epsilon = hermitian(rng.uniform(-1.0, 1.0, size=dimension))
-    nbar = hermitian(np.linspace(0.2, 0.8, dimension))
-    return LevelSystem(epsilon, nbar, Statistics.FERMION)
-
-
-def _record_peak(benchmark, func, *args):
-    tracemalloc.start()
-    try:
-        func(*args)
-        benchmark.extra_info["peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    matrices = random_matrices(dimension, np.linspace(0.2, 0.8, dimension))
+    return LevelSystem(*matrices, Statistics.FERMION)
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)
@@ -67,7 +49,7 @@ def _record_peak(benchmark, func, *args):
 def test_partition_function(benchmark, dimension, n_slices):
     system = _system(dimension)
     grids = [TimeGrid(0.0, 1.0, n_slices)]
-    _record_peak(benchmark, _factor, system, grids)
+    benchmark.extra_info["peak_mib"] = peak_mib(_factor, system, grids)
     (fac,) = benchmark(_factor, system, grids)
     assert np.isfinite(fac.partition_function)
 
@@ -81,7 +63,7 @@ def _run_slices(grid_count):
 def test_run_factorization(benchmark, dimension, grid_count):
     system = _system(dimension)
     grids = [TimeGrid(0.0, 1.0, n) for n in _run_slices(grid_count)]
-    _record_peak(benchmark, _factor, system, grids)
+    benchmark.extra_info["peak_mib"] = peak_mib(_factor, system, grids)
     factorizations = benchmark(_factor, system, grids)
     assert all(np.isfinite(fac.partition_function) for fac in factorizations)
 
@@ -107,7 +89,7 @@ def test_z_command(benchmark, tmp_path, dimension, grid_count):
             code = main(["z", "--config", str(config)])
         return code, out.getvalue()
 
-    _record_peak(benchmark, z_command)
+    benchmark.extra_info["peak_mib"] = peak_mib(z_command)
     code, text = benchmark(z_command)
     assert code == 0
     assert len(json.loads(text)) == grid_count

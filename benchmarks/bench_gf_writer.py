@@ -25,10 +25,11 @@ import contextlib
 import json
 import statistics
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
+
+from cases import peak_mib, random_matrices
 
 SLICES = [30, 120, 480]
 DIMENSIONS = [1, 2]
@@ -51,20 +52,14 @@ class _Sink:
 
 def gf_config(dimension, n_slices, output_format) -> dict:
     """The config of one case, as its JSON object."""
-    rng = np.random.default_rng(dimension)
-
-    def hermitian(spectrum):
-        gauss = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
-            size=(dimension, dimension)
-        )
-        basis, _ = np.linalg.qr(gauss)
-        matrix = (basis * spectrum) @ basis.conj().T
-        return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
-
+    epsilon, nbar = (
+        {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+        for matrix in random_matrices(dimension, np.linspace(0.2, 1.2, dimension))
+    )
     return {
         "statistics": "boson",
-        "epsilon": hermitian(rng.uniform(-1.0, 1.0, size=dimension)),
-        "nbar": hermitian(np.linspace(0.2, 1.2, dimension)),
+        "epsilon": epsilon,
+        "nbar": nbar,
         "grid": {"t_initial": 0.0, "t_final": 2.0, "n_slices": n_slices},
         "output": {"format": output_format, "components": COMPONENTS, "path": None},
     }
@@ -88,15 +83,6 @@ def _gf(config):
     return sink.chars
 
 
-def _peak_mib(config):
-    tracemalloc.start()
-    try:
-        _gf(config)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("dimension", DIMENSIONS)
 @pytest.mark.parametrize("n_slices", SLICES)
@@ -104,7 +90,7 @@ def test_gf_writer(benchmark, tmp_path, n_slices, dimension, output_format):
     config = _config(tmp_path, dimension, n_slices, output_format)
     rows = len(COMPONENTS) * (n_slices + 1) ** 2 * dimension**2
     benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["peak_mib"] = _peak_mib(config)
+    benchmark.extra_info["peak_mib"] = peak_mib(_gf, config)
     chars = benchmark(_gf, config)
     benchmark.extra_info["chars"] = chars
     benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
@@ -143,12 +129,7 @@ def test_formatter(benchmark, monkeypatch, block, spec):
     words = values.tolist()
     expected = [(spec % x).encode() for x in words]
     assert _doubles.format_doubles(values, spec).tolist() == expected
-    tracemalloc.start()
-    try:
-        _doubles.format_doubles(values, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_mib(_doubles.format_doubles, values, spec) * 2**20
     cpython = []
     for _ in range(5):
         start = time.perf_counter()

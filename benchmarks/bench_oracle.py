@@ -21,44 +21,24 @@ run it with
 One BLAS thread, as in ``perfbench`` and ``bench_discrete.py``.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from contourgf import LevelSystem, Statistics, TimeGrid, run_oracle_suite, verify
 from contourgf.discrete import _factor
 
+from cases import peak_mib, random_matrices
+
 DIMENSIONS = [1, 2, 4]
 SLICES = [64, 128, 256, 512, 1024]
 DIMENSION_LIMIT = 8192
 
 
-def _peak_mib(function, *args):
-    """``tracemalloc`` peak of one call, in MiB."""
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def _system(dimension):
     """Boson levels with eps in [-1, 1] and nbar in [0.2, 1.5], in
     independent random eigenbases so the two do not commute."""
-    rng = np.random.default_rng(dimension)
-
-    def hermitian(spectrum):
-        gauss = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
-            size=(dimension, dimension)
-        )
-        basis, _ = np.linalg.qr(gauss)
-        return (basis * spectrum) @ basis.conj().T
-
-    epsilon = hermitian(rng.uniform(-1.0, 1.0, size=dimension))
-    nbar = hermitian(np.linspace(0.2, 1.5, dimension))
-    return LevelSystem(epsilon, nbar, Statistics.BOSON)
+    matrices = random_matrices(dimension, np.linspace(0.2, 1.5, dimension))
+    return LevelSystem(*matrices, Statistics.BOSON)
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)
@@ -69,7 +49,7 @@ def test_oracle_suite(benchmark, dimension, n_slices):
         pytest.skip("contour dimension above the benchmarked size")
     system = _system(dimension)
     grids = [TimeGrid(0.0, 1.0, n_slices // 2), TimeGrid(0.0, 1.0, n_slices)]
-    benchmark.extra_info["peak_mib"] = _peak_mib(run_oracle_suite, system, grids)
+    benchmark.extra_info["peak_mib"] = peak_mib(run_oracle_suite, system, grids)
     benchmark.extra_info["inverse_mib"] = total**2 * 16 / 2**20
     report = benchmark(run_oracle_suite, system, grids)
     assert all(e < b for e, b in zip(report.errors, report.error_bounds))
@@ -89,6 +69,6 @@ def test_grid_error(benchmark, dimension, n_slices):
         rows = verify._difference_rows(system, grid, fac)
         return verify._grid_error(system, grid, rows, workspace)
 
-    benchmark.extra_info["peak_mib"] = _peak_mib(grid_error)
+    benchmark.extra_info["peak_mib"] = peak_mib(grid_error)
     error = benchmark(grid_error)
     assert error < verify.oracle_error_bound(system, grid)

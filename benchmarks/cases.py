@@ -1,0 +1,40 @@
+"""What the benchmark files share: the ``tracemalloc`` peak of one call
+and the random matrices of their level systems.
+
+numpy alone is imported here, so that ``ab_inprocess.py`` and
+``cold_gf.py`` can take the cases of ``bench_gf_writer.py`` beside two
+trees of their own.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+
+def peak_mib(function, *args, **kwargs) -> float:
+    """``tracemalloc`` peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        function(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def random_matrices(dimension, occupations):
+    """An energy matrix with eigenvalues drawn from [-1, 1] and an
+    occupation matrix with eigenvalues ``occupations``, in independent
+    random eigenbases so the two do not commute.  Seeded by
+    ``dimension``: the energies are drawn first, then the energy basis,
+    then the occupation basis."""
+    rng = np.random.default_rng(dimension)
+
+    def hermitian(spectrum):
+        gauss = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
+            size=(dimension, dimension)
+        )
+        basis, _ = np.linalg.qr(gauss)
+        return (basis * spectrum) @ basis.conj().T
+
+    epsilon = hermitian(rng.uniform(-1.0, 1.0, size=dimension))
+    return epsilon, hermitian(occupations)

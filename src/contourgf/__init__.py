@@ -16,7 +16,6 @@ changes no output.
 """
 
 from .core import (
-    Branch,
     ContourComponent,
     GridTooLargeError,
     IllConditionedWarning,
@@ -30,7 +29,6 @@ from .core import (
 )
 from .continuum import (
     KeldyshComponent,
-    SolutionConstants,
     component_table,
     fix_constants,
     keldysh_weight,
@@ -52,7 +50,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
     "CheckResult",
     "ContourComponent",
     "ConvergenceReport",
@@ -63,7 +60,6 @@ __all__ = [
     "NonHermitianError",
     "OccupationOutOfRangeError",
     "SingularMatrixError",
-    "SolutionConstants",
     "Statistics",
     "ThermalDivergenceError",
     "TimeGrid",

@@ -41,7 +41,12 @@ from functools import partial
 
 import numpy as np
 
-from .continuum import KeldyshComponent, component_table, thermal_nbar
+from .continuum import (
+    KeldyshComponent,
+    component_table,
+    keldysh_weight,
+    thermal_nbar,
+)
 from .core import (
     DEFAULT_MAX_DIMENSION,
     ContourComponent,
@@ -674,6 +679,11 @@ def cmd_gf(config: RunConfig) -> int:
         raise GridTooLargeError(
             f"component table dimension {dimension} exceeds cap {config.max_dimension}"
         )
+    # K and the branch components read W, which overflows for a boson
+    # occupation near the largest double.
+    ret, adv, _, zero = KeldyshComponent  # in definition order
+    if {COMPONENT_NAMES[name] for name in config.components} - {ret, adv, zero}:
+        keldysh_weight(config.system)
     with _output(config.output_path) as handle:
         _write_gf(config, grid, handle)
     return EXIT_OK

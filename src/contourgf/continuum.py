@@ -16,9 +16,10 @@ transposition, not conjugation.  For a single level the Keldysh factor
 reduces to ``1 + 2 zeta nbar`` and the reference time drops out.  The
 remaining rotated-basis component vanishes identically.
 
-Contour-branch components follow from the same three functions:
+Contour-branch components are computed from the same three tables:
 ``G^{bb'} = (G_K + s(b') G_R + s(b) G_A)/2`` with branch signs
-``s(+) = +1`` and ``s(-) = -1``, identical for both statistics.
+``s(+) = +1`` and ``s(-) = -1`` (:attr:`ContourComponent.signs`),
+identical for both statistics.
 
 :func:`regularized_step` is the one symmetric step of every table here
 (the oracle's continuum rows take the contour order instead).  It sits
@@ -36,7 +37,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .core import (
 __all__ = [
     "ContourComponent",
     "KeldyshComponent",
-    "SolutionConstants",
     "component_table",
     "fix_constants",
     "keldysh_weight",
@@ -153,13 +152,15 @@ def component_table(
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
     # The one table is the only reader of the pair's products, and the
-    # step table is built only for a table that reads it.
+    # step table is built only for the tables that read it: R, A and the
+    # branch components.
     t_row, t_col = (
         np.asarray(t, dtype=float).reshape(-1) for t in (t_values, t_prime_values)
     )
     p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
-    stepped = _reads_step(system.statistics, component)
-    theta = regularized_step(t_row[:, None] - t_col) if stepped else None
+    theta = None
+    if component not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO):
+        theta = regularized_step(t_row[:, None] - t_col)
     return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, component)
 
 
@@ -197,73 +198,53 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     ``what``, a component or a ``(constants, row, col)`` position, over the
     stacks of ``pair``, from its products.  A position holds the general
     solution ``-i P_n [c + theta(t - t')] P_m^dag`` with the constant
-    block c of :class:`SolutionConstants` there, the step term only where
-    the statistics' layout puts R or A.  The step table ``theta`` is
-    only read, where :func:`_reads_step` says so; it may be None for
-    any other table."""
-    stepped = _reads_step(pair.system.statistics, what)
-    if isinstance(what, tuple):
-        constants, row, col = what
-        middle = getattr(constants, f"c{row + 1}{col + 1}")
-        out = _sandwich(pair.p_row, middle, pair.p_col)
-        if stepped:
-            out += theta[:, :, None, None] * (-1j * pair.free)
-        return out
-    if not stepped:
-        if what is KeldyshComponent.KELDYSH:
-            return pair.keldysh
+    block ``c = constants[row][col]`` of :func:`fix_constants`, the step
+    term only where the statistics' layout puts R or A.  The step table
+    ``theta`` is only read, and may be None for K, the zero block and a
+    position without a step."""
+    if what is KeldyshComponent.KELDYSH:
+        return pair.keldysh
+    if what is KeldyshComponent.ZERO:
         shape = (len(pair.p_row), len(pair.p_col)) + pair.p_row.shape[1:]
         return np.zeros(shape, dtype=complex)
+    if isinstance(what, tuple):
+        constants, row, col = what
+        out = _sandwich(pair.p_row, constants[row][col], pair.p_col)
+        if _has_step(pair.system.statistics, row, col):
+            out += theta[:, :, None, None] * (-1j * pair.free)
+        return out
+    # R = -1j theta free, A = 1j (1 - theta) free and a branch component
+    # (kel + s_col R + s_row A) / 2, each operation as in those
+    # expressions, one block of rows at a time, into the free table
+    # unless the pair is shared.  A's block goes first, as R's block may
+    # be written over the free block both read.  The Keldysh table is
+    # only read.
     free = pair.free
     theta = theta[:, :, None, None]
-    # The same products as the whole-table expressions, in the same
-    # operand order, one block of rows at a time, into the free table
-    # unless the pair is shared.  The Keldysh table is only read.
-    starts = range(0, len(free), _STEP_ROWS)
-    if what in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED):
-        out = np.empty_like(free) if pair.shared else free
-        # The step factor keeps its real part 0.0, and each block writes
-        # its imaginary part: -1j * theta and 1j * (1 - theta) to the bit,
-        # signs of zeros included, without the buffer that casts theta to
-        # complex.
-        factor = np.zeros(theta[:_STEP_ROWS].shape, dtype=complex)
-        for start in starts:
-            rows = slice(start, start + _STEP_ROWS)
-            step = factor[: len(free) - start]
-            if what is KeldyshComponent.RETARDED:
-                np.negative(theta[rows], out=step.imag)
-            else:
-                np.subtract(1.0, theta[rows], out=step.imag)
-            np.multiply(step, free[rows], out=out[rows])
-        return out
-    # (kel + s_col (-1j theta free) + s_row (1j (1 - theta) free)) / 2,
-    # each operation as in that expression, the sums in place in the
-    # first term, which is the table when one block holds all its rows.
-    s_row, s_col = what.row_branch.sign, what.col_branch.sign
-    out = np.empty_like(free) if pair.shared and len(starts) > 1 else free
-    for start in starts:
+    out = np.empty_like(free) if pair.shared else free
+    signs = what.signs if isinstance(what, ContourComponent) else None
+    # The step factor keeps its real part 0.0, and each block writes its
+    # imaginary part: -1j * theta and 1j * (1 - theta) to the bit, signs
+    # of zeros included, without the buffer that casts theta to complex.
+    factor = np.zeros(theta[:_STEP_ROWS].shape, dtype=complex)
+    for start in range(0, len(free), _STEP_ROWS):
         rows = slice(start, start + _STEP_ROWS)
-        step, block = theta[rows], free[rows]
-        total = np.multiply(-1j * step, block)
-        np.multiply(s_col, total, out=total)
-        term = np.multiply(1j * (1.0 - step), block)
-        np.multiply(s_row, term, out=term)
-        np.add(pair.keldysh[rows], total, out=total)
-        np.add(total, term, out=total)
-        np.divide(total, 2.0, out=total)
-        if len(starts) == 1:
-            return total
-        out[rows] = total
+        step = factor[: len(free) - start]
+        if what is not KeldyshComponent.RETARDED:
+            np.subtract(1.0, theta[rows], out=step.imag)
+            term = np.multiply(step, free[rows], out=None if signs else out[rows])
+        if what is not KeldyshComponent.ADVANCED:
+            np.negative(theta[rows], out=step.imag)
+            np.multiply(step, free[rows], out=out[rows])
+        if signs:
+            s_row, s_col = signs
+            total = out[rows]
+            np.multiply(s_col, total, out=total)
+            np.multiply(s_row, term, out=term)
+            np.add(pair.keldysh[rows], total, out=total)
+            np.add(total, term, out=total)
+            np.divide(total, 2.0, out=total)
     return out
-
-
-def _reads_step(statistics: Statistics, what) -> bool:
-    """Whether :func:`_tabulate` reads the step table for ``what``: for R,
-    A and the branch components, and for a position of the ansatz with
-    a step; not for K, the zero block or a position without a step."""
-    if isinstance(what, tuple):
-        return _has_step(statistics, *what[1:])
-    return what not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO)
 
 
 def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -304,24 +285,6 @@ def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.nd
     return out
 
 
-@dataclass(frozen=True)
-class SolutionConstants:
-    """Constant blocks of the general two-by-two contour solution.
-
-    Fields are named by position in the rotated-basis ansatz.  For
-    bosons the off-diagonal positions carry the step structure and the
-    solved values are ``c11 = 1 + 2 nbar^T``, ``c12 = 0``, ``c21 = -1``,
-    ``c22 = 0``; for fermions the diagonal positions carry the step
-    structure and the solved values are ``c11 = 0``,
-    ``c12 = 1 - 2 nbar^T``, ``c21 = 0``, ``c22 = -1``.
-    """
-
-    c11: np.ndarray
-    c12: np.ndarray
-    c21: np.ndarray
-    c22: np.ndarray
-
-
 def rotated_block_layout(
     statistics: Statistics,
 ) -> tuple[tuple[KeldyshComponent, KeldyshComponent], ...]:
@@ -347,8 +310,12 @@ def _has_step(statistics: Statistics, row: int, col: int) -> bool:
     return component in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED)
 
 
-def fix_constants(system: LevelSystem) -> SolutionConstants:
-    """Solve the boundary conditions for the four constant blocks.
+def fix_constants(
+    system: LevelSystem,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Solve the boundary conditions for the four constant blocks,
+    returned as ``((c11, c12), (c21, c22))``, indexed by position like
+    :func:`rotated_block_layout`.
 
     The general solution of the contour equations of motion leaves one
     constant block per rotated-basis position.  Two conditions fix them:
@@ -363,7 +330,11 @@ def fix_constants(system: LevelSystem) -> SolutionConstants:
 
     with the step values taken at an interior column time t' and the
     step positions read from :func:`rotated_block_layout`.  Nothing is
-    hard coded.
+    hard coded.  For bosons the off-diagonal positions carry the step
+    structure and the solved values are ``c11 = 1 + 2 nbar^T``,
+    ``c12 = 0``, ``c21 = -1``, ``c22 = 0``; for fermions the diagonal
+    positions carry it and the solved values are ``c11 = 0``,
+    ``c12 = 1 - 2 nbar^T``, ``c21 = 0``, ``c22 = -1``.
     """
     statistics = system.statistics
     weight = keldysh_weight(system)
@@ -371,15 +342,15 @@ def fix_constants(system: LevelSystem) -> SolutionConstants:
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
     step_final = regularized_step(t_final - t_prime)
     step_initial = regularized_step(t_initial - t_prime)
-    blocks = {}
+    blocks = [[None, None], [None, None]]
     for col in range(2):
         first = _has_step(statistics, 0, col)
         second = _has_step(statistics, 1, col)
         # Second row vanishes at the final time.
-        blocks[1, col] = -step_final * second * eye
+        blocks[1][col] = -step_final * second * eye
         # First row plus weight times second row vanishes at the initial
         # time.
-        blocks[0, col] = -weight @ blocks[1, col] - step_initial * (
+        blocks[0][col] = -weight @ blocks[1][col] - step_initial * (
             first * eye + second * weight
         )
-    return SolutionConstants(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
+    return tuple(map(tuple, blocks))

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Branch",
     "ContourComponent",
     "GridTooLargeError",
     "IllConditionedWarning",
@@ -79,19 +78,9 @@ class Statistics(enum.Enum):
         return 1 if self is Statistics.BOSON else -1
 
 
-class Branch(enum.Enum):
-    """Contour branch: forward in time, then backward."""
-
-    FORWARD = "+"
-    BACKWARD = "-"
-
-    @property
-    def sign(self) -> int:
-        return 1 if self is Branch.FORWARD else -1
-
-
 class ContourComponent(enum.Enum):
-    """Components labelled by (row branch, column branch)."""
+    """Components labelled by (row branch, column branch): ``+`` the
+    forward branch, ``-`` the backward one."""
 
     PLUS_PLUS = "++"
     PLUS_MINUS = "+-"
@@ -99,12 +88,9 @@ class ContourComponent(enum.Enum):
     MINUS_MINUS = "--"
 
     @property
-    def row_branch(self) -> Branch:
-        return Branch.FORWARD if self.value[0] == "+" else Branch.BACKWARD
-
-    @property
-    def col_branch(self) -> Branch:
-        return Branch.FORWARD if self.value[1] == "+" else Branch.BACKWARD
+    def signs(self) -> tuple[int, int]:
+        """Branch signs (row, column): +1 forward, -1 backward."""
+        return tuple(1 if branch == "+" else -1 for branch in self.value)
 
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:

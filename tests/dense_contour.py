@@ -10,8 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contourgf import Branch, ContourComponent, LevelSystem, TimeGrid
+from contourgf import ContourComponent, LevelSystem, TimeGrid
 from contourgf.discrete import _contour_blocks, _factor, _green_operands, _row_kernel
+
+
+# Branch tags, as they stand in a ContourComponent's value.
+FORWARD, BACKWARD = "+", "-"
 
 
 class IndexOutOfRangeError(IndexError):
@@ -27,7 +31,7 @@ class ContourIndex:
     0..N-1 (slot N is identified with the forward endpoint).
     """
 
-    branch: Branch
+    branch: str
     slot: int
 
     def position(self, n_slices: int) -> int:
@@ -39,7 +43,7 @@ class ContourIndex:
         """
         n = self.slot
         big_n = n_slices
-        if self.branch is Branch.FORWARD:
+        if self.branch == FORWARD:
             if not 1 <= n <= big_n:
                 raise IndexOutOfRangeError(
                     f"forward slot {n} outside retained range 1..{big_n}"
@@ -105,8 +109,8 @@ def extract_component(
     backward slot N) raise :class:`IndexOutOfRangeError`.
     """
     d = len(green) // (2 * grid.n_slices)
-    row = ContourIndex(component.row_branch, n)
-    col = ContourIndex(component.col_branch, m)
+    row = ContourIndex(component.value[0], n)
+    col = ContourIndex(component.value[1], m)
     j = row.position(grid.n_slices)
     k = col.position(grid.n_slices)
     block = green[(j - 1) * d : j * d, (k - 1) * d : k * d]

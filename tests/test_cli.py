@@ -531,6 +531,39 @@ def test_gf_chunks_switch_between_distinct_and_in_place(
     assert out == expected
 
 
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_gf_distinct_pieces_refused_by_their_union(
+    tmp_path, capsys, monkeypatch, output_format
+):
+    """The 41 rows of one chunk: its first eighth (6 rows) holds 200
+    distinct doubles and the second piece (15 rows) 200 others, each
+    under the limit of 280, their union not.  So the merge refuses the
+    chunk, which is printed in place and matches the reference."""
+    rows = cols = 41
+    eighth, half = -(-rows // 8), (rows + 1) // 2
+    limit = 2 * rows * cols // cli.GF_DISTINCT_RATIO
+    assert 200 <= limit < 400
+
+    def table(system, t_values, t_prime_values, component, t_ref):
+        parts = np.arange(len(t_values) * 2 * len(t_prime_values)) % 200 / 7.0
+        parts = parts.reshape(len(t_values), -1)
+        parts[eighth:] += 1000.0
+        return parts.reshape(len(t_values), -1, 1, 1, 2).view(complex)[..., 0]
+
+    monkeypatch.setattr(cli, "component_table", table)
+    parts = table(None, np.zeros(rows), np.zeros(cols), None, 0.0).view(float)
+    for piece in (parts[:eighth], parts[eighth:half]):
+        assert np.unique(piece).size == 200
+    config = write_config(
+        tmp_path, {"grid.n_slices": rows - 1, "output.format": output_format}
+    )
+    deduplicated = _distinct_bits_spy(monkeypatch)
+    expected = gf_text(load_config(config, []))
+    out = _gf_output(config, capsys, "stdout", tmp_path)
+    assert deduplicated == [False]
+    assert out == expected
+
+
 # Doubles for the row assembly test: both zeros, the least subnormal,
 # two doubles whose %.17g and repr differ in form, and three whose repr
 # needs all 17 digits.
@@ -1023,6 +1056,20 @@ def test_overflowing_keldysh_weight_is_numerical_error(
     captured = capsys.readouterr()
     assert "Keldysh weight" in captured.err
     assert "nan" not in captured.out.lower()
+    if command != "gf":
+        return
+    # gf refuses W before it opens its output: no R row reaches stdout,
+    # and an existing output.path keeps its bytes.
+    assert captured.out == ""
+    out = tmp_path / "table.out"
+    out.write_bytes(b"earlier bytes\n")
+    assert main(["gf", "--config", config, "--output.path", str(out)]) == 3
+    assert "Keldysh weight" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier bytes\n"
+    # R and A do not read W.
+    components = ["--output.components", '["R", "A"]']
+    assert main(["gf", "--config", config, *components]) == 0
+    assert "nan" not in capsys.readouterr().out.lower()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1483,6 +1530,90 @@ def _assert_config_error(captured, *needles):
     assert "Traceback" not in captured.err
     for needle in needles:
         assert needle in captured.err
+
+
+# Marks a root key that the config leaves out.
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "command, fields, argv, message",
+    [
+        pytest.param(
+            "z", {"statistics": DROP}, [], "missing field: statistics", id="statistics"
+        ),
+        pytest.param(
+            "z", {"epsilon": DROP}, [], "missing field: epsilon", id="epsilon"
+        ),
+        pytest.param("z", {"nbar": DROP}, [], "missing field: nbar", id="nbar"),
+        pytest.param(
+            "z",
+            {"nbar": {"mu": 0.0, "T": 1.0, "n": 1.0}},
+            [],
+            "thermal nbar must be exactly {mu, T}",
+            id="thermal-keys",
+        ),
+        pytest.param(
+            "z", [BASE_CONFIG], [], "config root must be a JSON object", id="root"
+        ),
+        pytest.param("z", {"grid": 4}, [], "grid must be an object", id="grid"),
+        pytest.param(
+            "z",
+            {"grid": {"t_final": 1.0}},
+            [],
+            "grid.n_slices is required when grid is present",
+            id="no-n-slices",
+        ),
+        pytest.param(
+            "z",
+            {"grid": {"n_slices": []}},
+            [],
+            "grid.n_slices must not be an empty list",
+            id="empty-n-slices",
+        ),
+        pytest.param(
+            "gf", {"output": "csv"}, [], "output must be an object", id="output"
+        ),
+        pytest.param(
+            "gf",
+            {"output": {"path": 4}},
+            [],
+            "output.path must be a string or null",
+            id="output-path",
+        ),
+        pytest.param(
+            "z", {}, ["--grid..n_slices", "4"], "bad override path", id="override-path"
+        ),
+        pytest.param(
+            "z",
+            {},
+            ["--epsilon.re", "1"],
+            "cannot override through non-object at 'epsilon'",
+            id="override-through",
+        ),
+        pytest.param("z", None, [], "cannot read config", id="unreadable"),
+        pytest.param(
+            "z", {"grid": DROP}, [], "z requires grid.n_slices", id="z-without-grid"
+        ),
+        pytest.param(
+            "z",
+            {"epsilon": {"re": "one"}},
+            [],
+            "epsilon is not a numeric matrix",
+            id="re-im-not-numeric",
+        ),
+    ],
+)
+def test_config_refusals(tmp_path, capsys, command, fields, argv, message):
+    # Each refusal exits 2, names itself on stderr and writes nothing.
+    path = tmp_path / "run.json"
+    if isinstance(fields, dict):
+        raw = {**BASE_CONFIG, **fields}
+        path.write_text(json.dumps({k: v for k, v in raw.items() if v is not DROP}))
+    elif fields is not None:
+        path.write_text(json.dumps(fields))
+    assert main([command, "--config", str(path), *argv]) == 2
+    _assert_config_error(capsys.readouterr(), message)
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

@@ -450,7 +450,7 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
     assert (expected[KeldyshComponent.RETARDED] == 0).any()
     assert (expected[KeldyshComponent.ADVANCED] == 0).any()
     for c in ContourComponent:
-        s_row, s_col = c.row_branch.sign, c.col_branch.sign
+        s_row, s_col = c.signs
         expected[c] = (
             kel + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
         ) / 2.0
@@ -475,6 +475,29 @@ def test_step_blocks_are_bit_exact(monkeypatch, statistics, dimension, step_rows
     # R and A, and ++, +-, -+ and --, whose sums go in place.
     monkeypatch.setattr(continuum, "_STEP_ROWS", step_rows)
     test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension)
+
+
+@pytest.mark.parametrize("step_rows", [1, 3, 16])
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_shared_pair_tables_leave_free_unchanged(monkeypatch, statistics, step_rows):
+    # The structure suite's shared pairs: R, A and the branch components
+    # go into new tables, bit for bit those of component_table, and the
+    # free product the next table reads stays as it was.  20 rows make
+    # blocks of one row, and of three and of sixteen rows with a ragged
+    # last block.
+    monkeypatch.setattr(continuum, "_STEP_ROWS", step_rows)
+    system = random_system(np.random.default_rng(31), statistics, 2)
+    t_row, t_col = np.linspace(0.0, 1.5, 20), np.linspace(0.0, 1.5, 11)
+    stacks = (propagator_stack(system, t) for t in (t_row, t_col))
+    pair = continuum._Pair(system, *stacks)
+    theta = regularized_step(t_row[:, None] - t_col)
+    kept = pair.free.copy()
+    ret, adv = KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED
+    for component in (ret, adv, *ContourComponent):
+        table = continuum._tabulate(pair, theta, component)
+        want = component_table(system, t_row, t_col, component, 0.0)
+        np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(pair.free.view(np.uint64), kept.view(np.uint64))
 
 
 # Entries of the largest table the layout test draws: 4 MiB of complex.
@@ -535,9 +558,7 @@ def test_step_table_only_for_tables_that_read_it(monkeypatch, statistics):
     for row in range(2):
         for col in range(2):
             position = (constants, row, col)
-            stepped = continuum._has_step(statistics, row, col)
-            assert continuum._reads_step(statistics, position) == stepped
-            if not stepped:
+            if not continuum._has_step(statistics, row, col):
                 continuum._tabulate(pair, None, position)
 
 
@@ -568,7 +589,7 @@ def test_component_table_rejects_unknown_component():
 def initial_boundary_ratio(nbar):
     """Quantum-to-classical weight ``1/(1 + 2 nbar)`` of a boson level's
     initial boundary condition, from its solved constant ``c11 = W``."""
-    return 1.0 / fix_constants(level(nbar, Statistics.BOSON)).c11.item().real
+    return 1.0 / fix_constants(level(nbar, Statistics.BOSON))[0][0].item().real
 
 
 def test_initial_boundary_ratio_values():
@@ -594,8 +615,7 @@ def test_rotated_block_layout():
 
 def scalars(constants):
     """The four solved constants of a single level as complex scalars."""
-    blocks = (constants.c11, constants.c12, constants.c21, constants.c22)
-    return tuple(complex(block.item()) for block in blocks)
+    return tuple(complex(block.item()) for row in constants for block in row)
 
 
 def test_fix_constants_boson_scalars():
@@ -680,7 +700,7 @@ def test_fix_constants_matches_least_squares(statistics, dimension):
         constants = fix_constants(system)
         reference = fix_constants_lstsq(statistics, system.nbar)
         scale = np.abs(keldysh_weight(system)).max()
-        solved = (constants.c11, constants.c12, constants.c21, constants.c22)
+        solved = [block for row in constants for block in row]
         for block, ref in zip(solved, reference):
             assert np.abs(block - ref).max() <= 1e-12 * scale
 
@@ -697,7 +717,9 @@ def test_fix_constants_closed_values_at_sixteen_levels(statistics):
         expected = (weight, 0 * eye, -eye, 0 * eye)
     else:
         expected = (0 * eye, weight, 0 * eye, -eye)
-    solved = (constants.c11, constants.c12, constants.c21, constants.c22)
+    # Indexed by position, as the layout is.
+    assert [len(row) for row in constants] == [2, 2]
+    solved = [block for row in constants for block in row]
     for block, value in zip(solved, expected):
         np.testing.assert_array_equal(block, value)
 

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_solve
 
 from contourgf import (
-    Branch,
     ContourComponent,
     IllConditionedWarning,
     LevelSystem,
     NonHermitianError,
     OccupationOutOfRangeError,
     SingularMatrixError,
-    SolutionConstants,
     Statistics,
     TimeGrid,
     component_table,
@@ -32,7 +30,7 @@ from contourgf.core import propagator_stack
 from contourgf.verify import _continuum_operands
 
 from conftest import random_hermitian, random_system, random_unitary, taylor_propagator
-from dense_contour import ContourIndex, IndexOutOfRangeError
+from dense_contour import BACKWARD, FORWARD, ContourIndex, IndexOutOfRangeError
 from dense_lu import lu_factorization
 
 ORACLE_TOL = 1e-12
@@ -59,8 +57,10 @@ def lu_inverse(factors):
 def test_statistics_signs():
     assert Statistics.BOSON.zeta == 1
     assert Statistics.FERMION.zeta == -1
-    assert Branch.FORWARD.sign == 1
-    assert Branch.BACKWARD.sign == -1
+    assert ContourComponent.PLUS_PLUS.signs == (1, 1)
+    assert ContourComponent.PLUS_MINUS.signs == (1, -1)
+    assert ContourComponent.MINUS_PLUS.signs == (-1, 1)
+    assert ContourComponent.MINUS_MINUS.signs == (-1, -1)
 
 
 def test_expm_identity_at_zero_scale():
@@ -250,27 +250,27 @@ def test_time_grid_validation():
 
 def test_contour_index_positions():
     # N = 4: forward slots 1..4 then backward slots 3..0.
-    assert ContourIndex(Branch.FORWARD, 1).position(4) == 1
-    assert ContourIndex(Branch.FORWARD, 4).position(4) == 4
-    assert ContourIndex(Branch.BACKWARD, 3).position(4) == 5
-    assert ContourIndex(Branch.BACKWARD, 0).position(4) == 8
+    assert ContourIndex(FORWARD, 1).position(4) == 1
+    assert ContourIndex(FORWARD, 4).position(4) == 4
+    assert ContourIndex(BACKWARD, 3).position(4) == 5
+    assert ContourIndex(BACKWARD, 0).position(4) == 8
 
 
 def test_contour_index_eliminated_slots():
     with pytest.raises(IndexOutOfRangeError):
-        ContourIndex(Branch.FORWARD, 0).position(4)
+        ContourIndex(FORWARD, 0).position(4)
     with pytest.raises(IndexOutOfRangeError):
-        ContourIndex(Branch.BACKWARD, 4).position(4)
+        ContourIndex(BACKWARD, 4).position(4)
     with pytest.raises(IndexOutOfRangeError):
-        ContourIndex(Branch.FORWARD, 5).position(4)
+        ContourIndex(FORWARD, 5).position(4)
 
 
 def test_contour_index_times():
     grid = TimeGrid(0.0, 2.0, 4)
-    assert ContourIndex(Branch.FORWARD, 2).time(grid) == 1.0
-    assert ContourIndex(Branch.BACKWARD, 0).time(grid) == 0.0
+    assert ContourIndex(FORWARD, 2).time(grid) == 1.0
+    assert ContourIndex(BACKWARD, 0).time(grid) == 0.0
     with pytest.raises(IndexOutOfRangeError):
-        ContourIndex(Branch.BACKWARD, 5).time(grid)
+        ContourIndex(BACKWARD, 5).time(grid)
 
 
 def test_tolerances_defaults():
@@ -290,7 +290,6 @@ def test_level_system_has_exactly_three_fields():
 
 
 PUBLIC_NAMES = [
-    "Branch",
     "CheckResult",
     "ContourComponent",
     "ConvergenceReport",
@@ -301,7 +300,6 @@ PUBLIC_NAMES = [
     "NonHermitianError",
     "OccupationOutOfRangeError",
     "SingularMatrixError",
-    "SolutionConstants",
     "Statistics",
     "ThermalDivergenceError",
     "TimeGrid",
@@ -345,7 +343,6 @@ def test_public_surface():
             assert hasattr(module, name), f"{module.__name__}.{name}"
         for name in TEST_ONLY_NAMES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(SolutionConstants, "to_scalars")
 
 
 def test_commands_enter_every_public_function(tmp_path, capsys):

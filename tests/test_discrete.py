@@ -10,7 +10,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from contourgf import (
-    Branch,
     ContourComponent,
     GridTooLargeError,
     IllConditionedWarning,
@@ -34,6 +33,8 @@ from conftest import (
     random_unitary,
 )
 from dense_contour import (
+    BACKWARD,
+    FORWARD,
     ContourIndex,
     IndexOutOfRangeError,
     build_contour_matrix,
@@ -178,8 +179,8 @@ def test_extract_component_returns_grid_times():
     grid = TimeGrid(0.0, 2.0, 4)
     green = dense_green(system, grid)
     _, t, t_prime = extract_component(green, grid, ContourComponent.PLUS_MINUS, 3, 2)
-    assert t == ContourIndex(Branch.FORWARD, 3).time(grid)
-    assert t_prime == ContourIndex(Branch.BACKWARD, 2).time(grid)
+    assert t == ContourIndex(FORWARD, 3).time(grid)
+    assert t_prime == ContourIndex(BACKWARD, 2).time(grid)
     with pytest.raises(IndexOutOfRangeError):
         extract_component(green, grid, ContourComponent.PLUS_PLUS, 0, 2)
     with pytest.raises(IndexOutOfRangeError):

@@ -191,20 +191,20 @@ def test_suites_do_not_depend_on_the_time_origin(t_initial):
 
 def test_structure_suite_constant_fixing_detects_wrong_constants(monkeypatch):
     system = LevelSystem(1.0, 0.7, Statistics.BOSON)
-    solved = verify.fix_constants(system)
-    wrong = dataclasses.replace(solved, c21=solved.c21 + 1e-9)
+    (c11, c12), (c21, c22) = verify.fix_constants(system)
+    wrong = (c11, c12), (c21 + 1e-9, c22)
     monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
     checks = {c.name: c for c in run_structure_suite(system)}
     assert not checks["constant_fixing"].passed
     assert checks["constant_fixing"].observed == pytest.approx(1e-9, rel=1e-6)
 
 
-@pytest.mark.parametrize("constant", ["c11", "c22"])
-def test_structure_suite_nan_constant_fails(monkeypatch, constant):
+@pytest.mark.parametrize("row, col", [(0, 0), (1, 1)], ids=["c11", "c22"])
+def test_structure_suite_nan_constant_fails(monkeypatch, row, col):
     # A NaN in the first or the last position the check visits.
     system = LevelSystem(1.0, 0.7, Statistics.BOSON)
-    solved = verify.fix_constants(system)
-    wrong = dataclasses.replace(solved, **{constant: np.full((1, 1), np.nan)})
+    wrong = [list(row) for row in verify.fix_constants(system)]
+    wrong[row][col] = np.full((1, 1), np.nan)
     monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
     checks = {c.name: c for c in run_structure_suite(system)}
     assert np.isnan(checks["constant_fixing"].observed)
@@ -375,8 +375,8 @@ def test_each_structure_check_fails_its_mutant(monkeypatch, name, statistics):
     assert all(c.passed for c in clean.values())
     assert "not applicable" not in clean["fdt_proportionality"].details
     if name == "constant_fixing":
-        solved = verify.fix_constants(system)
-        wrong = dataclasses.replace(solved, c11=solved.c22, c22=solved.c11)
+        (c11, c12), (c21, c22) = verify.fix_constants(system)
+        wrong = (c22, c12), (c21, c11)
         monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
     monkeypatch.setattr(verify, "_tabulate", _evaluator_with(STRUCTURE_MUTANTS[name]))
     checks = {c.name: c for c in run_structure_suite(system)}
