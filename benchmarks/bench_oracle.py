@@ -1,8 +1,8 @@
 """Cost curves of the oracle suite over N and d.
 
 ``run_oracle_suite`` is timed on the grid pair (N / 2, N) for N in
-{64, 128, 256, 512, 1024} and d in {1, 2, 4}, up to 2 N d = 8192, the
-default cap.  Each case also records, in ``extra_info``, the
+{64, 128, ..., 4096} and d in {1, 2, 4}, up to 2 N d = 8192, the
+default cap, which each d reaches.  Each case also records, in ``extra_info``, the
 ``tracemalloc`` peak of one untimed call and the size a dense discrete
 inverse of the finer grid would have, which the streamed suite never
 allocates.  ``test_grid_error`` times the per-grid layer on the same
@@ -30,7 +30,7 @@ from contourgf.discrete import _factor
 from cases import peak_mib, random_matrices
 
 DIMENSIONS = [1, 2, 4]
-SLICES = [64, 128, 256, 512, 1024]
+SLICES = [64, 128, 256, 512, 1024, 2048, 4096]
 DIMENSION_LIMIT = 8192
 
 

@@ -1,4 +1,5 @@
-"""One-shot ``gf`` runs of two ``contourgf`` trees, each in a fresh process.
+"""One-shot ``gf``, ``z`` and ``verify`` runs of two ``contourgf`` trees,
+each in a fresh process.
 
 Every run pays what a command-line call pays: the interpreter, the
 imports and the first use of every table.  Runs of the two trees
@@ -9,9 +10,13 @@ each side won on ``main``::
 
     python benchmarks/cold_gf.py OLD_SRC NEW_SRC --pairs 20
 
-The cases are one- and two-level grids of 8 and 30 slices from
-``bench_gf_writer.py`` and the two ``gf`` calls of perfbench's
-``tabulate`` workload (``--seed``).  Output goes to the null device.
+The ``gf`` cases are one- and two-level grids of 8 and 30 slices from
+``bench_gf_writer.py`` and the two calls of perfbench's ``tabulate``
+workload; then ``z`` on the call of perfbench's ``partition`` workload,
+``verify`` on the first call of its ``structure`` workload, and
+``verify`` on the system of its ``oracle`` workload with its two
+coarsest grids, which runs the oracle suite (all from ``--seed``).
+Output goes to the null device.
 ``--json PATH`` also writes the results to ``PATH``.
 """
 
@@ -34,24 +39,24 @@ CHILD = """
 import sys, time
 from contourgf.cli import main
 start = time.perf_counter()
-code = main(["gf", "--config", sys.argv[1]])
+code = main([sys.argv[1], "--config", sys.argv[2]])
 sys.stdout.flush()
 sys.stderr.write("%r %d\\n" % (time.perf_counter() - start, code))
 """
 
 
-def run(src: str, config: str) -> tuple[float, float]:
+def run(src: str, command: str, config: str) -> tuple[float, float]:
     """Wall seconds of one fresh process and of its ``cli.main``."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, config], env=env, check=True,
+        [sys.executable, "-c", CHILD, command, config], env=env, check=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     wall = time.perf_counter() - start
     seconds, code = done.stderr.split()
     if code != "0":
-        raise SystemExit(f"gf exited {code} on {config} with {src}")
+        raise SystemExit(f"{command} exited {code} on {config} with {src}")
     return wall, float(seconds)
 
 
@@ -73,25 +78,35 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", help="also write the results to this file")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs a side")
     cases = {
-        f"{output_format}-d{d}-n{n}": bench.gf_config(d, n, output_format)
+        f"{output_format}-d{d}-n{n}": ("gf", bench.gf_config(d, n, output_format))
         for n in (8, 30)
         for d in (1, 2)
         for output_format in ("csv", "json")
     }
     for call in build_calls("tabulate", args.seed, "full"):
-        cases[f"tabulate-{call.label}"] = call.config
+        cases[f"tabulate-{call.label}"] = ("gf", call.config)
+    (call,) = build_calls("partition", args.seed, "full")
+    cases["partition-z"] = ("z", call.config)
+    call = build_calls("structure", args.seed, "full")[0]
+    cases[f"structure-{call.label}"] = ("verify", call.config)
+    (call,) = build_calls("oracle", args.seed, "full")
+    two_grids = {**call.config, "grid": dict(call.config["grid"])}
+    two_grids["grid"]["n_slices"] = call.config["grid"]["n_slices"][:2]
+    cases["oracle-verify-two-grids"] = ("verify", two_grids)
     sides = {"old": args.old, "new": args.new}
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, config in cases.items():
+        for label, (command, config) in cases.items():
             path = os.path.join(tmp, f"{label}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(config, handle)
             times = {side: {"wall": [], "main": []} for side in sides}
             for pair in range(args.pairs):
                 for side in ("old", "new") if pair % 2 == 0 else ("new", "old"):
-                    wall, seconds = run(sides[side], path)
+                    wall, seconds = run(sides[side], command, path)
                     times[side]["wall"].append(wall)
                     times[side]["main"].append(seconds)
             wins = sum(n < o for o, n in zip(times["old"]["main"], times["new"]["main"]))

@@ -35,6 +35,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -385,23 +386,60 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """Standard output, or ``path`` opened for writing, flushed at the
-    end.  A path that cannot be opened, or an output that cannot be
-    written (a full device, say), is a config error naming it; a closed
-    standard output raises ``BrokenPipeError``."""
+    """Standard output, or ``path`` opened by :func:`_opened`, flushed
+    at the end.  A path that cannot be opened (a directory, say), or an
+    output that cannot be written (a full device), is a config error
+    naming it; a closed standard output raises ``BrokenPipeError``."""
     name = "standard output" if path is None else f"output.path {path!r}"
     try:
-        with (
-            contextlib.nullcontext(sys.stdout)
-            if path is None
-            else open(path, "w", encoding="utf-8")
-        ) as handle:
+        with _opened(path) as handle:
             yield handle
             handle.flush()
     except BrokenPipeError:
         raise
     except OSError as exc:
         raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from exc
+
+
+def _opened(path: str | None):
+    """Standard output, or a writer of ``path``: a regular file there,
+    or none, is written through :func:`_replacing`, so a block that
+    raises leaves an existing file as it was and creates none; a device
+    or a pipe takes the bytes as they are written, as standard output
+    does.  A symbolic link is followed to the file it names, as
+    ``open`` follows it."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is None or stat.S_ISREG(mode):
+        return _replacing(target, mode)
+    return open(path, "w", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _replacing(path: str, mode: int | None):
+    """A new text file in the directory of ``path`` that replaces
+    ``path`` when the block completes and is removed when it raises.
+    It takes the permission bits of the file it replaces (``mode``, its
+    ``st_mode``), or, for a new file, those ``open(path, "w")`` gives."""
+    folder, base = os.path.split(path)
+    temporary = os.path.join(folder, f".{base[:64]}.{os.urandom(8).hex()}.tmp")
+    # 0o666 less the umask, and never a file that is there already.
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(descriptor, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def _csv(header: str, rows) -> str:

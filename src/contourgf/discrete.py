@@ -47,11 +47,11 @@ O(d^3), independent of N, and each contour row of G O(N d^2).  Only
 the blocks of D' enter: no closed form is used.  G is held as
 :class:`_Operands`, whose layout this module owns:
 :mod:`contourgf.verify` writes the continuum prediction in that form,
-subtracts it, and streams the rows of the difference by
-:func:`_row_kernel`, in any order of row blocks.  Within a branch the
-kernel splits each lag that reaches past the block's own span of
-columns into two powers, so a block is products of low-rank factors
-but for that span, where it adds the lag blocks from a table.
+subtracts it, and streams the difference by :func:`_row_kernel` in
+tiles of rows and columns, in any order.  Within a branch the kernel
+splits each lag that reaches past a block of rows' own span of columns
+into two powers, so a tile is products of low-rank factors but for
+that span, where it adds the lag blocks from a table.
 
 All grids of a run are factorized in one pass, with the grid as the
 leading axis of every array and each linalg call made once over the
@@ -501,15 +501,16 @@ def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
 
 
 def _row_kernel(operands: _Operands, block: int):
-    """Kernel for contour rows of ``operands``.
+    """Kernel for tiles of contour rows of ``operands``.
 
-    Returns ``rows(start, stop, out=None)``, which writes contour rows
-    start..stop into ``out`` (a new array when None), C-contiguous and
-    ``((stop - start) d, 2 N d)``.  It takes the rows in pieces of at
-    most w = min(``block``, N) rows of one branch, so a call of at most
-    ``block`` rows is at most one piece per branch.  A piece from row
-    ``low`` adds the lag blocks of columns low .. low + w - 1 from a
-    block-Toeplitz view of lags 0 .. w - 1,
+    Returns ``rows(start, stop, out=None, span=None)``, which writes
+    contour rows start..stop over contour columns ``span = (first,
+    last)``, every column when None, into ``out`` (a new array when
+    None), C-contiguous and ``((stop - start) d, (last - first) d)``.
+    It takes the rows in pieces of at most w = min(``block``, N) rows of
+    one branch, so a call of at most ``block`` rows is at most one piece
+    per branch.  A piece from row ``low`` adds the lag blocks of columns
+    low .. low + w - 1 from a block-Toeplitz view of lags 0 .. w - 1,
     formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.
     Past those columns, with a = low + w - 1 >= j and P the geometric
     powers with ``P[0] = 1``, the lag block at row j and column k is
@@ -518,12 +519,13 @@ def _row_kernel(operands: _Operands, block: int):
     product of its row factors, with the lag factors of its rows beside
     them, and the column factors there, with their lag factors under
     them; one without lag factors over the columns before; and, for
-    forward rows, one of the cross factors over the backward columns.
-    With w = N no product carries lag factors.
+    forward rows, one of the cross factors over the backward columns;
+    each over the part of its columns within the span, and the column
+    factors past the table copied once per piece.  With w = N no
+    product carries lag factors.
     """
     left, powers, right = operands.lags
     n, d, s = powers.shape[1], left.shape[0], left.shape[1]
-    half = n * d
     width = min(block, n)
     # tables[branch, a, w - 1 + lag, b] = (left diag(powers[lag]) right)_ab.
     mixed = (left.T[:, :, None] * right[:, None, :]).reshape(s, d * d)
@@ -535,9 +537,12 @@ def _row_kernel(operands: _Operands, block: int):
     factors, columns = operands.rows, operands.columns
     crossing, cross_columns = operands.cross_rows, operands.cross_columns
     r = len(columns)
-    # The column factors past a piece's table columns, copied in per
-    # piece, over the lag factors diag(P[k - a]) right of one branch,
-    # filled when the branch changes; made when a piece first needs it.
+    # The column factors past a piece's table columns within its span,
+    # copied in per piece, over the lag factors diag(P[k - a]) right of
+    # one branch from k - a = offset + 1 on, filled when the branch or
+    # the offset changes: once per branch for calls over every column.
+    # Made when a piece first needs it, as wide as its call's span, and
+    # made again for a wider one.
     past = None
     filled = None
 
@@ -546,54 +551,76 @@ def _row_kernel(operands: _Operands, block: int):
             [f[low * d : high * d] for f in row_factors] + list(beside), axis=1
         )
 
-    def products(branch: int, low: int, high: int, reach: int, out) -> None:
+    def entries(low: int, high: int, origin: int, size: int = d) -> slice:
+        # Columns low..high of a row whose columns start at ``origin``,
+        # ``size`` items per column.
+        return slice((low - origin) * size, (high - origin) * size)
+
+    def products(branch, low, high, reach, out, first, last) -> None:
         # Contour rows low..high of ``branch``, whose columns end at
-        # ``end``, but for the lag blocks on columns low..reach.
+        # ``end``, over columns first..last, but for the lag blocks on
+        # columns low..reach.  Each product takes the part lo..hi of its
+        # columns within first..last.
         nonlocal past, filled
         end = (branch + 1) * n
-        if reach < end:
-            v, count = high - low, end - reach
+        lo, hi = max(reach, first), min(end, last)
+        if lo < hi:
+            v = high - low
             # Row j takes left diag(P[a - j]), a = low + w - 1 >= j.
             lags = left * powers[branch, width - v : width][::-1, None, :]
             if v == width:
                 lags[-1] = left
             row = stacked(factors, low, high, lags.reshape(v * d, s))
-            if past is None:
-                past = np.empty((r + s, n - width, d), dtype=complex)
-            if filled != branch:
+            if past is None or len(past[0]) < hi - lo:
+                past = np.empty((r + s, min(n - width, last - first), d), complex)
+                filled = None
+            # Column k takes diag(P[k - a]) right, at k - lo.
+            offset = lo - reach
+            if filled != (branch, offset):
                 # A product, not a broadcast, which numpy would buffer.
-                band = powers[branch, 1 : n - width + 1].T[:, :, None]
-                np.matmul(band, right[:, None, :], out=past[r:])
-                filled = branch
-            ahead = columns[:, reach * d : end * d]
-            past[:r, :count] = ahead.reshape(r, count, d)
-            operand = past.reshape(r + s, -1)[:, : count * d]
-            np.matmul(row, operand, out=out[:, reach * d : end * d])
+                band = powers[branch, offset + 1 : offset + 1 + len(past[0])]
+                band = band.T[:, :, None]
+                np.matmul(band, right[:, None, :], out=past[r:, : band.shape[1]])
+                filled = branch, offset
+            past[:r, : hi - lo] = columns[:, entries(lo, hi, 0)].reshape(r, -1, d)
+            operand = past.reshape(r + s, -1)[:, entries(lo, hi, lo)]
+            np.matmul(row, operand, out=out[:, entries(lo, hi, first)])
         else:
             row = stacked(factors, low, high)
-        np.matmul(row[:, :r], columns[:, : reach * d], out=out[:, : reach * d])
-        if not branch:
-            np.matmul(stacked(crossing, low, high), cross_columns, out=out[:, half:])
+        lo, hi = first, min(reach, last)
+        if lo < hi:
+            before = columns[:, entries(lo, hi, 0)]
+            np.matmul(row[:, :r], before, out=out[:, entries(lo, hi, first)])
+        lo, hi = max(n, first), last
+        if not branch and lo < hi:
+            row = stacked(crossing, low, high)
+            cross = cross_columns[:, entries(lo, hi, n)]
+            np.matmul(row, cross, out=out[:, entries(lo, hi, first)])
 
-    def rows(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    def rows(start: int, stop: int, out=None, span=None) -> np.ndarray:
+        first, last = span or (0, 2 * n)
         if out is None:
-            out = np.empty(((stop - start) * d, 2 * half), dtype=complex)
+            out = np.empty(((stop - start) * d, (last - first) * d), dtype=complex)
         # Rows start..min(stop, N) are forward, max(start, N)..stop
         # backward; either range may be empty.
-        for branch, first, last in ((0, start, min(stop, n)), (1, max(start, n), stop)):
+        branches = ((0, start, min(stop, n)), (1, max(start, n), stop))
+        for branch, begin, finish in branches:
             end = (branch + 1) * n
-            for low in range(first, last, width):
-                high = min(low + width, last)
+            for low in range(begin, finish, width):
+                high = min(low + width, finish)
                 reach = min(low + width, end)
                 piece = out[(low - start) * d : (high - start) * d]
-                products(branch, low, high, reach, piece)
-                # The lag blocks on columns low..reach from the table, as
-                # floats [row, a, (column, b, part)], once the products'
-                # temporaries are released: numpy buffers a strided add.
-                v, u = high - low, 2 * (reach - low) * d
-                added = piece.view(float).reshape(v, d, 4 * half)
-                added = added[:, :, 2 * low * d : 2 * low * d + u]
-                added += squares[branch][:v, :, :u]
+                products(branch, low, high, reach, piece, first, last)
+                # The lag blocks on columns low..reach within the span
+                # from the table, as floats [row, a, (column, b, part)],
+                # once the products' temporaries are released: numpy
+                # buffers a strided add.
+                lo, hi = max(low, first), min(reach, last)
+                if lo < hi:
+                    v = high - low
+                    added = piece.view(float).reshape(v, d, -1)
+                    added = added[:, :, entries(lo, hi, first, 2 * d)]
+                    added += squares[branch][:v, :, entries(lo, hi, low, 2 * d)]
         return out
 
     return rows

@@ -21,13 +21,17 @@ comparison covers every entry.  Within a branch that jump, like the
 discrete inverse's own within-branch term, depends only on the lag.  So
 the suite writes the closed forms in the inverse's operand form, which
 ``discrete`` owns, subtracts them, and streams the difference by
-``discrete``'s row kernel in blocks of contour rows, latest rows
-first, into one block buffer that serves every grid.  Per branch a
-block costs products of stacked low-rank factors, the lag term among
-them, and a block-Toeplitz add on the columns within its height of
-its first row only; a block of forward rows that provably cannot hold
-the maximum skips its magnitudes.  Per grid the suite costs O((N d)^2 d) time and O(N d^2)
-memory besides that buffer.
+``discrete``'s row kernel in tiles, latest rows first, through one
+tile buffer of ``ORACLE_BLOCK_ENTRIES`` complex entries that serves
+every grid, and the tiles' magnitudes through one slab of
+``MAGNITUDE_SLAB`` floats.  A tile spans every column while the buffer
+holds ``TILE_ROWS`` contour rows; otherwise it takes that many rows and
+as many columns as fit.  Per branch a tile costs products of stacked
+low-rank factors, the lag term among them, and a block-Toeplitz add on
+the columns within its height of its first row only; a tile of forward
+rows that provably cannot hold the maximum skips its magnitudes.  Per
+grid the suite costs O((N d)^2 d) time and O(N d^2) memory besides the
+buffer and the slab.
 Reports serialize from their dataclasses.
 
 Both suites are deterministic given their seed.
@@ -79,13 +83,29 @@ __all__ = [
 DEFAULT_THRESHOLD = 1e-12
 # Below this error floor a convergence-order fit is meaningless.
 ORDER_FLOOR = 1e-12
-# Complex entries per row block of the streamed oracle comparison (at
-# least one contour row): 768 KiB, and 384 KiB more for the float buffer
-# of its magnitudes.  Allocated once per suite, the two set the
-# comparison's memory with the O(N d^2) factors of one grid.
+# Complex entries of the one tile buffer of the streamed oracle
+# comparison: 768 KiB, allocated once per suite.  With the magnitude
+# slab and the O(N d^2) factors of one grid it sets the comparison's
+# memory: the oracle suite on d = 2, N = 64, 128 and 256 (no grid
+# tiled) peaks at 1.21 MiB (tracemalloc).  Half the buffer peaked at
+# 0.84 MiB there but ran 2-3 % slower, from the fixed cost of a tile.
 ORACLE_BLOCK_ENTRIES = 3 * 2**14
+# Floats of the slab through which a tile's magnitudes are reduced:
+# 128 KiB, which stays in a core's cache.
+MAGNITUDE_SLAB = 2**14
+# Contour rows of a tile where the buffer holds fewer whole contour
+# rows; its columns are cut to fit.  Fewer rows pay a tile's fixed cost
+# and the copy of the column factors past its lag table more often, and
+# take products of fewer rows.
+TILE_ROWS = 24
+# Items per operand of numpy's ufunc buffers while a grid streams.  At
+# numpy's default of 8192 the kernel's strided Toeplitz add on a tile
+# takes three buffers of up to 64 KiB, more than the tile's other
+# temporaries; at 128 numpy 2.4 iterates that add without buffers, and
+# no slower.
+STREAM_BUFFER = 128
 # |z| <= sqrt(2) max(|Re z|, |Im z|): the bound by which _grid_error
-# skips a block's magnitudes.
+# skips a tile's magnitudes.
 SQRT2 = 1.4142135623730951
 
 
@@ -337,29 +357,40 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
 
 
 def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
-    """Kernel for contour rows of ``G - C``, the discrete inverse of
-    ``fac`` less the continuum prediction of
+    """Kernel for tiles of contour rows of ``G - C``, the discrete
+    inverse of ``fac`` less the continuum prediction of
     :func:`_continuum_operands`, by
     :func:`~contourgf.discrete._row_kernel`.  Raises
     ``FloatingPointError`` when an entry of G could overflow.
     """
     operands = _green_operands(fac)
     operands -= _continuum_operands(system, grid)
-    return _row_kernel(operands, _block_rows(system, grid))
+    return _row_kernel(operands, _tile(system, grid)[0])
 
 
-def _block_rows(system: LevelSystem, grid: TimeGrid) -> int:
-    """Contour rows per streamed block: at least one, at most all."""
-    rows = ORACLE_BLOCK_ENTRIES // (2 * grid.n_slices * system.dimension**2)
-    return min(max(1, rows), 2 * grid.n_slices)
+def _tile(system: LevelSystem, grid: TimeGrid) -> tuple[int, int]:
+    """Contour rows and columns per streamed tile.  A tile spans every
+    column while ``ORACLE_BLOCK_ENTRIES`` hold ``TILE_ROWS`` contour rows
+    (or all 2N), and then takes as many rows as fit; otherwise it takes
+    ``TILE_ROWS`` rows and as many columns as fit, at least one."""
+    area = system.dimension**2
+    size = 2 * grid.n_slices
+    tall = min(TILE_ROWS, size)
+    rows = ORACLE_BLOCK_ENTRIES // (size * area)
+    if rows >= tall:
+        return min(rows, size), size
+    columns = ORACLE_BLOCK_ENTRIES // (tall * area)
+    if columns:
+        return tall, columns
+    return max(1, ORACLE_BLOCK_ENTRIES // area), 1
 
 
 def _workspace(system: LevelSystem, grids) -> tuple[np.ndarray, np.ndarray]:
-    """Flat complex block and float magnitude buffers for the largest row
-    block over ``grids``."""
-    d = system.dimension
-    entries = max(_block_rows(system, g) * 2 * g.n_slices * d * d for g in grids)
-    return np.empty(entries, dtype=complex), np.empty(entries)
+    """Flat complex buffer for the largest tile over ``grids``, and the
+    float slab through which its magnitudes are reduced."""
+    area = system.dimension**2
+    entries = max(math.prod(_tile(system, g)) * area for g in grids)
+    return np.empty(entries, dtype=complex), np.empty(min(entries, MAGNITUDE_SLAB))
 
 
 def _grid_error(
@@ -367,42 +398,51 @@ def _grid_error(
 ) -> float:
     """Largest entry of |G - C| on ``grid``.
 
-    ``difference_rows(start, stop, out)`` writes contour rows start..stop
-    of ``G - C`` into ``out``, as the kernel of :func:`_difference_rows`
-    does.  The blocks stream through ``workspace``, from
-    :func:`_workspace` for grids including this one, so no block-sized
-    array is allocated.  They stream latest rows first: the first-order
-    error grows along the contour, so the largest entries come first.  A
-    block whose rows all lie on the forward branch then skips its
-    magnitudes when ``sqrt(2) max(|Re|, |Im|)`` over its entries, with a
-    margin for roundoff, is below the largest entry so far: it cannot
-    hold the maximum, so the result is the plain maximum, bit for bit.
-    The test costs about a third of the magnitudes, so the backward
-    blocks, which hold the largest entries, do not take it.  A NaN or an
-    infinity fails it, so no such block is skipped; the result is NaN
-    when any entry is NaN.
+    ``difference_rows(start, stop, out, span)`` writes contour rows
+    start..stop of ``G - C`` over the contour columns ``span`` into
+    ``out``, as the kernel of :func:`_difference_rows` does.  The tiles
+    of :func:`_tile` stream through ``workspace``, from
+    :func:`_workspace` for grids including this one, so no tile-sized
+    array is allocated, and their magnitudes through its slab, with
+    numpy's ufunc buffers at ``STREAM_BUFFER`` items.  They stream
+    latest rows first: the first-order error grows along the
+    contour, so the largest entries come first.  A tile whose rows all
+    lie on the forward branch then skips its magnitudes when
+    ``sqrt(2) max(|Re|, |Im|)`` over its entries, with a margin for
+    roundoff, is below the largest entry so far: it cannot hold the
+    maximum, so the result is the plain maximum, bit for bit.  The test
+    costs about a third of the magnitudes, so the backward tiles, which
+    hold the largest entries, do not take it.  A NaN or an infinity
+    fails it, so no such tile is skipped; the result is NaN when any
+    entry is NaN.
     """
     d = system.dimension
     size = 2 * grid.n_slices
-    width = size * d
-    block = _block_rows(system, grid)
-    buffer, magnitudes = workspace
+    height, width = _tile(system, grid)
+    buffer, slab = workspace
     largest = 0.0
-    for start in reversed(range(0, size, block)):
-        stop = min(start + block, size)
-        shape = ((stop - start) * d, width)
-        entries = shape[0] * width
-        diff = difference_rows(start, stop, buffer[:entries].reshape(shape))
-        if stop <= grid.n_slices:
-            parts = diff.view(float)
-            bound = max(parts.max(), -parts.min())
-            if SQRT2 * bound * (1.0 + 1e-15) < largest:
-                continue
-        magnitude = np.abs(diff, out=magnitudes[:entries].reshape(shape))
-        error = float(magnitude.max())
-        if math.isnan(error):
-            return error
-        largest = max(largest, error)
+    with np.errstate():
+        # Restored with the error state when the block exits.
+        np.setbufsize(STREAM_BUFFER)
+        for start in reversed(range(0, size, height)):
+            stop = min(start + height, size)
+            for first in range(0, size, width):
+                last = min(first + width, size)
+                shape = ((stop - start) * d, (last - first) * d)
+                out = buffer[: shape[0] * shape[1]].reshape(shape)
+                tile = difference_rows(start, stop, out, (first, last))
+                if stop <= grid.n_slices:
+                    parts = tile.view(float)
+                    bound = max(parts.max(), -parts.min())
+                    if SQRT2 * bound * (1.0 + 1e-15) < largest:
+                        continue
+                entries = tile.reshape(-1)
+                for at in range(0, entries.size, slab.size):
+                    part = entries[at : at + slab.size]
+                    error = float(np.abs(part, out=slab[: part.size]).max())
+                    if math.isnan(error):
+                        return error
+                    largest = max(largest, error)
     return largest
 
 
@@ -438,10 +478,11 @@ def run_oracle_suite(
     overflows, for every grid before any comparison; after that, raises
     ``FloatingPointError`` when an error or an entry of G is not
     finite.  The discrete inverse less the continuum
-    prediction is computed in blocks of contour rows
-    (:func:`_difference_rows`) through one block buffer for all grids,
-    so each grid costs O((N d)^2 d) time and the memory of one row block:
-    the cap bounds the work here, not the memory.
+    prediction is computed in tiles of contour rows and columns
+    (:func:`_difference_rows`, :func:`_tile`) through one tile buffer
+    and one magnitude slab for all grids, so each grid costs
+    O((N d)^2 d) time and the memory of one tile: the cap bounds the
+    work here, not the memory.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids for a convergence fit")

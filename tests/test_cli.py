@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1788,6 +1789,108 @@ def test_full_device_process_has_no_traceback(tmp_path, command, n_slices, to_pa
     assert result.returncode == 2
     target = "output.path '/dev/full'" if to_path else "standard output"
     assert result.stderr == f"error: ConfigError: cannot write {target}: {NO_SPACE}\n"
+
+
+@seed(53)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_failed_gf_leaves_the_output_path_as_it_was(data):
+    # A table that is not finite at a drawn chunk (exit 3), or a write
+    # that fails at a drawn call for lack of space (exit 2), leaves an
+    # existing output.path with its bytes, creates none where there was
+    # none, and leaves no temporary file beside it.
+    n_slices = data.draw(st.integers(1, 24))
+    components = data.draw(
+        st.lists(st.sampled_from(["R", "K", "+-", "qq"]), min_size=1, max_size=3)
+    )
+    row_chunk = data.draw(st.integers(1, 8))
+    prior = data.draw(st.none() | st.binary(max_size=64))
+    fault = data.draw(st.sampled_from(["table", "write"]))
+    overrides = {
+        "nbar": 0.4,
+        "grid.n_slices": n_slices,
+        "output.format": data.draw(st.sampled_from(["csv", "json"])),
+        "output.components": components,
+    }
+    with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
+        folder = Path(folder)
+        out = folder / "table.out"
+        argv = ["gf", "--config", write_config(folder, overrides)]
+        patch.setattr(cli, "GF_ROW_CHUNK", row_chunk)
+        byte_writer = cli._byte_writer
+        writes = []
+
+        def counted(handle):
+            write = byte_writer(handle)
+            return lambda data: writes.append(len(data)) or write(data)
+
+        with pytest.MonkeyPatch.context() as dry:
+            dry.setattr(cli, "_byte_writer", counted)
+            assert main([*argv, "--output.path", str(folder / "dry.out")]) == 0
+        (folder / "dry.out").unlink()
+        if prior is not None:
+            out.write_bytes(prior)
+        listing = sorted(os.listdir(folder))
+        if fault == "table":
+            chunks = len(components) * -(-(n_slices + 1) // row_chunk)
+            failing = data.draw(st.integers(0, chunks - 1))
+            value = data.draw(st.sampled_from([np.nan, np.inf]))
+            calls = iter(range(chunks))
+            component_table = cli.component_table
+
+            def stub(*args):
+                table = component_table(*args)
+                if next(calls) == failing:
+                    table[-1, -1, 0, 0] = value
+                return table
+
+            patch.setattr(cli, "component_table", stub)
+            code = 3
+        else:
+            failing = data.draw(st.integers(0, len(writes) - 1))
+            calls = iter(range(len(writes)))
+
+            def full(handle):
+                write = byte_writer(handle)
+
+                def failing_write(data):
+                    if next(calls) == failing:
+                        raise OSError(errno.ENOSPC, NO_SPACE)
+                    return write(data)
+
+                return failing_write
+
+            patch.setattr(cli, "_byte_writer", full)
+            code = 2
+        assert main([*argv, "--output.path", str(out)]) == code
+        assert sorted(os.listdir(folder)) == listing
+        if prior is not None:
+            assert out.read_bytes() == prior
+
+
+def test_gf_output_path_file_modes(tmp_path, capsys):
+    # A new file takes 0o666 less the umask, as open(path, "w") gives
+    # it; a file that is replaced keeps its own permission bits; a
+    # symbolic link is written through, to the file it names.
+    config = write_config(tmp_path)
+    assert main(["gf", "--config", config]) == 0
+    expected = capsys.readouterr().out.encode()
+    umask = os.umask(0o022)
+    os.umask(umask)
+    new = tmp_path / "new.out"
+    assert main(["gf", "--config", config, "--output.path", str(new)]) == 0
+    assert new.read_bytes() == expected
+    assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+    kept = tmp_path / "kept.out"
+    kept.write_bytes(b"earlier bytes\n")
+    kept.chmod(0o640)
+    link = tmp_path / "link.out"
+    link.symlink_to(kept)
+    assert main(["gf", "--config", config, "--output.path", str(link)]) == 0
+    assert link.is_symlink() and kept.read_bytes() == expected
+    assert kept.stat().st_mode & 0o777 == 0o640
+    listing = ["kept.out", "link.out", "new.out", "run.json"]
+    assert sorted(os.listdir(tmp_path)) == listing
 
 
 def test_occupation_slack_is_fixed(tmp_path, capsys):

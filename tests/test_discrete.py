@@ -242,7 +242,10 @@ def test_green_rows_as_products_match_dense_inverse(
     # 2N rows must give the dense inverse of D': calls of one row, calls
     # of ``block`` rows (across the turn where block does not divide N),
     # calls longer than the built square, which take several pieces per
-    # branch, and the calls in reverse order, as the oracle streams them.
+    # branch, and the calls in reverse order, as the oracle streams them;
+    # each over every column and in tiles of one column, of block + 1
+    # columns, which cut the lag table's columns and the turn, and of
+    # 2 block + 3, which reach past the table from within it.
     rng = np.random.default_rng([dimension, n_slices, block, statistics.zeta + 9])
     system = random_system(rng, statistics, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
@@ -250,6 +253,7 @@ def test_green_rows_as_products_match_dense_inverse(
     rows = _row_kernel(_green_operands(_factor(system, [grid])[0]), block)
     total = 2 * n_slices
     d = dimension
+    tol = DENSE_TOL * max_abs(dense)
     for length in (1, block, 2 * block + 1, total):
         starts = range(0, total, length)
         for order in (starts, reversed(starts)):
@@ -257,7 +261,12 @@ def test_green_rows_as_products_match_dense_inverse(
                 stop = min(start + length, total)
                 got = rows(start, stop)
                 want = dense[start * d : stop * d]
-                assert max_abs(got - want) <= DENSE_TOL * max_abs(dense)
+                assert max_abs(got - want) <= tol
+                for width in (1, block + 1, 2 * block + 3):
+                    for first in range(0, total, width):
+                        last = min(first + width, total)
+                        got = rows(start, stop, span=(first, last))
+                        assert max_abs(got - want[:, first * d : last * d]) <= tol
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))

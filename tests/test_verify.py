@@ -465,7 +465,7 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     assert np.abs(jump).max() <= tol
     # The fused kernel gives G - C by contour rows, built for the suite's
     # blocks and for blocks of one and of three rows, whose lag terms
-    # past a piece are products.
+    # past a piece are products; tiles of whole rows at one tile row.
     green = dense_green(system, grid)
     difference = green - reference
     tol = KERNEL_TOL * max(np.abs(reference).max(), np.abs(green).max())
@@ -476,7 +476,9 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     for entries in (verify.ORACLE_BLOCK_ENTRIES, row_entries, 3 * row_entries):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
-            assert verify._block_rows(system, grid) == min(entries // row_entries, size)
+            patch.setattr(verify, "TILE_ROWS", 1)
+            tile = (min(entries // row_entries, size), size)
+            assert verify._tile(system, grid) == tile
             rows = verify._difference_rows(system, grid, fac)
 
         def block_rows(start, stop):
@@ -571,8 +573,9 @@ def dense_difference_rows(system, grid):
     difference = dense_green(system, grid) - continuum_contour_reference(system, grid)
     d = system.dimension
 
-    def difference_rows(start, stop, out):
-        out[:] = difference[start * d : stop * d]
+    def difference_rows(start, stop, out, span):
+        first, last = span
+        out[:] = difference[start * d : stop * d, first * d : last * d]
         return out
 
     return difference, difference_rows
@@ -580,8 +583,9 @@ def dense_difference_rows(system, grid):
 
 @pytest.mark.parametrize("row", [0, -1])
 def test_oracle_error_keeps_nan(monkeypatch, row):
-    # The NaN in the first or the last contour row; one row per block,
-    # 3-row blocks that do not divide 2N = 16, one block.
+    # The NaN in the first or the last contour row; tiles of one d x d
+    # block, of all 16 rows by 3 columns (3 does not divide 2N = 16), and
+    # one tile.
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     for entries in (1, 48, 2**16):
@@ -596,9 +600,10 @@ def test_oracle_error_keeps_nan(monkeypatch, row):
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
 @pytest.mark.parametrize("row", [0, 8, 14])
 def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
-    # One contour row per block, 3-row blocks that do not divide 2N = 16,
-    # one block.  Forward row k and backward row 2N - 2 - k share a
-    # time; the next column does not.  The error covers both.
+    # Tiles of one d x d block, of all 16 rows by 3 columns (3 does not
+    # divide 2N = 16), and one tile.  Forward row k and backward row
+    # 2N - 2 - k share a time; the next column does not.  The error
+    # covers both.
     monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
@@ -623,17 +628,26 @@ NONFINITE = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
 
 @st.composite
 def planted_entries(draw):
-    """``(n_slices, dimension, entries, damp, row, column, value)``: a
-    grid, a block size, a factor for the forward rows of G - C, and an
-    entry with a value to plant there, NaN, an infinite part, or a
-    finite value up to twice the largest entry in any phase.  In about
-    half the draws the row is forward, in a block that may be skipped,
-    which a damped difference lets every forward block be; in about
-    half the column is in the row's same-index diagonal block or in the
+    """``(n_slices, dimension, sizes, damp, row, column, value)``: a grid;
+    the tile buffer's entries, the tile rows and the magnitude slab's
+    floats; a factor for the forward rows of G - C; and an entry with a
+    value to plant there, NaN, an infinite part, or a finite value up to
+    twice the largest entry in any phase.  The sizes give tiles of one
+    d x d block, of rows cut into columns that may not divide 2N, of
+    whole rows that may straddle the turn and of the whole grid, and
+    slabs that split a tile, split it unevenly or hold it.  In about
+    half the draws the row is forward, in a tile that may be skipped,
+    which a damped difference lets every forward tile be; in about half
+    the column is in the row's same-index diagonal block or in the
     cross-branch partner of its time."""
     n_slices = draw(st.integers(1, 16))
-    d = draw(st.integers(1, 3))
-    entries = draw(st.sampled_from([1, 48, 2**16]))
+    d = draw(st.integers(1, 4))
+    row_entries = 2 * n_slices * d * d
+    entries = draw(
+        st.sampled_from([1, 48, 2**16]) | st.integers(1, 3 * row_entries)
+    )
+    tile_rows = draw(st.integers(1, 8))
+    slab = draw(st.sampled_from([1, 2**14]) | st.integers(2, 2 * row_entries))
     damp = draw(st.sampled_from([1.0, 1e-3]))
     size = 2 * n_slices
     row = draw(st.integers(0, n_slices - 1) | st.integers(0, size - 1))
@@ -642,7 +656,8 @@ def planted_entries(draw):
     a, b = (draw(st.integers(0, d - 1)) for _ in range(2))
     finite = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2 * np.pi))
     value = draw(st.sampled_from(NONFINITE) | finite)
-    return n_slices, d, entries, damp, row * d + a, col * d + b, value
+    sizes = (entries, tile_rows, slab)
+    return n_slices, d, sizes, damp, row * d + a, col * d + b, value
 
 
 def plain_max(difference):
@@ -650,19 +665,26 @@ def plain_max(difference):
 
 
 @seed(31)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(case=planted_entries())
 def test_grid_error_is_the_plain_max(case):
     # The error is the plain max of |G - C| over every entry, equal times
-    # included, bit for bit, though blocks that cannot hold the maximum
-    # skip their magnitudes; a NaN or an infinity anywhere reaches it.
-    n_slices, dimension, entries, damp, row, column, value = case
+    # included, bit for bit, though tiles that cannot hold the maximum
+    # skip their magnitudes and the rest reach it through the slab; a NaN
+    # or an infinity anywhere reaches it.
+    n_slices, dimension, sizes, damp, row, column, value = case
     rng = np.random.default_rng(dimension)
     system = random_system(rng, Statistics.BOSON, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+        names = ("ORACLE_BLOCK_ENTRIES", "TILE_ROWS", "MAGNITUDE_SLAB")
+        for name, size in zip(names, sizes):
+            patch.setattr(verify, name, size)
         workspace = verify._workspace(system, [grid])
+        # The tiles fit the buffer unless one d x d block does not.
+        entries, _, slab = sizes
+        assert workspace[0].size <= max(entries, dimension**2)
+        assert workspace[1].size <= slab
         difference, difference_rows = dense_difference_rows(system, grid)
         difference[: n_slices * dimension] *= damp
         largest = plain_max(difference)
@@ -677,12 +699,13 @@ def test_grid_error_is_the_plain_max(case):
 
 
 def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
-    # One row per block at d = 1: the magnitude buffer ends with the last
-    # block whose magnitudes were taken.  With the forward rows damped,
-    # that is the first backward row: every forward block was skipped.
-    # With the first row's largest entry planted past the others, it is
-    # the first row.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", 1)
+    # Tiles of one whole row at d = 1: the slab's first row holds the
+    # magnitudes of the last tile whose magnitudes were taken.  With the
+    # forward rows damped, that is the first backward row: every forward
+    # tile was skipped.  With the first row's largest entry planted past
+    # the others, it is the first row.
+    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", 16)
+    monkeypatch.setattr(verify, "TILE_ROWS", 1)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     difference, difference_rows = dense_difference_rows(system, grid)
@@ -691,7 +714,7 @@ def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
     for last in (8, 0):
         error = verify._grid_error(system, grid, difference_rows, workspace)
         assert error == plain_max(difference)
-        np.testing.assert_array_equal(workspace[1], np.abs(difference[last]))
+        np.testing.assert_array_equal(workspace[1][:16], np.abs(difference[last]))
         difference[0, 5] = 2 * error
 
 
@@ -837,9 +860,10 @@ def test_verify_reads_the_discrete_route_through_its_operands():
 
 def test_grid_error_allocates_no_block():
     # With the caller's workspace, one grid allocates the kernel's buffer
-    # for the factors past a block (59 KiB, kept), the per-block row
-    # factor stacks and numpy's iterator buffers for the Toeplitz add on
-    # a block's own square: 171 KiB at the peak, not a block (768 KiB).
+    # for the factors past a tile (59 KiB, kept) and the per-tile row
+    # factor stacks: 76 KiB at the peak, not a tile (768 KiB).  With
+    # numpy's default ufunc buffers the Toeplitz add on a tile's own
+    # square took 96 KiB more.
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     grid = TimeGrid(0.0, 1.0, 256)
     rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
