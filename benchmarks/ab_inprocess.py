@@ -17,8 +17,13 @@ same bytes on every call of every pass::
 With ``--gf-writer`` in place of ``--workload`` it runs the cases of
 ``bench_gf_writer.py`` instead (N in 30, 120 and 480, d in 1 and 2, CSV
 and JSON), each a group of its own with its own pairs, so the writer's
-cost curve is measured interleaved.  ``--json PATH`` also writes the
-results to ``PATH``.
+cost curve is measured interleaved.  With ``--structure-suite`` it times
+``run_structure_suite`` alone, one call a pass, on the systems of
+``bench_continuum.py`` (d in ``cases.CONTINUUM_DIMENSIONS``, both
+statistics), each built by each tree from the same matrices and timed
+as a group of its own, with the ``tracemalloc`` peak of one call and
+whether the two trees returned the same checks.  ``--json PATH`` also
+writes the results to ``PATH``.
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``contourgf``
 package, for example ``src`` of a second checkout of the parent commit
@@ -46,6 +51,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,41 +108,102 @@ def summary(times: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def interleave(passes, pairs) -> dict:
+    """Interleaved A/B of ``passes``, per side a function of no arguments
+    that runs one pass and returns its seconds and a list of its outputs:
+    after one pass a side, pairs of passes whose first side alternates.
+    Per side the pass times and the pairs won, and the positions of the
+    outputs that were not the same on every pass of both sides."""
+    seen = [set(pair) for pair in zip(*(passes[side]()[1] for side in ("old", "new")))]
+    times = {side: [] for side in passes}
+    for pair in range(pairs):
+        order = ("old", "new") if pair % 2 == 0 else ("new", "old")
+        for side in order:
+            seconds, outputs = passes[side]()
+            times[side].append(seconds)
+            for outputs_seen, output in zip(seen, outputs):
+                outputs_seen.add(output)
+    wins = {"old": 0, "new": 0}
+    for old, new in zip(times["old"], times["new"]):
+        wins["old" if old < new else "new"] += old != new
+    return {"times": times, "wins": wins,
+            "differ": [index for index, outputs in enumerate(seen) if len(outputs) > 1]}
+
+
+def summarize(labels, timed, peaks, pairs, **extra) -> dict:
+    """The result of :func:`interleave` with the ``labels`` of its
+    outputs and the peak of each side."""
+    result = {"calls": labels, "pairs": pairs,
+              "differ": [labels[index] for index in timed["differ"]]}
+    for side in ("old", "new"):
+        result[side] = {**summary(timed["times"][side]), "wins": timed["wins"][side],
+                        "peak_bytes": peaks[side], **extra.get(side, {})}
+    result["new_over_old"] = result["new"]["median"] / result["old"]["median"]
+    return result
+
+
 def compare(sides, labels, argvs, pairs) -> dict:
     """Interleaved A/B of the calls ``argvs``, named by ``labels``: per side
     the pass times, the pairs won and the peak, and the calls whose output
     differed."""
-    first = {side: run_pass(cli, argvs) for side, cli in sides.items()}
-    # The digests each call's output had, over both trees and all passes.
-    digests = [set(pair) for pair in zip(first["old"][2], first["new"][2])]
+    codes = {side: run_pass(cli, argvs)[1] for side, cli in sides.items()}
     peaks = {side: peak_bytes(cli, argvs) for side, cli in sides.items()}
-    times = {side: [] for side in sides}
-    for pair in range(pairs):
-        order = ("old", "new") if pair % 2 == 0 else ("new", "old")
-        for side in order:
-            seconds, _, outputs = run_pass(sides[side], argvs)
-            times[side].append(seconds)
-            for seen, digest in zip(digests, outputs):
-                seen.add(digest)
-    wins = {"old": 0, "new": 0}
-    for old, new in zip(times["old"], times["new"]):
-        wins["old" if old < new else "new"] += old != new
-    result = {"calls": labels, "pairs": pairs,
-              "differ": [label for label, seen in zip(labels, digests) if len(seen) > 1]}
-    for side in sides:
-        result[side] = {**summary(times[side]), "wins": wins[side],
-                        "peak_bytes": peaks[side], "exit_codes": first[side][1]}
-    result["new_over_old"] = result["new"]["median"] / result["old"]["median"]
-    return result
+
+    def one_pass(cli):
+        seconds, _, digests = run_pass(cli, argvs)
+        return seconds, digests
+
+    timed = interleave({side: partial(one_pass, cli) for side, cli in sides.items()}, pairs)
+    return summarize(labels, timed, peaks, pairs,
+                     **{side: {"exit_codes": codes[side]} for side in sides})
+
+
+def compare_suite(sides, statistics_name: str, dimension: int, pairs) -> dict:
+    """Interleaved A/B of ``run_structure_suite`` on the continuum curve's
+    system of ``dimension`` levels: per side the call times, the pairs won
+    and the ``tracemalloc`` peak of one call, and whether the checks it
+    returned differed."""
+    from cases import continuum_matrices
+
+    suites = {}
+    for side, cli in sides.items():
+        package = cli.__package__
+        core = importlib.import_module(f"{package}.core")
+        verify = importlib.import_module(f"{package}.verify")
+        system = core.LevelSystem(
+            *continuum_matrices(statistics_name, dimension),
+            core.Statistics(statistics_name),
+        )
+        suites[side] = (verify.run_structure_suite, system)
+
+    def one_call(suite, system):
+        start = time.perf_counter()
+        checks = suite(system)
+        seconds = time.perf_counter() - start
+        return seconds, [repr([vars(check) for check in checks])]
+
+    peaks = {}
+    for side, (suite, system) in suites.items():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            suite(system)
+            peaks[side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    passes = {side: partial(one_call, *call) for side, call in suites.items()}
+    label = f"suite-{statistics_name}-d{dimension}"
+    return summarize([label], interleave(passes, pairs), peaks, pairs)
 
 
 def report(result) -> None:
     for side in ("old", "new"):
         s = result[side]
+        codes = f", exit codes {s['exit_codes']}" if "exit_codes" in s else ""
         print(f"{side}: median {s['median'] * 1e3:.3f} ms "
               f"(quartiles {s['q1'] * 1e3:.3f}-{s['q3'] * 1e3:.3f}), "
               f"faster in {s['wins']}/{result['pairs']} pairs, "
-              f"peak {s['peak_bytes'] / 2**20:.4f} MiB, exit codes {s['exit_codes']}")
+              f"peak {s['peak_bytes'] / 2**20:.4f} MiB{codes}")
     print(f"new/old median: {result['new_over_old']:.4f}")
     print("outputs: " + (f"differ on {result['differ']}" if result["differ"] else
                          "identical on every call of every pass"))
@@ -157,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     group.add_argument("--workload", choices=WORKLOADS)
     group.add_argument("--gf-writer", action="store_true",
                        help="the cases of bench_gf_writer.py, one at a time")
+    group.add_argument("--structure-suite", action="store_true",
+                       help="run_structure_suite on the systems of bench_continuum.py")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--json", help="also write the results to this file")
@@ -174,7 +243,16 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(config, handle)
             return call_argv(path)
 
-        if args.gf_writer:
+        if args.structure_suite:
+            from cases import CONTINUUM_DIMENSIONS
+
+            for dimension in CONTINUUM_DIMENSIONS:
+                for statistics_name in ("boson", "fermion"):
+                    result = compare_suite(sides, statistics_name, dimension, args.pairs)
+                    print(f"{result['calls'][0]}, {args.pairs} pairs")
+                    report(result)
+                    results.append(result)
+        elif args.gf_writer:
             import bench_gf_writer as bench
 
             for index, (n_slices, dimension, output_format) in enumerate(

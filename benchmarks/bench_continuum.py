@@ -5,8 +5,10 @@
 in independent random eigenbases so the two do not commute.  Each case
 also records, in ``extra_info``, the ``tracemalloc`` peak of one untimed
 call, and a suite case the numbers of ``propagator_stack`` and
-``np.einsum`` calls it makes.  The file sits outside the test paths; run
-it with
+``np.einsum`` calls it makes.  The systems come from ``cases.py``, so
+``ab_inprocess.py OLD_SRC NEW_SRC --structure-suite`` runs the same
+suite cases on two trees in interleaved pairs.  The file sits outside
+the test paths; run it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_continuum.py --benchmark-warmup=on \\
@@ -21,17 +23,13 @@ import pytest
 from contourgf import LevelSystem, Statistics, fix_constants, run_structure_suite
 from contourgf import continuum, core, verify
 
-from cases import peak_mib, random_matrices
-
-DIMENSIONS = [1, 2, 4, 8, 16]
-OCCUPATIONS = {Statistics.BOSON: (0.0, 3.0), Statistics.FERMION: (0.05, 0.95)}
+from cases import CONTINUUM_DIMENSIONS as DIMENSIONS
+from cases import continuum_matrices, peak_mib
 
 
 def _system(statistics, dimension):
     """eps in [-1, 1] and nbar evenly spread over the statistics' range."""
-    low, high = OCCUPATIONS[statistics]
-    occupations = low + (high - low) * (np.arange(dimension) + 0.5) / dimension
-    return LevelSystem(*random_matrices(dimension, occupations), statistics)
+    return LevelSystem(*continuum_matrices(statistics.value, dimension), statistics)
 
 
 @pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)

@@ -1,9 +1,10 @@
-"""What the benchmark files share: the ``tracemalloc`` peak of one call
-and the random matrices of their level systems.
+"""What the benchmark files share: the ``tracemalloc`` peak of one call,
+the random matrices of their level systems, and the systems of the
+continuum curve.
 
 numpy alone is imported here, so that ``ab_inprocess.py`` and
-``cold_gf.py`` can take the cases of ``bench_gf_writer.py`` beside two
-trees of their own.
+``cold_gf.py`` can take the cases of ``bench_gf_writer.py`` and
+``bench_continuum.py`` beside two trees of their own.
 """
 
 import tracemalloc
@@ -38,3 +39,18 @@ def random_matrices(dimension, occupations):
 
     epsilon = hermitian(rng.uniform(-1.0, 1.0, size=dimension))
     return epsilon, hermitian(occupations)
+
+
+# The dimensions of the continuum curve, and the range its occupations
+# spread over per statistics.
+CONTINUUM_DIMENSIONS = [1, 2, 4, 8, 16]
+CONTINUUM_OCCUPATIONS = {"boson": (0.0, 3.0), "fermion": (0.05, 0.95)}
+
+
+def continuum_matrices(statistics: str, dimension: int):
+    """The energy and occupation matrices of the continuum curve's
+    system: eps in [-1, 1] and nbar evenly spread over the range of the
+    statistics named ``statistics``."""
+    low, high = CONTINUUM_OCCUPATIONS[statistics]
+    occupations = low + (high - low) * (np.arange(dimension) + 0.5) / dimension
+    return random_matrices(dimension, occupations)

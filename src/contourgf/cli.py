@@ -39,6 +39,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -143,17 +144,26 @@ def _cell(x) -> str:
     return "" if x is None else str(x) if isinstance(x, int) else f"{x:.17g}"
 
 
+# Types of config values that hold no other value.
+_SCALAR_TYPES = {int, float, bool, str, type(None)}
+
+
 def _contains_bool(value, depth: int = 0) -> bool:
-    """Whether a boolean sits anywhere in nested lists and dicts.  Only
-    containers recurse, so a row of numbers is one loop, not one call per
-    number.  Raises :class:`ConfigError` for more than ``MAX_NESTING``
-    levels of lists and dicts."""
+    """Whether a boolean sits anywhere in nested lists and dicts.  The
+    types of a list's items are collected in one pass, so a row of
+    numbers costs no Python loop; a list or dict that holds anything
+    else walks its items in order, and the first of a boolean or a
+    container holding one decides.  Raises :class:`ConfigError` for
+    more than ``MAX_NESTING`` levels of lists and dicts."""
     if isinstance(value, dict):
         value = value.values()
     elif not isinstance(value, list):
         return type(value) is bool
     if depth >= MAX_NESTING:
         raise ConfigError("config is nested too deeply to validate")
+    kinds = set(map(type, value))
+    if kinds <= _SCALAR_TYPES:
+        return bool in kinds
     for item in value:
         if type(item) is bool:
             return True
@@ -451,8 +461,9 @@ def _csv(header: str, rows) -> str:
 # at max_dimension, so a chunk stays below GF_ROW_CHUNK * max_dimension
 # * d * 16 B: about 32 MiB * d at the default cap of 8192.  The cap is
 # what bounds the memory of gf; the chunking alone would not.  Beside
-# the table of its E doubles, the writer holds a buffer that sorts half
-# of the chunk's rows during the distinct test, at most
+# the table of its E doubles, the writer holds a buffer that sorts an
+# eighth of the chunk's rows during the distinct test (and then at most
+# GF_SORT_KEYS entries with the distinct entries so far), at most
 # E / GF_DISTINCT_RATIO words, the arrays of one pass of the formatter
 # (about 80 B per double of its BLOCK) and the words of one block of
 # rows formatted in place, one lookup block's index arrays (about 32 B
@@ -464,6 +475,13 @@ GF_ROW_CHUNK = 256
 # limit the words (about 64 B each: the bytes and its reference) and
 # their keys still take less than the table's 8 B per double.
 GF_DISTINCT_RATIO = 12
+# Entries the distinct test holds at once after its sample of every
+# eighth row, in a block of rows and the distinct entries so far, where
+# an eighth of the chunk is less (1 MiB): about what the sample of the
+# largest chunks takes (0.94 MiB for 32 rows at d = 2, N = 480), while
+# a chunk of at most GF_SORT_KEYS entries is sorted in the sample and
+# two halves.
+GF_SORT_KEYS = 2**17
 # Doubles whose words are looked up with one sort: the rows of a chunk
 # printed from its distinct doubles go in blocks of as many rows as
 # hold at most this many doubles, or of one row.
@@ -529,21 +547,36 @@ def _sorted_distinct(values: np.ndarray, limit: int) -> np.ndarray | None:
 
 def _distinct_bits(bits: np.ndarray, limit: int) -> np.ndarray | None:
     """The distinct entries of the 2-d array ``bits``, sorted, or None
-    when there are more than ``limit`` of them.  Its rows are sorted in
-    three pieces, the first eighth, the rest of the first half and the
-    second half, so the sort buffer holds at most half of its rows,
-    rounded up, and
-    a table with most entries distinct is refused after an eighth; the
-    distinct entries of the pieces are merged by sorting them again."""
-    distinct = np.empty(0, dtype=bits.dtype)
-    eighth, half = -(-len(bits) // 8), (len(bits) + 1) // 2
-    for rows in (bits[:eighth], bits[eighth:half], bits[half:]):
+    when there are more than ``limit`` of them.
+
+    Its rows are sorted in pieces, each copied once: first a sample of
+    every eighth row, then all rows in order, in blocks of at most half
+    the rows, or of one row, that hold with the distinct entries so far
+    no more entries than an eighth of the table or ``GF_SORT_KEYS``,
+    whichever is more.  With the writer's limit, a twelfth of the chunk,
+    a block holds at least a twenty-fourth of it.  A
+    table with most entries distinct is refused after the sample, which
+    spans the table, even when its first rows repeat few doubles, as R's
+    zeros before the step do; the sampled rows are sorted again in their
+    block, which costs less than picking the others out.  The distinct
+    entries of each piece are merged into those so far by a stable sort,
+    which merges the two sorted runs in one pass."""
+    width, half = bits.shape[1], (len(bits) + 1) // 2
+    budget = max(bits.size // 8, GF_SORT_KEYS)
+    distinct, rows, start = np.empty(0, dtype=bits.dtype), bits[::8], 0
+    while rows.size:
         found = _sorted_distinct(np.sort(rows, axis=None), limit)
         if found is None:
             return None
-        distinct = _sorted_distinct(np.sort(np.concatenate((distinct, found))), limit)
+        merged = np.concatenate((distinct, found))
+        del distinct, found
+        merged.sort(kind="stable")
+        distinct = _sorted_distinct(merged, limit)
+        del merged
         if distinct is None:
             return None
+        step = max(1, min(half, (budget - distinct.size) // width))
+        rows, start = bits[start : start + step], start + step
     return distinct
 
 
@@ -651,8 +684,8 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     written by :func:`_write_chunk`, which frees all it holds, and the
     table is freed before the next is evaluated.  Each time is printed
     once per grid.  A whole chunk is never joined, so memory stays at
-    one table of E doubles; a sort buffer of half its rows, during the
-    distinct test only; at most ``E / GF_DISTINCT_RATIO`` words; one
+    one table of E doubles; a sort buffer of an eighth of its rows, or
+    of ``GF_SORT_KEYS`` entries, during the distinct test only; at most ``E / GF_DISTINCT_RATIO`` words; one
     pass of the formatter (``BLOCK`` doubles) and the words of one block
     of rows formatted in place (``BLOCK`` doubles, or one row);
     one lookup block's index arrays; and one row's pieces and text.
@@ -700,6 +733,49 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     write(fmt.footer)
 
 
+# The words json.dumps writes for the doubles that have no repr in JSON.
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, to the
+    byte: strings with ASCII escapes, None, booleans, ints and floats by
+    their ``repr`` (``NaN``, ``Infinity`` and ``-Infinity`` for the
+    doubles without one), lists and tuples as arrays and dicts with
+    string keys as objects, each item on a line of its own, ``indent``
+    (a newline and the spaces of the enclosing level) and two spaces
+    more.  Unlike the standard encoder with an indent, it makes no
+    closures, so it leaves no reference cycles behind."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_TOKENS.get(text, text)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_text(path: str | None, text: str) -> None:
     """``text`` and a newline to :func:`_output` of ``path``."""
     with _output(path) as handle:
@@ -744,7 +820,7 @@ def cmd_z(config: RunConfig) -> int:
     if config.output_format == "csv":
         text = _csv("n_slices,z_re,z_im,abs_deviation", (r.values() for r in rows))
     else:
-        text = json.dumps(rows, indent=2)
+        text = _json_text(rows)
     _write_text(config.output_path, text)
     return EXIT_OK
 
@@ -767,7 +843,7 @@ def cmd_converge(config: RunConfig) -> int:
             ),
         )
     else:
-        text = json.dumps({"schema": 1, **_as_dict(report)}, indent=2)
+        text = _json_text({"schema": 1, **_as_dict(report)})
     _write_text(config.output_path, text)
     return EXIT_OK
 
@@ -789,7 +865,7 @@ def cmd_verify(config: RunConfig, corrupt_keldysh: bool) -> int:
         corrupt_keldysh=corrupt_keldysh,
     )
     report = assemble_report(structure, convergence)
-    _write_text(config.output_path, json.dumps(report, indent=2))
+    _write_text(config.output_path, _json_text(report))
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 

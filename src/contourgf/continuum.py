@@ -167,13 +167,14 @@ def component_table(
 class _Pair:
     """Two propagator stacks and their products over all pairs, each
     computed once, when a table first reads it: ``free = P_n P_m^dag``
-    and ``keldysh = -i P_n W P_m^dag`` (W from :func:`keldysh_weight`).
-    Unless ``shared``, R and A overwrite ``free``: no later table reads it.
+    and ``keldysh = -i P_n W P_m^dag``, with ``weight`` as W when given
+    and :func:`keldysh_weight` otherwise.  Unless ``shared``, R and A
+    overwrite ``free``: no later table reads it.
     """
 
-    def __init__(self, system, p_row, p_col, *, shared=True):
+    def __init__(self, system, p_row, p_col, *, shared=True, weight=None):
         self.system, self.p_row, self.p_col = system, p_row, p_col
-        self.shared = shared
+        self.shared, self.weight = shared, weight
 
     @functools.cached_property
     def free(self) -> np.ndarray:
@@ -181,7 +182,8 @@ class _Pair:
 
     @functools.cached_property
     def keldysh(self) -> np.ndarray:
-        return _sandwich(self.p_row, keldysh_weight(self.system), self.p_col)
+        weight = keldysh_weight(self.system) if self.weight is None else self.weight
+        return _sandwich(self.p_row, weight, self.p_col)
 
 
 # Rows of R, A and the branch components multiplied by their step
@@ -285,6 +287,19 @@ def _sandwich(p_row: np.ndarray, middle: np.ndarray, p_col: np.ndarray) -> np.nd
     return out
 
 
+# Which physical component sits at each rotated-basis position.
+_LAYOUTS = {
+    Statistics.BOSON: (
+        (KeldyshComponent.KELDYSH, KeldyshComponent.RETARDED),
+        (KeldyshComponent.ADVANCED, KeldyshComponent.ZERO),
+    ),
+    Statistics.FERMION: (
+        (KeldyshComponent.RETARDED, KeldyshComponent.KELDYSH),
+        (KeldyshComponent.ZERO, KeldyshComponent.ADVANCED),
+    ),
+}
+
+
 def rotated_block_layout(
     statistics: Statistics,
 ) -> tuple[tuple[KeldyshComponent, KeldyshComponent], ...]:
@@ -292,30 +307,24 @@ def rotated_block_layout(
 
     Bosons: ``[[K, R], [A, 0]]``.  Fermions: ``[[R, K], [0, A]]``.
     """
-    if statistics is Statistics.BOSON:
-        return (
-            (KeldyshComponent.KELDYSH, KeldyshComponent.RETARDED),
-            (KeldyshComponent.ADVANCED, KeldyshComponent.ZERO),
-        )
-    return (
-        (KeldyshComponent.RETARDED, KeldyshComponent.KELDYSH),
-        (KeldyshComponent.ZERO, KeldyshComponent.ADVANCED),
-    )
+    return _LAYOUTS[statistics]
 
 
 def _has_step(statistics: Statistics, row: int, col: int) -> bool:
     """Whether the ansatz holds ``c + theta(t - t')`` at a position:
     where the retarded and advanced components sit."""
-    component = rotated_block_layout(statistics)[row][col]
+    component = _LAYOUTS[statistics][row][col]
     return component in (KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED)
 
 
 def fix_constants(
     system: LevelSystem,
+    weight: np.ndarray | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Solve the boundary conditions for the four constant blocks,
     returned as ``((c11, c12), (c21, c22))``, indexed by position like
-    :func:`rotated_block_layout`.
+    :func:`rotated_block_layout`.  ``weight`` is W when the caller has
+    computed it, and :func:`keldysh_weight` of ``system`` otherwise.
 
     The general solution of the contour equations of motion leaves one
     constant block per rotated-basis position.  Two conditions fix them:
@@ -337,7 +346,8 @@ def fix_constants(
     ``c12 = 1 - 2 nbar^T``, ``c21 = 0``, ``c22 = -1``.
     """
     statistics = system.statistics
-    weight = keldysh_weight(system)
+    if weight is None:
+        weight = keldysh_weight(system)
     eye = np.eye(weight.shape[0], dtype=complex)
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
     step_final = regularized_step(t_final - t_prime)

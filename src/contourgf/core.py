@@ -90,7 +90,10 @@ class ContourComponent(enum.Enum):
     @property
     def signs(self) -> tuple[int, int]:
         """Branch signs (row, column): +1 forward, -1 backward."""
-        return tuple(1 if branch == "+" else -1 for branch in self.value)
+        return _BRANCH_SIGNS[self.value]
+
+
+_BRANCH_SIGNS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -102,7 +105,8 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     arr = np.atleast_2d(np.asarray(value, dtype=complex))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    # A complex entry is finite when both of its parts are.
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -242,5 +246,5 @@ def propagator_stack(system: LevelSystem, scales: np.ndarray) -> np.ndarray:
     """
     w, v = system.epsilon_eigh
     s = np.asarray(scales, dtype=float).reshape(-1)
-    phases = np.exp(-1j * np.outer(s, w))
+    phases = np.exp(-1j * (s[:, None] * w))
     return np.einsum("ab,kb,cb->kac", v, phases, v.conj())

@@ -11,6 +11,11 @@ computes the free and the Keldysh product of each pair of stacks once
 (row by column, column by row, and row by row times): every table over
 that pair reads them.  The row-by-column pair is released before the
 column-by-row one is built, so at most one pair's products are alive.
+A suite call computes the Keldysh weight W, the statistics' layout and
+each step table once, and every pair and the solved constants read
+them; each check's deviations are reduced one at a time through one
+buffer of a table's magnitudes, and no deviation is alive beside the
+next.
 The oracle suite compares the closed forms against the independently
 built discrete contour inverse on a sequence of grids and fits the
 convergence order.  Along a contour row the closed forms are a rank-d
@@ -32,7 +37,8 @@ the columns within its height of its first row only; a tile of forward
 rows that provably cannot hold the maximum skips its magnitudes.  Per
 grid the suite costs O((N d)^2 d) time and O(N d^2) memory besides the
 buffer and the slab.
-Reports serialize from their dataclasses.
+Reports serialize from their dataclasses, whose field tables give the
+keys in order; ``cli`` writes them as ``json.dumps(indent=2)`` would.
 
 Both suites are deterministic given their seed.
 """
@@ -40,7 +46,7 @@ Both suites are deterministic given their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,13 +151,6 @@ class ConvergenceReport:
     details: str = ""
 
 
-def _worst(values) -> float:
-    """Largest of ``values``, 0 for none, NaN if any is NaN: Python's
-    ``max`` keeps whichever of a NaN and a number comes first."""
-    values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
-
-
 def chebyshev_interior(t_initial: float, t_final: float, count: int) -> np.ndarray:
     """Chebyshev-spaced points strictly inside (t_initial, t_final)."""
     k = np.arange(count)
@@ -182,8 +181,14 @@ def run_structure_suite(
     the solved constants, which ``constant_fixing`` compares with the
     tables at their positions; then that pair is released, and R and A
     at equal times (row by row), then A and K over column by row times,
-    each come from a pair of their own.  Each check reports the largest
-    entry of its deviations and compares with
+    each come from a pair of their own.  W, the layout and the step
+    tables are computed once and passed to the pairs and to
+    :func:`~contourgf.continuum.fix_constants`.  Each check reports the
+    largest entry of its deviations, 0 for none and NaN when one holds
+    a NaN, reduced one deviation at a time through one buffer of a
+    table's magnitudes; no deviation is alive beside the next, and the
+    adjoint checks are formed in the backward tables' layout, so that no
+    operand is strided.  It compares with
     ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta nbar^T`` the Keldysh
     weight, reported as its threshold: the roundoff of the checks that
     multiply by W grows with it.  The sampled times are offsets from
@@ -194,7 +199,9 @@ def run_structure_suite(
     checks, so those two compare with the uncorrupted tables.
     """
     ret, adv, kel, zero = KeldyshComponent  # in definition order
+    # W, the layout and the step tables, each once per suite.
     weight = keldysh_weight(system)
+    layout = rotated_block_layout(system.statistics)
     threshold = threshold * max(1.0, max_abs(weight))
     rng = np.random.default_rng(seed)
     # The closed forms depend on the times only through t - t' and
@@ -209,43 +216,65 @@ def run_structure_suite(
     delta = t_row[:, None] - t_col[None, :]
     p_row, p_col = propagator_stack(system, t_row), propagator_stack(system, t_col)
     theta = regularized_step(delta)
-    layout = rotated_block_layout(system.statistics)
+    # The magnitudes of one deviation at a time; none is larger than a
+    # table over row by column times.
+    magnitudes = np.empty(delta.size * d * d)
     results = []
 
     def check(name, deviations, details=""):
-        observed = _worst(map(max_abs, deviations))
+        # The largest entry of the deviations, 0 for none, NaN once one
+        # holds a NaN: each deviation's magnitudes go through the buffer.
+        observed = 0.0
+        for deviation in deviations:
+            if deviation.size:
+                out = magnitudes[: deviation.size].reshape(deviation.shape)
+                np.abs(deviation, out=out)
+                largest = float(np.maximum.reduce(out, axis=None))
+                if not largest <= observed:
+                    observed = largest
+                    if math.isnan(largest):
+                        break
+            # Not held while the next deviation is computed.
+            del deviation
         results.append(CheckResult(name, observed, threshold, details))
 
     # Row by column times: R, A and K, then the two checks that compare
     # them with other tables over the same stacks, while the pair's
     # products are alive.
-    pair = _Pair(system, p_row, p_col)
+    pair = _Pair(system, p_row, p_col, weight=weight)
     forward = {c: _tabulate(pair, theta, c) for c in (ret, adv, kel)}
     forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
 
     # Branch components, one table at a time: ++ - +- = R, ++ - -+ = A,
     # ++ + -- = K and the rotated zero block ++ + -- - +- - -+ = 0.
+    # Each branch table takes its sign in place, each difference goes
+    # into one new table, and none is held while the next branch is
+    # tabulated.
     def rotation():
         pp, *others = ContourComponent
         plus = total = _tabulate(pair, theta, pp)
         for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
-            other = sign * _tabulate(pair, theta, branch)
-            yield plus - other - forward[c]
+            other = _tabulate(pair, theta, branch)
+            np.multiply(sign, other, out=other)
+            deviation = plus - other
+            deviation -= forward[c]
+            yield deviation
             total = total - other
+            del deviation, other
         yield total
 
     check("zero_block", rotation())
 
     # Solved constants reproduce the closed forms at every position.
-    constants = fix_constants(system)
-    check(
-        "constant_fixing",
-        (
-            _tabulate(pair, theta, (constants, row, col)) - forward[layout[row][col]]
-            for row in range(2)
-            for col in range(2)
-        ),
-    )
+    def positions(constants):
+        for row in range(2):
+            for col in range(2):
+                deviation = _tabulate(pair, theta, (constants, row, col))
+                deviation -= forward[layout[row][col]]
+                yield deviation
+                del deviation
+
+    check("constant_fixing", positions(fix_constants(system, weight)))
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.  The forward products go
     # first.
@@ -256,7 +285,7 @@ def run_structure_suite(
 
     # backward[c][i, j] is component c at (t_col[j], t_row[i]); A is the
     # one reader of the free product.
-    pair = _Pair(system, p_col, p_row, shared=False)
+    pair = _Pair(system, p_col, p_row, shared=False, weight=weight)
     backward = {
         c: _tabulate(pair, 1.0 - theta.T, c).transpose(1, 0, 2, 3) for c in (adv, kel)
     }
@@ -268,13 +297,22 @@ def run_structure_suite(
     # Causality: retarded vanishes for t < t', advanced for t > t'.
     check("causality", (forward[ret][delta < 0], forward[adv][delta > 0]))
 
-    # Conjugation: R(t,t')^dag = A(t',t).
-    check("conjugation", [forward[ret].conj().swapaxes(2, 3) - backward[adv]])
-
-    # Keldysh anti-Hermiticity: K(t,t')^dag = -K(t',t).
-    check(
-        "keldysh_antihermiticity", [forward[kel].conj().swapaxes(2, 3) + backward[kel]]
-    )
+    # Conjugation: R(t,t')^dag = A(t',t), and Keldysh anti-Hermiticity:
+    # K(t,t')^dag = -K(t',t).  Each is formed over column by row times,
+    # the layout the backward tables were computed in, in one table that
+    # takes the forward table's transpose by a copy and is conjugated in
+    # place: no ufunc reads a strided operand, for which numpy would
+    # allocate a buffer as large as the table per operand.
+    adjoint = np.empty((t_col.size, t_row.size, d, d), dtype=complex)
+    adjoint[...] = forward[ret].transpose(1, 0, 3, 2)
+    np.conjugate(adjoint, out=adjoint)
+    adjoint -= backward[adv].transpose(1, 0, 2, 3)
+    check("conjugation", [adjoint])
+    adjoint[...] = forward[kel].transpose(1, 0, 3, 2)
+    np.conjugate(adjoint, out=adjoint)
+    adjoint += backward[kel].transpose(1, 0, 2, 3)
+    check("keldysh_antihermiticity", [adjoint])
+    del adjoint
 
     # Thermal proportionality K = (R - A) (1 + 2 zeta nbar^T), defined
     # only when the occupation commutes with the energy matrix (the
@@ -574,7 +612,8 @@ def assemble_report(
 
 
 def _as_dict(record) -> dict:
-    """A report dataclass as a dict of its fields in order.  Unlike
+    """A report dataclass as a dict of its fields in order, read from
+    its class's field table without a ``fields()`` call.  Unlike
     ``dataclasses.asdict`` it copies nothing: the values are numbers,
     strings and tuples of numbers, which serialize as they are."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}

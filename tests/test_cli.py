@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import errno
+import gc
 import io
 import json
 import math
@@ -536,25 +537,32 @@ def test_gf_chunks_switch_between_distinct_and_in_place(
 def test_gf_distinct_pieces_refused_by_their_union(
     tmp_path, capsys, monkeypatch, output_format
 ):
-    """The 41 rows of one chunk: its first eighth (6 rows) holds 200
-    distinct doubles and the second piece (15 rows) 200 others, each
-    under the limit of 280, their union not.  So the merge refuses the
-    chunk, which is printed in place and matches the reference."""
+    """The 41 rows of one chunk, in the pieces the distinct test sorts:
+    its sample of every eighth row holds 194 distinct doubles, in rows
+    24, 32 and 40 (rows 0, 8 and 16 are zeros); the first 21 rows hold
+    200 others and the zero; the other 20 rows the sample's doubles
+    and zeros.  Each piece is under the limit of 280, the union of the
+    first two is not.  So the merge refuses the chunk, which is printed
+    in place and matches the reference."""
     rows = cols = 41
-    eighth, half = -(-rows // 8), (rows + 1) // 2
+    half = (rows + 1) // 2
     limit = 2 * rows * cols // cli.GF_DISTINCT_RATIO
-    assert 200 <= limit < 400
+    assert 201 <= limit < 394
 
     def table(system, t_values, t_prime_values, component, t_ref):
         parts = np.arange(len(t_values) * 2 * len(t_prime_values)) % 200 / 7.0
         parts = parts.reshape(len(t_values), -1)
-        parts[eighth:] += 1000.0
+        unsampled = np.arange(len(t_values)) % 8 != 0
+        parts[unsampled] += 1000.0
+        parts[half:][unsampled[half:]] = 0.0
+        parts[[0, 8, 16]] = 0.0
         return parts.reshape(len(t_values), -1, 1, 1, 2).view(complex)[..., 0]
 
     monkeypatch.setattr(cli, "component_table", table)
     parts = table(None, np.zeros(rows), np.zeros(cols), None, 0.0).view(float)
-    for piece in (parts[:eighth], parts[eighth:half]):
-        assert np.unique(piece).size == 200
+    pieces = (parts[::8], parts[:half], parts[half:])
+    assert [np.unique(piece).size for piece in pieces] == [194, 201, 194]
+    assert np.unique(np.concatenate(pieces[:2], axis=None)).size == 394
     config = write_config(
         tmp_path, {"grid.n_slices": rows - 1, "output.format": output_format}
     )
@@ -1169,6 +1177,100 @@ def test_report_key_order(tmp_path, capsys):
     assert list(doc["convergence"]) == convergence_keys
     assert main(["converge", "--config", config]) == 0
     assert list(json.loads(capsys.readouterr().out)) == ["schema", *convergence_keys]
+
+
+# Doubles and strings the report writer must print as json.dumps does:
+# both zeros, the first doubles repr writes with an exponent, the least
+# subnormal, the three doubles without a JSON number, and strings with
+# quotes, backslashes, control characters and non-ASCII text.
+WRITER_DOUBLES = [0.0, -0.0, 1e16, 1e-05, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+WRITER_STRINGS = ["", '"\\/', "\x00\x1f\x7f\n\t", "\u00e9\u2028\ud800", "\U0001f600"]
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.sampled_from(WRITER_DOUBLES)
+    | st.text()
+    | st.sampled_from(WRITER_STRINGS),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.sampled_from(WRITER_STRINGS), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@seed(28)
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES)
+def test_report_writer_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_edge_values():
+    values = [*WRITER_DOUBLES, *WRITER_STRINGS, None, True, False, 2**64, -(2**63) - 1]
+    nested = {"a": values, "b": tuple(values), "": [[], {}, ()], "c": {"d": [{}]}}
+    for value in [*values, values, nested, [], {}, ()]:
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text({1j})
+
+
+@pytest.mark.parametrize("sink", ["stdout", "path"])
+@pytest.mark.parametrize(
+    "command, n_slices",
+    [("verify", 4), ("verify", [4, 8]), ("z", [4, 8]), ("converge", [4, 8])],
+    ids=["verify", "verify-grids", "z", "converge"],
+)
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, command, n_slices, sink):
+    """A call of a command that writes JSON leaves nothing for the cycle
+    collector: the standard encoder with an indent left its closures,
+    which refer to each other, 33 objects a call."""
+    path = str(tmp_path / "out.json") if sink == "path" else None
+    overrides = {"nbar": 0.7, "grid.n_slices": n_slices, "output.format": "json"}
+    config = write_config(tmp_path, {**overrides, "output.path": path})
+    argv = [command, "--config", config]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@seed(28)
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 6),
+    spread=st.integers(1, 60),
+    limit=st.integers(0, 200),
+    sort_keys=st.sampled_from([1, 7, 64, cli.GF_SORT_KEYS]),
+    table_seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_bits_are_the_unique_words_within_the_limit(
+    rows, cols, spread, limit, sort_keys, table_seed
+):
+    """The sample, the blocks after it (one row each, a few rows, or
+    half the rows, as ``GF_SORT_KEYS`` allows) and their merges give the
+    sorted distinct entries, or None past the limit, and leave the table
+    as it was: a piece of one row is a contiguous view, which must be
+    copied before it is sorted."""
+    bits = np.random.default_rng(table_seed).integers(-spread, spread, size=(rows, cols))
+    kept = bits.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "GF_SORT_KEYS", sort_keys)
+        distinct = cli._distinct_bits(bits, limit)
+    unique = np.unique(bits)
+    if unique.size <= limit:
+        np.testing.assert_array_equal(distinct, unique)
+    else:
+        assert distinct is None
+    np.testing.assert_array_equal(bits, kept)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0])
