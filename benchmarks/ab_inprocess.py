@@ -22,8 +22,14 @@ cost curve is measured interleaved.  With ``--structure-suite`` it times
 ``bench_continuum.py`` (d in ``cases.CONTINUUM_DIMENSIONS``, both
 statistics), each built by each tree from the same matrices and timed
 as a group of its own, with the ``tracemalloc`` peak of one call and
-whether the two trees returned the same checks.  ``--json PATH`` also
-writes the results to ``PATH``.
+whether the two trees returned the same checks.  With ``--oracle-suite``
+it times ``run_oracle_suite`` alone in the same way, one call a pass, on
+the cases of ``bench_oracle.py`` (the grids (N / 2, N), d in 1, 2 and
+4, up to 2 N d = 8192), and says whether the two reports agree: every
+field equal but the errors and the fitted order, which may differ by
+``ORACLE_TOLERANCE`` in absolute value, the roundoff of a change in how
+the products are taken.  ``--json PATH`` also writes the results to
+``PATH``.
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``contourgf``
 package, for example ``src`` of a second checkout of the parent commit
@@ -56,6 +62,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The largest absolute difference of an oracle error or fitted order by
+# which the two trees' reports still agree.
+ORACLE_TOLERANCE = 1e-12
 
 
 def load_cli(src: str, name: str):
@@ -158,6 +167,24 @@ def compare(sides, labels, argvs, pairs) -> dict:
                      **{side: {"exit_codes": codes[side]} for side in sides})
 
 
+def call_peak(function, *args) -> int:
+    """``tracemalloc`` peak of one call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def timed_call(function, *args) -> tuple[float, object]:
+    """Seconds of one call and what it returned."""
+    start = time.perf_counter()
+    value = function(*args)
+    return time.perf_counter() - start, value
+
+
 def compare_suite(sides, statistics_name: str, dimension: int, pairs) -> dict:
     """Interleaved A/B of ``run_structure_suite`` on the continuum curve's
     system of ``dimension`` levels: per side the call times, the pairs won
@@ -177,23 +204,54 @@ def compare_suite(sides, statistics_name: str, dimension: int, pairs) -> dict:
         suites[side] = (verify.run_structure_suite, system)
 
     def one_call(suite, system):
-        start = time.perf_counter()
-        checks = suite(system)
-        seconds = time.perf_counter() - start
+        seconds, checks = timed_call(suite, system)
         return seconds, [repr([vars(check) for check in checks])]
 
-    peaks = {}
-    for side, (suite, system) in suites.items():
-        gc.collect()
-        tracemalloc.start()
-        try:
-            suite(system)
-            peaks[side] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {side: call_peak(*call) for side, call in suites.items()}
     passes = {side: partial(one_call, *call) for side, call in suites.items()}
     label = f"suite-{statistics_name}-d{dimension}"
     return summarize([label], interleave(passes, pairs), peaks, pairs)
+
+
+def compare_oracle(sides, dimension: int, n_slices: int, pairs) -> dict:
+    """Interleaved A/B of ``run_oracle_suite`` on the oracle curve's case
+    of ``dimension`` levels and the grids (N / 2, N): per side the call
+    times, the pairs won and the ``tracemalloc`` peak of one call, and
+    the largest difference between the two reports' errors and fitted
+    orders, and whether they agree."""
+    from cases import oracle_matrices
+
+    suites = {}
+    for side, cli in sides.items():
+        package = cli.__package__
+        core = importlib.import_module(f"{package}.core")
+        verify = importlib.import_module(f"{package}.verify")
+        system = core.LevelSystem(*oracle_matrices(dimension), core.Statistics.BOSON)
+        grids = [core.TimeGrid(0.0, 1.0, n) for n in (n_slices // 2, n_slices)]
+        suites[side] = (verify.run_oracle_suite, system, grids)
+    reports = {side: suite(*args) for side, (suite, *args) in suites.items()}
+    old, new = reports["old"], reports["new"]
+    orders = (old.fitted_order, new.fitted_order)
+    differences = [abs(a - b) for a, b in zip(old.errors, new.errors)]
+    if None not in orders:
+        differences.append(abs(orders[0] - orders[1]))
+    largest = max(differences)
+    fields = ("grid_sizes", "error_bounds", "partition_deviations", "details")
+    agree = (
+        all(getattr(old, field) == getattr(new, field) for field in fields)
+        and (orders[0] is None) == (orders[1] is None)
+        and largest <= ORACLE_TOLERANCE
+    )
+    peaks = {side: call_peak(*call) for side, call in suites.items()}
+
+    def one_call(suite, *args):
+        return timed_call(suite, *args)[0], []
+
+    passes = {side: partial(one_call, *call) for side, call in suites.items()}
+    label = f"oracle-d{dimension}-n{n_slices}"
+    result = summarize([label], interleave(passes, pairs), peaks, pairs)
+    result.update(largest_difference=largest, agree=agree)
+    return result
 
 
 def report(result) -> None:
@@ -205,6 +263,11 @@ def report(result) -> None:
               f"faster in {s['wins']}/{result['pairs']} pairs, "
               f"peak {s['peak_bytes'] / 2**20:.4f} MiB{codes}")
     print(f"new/old median: {result['new_over_old']:.4f}")
+    if "agree" in result:
+        print(f"reports {'agree' if result['agree'] else 'DISAGREE'}: largest "
+              f"difference {result['largest_difference']:.3g} "
+              f"(tolerance {ORACLE_TOLERANCE:g})")
+        return
     print("outputs: " + (f"differ on {result['differ']}" if result["differ"] else
                          "identical on every call of every pass"))
 
@@ -226,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="the cases of bench_gf_writer.py, one at a time")
     group.add_argument("--structure-suite", action="store_true",
                        help="run_structure_suite on the systems of bench_continuum.py")
+    group.add_argument("--oracle-suite", action="store_true",
+                       help="run_oracle_suite on the cases of bench_oracle.py")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--json", help="also write the results to this file")
@@ -243,7 +308,15 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(config, handle)
             return call_argv(path)
 
-        if args.structure_suite:
+        if args.oracle_suite:
+            from cases import oracle_cases
+
+            for dimension, n_slices in oracle_cases():
+                result = compare_oracle(sides, dimension, n_slices, args.pairs)
+                print(f"{result['calls'][0]}, {args.pairs} pairs")
+                report(result)
+                results.append(result)
+        elif args.structure_suite:
             from cases import CONTINUUM_DIMENSIONS
 
             for dimension in CONTINUUM_DIMENSIONS:

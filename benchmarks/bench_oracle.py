@@ -2,7 +2,11 @@
 
 ``run_oracle_suite`` is timed on the grid pair (N / 2, N) for N in
 {64, 128, ..., 4096} and d in {1, 2, 4}, up to 2 N d = 8192, the
-default cap, which each d reaches.  Each case also records, in ``extra_info``, the
+default cap, which each d reaches.  The cases come from ``cases.py``, so
+``ab_inprocess.py OLD_SRC NEW_SRC --oracle-suite`` runs the same suite
+cases on two trees in interleaved pairs, the comparison to decide the
+curve by: separate pytest-benchmark passes of two trees are not
+interleaved.  Each case also records, in ``extra_info``, the
 ``tracemalloc`` peak of one untimed call and the size a dense discrete
 inverse of the finer grid would have, which the streamed suite never
 allocates.  ``test_grid_error`` times the per-grid layer on the same
@@ -21,24 +25,21 @@ run it with
 One BLAS thread, as in ``perfbench`` and ``bench_discrete.py``.
 """
 
-import numpy as np
 import pytest
 
 from contourgf import LevelSystem, Statistics, TimeGrid, run_oracle_suite, verify
 from contourgf.discrete import _factor
 
-from cases import peak_mib, random_matrices
-
-DIMENSIONS = [1, 2, 4]
-SLICES = [64, 128, 256, 512, 1024, 2048, 4096]
-DIMENSION_LIMIT = 8192
+from cases import ORACLE_DIMENSION_LIMIT as DIMENSION_LIMIT
+from cases import ORACLE_DIMENSIONS as DIMENSIONS
+from cases import ORACLE_SLICES as SLICES
+from cases import oracle_matrices, peak_mib
 
 
 def _system(dimension):
     """Boson levels with eps in [-1, 1] and nbar in [0.2, 1.5], in
     independent random eigenbases so the two do not commute."""
-    matrices = random_matrices(dimension, np.linspace(0.2, 1.5, dimension))
-    return LevelSystem(*matrices, Statistics.BOSON)
+    return LevelSystem(*oracle_matrices(dimension), Statistics.BOSON)
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)

@@ -19,11 +19,12 @@ and ``src`` of this one.  The calls come from ``perfbench/workloads.py``
 of this checkout; generated configs go to a temporary directory, and
 nothing is written under ``perfbench/`` or into either tree.  Both
 trees run with one BLAS thread, as perfbench does.  When a call's
-stdout differs and both outputs parse as JSON, its line also gives the
-largest relative difference over their numeric fields and the field
-where it occurs, so a change in the last bits of a ``converge`` error
-can be told from a real change; when no numeric field differs, it
-names the first leaf that does, such as ``.checks[9].details``.
+stdout differs and both outputs parse as JSON, or both as CSV with a
+header, its line also gives the largest relative difference over their
+numeric fields and the field where it occurs, so a change in the last
+bits of a ``converge`` error can be told from a real change; when no
+numeric field differs, it names the first field that does, such as
+``.checks[9].details`` or ``line 2 error``.
 Exits 0 when every call has the same exit code and identical stdout in
 both trees, 1 otherwise.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -149,18 +151,42 @@ def relative_difference(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def json_difference(old_path: str, new_path: str) -> str | None:
-    """The largest relative difference over the numeric fields of two
-    JSON outputs and the field where it occurs or, when no numeric field
-    differs, the first leaf that does; None when either is not JSON."""
+def csv_fields(rows: list[list[str]]):
+    """``(field, value)`` of every field of a CSV table with a header,
+    ``line <n> <column>``, its value a float where it parses as one."""
+    header = rows[0]
+    for line, row in enumerate(rows[1:], start=2):
+        for name, text in zip(header, row):
+            try:
+                value = float(text)
+            except ValueError:
+                value = text
+            yield f"line {line} {name}", value
+
+
+def output_fields(path: str) -> list | None:
+    """``(field, value)`` of every leaf of a JSON output or every field of
+    a CSV one with a header; None when it is neither."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
     try:
-        with open(old_path, encoding="utf-8") as handle:
-            old = json.load(handle)
-        with open(new_path, encoding="utf-8") as handle:
-            new = json.load(handle)
+        return list(leaves(json.loads(text)))
     except ValueError:
+        pass
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
         return None
-    old_leaves, new_leaves = list(leaves(old)), list(leaves(new))
+    return list(csv_fields(rows))
+
+
+def numeric_difference(old_path: str, new_path: str) -> str | None:
+    """The largest relative difference over the numeric fields of two
+    JSON or two CSV outputs and the field where it occurs or, when no
+    numeric field differs, the first field that does; None when they
+    are not both JSON or both CSV."""
+    old_leaves, new_leaves = output_fields(old_path), output_fields(new_path)
+    if old_leaves is None or new_leaves is None:
+        return None
     old_fields = [(p, v) for p, v in old_leaves if is_number(v)]
     new_fields = [(p, v) for p, v in new_leaves if is_number(v)]
     if [p for p, _ in old_fields] != [p for p, _ in new_fields]:
@@ -246,7 +272,7 @@ def report(old: list[dict], new: list[dict]) -> int:
             f"{'same' if a['sha256'] == b['sha256'] else 'DIFFERS'} {a['sha256'][:16]}"
         )
         if a["sha256"] != b["sha256"]:
-            difference = json_difference(a["output"], b["output"])
+            difference = numeric_difference(a["output"], b["output"])
             if difference is not None:
                 line += f" {difference}"
         print(line)

@@ -67,6 +67,8 @@ class KeldyshComponent(enum.Enum):
     KELDYSH = "K"
     ZERO = "zero"
 
+    __hash__ = object.__hash__  # as for Statistics
+
 
 def regularized_step(x):
     """Unit step with the symmetric value 1/2 at exactly zero, elementwise.

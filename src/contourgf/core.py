@@ -72,6 +72,10 @@ class Statistics(enum.Enum):
     BOSON = "boson"
     FERMION = "fermion"
 
+    # Members are singletons and compare by identity, so the identity
+    # hash agrees with equality; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
+
     @property
     def zeta(self) -> int:
         """Statistics sign: +1 for bosons, -1 for fermions."""
@@ -86,6 +90,8 @@ class ContourComponent(enum.Enum):
     PLUS_MINUS = "+-"
     MINUS_PLUS = "-+"
     MINUS_MINUS = "--"
+
+    __hash__ = object.__hash__  # as for Statistics
 
     @property
     def signs(self) -> tuple[int, int]:

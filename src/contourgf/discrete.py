@@ -46,12 +46,13 @@ two entries, so no product overflows.  The partition function costs
 O(d^3), independent of N, and each contour row of G O(N d^2).  Only
 the blocks of D' enter: no closed form is used.  G is held as
 :class:`_Operands`, whose layout this module owns:
-:mod:`contourgf.verify` writes the continuum prediction in that form,
-subtracts it, and streams the difference by :func:`_row_kernel` in
-tiles of rows and columns, in any order.  Within a branch the kernel
-splits each lag that reaches past a block of rows' own span of columns
-into two powers, so a tile is products of low-rank factors but for
-that span, where it adds the lag blocks from a table.
+:mod:`contourgf.verify` places the continuum prediction, negated, into
+G's set, each factor copied into place once, and streams the difference
+by :func:`_row_kernel` in tiles of rows and columns, in any order,
+each tile written column-major.  Within a branch the kernel splits each
+lag that reaches past a block of rows' own span of columns into two
+powers, so a tile is products of low-rank factors, each one real GEMM,
+but for that span, where it adds the lag blocks from a table.
 
 All grids of a run are factorized in one pass, with the grid as the
 leading axis of every array and each linalg call made once over the
@@ -87,6 +88,12 @@ SINGULAR_ROUNDOFFS = 32
 # _factor warns with IllConditionedWarning above this condition estimate.
 CONDITION_WARN = 1e12
 LOG2 = float(np.log(2.0))
+# (x, y) @ _EXPANSION[0] = (x, y) and (x, y) @ _EXPANSION[1] = (-y, x),
+# the float parts of x + i y and of i (x + i y), exactly when x and y
+# are finite, for _real_operand.
+_EXPANSION = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]])
+# 1 and i, exact factors: a number times either is exact when finite.
+_UNIT_AND_I = np.array([1.0, 1j])[:, None, None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,65 +388,102 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
 @dataclass
 class _Operands:
     """G, the continuum prediction C or ``G - C`` as low-rank products
-    plus a within-branch lag term.  With ``[j]`` the j-th group of d rows
-    of the row factors (tuples of ``(2 N d, r_i)`` or, cross, ``(N d, c_i)``
-    arrays, side by side), block (j, k) is ``rows[j] @ columns[:, k]``, or
-    ``cross_rows[j] @ cross_columns[:, k - N]`` from a forward row j to a
-    backward column k, plus, within a branch and for k >= j, the lag block
-    ``left @ diag(powers[branch, k - j]) @ right``, ``(left, powers,
-    right) = lags`` with ``powers`` ``(2, N, s)``, forward branch first.
-    ``powers[:, 0]`` is the lag-0 coefficient; ``powers[:, m]`` for
-    m >= 1 is geometric, the m-th power of ``powers[:, 1]`` entry by
-    entry to roundoff, with no modulus above one: :func:`_row_kernel`
-    splits a lag between two such factors.
+    plus a within-branch lag term, in the layout :func:`_row_kernel`
+    streams.  With ``[j]`` the j-th group of d rows of an array, block
+    (j, k) is ``rows[j] @ columns[k, :r]^T``, the ``(2 N d, r_i)`` row
+    factors side by side and r the sum of their ranks.  From a forward
+    row j to a backward column k it is instead ``cross[j] @
+    columns[k]^T``, ``cross`` the ``(N d, c_i)`` factors ``cross_rows``,
+    over the same r columns as the row factors, and then ``extra_rows``,
+    over the columns past r, which only the backward rows of
+    ``columns`` hold.  Within a branch and for k >= j the lag block
+    ``left @ diag(powers[branch, k - j]) @ right`` is added, ``(left,
+    powers, right) = lags`` with ``powers`` ``(2, N, s)``, forward
+    branch first.  ``powers[:, 0]`` is the lag-0 coefficient;
+    ``powers[:, m]`` for m >= 1 is geometric, the m-th power of
+    ``powers[:, 1]`` entry by entry to roundoff, with no modulus above
+    one: :func:`_row_kernel` splits a lag between two such factors.
+    The row factors are tuples of the terms' own arrays; the column and
+    lag factors are joined, each copied into place once by
+    :meth:`place`, at the ranks ``placed`` so far.  Row (k, b) of
+    ``columns`` holds the factors of contour column (k, b), so a range
+    of columns is a block of rows, which the kernel reads in place
+    through its float view, each entry's real and imaginary part side by
+    side.
     """
 
     rows: tuple[np.ndarray, ...]
-    columns: np.ndarray
     cross_rows: tuple[np.ndarray, ...]
-    cross_columns: np.ndarray
+    extra_rows: tuple[np.ndarray, ...]
+    columns: np.ndarray
     lags: tuple[np.ndarray, np.ndarray, np.ndarray]
+    placed: list[int]
 
-    def __isub__(self, other: _Operands) -> _Operands:
-        """Subtract ``other`` in place: its row factors follow these, its
-        column and lag factors are stacked under these, negated.  Each of
-        this set's factors is released once it is copied, and so are
-        ``other``'s column factors, which it keeps as None, before the
-        lag factors are joined."""
-        self.rows += other.rows
-        self.cross_rows += other.cross_rows
-        self.columns = _stack(self.columns, other.columns)
-        self.cross_columns = _stack(self.cross_columns, other.cross_columns)
-        other.columns = other.cross_columns = None
-        self.lags = (
-            np.concatenate([self.lags[0], other.lags[0]], axis=1),
-            np.concatenate([self.lags[1], other.lags[1]], axis=2),
-            _stack(self.lags[2], other.lags[2]),
+    @classmethod
+    def empty(cls, n: int, d: int, ranks: tuple[int, int, int]) -> _Operands:
+        """A set on N slices of d levels with no term placed, with room
+        for the ranks ``ranks`` of the column factors, the columns that
+        only the backward rows hold and the lag factors."""
+        rank, extra, lag = ranks
+        columns = np.empty((2 * n * d, rank + extra), dtype=complex)
+        lags = (
+            np.empty((d, lag), dtype=complex),
+            np.empty((2, n, lag), dtype=complex),
+            np.empty((lag, d), dtype=complex),
         )
-        return self
+        return cls((), (), (), columns, lags, [0, rank, 0])
+
+    def place(
+        self, *, rows=(), cross_rows=(), columns=(), extra=(), lags=None, negate=False
+    ) -> None:
+        """Add factors of a term: ``rows`` and ``cross_rows``, tuples of
+        arrays, after this set's, and ``columns``, a tuple as wide as
+        ``rows``, with ``extra``, pairs of a forward row factor and a
+        backward column factor, and ``lags = (left, powers, right)``,
+        each copied into place after the ranks placed so far.  The
+        column factors and ``right`` are negated when ``negate``.  A term
+        may be placed in several calls, each factor once, so that no
+        builder holds all of its factors at the same time."""
+        self.rows += rows
+        self.cross_rows += cross_rows
+        main, past, lag = self.placed
+        for factor in columns:
+            main = _put(self.columns[:, main:], factor, negate) + main
+        half = len(self.columns) // 2
+        for row, factor in extra:
+            self.extra_rows += (row,)
+            past = _put(self.columns[half:, past:], factor, negate) + past
+        if lags is not None:
+            left, powers, right = lags
+            at = slice(lag, lag + len(right))
+            self.lags[0][:, at] = left
+            self.lags[1][..., at] = powers
+            lag = _put(self.lags[2][lag:].T, right.T, negate) + lag
+        self.placed = [main, past, lag]
 
 
-def _stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """``[top; -bottom]``, copied into place and negated there: a ufunc
-    or ``np.concatenate`` reading a strided view buffers it."""
-    out = np.empty((len(top) + len(bottom), top.shape[1]), dtype=complex)
-    out[: len(top)] = top
-    negated = out[len(top) :]
-    negated[:] = bottom
-    np.negative(negated, out=negated)
-    return out
+def _put(target: np.ndarray, factor: np.ndarray, negate: bool) -> int:
+    """Copy ``factor``, negated when ``negate``, into the first columns
+    of ``target``; returns how many."""
+    slot = target[:, : factor.shape[1]]
+    if negate:
+        np.negative(factor, out=slot)
+    else:
+        slot[...] = factor
+    return factor.shape[1]
 
 
-def _green_operands(fac: _Factorization) -> _Operands:
-    """G's operands from one factorization.
+def _green_operands(fac: _Factorization, room=(0, 0, 0)) -> _Operands:
+    """G's operands from one factorization, in a new set with ``room``
+    for the ranks of a term placed after G's.
 
     Block (j, k) of G is ``V diag(1/s_j) A'^{-1} V^dag M V diag(1/f_k)
     V^dag / i`` plus, for k > j, ``i V diag(f_j / f_k) V^dag``.  ``1/s_j``
     and ``1/f_k`` hold at most N - 1 transfer factors of each branch, a
     product of two power table entries, and ``f_j / f_k`` is one: across
     the branches a forward row factor times a backward column factor,
-    within a branch the power at the lag.  Raises ``FloatingPointError``
-    when an entry of G could overflow.
+    which the extra factors hold, within a branch the power at the lag.
+    Raises ``FloatingPointError`` when an entry of G could overflow.
     """
     basis = fac.basis
     basis_h = basis.conj().T
@@ -450,48 +494,47 @@ def _green_operands(fac: _Factorization) -> _Operands:
     if not d * d * max_abs(fac.a_inverse) + d < np.finfo(float).max:
         raise FloatingPointError("discrete Green's function overflows")
     half = n * d
+    operands = _Operands.empty(n, d, tuple(d + extra for extra in room))
     # powers[branch, k] = t^-k for k < N, forward branch first; |t| >= 1.
     logs = np.stack([fac.log_forward, fac.log_backward])[:, None, :]
     powers = np.exp(-np.arange(n)[:, None] * logs)
     forward, backward = powers
     # Contour position j: 1/s_j for forward rows then backward rows, and
-    # 1/f_k for forward columns then backward columns.
+    # 1/f_k for forward columns then backward columns; column (k, b)
+    # takes row b of diag(1/f_k) V^dag.
     inv_s = np.concatenate([forward[::-1] * backward[-1], backward[::-1]])
-    inv_f = np.concatenate([forward, forward[-1] * backward])
     left = (basis[None, :, :] * inv_s[:, None, :]).reshape(2 * half, d)
+    del inv_s
     left = left @ (-1j * fac.a_inverse)
-
-    def column_factor(scale: np.ndarray) -> np.ndarray:
-        right = scale[:, :, None] * basis_h[None, :, :]
-        return right.transpose(1, 0, 2).reshape(d, -1)
-
-    columns = column_factor(inv_f)
-    forward_rows = 1j * basis[None, :, :] * forward[::-1, None, :]
-    cross_columns = np.concatenate([columns[:, half:], column_factor(backward)])
+    inv_f = np.concatenate([forward, forward[-1] * backward])
+    columns = (inv_f[:, None, :] * basis_h.T[None, :, :]).reshape(2 * half, d)
+    del inv_f
+    forward_rows = (1j * basis[None, :, :] * forward[::-1, None, :]).reshape(half, d)
+    cross = (backward[:, None, :] * basis_h.T[None, :, :]).reshape(half, d)
     # The table serves as the lag powers, zero at lag 0.
     powers[:, 0] = 0.0
-    return _Operands(
-        (left,),
-        columns,
-        (left[:half], forward_rows.reshape(half, d)),
-        cross_columns,
-        (1j * basis, powers, basis_h),
+    operands.place(
+        rows=(left,),
+        cross_rows=(left[:half],),
+        columns=(columns,),
+        extra=((forward_rows, cross),),
+        lags=(1j * basis, powers, basis_h),
     )
+    return operands
 
 
-def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
-    """Block-Toeplitz view of a ``(d, 2 w - 1, d)`` lag table,
-    ``[:, w - 1 + lag]`` the block at lag 1 - w .. w - 1: block (j, k) is
-    the table's block at lag ``k - j``.  A read-only float
-    ``(w, d, 2 w d)`` view, entry [j, a] row a of block row j as
-    interleaved real and imaginary parts, contiguous over (k, b): numpy
-    buffers a strided add by 8192 items, so floats halve its buffers.
-    Its top-left corners are the views of fewer rows and columns."""
+def _toeplitz(table: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz view of a ``(d, 2 w - 1, d)`` table: block (p, q)
+    is ``table[:, w - 1 - p + q]``.  A read-only float ``(w, d, 2 w d)``
+    view, entry [p, b] row b of block row p as interleaved real and
+    imaginary parts, contiguous over (q, a): numpy buffers a strided add
+    by 8192 items, so floats halve its buffers.  Its top-left corners
+    are the views of fewer rows and columns."""
     d, lags, _ = table.shape
     w = (lags + 1) // 2
     padded = table.reshape(d, lags * d).view(float)
     row, item = padded.strides
-    # Entry [j, a, x] is padded[a, 2 d (w - 1 - j) + x].
+    # Entry [p, b, x] is padded[b, 2 d (w - 1 - p) + x].
     return np.lib.stride_tricks.as_strided(
         padded[:, 2 * d * (w - 1) :],
         shape=(w, d, 2 * w * d),
@@ -500,107 +543,149 @@ def _upper_toeplitz(table: np.ndarray) -> np.ndarray:
     )
 
 
+def _real_operand(factors, low: int, high: int, rank: int):
+    """The float operand ``A_x``, ``(2 rank, 2 m)``, of the real product
+    ``B_x @ A_x`` that is the float view of ``B @ A``, for ``B_x`` the
+    float view of a complex ``(n, rank)`` B and a complex ``(rank, m)``
+    A: row 2l of ``A_x`` is row l of A as floats, and row 2l + 1 is i
+    times it.  The first rows of A are rows low..high of the complex
+    ``factors``, side by side and transposed, set here from the factors'
+    float views by one product each with ``_EXPANSION``.  Also returns
+    the complex ``(rank, 2, m)`` view of ``A_x``, ``[l, 0]`` row l of A
+    and ``[l, 1]`` i times it, for the caller to set the rest: a ufunc
+    that read one half to write the other would copy its input, which
+    numpy cannot tell apart from the output."""
+    m = high - low
+    floats = np.empty((rank, 2, m, 2))
+    at = 0
+    for factor in factors:
+        k = factor.shape[1]
+        parts = factor[low:high].view(float).reshape(m, k, 1, 2)
+        np.matmul(parts.transpose(1, 2, 0, 3), _EXPANSION, out=floats[at : at + k])
+        at += k
+    return floats.reshape(2 * rank, 2 * m), floats.view(complex)[..., 0]
+
+
 def _row_kernel(operands: _Operands, block: int):
     """Kernel for tiles of contour rows of ``operands``.
 
     Returns ``rows(start, stop, out=None, span=None)``, which writes
     contour rows start..stop over contour columns ``span = (first,
     last)``, every column when None, into ``out`` (a new array when
-    None), C-contiguous and ``((stop - start) d, (last - first) d)``.
-    It takes the rows in pieces of at most w = min(``block``, N) rows of
-    one branch, so a call of at most ``block`` rows is at most one piece
-    per branch.  A piece from row ``low`` adds the lag blocks of columns
-    low .. low + w - 1 from a block-Toeplitz view of lags 0 .. w - 1,
-    formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.
-    Past those columns, with a = low + w - 1 >= j and P the geometric
-    powers with ``P[0] = 1``, the lag block at row j and column k is
-    ``left diag(P[a - j]) @ diag(P[k - a]) right``, each factor of
-    modulus at most one when ``powers`` is.  So a piece takes one
-    product of its row factors, with the lag factors of its rows beside
-    them, and the column factors there, with their lag factors under
-    them; one without lag factors over the columns before; and, for
-    forward rows, one of the cross factors over the backward columns;
-    each over the part of its columns within the span, and the column
-    factors past the table copied once per piece.  With w = N no
-    product carries lag factors.
+    None) column-major: ``out`` is C-contiguous and ``((last - first) d,
+    (stop - start) d)``, the transpose of those rows, so that a column's
+    entries over the rows are contiguous.  It takes the rows in pieces
+    of at most w = min(``block``, N) rows of one branch, so a call of at
+    most ``block`` rows is at most one piece per branch.  A piece from
+    row ``low`` adds the lag blocks of columns low .. low + w - 1 from a
+    block-Toeplitz view of lags 0 .. w - 1, formed once, where the lag-0
+    coefficient ``powers[:, 0]`` enters.  Past those columns, with
+    a = low + w - 1 >= j and P the geometric powers with ``P[0] = 1``,
+    the lag block at row j and column k is ``left diag(P[a - j]) @
+    diag(P[k - a]) right``, each factor of modulus at most one when
+    ``powers`` is.  So a piece takes one product of the column factors
+    there, with their lag factors beside them, and its row factors, with
+    the lag factors of its rows beside them; one without lag factors over
+    the columns before; and, for forward rows, one of the cross factors
+    over the backward columns; each over the part of its columns within
+    the span, and the column factors past the table copied once per
+    piece.  Each product is one real GEMM, ``B_x (n, 2 k) @ A_x (2 k,
+    2 m)``, written into the float view of its part of ``out``: B_x the
+    float view of the complex ``(n, k)`` column factors, read in place,
+    and A_x the piece's ``(k, m)`` transposed row factors expanded by
+    :func:`_real_operand`.  With w = N no product carries lag factors.
     """
     left, powers, right = operands.lags
     n, d, s = powers.shape[1], left.shape[0], left.shape[1]
     width = min(block, n)
-    # tables[branch, a, w - 1 + lag, b] = (left diag(powers[lag]) right)_ab.
+    # tables[branch, b, w - 1 - lag, a] = (left diag(powers[lag]) right)_ab.
     mixed = (left.T[:, :, None] * right[:, None, :]).reshape(s, d * d)
     tables = np.zeros((2, d, 2 * width - 1, d), dtype=complex)
     lagged = (powers[:, :width] @ mixed).reshape(2, width, d, d)
-    tables[:, :, width - 1 :] = lagged.transpose(0, 2, 1, 3)
-    squares = tuple(map(_upper_toeplitz, tables))
+    tables[:, :, :width] = lagged[:, ::-1].transpose(0, 3, 1, 2)
+    squares = tuple(map(_toeplitz, tables))
+    if width == n:
+        # No piece reaches past its own square: the table holds every
+        # lag, and the powers are released.
+        powers = None
     # The rows close over the factors, not the set.
     factors, columns = operands.rows, operands.columns
-    crossing, cross_columns = operands.cross_rows, operands.cross_columns
-    r = len(columns)
+    crossing = operands.cross_rows + operands.extra_rows
+    r = sum(factor.shape[1] for factor in factors)
     # The column factors past a piece's table columns within its span,
-    # copied in per piece, over the lag factors diag(P[k - a]) right of
-    # one branch from k - a = offset + 1 on, filled when the branch or
+    # copied in per piece, beside the lag factors (diag(P[k - a]) right)^T
+    # of one branch from k - a = offset + 1 on, filled when the branch or
     # the offset changes: once per branch for calls over every column.
     # Made when a piece first needs it, as wide as its call's span, and
     # made again for a wider one.
     past = None
     filled = None
+    # Per lag factor, its column of left and i times it, (s, 2, 1, d):
+    # made when a piece first needs the lag factors of its rows.
+    turns = None
 
-    def stacked(row_factors, low: int, high: int, *beside) -> np.ndarray:
-        return np.concatenate(
-            [f[low * d : high * d] for f in row_factors] + list(beside), axis=1
-        )
-
-    def entries(low: int, high: int, origin: int, size: int = d) -> slice:
-        # Columns low..high of a row whose columns start at ``origin``,
-        # ``size`` items per column.
-        return slice((low - origin) * size, (high - origin) * size)
+    def part(out, lo: int, hi: int, first: int) -> np.ndarray:
+        # The float view of columns lo..hi of ``out``, whose columns
+        # start at ``first``.
+        return out[(lo - first) * d : (hi - first) * d].view(float)
 
     def products(branch, low, high, reach, out, first, last) -> None:
         # Contour rows low..high of ``branch``, whose columns end at
         # ``end``, over columns first..last, but for the lag blocks on
         # columns low..reach.  Each product takes the part lo..hi of its
         # columns within first..last.
-        nonlocal past, filled
+        nonlocal past, filled, turns
+        # The cross product first: its operand is released before the
+        # others' is made.
+        lo, hi = max(n, first), last
+        if not branch and lo < hi:
+            cross = columns[lo * d : hi * d].view(float)
+            operand = _real_operand(crossing, low * d, high * d, columns.shape[1])[0]
+            np.matmul(cross, operand, out=part(out, lo, hi, first))
+            del operand
         end = (branch + 1) * n
         lo, hi = max(reach, first), min(end, last)
-        if lo < hi:
-            v = high - low
-            # Row j takes left diag(P[a - j]), a = low + w - 1 >= j.
-            lags = left * powers[branch, width - v : width][::-1, None, :]
+        beyond = lo < hi
+        if not beyond and min(reach, last) <= first:
+            # The span holds none of the columns of the other products.
+            return
+        v = high - low
+        rank = r + s if beyond else r
+        operand, pairs = _real_operand(factors, low * d, high * d, rank)
+        if beyond:
+            # Row j takes left diag(P[a - j]), a = low + w - 1 >= j, and
+            # i times it, from i left, to roundoff: a product, not a
+            # broadcast, which numpy would buffer.
+            if turns is None:
+                turns = left.T[:, None, None, :] * _UNIT_AND_I
+            row_powers = powers[branch, width - v : width][::-1].T[:, None, :, None]
+            lags = pairs[r:].reshape(s, 2, v, d)
+            np.matmul(row_powers, turns, out=lags)
             if v == width:
-                lags[-1] = left
-            row = stacked(factors, low, high, lags.reshape(v * d, s))
-            if past is None or len(past[0]) < hi - lo:
-                past = np.empty((r + s, min(n - width, last - first), d), complex)
+                lags[:, :, -1] = turns[:, :, 0]
+            if past is None or len(past) < (hi - lo) * d:
+                past = np.empty((min(n - width, last - first) * d, r + s), complex)
                 filled = None
             # Column k takes diag(P[k - a]) right, at k - lo.
             offset = lo - reach
             if filled != (branch, offset):
-                # A product, not a broadcast, which numpy would buffer.
-                band = powers[branch, offset + 1 : offset + 1 + len(past[0])]
-                band = band.T[:, :, None]
-                np.matmul(band, right[:, None, :], out=past[r:, : band.shape[1]])
+                band = powers[branch, offset + 1 : offset + 1 + len(past) // d]
+                lags = past[: len(band) * d, r:].reshape(len(band), d, s)
+                lags = lags.transpose(2, 0, 1)
+                np.matmul(band.T[:, :, None], right[:, None, :], out=lags)
                 filled = branch, offset
-            past[:r, : hi - lo] = columns[:, entries(lo, hi, 0)].reshape(r, -1, d)
-            operand = past.reshape(r + s, -1)[:, entries(lo, hi, lo)]
-            np.matmul(row, operand, out=out[:, entries(lo, hi, first)])
-        else:
-            row = stacked(factors, low, high)
+            size = (hi - lo) * d
+            past[:size, :r] = columns[lo * d : hi * d, :r]
+            np.matmul(past[:size].view(float), operand, out=part(out, lo, hi, first))
         lo, hi = first, min(reach, last)
         if lo < hi:
-            before = columns[:, entries(lo, hi, 0)]
-            np.matmul(row[:, :r], before, out=out[:, entries(lo, hi, first)])
-        lo, hi = max(n, first), last
-        if not branch and lo < hi:
-            row = stacked(crossing, low, high)
-            cross = cross_columns[:, entries(lo, hi, n)]
-            np.matmul(row, cross, out=out[:, entries(lo, hi, first)])
+            before = columns[lo * d : hi * d, :r].view(float)
+            np.matmul(before, operand[: 2 * r], out=part(out, lo, hi, first))
 
     def rows(start: int, stop: int, out=None, span=None) -> np.ndarray:
         first, last = span or (0, 2 * n)
         if out is None:
-            out = np.empty(((stop - start) * d, (last - first) * d), dtype=complex)
+            out = np.empty(((last - first) * d, (stop - start) * d), dtype=complex)
         # Rows start..min(stop, N) are forward, max(start, N)..stop
         # backward; either range may be empty.
         branches = ((0, start, min(stop, n)), (1, max(start, n), stop))
@@ -609,18 +694,18 @@ def _row_kernel(operands: _Operands, block: int):
             for low in range(begin, finish, width):
                 high = min(low + width, finish)
                 reach = min(low + width, end)
-                piece = out[(low - start) * d : (high - start) * d]
+                piece = out[:, (low - start) * d : (high - start) * d]
                 products(branch, low, high, reach, piece, first, last)
                 # The lag blocks on columns low..reach within the span
-                # from the table, as floats [row, a, (column, b, part)],
+                # from the table, as floats [column, b, (row, a, part)],
                 # once the products' temporaries are released: numpy
                 # buffers a strided add.
                 lo, hi = max(low, first), min(reach, last)
                 if lo < hi:
                     v = high - low
-                    added = piece.view(float).reshape(v, d, -1)
-                    added = added[:, :, entries(lo, hi, first, 2 * d)]
-                    added += squares[branch][:v, :, entries(lo, hi, low, 2 * d)]
+                    added = piece.view(float).reshape(-1, d, 2 * v * d)
+                    added = added[lo - first : hi - first]
+                    added += squares[branch][lo - low : hi - low, :, : 2 * v * d]
         return out
 
     return rows

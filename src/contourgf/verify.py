@@ -24,19 +24,19 @@ after the row; at the row's own column the step takes the contour
 order, the row the later position, as in the discrete inverse, so the
 comparison covers every entry.  Within a branch that jump, like the
 discrete inverse's own within-branch term, depends only on the lag.  So
-the suite writes the closed forms in the inverse's operand form, which
-``discrete`` owns, subtracts them, and streams the difference by
-``discrete``'s row kernel in tiles, latest rows first, through one
-tile buffer of ``ORACLE_BLOCK_ENTRIES`` complex entries that serves
-every grid, and the tiles' magnitudes through one slab of
-``MAGNITUDE_SLAB`` floats.  A tile spans every column while the buffer
-holds ``TILE_ROWS`` contour rows; otherwise it takes that many rows and
-as many columns as fit.  Per branch a tile costs products of stacked
-low-rank factors, the lag term among them, and a block-Toeplitz add on
-the columns within its height of its first row only; a tile of forward
-rows that provably cannot hold the maximum skips its magnitudes.  Per
-grid the suite costs O((N d)^2 d) time and O(N d^2) memory besides the
-buffer and the slab.
+the suite places the closed forms, negated, into the inverse's operand
+set, whose layout ``discrete`` owns, and streams the difference by
+``discrete``'s row kernel in tiles, latest rows first, each written
+column-major into one tile buffer of ``ORACLE_BLOCK_ENTRIES`` complex
+entries that serves every grid, and the tiles' magnitudes through one
+slab of ``MAGNITUDE_SLAB`` floats.  A tile spans every column while the
+buffer holds ``TILE_ROWS`` contour rows; otherwise it takes that many
+rows and as many columns as fit.  Per branch a tile costs products of
+stacked low-rank factors, the lag term among them, each one real GEMM,
+and a block-Toeplitz add on the columns within its height of its first
+row only; a tile of forward rows that provably cannot hold the maximum
+skips its magnitudes.  Per grid the suite costs O((N d)^2 d) time and
+O(N d^2) memory besides the buffer and the slab.
 Reports serialize from their dataclasses, whose field tables give the
 keys in order; ``cli`` writes them as ``json.dumps(indent=2)`` would.
 
@@ -93,8 +93,9 @@ ORDER_FLOOR = 1e-12
 # comparison: 768 KiB, allocated once per suite.  With the magnitude
 # slab and the O(N d^2) factors of one grid it sets the comparison's
 # memory: the oracle suite on d = 2, N = 64, 128 and 256 (no grid
-# tiled) peaks at 1.21 MiB (tracemalloc).  Half the buffer peaked at
-# 0.84 MiB there but ran 2-3 % slower, from the fixed cost of a tile.
+# tiled) peaks at 1.20 MiB (tracemalloc).  Half the buffer peaked at
+# 0.82 MiB there but ran about 6 % slower, from the fixed cost of a
+# tile.
 ORACLE_BLOCK_ENTRIES = 3 * 2**14
 # Floats of the slab through which a tile's magnitudes are reduced:
 # 128 KiB, which stays in a core's cache.
@@ -102,7 +103,10 @@ MAGNITUDE_SLAB = 2**14
 # Contour rows of a tile where the buffer holds fewer whole contour
 # rows; its columns are cut to fit.  Fewer rows pay a tile's fixed cost
 # and the copy of the column factors past its lag table more often, and
-# take products of fewer rows.
+# take products of fewer rows: a tile's rows are the short side, 2 d
+# TILE_ROWS floats, of each of its real products.  At the grid cap
+# (d = 1, 2 and 4, 2 N d = 8192) 16, 32 and 48 rows were not faster
+# beyond the spread of the runs.
 TILE_ROWS = 24
 # Items per operand of numpy's ufunc buffers while a grid streams.  At
 # numpy's default of 8192 the kernel's strided Toeplitz add on a tile
@@ -347,9 +351,13 @@ def _contour_offsets(grid: TimeGrid) -> np.ndarray:
     return contour_times(TimeGrid(0.0, grid.t_final - grid.t_initial, grid.n_slices))
 
 
-def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
+def _continuum_operands(
+    system: LevelSystem, grid: TimeGrid, into: _Operands | None = None
+) -> _Operands:
     """The continuum prediction C in the operand form of
-    :class:`~contourgf.discrete._Operands`, from the closed forms.
+    :class:`~contourgf.discrete._Operands`, from the closed forms: a set
+    of its own, or placed negated into ``into``, which then holds its
+    terms less C.
 
     Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
     constant block between two propagators, so block (n, m) of the
@@ -363,7 +371,7 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
     along the backward one, so c is 1 for a column at or before the row
     and -1 for a column after it: ``W + 1``, twice the greater weight
     ``1 + zeta nbar^T``, and ``W - 1``, twice the lesser weight
-    ``zeta nbar^T``.  So over the column factors ``P_m^dag`` the row
+    ``zeta nbar^T``.  So over the column factors ``conj(P_m)`` the row
     factors are the greater ``-i/2 P_n (W + 1)`` and, every backward
     column being after a forward row, the cross rows the lesser
     ``-i/2 P_n (W - 1)``.  Within a branch the jump between the two,
@@ -373,36 +381,42 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid) -> _Operands:
     """
     d = system.dimension
     n = grid.n_slices
+    negate = into is not None
+    operands = into if negate else _Operands.empty(n, d, (d, 0, d))
     tau = _contour_offsets(grid)
-    props = propagator_stack(system, tau)
-    columns = props.conj().transpose(2, 0, 1).reshape(d, tau.size * d)
-    props = props.reshape(-1, d)
-    weight = keldysh_weight(system)
-    greater = -0.5j * props @ (weight + np.eye(d))
-    lesser = -0.5j * props[: n * d] @ (weight - np.eye(d))
     # Forward tau is dt, 2 dt, ..., N dt: the lags' phases exp(-i w lag dt).
+    # The lag factors are placed, and released, before the others are
+    # made.
     energies, basis = system.epsilon_eigh
     phases = np.exp(-1j * np.outer(tau[: n - 1], energies))
     powers = np.zeros((2, n, d), dtype=complex)
-    powers[0, 1:], powers[1, 1:] = phases.conj(), phases
-    return _Operands(
-        (greater,),
-        columns,
-        (lesser,),
-        columns[:, n * d :],
-        (1j * basis, powers, basis.conj().T),
+    np.conjugate(phases, out=powers[0, 1:])
+    powers[1, 1:] = phases
+    del phases
+    operands.place(lags=(1j * basis, powers, basis.conj().T), negate=negate)
+    del powers
+    props = propagator_stack(system, tau).reshape(-1, d)
+    weight = keldysh_weight(system)
+    greater = props @ (-0.5j * (weight + np.eye(d)))
+    lesser = props[: n * d] @ (-0.5j * (weight - np.eye(d)))
+    # Column (m, b) takes row b of P_m^dag, transposed: row b of conj(P_m).
+    np.conjugate(props, out=props)
+    operands.place(
+        rows=(greater,), cross_rows=(lesser,), columns=(props,), negate=negate
     )
+    return operands
 
 
 def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
     """Kernel for tiles of contour rows of ``G - C``, the discrete
     inverse of ``fac`` less the continuum prediction of
-    :func:`_continuum_operands`, by
+    :func:`_continuum_operands`, placed into G's set, by
     :func:`~contourgf.discrete._row_kernel`.  Raises
     ``FloatingPointError`` when an entry of G could overflow.
     """
-    operands = _green_operands(fac)
-    operands -= _continuum_operands(system, grid)
+    d = system.dimension
+    operands = _green_operands(fac, (d, 0, d))
+    _continuum_operands(system, grid, operands)
     return _row_kernel(operands, _tile(system, grid)[0])
 
 
@@ -438,13 +452,13 @@ def _grid_error(
 
     ``difference_rows(start, stop, out, span)`` writes contour rows
     start..stop of ``G - C`` over the contour columns ``span`` into
-    ``out``, as the kernel of :func:`_difference_rows` does.  The tiles
-    of :func:`_tile` stream through ``workspace``, from
-    :func:`_workspace` for grids including this one, so no tile-sized
-    array is allocated, and their magnitudes through its slab, with
-    numpy's ufunc buffers at ``STREAM_BUFFER`` items.  They stream
-    latest rows first: the first-order error grows along the
-    contour, so the largest entries come first.  A tile whose rows all
+    ``out`` column-major, ``out`` their transpose, as the kernel of
+    :func:`_difference_rows` does.  The tiles of :func:`_tile` stream
+    through ``workspace``, from :func:`_workspace` for grids including
+    this one, so no tile-sized array is allocated, and their magnitudes
+    through its slab, with numpy's ufunc buffers at ``STREAM_BUFFER``
+    items.  They stream latest rows first: the first-order error grows
+    along the contour, so the largest entries come first.  A tile whose rows all
     lie on the forward branch then skips its magnitudes when
     ``sqrt(2) max(|Re|, |Im|)`` over its entries, with a margin for
     roundoff, is below the largest entry so far: it cannot hold the
@@ -466,7 +480,7 @@ def _grid_error(
             stop = min(start + height, size)
             for first in range(0, size, width):
                 last = min(first + width, size)
-                shape = ((stop - start) * d, (last - first) * d)
+                shape = ((last - first) * d, (stop - start) * d)
                 out = buffer[: shape[0] * shape[1]].reshape(shape)
                 tile = difference_rows(start, stop, out, (first, last))
                 if stop <= grid.n_slices:

@@ -1,9 +1,9 @@
 """Dense contour matrix D', the dense discrete G and block access to it.
 
 The reference the tests compare the structured contour solve against:
-D' expanded from the solver's own blocks, G as one call of the row
-kernel the oracle streams, and the (d, d) block of G at a pair of branch
-slots.  No solver builds D' or the dense G, or reads G by slot.
+D' expanded from the solver's own blocks, G by a dense solve of D' and
+as one call of the row kernel the oracle streams, and the (d, d) block
+of G at a pair of branch slots.  No solver builds D' or the dense G, or reads G by slot.
 """
 
 from dataclasses import dataclass
@@ -85,13 +85,25 @@ def build_contour_matrix(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     return matrix
 
 
+def dense_inverse(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
+    """``G = -i D'^{-1} diag(M, 1, ..., 1)`` on ``grid`` by a dense solve
+    of D' as :func:`build_contour_matrix` assembles it: no factor of the
+    structured solve enters."""
+    matrix = build_contour_matrix(system, grid)
+    right = np.eye(len(matrix), dtype=complex)
+    d = system.dimension
+    right[:d, :d] = matrix[:d, :d]
+    return -1j * np.linalg.solve(matrix, right)
+
+
 def dense_green(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     """``G = -i D'^{-1} diag(M, 1, ..., 1)`` on ``grid`` as a dense
     ``(2 N d, 2 N d)`` array: the factorization the commands run, and all
-    2N contour rows in one call of the row kernel the oracle streams."""
+    2N contour rows in one call of the row kernel the oracle streams,
+    which writes them column-major."""
     (fac,) = _factor(system, [grid])
     total = 2 * grid.n_slices
-    return _row_kernel(_green_operands(fac), total)(0, total)
+    return _row_kernel(_green_operands(fac), total)(0, total).T
 
 
 def extract_component(

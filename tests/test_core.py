@@ -1,5 +1,6 @@
 """Tests for the domain types and the dense linear-algebra kernel."""
 
+import copy
 import inspect
 import json
 import sys
@@ -61,6 +62,27 @@ def test_statistics_signs():
     assert ContourComponent.PLUS_MINUS.signs == (1, -1)
     assert ContourComponent.MINUS_PLUS.signs == (-1, 1)
     assert ContourComponent.MINUS_MINUS.signs == (-1, -1)
+
+
+@pytest.mark.parametrize(
+    "kind", [Statistics, ContourComponent, continuum.KeldyshComponent]
+)
+def test_enum_members_hash_by_identity(kind):
+    # The identity hash: dict and set lookups by member, by a member
+    # reached through its value or name, and by a copy all find it, and
+    # no member equals another or its value.
+    members = list(kind)
+    assert all(hash(member) == object.__hash__(member) for member in members)
+    table = {member: index for index, member in enumerate(members)}
+    for index, member in enumerate(members):
+        for same in (member, kind(member.value), kind[member.name], copy.copy(member)):
+            assert same is member
+            assert table[same] == index
+            assert same in set(members)
+        assert member.value not in table
+        assert table.get(member.value) is None
+    assert len(set(members)) == len(members)
+    assert {**table, members[0]: -1}[members[0]] == -1
 
 
 def test_expm_identity_at_zero_scale():

@@ -222,8 +222,9 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     total = 2 * n_slices
     rows = _row_kernel(_green_operands(_factor(system, [grid])[0]), total)
     block = block or total
+    # Each call writes its rows column-major.
     stacked = np.vstack(
-        [rows(start, min(start + block, total)) for start in range(0, total, block)]
+        [rows(start, min(start + block, total)).T for start in range(0, total, block)]
     )
     assert stacked.shape == dense.shape
     assert max_abs(stacked - dense) <= EXACT_TOL * max_abs(dense)
@@ -260,13 +261,13 @@ def test_green_rows_as_products_match_dense_inverse(
             for start in order:
                 stop = min(start + length, total)
                 got = rows(start, stop)
-                want = dense[start * d : stop * d]
+                want = dense[start * d : stop * d].T
                 assert max_abs(got - want) <= tol
                 for width in (1, block + 1, 2 * block + 3):
                     for first in range(0, total, width):
                         last = min(first + width, total)
                         got = rows(start, stop, span=(first, last))
-                        assert max_abs(got - want[:, first * d : last * d]) <= tol
+                        assert max_abs(got - want[first * d : last * d]) <= tol
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))

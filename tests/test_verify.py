@@ -35,7 +35,7 @@ from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
 
 from conftest import random_hermitian, random_system, random_unitary
-from dense_contour import dense_green
+from dense_contour import dense_green, dense_inverse
 
 # Agreement of the row kernel with the einsum reference, relative to max|G|.
 KERNEL_TOL = 1e-13
@@ -66,10 +66,11 @@ def continuum_contour_reference(system, grid):
 def continuum_from_operands(system, grid):
     """The dense continuum prediction from ``_continuum_operands``, by the
     row kernel that streams ``G - C``: the greater product at and before
-    the row, the lesser one after it."""
+    the row, the lesser one after it.  The kernel writes the rows
+    column-major."""
     operands = verify._continuum_operands(system, grid)
     total = 2 * grid.n_slices
-    return discrete._row_kernel(operands, total)(0, total)
+    return discrete._row_kernel(operands, total)(0, total).T
 
 
 def dense_oracle_errors(system, grids):
@@ -484,9 +485,10 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
 
         def block_rows(start, stop):
             # A NaN-filled buffer: the segment products cover every entry.
-            out = np.full(((stop - start) * d, size * d), np.nan, dtype=complex)
+            # The rows are written column-major.
+            out = np.full((size * d, (stop - start) * d), np.nan, dtype=complex)
             assert rows(start, stop, out) is out
-            return out
+            return out.T
 
         # One block, and block sizes that leave a short last block.
         for block in (size, 3, 5):
@@ -508,6 +510,64 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
         ]:
             out = block_rows(start, stop)
             assert np.abs(out - difference[start * d : stop * d]).max() <= tol
+
+
+# Agreement of the G - C kernel with the dense references, in units of
+# eps max|G|: the dense solve of D' and the einsum prediction round off
+# too.
+KERNEL_EPS = 1024
+
+
+@st.composite
+def kernel_calls(draw):
+    """``(statistics, dimension, n_slices, sizes, rows, span, seed)``: a
+    system's statistics, levels and seed, a grid, the tile buffer's
+    entries and the tile rows the kernel is built for, and the contour
+    rows and columns of one call.  The sizes give kernels built for one
+    row, for blocks that do not divide 2N or straddle the turn and for
+    every row; the call may take several pieces of a branch and a span
+    that cuts the lag table, the turn or neither."""
+    statistics = draw(st.sampled_from(list(Statistics)))
+    d = draw(st.integers(1, 4))
+    n_slices = draw(st.sampled_from([1, 2, 3, 7, 16, 33]))
+    size = 2 * n_slices
+    row_entries = size * d * d
+    entries = draw(
+        st.sampled_from([1, 48, verify.ORACLE_BLOCK_ENTRIES])
+        | st.integers(1, 3 * row_entries)
+    )
+    tile_rows = draw(st.integers(1, 8) | st.just(verify.TILE_ROWS))
+    start = draw(st.integers(0, size - 1))
+    stop = draw(st.integers(start + 1, size))
+    first = draw(st.integers(0, size - 1))
+    last = draw(st.integers(first + 1, size))
+    seed_ = draw(st.integers(0, 2**16))
+    sizes = (entries, tile_rows)
+    return statistics, d, n_slices, sizes, (start, stop), (first, last), seed_
+
+
+@seed(29)
+@settings(max_examples=200, deadline=None)
+@given(case=kernel_calls())
+def test_difference_kernel_matches_dense_inverse(case):
+    # The kernel of G - C writes any rows over any span column-major,
+    # into a NaN-filled buffer that its products and lag table cover,
+    # as the dense inverse of D' less the einsum prediction.
+    statistics, d, n_slices, sizes, (start, stop), span, seed_ = case
+    system = random_system(np.random.default_rng(seed_), statistics, d)
+    grid = TimeGrid(0.0, 1.0, n_slices)
+    green = dense_inverse(system, grid)
+    difference = green - continuum_contour_reference(system, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in zip(("ORACLE_BLOCK_ENTRIES", "TILE_ROWS"), sizes):
+            patch.setattr(verify, name, value)
+        rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
+    first, last = span
+    out = np.full(((last - first) * d, (stop - start) * d), np.nan, dtype=complex)
+    assert rows(start, stop, out, span) is out
+    want = difference[start * d : stop * d, first * d : last * d].T
+    atol = KERNEL_EPS * np.finfo(float).eps * np.abs(green).max()
+    assert np.abs(out - want).max() <= atol
 
 
 def assert_oracle_errors_match_dense(system, grids):
@@ -575,8 +635,9 @@ def dense_difference_rows(system, grid):
     d = system.dimension
 
     def difference_rows(start, stop, out, span):
+        # Column-major, as the kernel writes a tile.
         first, last = span
-        out[:] = difference[start * d : stop * d, first * d : last * d]
+        out[:] = difference[start * d : stop * d, first * d : last * d].T
         return out
 
     return difference, difference_rows
@@ -721,50 +782,70 @@ def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
 def test_fused_rows_keep_nan(monkeypatch, entries):
-    # A NaN in a discrete factor reaches the error through the fused
-    # product, and one in the lag-0 block of the Toeplitz term, on the
-    # same-index diagonal, as one in the lag-1 block does.
+    # A NaN in any factor of G reaches the error through the real
+    # products, and one in the lag-0 block of the Toeplitz term, on the
+    # same-index diagonal, as one in the lag-1 block does; an infinity
+    # makes the error NaN or infinite.
     monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     fac = _factor(system, [grid])[0]
-    clean = verify._green_operands(fac)
+    d = system.dimension
+    room = (d, 0, d)
+    clean = verify._green_operands(fac, room)
     green_operands = verify._green_operands
 
     def error_with(**changes):
-        # The difference is taken in place, so each call gets a fresh set.
+        # C is placed into G's set, so each call gets a fresh set; the
+        # room for C's factors is filled after the changes.
         monkeypatch.setattr(
             verify,
             "_green_operands",
-            lambda fac: dataclasses.replace(green_operands(fac), **changes),
+            lambda fac, room: dataclasses.replace(green_operands(fac, room), **changes),
         )
-        return verify._grid_error(
-            system,
-            grid,
-            verify._difference_rows(system, grid, fac),
-            verify._workspace(system, [grid]),
-        )
+        # An infinity times a zero is NaN in the products, quietly.
+        with np.errstate(invalid="ignore"):
+            return verify._grid_error(
+                system,
+                grid,
+                verify._difference_rows(system, grid, fac),
+                verify._workspace(system, [grid]),
+            )
+
+    def reaches(error, value):
+        return np.isnan(error) if np.isnan(value) else not np.isfinite(error)
 
     assert np.isfinite(error_with())
     half = len(clean.cross_rows[0])
-    for row in (0, 15):
-        left = clean.rows[0].copy()
-        left[row] = np.nan
-        # The forward rows' first cross factor is the same left factor.
-        cross = (left[:half], *clean.cross_rows[1:])
-        assert np.isnan(error_with(rows=(left,), cross_rows=cross))
-    # A NaN in a cross factor alone reaches the error through the
-    # forward rows' backward columns.
-    for factor in range(len(clean.cross_rows)):
-        cross = list(clean.cross_rows)
-        cross[factor] = cross[factor].copy()
-        cross[factor][0] = np.nan
-        assert np.isnan(error_with(cross_rows=tuple(cross)))
-    left, powers, right = clean.lags
-    for lag in (0, 1):
-        with_nan = powers.copy()
-        with_nan[:, lag] = np.nan
-        assert np.isnan(error_with(lags=(left, with_nan, right)))
+    for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+        for row in (0, 15):
+            left = clean.rows[0].copy()
+            left[row] = value
+            # The forward rows' first cross factor is the same left factor.
+            cross = (left[:half], *clean.cross_rows[1:])
+            assert reaches(error_with(rows=(left,), cross_rows=cross), value)
+        # A value in a cross factor alone reaches the error through the
+        # forward rows' backward columns.
+        for factor in range(len(clean.cross_rows)):
+            cross = list(clean.cross_rows)
+            cross[factor] = cross[factor].copy()
+            cross[factor][0] = value
+            assert reaches(error_with(cross_rows=tuple(cross)), value)
+        # In G's column factors, forward and backward, and in its extra
+        # column factors, which only the forward rows' backward columns
+        # read.
+        for column, factor in ((0, 0), (15, 0), (8, -d)):
+            columns = clean.columns.copy()
+            columns[column, factor] = value
+            assert reaches(error_with(columns=columns), value)
+        extra = (clean.extra_rows[0].copy(),)
+        extra[0][0] = value
+        assert reaches(error_with(extra_rows=extra), value)
+        left, powers, right = clean.lags
+        for lag in (0, 1):
+            with_value = powers.copy()
+            with_value[:, lag] = value
+            assert reaches(error_with(lags=(left, with_value, right)), value)
 
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
@@ -804,22 +885,24 @@ def difference_rows_build_peak(dimension):
 
 def test_difference_rows_build_peak():
     # Building the kernel of G - C at N = 256, d = 2 keeps the row,
-    # column and lag factors of both sets and the lag tables of a block's
-    # own square (257 KB); its buffer for the factors past a block is
-    # made by the first block that needs it.  The subtraction sets the
-    # peak (315 KB): it releases each of G's factors, and C's column
-    # factors, once they are copied; one that kept both sets alive until
-    # it returned peaked at 400 KB.  The bound is the peak of the layout
-    # that added the continuum jump into the discrete lag tables in
-    # place: 346,480 B (numpy 2.4).
+    # column and lag factors of both terms and the lag tables of a
+    # block's own square; its buffer for the factors past a block is
+    # made by the first block that needs it.  C's lag factors, then its
+    # other factors, are placed into G's set, each copied into place
+    # once, and no column factor is held twice: the build peaks at
+    # 303 KB, against 315 KB for a subtraction that joined two whole
+    # sets.  The bound is the peak of the layout that added the continuum
+    # jump into the discrete lag tables in place: 346,480 B (numpy 2.4).
     assert difference_rows_build_peak(2) <= 346_480
 
 
 def test_difference_rows_build_peak_one_level():
-    # At d = 1 the lag powers are as large as a column factor.  The bound
-    # is the peak with dense lag tables of every lag, 98,408 B (numpy
-    # 2.4); this build peaks at about 90 KB, in the subtraction.
-    assert difference_rows_build_peak(1) <= 98_408
+    # At d = 1 the lag powers are as large as a column factor.  A
+    # subtraction that joined G's and C's whole sets peaked at about
+    # 90 KB there; placing C into G's set peaks at about 82 KB (numpy
+    # 2.4), within 88,800 B, the peak of the layout before the lag
+    # powers were joined.
+    assert difference_rows_build_peak(1) <= 88_800
 
 
 def test_oracle_suite_frees_each_kernel_before_the_next_build(monkeypatch):
@@ -861,10 +944,10 @@ def test_verify_reads_the_discrete_route_through_its_operands():
 
 def test_grid_error_allocates_no_block():
     # With the caller's workspace, one grid allocates the kernel's buffer
-    # for the factors past a tile (59 KiB, kept) and the per-tile row
-    # factor stacks: 76 KiB at the peak, not a tile (768 KiB).  With
-    # numpy's default ufunc buffers the Toeplitz add on a tile's own
-    # square took 96 KiB more.
+    # for the factors past a tile (59 KiB, kept) and the per-tile real
+    # operands of the row factors: 74 KiB at the peak, not a tile
+    # (768 KiB).  With numpy's default ufunc buffers the Toeplitz add on
+    # a tile's own square took 96 KiB more.
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     grid = TimeGrid(0.0, 1.0, 256)
     rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
@@ -921,8 +1004,8 @@ def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
     # first row: one block per grid puts every lag there.
     green_operands = verify._green_operands
 
-    def later(fac):
-        operands = green_operands(fac)
+    def later(fac, room):
+        operands = green_operands(fac, room)
         left, powers, right = operands.lags
         moved = np.zeros_like(powers)
         moved[:, 1:] = powers[:, :-1]
@@ -939,8 +1022,8 @@ def test_oracle_fails_with_symmetric_step_in_g(monkeypatch):
     # off by i/2 from the contour-ordered prediction.
     green_operands = verify._green_operands
 
-    def symmetric(fac):
-        operands = green_operands(fac)
+    def symmetric(fac, room):
+        operands = green_operands(fac, room)
         left, powers, right = operands.lags
         powers = powers.copy()
         powers[:, 0] = 0.5
@@ -953,11 +1036,11 @@ def test_oracle_fails_with_symmetric_step_in_g(monkeypatch):
 def test_oracle_fails_with_flipped_cross_branch_term(monkeypatch):
     green_operands = verify._green_operands
 
-    def flipped(fac):
-        operands = green_operands(fac)
-        columns = operands.cross_columns.copy()
-        columns[fac.basis.shape[0] :] *= -1
-        return dataclasses.replace(operands, cross_columns=columns)
+    def flipped(fac, room):
+        # G's extra factors carry its cross-branch term alone.
+        operands = green_operands(fac, room)
+        extra = tuple(-rows for rows in operands.extra_rows)
+        return dataclasses.replace(operands, extra_rows=extra)
 
     monkeypatch.setattr(verify, "_green_operands", flipped)
     assert not all(c.passed for c in oracle_mutant_checks())
