@@ -108,7 +108,7 @@ def _table_doubles():
     from contourgf import cli
 
     config = cli.build_run_config(gf_config(2, 120, "json"))
-    (grid,) = config.grids()
+    (grid,) = config.grids
     table = cli.component_table(
         config.system, grid.times, grid.times, cli.COMPONENT_NAMES["K"], grid.t_initial
     )

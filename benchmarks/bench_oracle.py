@@ -10,10 +10,11 @@ interleaved.  Each case also records, in ``extra_info``, the
 ``tracemalloc`` peak of one untimed call and the size a dense discrete
 inverse of the finer grid would have, which the streamed suite never
 allocates.  ``test_grid_error`` times the per-grid layer on the same
-N and d: the comparison of one grid, ``_grid_error`` over the
-row kernel of ``_difference_rows``, from a factorization and a
-workspace made before the timing, as the suite makes its workspace once
-for all grids; its peak is that of one untimed call.  Cases are timed by ``benchmark(...)``, so the warm-up and
+N and d: the comparison of one grid, the continuum prediction placed
+into the discrete inverse's operands and ``discrete._largest_entry`` of
+them, from a factorization and a workspace made before the timing, as
+the suite makes its workspace once for all grids; its peak is that of
+one untimed call.  Cases are timed by ``benchmark(...)``, so the warm-up and
 ``--benchmark-max-time`` flags below set how long each case warms up
 and runs (at least five rounds).  The file sits outside the test paths;
 run it with
@@ -28,7 +29,7 @@ One BLAS thread, as in ``perfbench`` and ``bench_discrete.py``.
 import pytest
 
 from contourgf import LevelSystem, Statistics, TimeGrid, run_oracle_suite, verify
-from contourgf.discrete import _factor
+from contourgf.discrete import _factor, _green_operands, _largest_entry, _workspace
 
 from cases import ORACLE_DIMENSION_LIMIT as DIMENSION_LIMIT
 from cases import ORACLE_DIMENSIONS as DIMENSIONS
@@ -64,11 +65,12 @@ def test_grid_error(benchmark, dimension, n_slices):
     system = _system(dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
     fac = _factor(system, [grid])[0]
-    workspace = verify._workspace(system, [grid])
+    workspace = _workspace([n_slices], dimension)
 
     def grid_error():
-        rows = verify._difference_rows(system, grid, fac)
-        return verify._grid_error(system, grid, rows, workspace)
+        operands = _green_operands(fac, (dimension, 0, dimension))
+        verify._continuum_operands(system, grid, operands)
+        return _largest_entry(operands, workspace)
 
     benchmark.extra_info["peak_mib"] = peak_mib(grid_error)
     error = benchmark(grid_error)

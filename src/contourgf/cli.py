@@ -122,16 +122,13 @@ class RunConfig:
     system: LevelSystem
     t_initial: float
     t_final: float
-    n_slices: tuple[int, ...]
+    grids: tuple[TimeGrid, ...]
     output_format: str
     components: list[str]
     output_path: str | None
     seed: int
     threshold: float
     max_dimension: int
-
-    def grids(self) -> list[TimeGrid]:
-        return [TimeGrid(self.t_initial, self.t_final, n) for n in self.n_slices]
 
 
 # Nesting levels a matrix value may have: numpy builds no array of more
@@ -208,7 +205,8 @@ def _parse_matrix(value, name: str) -> np.ndarray:
             return np.array(value, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name} is not a numeric matrix: {exc}") from exc
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
+    # An object names at least one part: {} is no matrix.
+    if isinstance(value, dict) and value and set(value) <= {"re", "im"}:
         try:
             real = np.array(value.get("re", 0), dtype=float)
             imag = np.array(value.get("im", 0), dtype=float)
@@ -276,7 +274,7 @@ def build_run_config(raw: dict) -> RunConfig:
     _check_keys(raw, "")
     system = _build_system(raw)
 
-    t_initial, t_final, n_slices = 0.0, 1.0, ()
+    t_initial, t_final, grids = 0.0, 1.0, ()
     grid_raw = raw.get("grid")
     if grid_raw is not None:
         if not isinstance(grid_raw, dict):
@@ -284,10 +282,6 @@ def build_run_config(raw: dict) -> RunConfig:
         _check_keys(grid_raw, "grid")
         t_initial = _real(grid_raw.get("t_initial", 0.0), "grid.t_initial")
         t_final = _real(grid_raw.get("t_final", 1.0), "grid.t_final")
-        try:
-            TimeGrid(t_initial, t_final, 1)
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
         slices = grid_raw.get("n_slices")
         if slices is None:
             raise ConfigError("grid.n_slices is required when grid is present")
@@ -301,6 +295,10 @@ def build_run_config(raw: dict) -> RunConfig:
             raise ConfigError(
                 f"grid.n_slices must be strictly increasing, got {list(n_slices)}"
             )
+        try:
+            grids = tuple(TimeGrid(t_initial, t_final, n) for n in n_slices)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -336,7 +334,7 @@ def build_run_config(raw: dict) -> RunConfig:
         system=system,
         t_initial=t_initial,
         t_final=t_final,
-        n_slices=n_slices,
+        grids=grids,
         output_format=output_format,
         components=list(components),
         output_path=output_path,
@@ -785,9 +783,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_gf(config: RunConfig) -> int:
     # Refused before the output is opened, so a refused run writes nothing.
-    if len(config.n_slices) != 1:
+    if len(config.grids) != 1:
         raise ConfigError("gf requires grid.n_slices as a single integer")
-    (grid,) = config.grids()
+    (grid,) = config.grids
     dimension = (grid.n_slices + 1) * config.system.dimension
     if dimension > config.max_dimension:
         raise GridTooLargeError(
@@ -804,10 +802,10 @@ def cmd_gf(config: RunConfig) -> int:
 
 
 def cmd_z(config: RunConfig) -> int:
-    if not config.n_slices:
+    if not config.grids:
         raise ConfigError("z requires grid.n_slices (integer or list)")
     rows = []
-    for fac in _factor(config.system, config.grids()):
+    for fac in _factor(config.system, config.grids):
         z = fac.partition_function
         rows.append(
             {
@@ -826,9 +824,9 @@ def cmd_z(config: RunConfig) -> int:
 
 
 def cmd_converge(config: RunConfig) -> int:
-    if len(config.n_slices) < 2:
+    if len(config.grids) < 2:
         raise ConfigError("converge requires grid.n_slices as a list of >= 2 sizes")
-    report = run_oracle_suite(config.system, config.grids(), config.max_dimension)
+    report = run_oracle_suite(config.system, config.grids, config.max_dimension)
     if config.output_format == "csv":
         text = _csv(
             "n_slices,error,error_bound,partition_deviation,fitted_order",
@@ -852,9 +850,9 @@ def cmd_verify(config: RunConfig, corrupt_keldysh: bool) -> int:
     # The oracle suite runs first, so that a grid over the cap is refused
     # before any other work; the report order does not depend on it.
     convergence = None
-    if len(config.n_slices) >= 2:
+    if len(config.grids) >= 2:
         convergence = run_oracle_suite(
-            config.system, config.grids(), config.max_dimension
+            config.system, config.grids, config.max_dimension
         )
     structure = run_structure_suite(
         config.system,

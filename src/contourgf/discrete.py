@@ -44,15 +44,26 @@ entry ``t^-k``, k < N, of the power table of the forward or the backward
 transfer eigenvalues t, taken from their logarithms, or a product of
 two entries, so no product overflows.  The partition function costs
 O(d^3), independent of N, and each contour row of G O(N d^2).  Only
-the blocks of D' enter: no closed form is used.  G is held as
-:class:`_Operands`, whose layout this module owns:
-:mod:`contourgf.verify` places the continuum prediction, negated, into
-G's set, each factor copied into place once, and streams the difference
-by :func:`_row_kernel` in tiles of rows and columns, in any order,
-each tile written column-major.  Within a branch the kernel splits each
-lag that reaches past a block of rows' own span of columns into two
-powers, so a tile is products of low-rank factors, each one real GEMM,
-but for that span, where it adds the lag blocks from a table.
+the blocks of D' enter: no closed form is used.
+
+G is held as :class:`_Operands`, and this module owns the whole stream
+of such a set: the operand layout, the row kernel, the tile plan and
+the streamed maximum.  :mod:`contourgf.verify` places the continuum
+prediction, negated, into G's set, each factor copied into place once,
+and reads back one number, :func:`_largest_entry` of the set.  That
+streams the matrix in tiles of contour rows and columns, latest rows
+first, each written column-major by :func:`_row_kernel` into one tile
+buffer of ``ORACLE_BLOCK_ENTRIES`` complex entries that serves every
+grid, and the tiles' magnitudes through one slab of ``MAGNITUDE_SLAB``
+floats.  A tile spans every column while the buffer holds
+``TILE_ROWS`` contour rows; otherwise it takes that many rows and as
+many columns as fit.  Within a branch the kernel splits each lag that
+reaches past a piece of rows' own span of columns into two powers, so
+a tile is products of low-rank factors, each one real GEMM, but for
+that span, where it adds the lag blocks from a table.  A tile of
+forward rows that provably cannot hold the maximum skips its
+magnitudes.  Per grid the stream costs O((N d)^2 d) time and O(N d^2)
+memory besides the buffer and the slab.
 
 All grids of a run are factorized in one pass, with the grid as the
 leading axis of every array and each linalg call made once over the
@@ -64,6 +75,7 @@ ill-conditioned D' warns, and an overflowing Z raises.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,6 +106,34 @@ LOG2 = float(np.log(2.0))
 _EXPANSION = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]])
 # 1 and i, exact factors: a number times either is exact when finite.
 _UNIT_AND_I = np.array([1.0, 1j])[:, None, None]
+# Complex entries of the one tile buffer of the streamed oracle
+# comparison: 768 KiB, allocated once per suite.  With the magnitude
+# slab and the O(N d^2) factors of one grid it sets the comparison's
+# memory: the oracle suite on d = 2, N = 64, 128 and 256 (no grid
+# tiled) peaks at 1.20 MiB (tracemalloc).  Half the buffer peaked at
+# 0.82 MiB there but ran about 6 % slower, from the fixed cost of a
+# tile.
+ORACLE_BLOCK_ENTRIES = 3 * 2**14
+# Floats of the slab through which a tile's magnitudes are reduced:
+# 128 KiB, which stays in a core's cache.
+MAGNITUDE_SLAB = 2**14
+# Contour rows of a tile where the buffer holds fewer whole contour
+# rows; its columns are cut to fit.  Fewer rows pay a tile's fixed cost
+# and the copy of the column factors past its lag table more often, and
+# take products of fewer rows: a tile's rows are the short side, 2 d
+# TILE_ROWS floats, of each of its real products.  At the grid cap
+# (d = 1, 2 and 4, 2 N d = 8192) 16, 32 and 48 rows were not faster
+# beyond the spread of the runs.
+TILE_ROWS = 24
+# Items per operand of numpy's ufunc buffers while a grid streams.  At
+# numpy's default of 8192 the kernel's strided Toeplitz add on a tile
+# takes three buffers of up to 64 KiB, more than the tile's other
+# temporaries; at 128 numpy 2.4 iterates that add without buffers, and
+# no slower.
+STREAM_BUFFER = 128
+# |z| <= sqrt(2) max(|Re z|, |Im z|): the bound by which _grid_error
+# skips a tile's magnitudes.
+SQRT2 = 1.4142135623730951
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,7 +513,7 @@ def _put(target: np.ndarray, factor: np.ndarray, negate: bool) -> int:
     return factor.shape[1]
 
 
-def _green_operands(fac: _Factorization, room=(0, 0, 0)) -> _Operands:
+def _green_operands(fac: _Factorization, room: tuple[int, int, int]) -> _Operands:
     """G's operands from one factorization, in a new set with ``room``
     for the ranks of a term placed after G's.
 
@@ -569,17 +609,16 @@ def _real_operand(factors, low: int, high: int, rank: int):
 def _row_kernel(operands: _Operands, block: int):
     """Kernel for tiles of contour rows of ``operands``.
 
-    Returns ``rows(start, stop, out=None, span=None)``, which writes
-    contour rows start..stop over contour columns ``span = (first,
-    last)``, every column when None, into ``out`` (a new array when
-    None) column-major: ``out`` is C-contiguous and ``((last - first) d,
-    (stop - start) d)``, the transpose of those rows, so that a column's
-    entries over the rows are contiguous.  It takes the rows in pieces
-    of at most w = min(``block``, N) rows of one branch, so a call of at
-    most ``block`` rows is at most one piece per branch.  A piece from
-    row ``low`` adds the lag blocks of columns low .. low + w - 1 from a
-    block-Toeplitz view of lags 0 .. w - 1, formed once, where the lag-0
-    coefficient ``powers[:, 0]`` enters.  Past those columns, with
+    Returns ``rows(start, stop, out, span)``, which writes contour rows
+    start..stop over contour columns ``span = (first, last)`` into
+    ``out`` column-major and returns it: ``out`` is C-contiguous and
+    ``((last - first) d, (stop - start) d)``, the transpose of those
+    rows, so that a column's entries over the rows are contiguous.  It
+    takes the rows in pieces of at most w = min(``block``, N) rows of
+    one branch, so a call of at most ``block`` rows is at most one piece
+    per branch.  A piece from row ``low`` adds the lag blocks of columns
+    low .. low + w - 1 from a block-Toeplitz view of lags 0 .. w - 1,
+    formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.  Past those columns, with
     a = low + w - 1 >= j and P the geometric powers with ``P[0] = 1``,
     the lag block at row j and column k is ``left diag(P[a - j]) @
     diag(P[k - a]) right``, each factor of modulus at most one when
@@ -682,10 +721,8 @@ def _row_kernel(operands: _Operands, block: int):
             before = columns[lo * d : hi * d, :r].view(float)
             np.matmul(before, operand[: 2 * r], out=part(out, lo, hi, first))
 
-    def rows(start: int, stop: int, out=None, span=None) -> np.ndarray:
-        first, last = span or (0, 2 * n)
-        if out is None:
-            out = np.empty(((last - first) * d, (stop - start) * d), dtype=complex)
+    def rows(start: int, stop: int, out, span) -> np.ndarray:
+        first, last = span
         # Rows start..min(stop, N) are forward, max(start, N)..stop
         # backward; either range may be empty.
         branches = ((0, start, min(stop, n)), (1, max(start, n), stop))
@@ -709,3 +746,95 @@ def _row_kernel(operands: _Operands, block: int):
         return out
 
     return rows
+
+
+def _tile(n: int, d: int) -> tuple[int, int]:
+    """Contour rows and columns per streamed tile on N slices of d
+    levels.  A tile spans every column while ``ORACLE_BLOCK_ENTRIES``
+    hold ``TILE_ROWS`` contour rows (or all 2N), and then takes as many
+    rows as fit; otherwise it takes ``TILE_ROWS`` rows and as many
+    columns as fit, at least one."""
+    area = d * d
+    size = 2 * n
+    tall = min(TILE_ROWS, size)
+    rows = ORACLE_BLOCK_ENTRIES // (size * area)
+    if rows >= tall:
+        return min(rows, size), size
+    columns = ORACLE_BLOCK_ENTRIES // (tall * area)
+    if columns:
+        return tall, columns
+    return max(1, ORACLE_BLOCK_ENTRIES // area), 1
+
+
+def _workspace(slices, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat complex buffer for the largest tile over the slice counts
+    ``slices`` of d levels, and the float slab through which its
+    magnitudes are reduced."""
+    entries = max(math.prod(_tile(n, d)) for n in slices) * d * d
+    return np.empty(entries, dtype=complex), np.empty(min(entries, MAGNITUDE_SLAB))
+
+
+def _largest_entry(operands: _Operands, workspace) -> float:
+    """Largest entry in magnitude of the matrix ``operands`` holds, by
+    :func:`_grid_error` over a kernel of :func:`_row_kernel` built for
+    the tile height of :func:`_tile`, through ``workspace`` from
+    :func:`_workspace` for slice counts including this set's.  The set
+    is dropped once the kernel is built, which holds what it reads, so a
+    caller that passes the set on without keeping it holds no factor
+    twice while the matrix streams; the kernel is released on return."""
+    left, powers, _ = operands.lags
+    n, d = powers.shape[1], left.shape[0]
+    rows = _row_kernel(operands, _tile(n, d)[0])
+    del operands, left, powers
+    return _grid_error(n, d, rows, workspace)
+
+
+def _grid_error(n: int, d: int, rows, workspace) -> float:
+    """Largest entry in magnitude of a ``(2 N d, 2 N d)`` matrix on N
+    slices of d levels, such as ``G - C``.
+
+    ``rows(start, stop, out, span)`` writes contour rows start..stop of
+    the matrix over the contour columns ``span`` into ``out``
+    column-major, ``out`` their transpose, as the kernel of
+    :func:`_row_kernel` does.  The tiles of :func:`_tile` stream through
+    ``workspace``, from :func:`_workspace` for slice counts including N,
+    so no tile-sized array is allocated, and their magnitudes through
+    its slab, with numpy's ufunc buffers at ``STREAM_BUFFER`` items.
+    They stream latest rows first: the first-order error of G grows
+    along the contour, so the largest entries come first.  A tile whose
+    rows all lie on the forward branch then skips its magnitudes when
+    ``sqrt(2) max(|Re|, |Im|)`` over its entries, with a margin for
+    roundoff, is below the largest entry so far: it cannot hold the
+    maximum, so the result is the plain maximum, bit for bit.  The test
+    costs about a third of the magnitudes, so the backward tiles, which
+    hold the largest entries, do not take it.  A NaN or an infinity
+    fails it, so no such tile is skipped; the result is NaN when any
+    entry is NaN.
+    """
+    size = 2 * n
+    height, width = _tile(n, d)
+    buffer, slab = workspace
+    largest = 0.0
+    with np.errstate():
+        # Restored with the error state when the block exits.
+        np.setbufsize(STREAM_BUFFER)
+        for start in reversed(range(0, size, height)):
+            stop = min(start + height, size)
+            for first in range(0, size, width):
+                last = min(first + width, size)
+                shape = ((last - first) * d, (stop - start) * d)
+                out = buffer[: shape[0] * shape[1]].reshape(shape)
+                tile = rows(start, stop, out, (first, last))
+                if stop <= n:
+                    parts = tile.view(float)
+                    bound = max(parts.max(), -parts.min())
+                    if SQRT2 * bound * (1.0 + 1e-15) < largest:
+                        continue
+                entries = tile.reshape(-1)
+                for at in range(0, entries.size, slab.size):
+                    part = entries[at : at + slab.size]
+                    error = float(np.abs(part, out=slab[: part.size]).max())
+                    if math.isnan(error):
+                        return error
+                    largest = max(largest, error)
+    return largest

@@ -24,19 +24,10 @@ after the row; at the row's own column the step takes the contour
 order, the row the later position, as in the discrete inverse, so the
 comparison covers every entry.  Within a branch that jump, like the
 discrete inverse's own within-branch term, depends only on the lag.  So
-the suite places the closed forms, negated, into the inverse's operand
-set, whose layout ``discrete`` owns, and streams the difference by
-``discrete``'s row kernel in tiles, latest rows first, each written
-column-major into one tile buffer of ``ORACLE_BLOCK_ENTRIES`` complex
-entries that serves every grid, and the tiles' magnitudes through one
-slab of ``MAGNITUDE_SLAB`` floats.  A tile spans every column while the
-buffer holds ``TILE_ROWS`` contour rows; otherwise it takes that many
-rows and as many columns as fit.  Per branch a tile costs products of
-stacked low-rank factors, the lag term among them, each one real GEMM,
-and a block-Toeplitz add on the columns within its height of its first
-row only; a tile of forward rows that provably cannot hold the maximum
-skips its magnitudes.  Per grid the suite costs O((N d)^2 d) time and
-O(N d^2) memory besides the buffer and the slab.
+this suite places the closed forms, negated, into the inverse's operand
+set and reads back one number per grid, the largest entry of the
+difference: ``discrete`` owns the set's layout and the stream that
+takes that maximum, its tiles, buffers and cost.
 Reports serialize from their dataclasses, whose field tables give the
 keys in order; ``cli`` writes them as ``json.dumps(indent=2)`` would.
 
@@ -71,8 +62,8 @@ from .continuum import (
 from .discrete import (
     _factor,
     _green_operands,
-    _Operands,
-    _row_kernel,
+    _largest_entry,
+    _workspace,
     contour_times,
 )
 
@@ -89,35 +80,6 @@ __all__ = [
 DEFAULT_THRESHOLD = 1e-12
 # Below this error floor a convergence-order fit is meaningless.
 ORDER_FLOOR = 1e-12
-# Complex entries of the one tile buffer of the streamed oracle
-# comparison: 768 KiB, allocated once per suite.  With the magnitude
-# slab and the O(N d^2) factors of one grid it sets the comparison's
-# memory: the oracle suite on d = 2, N = 64, 128 and 256 (no grid
-# tiled) peaks at 1.20 MiB (tracemalloc).  Half the buffer peaked at
-# 0.82 MiB there but ran about 6 % slower, from the fixed cost of a
-# tile.
-ORACLE_BLOCK_ENTRIES = 3 * 2**14
-# Floats of the slab through which a tile's magnitudes are reduced:
-# 128 KiB, which stays in a core's cache.
-MAGNITUDE_SLAB = 2**14
-# Contour rows of a tile where the buffer holds fewer whole contour
-# rows; its columns are cut to fit.  Fewer rows pay a tile's fixed cost
-# and the copy of the column factors past its lag table more often, and
-# take products of fewer rows: a tile's rows are the short side, 2 d
-# TILE_ROWS floats, of each of its real products.  At the grid cap
-# (d = 1, 2 and 4, 2 N d = 8192) 16, 32 and 48 rows were not faster
-# beyond the spread of the runs.
-TILE_ROWS = 24
-# Items per operand of numpy's ufunc buffers while a grid streams.  At
-# numpy's default of 8192 the kernel's strided Toeplitz add on a tile
-# takes three buffers of up to 64 KiB, more than the tile's other
-# temporaries; at 128 numpy 2.4 iterates that add without buffers, and
-# no slower.
-STREAM_BUFFER = 128
-# |z| <= sqrt(2) max(|Re z|, |Im z|): the bound by which _grid_error
-# skips a tile's magnitudes.
-SQRT2 = 1.4142135623730951
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -351,13 +313,11 @@ def _contour_offsets(grid: TimeGrid) -> np.ndarray:
     return contour_times(TimeGrid(0.0, grid.t_final - grid.t_initial, grid.n_slices))
 
 
-def _continuum_operands(
-    system: LevelSystem, grid: TimeGrid, into: _Operands | None = None
-) -> _Operands:
-    """The continuum prediction C in the operand form of
-    :class:`~contourgf.discrete._Operands`, from the closed forms: a set
-    of its own, or placed negated into ``into``, which then holds its
-    terms less C.
+def _continuum_operands(system: LevelSystem, grid: TimeGrid, operands):
+    """Place the continuum prediction C, negated, into ``operands``, a
+    set on ``grid`` with room ``(d, 0, d)`` for C's ranks, as
+    :func:`~contourgf.discrete._green_operands` makes it, and return the
+    set, which then holds its terms less C.
 
     Every branch component is ``-i U(t) [c + step] U(t')^dag`` with a
     constant block between two propagators, so block (n, m) of the
@@ -381,8 +341,6 @@ def _continuum_operands(
     """
     d = system.dimension
     n = grid.n_slices
-    negate = into is not None
-    operands = into if negate else _Operands.empty(n, d, (d, 0, d))
     tau = _contour_offsets(grid)
     # Forward tau is dt, 2 dt, ..., N dt: the lags' phases exp(-i w lag dt).
     # The lag factors are placed, and released, before the others are
@@ -393,7 +351,7 @@ def _continuum_operands(
     np.conjugate(phases, out=powers[0, 1:])
     powers[1, 1:] = phases
     del phases
-    operands.place(lags=(1j * basis, powers, basis.conj().T), negate=negate)
+    operands.place(lags=(1j * basis, powers, basis.conj().T), negate=True)
     del powers
     props = propagator_stack(system, tau).reshape(-1, d)
     weight = keldysh_weight(system)
@@ -401,101 +359,8 @@ def _continuum_operands(
     lesser = props[: n * d] @ (-0.5j * (weight - np.eye(d)))
     # Column (m, b) takes row b of P_m^dag, transposed: row b of conj(P_m).
     np.conjugate(props, out=props)
-    operands.place(
-        rows=(greater,), cross_rows=(lesser,), columns=(props,), negate=negate
-    )
+    operands.place(rows=(greater,), cross_rows=(lesser,), columns=(props,), negate=True)
     return operands
-
-
-def _difference_rows(system: LevelSystem, grid: TimeGrid, fac):
-    """Kernel for tiles of contour rows of ``G - C``, the discrete
-    inverse of ``fac`` less the continuum prediction of
-    :func:`_continuum_operands`, placed into G's set, by
-    :func:`~contourgf.discrete._row_kernel`.  Raises
-    ``FloatingPointError`` when an entry of G could overflow.
-    """
-    d = system.dimension
-    operands = _green_operands(fac, (d, 0, d))
-    _continuum_operands(system, grid, operands)
-    return _row_kernel(operands, _tile(system, grid)[0])
-
-
-def _tile(system: LevelSystem, grid: TimeGrid) -> tuple[int, int]:
-    """Contour rows and columns per streamed tile.  A tile spans every
-    column while ``ORACLE_BLOCK_ENTRIES`` hold ``TILE_ROWS`` contour rows
-    (or all 2N), and then takes as many rows as fit; otherwise it takes
-    ``TILE_ROWS`` rows and as many columns as fit, at least one."""
-    area = system.dimension**2
-    size = 2 * grid.n_slices
-    tall = min(TILE_ROWS, size)
-    rows = ORACLE_BLOCK_ENTRIES // (size * area)
-    if rows >= tall:
-        return min(rows, size), size
-    columns = ORACLE_BLOCK_ENTRIES // (tall * area)
-    if columns:
-        return tall, columns
-    return max(1, ORACLE_BLOCK_ENTRIES // area), 1
-
-
-def _workspace(system: LevelSystem, grids) -> tuple[np.ndarray, np.ndarray]:
-    """Flat complex buffer for the largest tile over ``grids``, and the
-    float slab through which its magnitudes are reduced."""
-    area = system.dimension**2
-    entries = max(math.prod(_tile(system, g)) * area for g in grids)
-    return np.empty(entries, dtype=complex), np.empty(min(entries, MAGNITUDE_SLAB))
-
-
-def _grid_error(
-    system: LevelSystem, grid: TimeGrid, difference_rows, workspace
-) -> float:
-    """Largest entry of |G - C| on ``grid``.
-
-    ``difference_rows(start, stop, out, span)`` writes contour rows
-    start..stop of ``G - C`` over the contour columns ``span`` into
-    ``out`` column-major, ``out`` their transpose, as the kernel of
-    :func:`_difference_rows` does.  The tiles of :func:`_tile` stream
-    through ``workspace``, from :func:`_workspace` for grids including
-    this one, so no tile-sized array is allocated, and their magnitudes
-    through its slab, with numpy's ufunc buffers at ``STREAM_BUFFER``
-    items.  They stream latest rows first: the first-order error grows
-    along the contour, so the largest entries come first.  A tile whose rows all
-    lie on the forward branch then skips its magnitudes when
-    ``sqrt(2) max(|Re|, |Im|)`` over its entries, with a margin for
-    roundoff, is below the largest entry so far: it cannot hold the
-    maximum, so the result is the plain maximum, bit for bit.  The test
-    costs about a third of the magnitudes, so the backward tiles, which
-    hold the largest entries, do not take it.  A NaN or an infinity
-    fails it, so no such tile is skipped; the result is NaN when any
-    entry is NaN.
-    """
-    d = system.dimension
-    size = 2 * grid.n_slices
-    height, width = _tile(system, grid)
-    buffer, slab = workspace
-    largest = 0.0
-    with np.errstate():
-        # Restored with the error state when the block exits.
-        np.setbufsize(STREAM_BUFFER)
-        for start in reversed(range(0, size, height)):
-            stop = min(start + height, size)
-            for first in range(0, size, width):
-                last = min(first + width, size)
-                shape = ((last - first) * d, (stop - start) * d)
-                out = buffer[: shape[0] * shape[1]].reshape(shape)
-                tile = difference_rows(start, stop, out, (first, last))
-                if stop <= grid.n_slices:
-                    parts = tile.view(float)
-                    bound = max(parts.max(), -parts.min())
-                    if SQRT2 * bound * (1.0 + 1e-15) < largest:
-                        continue
-                entries = tile.reshape(-1)
-                for at in range(0, entries.size, slab.size):
-                    part = entries[at : at + slab.size]
-                    error = float(np.abs(part, out=slab[: part.size]).max())
-                    if math.isnan(error):
-                        return error
-                    largest = max(largest, error)
-    return largest
 
 
 def oracle_error_bound(system: LevelSystem, grid: TimeGrid) -> float:
@@ -530,11 +395,10 @@ def run_oracle_suite(
     overflows, for every grid before any comparison; after that, raises
     ``FloatingPointError`` when an error or an entry of G is not
     finite.  The discrete inverse less the continuum
-    prediction is computed in tiles of contour rows and columns
-    (:func:`_difference_rows`, :func:`_tile`) through one tile buffer
-    and one magnitude slab for all grids, so each grid costs
-    O((N d)^2 d) time and the memory of one tile: the cap bounds the
-    work here, not the memory.
+    prediction is streamed by :func:`~contourgf.discrete._largest_entry`
+    through one workspace for all grids, so each grid costs O((N d)^2 d)
+    time and the memory of one tile: the cap bounds the work here, not
+    the memory.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids for a convergence fit")
@@ -547,23 +411,27 @@ def run_oracle_suite(
     ):
         raise ValueError("grids must share their endpoints")
     # Refuse an over-cap grid before any work; the finest is the largest.
-    total = 2 * grids[-1].n_slices * system.dimension
+    d = system.dimension
+    total = 2 * grids[-1].n_slices * d
     if total > max_dimension:
         raise GridTooLargeError(
             f"contour matrix dimension {total} exceeds cap {max_dimension}"
         )
     factorizations = _factor(system, grids)
-    workspace = _workspace(system, grids)
+    workspace = _workspace(sizes, d)
     errors = []
     bounds = []
     deviations = []
     for grid in grids:
-        # Each grid's factorization and kernel are released once its
-        # grid is done, before the next grid's kernel is built.
+        # Each grid's factorization and operands are released once its
+        # grid is done, before the next grid's operands are built.  The
+        # set is passed on, not kept, so while it streams only the kernel
+        # holds its factors.
         fac = factorizations.pop(0)
-        rows = _difference_rows(system, grid, fac)
-        error = _grid_error(system, grid, rows, workspace)
-        del rows
+        error = _largest_entry(
+            _continuum_operands(system, grid, _green_operands(fac, (d, 0, d))),
+            workspace,
+        )
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"oracle error on {grid.n_slices} slices is {error!r}"

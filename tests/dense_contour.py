@@ -103,7 +103,17 @@ def dense_green(system: LevelSystem, grid: TimeGrid) -> np.ndarray:
     which writes them column-major."""
     (fac,) = _factor(system, [grid])
     total = 2 * grid.n_slices
-    return _row_kernel(_green_operands(fac), total)(0, total).T
+    rows = _row_kernel(_green_operands(fac, (0, 0, 0)), total)
+    return kernel_rows(rows, system.dimension, 0, total, (0, total)).T
+
+
+def kernel_rows(rows, d: int, start: int, stop: int, span) -> np.ndarray:
+    """Contour rows start..stop over the contour columns ``span`` from a
+    kernel of :func:`~contourgf.discrete._row_kernel` on d levels, in a
+    new array: column-major, as the kernel writes them."""
+    first, last = span
+    out = np.empty(((last - first) * d, (stop - start) * d), dtype=complex)
+    return rows(start, stop, out, span)
 
 
 def extract_component(

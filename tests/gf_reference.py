@@ -50,7 +50,7 @@ def iter_samples(config):
     Ordering is fixed: components in config order, then row-major over
     (t, t'), then row-major over matrix indices.
     """
-    (grid,) = config.grids()
+    (grid,) = config.grids
     times = grid.times
     d = config.system.dimension
     if (grid.n_slices + 1) * d > config.max_dimension:

@@ -347,7 +347,7 @@ def test_gf_text_is_the_same_through_any_text_stream(tmp_path, output_format):
         tmp_path, 2, {"grid.n_slices": 11, "output.format": output_format}
     )
     run = load_config(config, [])
-    (grid,) = run.grids()
+    (grid,) = run.grids
     expected = gf_text(run)
     streams = [io.StringIO()] + [
         io.TextIOWrapper(io.BytesIO(), encoding=encoding, newline="")
@@ -621,7 +621,7 @@ def test_gf_row_assemblies_match_reference(
             "output": {"format": output_format, "components": ASSEMBLY_COMPONENTS},
         }
     )
-    (grid,) = config.grids()
+    (grid,) = config.grids
     starts = range(0, n_slices + 1, row_chunk)
     distinct_chunks = [first_distinct] + data.draw(
         st.lists(st.booleans(), min_size=len(starts) - 1, max_size=len(starts) - 1)
@@ -1704,6 +1704,21 @@ DROP = object()
             [],
             "epsilon is not a numeric matrix",
             id="re-im-not-numeric",
+        ),
+        # An object with neither part is no matrix, not a zero one.
+        pytest.param(
+            "z",
+            {"epsilon": {}},
+            [],
+            "epsilon must be a number, a nested list, or re/im parts",
+            id="epsilon-no-parts",
+        ),
+        pytest.param(
+            "z",
+            {"nbar": {}},
+            [],
+            "nbar must be a number, a nested list, or re/im parts",
+            id="nbar-no-parts",
         ),
     ],
 )

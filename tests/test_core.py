@@ -230,7 +230,7 @@ def test_system_is_diagonalized_once(monkeypatch):
     run_structure_suite(system)
     component_table(system, times, times, ContourComponent.PLUS_MINUS, 0.0)
     fix_constants(system)
-    _continuum_operands(system, grid)
+    _continuum_operands(system, grid, discrete._Operands.empty(8, 3, (3, 0, 3)))
     assert len(calls) == 2
     # The discrete route diagonalizes its own forward generator.
     for count in (3, 4):

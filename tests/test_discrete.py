@@ -1,5 +1,7 @@
 """Tests for the discrete contour matrix and its inverse."""
 
+import ast
+import inspect
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -40,6 +42,7 @@ from dense_contour import (
     build_contour_matrix,
     dense_green,
     extract_component,
+    kernel_rows,
 )
 from dense_lu import lu_factorization
 
@@ -220,11 +223,14 @@ def test_green_rows_match_dense(statistics, dimension, n_slices, block):
     grid = TimeGrid(0.0, 1.0, n_slices)
     dense = dense_green(system, grid)
     total = 2 * n_slices
-    rows = _row_kernel(_green_operands(_factor(system, [grid])[0]), total)
+    rows = _row_kernel(_green_operands(_factor(system, [grid])[0], (0, 0, 0)), total)
     block = block or total
     # Each call writes its rows column-major.
     stacked = np.vstack(
-        [rows(start, min(start + block, total)).T for start in range(0, total, block)]
+        [
+            kernel_rows(rows, dimension, start, min(start + block, total), (0, total)).T
+            for start in range(0, total, block)
+        ]
     )
     assert stacked.shape == dense.shape
     assert max_abs(stacked - dense) <= EXACT_TOL * max_abs(dense)
@@ -251,7 +257,7 @@ def test_green_rows_as_products_match_dense_inverse(
     system = random_system(rng, statistics, dimension)
     grid = TimeGrid(0.0, 1.0, n_slices)
     dense = dense_reference(system, grid)[0]
-    rows = _row_kernel(_green_operands(_factor(system, [grid])[0]), block)
+    rows = _row_kernel(_green_operands(_factor(system, [grid])[0], (0, 0, 0)), block)
     total = 2 * n_slices
     d = dimension
     tol = DENSE_TOL * max_abs(dense)
@@ -260,13 +266,13 @@ def test_green_rows_as_products_match_dense_inverse(
         for order in (starts, reversed(starts)):
             for start in order:
                 stop = min(start + length, total)
-                got = rows(start, stop)
+                got = kernel_rows(rows, d, start, stop, (0, total))
                 want = dense[start * d : stop * d].T
                 assert max_abs(got - want) <= tol
                 for width in (1, block + 1, 2 * block + 3):
                     for first in range(0, total, width):
                         last = min(first + width, total)
-                        got = rows(start, stop, span=(first, last))
+                        got = kernel_rows(rows, d, start, stop, (first, last))
                         assert max_abs(got - want[first * d : last * d]) <= tol
 
 
@@ -577,3 +583,20 @@ def test_rotated_keldysh_combination():
         bound = oracle_error_bound(system, grid)
         assert abs((pp + mm)[0, 0] - expected) < bound
 
+
+
+def test_discrete_imports_no_package_module_but_core():
+    # The discrete route stays independent of the closed forms: of the
+    # package it reads only the system, grid and errors of ``core``.
+    import contourgf.discrete
+
+    tree = ast.parse(inspect.getsource(contourgf.discrete))
+    relative = set()
+    absolute = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"core"}
+    assert not {name for name in absolute if name.split(".")[0] == "contourgf"}

@@ -35,7 +35,7 @@ from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
 
 from conftest import random_hermitian, random_system, random_unitary
-from dense_contour import dense_green, dense_inverse
+from dense_contour import dense_green, dense_inverse, kernel_rows
 
 # Agreement of the row kernel with the einsum reference, relative to max|G|.
 KERNEL_TOL = 1e-13
@@ -63,14 +63,40 @@ def continuum_contour_reference(system, grid):
     return full.transpose(0, 2, 1, 3).reshape(total, total)
 
 
+def continuum_set(system, grid):
+    """A set of operands that holds -C alone: ``_continuum_operands``
+    placed into an empty one."""
+    d = system.dimension
+    operands = discrete._Operands.empty(grid.n_slices, d, (d, 0, d))
+    verify._continuum_operands(system, grid, operands)
+    return operands
+
+
 def continuum_from_operands(system, grid):
     """The dense continuum prediction from ``_continuum_operands``, by the
     row kernel that streams ``G - C``: the greater product at and before
     the row, the lesser one after it.  The kernel writes the rows
     column-major."""
-    operands = verify._continuum_operands(system, grid)
     total = 2 * grid.n_slices
-    return discrete._row_kernel(operands, total)(0, total).T
+    rows = discrete._row_kernel(continuum_set(system, grid), total)
+    return -kernel_rows(rows, system.dimension, 0, total, (0, total)).T
+
+
+def difference_kernel(system, grid, fac):
+    """The kernel of ``G - C`` the oracle suite streams: C placed into
+    G's operands, built for the tile height of ``discrete._tile``."""
+    d = system.dimension
+    operands = verify._green_operands(fac, (d, 0, d))
+    verify._continuum_operands(system, grid, operands)
+    return discrete._row_kernel(operands, discrete._tile(grid.n_slices, d)[0])
+
+
+def oracle_grid_error(system, grid, fac):
+    """The oracle error of one grid as ``run_oracle_suite`` takes it."""
+    d = system.dimension
+    operands = verify._green_operands(fac, (d, 0, d))
+    verify._continuum_operands(system, grid, operands)
+    return discrete._largest_entry(operands, discrete._workspace([grid.n_slices], d))
 
 
 def dense_oracle_errors(system, grids):
@@ -459,7 +485,7 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     tol = KERNEL_TOL * np.abs(reference).max()
     assert np.abs(continuum_from_operands(system, grid) - reference).max() <= tol
     # The jump between the two weights on the forward rows is -i P_n.
-    operands = verify._continuum_operands(system, grid)
+    operands = continuum_set(system, grid)
     (greater,), (lesser,) = operands.rows, operands.cross_rows
     half = n_slices * dimension
     props = propagator_stack(system, contour_times(grid) - grid.t_initial)
@@ -475,19 +501,19 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     size = 2 * n_slices
     d = system.dimension
     row_entries = 2 * n_slices * d * d
-    for entries in (verify.ORACLE_BLOCK_ENTRIES, row_entries, 3 * row_entries):
+    for entries in (discrete.ORACLE_BLOCK_ENTRIES, row_entries, 3 * row_entries):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
-            patch.setattr(verify, "TILE_ROWS", 1)
+            patch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", entries)
+            patch.setattr(discrete, "TILE_ROWS", 1)
             tile = (min(entries // row_entries, size), size)
-            assert verify._tile(system, grid) == tile
-            rows = verify._difference_rows(system, grid, fac)
+            assert discrete._tile(n_slices, d) == tile
+            rows = difference_kernel(system, grid, fac)
 
         def block_rows(start, stop):
             # A NaN-filled buffer: the segment products cover every entry.
             # The rows are written column-major.
             out = np.full((size * d, (stop - start) * d), np.nan, dtype=complex)
-            assert rows(start, stop, out) is out
+            assert rows(start, stop, out, (0, size)) is out
             return out.T
 
         # One block, and block sizes that leave a short last block.
@@ -533,10 +559,10 @@ def kernel_calls(draw):
     size = 2 * n_slices
     row_entries = size * d * d
     entries = draw(
-        st.sampled_from([1, 48, verify.ORACLE_BLOCK_ENTRIES])
+        st.sampled_from([1, 48, discrete.ORACLE_BLOCK_ENTRIES])
         | st.integers(1, 3 * row_entries)
     )
-    tile_rows = draw(st.integers(1, 8) | st.just(verify.TILE_ROWS))
+    tile_rows = draw(st.integers(1, 8) | st.just(discrete.TILE_ROWS))
     start = draw(st.integers(0, size - 1))
     stop = draw(st.integers(start + 1, size))
     first = draw(st.integers(0, size - 1))
@@ -560,8 +586,8 @@ def test_difference_kernel_matches_dense_inverse(case):
     difference = green - continuum_contour_reference(system, grid)
     with pytest.MonkeyPatch.context() as patch:
         for name, value in zip(("ORACLE_BLOCK_ENTRIES", "TILE_ROWS"), sizes):
-            patch.setattr(verify, name, value)
-        rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
+            patch.setattr(discrete, name, value)
+        rows = difference_kernel(system, grid, _factor(system, [grid])[0])
     first, last = span
     out = np.full(((last - first) * d, (stop - start) * d), np.nan, dtype=complex)
     assert rows(start, stop, out, span) is out
@@ -581,7 +607,7 @@ def assert_oracle_errors_match_dense(system, grids):
 @pytest.mark.parametrize("entries", [1, 500, 2**16])
 def test_oracle_errors_match_dense_mask(monkeypatch, statistics, dimension, entries):
     # One contour row per block, blocks that do not divide 2N, one block.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", entries)
     rng = np.random.default_rng([dimension, statistics.zeta + 3])
     system = random_system(rng, statistics, dimension)
     grids = [TimeGrid(0.0, 1.0, n) for n in (7, 16, 33)]
@@ -619,7 +645,7 @@ def extreme_case(name, rng):
 def test_oracle_errors_match_dense_mask_at_extremes(monkeypatch, case, entries):
     # Lag powers that underflow, Keldysh weights up to about 2e3, a
     # fermion level one part in 1e9 from full and a span of 1e3.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", entries)
     system, span = extreme_case(case, np.random.default_rng(47))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -651,12 +677,12 @@ def test_oracle_error_keeps_nan(monkeypatch, row):
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     for entries in (1, 48, 2**16):
-        monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", entries)
         difference, difference_rows = dense_difference_rows(system, grid)
-        workspace = verify._workspace(system, [grid])
-        assert np.isfinite(verify._grid_error(system, grid, difference_rows, workspace))
+        workspace = discrete._workspace([8], 1)
+        assert np.isfinite(discrete._grid_error(8, 1, difference_rows, workspace))
         difference[row, 3] = np.nan
-        assert np.isnan(verify._grid_error(system, grid, difference_rows, workspace))
+        assert np.isnan(discrete._grid_error(8, 1, difference_rows, workspace))
 
 
 @pytest.mark.parametrize("entries", [1, 48, 2**16])
@@ -666,7 +692,7 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     # divide 2N = 16), and one tile.  Forward row k and backward row
     # 2N - 2 - k share a time; the next column does not.  The error
     # covers both.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     tau = contour_times(grid)
@@ -676,9 +702,8 @@ def test_oracle_error_keeps_nan_off_equal_times(monkeypatch, entries, row):
     def error_with_nan_at(column):
         difference, difference_rows = dense_difference_rows(system, grid)
         difference[row, column] = np.nan
-        return verify._grid_error(
-            system, grid, difference_rows, verify._workspace(system, [grid])
-        )
+        workspace = discrete._workspace([8], 1)
+        return discrete._grid_error(8, 1, difference_rows, workspace)
 
     assert np.isnan(error_with_nan_at(partner + 1))
     assert np.isnan(error_with_nan_at(partner))
@@ -741,8 +766,8 @@ def test_grid_error_is_the_plain_max(case):
     with pytest.MonkeyPatch.context() as patch:
         names = ("ORACLE_BLOCK_ENTRIES", "TILE_ROWS", "MAGNITUDE_SLAB")
         for name, size in zip(names, sizes):
-            patch.setattr(verify, name, size)
-        workspace = verify._workspace(system, [grid])
+            patch.setattr(discrete, name, size)
+        workspace = discrete._workspace([n_slices], dimension)
         # The tiles fit the buffer unless one d x d block does not.
         entries, _, slab = sizes
         assert workspace[0].size <= max(entries, dimension**2)
@@ -750,12 +775,13 @@ def test_grid_error_is_the_plain_max(case):
         difference, difference_rows = dense_difference_rows(system, grid)
         difference[: n_slices * dimension] *= damp
         largest = plain_max(difference)
-        assert verify._grid_error(system, grid, difference_rows, workspace) == largest
+        error = discrete._grid_error(n_slices, dimension, difference_rows, workspace)
+        assert error == largest
         if isinstance(value, tuple):
             scale, phase = value
             value = scale * largest * cmath.exp(1j * phase)
         difference[row, column] = value
-        error = verify._grid_error(system, grid, difference_rows, workspace)
+        error = discrete._grid_error(n_slices, dimension, difference_rows, workspace)
     want = plain_max(difference)
     assert error == want or np.isnan(error) and np.isnan(want)
 
@@ -766,15 +792,15 @@ def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
     # forward rows damped, that is the first backward row: every forward
     # tile was skipped.  With the first row's largest entry planted past
     # the others, it is the first row.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", 16)
-    monkeypatch.setattr(verify, "TILE_ROWS", 1)
+    monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", 16)
+    monkeypatch.setattr(discrete, "TILE_ROWS", 1)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     difference, difference_rows = dense_difference_rows(system, grid)
     difference[:8] *= 1e-3
-    workspace = verify._workspace(system, [grid])
+    workspace = discrete._workspace([8], 1)
     for last in (8, 0):
-        error = verify._grid_error(system, grid, difference_rows, workspace)
+        error = discrete._grid_error(8, 1, difference_rows, workspace)
         assert error == plain_max(difference)
         np.testing.assert_array_equal(workspace[1][:16], np.abs(difference[last]))
         difference[0, 5] = 2 * error
@@ -786,7 +812,7 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
     # products, and one in the lag-0 block of the Toeplitz term, on the
     # same-index diagonal, as one in the lag-1 block does; an infinity
     # makes the error NaN or infinite.
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", entries)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     grid = TimeGrid(0.0, 1.0, 8)
     fac = _factor(system, [grid])[0]
@@ -805,12 +831,7 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
         )
         # An infinity times a zero is NaN in the products, quietly.
         with np.errstate(invalid="ignore"):
-            return verify._grid_error(
-                system,
-                grid,
-                verify._difference_rows(system, grid, fac),
-                verify._workspace(system, [grid]),
-            )
+            return oracle_grid_error(system, grid, fac)
 
     def reaches(error, value):
         return np.isnan(error) if np.isnan(value) else not np.isfinite(error)
@@ -850,7 +871,7 @@ def test_fused_rows_keep_nan(monkeypatch, entries):
 
 def test_oracle_suite_rejects_a_nan_error(monkeypatch):
     errors = iter([1e-3, np.nan])
-    monkeypatch.setattr(verify, "_grid_error", lambda *args: next(errors))
+    monkeypatch.setattr(verify, "_largest_entry", lambda *args: next(errors))
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
     with pytest.raises(FloatingPointError, match="8 slices"):
         run_oracle_suite(system, [TimeGrid(0.0, 1.0, n) for n in (4, 8)])
@@ -874,10 +895,10 @@ def difference_rows_build_peak(dimension):
     system = random_system(np.random.default_rng(41), Statistics.BOSON, dimension)
     grid = TimeGrid(0.0, 1.0, 256)
     fac = _factor(system, [grid])[0]
-    verify._difference_rows(system, grid, fac)
+    difference_kernel(system, grid, fac)
     tracemalloc.start()
     try:
-        verify._difference_rows(system, grid, fac)
+        difference_kernel(system, grid, fac)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -906,26 +927,27 @@ def test_difference_rows_build_peak_one_level():
 
 
 def test_oracle_suite_frees_each_kernel_before_the_next_build(monkeypatch):
-    # A grid's kernel holds its factors (about 141 KiB at N = 128, d = 2);
-    # it must be gone before the next grid's kernel is built.
+    # A grid's kernel and its operand set hold its factors (about 141 KiB
+    # at N = 128, d = 2); both must be gone before the next grid's kernel
+    # is built.
     kernels = []
-    difference_rows = verify._difference_rows
+    row_kernel = discrete._row_kernel
 
-    def tracked(system, grid, fac):
+    def tracked(operands, block):
         assert all(kernel() is None for kernel in kernels)
-        rows = difference_rows(system, grid, fac)
-        kernels.append(weakref.ref(rows))
+        rows = row_kernel(operands, block)
+        kernels.extend([weakref.ref(rows), weakref.ref(operands)])
         return rows
 
-    monkeypatch.setattr(verify, "_difference_rows", tracked)
+    monkeypatch.setattr(discrete, "_row_kernel", tracked)
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     run_oracle_suite(system, [TimeGrid(0.0, 1.0, n) for n in (32, 64, 128)])
-    assert len(kernels) == 3
+    assert len(kernels) == 6
 
 
 def test_verify_reads_the_discrete_route_through_its_operands():
-    # The operand layout of G has one owner: verify builds C in that
-    # form and leaves the rest of the discrete route to discrete.
+    # The operand layout of G and its stream have one owner: verify
+    # places C into G's set and reads back the largest entry.
     tree = ast.parse(inspect.getsource(verify))
     imported = {
         alias.name
@@ -936,8 +958,8 @@ def test_verify_reads_the_discrete_route_through_its_operands():
     assert imported == {
         "_factor",
         "_green_operands",
-        "_Operands",
-        "_row_kernel",
+        "_largest_entry",
+        "_workspace",
         "contour_times",
     }
 
@@ -950,17 +972,17 @@ def test_grid_error_allocates_no_block():
     # a tile's own square took 96 KiB more.
     system = random_system(np.random.default_rng(41), Statistics.BOSON, 2)
     grid = TimeGrid(0.0, 1.0, 256)
-    rows = verify._difference_rows(system, grid, _factor(system, [grid])[0])
-    workspace = verify._workspace(system, [grid])
-    assert workspace[0].size == verify.ORACLE_BLOCK_ENTRIES
+    rows = difference_kernel(system, grid, _factor(system, [grid])[0])
+    workspace = discrete._workspace([256], 2)
+    assert workspace[0].size == discrete.ORACLE_BLOCK_ENTRIES
     tracemalloc.start()
     try:
-        error = verify._grid_error(system, grid, rows, workspace)
+        error = discrete._grid_error(256, 2, rows, workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(error)
-    assert peak < verify.ORACLE_BLOCK_ENTRIES * np.dtype(complex).itemsize / 2
+    assert peak < discrete.ORACLE_BLOCK_ENTRIES * np.dtype(complex).itemsize / 2
 
 
 @pytest.mark.parametrize("sizes", [(64, 128), (512, 1024)])
@@ -1012,7 +1034,7 @@ def test_oracle_fails_with_toeplitz_lag_off_by_one(monkeypatch):
         return dataclasses.replace(operands, lags=(left, moved, right))
 
     monkeypatch.setattr(verify, "_green_operands", later)
-    monkeypatch.setattr(verify, "ORACLE_BLOCK_ENTRIES", (2 * 128 * 2) ** 2)
+    monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", (2 * 128 * 2) ** 2)
     assert not all(c.passed for c in oracle_mutant_checks())
 
 
