@@ -618,11 +618,11 @@ def _row_kernel(operands: _Operands, block: int):
     one branch, so a call of at most ``block`` rows is at most one piece
     per branch.  A piece from row ``low`` adds the lag blocks of columns
     low .. low + w - 1 from a block-Toeplitz view of lags 0 .. w - 1,
-    formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.  Past those columns, with
-    a = low + w - 1 >= j and P the geometric powers with ``P[0] = 1``,
-    the lag block at row j and column k is ``left diag(P[a - j]) @
-    diag(P[k - a]) right``, each factor of modulus at most one when
-    ``powers`` is.  So a piece takes one product of the column factors
+    formed once, where the lag-0 coefficient ``powers[:, 0]`` enters.
+    Past those columns, with a = low + w - 1 >= j and P the geometric
+    powers with ``P[0] = 1``, the lag block at row j and column k is
+    ``left diag(P[a - j]) @ diag(P[k - a]) right``, each factor of
+    modulus at most one when ``powers`` is.  So a piece takes one product of the column factors
     there, with their lag factors beside them, and its row factors, with
     the lag factors of its rows beside them; one without lag factors over
     the columns before; and, for forward rows, one of the cross factors
