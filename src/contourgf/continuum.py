@@ -16,7 +16,8 @@ transposition, not conjugation.  For a single level the Keldysh factor
 reduces to ``1 + 2 zeta nbar`` and the reference time drops out.  The
 remaining rotated-basis component vanishes identically.
 
-Contour-branch components are computed from the same three tables:
+Contour-branch components are computed from the same three tables, by
+one combination for ``gf`` and the structure suite alike:
 ``G^{bb'} = (G_K + s(b') G_R + s(b) G_A)/2`` with branch signs
 ``s(+) = +1`` and ``s(-) = -1`` (:attr:`ContourComponent.signs`),
 identical for both statistics.
@@ -200,29 +201,37 @@ _PRODUCT_ENTRIES = 2**15
 def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
     """The tables of :func:`component_table` and the structure suite:
     ``what``, a component or a ``(constants, row, col)`` position, over the
-    stacks of ``pair``, from its products.  A position holds the general
-    solution ``-i P_n [c + theta(t - t')] P_m^dag`` with the constant
-    block ``c = constants[row][col]`` of :func:`fix_constants`, the step
-    term only where the statistics' layout puts R or A.  The step table
-    ``theta`` is only read, and may be None for K, the zero block and a
-    position without a step."""
+    stacks of ``pair``, from its products.  A branch component is
+    :func:`_branch` of R, A and K, row block by row block.  A position
+    holds the general solution ``-i P_n [c + theta(t - t')] P_m^dag`` with
+    the constant block ``c = constants[row][col]`` of
+    :func:`fix_constants`, the step term only where the statistics'
+    layout puts R or A; a block that is exactly zero takes no product.
+    The step table ``theta`` is only read, and may be None for K, the zero
+    block and a position without a step."""
     if what is KeldyshComponent.KELDYSH:
         return pair.keldysh
+    shape = pair.p_row.shape[:1] + pair.p_col.shape
     if what is KeldyshComponent.ZERO:
-        shape = (len(pair.p_row), len(pair.p_col)) + pair.p_row.shape[1:]
         return np.zeros(shape, dtype=complex)
     if isinstance(what, tuple):
         constants, row, col = what
-        out = _sandwich(pair.p_row, constants[row][col], pair.p_col)
+        block = constants[row][col]
+        # Only the suite tabulates positions, and it reads magnitudes: a
+        # zero block's table starts as zeros, where its product would
+        # hold zeros of either sign.
+        if block.any():
+            out = _sandwich(pair.p_row, block, pair.p_col)
+        else:
+            out = np.zeros(shape, dtype=complex)
         if _has_step(pair.system.statistics, row, col):
             out += theta[:, :, None, None] * (-1j * pair.free)
         return out
     # R = -1j theta free, A = 1j (1 - theta) free and a branch component
-    # (kel + s_col R + s_row A) / 2, each operation as in those
-    # expressions, one block of rows at a time, into the free table
-    # unless the pair is shared.  A's block goes first, as R's block may
-    # be written over the free block both read.  The Keldysh table is
-    # only read.
+    # from them, each operation as in those expressions, one block of
+    # rows at a time, into the free table unless the pair is shared.  A's
+    # block goes first, as R's block may be written over the free block
+    # both read.  The Keldysh table is only read.
     free = pair.free
     theta = theta[:, :, None, None]
     out = np.empty_like(free) if pair.shared else free
@@ -241,14 +250,23 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
             np.negative(theta[rows], out=step.imag)
             np.multiply(step, free[rows], out=out[rows])
         if signs:
-            s_row, s_col = signs
-            total = out[rows]
-            np.multiply(s_col, total, out=total)
-            np.multiply(s_row, term, out=term)
-            np.add(pair.keldysh[rows], total, out=total)
-            np.add(total, term, out=total)
-            np.divide(total, 2.0, out=total)
+            _branch(signs, pair.keldysh[rows], out[rows], term, out[rows], term)
     return out
+
+
+def _branch(signs, kel, ret, adv, out=None, term=None) -> np.ndarray:
+    """The branch component of ``signs = (s_row, s_col)`` from the rotated
+    ones, ``(K + s_col R + s_row A) / 2``, in this order of operations:
+    ``s_col R`` into ``out``, ``s_row A`` into ``term``, each a new array
+    when None and either one its own operand, then ``K +``, ``+`` and
+    ``/ 2`` in ``out``.  Every branch table is formed here, so the suite's
+    tables from its R, A and K are ``gf``'s to the bit."""
+    s_row, s_col = signs
+    total = np.multiply(s_col, ret, out=out)
+    term = np.multiply(s_row, adv, out=term)
+    np.add(kel, total, out=total)
+    np.add(total, term, out=total)
+    return np.divide(total, 2.0, out=total)
 
 
 def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -334,7 +352,8 @@ def fix_constants(
     initial time the first row equals ``-W`` times the second row, with
     ``W = 1 + 2 zeta nbar^T``.  The conditions are block triangular, so
     per column the second row follows from the first condition and the
-    first row from the second, by elimination in O(d^3):
+    first row from the second, by elimination; every block is then
+    ``a W + b 1`` with scalar coefficients, so it costs O(d^2):
 
     * ``c_2 = -theta(t_f - t') [step at row 2]``,
     * ``c_1 = -W c_2 - theta(t_i - t') ([step at row 1] + W [step at row 2])``,
@@ -350,19 +369,26 @@ def fix_constants(
     statistics = system.statistics
     if weight is None:
         weight = keldysh_weight(system)
-    eye = np.eye(weight.shape[0], dtype=complex)
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
-    step_final = regularized_step(t_final - t_prime)
-    step_initial = regularized_step(t_initial - t_prime)
-    blocks = [[None, None], [None, None]]
+    step_final = float(regularized_step(t_final - t_prime))
+    step_initial = float(regularized_step(t_initial - t_prime))
+    # Every block is a W + b 1.  Per column, with the layout's step flags
+    # as 0 or 1, c_2 = -theta_f second and
+    # c_1 = -W c_2 - theta_i (first + second W)
+    #     = (-c_2 - theta_i second) W - theta_i first:
+    # the coefficients are folded as floats, and the four blocks are
+    # formed together.
+    on_weight = [[0.0, 0.0], [0.0, 0.0]]
+    on_eye = [[0.0, 0.0], [0.0, 0.0]]
     for col in range(2):
         first = _has_step(statistics, 0, col)
         second = _has_step(statistics, 1, col)
         # Second row vanishes at the final time.
-        blocks[1][col] = -step_final * second * eye
+        on_eye[1][col] = -step_final * second
         # First row plus weight times second row vanishes at the initial
         # time.
-        blocks[0][col] = -weight @ blocks[1][col] - step_initial * (
-            first * eye + second * weight
-        )
-    return tuple(map(tuple, blocks))
+        on_weight[0][col] = -on_eye[1][col] - step_initial * second
+        on_eye[0][col] = -step_initial * first
+    eye = np.eye(weight.shape[0], dtype=complex)
+    blocks = np.multiply.outer(on_weight, weight) + np.multiply.outer(on_eye, eye)
+    return (blocks[0, 0], blocks[0, 1]), (blocks[1, 0], blocks[1, 1])

@@ -9,8 +9,11 @@ solved constants), each on one table per component and orientation.
 Every table is a product of two propagator stacks, and the suite
 computes the free and the Keldysh product of each pair of stacks once
 (row by column, column by row, and row by row times): every table over
-that pair reads them.  The row-by-column pair is released before the
-column-by-row one is built, so at most one pair's products are alive.
+that pair reads them.  The branch components come from the suite's R,
+A and K by the combination ``gf`` applies, and a solved constant block
+that is exactly zero takes no product.  The row-by-column pair is
+released before the column-by-row one is built, so at most one pair's
+products are alive.
 A suite call computes the Keldysh weight W, the statistics' layout and
 each step table once, and every pair and the solved constants read
 them; each check's deviations are reduced one at a time through one
@@ -53,6 +56,7 @@ from .core import (
 from .continuum import (
     KeldyshComponent,
     _Pair,
+    _branch,
     _tabulate,
     fix_constants,
     keldysh_weight,
@@ -141,11 +145,14 @@ def run_structure_suite(
     comes from one row and one column propagator stack, through the
     evaluator of ``component_table``, which reads the free and the
     Keldysh product of a pair of stacks, each computed once per pair.
-    In order: over row by column times R, A and K, then, while that
-    pair's products are alive, the four branch components one at a time,
-    which ``zero_block`` compares with R, A and K, and the solutions from
-    the solved constants, which ``constant_fixing`` compares with the
-    tables at their positions; then that pair is released, and R and A
+    In order: over row by column times R, A and K, then the four branch
+    components one at a time, formed from those three tables by
+    :func:`~contourgf.continuum._branch`, the combination ``gf`` applies,
+    which ``zero_block`` compares with R, A and K; then, while that
+    pair's products are alive, the solutions from the solved constants,
+    which ``constant_fixing`` compares with the tables at their
+    positions, a constant block that is exactly zero taking no product;
+    then that pair is released, and R and A
     at equal times (row by row), then A and K over column by row times,
     each come from a pair of their own.  W, the layout and the step
     tables are computed once and passed to the pairs and to
@@ -211,16 +218,17 @@ def run_structure_suite(
     forward = {c: _tabulate(pair, theta, c) for c in (ret, adv, kel)}
     forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
 
-    # Branch components, one table at a time: ++ - +- = R, ++ - -+ = A,
-    # ++ + -- = K and the rotated zero block ++ + -- - +- - -+ = 0.
-    # Each branch table takes its sign in place, each difference goes
-    # into one new table, and none is held while the next branch is
-    # tabulated.
+    # Branch components from R, A and K by the combination gf applies,
+    # one table at a time: ++ - +- = R, ++ - -+ = A, ++ + -- = K and the
+    # rotated zero block ++ + -- - +- - -+ = 0.  Each branch table takes
+    # its sign in place, each difference goes into one new table, and
+    # none is held while the next branch is formed.
     def rotation():
         pp, *others = ContourComponent
-        plus = total = _tabulate(pair, theta, pp)
+        rotated = forward[kel], forward[ret], forward[adv]
+        plus = total = _branch(pp.signs, *rotated)
         for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
-            other = _tabulate(pair, theta, branch)
+            other = _branch(branch.signs, *rotated)
             np.multiply(sign, other, out=other)
             deviation = plus - other
             deviation -= forward[c]

@@ -458,12 +458,74 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
     # One pair serves every component, so a table that wrote into a
     # shared product would change the ones after it.
     pair = continuum._Pair(system, p_row, p_col)
+    # The structure suite's branch tables: the combination of the pair's
+    # K, R and A, which it only reads.
+    ret, adv, kel_component, _ = KeldyshComponent
+    order = kel_component, ret, adv
+    rotated = [continuum._tabulate(pair, step, c) for c in order]
     for component, want in expected.items():
         table = component_table(system, times[:7], times, component, -0.5)
         shared = continuum._tabulate(pair, step, component)
-        for got in (table, shared):
+        tables = [table, shared]
+        if isinstance(component, ContourComponent):
+            tables.append(continuum._branch(component.signs, *rotated))
+        for got in tables:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for got, c in zip(rotated, order):
+        np.testing.assert_array_equal(got.view(np.uint64), expected[c].view(np.uint64))
     np.testing.assert_array_equal(step.view(np.uint64), kept.view(np.uint64))
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_zero_constant_block_takes_no_product(monkeypatch, statistics):
+    # fix_constants returns two exactly zero blocks for either statistics,
+    # one where the layout puts a step and one where it puts none.  Such a
+    # position's table has the magnitudes of the product of its block
+    # plus its step term, entry by entry, and takes no product; so does
+    # a block of negative zeros at every position.
+    system = random_system(np.random.default_rng(23), statistics, 2)
+    constants = fix_constants(system)
+    zero = [(r, c) for r in range(2) for c in range(2) if not constants[r][c].any()]
+    assert sorted(continuum._has_step(statistics, *rc) for rc in zero) == [False, True]
+    negative = np.full((2, 2), -0.0, dtype=complex)
+    cases = [(constants, *rc) for rc in zero]
+    cases += [(((negative,) * 2,) * 2, r, c) for r in range(2) for c in range(2)]
+    t_row, t_col = np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 7)
+    p_row, p_col = propagator_stack(system, t_row), propagator_stack(system, t_col)
+    theta = regularized_step(t_row[:, None] - t_col)
+    pair = continuum._Pair(system, p_row, p_col)
+    sandwiches = []
+    sandwich = continuum._sandwich
+
+    def counted(*args):
+        sandwiches.append(None)
+        return sandwich(*args)
+
+    for position in cases:
+        block, (_, row, col) = position[0][position[1]][position[2]], position
+        want = sandwich(p_row, block, p_col)
+        if continuum._has_step(statistics, row, col):
+            want += theta[:, :, None, None] * (-1j * pair.free)
+        with monkeypatch.context() as patch:
+            patch.setattr(continuum, "_sandwich", counted)
+            got = continuum._tabulate(pair, theta, position)
+        assert not sandwiches
+        np.testing.assert_array_equal(np.abs(got), np.abs(want))
+
+
+def test_zero_weight_keldysh_table_keeps_negative_zeros():
+    # A fermion with nbar = 1/2 has W = 0, and gf writes its K table as the
+    # product of that zero: the product's negative zeros stay in the table.
+    epsilon = random_hermitian(np.random.default_rng(8), 2, -1.0, 1.0)
+    system = LevelSystem(epsilon, 0.5 * np.eye(2), Statistics.FERMION)
+    weight = keldysh_weight(system)
+    assert not weight.any()
+    times = np.linspace(0.0, 1.0, 5)
+    table = component_table(system, times, times, KeldyshComponent.KELDYSH, 0.0)
+    stack = propagator_stack(system, times)
+    want = -1j * np.einsum("nab,mcb->nmac", stack @ weight, stack.conj())
+    assert np.signbit(table.view(float)).any()
+    np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("step_rows", [1, 3])

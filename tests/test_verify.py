@@ -4,6 +4,7 @@ import ast
 import cmath
 import dataclasses
 import inspect
+import json
 import tracemalloc
 import warnings
 import weakref
@@ -29,7 +30,7 @@ from contourgf import (
     run_oracle_suite,
     run_structure_suite,
 )
-from contourgf import continuum, discrete, verify
+from contourgf import cli, continuum, discrete, verify
 from contourgf.core import propagator_stack
 from contourgf.discrete import _factor
 from contourgf.verify import chebyshev_interior
@@ -288,10 +289,10 @@ def test_structure_suite_builds_two_propagator_stacks(monkeypatch):
 
 @pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
 def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
-    # 11 einsums: the two propagator stacks; the free and the Keldysh
+    # 9 einsums: the two propagator stacks; the free and the Keldysh
     # product of the row-column and the column-row pair; the free product
-    # of the row-row pair; the four solved constants, whose step terms
-    # read the row-column free product.  W is computed once, by the
+    # of the row-row pair; the two solved constants that are not zero,
+    # while the step terms read the row-column free product.  W is computed once, by the
     # suite, which passes it to fix_constants and to the pairs that have
     # a Keldysh product.
     einsums, weights = [], []
@@ -310,7 +311,7 @@ def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
         monkeypatch.setattr(module, "keldysh_weight", counted_weight)
     system = random_system(np.random.default_rng(18), statistics, 3)
     assert all(c.passed for c in run_structure_suite(system))
-    assert len(einsums) == 11
+    assert len(einsums) == 9
     assert len(weights) == 1
 
 
@@ -377,9 +378,16 @@ STRUCTURE_MUTANTS = {
     "fdt_proportionality": {KEL: _as(KEL, rows=np.conj, cols=np.conj)},
     # K times i: Hermitian instead of anti-Hermitian.
     "keldysh_antihermiticity": {KEL: _as(KEL, scale=1j)},
-    # The +- and -+ branch components swapped.
-    "zero_block": {PM: _as(MP), MP: _as(PM)},
+    # Handled by the test: the +- and -+ branch components swapped where
+    # the suite forms them from R, A and K.
+    "zero_block": {},
 }
+
+
+def _swapped_branches(signs, *args, **kwargs):
+    """The branch combination with +- and -+ swapped."""
+    swap = {PM.signs: MP.signs, MP.signs: PM.signs}
+    return continuum._branch(swap.get(signs, signs), *args, **kwargs)
 
 
 def commuting_pair(statistics):
@@ -406,6 +414,8 @@ def test_each_structure_check_fails_its_mutant(monkeypatch, name, statistics):
         (c11, c12), (c21, c22) = verify.fix_constants(system)
         wrong = (c22, c12), (c21, c11)
         monkeypatch.setattr(verify, "fix_constants", lambda *args: wrong)
+    if name == "zero_block":
+        monkeypatch.setattr(verify, "_branch", _swapped_branches)
     monkeypatch.setattr(verify, "_tabulate", _evaluator_with(STRUCTURE_MUTANTS[name]))
     checks = {c.name: c for c in run_structure_suite(system)}
     assert not checks[name].passed
@@ -413,6 +423,39 @@ def test_each_structure_check_fails_its_mutant(monkeypatch, name, statistics):
         # The swap leaves R - A = -i U(t - t') off equal times, whose
         # largest entry, that of a 2 x 2 unitary, is at least 1/sqrt(2).
         assert checks[name].observed > 0.5
+
+
+BRANCH_MUTANTS = {
+    # (K + s_row R + s_col A) / 2: +- and -+ trade places.
+    "signs_swapped": lambda signs, *args, **kwargs: continuum._branch(
+        signs[::-1], *args, **kwargs
+    ),
+    # K + s_col R + s_row A: every branch component twice too large.
+    "half_dropped": lambda *args, **kwargs: 2.0 * continuum._branch(*args, **kwargs),
+}
+
+
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
+@pytest.mark.parametrize("mutant", BRANCH_MUTANTS)
+def test_branch_combination_mutants_fail(monkeypatch, tmp_path, mutant, statistics):
+    # The suite forms its branch components by the combination gf applies,
+    # so a wrong combination fails a check and verify exits 1.
+    system = commuting_pair(statistics)
+    monkeypatch.setattr(verify, "_branch", BRANCH_MUTANTS[mutant])
+    failing = [c.name for c in run_structure_suite(system) if not c.passed]
+    assert failing == ["zero_block"]
+    report = tmp_path / "report.json"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "statistics": statistics.value,
+        "epsilon": system.epsilon.real.tolist(),
+        "nbar": system.nbar.real.tolist(),
+        "grid": {"t_initial": 0.0, "t_final": 1.0, "n_slices": 4},
+        "output": {"format": "json", "components": ["R"], "path": str(report)},
+    }))
+    assert cli.main(["verify", "--config", str(config)]) == 1
+    doc = json.loads(report.read_text())
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["zero_block"]
 
 
 def test_structure_suite_deterministic():
