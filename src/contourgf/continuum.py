@@ -372,12 +372,10 @@ def fix_constants(
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
     step_final = float(regularized_step(t_final - t_prime))
     step_initial = float(regularized_step(t_initial - t_prime))
-    # Every block is a W + b 1.  Per column, with the layout's step flags
-    # as 0 or 1, c_2 = -theta_f second and
+    # Every block is a W + b 1, its coefficients folded as floats from
+    # the layout's step flags (0 or 1): c_2 = -theta_f second, and
     # c_1 = -W c_2 - theta_i (first + second W)
-    #     = (-c_2 - theta_i second) W - theta_i first:
-    # the coefficients are folded as floats, and the four blocks are
-    # formed together.
+    #     = (-c_2 - theta_i second) W - theta_i first.
     on_weight = [[0.0, 0.0], [0.0, 0.0]]
     on_eye = [[0.0, 0.0], [0.0, 0.0]]
     for col in range(2):

@@ -502,8 +502,8 @@ def test_zero_constant_block_takes_no_product(monkeypatch, statistics):
         return sandwich(*args)
 
     for position in cases:
-        block, (_, row, col) = position[0][position[1]][position[2]], position
-        want = sandwich(p_row, block, p_col)
+        blocks, row, col = position
+        want = sandwich(p_row, blocks[row][col], p_col)
         if continuum._has_step(statistics, row, col):
             want += theta[:, :, None, None] * (-1j * pair.free)
         with monkeypatch.context() as patch:

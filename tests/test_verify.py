@@ -292,9 +292,9 @@ def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
     # 9 einsums: the two propagator stacks; the free and the Keldysh
     # product of the row-column and the column-row pair; the free product
     # of the row-row pair; the two solved constants that are not zero,
-    # while the step terms read the row-column free product.  W is computed once, by the
-    # suite, which passes it to fix_constants and to the pairs that have
-    # a Keldysh product.
+    # while the step terms read the row-column free product.  W is
+    # computed once, by the suite, which passes it to fix_constants and
+    # to the pairs that have a Keldysh product.
     einsums, weights = [], []
     einsum = np.einsum
 
