@@ -1,12 +1,16 @@
 """Compare the CLI output of two ``src/`` trees on every perfbench call.
 
 Builds the calls of all four perfbench workloads (oracle, partition,
-tabulate, structure) for each seed, plus four that perfbench does not
+tabulate, structure) for each seed, plus seven that perfbench does not
 make: the oracle config run as ``verify``, whose report then carries
 the convergence suite and its checks, the first structure call with
 ``--corrupt-keldysh``, whose report fails, and the partition config as
 ``z`` and the oracle config as ``converge``, both with ``--output.format
-csv``, so that the CSV writers of both commands are compared too.  It runs them through
+csv``, so that the CSV writers of both commands are compared too; then,
+on the span [0.5, 1.5], the two ``gf`` configs with all eight
+components and the oracle config as ``verify``.  Every perfbench config
+starts at t_initial = 0, where a table that took ``t`` for
+``t - t_initial`` would read the same.  It runs them through
 ``cli.main`` of each tree, one subprocess per tree, and reports per
 call the exit codes and whether the sha256 of standard output is the
 same::
@@ -49,6 +53,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS_DIR = ROOT / "perfbench"
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Every component gf tabulates, for the calls on a span off t = 0.
+SHIFTED_COMPONENTS = ["R", "A", "K", "qq", "++", "+-", "-+", "--"]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -62,8 +68,8 @@ def parse_seeds(text: str) -> list[int]:
 
 def seed_calls(seed: int) -> list[tuple[str, object]]:
     """``(workload, call)`` of every perfbench call for ``seed``, then the
-    oracle config as ``verify``, the first structure call corrupted and
-    the partition and oracle calls as CSV."""
+    oracle config as ``verify``, the first structure call corrupted, the
+    partition and oracle calls as CSV, and the shifted-span calls."""
     from workloads import WORKLOADS, build_calls
 
     calls = [(w, call) for w in WORKLOADS for call in build_calls(w, seed)]
@@ -71,7 +77,9 @@ def seed_calls(seed: int) -> list[tuple[str, object]]:
     structure = build_calls("structure", seed)[0]
     partition = build_calls("partition", seed)[0]
     csv = ("--output.format", "csv")
-    return calls + [
+    shifted = ("--grid.t_initial", "0.5", "--grid.t_final", "1.5")
+    every = ("--output.components", json.dumps(SHIFTED_COMPONENTS))
+    calls += [
         (
             "oracle",
             dataclasses.replace(oracle, label="verify-oracle", command="verify"),
@@ -85,6 +93,17 @@ def seed_calls(seed: int) -> list[tuple[str, object]]:
         ("partition", dataclasses.replace(partition, label="z-csv", extra=csv)),
         ("oracle", dataclasses.replace(oracle, label="converge-csv", extra=csv)),
     ]
+    calls += [
+        (
+            "tabulate",
+            dataclasses.replace(gf, label=f"{gf.label}-shifted", extra=shifted + every),
+        )
+        for gf in build_calls("tabulate", seed)
+    ]
+    verify = dataclasses.replace(
+        oracle, label="verify-shifted", command="verify", extra=shifted
+    )
+    return calls + [("oracle", verify)]
 
 
 def run_tree(src: str, seeds: list[int]) -> list[dict]:

@@ -154,30 +154,34 @@ def component_table(
     """
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
-    # The one table is the only reader of the pair's products, and the
-    # step table is built only for the tables that read it: R, A and the
-    # branch components.
-    t_row, t_col = (
-        np.asarray(t, dtype=float).reshape(-1) for t in (t_values, t_prime_values)
-    )
-    p_row, p_col = (propagator_stack(system, t - t_ref) for t in (t_row, t_col))
-    theta = None
-    if component not in (KeldyshComponent.KELDYSH, KeldyshComponent.ZERO):
-        theta = regularized_step(t_row[:, None] - t_col)
-    return _tabulate(_Pair(system, p_row, p_col, shared=False), theta, component)
+    # The one table is the only reader of the pair's products.
+    row, col = (_side(system, t, t_ref) for t in (t_values, t_prime_values))
+    return _tabulate(_Pair(system, row, col, shared=False), component)
+
+
+def _side(system: LevelSystem, times, t_ref: float):
+    """The times as a flat float array and the propagators over
+    ``times - t_ref``: one side of a :class:`_Pair`."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    return times, propagator_stack(system, times - t_ref)
 
 
 class _Pair:
-    """Two propagator stacks and their products over all pairs, each
-    computed once, when a table first reads it: ``free = P_n P_m^dag``
-    and ``keldysh = -i P_n W P_m^dag``, with ``weight`` as W when given
-    and :func:`keldysh_weight` otherwise.  Unless ``shared``, R and A
-    overwrite ``free``: no later table reads it.
+    """A row and a column side of :func:`_side` and, each computed once,
+    when a table first reads it, the step ``theta(t - t')``, ``free = P_n
+    P_m^dag`` and ``keldysh = -i P_n W P_m^dag``, with ``weight`` as W when
+    given and :func:`keldysh_weight` otherwise.  Unless ``shared``, R and
+    A overwrite ``free``: no later table reads it.
     """
 
-    def __init__(self, system, p_row, p_col, *, shared=True, weight=None):
-        self.system, self.p_row, self.p_col = system, p_row, p_col
+    def __init__(self, system, row, col, *, shared=True, weight=None):
+        self.system = system
+        (self.t_row, self.p_row), (self.t_col, self.p_col) = row, col
         self.shared, self.weight = shared, weight
+
+    @functools.cached_property
+    def step(self) -> np.ndarray:
+        return regularized_step(self.t_row[:, None] - self.t_col)
 
     @functools.cached_property
     def free(self) -> np.ndarray:
@@ -198,17 +202,17 @@ _STEP_ROWS = 16
 _PRODUCT_ENTRIES = 2**15
 
 
-def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
+def _tabulate(pair: _Pair, what) -> np.ndarray:
     """The tables of :func:`component_table` and the structure suite:
     ``what``, a component or a ``(constants, row, col)`` position, over the
-    stacks of ``pair``, from its products.  A branch component is
+    sides of ``pair``, from its step and products.  A branch component is
     :func:`_branch` of R, A and K, row block by row block.  A position
     holds the general solution ``-i P_n [c + theta(t - t')] P_m^dag`` with
     the constant block ``c = constants[row][col]`` of
     :func:`fix_constants`, the step term only where the statistics'
     layout puts R or A; a block that is exactly zero takes no product.
-    The step table ``theta`` is only read, and may be None for K, the zero
-    block and a position without a step."""
+    Only the tables that hold the step read it, before the free product:
+    built beside that product, it would raise the peak memory."""
     if what is KeldyshComponent.KELDYSH:
         return pair.keldysh
     shape = pair.p_row.shape[:1] + pair.p_col.shape
@@ -225,15 +229,15 @@ def _tabulate(pair: _Pair, theta, what) -> np.ndarray:
         else:
             out = np.zeros(shape, dtype=complex)
         if _has_step(pair.system.statistics, row, col):
-            out += theta[:, :, None, None] * (-1j * pair.free)
+            out += pair.step[:, :, None, None] * (-1j * pair.free)
         return out
     # R = -1j theta free, A = 1j (1 - theta) free and a branch component
     # from them, each operation as in those expressions, one block of
     # rows at a time, into the free table unless the pair is shared.  A's
     # block goes first, as R's block may be written over the free block
     # both read.  The Keldysh table is only read.
+    theta = pair.step[:, :, None, None]
     free = pair.free
-    theta = theta[:, :, None, None]
     out = np.empty_like(free) if pair.shared else free
     signs = what.signs if isinstance(what, ContourComponent) else None
     # The step factor keeps its real part 0.0, and each block writes its

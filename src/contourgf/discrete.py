@@ -473,43 +473,36 @@ class _Operands:
         )
         return cls((), (), (), columns, lags, [0, rank, 0])
 
-    def place(
-        self, *, rows=(), cross_rows=(), columns=(), extra=(), lags=None, negate=False
-    ) -> None:
+    def place(self, *, rows=(), cross_rows=(), columns=(), extra=(), lags=None) -> None:
         """Add factors of a term: ``rows`` and ``cross_rows``, tuples of
         arrays, after this set's, and ``columns``, a tuple as wide as
         ``rows``, with ``extra``, pairs of a forward row factor and a
         backward column factor, and ``lags = (left, powers, right)``,
-        each copied into place after the ranks placed so far.  The
-        column factors and ``right`` are negated when ``negate``.  A term
+        each copied into place after the ranks placed so far.  A term
         may be placed in several calls, each factor once, so that no
         builder holds all of its factors at the same time."""
         self.rows += rows
         self.cross_rows += cross_rows
         main, past, lag = self.placed
         for factor in columns:
-            main = _put(self.columns[:, main:], factor, negate) + main
+            main = _put(self.columns[:, main:], factor) + main
         half = len(self.columns) // 2
         for row, factor in extra:
             self.extra_rows += (row,)
-            past = _put(self.columns[half:, past:], factor, negate) + past
+            past = _put(self.columns[half:, past:], factor) + past
         if lags is not None:
             left, powers, right = lags
             at = slice(lag, lag + len(right))
             self.lags[0][:, at] = left
             self.lags[1][..., at] = powers
-            lag = _put(self.lags[2][lag:].T, right.T, negate) + lag
+            lag = _put(self.lags[2][lag:].T, right.T) + lag
         self.placed = [main, past, lag]
 
 
-def _put(target: np.ndarray, factor: np.ndarray, negate: bool) -> int:
-    """Copy ``factor``, negated when ``negate``, into the first columns
-    of ``target``; returns how many."""
-    slot = target[:, : factor.shape[1]]
-    if negate:
-        np.negative(factor, out=slot)
-    else:
-        slot[...] = factor
+def _put(target: np.ndarray, factor: np.ndarray) -> int:
+    """Copy ``factor`` into the first columns of ``target``; returns how
+    many."""
+    target[:, : factor.shape[1]] = factor
     return factor.shape[1]
 
 

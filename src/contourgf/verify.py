@@ -6,19 +6,19 @@ must satisfy (causality, the equal-time jump, conjugation, Keldysh
 anti-Hermiticity, the vanishing rotated block, thermal proportionality
 where defined, the contour boundary conditions, and consistency of the
 solved constants), each on one table per component and orientation.
-Every table is a product of two propagator stacks, and the suite
-computes the free and the Keldysh product of each pair of stacks once
-(row by column, column by row, and row by row times): every table over
-that pair reads them.  The branch components come from the suite's R,
-A and K by the combination ``gf`` applies, and a solved constant block
-that is exactly zero takes no product.  The row-by-column pair is
+Every table comes from a pair of sides, times and their propagator
+stack, as ``gf``'s do, and the suite computes the step, the free and the
+Keldysh product of each pair once (row by column, column by row, and
+row by row times): every table over that pair reads them.  The branch
+components come from the suite's R, A and K by the combination ``gf``
+applies, and a solved constant block that is exactly zero takes no
+product.  The row-by-column pair is
 released before the column-by-row one is built, so at most one pair's
 products are alive.
-A suite call computes the Keldysh weight W, the statistics' layout and
-each step table once, and every pair and the solved constants read
-them; each check's deviations are reduced one at a time through one
-buffer of a table's magnitudes, and no deviation is alive beside the
-next.
+A suite call computes the Keldysh weight W and the statistics' layout
+once, and every pair and the solved constants read them; each check's
+deviations are reduced one at a time through one buffer of a table's
+magnitudes, and no deviation is alive beside the next.
 The oracle suite compares the closed forms against the independently
 built discrete contour inverse on a sequence of grids and fits the
 convergence order.  Along a contour row the closed forms are a rank-d
@@ -27,9 +27,9 @@ after the row; at the row's own column the step takes the contour
 order, the row the later position, as in the discrete inverse, so the
 comparison covers every entry.  Within a branch that jump, like the
 discrete inverse's own within-branch term, depends only on the lag.  So
-this suite places the closed forms, negated, into the inverse's operand
-set and reads back one number per grid, the largest entry of the
-difference: ``discrete`` owns the set's layout and the stream that
+this suite places the closed forms, their factors negated, into the
+inverse's operand set and reads back one number per grid, the largest
+entry of the difference: ``discrete`` owns the set's layout and the stream that
 takes that maximum, its tiles, buffers and cost.
 Reports serialize from their dataclasses, whose field tables give the
 keys in order; ``cli`` writes them as ``json.dumps(indent=2)`` would.
@@ -57,10 +57,10 @@ from .continuum import (
     KeldyshComponent,
     _Pair,
     _branch,
+    _side,
     _tabulate,
     fix_constants,
     keldysh_weight,
-    regularized_step,
     rotated_block_layout,
 )
 from .discrete import (
@@ -142,9 +142,9 @@ def run_structure_suite(
 
     The sample crosses seven Chebyshev-spaced interior column times with
     the two endpoints plus three seeded interior row times.  Every table
-    comes from one row and one column propagator stack, through the
-    evaluator of ``component_table``, which reads the free and the
-    Keldysh product of a pair of stacks, each computed once per pair.
+    comes from one row and one column side through the evaluator of
+    ``component_table``, which reads the step, the free and the Keldysh
+    product of a pair of sides, each computed once per pair, as ``gf``'s.
     In order: over row by column times R, A and K, then the four branch
     components one at a time, formed from those three tables by
     :func:`~contourgf.continuum._branch`, the combination ``gf`` applies,
@@ -154,8 +154,8 @@ def run_structure_suite(
     positions, a constant block that is exactly zero taking no product;
     then that pair is released, and R and A
     at equal times (row by row), then A and K over column by row times,
-    each come from a pair of their own.  W, the layout and the step
-    tables are computed once and passed to the pairs and to
+    each come from a pair of their own.  W and the layout are computed
+    once and passed to the pairs and to
     :func:`~contourgf.continuum.fix_constants`.  Each check reports the
     largest entry of its deviations, 0 for none and NaN when one holds
     a NaN, reduced one deviation at a time through one buffer of a
@@ -166,13 +166,16 @@ def run_structure_suite(
     weight, reported as its threshold: the roundoff of the checks that
     multiply by W grows with it.  The sampled times are offsets from
     ``t_initial``, so the checks do not depend on where the span lies on
-    the time axis.  Results are sorted by check name.  ``corrupt_keldysh``
+    the time axis; a span that is not finite and positive raises
+    ``ValueError``, as a :class:`~contourgf.core.TimeGrid` on it would.
+    Results are sorted by check name.  ``corrupt_keldysh``
     is a test hook that flips the sign of K for t > t' after
     ``zero_block`` and ``constant_fixing`` ran and before the other
     checks, so those two compare with the uncorrupted tables.
     """
     ret, adv, kel, zero = KeldyshComponent  # in definition order
-    # W, the layout and the step tables, each once per suite.
+    # The span, checked as a grid's; W and the layout, each once per suite.
+    span = TimeGrid(t_initial, t_final, 1).dt
     weight = keldysh_weight(system)
     layout = rotated_block_layout(system.statistics)
     threshold = threshold * max(1.0, max_abs(weight))
@@ -180,15 +183,13 @@ def run_structure_suite(
     # The closed forms depend on the times only through t - t' and
     # t - t_initial, so the samples are offsets from t_initial: absolute
     # times far from zero would round them together.
-    span = t_final - t_initial
     t_col = chebyshev_interior(0.0, span, 7)
     t_interior = np.sort(span * rng.uniform(0.05, 0.95, size=3))
     t_row = np.concatenate([[0.0], t_interior, [span]])
 
     d = system.dimension
     delta = t_row[:, None] - t_col[None, :]
-    p_row, p_col = propagator_stack(system, t_row), propagator_stack(system, t_col)
-    theta = regularized_step(delta)
+    row_side, col_side = _side(system, t_row, 0.0), _side(system, t_col, 0.0)
     # The magnitudes of one deviation at a time; none is larger than a
     # table over row by column times.
     magnitudes = np.empty(delta.size * d * d)
@@ -214,8 +215,8 @@ def run_structure_suite(
     # Row by column times: R, A and K, then the two checks that compare
     # them with other tables over the same stacks, while the pair's
     # products are alive.
-    pair = _Pair(system, p_row, p_col, weight=weight)
-    forward = {c: _tabulate(pair, theta, c) for c in (ret, adv, kel)}
+    pair = _Pair(system, row_side, col_side, weight=weight)
+    forward = {c: _tabulate(pair, c) for c in (ret, adv, kel)}
     forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
 
     # Branch components from R, A and K by the combination gf applies,
@@ -243,7 +244,7 @@ def run_structure_suite(
     def positions(constants):
         for row in range(2):
             for col in range(2):
-                deviation = _tabulate(pair, theta, (constants, row, col))
+                deviation = _tabulate(pair, (constants, row, col))
                 deviation -= forward[layout[row][col]]
                 yield deviation
                 del deviation
@@ -252,17 +253,14 @@ def run_structure_suite(
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.  The forward products go
     # first.
-    pair = _Pair(system, p_row, p_row)
-    same = regularized_step(t_row[:, None] - t_row)
-    jump = np.diagonal(_tabulate(pair, same, ret) - _tabulate(pair, same, adv))
+    pair = _Pair(system, row_side, row_side)
+    jump = np.diagonal(_tabulate(pair, ret) - _tabulate(pair, adv))
     check("equal_time_jump", [jump + 1j * np.eye(d)[..., None]])
 
     # backward[c][i, j] is component c at (t_col[j], t_row[i]); A is the
     # one reader of the free product.
-    pair = _Pair(system, p_col, p_row, shared=False, weight=weight)
-    backward = {
-        c: _tabulate(pair, 1.0 - theta.T, c).transpose(1, 0, 2, 3) for c in (adv, kel)
-    }
+    pair = _Pair(system, col_side, row_side, shared=False, weight=weight)
+    backward = {c: _tabulate(pair, c).transpose(1, 0, 2, 3) for c in (adv, kel)}
     if corrupt_keldysh:
         # Flip the sign of K(t, t') for t > t' in both orientations.
         for table, later in ((forward, delta > 0), (backward, delta < 0)):
@@ -345,7 +343,9 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid, operands):
     ``-i/2 P_n (W - 1)``.  Within a branch the jump between the two,
     ``-i U(tau_n - tau_m)`` after the row, depends only on the lag: the
     lag blocks are ``i U(-lag dt)`` forward and ``i U(lag dt)`` backward,
-    zero at lag 0, from the energy eigensystem.
+    zero at lag 0, from the energy eigensystem.  C's sign is carried by a
+    d x d factor of each term, negating each product exactly: the rows'
+    ``i/2 (W +- 1)`` and the lags' ``left``, ``-i V``.
     """
     d = system.dimension
     n = grid.n_slices
@@ -359,15 +359,15 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid, operands):
     np.conjugate(phases, out=powers[0, 1:])
     powers[1, 1:] = phases
     del phases
-    operands.place(lags=(1j * basis, powers, basis.conj().T), negate=True)
+    operands.place(lags=(-1j * basis, powers, basis.conj().T))
     del powers
     props = propagator_stack(system, tau).reshape(-1, d)
     weight = keldysh_weight(system)
-    greater = props @ (-0.5j * (weight + np.eye(d)))
-    lesser = props[: n * d] @ (-0.5j * (weight - np.eye(d)))
+    greater = props @ (0.5j * (weight + np.eye(d)))
+    lesser = props[: n * d] @ (0.5j * (weight - np.eye(d)))
     # Column (m, b) takes row b of P_m^dag, transposed: row b of conj(P_m).
     np.conjugate(props, out=props)
-    operands.place(rows=(greater,), cross_rows=(lesser,), columns=(props,), negate=True)
+    operands.place(rows=(greater,), cross_rows=(lesser,), columns=(props,))
     return operands
 
 

@@ -454,18 +454,18 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
         expected[c] = (
             kel + s_col * (-1j * theta * free) + s_row * (1j * (1.0 - theta) * free)
         ) / 2.0
-    kept = step.copy()
     # One pair serves every component, so a table that wrote into a
-    # shared product would change the ones after it.
-    pair = continuum._Pair(system, p_row, p_col)
+    # shared product or the step would change the ones after it.
+    sides = (continuum._side(system, t, -0.5) for t in (times[:7], times))
+    pair = continuum._Pair(system, *sides)
     # The structure suite's branch tables: the combination of the pair's
     # K, R and A, which it only reads.
     ret, adv, kel_component, _ = KeldyshComponent
     order = kel_component, ret, adv
-    rotated = [continuum._tabulate(pair, step, c) for c in order]
+    rotated = [continuum._tabulate(pair, c) for c in order]
     for component, want in expected.items():
         table = component_table(system, times[:7], times, component, -0.5)
-        shared = continuum._tabulate(pair, step, component)
+        shared = continuum._tabulate(pair, component)
         tables = [table, shared]
         if isinstance(component, ContourComponent):
             tables.append(continuum._branch(component.signs, *rotated))
@@ -473,7 +473,7 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     for got, c in zip(rotated, order):
         np.testing.assert_array_equal(got.view(np.uint64), expected[c].view(np.uint64))
-    np.testing.assert_array_equal(step.view(np.uint64), kept.view(np.uint64))
+    np.testing.assert_array_equal(pair.step.view(np.uint64), step.view(np.uint64))
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -493,7 +493,7 @@ def test_zero_constant_block_takes_no_product(monkeypatch, statistics):
     t_row, t_col = np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 7)
     p_row, p_col = propagator_stack(system, t_row), propagator_stack(system, t_col)
     theta = regularized_step(t_row[:, None] - t_col)
-    pair = continuum._Pair(system, p_row, p_col)
+    pair = continuum._Pair(system, (t_row, p_row), (t_col, p_col))
     sandwiches = []
     sandwich = continuum._sandwich
 
@@ -508,7 +508,7 @@ def test_zero_constant_block_takes_no_product(monkeypatch, statistics):
             want += theta[:, :, None, None] * (-1j * pair.free)
         with monkeypatch.context() as patch:
             patch.setattr(continuum, "_sandwich", counted)
-            got = continuum._tabulate(pair, theta, position)
+            got = continuum._tabulate(pair, position)
         assert not sandwiches
         np.testing.assert_array_equal(np.abs(got), np.abs(want))
 
@@ -550,13 +550,12 @@ def test_shared_pair_tables_leave_free_unchanged(monkeypatch, statistics, step_r
     monkeypatch.setattr(continuum, "_STEP_ROWS", step_rows)
     system = random_system(np.random.default_rng(31), statistics, 2)
     t_row, t_col = np.linspace(0.0, 1.5, 20), np.linspace(0.0, 1.5, 11)
-    stacks = (propagator_stack(system, t) for t in (t_row, t_col))
-    pair = continuum._Pair(system, *stacks)
-    theta = regularized_step(t_row[:, None] - t_col)
+    sides = (continuum._side(system, t, 0.0) for t in (t_row, t_col))
+    pair = continuum._Pair(system, *sides)
     kept = pair.free.copy()
     ret, adv = KeldyshComponent.RETARDED, KeldyshComponent.ADVANCED
     for component in (ret, adv, *ContourComponent):
-        table = continuum._tabulate(pair, theta, component)
+        table = continuum._tabulate(pair, component)
         want = component_table(system, t_row, t_col, component, 0.0)
         np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(pair.free.view(np.uint64), kept.view(np.uint64))
@@ -615,13 +614,13 @@ def test_step_table_only_for_tables_that_read_it(monkeypatch, statistics):
         assert len(built) == reads, component
     # A position of the ansatz reads the step table where it has a step,
     # and is tabulated without one elsewhere.
-    stack = propagator_stack(system, times)
-    pair = continuum._Pair(system, stack, stack)
+    side = continuum._side(system, times, 0.0)
     for row in range(2):
         for col in range(2):
-            position = (constants, row, col)
-            if not continuum._has_step(statistics, row, col):
-                continuum._tabulate(pair, None, position)
+            built.clear()
+            pair = continuum._Pair(system, side, side)
+            continuum._tabulate(pair, (constants, row, col))
+            assert len(built) == continuum._has_step(statistics, row, col), (row, col)
 
 
 @pytest.mark.parametrize("entries", [1, 40, 2**15])
@@ -802,12 +801,11 @@ def test_solution_from_constants_matches_components():
         system = random_system(rng, statistics, 2)
         constants = fix_constants(system)
         layout = rotated_block_layout(statistics)
-        stack = propagator_stack(system, times)
-        pair = continuum._Pair(system, stack, stack)
-        theta = regularized_step(times[:, None] - times)
+        side = continuum._side(system, times, 0.0)
+        pair = continuum._Pair(system, side, side)
         for row in range(2):
             for col in range(2):
-                ansatz = continuum._tabulate(pair, theta, (constants, row, col))
+                ansatz = continuum._tabulate(pair, (constants, row, col))
                 direct = component_table(system, times, times, layout[row][col], 0.0)
                 assert np.abs(ansatz - direct).max() < ORACLE_TOL
 

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import inspect
 import json
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -333,14 +334,14 @@ def test_structure_suite_memory_peak():
 
 
 def _evaluator_with(replacements):
-    """The evaluator with ``replacements[what](pair, theta)`` in place of
-    the table of each component it names; the positions of the general
+    """The evaluator with ``replacements[what](pair)`` in place of the
+    table of each component it names; the positions of the general
     solution, ``(constants, row, col)`` tuples, pass through."""
 
-    def evaluate(pair, theta, what):
+    def evaluate(pair, what):
         if not isinstance(what, tuple) and what in replacements:
-            return replacements[what](pair, theta)
-        return continuum._tabulate(pair, theta, what)
+            return replacements[what](pair)
+        return continuum._tabulate(pair, what)
 
     return evaluate
 
@@ -351,9 +352,11 @@ def _as(component, rows=lambda p: p, cols=lambda p: p, theta=lambda t: t, scale=
     maps, times ``scale``; the suite's own pair and its products are left
     as they are."""
 
-    def replacement(pair, step):
-        mapped = continuum._Pair(pair.system, rows(pair.p_row), cols(pair.p_col))
-        return scale * continuum._tabulate(mapped, theta(step), component)
+    def replacement(pair):
+        row, col = (pair.t_row, rows(pair.p_row)), (pair.t_col, cols(pair.p_col))
+        mapped = continuum._Pair(pair.system, row, col)
+        mapped.step = theta(pair.step)
+        return scale * continuum._tabulate(mapped, component)
 
     return replacement
 
@@ -458,6 +461,49 @@ def test_branch_combination_mutants_fail(monkeypatch, tmp_path, mutant, statisti
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["zero_block"]
 
 
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
+def test_reversed_step_of_the_pair_fails_verify(monkeypatch, tmp_path, statistics):
+    # gf and the structure suite take their step from the one pair, so a
+    # step reversed there changes gf's tables and verify exits 1.
+    system = commuting_pair(statistics)
+    output, config = tmp_path / "output", tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "statistics": statistics.value,
+        "epsilon": system.epsilon.real.tolist(),
+        "nbar": system.nbar.real.tolist(),
+        "grid": {"t_initial": 0.5, "t_final": 1.5, "n_slices": 4},
+        "output": {"format": "csv", "components": ["R", "++"], "path": str(output)},
+    }))
+
+    def run(command):
+        code = cli.main([command, "--config", str(config)])
+        return code, output.read_bytes()
+
+    code, clean = run("gf")
+    assert code == 0 and run("verify")[0] == 0
+    step = continuum.regularized_step
+    reversed_step = property(lambda pair: step(pair.t_col - pair.t_row[:, None]))
+    monkeypatch.setattr(continuum._Pair, "step", reversed_step)
+    code, table = run("gf")
+    assert code == 0 and table != clean
+    code, report = run("verify")
+    assert code == 1
+    failing = {c["name"] for c in json.loads(report)["checks"] if not c["passed"]}
+    assert failing == {"boundary_final", "boundary_initial", "causality"}
+
+
+@pytest.mark.parametrize(
+    "span", [(1.0, 0.0), (0.0, 0.0), (0.0, math.nan), (0.0, math.inf)], ids=str
+)
+def test_structure_suite_refuses_an_empty_or_unbounded_span(span):
+    # Such a span has no interior to sample, and its checks would fail or
+    # read NaN on correct tables.
+    t_initial, t_final = span
+    system = LevelSystem(1.0, 0.1, Statistics.BOSON)
+    with pytest.raises(ValueError):
+        run_structure_suite(system, t_initial=t_initial, t_final=t_final)
+
+
 def test_structure_suite_deterministic():
     rng = np.random.default_rng(35)
     system = random_system(rng, Statistics.FERMION, 2)
@@ -527,12 +573,13 @@ def test_continuum_rows_match_reference(statistics, dimension, n_slices):
     reference = continuum_contour_reference(system, grid)
     tol = KERNEL_TOL * np.abs(reference).max()
     assert np.abs(continuum_from_operands(system, grid) - reference).max() <= tol
-    # The jump between the two weights on the forward rows is -i P_n.
+    # The jump between the two weights on the forward rows is -i P_n; the
+    # set's row factors are -C's, so theirs is i P_n.
     operands = continuum_set(system, grid)
     (greater,), (lesser,) = operands.rows, operands.cross_rows
     half = n_slices * dimension
     props = propagator_stack(system, contour_times(grid) - grid.t_initial)
-    jump = greater[:half] - lesser + 1j * props.reshape(-1, dimension)[:half]
+    jump = greater[:half] - lesser - 1j * props.reshape(-1, dimension)[:half]
     assert np.abs(jump).max() <= tol
     # The fused kernel gives G - C by contour rows, built for the suite's
     # blocks and for blocks of one and of three rows, whose lag terms
