@@ -28,8 +28,15 @@ the cases of ``bench_oracle.py`` (the grids (N / 2, N), d in 1, 2 and
 4, up to 2 N d = 8192), and says whether the two reports agree: every
 field equal but the errors and the fitted order, which may differ by
 ``ORACLE_TOLERANCE`` in absolute value, the roundoff of a change in how
-the products are taken.  ``--json PATH`` also writes the results to
-``PATH``.
+the products are taken.  With ``--doubles`` it times ``format_doubles``
+alone, one call a pass, on ``DOUBLE_SIZES`` doubles with both specs, of
+two kinds: the doubles of the ``tabulate`` JSON call's tables for the
+seed (``gf``) and seeded random bit patterns (``bits``); per case it
+prints the ``tracemalloc`` peak of one call and whether the two trees
+wrote the same words, and per tree and spec the least-squares fit of
+the ``gf`` times as a cost per pass of the kernel (``BLOCK`` doubles at
+most) and a cost per double.  ``--json PATH`` also writes the results
+to ``PATH``.
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``contourgf``
 package, for example ``src`` of a second checkout of the parent commit
@@ -50,6 +57,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -68,6 +76,8 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # The largest absolute difference of an oracle error or fitted order by
 # which the two trees' reports still agree.
 ORACLE_TOLERANCE = 1e-12
+# Doubles per call of the --doubles cases.
+DOUBLE_SIZES = (64, 512, 2048, 4096, 8192)
 
 
 def load_cli(src: str, name: str):
@@ -257,6 +267,72 @@ def compare_oracle(sides, dimension: int, n_slices: int, pairs) -> dict:
     return result
 
 
+def double_inputs(cli, seed: int) -> dict:
+    """Per kind, ``max(DOUBLE_SIZES)`` doubles: those of the ``tabulate``
+    JSON call's component tables for ``seed``, in the order ``gf``
+    prints them, and random bit patterns from ``seed``."""
+    import numpy as np
+    from workloads import build_calls
+
+    call = next(c for c in build_calls("tabulate", seed)
+                if c.config["output"]["format"] == "json")
+    config = cli.build_run_config(call.config)
+    (grid,) = config.grids
+    tables = [
+        cli.component_table(config.system, grid.times, grid.times,
+                            cli.COMPONENT_NAMES[name], grid.t_initial)
+        for name in config.components
+    ]
+    gf = np.concatenate([table.reshape(-1).view(np.float64) for table in tables])
+    size = max(DOUBLE_SIZES)
+    bits = np.random.default_rng(seed).integers(0, 2**64, size, dtype=np.uint64)
+    return {"gf": gf[:size].copy(), "bits": bits.view(np.float64)}
+
+
+def compare_doubles(sides, kind: str, values, spec: str, pairs) -> dict:
+    """Interleaved A/B of ``format_doubles(values, spec)``: per side the
+    call times, the pairs won and the ``tracemalloc`` peak of one call,
+    and whether the two trees wrote the same words."""
+    formatters = {
+        side: importlib.import_module(f"{cli.__package__}._doubles")
+        for side, cli in sides.items()
+    }
+    words = {side: module.format_doubles(values, spec).tolist()
+             for side, module in formatters.items()}
+    peaks = {side: call_peak(module.format_doubles, values, spec)
+             for side, module in formatters.items()}
+
+    def one_call(function):
+        seconds, out = timed_call(function, values, spec)
+        return seconds, [hashlib.sha256(out.tobytes()).hexdigest()]
+
+    passes = {side: partial(one_call, module.format_doubles)
+              for side, module in formatters.items()}
+    label = f"doubles-{kind}-{spec}-n{values.size}"
+    result = summarize([label], interleave(passes, pairs), peaks, pairs,
+                       **{side: {"block": module.BLOCK}
+                          for side, module in formatters.items()})
+    result.update(kind=kind, spec=spec, doubles=int(values.size),
+                  same_words=words["old"] == words["new"])
+    return result
+
+
+def pass_fit(results) -> dict:
+    """Per side, the least-squares fit of the median times of ``results``
+    (one kind and spec) as ``passes * pass_s + doubles * double_s``, the
+    passes those of the side's ``BLOCK``."""
+    import numpy as np
+
+    fits = {}
+    for side in ("old", "new"):
+        block = results[0][side]["block"]
+        design = np.array([[-(-r["doubles"] // block), r["doubles"]] for r in results])
+        times = np.array([r[side]["median"] for r in results])
+        pass_s, double_s = np.linalg.lstsq(design, times, rcond=None)[0]
+        fits[side] = {"block": block, "pass_s": float(pass_s), "double_s": float(double_s)}
+    return fits
+
+
 def report(result) -> None:
     for side in ("old", "new"):
         s = result[side]
@@ -270,6 +346,9 @@ def report(result) -> None:
         print(f"reports {'agree' if result['agree'] else 'DISAGREE'}: largest "
               f"difference {result['largest_difference']:.3g} "
               f"(tolerance {ORACLE_TOLERANCE:g})")
+        return
+    if "same_words" in result:
+        print("words: " + ("the same" if result["same_words"] else "DIFFER"))
         return
     print("outputs: " + (f"differ on {result['differ']}" if result["differ"] else
                          "identical on every call of every pass"))
@@ -294,6 +373,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="run_structure_suite on the systems of bench_continuum.py")
     group.add_argument("--oracle-suite", action="store_true",
                        help="run_oracle_suite on the cases of bench_oracle.py")
+    group.add_argument("--doubles", action="store_true",
+                       help="format_doubles on DOUBLE_SIZES doubles, both specs")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--json", help="also write the results to this file")
@@ -312,7 +393,24 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(config, handle)
             return call_argv(path)
 
-        if args.oracle_suite:
+        if args.doubles:
+            inputs = double_inputs(sides["old"], args.seed)
+            for kind, spec in itertools.product(inputs, ("%r", "%.17g")):
+                curve = []
+                for size in DOUBLE_SIZES:
+                    values = inputs[kind][:size]
+                    result = compare_doubles(sides, kind, values, spec, args.pairs)
+                    print(f"{result['calls'][0]}, {args.pairs} pairs")
+                    report(result)
+                    curve.append(result)
+                fits = pass_fit(curve)
+                for side, fit in fits.items():
+                    print(f"{kind} {spec} {side} (BLOCK {fit['block']}): "
+                          f"{fit['pass_s'] * 1e6:.1f} us per pass, "
+                          f"{fit['double_s'] * 1e9:.1f} ns per double")
+                results += curve
+                results.append({"kind": kind, "spec": spec, "fit": fits})
+        elif args.oracle_suite:
             from cases import oracle_cases
 
             for dimension, n_slices in oracle_cases():

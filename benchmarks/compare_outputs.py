@@ -10,7 +10,13 @@ csv``, so that the CSV writers of both commands are compared too; then,
 on the span [0.5, 1.5], the two ``gf`` configs with all eight
 components and the oracle config as ``verify``.  Every perfbench config
 starts at t_initial = 0, where a table that took ``t`` for
-``t - t_initial`` would read the same.  It runs them through
+``t - t_initial`` would read the same.  perfbench's CSV ``gf`` call is
+the same single level for every seed, so per seed there are also CSV
+``gf`` calls on a d = 2 boson and a d = 1 fermion drawn from the seed
+(:func:`csv_calls`): R, A and K, the fermion's over N = 300, whose rows
+span two chunks of ``GF_ROW_CHUNK``, and all eight components on
+[0.5, 1.5]; at d = 2 every double of a chunk is printed in place by
+``%.17g``.  It runs them through
 ``cli.main`` of each tree, one subprocess per tree, and reports per
 call the exit codes and whether the sha256 of standard output is the
 same::
@@ -55,6 +61,10 @@ WORKLOADS_DIR = ROOT / "perfbench"
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Every component gf tabulates, for the calls on a span off t = 0.
 SHIFTED_COMPONENTS = ["R", "A", "K", "qq", "++", "+-", "-+", "--"]
+# Grids of the seeded CSV calls from t = 0, and of those on [0.5, 1.5]:
+# 301 rows are two chunks of GF_ROW_CHUNK (256).
+CSV_SLICES = {"boson": 30, "fermion": 300}
+SHIFTED_CSV_SLICES = 40
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -69,7 +79,8 @@ def parse_seeds(text: str) -> list[int]:
 def seed_calls(seed: int) -> list[tuple[str, object]]:
     """``(workload, call)`` of every perfbench call for ``seed``, then the
     oracle config as ``verify``, the first structure call corrupted, the
-    partition and oracle calls as CSV, and the shifted-span calls."""
+    partition and oracle calls as CSV, the shifted-span calls and the
+    seeded CSV calls."""
     from workloads import WORKLOADS, build_calls
 
     calls = [(w, call) for w in WORKLOADS for call in build_calls(w, seed)]
@@ -103,7 +114,28 @@ def seed_calls(seed: int) -> list[tuple[str, object]]:
     verify = dataclasses.replace(
         oracle, label="verify-shifted", command="verify", extra=shifted
     )
-    return calls + [("oracle", verify)]
+    return calls + [("oracle", verify)] + csv_calls(seed, shifted + every)
+
+
+def csv_calls(seed: int, shifted: tuple[str, ...]) -> list[tuple[str, object]]:
+    """CSV ``gf`` calls on a d = 2 boson and a d = 1 fermion drawn from
+    ``seed``: R, A and K from t = 0 over ``CSV_SLICES``, and the
+    arguments ``shifted`` over ``SHIFTED_CSV_SLICES``."""
+    import numpy as np
+    from workloads import Call, _config
+
+    rng = np.random.default_rng([seed, 34])
+    calls = []
+    for statistics, d, occupations in (("boson", 2, (0.2, 1.5)), ("fermion", 1, (0.05, 0.95))):
+        output = {"format": "csv", "components": ["R", "A", "K"]}
+        config = _config(rng, statistics, d, occupations, 1.0, CSV_SLICES[statistics], output)
+        label = f"gf-csv-{statistics}-d{d}"
+        slices = ("--grid.n_slices", str(SHIFTED_CSV_SLICES))
+        calls += [
+            ("tabulate", Call(label, "gf", config)),
+            ("tabulate", Call(f"{label}-shifted", "gf", config, extra=shifted + slices)),
+        ]
+    return calls
 
 
 def run_tree(src: str, seeds: list[int]) -> list[dict]:

@@ -4,25 +4,34 @@ from integer arithmetic over numpy ``uint64`` arrays.
 A finite nonzero double is ``x = m 2^e`` with a 53-bit integer ``m``.
 Each binary exponent has a decimal exponent ``k`` that puts
 ``y = |x| 10^k`` between ``1e16`` and ``2e17``, and a scale
-``C = 2^(e + 121) 10^k`` rounded to an integer of 122 to 126 bits,
+``C = 2^(e + 121) 10^k`` rounded to an integer of 123 to 126 bits,
 built with Python integers when a block first holds the exponent.
-``m C / 2^64``, from the 32-bit limbs of both, gives ``y`` as an
-integer part and a 57-bit fraction, with an error below ``2^-24``.
-``%.17g`` takes the 17 digits of ``y`` (or of ``y / 10``) rounded to
-nearest; ``%r``, the shortest
+``Q = m C / 2^64`` is ``y`` as an integer part and a 57-bit fraction.
+Its low 64 bits are ``m (C >> 64)``, wrapping, plus ``m (C mod 2^64) /
+2^64`` in doubles, within 4 units of 2^-57; its integer part is the
+double ``m C / 2^121``, within 47, moved to the one integer within 64
+whose low 7 bits the low word holds.  ``%.17g`` takes the 17 digits of
+``y`` (or of ``y / 10``) rounded to nearest; ``%r``, the shortest
 digits inside the rounding interval ``y -/+ u/2`` (``u`` the spacing of
 doubles at ``x`` in units of ``y``, and ``u/4`` below a power of two),
 and of those the nearest to ``y``: the digits CPython prints, as Steele
 and White's and Gay's algorithms, Loitsch's Grisu3 and Adams' Ryu
 decide them.  A lane whose rounding lies within ``_MARGIN`` of a tie,
 or whose interval ends lie within it of an integer, is uncertain, and
-so are subnormals and values that are not finite: CPython's ``%``
-formats those lanes, so exactness never rests on an uncertain lane.
-Zeros are printed here.
+so are subnormals, the lowest binade of normal doubles and values that
+are not finite: CPython's ``%`` formats those lanes, so exactness never
+rests on an uncertain lane.  Zeros are printed here, from a scale of
+their own that gives ``y = 0``.
 
-The digits, a sign, a point and an exponent are then laid out as the
-text by one gather per lane, from a table of the byte positions of
-each layout: sign, count of significant digits and notation.
+The digits are written to the lanes' words, then laid out with a sign,
+a point and an exponent by one gather per lane, from a table of the
+byte positions of each layout: sign, count of significant digits and
+notation.
+
+A pass holds at most ``PASS_BYTES_PER_DOUBLE`` bytes for each of its
+``BLOCK`` doubles beside the 24-byte words it writes: its arrays are
+reused through ``out=`` and freed after their last read, at most five
+of its ``uint64`` arrays at a time.
 """
 
 from __future__ import annotations
@@ -31,13 +40,17 @@ import functools
 
 import numpy as np
 
-__all__ = ["BLOCK", "format_doubles"]
+__all__ = ["BLOCK", "PASS_BYTES_PER_DOUBLE", "format_doubles"]
 
-# Doubles formatted per pass of the kernel.  Its arrays take about
-# 70 B per double; numpy's fixed cost per operation is spread over
-# more doubles in a larger block.  ``benchmarks/bench_gf_writer.py``
-# times 512 to 8,192.
-BLOCK = 2048
+# Doubles formatted per pass of the kernel.  numpy's fixed cost per
+# operation, about 100 operations a pass, is spread over more doubles
+# in a larger block; ``benchmarks/bench_gf_writer.py`` times 512 to
+# 8,192 and ``benchmarks/ab_inprocess.py --doubles`` 64 to 8,192.
+BLOCK = 4096
+# The tracemalloc peak of one pass, beside its words, per double of
+# BLOCK: the arrays of its busiest phase (about 48 B) and the gather's
+# index block (_LAYOUT_LANES * 192 B, 12 B per double of BLOCK).
+PASS_BYTES_PER_DOUBLE = 52
 # Lanes laid out per gather: its index array takes 192 B per lane.
 _LAYOUT_LANES = 256
 
@@ -46,7 +59,7 @@ _FRACTION = 57
 _MASK = _U64((1 << _FRACTION) - 1)
 _HALF = 1 << (_FRACTION - 1)
 # A lane is certain when its fraction is this far, in units of 2^-57,
-# from the value that decides it: 2^-21, against an error below 2^-24.
+# from the value that decides it: 2^-21, against an error below 2^-55.
 _MARGIN = 1 << 36
 # Digits of the left-aligned significand, and the notations of a
 # layout: fixed with the decimal point after digit -3 to 17, then
@@ -54,13 +67,15 @@ _MARGIN = 1 << 36
 _DIGITS = 18
 _FIXED = range(-3, 18)
 _FORMS = len(_FIXED) + 4
+# Counts of significant digits a layout can have: 0 (a zero's) to 18.
+_COUNTS = _DIGITS + 1
 # Decimal points a double can have, offset to index the tables.
 _POINT_OFFSET = 330
 
-# A lane's source row of 32 bytes: the 18 digits, the last two of them
-# in a word with a NUL and the constants after them, and the exponent
-# word "-%03d".
-_SOURCE = 32
+# A lane's source row of 28 bytes: its word, the 18 digits, the last
+# two of them in a word with a NUL and the constants after them, and
+# the exponent word "-%03d".
+_SOURCE = 28
 _NUL, _MINUS, _DOT, _ZERO, _E, _PLUS = range(18, 24)
 _EXPONENT_MINUS = 24
 _EXPONENT_DIGITS = (25, 26, 27)
@@ -96,15 +111,20 @@ def _filled(table: np.ndarray, known: np.ndarray, index: np.ndarray, row) -> np.
 
 @functools.cache
 def _scales() -> dict:
-    """Per biased exponent, ``k`` and, built as read (:func:`_filled`),
-    the limbs of the scale above bit 32 and its bits above 64 (the
-    spacing of doubles in units of 2^-57 of y); exponents 0 and 2047
-    take the entries of 1 and 2046, which no certain lane reads.  Then
-    the digit tables."""
+    """Per biased exponent, ``k``, the decimal point of a significand of
+    18 digits, whether its lanes are left to CPython and, built as read
+    (:func:`_filled`), the row of :func:`_scale`; exponent 2047 takes the
+    entries of 2046, which no certain lane reads.  Then the digit
+    tables."""
     e = np.clip(np.arange(2048), 1, 2046) - 1075
     # floor(log10(2^(e + 52))), the decimal exponent of m = 2^52, as in
     # Ryu: exact for |e + 52| <= 1650.
     exponent = (np.abs(e + 52) * 78913) >> 18
+    k = np.where(e + 52 >= 0, 16 - exponent, 17 + exponent)
+    # A zero's y = 0 takes a digit added, and its point is after 1.
+    k[0] = _DIGITS - 2
+    edge = np.zeros(2048, dtype=bool)
+    edge[[0, 1, 2047]] = True
     group = np.arange(10_000, dtype=np.uint32)
     places = [group // 1000, group // 100 % 10, group // 10 % 10, group % 10]
     # Per group of 4 digits (and of the last 2), the position after
@@ -113,9 +133,12 @@ def _scales() -> dict:
     for place, digit in enumerate(places):
         last[digit > 0] = place + 1
     return {
-        "scale": np.zeros((4, 2048), dtype=_U64),
+        "scale": np.zeros((3, 2048), dtype=_U64),
         "known": np.zeros(2048, dtype=bool),
-        "k": np.where(e + 52 >= 0, 16 - exponent, 17 + exponent).astype(np.intp),
+        "k": k,
+        "point": (_DIGITS + _POINT_OFFSET - k).astype(np.int16),
+        "edge": edge,
+        "align": np.array([1, 10], dtype=_U64),
         # The ASCII of each group's 4 digits, little-endian.
         "four": sum(digit << 8 * place for place, digit in enumerate(places))
         + np.uint32(0x30303030),
@@ -125,22 +148,34 @@ def _scales() -> dict:
         ),
         # The last 2 digits are read as the group "00" and them.
         "last": [last + (last > 0) * np.uint8(start) for start in (0, 4, 8, 12, 14)],
-        "align": np.array([1, 10, 100], dtype=_U64),
         # Each lane's source row in a gather, in full: an in-place add
         # of a broadcast column allocates a buffer.
         "rows": np.repeat(np.arange(0, _SOURCE * _LAYOUT_LANES, _SOURCE), 24).reshape(-1, 24),
     }
 
 
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(_U64))
+
+
 def _scale(biased: int) -> list:
-    """The row of :func:`_scales` for a biased exponent: the limbs of
-    ``C = 2^(e + 121) 10^k``, rounded, above bit 32, and ``C >> 64``."""
-    e = min(max(biased, 1), 2046) - 1075
+    """The row of :func:`_scales` for a biased exponent, from ``C = 2^(e +
+    121) 10^k`` rounded: the bits of the doubles ``C / 2^121`` and ``(C
+    mod 2^64) / 2^64``, and ``C >> 64``, the spacing of doubles in units
+    of 2^-57 of y.  Exponent 0 gives zeros y = 0 and a spacing of 2^56,
+    whose product with the m = 2^52 of a zero wraps to 0."""
+    if biased == 0:
+        return [0, 0, 1 << 56]
+    e = min(biased, 2046) - 1075
     k = int(_scales()["k"][biased])
     num = (1 << max(e + 121, 0)) * 10 ** max(k, 0)
     den = (1 << max(-e - 121, 0)) * 10 ** max(-k, 0)
     scale = (2 * num + den) // (2 * den)
-    return [(scale >> shift) & 0xFFFFFFFF for shift in (32, 64, 96)] + [scale >> 64]
+    return [
+        _bits(float(scale) / 2**121),
+        _bits(float(scale & (2**64 - 1)) / 2**64),
+        scale >> 64,
+    ]
 
 
 @functools.cache
@@ -156,19 +191,20 @@ def _layout(spec: str):
         fixed,
         points - _FIXED[0],
         len(_FIXED) + 2 * (exponents < 0) + (np.abs(exponents) >= 100),
-    )
-    words = b"".join(b"-%03d\0\0\0\0" % abs(e) for e in exponents.tolist())
-    layouts = 2 * _DIGITS * _FORMS
+    ).astype(np.int16)
+    words = b"".join(b"-%03d" % abs(e) for e in exponents.tolist())
+    layouts = 2 * _COUNTS * _FORMS
     positions = np.zeros((layouts, 24), dtype=np.intp), np.zeros(layouts, dtype=bool)
-    return positions, forms, np.frombuffer(words, dtype=_U64)
+    return positions, forms, np.frombuffer(words, dtype=np.uint32)
 
 
 def _positions(spec: str, layout: int) -> list:
     """The row of :func:`_layout` for a layout: sign, count of
-    significant digits and notation."""
-    negative, layout = divmod(layout, _DIGITS * _FORMS)
+    significant digits (0, a zero's, as 1) and notation."""
+    negative, layout = divmod(layout, _COUNTS * _FORMS)
     count, form = divmod(layout, _FORMS)
-    digits = list(range(max(count, 1)))
+    count = max(count, 1)
+    digits = list(range(count))
     text = [_MINUS] if negative else []
     if form < len(_FIXED):
         point = _FIXED[form]
@@ -193,175 +229,195 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     """Write the text of each double of ``x`` to the rows of the
     ``(n, 24)`` uint8 array ``out``; returns the lanes left uncertain,
     whose rows hold no text.  Each array is freed after its last read,
-    so a block holds about ten of its uint64 arrays at a time."""
+    and at most five of its uint64 arrays are held at a time."""
     scales = _scales()
     (positions, layouts), forms, exponent_words = _layout(spec)
     shortest = spec == "%r"
     bits = x.view(_U64)
-    biased = bits >> _U64(52)
-    biased &= _U64(0x7FF)
-    index = biased.astype(np.intp)
-    zero = (bits << _U64(1)) == 0
-    # Zeros, subnormals and values that are not finite.
-    uncertain = (biased - _U64(1)) >= _U64(2046)
-    uncertain &= ~zero
-    m_low = bits & _U64((1 << 52) - 1)
-    if shortest:
-        # Below a power of two the spacing of doubles halves.
-        below = (m_low == 0) & (biased > 1)
-    del biased
-    m_low |= _U64(1 << 52)
-    m_high = m_low >> _U64(32)
-    m_low &= _U64(0xFFFFFFFF)
-    # m C / 2^64 as high 2^64 + low, from the limbs of C above bit 32:
-    # the terms left out come to less than 2^33 in units of 2^-57 of y.
-    # Filled by columns, which the takes read contiguous.
+    index = np.right_shift(bits, _U64(52)).view(np.intp)
+    index &= 0x7FF
+    uncertain = scales["edge"].take(index)
+    np.greater(uncertain, x == 0.0, out=uncertain)
+    # Q = m C / 2^64: its low word, m (C >> 64) wrapping plus m (C mod
+    # 2^64) / 2^64 as a double read by its bits under 2^53, and its
+    # integer part as the double m C / 2^121.  Filled by columns, which
+    # the takes read contiguous.
     _filled(scales["scale"].T, scales["known"], index, _scale)
-    c1, c2, c3, spacing = scales["scale"]
-    middle = c3.take(index)
-    high = middle * m_high
-    middle *= m_low
-    low = c2.take(index)
-    term = low * m_high
-    middle += term
-    low *= m_low
-    # A take with mode="clip" writes to ``out`` directly; "raise" would
-    # copy it first.
-    c1.take(index, out=term, mode="clip")
-    term *= m_high
-    low += term
-    carry = low < term
-    del m_low, m_high
-    np.left_shift(middle, _U64(32), out=term)
-    term += low
-    high += term < low
-    high += carry
-    del carry, low
-    middle >>= _U64(32)
-    high += middle
-    del middle
-    # y: its integer part, and its fraction in units of 2^-57.
-    y = high
-    y <<= _U64(64 - _FRACTION)
-    fraction = term
-    y |= fraction >> _U64(_FRACTION)
+    ratio, low, high = scales["scale"]
+    # The words are free until the digits are written: they hold the
+    # estimate of y and then the interval's ends, by columns.
+    scratch = out.view(np.int64)
+    # m as a double: the mantissa field under the exponent of 2^52.
+    m = bits & _U64((1 << 52) - 1)
+    m |= _U64(1075 << 52)
+    estimate = scratch[:, 2].view(np.float64)
+    np.multiply(ratio.view(np.float64).take(index), m.view(np.float64), out=estimate)
+    carry = low.view(np.float64).take(index)
+    carry *= m.view(np.float64)
+    carry += 2.0**53
+    m -= _U64(1074 << 52)
+    y = high.take(index)
+    m *= y
+    np.copyto(y, estimate, casting="unsafe")
+    # The carry's bits are 1076 << 52 and half of it, rounded.
+    carry = carry.view(_U64)
+    carry <<= _U64(1)
+    m += carry
+    m -= _U64(1076 << 53)
+    # y within 64 of the estimate, with the low 7 bits of the word.
+    np.right_shift(m, _U64(_FRACTION), out=carry)
+    y += _U64(64)
+    y -= carry
+    y &= _U64(2**64 - 128)
+    y += carry
+    del carry
+    fraction = m
     fraction &= _MASK
-    del high, term
-    # y and y / 10 rounded to nearest, each with whether its fraction
-    # lies within the margin of one half.
-    nearest = y + (fraction >= _U64(_HALF))
-    tie = (fraction - _U64(_HALF - _MARGIN)) < _U64(2 * _MARGIN)
-    tens = y // _U64(10)
-    last = y % _U64(10)
-    last <<= _U64(_FRACTION)
-    last |= fraction
-    tens += last >= _U64(5 << _FRACTION)
-    last -= _U64((5 << _FRACTION) - _MARGIN)
-    tens_tie = last < _U64(2 * _MARGIN)
-    del last
+    del m
+    point = scales["point"].take(index)
     if shortest:
         # The rounding interval: the integers from bottom to top lie in
-        # it.  Its ends are uncertain within the margin of an integer.
-        half = spacing.take(index)
-        half >>= _U64(1)
-        end = fraction + half
-        top = end >> _U64(_FRACTION)
-        top += y
-        end += _U64(_MARGIN)
-        end &= _MASK
-        uncertain |= end < _U64(2 * _MARGIN)
-        half >>= below.view(np.uint8)
-        del below
-        start = fraction.view(np.int64)
-        start -= half.view(np.int64)
-        del fraction, half
-        bottom = np.right_shift(start, 57, out=end.view(np.int64)).view(_U64)
-        del end
-        bottom += y
-        bottom += _U64(1)
-        del y
-        start += _MARGIN
-        start &= (1 << _FRACTION) - 1
-        uncertain |= start < 2 * _MARGIN
-        del start
+        # it, top - y and bottom - y - 1 kept in the words.  Its ends are
+        # uncertain within the margin of an integer.  Below a power of
+        # two (a mantissa field of 0) the spacing of doubles halves.
+        end = high.take(index)
+        del index
+        end >>= _U64(1)
+        start = bits & _U64((1 << 52) - 1)
+        start -= _U64(1)
+        start >>= _U64(63)
+        np.right_shift(end, start, out=start)
+        np.subtract(fraction, start, out=start)
+        end += fraction
+        np.right_shift(end, _U64(_FRACTION), out=scratch[:, 0].view(_U64))
+        np.right_shift(start.view(np.int64), _FRACTION, out=scratch[:, 1])
+        for side in (end, start):
+            side += _U64(_MARGIN)
+            side &= _MASK
+            uncertain |= side < _U64(2 * _MARGIN)
+        del end, start, side
+    else:
+        del index
+    # y and y / 10 rounded to nearest, each with whether its fraction
+    # lies within the margin of one half: (y + 5) // 10 is y / 10
+    # rounded, as the fraction is below 1, and it is a tie when the
+    # rest after it, with the fraction, lies within the margin of 0
+    # (or of 10).
+    rest = y + _U64(5)
+    tens = rest // _U64(10)
+    tens *= _U64(10)
+    rest -= tens
+    tens //= _U64(10)
+    rest <<= _U64(_FRACTION)
+    rest |= fraction
+    rest -= _U64(_MARGIN)
+    tens_tie = rest >= _U64((10 << _FRACTION) - 2 * _MARGIN)
+    np.subtract(fraction, _U64(_HALF - _MARGIN), out=rest)
+    tie = rest < _U64(2 * _MARGIN)
+    nearest = rest
+    del rest
+    np.add(fraction, _U64(_HALF), out=nearest)
+    del fraction
+    nearest >>= _U64(_FRACTION)
+    nearest += y
+    if shortest:
         # Shortest is a multiple of 100 in the interval (at most one: it
-        # is narrower than 23), or else of 10, or else an integer; of
+        # is narrower than 45), or else of 10, or else an integer; of
         # several, the one nearest to y.
-        width = top - bottom
-        rest = top % _U64(100)
-        by_hundreds = rest <= width
-        np.remainder(top, _U64(10), out=rest)
-        by_tens = rest <= width
-        del width
-        np.floor_divide(top, _U64(10), out=rest)
-        np.minimum(tens, rest, out=tens)
-        np.add(bottom, _U64(9), out=rest)
-        rest //= _U64(10)
-        np.maximum(tens, rest, out=tens)
-        tens *= _U64(10)
-        np.maximum(nearest, bottom, out=nearest)
-        np.minimum(nearest, top, out=nearest)
+        y = y.view(np.int64)
+        bottom = scratch[:, 1]
+        bottom += y
+        bottom += 1
+        top = y
+        top += scratch[:, 0]
+        del y
+        tens, value = tens.view(np.int64), nearest.view(np.int64)
+        np.maximum(value, bottom, out=value)
+        np.minimum(value, top, out=value)
+        # The multiples of 10 in the interval are 10 i for i from
+        # ceil(bottom / 10) to floor(top / 10), and those of 100 are
+        # 100 j for the ceiling and floor of those over 10.
+        bottom += 9
+        bottom //= 10
+        top //= 10
+        by_tens = top >= bottom
+        np.minimum(tens, top, out=tens)
+        np.maximum(tens, bottom, out=tens)
+        tens *= 10
+        bottom += 9
+        bottom //= 10
+        top //= 10
+        by_hundreds = top >= bottom
+        top *= 100
         del bottom
-        value = np.where(by_tens, tens, nearest)
-        uncertain |= np.where(by_tens, tens_tie, tie) & ~by_hundreds
-        del tens, nearest, tie, tens_tie, by_tens
-        np.remainder(top, _U64(100), out=rest)
-        top -= rest
-        np.copyto(value, top, where=by_hundreds)
-        del top, rest, by_hundreds
+        value = np.where(by_tens, tens, value)
+        del tens, nearest
+        value = np.where(by_hundreds, top, value).view(_U64)
+        del top
+        tie = np.where(by_tens, tens_tie, tie)
+        np.greater(tie, by_hundreds, out=tie)
+        del by_tens, by_hundreds
     else:
         wide = y >= _U64(10**17)
-        del y, fraction
+        del y
         tens *= _U64(10)
         value = np.where(wide, tens, nearest)
-        uncertain |= np.where(wide, tens_tie, tie)
-        del tens, nearest, tie, tens_tie, wide
-    # The digits left-aligned to 18, with the decimal point after digit
-    # 18 - k less the digits added.
-    added = (value < _U64(10**16)).view(np.uint8)
-    added += value < _U64(10**17)
-    value *= scales["align"].take(added)
-    point = scales["k"].take(index)
-    del index
-    np.subtract(_DIGITS + _POINT_OFFSET, point, out=point)
-    point -= added
-    del added
-    value[zero] = 0
-    point[zero] = 1 + _POINT_OFFSET
-    source = np.empty((len(x), _SOURCE), dtype=np.uint8)
-    words32 = source.view(np.uint32)
-    words64 = source.view(_U64)
-    words64[:, 3] = exponent_words.take(point)
-    layout = forms.take(point)
+        del tens, nearest
+        tie = np.where(wide, tens_tie, tie)
+        del wide
+    uncertain |= tie
+    del tie, tens_tie
+    # The digits left-aligned to 18: a certain lane's value is at least
+    # 1e16 (a zero's 0), and the decimal point is after digit 18 - k
+    # less the digit added.
+    short = value < _U64(10**17)
+    value *= scales["align"].take(short.view(np.uint8))
+    point -= short
+    del short
+    point = point.astype(np.intp)
+    exponent = exponent_words.take(point, mode="clip")
+    layout = forms.take(point, mode="clip")
     del point
-    # Groups of 4, 4, 4, 4 and 2 digits, and the count of significant
-    # digits from the position after each group's last nonzero one.
+    # Groups of 4, 4, 4, 4 and 2 digits, written to the words, and the
+    # count of significant digits from the position after each group's
+    # last nonzero one.
     four, last = scales["four"], scales["last"]
-    group = value // _U64(10**14)
-    count = last[0].take(group)
-    for column, power in enumerate((10**10, 10**6, 100)):
-        words32[:, column] = four.take(group)
-        value %= _U64(power * four.size)
+    words32, words64 = out.view(np.uint32), out.view(_U64)
+    group = np.floor_divide(value, _U64(10**14))
+    index = group.view(np.intp)
+    words32[:, 0] = four.take(index, mode="clip")
+    count = last[0].take(index, mode="clip")
+    for column, power in enumerate((10**10, 10**6, 100), start=1):
+        group *= _U64(power * four.size)
+        value -= group
         np.floor_divide(value, _U64(power), out=group)
-        np.maximum(count, last[column + 1].take(group), out=count)
-    words32[:, 3] = four.take(group)
-    del group
-    value %= _U64(100)
-    words64[:, 2] = scales["two"].take(value)
-    np.maximum(count, last[4].take(value), out=count)
-    del value
-    count[zero] = 1
+        words32[:, column] = four.take(index, mode="clip")
+        np.maximum(count, last[column].take(index, mode="clip"), out=count)
+    group *= _U64(100)
+    value -= group
+    del group, index
+    index = value.view(np.intp)
+    words64[:, 2] = scales["two"].take(index, mode="clip")
+    np.maximum(count, last[4].take(index, mode="clip"), out=count)
+    del value, index
     # The layout: sign, count and notation.
-    layout += np.multiply(count, _FORMS, dtype=np.intp)
+    layout += np.multiply(count, _FORMS, dtype=np.int16)
     del count
-    layout += (bits >> _U64(63)).view(np.int64) * (_DIGITS * _FORMS)
+    layout += np.signbit(x).view(np.uint8) * np.int16(_COUNTS * _FORMS)
     _filled(positions, layouts, layout, functools.partial(_positions, spec))
+    # Each lane's source row: its word and its exponent word.
+    source = np.empty((len(x), _SOURCE), dtype=np.uint8)
+    source[:, :24] = out
+    source.view(np.uint32)[:, 6] = exponent
+    del exponent
+    rows = scales["rows"]
     gather = np.empty((min(len(x), _LAYOUT_LANES), 24), dtype=np.intp)
     for start in range(0, len(x), _LAYOUT_LANES):
         lanes = layout[start : start + _LAYOUT_LANES]
-        positions.take(lanes, axis=0, out=gather[: len(lanes)], mode="clip")
-        gather[: len(lanes)] += scales["rows"][: len(lanes)]
+        block = gather[: len(lanes)]
+        positions.take(lanes, axis=0, out=block, mode="clip")
+        block += rows[: len(lanes)]
         source[start:].reshape(-1).take(
-            gather[: len(lanes)], out=out[start : start + len(lanes)], mode="clip"
+            block, out=out[start : start + len(lanes)], mode="clip"
         )
     return uncertain

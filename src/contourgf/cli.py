@@ -62,6 +62,7 @@ from .core import (
     TimeGrid,
     as_complex_matrix,
     max_abs,
+    propagator_stack,
 )
 from .discrete import _factor
 from .verify import (
@@ -657,6 +658,8 @@ def _write_chunk(write, fmt: _GfFormat, table, stamps, tails, separator) -> None
         row = row.tolist()
         pieces[2::5] = row[0::2]
         pieces[4::5] = row[1::2]
+        # The pieces hold the words: the row is not held beside its text.
+        del row
         write(b"".join(pieces))
         separator = fmt.separator
 
@@ -673,14 +676,18 @@ def _byte_writer(handle):
     return buffer.write
 
 
-def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
+def _write_gf(config: RunConfig, grid: TimeGrid, handle, weight=None) -> None:
     """Write the tables of ``grid`` one table row at a time.
 
-    Components come in config order, each evaluated in chunks of at
-    most ``GF_ROW_CHUNK`` rows of the time grid against all of its
-    times; a chunk's table has shape ``(rows, N + 1, d, d)`` and is
-    written by :func:`_write_chunk`, which frees all it holds, and the
-    table is freed before the next is evaluated.  Each time is printed
+    The grid's propagators are computed once and W is ``weight``
+    (computed by the caller when a component reads it), for every
+    table.  Components come in config order, each evaluated in chunks
+    of at most ``GF_ROW_CHUNK`` rows of the time grid against all of
+    its times, from the chunk's rows of the propagators and all of
+    them; no product is kept from one chunk to the next.  A chunk's
+    table has shape ``(rows, N + 1, d, d)`` and is written by
+    :func:`_write_chunk`, which frees all it holds, and the table is
+    freed before the next is evaluated.  Each time is printed
     once per grid.  A whole chunk is never joined, so memory stays at
     one table of E doubles; a sort buffer of an eighth of its rows, or
     of ``GF_SORT_KEYS`` entries, during the distinct test only; at most ``E / GF_DISTINCT_RATIO`` words; one
@@ -696,21 +703,30 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     fmt = _GF_FORMATS[config.output_format]
     times = grid.times
     stamps = format_doubles(times, fmt.number).tolist()
-    d = config.system.dimension
+    system = config.system
+    d = system.dimension
+    stack = propagator_stack(system, times - grid.t_initial)
     write = _byte_writer(handle)
     write(fmt.header)
     separator = b""
-    for name in config.components:
+    starts = range(0, times.size, GF_ROW_CHUNK)
+    for number, name in enumerate(config.components, start=1):
         # Built after the component's first table, not beside it.
         tails = None
-        for start in range(0, times.size, GF_ROW_CHUNK):
+        for start in starts:
+            rows = slice(start, start + GF_ROW_CHUNK)
             table = component_table(
-                config.system,
-                times[start : start + GF_ROW_CHUNK],
+                system,
+                times[rows],
                 times,
                 COMPONENT_NAMES[name],
                 grid.t_initial,
+                stacks=(stack[rows], stack),
+                weight=weight,
             )
+            if number == len(config.components) and start == starts[-1]:
+                # Not held while the last table is written.
+                del stack
             if not np.isfinite(table).all():
                 raise FloatingPointError(
                     f"component {name} is not finite on rows from t = {times[start]:.17g}"
@@ -794,10 +810,11 @@ def cmd_gf(config: RunConfig) -> int:
     # K and the branch components read W, which overflows for a boson
     # occupation near the largest double.
     ret, adv, _, zero = KeldyshComponent  # in definition order
+    weight = None
     if {COMPONENT_NAMES[name] for name in config.components} - {ret, adv, zero}:
-        keldysh_weight(config.system)
+        weight = keldysh_weight(config.system)
     with _output(config.output_path) as handle:
-        _write_gf(config, grid, handle)
+        _write_gf(config, grid, handle, weight)
     return EXIT_OK
 
 

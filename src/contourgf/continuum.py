@@ -134,6 +134,9 @@ def component_table(
     t_prime_values,
     component,
     t_ref: float,
+    *,
+    stacks=None,
+    weight=None,
 ) -> np.ndarray:
     """Tabulate one component over all pairs from two time arrays.
 
@@ -147,6 +150,14 @@ def component_table(
         Which component to evaluate.
     t_ref : float
         Reference (initial) time entering the Keldysh component.
+    stacks : pair of arrays, optional
+        The propagators over ``t_values - t_ref`` and ``t_prime_values -
+        t_ref`` (:func:`~contourgf.core.propagator_stack`) when the caller
+        has them, as ``gf`` does, which computes its grid's once; they are
+        computed here otherwise.
+    weight : array, optional
+        W = :func:`keldysh_weight` of ``system`` when the caller has
+        computed it, as for :func:`fix_constants`.
 
     Returns
     -------
@@ -154,9 +165,13 @@ def component_table(
     """
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
+    times = (t_values, t_prime_values)
+    if stacks is None:
+        row, col = (_side(system, t, t_ref) for t in times)
+    else:
+        row, col = ((np.asarray(t, dtype=float).reshape(-1), p) for t, p in zip(times, stacks))
     # The one table is the only reader of the pair's products.
-    row, col = (_side(system, t, t_ref) for t in (t_values, t_prime_values))
-    return _tabulate(_Pair(system, row, col, shared=False), component)
+    return _tabulate(_Pair(system, row, col, shared=False, weight=weight), component)
 
 
 def _side(system: LevelSystem, times, t_ref: float):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from contourgf import _doubles, cli
+from contourgf import _doubles, cli, continuum
 from contourgf.cli import (
     COMPONENT_NAMES,
     GF_ROW_CHUNK,
@@ -28,7 +28,14 @@ from contourgf.cli import (
     load_config,
     main,
 )
-from contourgf.core import IllConditionedWarning, LevelSystem, Statistics, TimeGrid
+from contourgf.continuum import keldysh_weight
+from contourgf.core import (
+    IllConditionedWarning,
+    LevelSystem,
+    Statistics,
+    TimeGrid,
+    propagator_stack,
+)
 from contourgf.discrete import _factor
 
 from conftest import random_hermitian, random_unitary
@@ -272,7 +279,7 @@ EDGE_DOUBLES = [
 ]
 
 
-def _edge_table(system, t_values, t_prime_values, component, t_ref):
+def _edge_table(system, t_values, t_prime_values, component, t_ref, **precomputed):
     d = system.dimension
     shape = (len(t_values), len(t_prime_values), d, d, 2)
     return np.resize(np.array(EDGE_DOUBLES), shape).view(complex)[..., 0]
@@ -369,7 +376,7 @@ def test_gf_non_finite_table_is_numerical_error(
 ):
     # json.dumps would print NaN or Infinity, %.17g and repr nan or inf:
     # neither is a Green's function.
-    def table(system, t_values, t_prime_values, component, t_ref):
+    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
         out = np.zeros((len(t_values), len(t_prime_values), 1, 1), dtype=complex)
         out[-1, 0] = complex(0.0, bad)
         return out
@@ -392,6 +399,44 @@ def test_gf_overflowing_phase_is_numerical_error(tmp_path, capsys):
     assert "nan" not in captured.out.lower()
 
 
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_gf_builds_one_propagator_stack_and_one_weight(
+    tmp_path, capsys, monkeypatch, output_format
+):
+    """One ``gf`` call computes the grid's propagators once and W at most
+    once, for every component and chunk (here 8 components in 3 chunks),
+    and W not at all when no table reads it; the bytes are the
+    reference's."""
+    stacks, weights = [], []
+
+    def counted_stack(system, scales):
+        stacks.append(len(scales))
+        return propagator_stack(system, scales)
+
+    def counted_weight(system):
+        weights.append(None)
+        return keldysh_weight(system)
+
+    for module in (cli, continuum):
+        monkeypatch.setattr(module, "propagator_stack", counted_stack)
+        monkeypatch.setattr(module, "keldysh_weight", counted_weight)
+    monkeypatch.setattr(cli, "GF_ROW_CHUNK", 7)
+    every = ["R", "A", "K", "qq", "++", "+-", "-+", "--"]
+    for components, weight_calls in ((every, 1), (["R", "A", "qq"], 0)):
+        overrides = {
+            "grid.n_slices": 20,
+            "output.format": output_format,
+            "output.components": components,
+        }
+        config = _matrix_config(tmp_path, 2, overrides)
+        stacks.clear()
+        weights.clear()
+        out = _gf_output(config, capsys, "stdout", tmp_path)
+        assert stacks == [21]
+        assert len(weights) == weight_calls
+        assert out == gf_text(load_config(config, []))
+
+
 def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
     """The writer holds one chunk's table and one row of text.
 
@@ -403,7 +448,7 @@ def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
     n_slices = 120
     table_bytes = min(GF_ROW_CHUNK, n_slices + 1) * (n_slices + 1) * 16
 
-    def table(system, t_values, t_prime_values, component, t_ref):
+    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
         return np.full((len(t_values), len(t_prime_values), 1, 1), 0.25 - 0.5j)
 
     monkeypatch.setattr(cli, "component_table", table)
@@ -460,7 +505,7 @@ def test_gf_writer_peak_at_the_distinct_limit(tmp_path, monkeypatch, output_form
     table_bytes = entries * 8
     distinct = entries // cli.GF_DISTINCT_RATIO
 
-    def table(system, t_values, t_prime_values, component, t_ref):
+    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
         # One table and nothing more: the values repeat in place.
         values = 1.0 / 3.0 + np.arange(distinct) / 7.0
         out = np.empty((len(t_values), len(t_prime_values), 1, 1, 2))
@@ -508,7 +553,7 @@ def test_gf_chunks_switch_between_distinct_and_in_place(
     per-entry reference."""
     monkeypatch.setattr(cli, "GF_ROW_CHUNK", 12)
 
-    def table(system, t_values, t_prime_values, component, t_ref):
+    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
         shape = (len(t_values), len(t_prime_values), dimension, dimension, 2)
         few = np.resize(np.array([-0.0, 0.0, 0.5, -1.25, 0.0]), shape)
         many = np.arange(np.prod(shape)).reshape(shape) / 7.0 + 1e-3
@@ -549,7 +594,7 @@ def test_gf_distinct_pieces_refused_by_their_union(
     limit = 2 * rows * cols // cli.GF_DISTINCT_RATIO
     assert 201 <= limit < 394
 
-    def table(system, t_values, t_prime_values, component, t_ref):
+    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
         parts = np.arange(len(t_values) * 2 * len(t_prime_values)) % 200 / 7.0
         parts = parts.reshape(len(t_values), -1)
         unsampled = np.arange(len(t_values)) % 8 != 0
@@ -631,7 +676,7 @@ def test_gf_row_assemblies_match_reference(
     width = 2 * (n_slices + 1) * dimension**2
     table_seed = data.draw(st.integers(0, 2**32 - 1))
 
-    def table(system, t_values, t_prime_values, component, t_ref):
+    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
         chunk = chunk_of[t_values[0]]
         rng = np.random.default_rng([table_seed, chunk, components.index(component)])
         shape = (len(t_values), len(t_prime_values), dimension, dimension, 2)
@@ -1955,8 +2000,8 @@ def test_failed_gf_leaves_the_output_path_as_it_was(data):
             calls = iter(range(chunks))
             component_table = cli.component_table
 
-            def stub(*args):
-                table = component_table(*args)
+            def stub(*args, **precomputed):
+                table = component_table(*args, **precomputed)
                 if next(calls) == failing:
                     table[-1, -1, 0, 0] = value
                 return table

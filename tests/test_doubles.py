@@ -1,6 +1,8 @@
 """Tests for the formatter of gf's doubles: every lane must print exactly
 CPython's ``'%r' % x`` and ``'%.17g' % x``."""
 
+import gc
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from contourgf import _doubles
-from contourgf._doubles import BLOCK, format_doubles
+from contourgf._doubles import BLOCK, PASS_BYTES_PER_DOUBLE, format_doubles
 
 SPECS = ["%r", "%.17g"]
 
@@ -169,3 +171,44 @@ def test_tables_are_built_only_as_far_as_read():
         assert sorted(built) == new
     assert np.flatnonzero(known).tolist() == [0, 3, 5]
     assert table[:, 0].tolist() == [0, 0, 0, 3, 0, 5, 0, 0]
+
+
+def gf_like(size, seed=5):
+    """Doubles of the magnitudes gf prints, zeros among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size)
+    values[::7] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("kind", ["gf", "bits"])
+def test_pass_memory_stays_within_its_bound(spec, kind):
+    # One pass over BLOCK doubles holds its 24-byte words and at most
+    # PASS_BYTES_PER_DOUBLE bytes per double beside them.
+    if kind == "gf":
+        values = gf_like(BLOCK)
+    else:
+        bits = np.random.default_rng(34).integers(0, 2**64, BLOCK, dtype=np.uint64)
+        values = bits.view(np.float64)
+    format_doubles(values, spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        format_doubles(values, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK * (24 + PASS_BYTES_PER_DOUBLE), peak
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("uncertain", [ties()[0], 5e-324, np.nan], ids=["tie", "subnormal", "nan"])
+def test_block_edges_print_as_cpython(spec, size, uncertain):
+    # Lanes that CPython formats at the first and the last lane of the
+    # second block (of the one block, when there is no second).
+    values = gf_like(size)
+    block = values[BLOCK:] if size > BLOCK else values
+    block[0] = block[-1] = uncertain
+    assert_prints_as_cpython(values, spec)
