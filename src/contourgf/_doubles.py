@@ -30,8 +30,10 @@ notation.
 
 A pass holds at most ``PASS_BYTES_PER_DOUBLE`` bytes for each of its
 ``BLOCK`` doubles beside the 24-byte words it writes: its arrays are
-reused through ``out=`` and freed after their last read, at most five
-of its ``uint64`` arrays at a time.
+reused through ``out=`` and freed after their last read, at most four
+``uint64`` arrays at a time, and the words themselves hold the estimate
+of ``y``, the interval's ends and ``y`` rounded until the digits are
+written.
 """
 
 from __future__ import annotations
@@ -42,14 +44,16 @@ import numpy as np
 
 __all__ = ["BLOCK", "PASS_BYTES_PER_DOUBLE", "format_doubles"]
 
-# Doubles formatted per pass of the kernel.  numpy's fixed cost per
-# operation, about 100 operations a pass, is spread over more doubles
-# in a larger block; ``benchmarks/bench_gf_writer.py`` times 512 to
-# 8,192 and ``benchmarks/ab_inprocess.py --doubles`` 64 to 8,192.
+# Doubles formatted per pass of the kernel.  A pass has a fixed cost of
+# about 100 us, its numpy calls, which a larger block spreads over more
+# doubles; ``benchmarks/bench_gf_writer.py`` times blocks of 512 to
+# 8,192, and ``benchmarks/ab_inprocess.py --doubles`` fits the cost per
+# pass and per double.
 BLOCK = 4096
 # The tracemalloc peak of one pass, beside its words, per double of
-# BLOCK: the arrays of its busiest phase (about 48 B) and the gather's
-# index block (_LAYOUT_LANES * 192 B, 12 B per double of BLOCK).
+# BLOCK: 45 B at the layout (numpy 2.4), the 28-byte source rows and the
+# gather's index block (_LAYOUT_LANES * 192 B, 12 B per double of BLOCK),
+# where the arithmetic holds at most four uint64 arrays.
 PASS_BYTES_PER_DOUBLE = 52
 # Lanes laid out per gather: its index array takes 192 B per lane.
 _LAYOUT_LANES = 256
@@ -225,11 +229,20 @@ def _positions(spec: str, layout: int) -> list:
     return text + [_NUL] * (24 - len(text))
 
 
+def _select(into: np.ndarray, other: np.ndarray, where: np.ndarray) -> None:
+    """``into`` takes ``other`` where ``where`` holds, all boolean: by
+    bitwise operations, which run several times faster than ``np.where``
+    or ``np.copyto`` on booleans.  ``other`` is overwritten."""
+    other ^= into
+    other &= where
+    into ^= other
+
+
 def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     """Write the text of each double of ``x`` to the rows of the
     ``(n, 24)`` uint8 array ``out``; returns the lanes left uncertain,
     whose rows hold no text.  Each array is freed after its last read,
-    and at most five of its uint64 arrays are held at a time."""
+    and at most four of its uint64 arrays are held at a time."""
     scales = _scales()
     (positions, layouts), forms, exponent_words = _layout(spec)
     shortest = spec == "%r"
@@ -245,7 +258,7 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     _filled(scales["scale"].T, scales["known"], index, _scale)
     ratio, low, high = scales["scale"]
     # The words are free until the digits are written: they hold the
-    # estimate of y and then the interval's ends, by columns.
+    # estimate of y, then the interval's ends and y rounded, by columns.
     scratch = out.view(np.int64)
     # m as a double: the mantissa field under the exponent of 2^52.
     m = bits & _U64((1 << 52) - 1)
@@ -314,8 +327,8 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     tens_tie = rest >= _U64((10 << _FRACTION) - 2 * _MARGIN)
     np.subtract(fraction, _U64(_HALF - _MARGIN), out=rest)
     tie = rest < _U64(2 * _MARGIN)
-    nearest = rest
-    del rest
+    # y rounded, in the words' third column.
+    nearest = scratch[:, 2].view(_U64)
     np.add(fraction, _U64(_HALF), out=nearest)
     del fraction
     nearest >>= _U64(_FRACTION)
@@ -323,48 +336,50 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     if shortest:
         # Shortest is a multiple of 100 in the interval (at most one: it
         # is narrower than 45), or else of 10, or else an integer; of
-        # several, the one nearest to y.
-        y = y.view(np.int64)
-        bottom = scratch[:, 1]
-        bottom += y
-        bottom += 1
+        # several, the one nearest to y.  The bottom end's offset is
+        # negative: it is added wrapping.
+        ends = out.view(_U64)
+        bottom = np.add(y, ends[:, 1], out=rest)
+        del rest
+        bottom += _U64(1)
         top = y
-        top += scratch[:, 0]
+        top += ends[:, 0]
         del y
-        tens, value = tens.view(np.int64), nearest.view(np.int64)
-        np.maximum(value, bottom, out=value)
-        np.minimum(value, top, out=value)
+        np.maximum(nearest, bottom, out=nearest)
+        np.minimum(nearest, top, out=nearest)
         # The multiples of 10 in the interval are 10 i for i from
         # ceil(bottom / 10) to floor(top / 10), and those of 100 are
         # 100 j for the ceiling and floor of those over 10.
-        bottom += 9
-        bottom //= 10
-        top //= 10
+        bottom += _U64(9)
+        bottom //= _U64(10)
+        top //= _U64(10)
         by_tens = top >= bottom
         np.minimum(tens, top, out=tens)
         np.maximum(tens, bottom, out=tens)
-        tens *= 10
-        bottom += 9
-        bottom //= 10
-        top //= 10
+        tens *= _U64(10)
+        bottom += _U64(9)
+        bottom //= _U64(10)
+        top //= _U64(10)
         by_hundreds = top >= bottom
-        top *= 100
+        top *= _U64(100)
         del bottom
-        value = np.where(by_tens, tens, value)
-        del tens, nearest
-        value = np.where(by_hundreds, top, value).view(_U64)
+        value = np.where(by_tens, tens, nearest)
+        value = np.where(by_hundreds, top, value)
         del top
-        tie = np.where(by_tens, tens_tie, tie)
+        # The tie of the multiple of 10 where it is taken, and none
+        # where a multiple of 100 is.
+        _select(tie, tens_tie, by_tens)
         np.greater(tie, by_hundreds, out=tie)
         del by_tens, by_hundreds
     else:
+        del rest
         wide = y >= _U64(10**17)
         del y
         tens *= _U64(10)
         value = np.where(wide, tens, nearest)
-        del tens, nearest
-        tie = np.where(wide, tens_tie, tie)
+        _select(tie, tens_tie, wide)
         del wide
+    del tens, nearest
     uncertain |= tie
     del tie, tens_tie
     # The digits left-aligned to 18: a certain lane's value is at least
@@ -407,7 +422,8 @@ def _kernel(x: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
     _filled(positions, layouts, layout, functools.partial(_positions, spec))
     # Each lane's source row: its word and its exponent word.
     source = np.empty((len(x), _SOURCE), dtype=np.uint8)
-    source[:, :24] = out
+    # By words of 4 bytes: a copy of 24-byte rows runs a row at a time.
+    source.view(np.uint32)[:, :6] = out.view(np.uint32)
     source.view(np.uint32)[:, 6] = exponent
     del exponent
     rows = scales["rows"]

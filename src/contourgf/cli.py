@@ -464,9 +464,10 @@ def _csv(header: str, rows) -> str:
 # eighth of the chunk's rows during the distinct test (and then at most
 # GF_SORT_KEYS entries with the distinct entries so far), at most
 # E / GF_DISTINCT_RATIO words, the arrays of one pass of the formatter
-# (about 80 B per double of its BLOCK) and the words of one block of
-# rows formatted in place, one lookup block's index arrays (about 32 B
-# per key), and one row's pieces and text.
+# (at most _doubles.PASS_BYTES_PER_DOUBLE, 52 B, per double of its BLOCK
+# of 4,096) and the words of one block of rows formatted in place, one
+# lookup block's index arrays (about 32 B per key), one row's pieces and
+# text, and the grid's (N + 1) propagators.
 GF_ROW_CHUNK = 256
 # A chunk is printed from its distinct doubles, each formatted once,
 # when at most one double in GF_DISTINCT_RATIO is distinct: the test
@@ -679,23 +680,25 @@ def _byte_writer(handle):
 def _write_gf(config: RunConfig, grid: TimeGrid, handle, weight=None) -> None:
     """Write the tables of ``grid`` one table row at a time.
 
-    The grid's propagators are computed once and W is ``weight``
-    (computed by the caller when a component reads it), for every
-    table.  Components come in config order, each evaluated in chunks
-    of at most ``GF_ROW_CHUNK`` rows of the time grid against all of
-    its times, from the chunk's rows of the propagators and all of
-    them; no product is kept from one chunk to the next.  A chunk's
-    table has shape ``(rows, N + 1, d, d)`` and is written by
-    :func:`_write_chunk`, which frees all it holds, and the table is
-    freed before the next is evaluated.  Each time is printed
-    once per grid.  A whole chunk is never joined, so memory stays at
-    one table of E doubles; a sort buffer of an eighth of its rows, or
-    of ``GF_SORT_KEYS`` entries, during the distinct test only; at most ``E / GF_DISTINCT_RATIO`` words; one
-    pass of the formatter (``BLOCK`` doubles) and the words of one block
-    of rows formatted in place (``BLOCK`` doubles, or one row);
-    one lookup block's index arrays; and one row's pieces and text.
-    Raises ``FloatingPointError`` when a table is not finite, after the
-    rows before it.
+    The grid's propagators are computed once, and held until the last
+    table is built, and W is ``weight`` (computed by the caller when a
+    component reads it), for every table.  Components come in config
+    order, each evaluated by :func:`component_table` in chunks of at
+    most ``GF_ROW_CHUNK`` rows of the time grid against all of its
+    times, from the chunk's rows of the propagators and all of them; no
+    product is kept from one chunk to the next.  A chunk's table has
+    shape ``(rows, N + 1, d, d)`` and is written by :func:`_write_chunk`,
+    which frees all it holds, and the table is freed before the next is
+    evaluated.  Each time is printed once per grid.  A whole chunk is
+    never joined, so memory stays at one table of E doubles; a sort
+    buffer of an eighth of its rows, or of ``GF_SORT_KEYS`` entries,
+    during the distinct test only; at most ``E / GF_DISTINCT_RATIO``
+    words; one pass of the formatter (``BLOCK`` doubles, 4,096, at most
+    76 B each with its word) and the words of one block of rows
+    formatted in place (``BLOCK`` doubles, or one row); one lookup
+    block's index arrays; one row's pieces and text; and the grid's
+    propagators.  Raises ``FloatingPointError`` when a table is not
+    finite, after the rows before it.
     """
     # Imported by the one command that prints doubles, not with the CLI.
     from ._doubles import format_doubles
