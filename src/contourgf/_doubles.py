@@ -39,6 +39,7 @@ written.
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _scales() -> dict:
 
 
 def _bits(value: float) -> int:
-    return int(np.float64(value).view(_U64))
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 def _scale(biased: int) -> list:
