@@ -17,6 +17,8 @@ The file sits outside the test paths; run it with
         --benchmark-json=BENCH.json
 
 One BLAS thread, as in ``perfbench`` and the other benchmark files.
+Under ``--benchmark-disable`` each case runs once, as a smoke check,
+and records no rate.
 ``benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --gf-writer`` runs the same
 cases on two trees in interleaved pairs.
 """
@@ -93,7 +95,8 @@ def test_gf_writer(benchmark, tmp_path, n_slices, dimension, output_format):
     benchmark.extra_info["peak_mib"] = peak_mib(_gf, config)
     chars = benchmark(_gf, config)
     benchmark.extra_info["chars"] = chars
-    benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
 
 
 # Block sizes of the formatter's kernel timed by test_formatter.
@@ -136,8 +139,8 @@ def test_formatter(benchmark, monkeypatch, block, spec):
         [spec % x for x in words]
         cpython.append(time.perf_counter() - start)
     benchmark(_doubles.format_doubles, values, spec)
-    median = benchmark.stats.stats.median
     benchmark.extra_info["doubles"] = values.size
-    benchmark.extra_info["doubles_per_s"] = values.size / median
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["doubles_per_s"] = values.size / benchmark.stats.stats.median
     benchmark.extra_info["cpython_doubles_per_s"] = values.size / statistics.median(cpython)
     benchmark.extra_info["peak_bytes_per_double"] = peak / values.size

@@ -31,7 +31,6 @@ from .continuum import (
     KeldyshComponent,
     component_table,
     fix_constants,
-    keldysh_weight,
     regularized_step,
     rotated_block_layout,
     thermal_nbar,
@@ -67,7 +66,6 @@ __all__ = [
     "component_table",
     "contour_times",
     "fix_constants",
-    "keldysh_weight",
     "oracle_checks",
     "oracle_error_bound",
     "regularized_step",

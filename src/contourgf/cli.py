@@ -46,7 +46,6 @@ import numpy as np
 from .continuum import (
     KeldyshComponent,
     component_table,
-    keldysh_weight,
     thermal_nbar,
 )
 from .core import (
@@ -677,13 +676,13 @@ def _byte_writer(handle):
     return buffer.write
 
 
-def _write_gf(config: RunConfig, grid: TimeGrid, handle, weight=None) -> None:
+def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     """Write the tables of ``grid`` one table row at a time.
 
     The grid's propagators are computed once, and held until the last
-    table is built, and W is ``weight`` (computed by the caller when a
-    component reads it), for every table.  Components come in config
-    order, each evaluated by :func:`component_table` in chunks of at
+    table is built; the tables that read W read the system's
+    ``keldysh_weight``, computed once per system.  Components come in
+    config order, each evaluated by :func:`component_table` in chunks of at
     most ``GF_ROW_CHUNK`` rows of the time grid against all of its
     times, from the chunk's rows of the propagators and all of them; no
     product is kept from one chunk to the next.  A chunk's table has
@@ -725,7 +724,6 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle, weight=None) -> None:
                 COMPONENT_NAMES[name],
                 grid.t_initial,
                 stacks=(stack[rows], stack),
-                weight=weight,
             )
             if number == len(config.components) and start == starts[-1]:
                 # Not held while the last table is written.
@@ -811,13 +809,13 @@ def cmd_gf(config: RunConfig) -> int:
             f"component table dimension {dimension} exceeds cap {config.max_dimension}"
         )
     # K and the branch components read W, which overflows for a boson
-    # occupation near the largest double.
+    # occupation near the largest double: read here, an overflow is
+    # refused before the output opens.
     ret, adv, _, zero = KeldyshComponent  # in definition order
-    weight = None
     if {COMPONENT_NAMES[name] for name in config.components} - {ret, adv, zero}:
-        weight = keldysh_weight(config.system)
+        config.system.keldysh_weight
     with _output(config.output_path) as handle:
-        _write_gf(config, grid, handle, weight)
+        _write_gf(config, grid, handle)
     return EXIT_OK
 
 

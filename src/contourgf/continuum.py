@@ -27,8 +27,8 @@ identical for both statistics.
 at the rotated-basis positions of R and A (:func:`rotated_block_layout`),
 and :func:`fix_constants` solves the two boundary conditions for the
 constant blocks of the general solution by block elimination.
-Everything here reads the eigensystems a :class:`~contourgf.core.LevelSystem`
-checked and stored when it was constructed; nothing is validated again.
+Everything here reads a :class:`~contourgf.core.LevelSystem`'s stored
+energy eigensystem and Keldysh weight W; nothing is validated again.
 
 All functions are pure; nothing here keeps state between calls.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "KeldyshComponent",
     "component_table",
     "fix_constants",
-    "keldysh_weight",
     "regularized_step",
     "rotated_block_layout",
     "thermal_nbar",
@@ -109,25 +108,6 @@ def thermal_nbar(
     return 1.0 / (math.exp(x) + 1.0)
 
 
-def keldysh_weight(system: LevelSystem) -> np.ndarray:
-    """Statistical weight ``1 + 2 zeta nbar^T`` entering the Keldysh
-    component and the initial-time boundary condition.
-
-    The transpose is plain transposition (no conjugation).  Raises
-    ``FloatingPointError`` when the weight overflows, as it does for a
-    boson occupation near the largest double.
-    """
-    occ = system.nbar
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.eye(system.dimension) + 2 * system.statistics.zeta * occ.T
-    if not np.isfinite(weight).all():
-        raise FloatingPointError(
-            "Keldysh weight 1 + 2 zeta nbar^T overflows: "
-            f"max |nbar| = {np.abs(occ).max():.6g}"
-        )
-    return weight
-
-
 def component_table(
     system: LevelSystem,
     t_values,
@@ -136,14 +116,14 @@ def component_table(
     t_ref: float,
     *,
     stacks=None,
-    weight=None,
 ) -> np.ndarray:
     """Tabulate one component over all pairs from two time arrays.
 
     Parameters
     ----------
     system : LevelSystem
-        Propagators come from its stored energy eigensystem.
+        Propagators come from its stored energy eigensystem, and the
+        Keldysh and branch components read its ``keldysh_weight``.
     t_values, t_prime_values : 1-d arrays
         Row and column times.
     component : KeldyshComponent or ContourComponent
@@ -155,9 +135,6 @@ def component_table(
         t_ref`` (:func:`~contourgf.core.propagator_stack`) when the caller
         has them, as ``gf`` does, which computes its grid's once; they are
         computed here otherwise.
-    weight : array, optional
-        W = :func:`keldysh_weight` of ``system`` when the caller has
-        computed it, as for :func:`fix_constants`.
 
     Returns
     -------
@@ -171,7 +148,7 @@ def component_table(
     else:
         row, col = ((np.asarray(t, dtype=float).reshape(-1), p) for t, p in zip(times, stacks))
     # The one table is the only reader of the pair's products.
-    return _tabulate(_Pair(system, row, col, shared=False, weight=weight), component)
+    return _tabulate(_Pair(system, row, col, shared=False), component)
 
 
 def _side(system: LevelSystem, times, t_ref: float):
@@ -184,15 +161,14 @@ def _side(system: LevelSystem, times, t_ref: float):
 class _Pair:
     """A row and a column side of :func:`_side` and, each computed once,
     when a table first reads it, the step ``theta(t - t')``, ``free = P_n
-    P_m^dag`` and ``keldysh = -i P_n W P_m^dag``, with ``weight`` as W when
-    given and :func:`keldysh_weight` otherwise.  Unless ``shared``, R and
-    A overwrite ``free``: no later table reads it.
+    P_m^dag`` and ``keldysh = -i P_n W P_m^dag``, W the system's
+    ``keldysh_weight``.  Unless ``shared``, R and A overwrite ``free``: no
+    later table reads it.
     """
 
-    def __init__(self, system, row, col, *, shared=True, weight=None):
-        self.system = system
+    def __init__(self, system, row, col, *, shared=True):
+        self.system, self.shared = system, shared
         (self.t_row, self.p_row), (self.t_col, self.p_col) = row, col
-        self.shared, self.weight = shared, weight
 
     @functools.cached_property
     def step(self) -> np.ndarray:
@@ -204,8 +180,7 @@ class _Pair:
 
     @functools.cached_property
     def keldysh(self) -> np.ndarray:
-        weight = keldysh_weight(self.system) if self.weight is None else self.weight
-        return _sandwich(self.p_row, weight, self.p_col)
+        return _sandwich(self.p_row, self.system.keldysh_weight, self.p_col)
 
 
 # Rows of R, A and the branch components multiplied by their step
@@ -358,21 +333,20 @@ def _has_step(statistics: Statistics, row: int, col: int) -> bool:
 
 def fix_constants(
     system: LevelSystem,
-    weight: np.ndarray | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Solve the boundary conditions for the four constant blocks,
     returned as ``((c11, c12), (c21, c22))``, indexed by position like
-    :func:`rotated_block_layout`.  ``weight`` is W when the caller has
-    computed it, and :func:`keldysh_weight` of ``system`` otherwise.
+    :func:`rotated_block_layout`.
 
     The general solution of the contour equations of motion leaves one
     constant block per rotated-basis position.  Two conditions fix them:
     the second-row components vanish at the final time, and at the
     initial time the first row equals ``-W`` times the second row, with
-    ``W = 1 + 2 zeta nbar^T``.  The conditions are block triangular, so
-    per column the second row follows from the first condition and the
-    first row from the second, by elimination; every block is then
-    ``a W + b 1`` with scalar coefficients, so it costs O(d^2):
+    ``W = 1 + 2 zeta nbar^T``, the system's ``keldysh_weight``.  The
+    conditions are block triangular, so per column the second row follows
+    from the first condition and the first row from the second, by
+    elimination; every block is then ``a W + b 1`` with scalar
+    coefficients, so it costs O(d^2):
 
     * ``c_2 = -theta(t_f - t') [step at row 2]``,
     * ``c_1 = -W c_2 - theta(t_i - t') ([step at row 1] + W [step at row 2])``,
@@ -386,8 +360,7 @@ def fix_constants(
     ``c12 = 1 - 2 nbar^T``, ``c21 = 0``, ``c22 = -1``.
     """
     statistics = system.statistics
-    if weight is None:
-        weight = keldysh_weight(system)
+    weight = system.keldysh_weight
     t_initial, t_prime, t_final = 0.0, 0.5, 1.0
     step_final = float(regularized_step(t_final - t_prime))
     step_initial = float(regularized_step(t_initial - t_prime))

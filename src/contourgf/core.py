@@ -4,9 +4,10 @@ Defines the statistics tag, the level system (single-particle energy
 matrix plus initial occupation matrix), contour time grids, branch
 labels, and the unitary propagators of a level system.  A
 :class:`LevelSystem` is checked once, when it is constructed
-(Hermiticity of both matrices and the occupation range), and keeps the
-two eigendecompositions the checks compute; every other function reads
-them and checks nothing again.  The package needs numpy alone.
+(Hermiticity of both matrices and the occupation range), keeps the
+energy eigensystem the check computes and its Keldysh weight W, computed
+on first read; every other function reads them and checks nothing again.
+The package needs numpy alone.
 
 All operations are pure functions of their arguments.
 """
@@ -14,6 +15,7 @@ All operations are pure functions of their arguments.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,18 +155,14 @@ class LevelSystem:
     is below 0, or above 1 for fermions, by more than
     ``OCCUPATION_SLACK * max(1, max|eigenvalue|)`` (1e-10 relative):
     ``eigh`` rounds each eigenvalue by about eps times the largest.  No invalid system
-    exists.  The checked eigensystems are kept, eigenvalues ascending:
-    ``epsilon_eigh = (w, V)`` with ``epsilon = V diag(w) V^dag`` and
-    ``nbar_eigh = (lam, U)`` with ``nbar = U diag(lam) U^dag``.
+    exists.  The checked energy eigensystem is kept, eigenvalues
+    ascending: ``epsilon_eigh = (w, V)`` with ``epsilon = V diag(w) V^dag``.
     """
 
     epsilon: np.ndarray
     nbar: np.ndarray
     statistics: Statistics
     epsilon_eigh: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
-    nbar_eigh: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
 
@@ -178,7 +176,7 @@ class LevelSystem:
         if not isinstance(self.statistics, Statistics):
             raise ValueError("statistics must be a Statistics member")
         eps_eigh = self._checked_eigh(eps, "epsilon")
-        vals, vecs = self._checked_eigh(occ, "nbar")
+        vals, _ = self._checked_eigh(occ, "nbar")
         slack = OCCUPATION_SLACK * max(1.0, float(np.abs(vals).max()))
         if vals.min() < -slack:
             raise OccupationOutOfRangeError(
@@ -191,7 +189,6 @@ class LevelSystem:
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "nbar", occ)
         object.__setattr__(self, "epsilon_eigh", eps_eigh)
-        object.__setattr__(self, "nbar_eigh", (vals, vecs))
 
     @staticmethod
     def _checked_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -209,6 +206,23 @@ class LevelSystem:
     @property
     def dimension(self) -> int:
         return self.epsilon.shape[0]
+
+    @functools.cached_property
+    def keldysh_weight(self) -> np.ndarray:
+        """Statistical weight ``W = 1 + 2 zeta nbar^T`` (plain transposition)
+        of the Keldysh component and the initial-time boundary condition,
+        read-only, computed on first read.  Raises ``FloatingPointError``
+        when it overflows, as for a boson occupation near the largest double.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = np.eye(self.dimension) + 2 * self.statistics.zeta * self.nbar.T
+        if not np.isfinite(weight).all():
+            raise FloatingPointError(
+                "Keldysh weight 1 + 2 zeta nbar^T overflows: "
+                f"max |nbar| = {np.abs(self.nbar).max():.6g}"
+            )
+        weight.flags.writeable = False
+        return weight
 
 
 @dataclass(frozen=True, slots=True)

@@ -365,25 +365,19 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     # longer needed is kept alive into it.
     del inverse, basis_h, rotated_first, a, shift, scale, lower, below, single
     del forward, backward, first, corner
-    finite = np.isfinite(a_inverse).all(axis=(1, 2)) & np.isfinite(first_column).all(
-        axis=(1, 2)
-    )
-    # The grids where A'^{-1} overflows are left out of the norm; most
-    # runs have none, and then no argument is copied.
-    kept = slice(None) if finite.all() else finite
-    condition = np.full(len(grids), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        condition[kept] = norm[kept] * _inverse_norm(
-            log_forward.real[kept],
-            log_backward.real[kept],
-            n[kept],
-            a_inverse[kept],
-            first_column[kept],
-            np.exp(-log_loop[kept]),
+        condition = norm * _inverse_norm(
+            log_forward.real,
+            log_backward.real,
+            n,
+            a_inverse,
+            first_column,
+            np.exp(-log_loop),
         )
-    # A norm past overflow (inf - inf among its sums) is infinite.
+    # A norm past overflow (inf - inf among its sums), or of an A'^{-1}
+    # that overflows, is infinite.
     condition[np.isnan(condition)] = np.inf
-    del first_column, finite, norm
+    del first_column, norm
     # Z = det(D')^{-zeta} with det D' = exp(log_det) 2**exponent.
     zeta = system.statistics.zeta
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,8 +15,8 @@ applies, and a solved constant block that is exactly zero takes no
 product.  The row-by-column pair is
 released before the column-by-row one is built, so at most one pair's
 products are alive.
-A suite call computes the Keldysh weight W and the statistics' layout
-once, and every pair and the solved constants read them; each check's
+A suite call reads the Keldysh weight W that its system computes once,
+and computes the statistics' layout once; each check's
 deviations are reduced one at a time through one buffer of a table's
 magnitudes, and no deviation is alive beside the next.
 The oracle suite compares the closed forms against the independently
@@ -60,7 +60,6 @@ from .continuum import (
     _side,
     _tabulate,
     fix_constants,
-    keldysh_weight,
     rotated_block_layout,
 )
 from .discrete import (
@@ -154,9 +153,8 @@ def run_structure_suite(
     positions, a constant block that is exactly zero taking no product;
     then that pair is released, and R and A
     at equal times (row by row), then A and K over column by row times,
-    each come from a pair of their own.  W and the layout are computed
-    once and passed to the pairs and to
-    :func:`~contourgf.continuum.fix_constants`.  Each check reports the
+    each come from a pair of their own.  The layout is computed once, and
+    W is the system's, computed once.  Each check reports the
     largest entry of its deviations, 0 for none and NaN when one holds
     a NaN, reduced one deviation at a time through one buffer of a
     table's magnitudes; no deviation is alive beside the next, and the
@@ -174,9 +172,9 @@ def run_structure_suite(
     checks, so those two compare with the uncorrupted tables.
     """
     ret, adv, kel, zero = KeldyshComponent  # in definition order
-    # The span, checked as a grid's; W and the layout, each once per suite.
+    # The span, checked as a grid's; the layout, once per suite.
     span = TimeGrid(t_initial, t_final, 1).dt
-    weight = keldysh_weight(system)
+    weight = system.keldysh_weight
     layout = rotated_block_layout(system.statistics)
     threshold = threshold * max(1.0, max_abs(weight))
     rng = np.random.default_rng(seed)
@@ -215,7 +213,7 @@ def run_structure_suite(
     # Row by column times: R, A and K, then the two checks that compare
     # them with other tables over the same stacks, while the pair's
     # products are alive.
-    pair = _Pair(system, row_side, col_side, weight=weight)
+    pair = _Pair(system, row_side, col_side)
     forward = {c: _tabulate(pair, c) for c in (ret, adv, kel)}
     forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
 
@@ -249,7 +247,7 @@ def run_structure_suite(
                 yield deviation
                 del deviation
 
-    check("constant_fixing", positions(fix_constants(system, weight)))
+    check("constant_fixing", positions(fix_constants(system)))
 
     # Equal-time jump: R(t,t) - A(t,t) = -i.  The forward products go
     # first.
@@ -259,7 +257,7 @@ def run_structure_suite(
 
     # backward[c][i, j] is component c at (t_col[j], t_row[i]); A is the
     # one reader of the free product.
-    pair = _Pair(system, col_side, row_side, shared=False, weight=weight)
+    pair = _Pair(system, col_side, row_side, shared=False)
     backward = {c: _tabulate(pair, c).transpose(1, 0, 2, 3) for c in (adv, kel)}
     if corrupt_keldysh:
         # Flip the sign of K(t, t') for t > t' in both orientations.
@@ -329,8 +327,8 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid, operands):
     constant block between two propagators, so block (n, m) of the
     prediction is ``-i/2 P_n [W + c(n, m)] P_m^dag`` with ``P_n`` the
     propagator over ``tau_n``, contour time n less ``t_initial``,
-    ``W = 1 + 2 zeta nbar^T`` and the scalar
-    ``c = s_m theta - s_n (1 - theta)`` from the branch signs and the
+    ``W = 1 + 2 zeta nbar^T``, the system's ``keldysh_weight``, and the
+    scalar ``c = s_m theta - s_n (1 - theta)`` from the branch signs and the
     step ``theta(tau_n - tau_m)``, taken at equal times by contour order
     with the row as the later position, as the discrete inverse takes
     it.  Contour times increase along the forward branch and decrease
@@ -362,7 +360,7 @@ def _continuum_operands(system: LevelSystem, grid: TimeGrid, operands):
     operands.place(lags=(-1j * basis, powers, basis.conj().T))
     del powers
     props = propagator_stack(system, tau).reshape(-1, d)
-    weight = keldysh_weight(system)
+    weight = system.keldysh_weight
     greater = props @ (0.5j * (weight + np.eye(d)))
     lesser = props[: n * d] @ (0.5j * (weight - np.eye(d)))
     # Column (m, b) takes row b of P_m^dag, transposed: row b of conj(P_m).

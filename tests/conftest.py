@@ -1,6 +1,9 @@
 """Shared generators for randomized test systems."""
 
+import functools
+
 import numpy as np
+import pytest
 
 from contourgf import LevelSystem, Statistics
 
@@ -12,6 +15,23 @@ OCCUPATION_RANGE = {
     Statistics.BOSON: (0.2, 1.2),
     Statistics.FERMION: (0.1, 0.9),
 }
+
+
+@pytest.fixture
+def weight_computations(monkeypatch):
+    """The systems whose Keldysh weight W is computed while the test runs,
+    one entry per computation: a read of a system's cached W adds none."""
+    computed = []
+    compute = LevelSystem.keldysh_weight.func
+
+    def counted(system):
+        computed.append(system)
+        return compute(system)
+
+    counted_weight = functools.cached_property(counted)
+    counted_weight.__set_name__(LevelSystem, "keldysh_weight")
+    monkeypatch.setattr(LevelSystem, "keldysh_weight", counted_weight)
+    return computed
 
 
 def random_unitary(rng, dimension):

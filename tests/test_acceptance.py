@@ -17,7 +17,6 @@ from contourgf import (
     Statistics,
     TimeGrid,
     component_table,
-    keldysh_weight,
     run_oracle_suite,
     run_structure_suite,
     thermal_nbar,
@@ -168,7 +167,7 @@ def classicality_ratio(nbar):
     """The quantum-to-classical weight ``1/W`` of a boson level's
     initial boundary condition, ``W = 1 + 2 nbar`` as the boundary
     condition takes it."""
-    weight = keldysh_weight(LevelSystem(1.0, nbar, Statistics.BOSON))
+    weight = LevelSystem(1.0, nbar, Statistics.BOSON).keldysh_weight
     return 1.0 / weight[0, 0].real
 
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from contourgf.cli import (
     load_config,
     main,
 )
-from contourgf.continuum import keldysh_weight
 from contourgf.core import (
     IllConditionedWarning,
     LevelSystem,
@@ -401,25 +401,20 @@ def test_gf_overflowing_phase_is_numerical_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_gf_builds_one_propagator_stack_and_one_weight(
-    tmp_path, capsys, monkeypatch, output_format
+    tmp_path, capsys, monkeypatch, weight_computations, output_format
 ):
     """One ``gf`` call computes the grid's propagators once and W at most
     once, for every component and chunk (here 8 components in 3 chunks),
     and W not at all when no table reads it; the bytes are the
     reference's."""
-    stacks, weights = [], []
+    stacks = []
 
     def counted_stack(system, scales):
         stacks.append(len(scales))
         return propagator_stack(system, scales)
 
-    def counted_weight(system):
-        weights.append(None)
-        return keldysh_weight(system)
-
     for module in (cli, continuum):
         monkeypatch.setattr(module, "propagator_stack", counted_stack)
-        monkeypatch.setattr(module, "keldysh_weight", counted_weight)
     monkeypatch.setattr(cli, "GF_ROW_CHUNK", 7)
     every = ["R", "A", "K", "qq", "++", "+-", "-+", "--"]
     for components, weight_calls in ((every, 1), (["R", "A", "qq"], 0)):
@@ -430,11 +425,26 @@ def test_gf_builds_one_propagator_stack_and_one_weight(
         }
         config = _matrix_config(tmp_path, 2, overrides)
         stacks.clear()
-        weights.clear()
+        weight_computations.clear()
         out = _gf_output(config, capsys, "stdout", tmp_path)
         assert stacks == [21]
-        assert len(weights) == weight_calls
+        assert len(weight_computations) == weight_calls
         assert out == gf_text(load_config(config, []))
+
+
+def test_commands_compute_the_keldysh_weight_once(
+    tmp_path, capsys, weight_computations
+):
+    """W is computed once per system: once by a converge or verify run on
+    three grids, which reads it on every grid, and never by z."""
+    config = write_config(
+        tmp_path, {"nbar": 0.7, "grid.n_slices": [4, 8, 16], "output.format": "json"}
+    )
+    for command, computations in (("converge", 1), ("verify", 1), ("z", 0)):
+        weight_computations.clear()
+        assert main([command, "--config", config]) == 0
+        assert len(weight_computations) == computations, command
+    capsys.readouterr()
 
 
 def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
@@ -1134,6 +1144,73 @@ def test_z_at_overflowing_keldysh_weight(tmp_path, capsys):
     assert main(["z", "--config", config]) == 0
     for row in json.loads(capsys.readouterr().out):
         assert math.isfinite(row["z_re"]) and math.isfinite(row["z_im"])
+
+
+def _numbers(value):
+    """Every float in a parsed JSON document."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _numbers(item)
+
+
+def test_physical_domain_probe_record(tmp_path, capsys):
+    """A record of the exit codes over the physical domain, as they stand:
+    both statistics, eps from 0 to 1e8, occupations from empty to the
+    boson classical limit and to a full fermion level, a coarse and a
+    fine grid pair, each through z, converge and verify, and gf on 4
+    slices with every component.  No run raises, no exit-0 output holds
+    a number that is not finite, and a verify that exits 1 fails oracle
+    checks only, never a structure check: its hand-set error bound does
+    not hold at large eps T.  Exit 3 is an overflow at eps = 1e8 on 64
+    and 128 slices, of Z, or of G's bound where Z = 1 exactly.  The only
+    warnings are :class:`IllConditionedWarning`."""
+    occupations = {"boson": [0, 1, 1e3, 1e15], "fermion": [0, 0.5, 1 - 1e-12, 1]}
+    configs = [
+        {
+            "statistics": statistics,
+            "epsilon": epsilon,
+            "nbar": nbar,
+            "grid.n_slices": grids,
+            "output.format": "json",
+            "output.components": ["R", "A", "K", "qq", "++", "+-", "-+", "--"],
+        }
+        for statistics, nbars in occupations.items()
+        for epsilon in (0, 1, 8, 1e3, 1e8)
+        for nbar in nbars
+        for grids in ([4, 8], [64, 128])
+    ]
+    commands = (["z"], ["converge"], ["verify"], ["gf", "--grid.n_slices", "4"])
+    codes = Counter()
+    for overrides in configs:
+        config = write_config(tmp_path, overrides)
+        run = []
+        for command, *options in commands:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", config, *options])
+            captured = capsys.readouterr()
+            case = (command, overrides)
+            assert {w.category for w in caught} <= {IllConditionedWarning}, case
+            assert "Traceback" not in captured.err, case
+            if code == 0:
+                numbers = _numbers(json.loads(captured.out))
+                assert all(math.isfinite(x) for x in numbers), case
+            if code == 1:
+                report = json.loads(captured.out)
+                failed = [c["name"] for c in report["checks"] if not c["passed"]]
+                assert failed, case
+                for name in failed:
+                    assert name.startswith("oracle_error_n") or name == "oracle_order", case
+            run.append(code)
+        codes[tuple(run)] += 1
+    assert codes == {
+        (0, 0, 0, 0): 29,
+        (0, 0, 1, 0): 46,
+        (0, 3, 3, 0): 2,
+        (3, 3, 3, 0): 3,
+    }
 
 
 def _fermion_z(nbar, n_slices):

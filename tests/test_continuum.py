@@ -19,7 +19,6 @@ from contourgf import (
     TimeGrid,
     component_table,
     fix_constants,
-    keldysh_weight,
     regularized_step,
     rotated_block_layout,
     thermal_nbar,
@@ -59,8 +58,8 @@ def point(system, component, t, t_prime, t_ref=0.0):
 
 def rho_from_nbar(system):
     """The paper's distribution parameter ``rho = nbar (1 + zeta nbar)^(-1)``,
-    through the stored eigenbasis of ``nbar``."""
-    vals, vecs = system.nbar_eigh
+    through the eigenbasis of ``nbar``."""
+    vals, vecs = np.linalg.eigh(system.nbar)
     return (vecs * (vals / (1 + system.statistics.zeta * vals))) @ vecs.conj().T
 
 
@@ -68,7 +67,7 @@ def normalization_prefactor(system):
     """The paper's partition-sum prefactor
     ``(1 - zeta rho)^zeta = det(1 + zeta nbar)^(-zeta)``."""
     zeta = system.statistics.zeta
-    return float(np.prod(1.0 + zeta * system.nbar_eigh[0]) ** -zeta)
+    return float(np.prod(1.0 + zeta * np.linalg.eigvalsh(system.nbar)) ** -zeta)
 
 
 def assert_partition_function_carries_prefactor(system):
@@ -189,10 +188,10 @@ def test_normalization_prefactor_matrix_factorizes():
 def test_keldysh_weight_transposes_without_conjugation():
     # Occupation eigenvalues 0.355 and 0.845: valid for both statistics.
     nbar = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    weight = keldysh_weight(level(nbar, Statistics.BOSON))
+    weight = level(nbar, Statistics.BOSON).keldysh_weight
     expected = np.array([[2.0, 0.2 - 0.4j], [0.2 + 0.4j, 2.4]])
     np.testing.assert_allclose(weight, expected, atol=1e-15)
-    weight = keldysh_weight(level(nbar, Statistics.FERMION))
+    weight = level(nbar, Statistics.FERMION).keldysh_weight
     np.testing.assert_allclose(weight, 2 * np.eye(2) - expected, atol=1e-15)
 
 
@@ -438,7 +437,7 @@ def test_retarded_and_advanced_tables_are_bit_exact(statistics, dimension):
     free = np.einsum("nab,mcb->nmac", p_row, p_col.conj())
     step = regularized_step(times[:7, None] - times[None, :])
     theta = step[:, :, None, None]
-    kel = -1j * np.einsum("nab,mcb->nmac", p_row @ keldysh_weight(system), p_col.conj())
+    kel = -1j * np.einsum("nab,mcb->nmac", p_row @ system.keldysh_weight, p_col.conj())
     expected = {
         KeldyshComponent.RETARDED: -1j * theta * free,
         KeldyshComponent.ADVANCED: 1j * (1.0 - theta) * free,
@@ -518,7 +517,7 @@ def test_zero_weight_keldysh_table_keeps_negative_zeros():
     # product of that zero: the product's negative zeros stay in the table.
     epsilon = random_hermitian(np.random.default_rng(8), 2, -1.0, 1.0)
     system = LevelSystem(epsilon, 0.5 * np.eye(2), Statistics.FERMION)
-    weight = keldysh_weight(system)
+    weight = system.keldysh_weight
     assert not weight.any()
     times = np.linspace(0.0, 1.0, 5)
     table = component_table(system, times, times, KeldyshComponent.KELDYSH, 0.0)
@@ -760,7 +759,7 @@ def test_fix_constants_matches_least_squares(statistics, dimension):
         system = random_system(rng, statistics, dimension)
         constants = fix_constants(system)
         reference = fix_constants_lstsq(statistics, system.nbar)
-        scale = np.abs(keldysh_weight(system)).max()
+        scale = np.abs(system.keldysh_weight).max()
         solved = [block for row in constants for block in row]
         for block, ref in zip(solved, reference):
             assert np.abs(block - ref).max() <= 1e-12 * scale
@@ -771,7 +770,7 @@ def test_fix_constants_closed_values_at_sixteen_levels(statistics):
     rng = np.random.default_rng(45)
     nbar = random_hermitian(rng, 16, 0.1, 0.9)
     system = level(nbar, statistics)
-    weight = keldysh_weight(system)
+    weight = system.keldysh_weight
     constants = fix_constants(system)
     eye = np.eye(16)
     if statistics is Statistics.BOSON:

@@ -3,8 +3,10 @@
 import copy
 import inspect
 import json
+import re
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,7 +181,8 @@ def test_validate_system_accepts_valid_matrices():
     epsilon = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, -0.5]])
     nbar = np.array([[0.5, 0.1], [0.1, 0.5]])  # eigenvalues 0.4, 0.6
     system = LevelSystem(epsilon, nbar, Statistics.BOSON)
-    np.testing.assert_allclose(system.nbar_eigh[0], [0.4, 0.6], atol=1e-15)
+    np.testing.assert_array_equal(system.nbar, nbar)
+    np.testing.assert_allclose(np.linalg.eigvalsh(system.nbar), [0.4, 0.6], atol=1e-15)
 
 
 def test_validate_system_rejects_non_hermitian_epsilon():
@@ -311,6 +314,30 @@ def test_level_system_has_exactly_three_fields():
         LevelSystem(0.5, 0.1, Statistics.BOSON, tolerances=None)
 
 
+def test_level_system_keeps_its_keldysh_weight(weight_computations):
+    # W = 1 + 2 zeta nbar^T is computed on its first read and kept, read-only;
+    # no module exports a function that computes it again.
+    nbar = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
+    system = LevelSystem(np.diag([0.5, 1.0]), nbar, Statistics.BOSON)
+    assert weight_computations == []
+    weight = system.keldysh_weight
+    np.testing.assert_array_equal(weight, np.eye(2) + 2 * nbar.T)
+    assert system.keldysh_weight is weight
+    assert weight_computations == [system]
+    with pytest.raises(ValueError):
+        weight[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        system.keldysh_weight = np.eye(2)
+    assert system.keldysh_weight is weight
+    # An overflowing W is refused on every read, and never kept.
+    overflowing = LevelSystem(1.0, 1e308, Statistics.BOSON)
+    for _ in range(2):
+        with pytest.raises(FloatingPointError, match="Keldysh weight"):
+            overflowing.keldysh_weight
+    for module in (contourgf, core, continuum, discrete, verify, cli):
+        assert "keldysh_weight" not in module.__all__
+
+
 PUBLIC_NAMES = [
     "CheckResult",
     "ContourComponent",
@@ -329,7 +356,6 @@ PUBLIC_NAMES = [
     "component_table",
     "contour_times",
     "fix_constants",
-    "keldysh_weight",
     "oracle_checks",
     "oracle_error_bound",
     "regularized_step",
@@ -365,6 +391,14 @@ def test_public_surface():
             assert hasattr(module, name), f"{module.__name__}.{name}"
         for name in TEST_ONLY_NAMES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's Python block uses the shipped API, and runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_commands_enter_every_public_function(tmp_path, capsys):

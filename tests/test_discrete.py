@@ -481,6 +481,26 @@ def test_ill_conditioned_warning(statistics):
     assert condition / 3 <= fac.condition <= 3 * condition
 
 
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_overflowing_grid_stacked_beside_a_finite_one(statistics):
+    # eps = 1e8 on an empty level: A'^{-1} overflows on 64 slices, not on
+    # 2.  The overflowing grid's estimate is infinite, and the finite
+    # grid's is its one-grid factorization's to the bit; no numpy warning
+    # leaves the stacked estimate.
+    system = LevelSystem(1e8, 0.0, statistics)
+    grids = [TimeGrid(0.0, 1.0, n) for n in (2, 64)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coarse, fine = _factor(system, grids)
+        (single,) = _factor(system, grids[:1])
+    assert {w.category for w in caught} == {IllConditionedWarning}
+    assert np.isfinite(coarse.a_inverse).all()
+    assert not np.isfinite(fine.a_inverse).all()
+    assert fine.condition == math.inf
+    assert coarse.condition.hex() == single.condition.hex()
+    assert coarse.condition == 1.2500000750000064e23
+
+
 def test_partition_function_static_cases():
     grid = TimeGrid(0.0, 1.0, 32)
     # eps = 0: the slice factors are exactly 1.

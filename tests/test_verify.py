@@ -25,7 +25,6 @@ from contourgf import (
     TimeGrid,
     assemble_report,
     contour_times,
-    keldysh_weight,
     oracle_checks,
     oracle_error_bound,
     run_oracle_suite,
@@ -50,7 +49,7 @@ def continuum_contour_reference(system, grid):
     signs = np.repeat([1.0, -1.0], grid.n_slices)
     props = propagator_stack(system, tau - grid.t_initial)
     free = np.einsum("nab,mcb->nmac", props, props.conj())
-    weight = keldysh_weight(system)
+    weight = system.keldysh_weight
     kel = -1j * np.einsum("nab,mcb->nmac", props @ weight, props.conj())
     delta = tau[:, None] - tau[None, :]
     # At equal times the contour order: the row is the later position, so
@@ -128,7 +127,7 @@ def test_structure_suite_passes_reference_system():
     assert [c.name for c in checks] == STRUCTURE_CHECK_NAMES
     assert all(c.passed for c in checks)
     # Every threshold is scaled by max|W|, here 1 + 2 * 0.7.
-    scale = float(np.abs(keldysh_weight(system)).max())
+    scale = float(np.abs(system.keldysh_weight).max())
     assert all(c.threshold == 1e-12 * scale for c in checks)
 
 
@@ -289,31 +288,27 @@ def test_structure_suite_builds_two_propagator_stacks(monkeypatch):
 
 
 @pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
-def test_structure_suite_computes_each_product_once(monkeypatch, statistics):
+def test_structure_suite_computes_each_product_once(
+    monkeypatch, weight_computations, statistics
+):
     # 9 einsums: the two propagator stacks; the free and the Keldysh
     # product of the row-column and the column-row pair; the free product
     # of the row-row pair; the two solved constants that are not zero,
     # while the step terms read the row-column free product.  W is
-    # computed once, by the suite, which passes it to fix_constants and
-    # to the pairs that have a Keldysh product.
-    einsums, weights = [], []
+    # computed once, by the system, and read by the suite, fix_constants
+    # and the pairs that have a Keldysh product.
+    einsums = []
     einsum = np.einsum
 
     def counted_einsum(*args, **kwargs):
         einsums.append(args[0])
         return einsum(*args, **kwargs)
 
-    def counted_weight(system):
-        weights.append(None)
-        return keldysh_weight(system)
-
     monkeypatch.setattr(np, "einsum", counted_einsum)
-    for module in (continuum, verify):
-        monkeypatch.setattr(module, "keldysh_weight", counted_weight)
     system = random_system(np.random.default_rng(18), statistics, 3)
     assert all(c.passed for c in run_structure_suite(system))
     assert len(einsums) == 9
-    assert len(weights) == 1
+    assert len(weight_computations) == 1
 
 
 def test_structure_suite_memory_peak():
@@ -537,7 +532,7 @@ def test_continuum_contour_matrix_shape_and_symmetry():
     full = continuum_from_operands(system, grid)
     assert full.shape == (8, 8)
     props = propagator_stack(system, contour_times(grid))[:, 0, 0]
-    weight = keldysh_weight(system)[0, 0]
+    weight = system.keldysh_weight[0, 0]
 
     def weighted(c, rows, cols):
         return -0.5j * props[rows] * (weight + c) * props[cols].conj()
@@ -1102,9 +1097,9 @@ def test_oracle_passes_unmutated():
 
 
 def test_oracle_fails_with_unit_keldysh_weight(monkeypatch):
-    # W -> 1 on the continuum side only.
+    # W -> 1 on the continuum side only: the discrete route reads nbar.
     monkeypatch.setattr(
-        verify, "keldysh_weight", lambda system: np.eye(system.dimension)
+        LevelSystem, "keldysh_weight", property(lambda system: np.eye(system.dimension))
     )
     assert not all(c.passed for c in oracle_mutant_checks())
 
