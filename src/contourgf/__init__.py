@@ -27,21 +27,10 @@ from .core import (
     ThermalDivergenceError,
     TimeGrid,
 )
-from .continuum import (
-    KeldyshComponent,
-    component_table,
-    fix_constants,
-    regularized_step,
-    rotated_block_layout,
-    thermal_nbar,
-)
-from .discrete import contour_times
+from .continuum import KeldyshComponent, component_table, fix_constants
 from .verify import (
     CheckResult,
     ConvergenceReport,
-    assemble_report,
-    oracle_checks,
-    oracle_error_bound,
     run_oracle_suite,
     run_structure_suite,
 )
@@ -62,15 +51,8 @@ __all__ = [
     "Statistics",
     "ThermalDivergenceError",
     "TimeGrid",
-    "assemble_report",
     "component_table",
-    "contour_times",
     "fix_constants",
-    "oracle_checks",
-    "oracle_error_bound",
-    "regularized_step",
-    "rotated_block_layout",
     "run_oracle_suite",
     "run_structure_suite",
-    "thermal_nbar",
 ]

@@ -61,7 +61,6 @@ from .core import (
     TimeGrid,
     as_complex_matrix,
     max_abs,
-    propagator_stack,
 )
 from .discrete import _factor
 from .verify import (
@@ -465,8 +464,9 @@ def _csv(header: str, rows) -> str:
 # E / GF_DISTINCT_RATIO words, the arrays of one pass of the formatter
 # (at most _doubles.PASS_BYTES_PER_DOUBLE, 52 B, per double of its BLOCK
 # of 4,096) and the words of one block of rows formatted in place, one
-# lookup block's index arrays (about 32 B per key), one row's pieces and
-# text, and the grid's (N + 1) propagators.
+# lookup block's index arrays (about 32 B per key), and one row's pieces
+# and text.  The propagators of the chunk's rows and of the grid's N + 1
+# times live only while component_table builds the chunk's table.
 GF_ROW_CHUNK = 256
 # A chunk is printed from its distinct doubles, each formatted once,
 # when at most one double in GF_DISTINCT_RATIO is distinct: the test
@@ -679,25 +679,25 @@ def _byte_writer(handle):
 def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     """Write the tables of ``grid`` one table row at a time.
 
-    The grid's propagators are computed once, and held until the last
-    table is built; the tables that read W read the system's
-    ``keldysh_weight``, computed once per system.  Components come in
-    config order, each evaluated by :func:`component_table` in chunks of at
-    most ``GF_ROW_CHUNK`` rows of the time grid against all of its
-    times, from the chunk's rows of the propagators and all of them; no
-    product is kept from one chunk to the next.  A chunk's table has
-    shape ``(rows, N + 1, d, d)`` and is written by :func:`_write_chunk`,
-    which frees all it holds, and the table is freed before the next is
-    evaluated.  Each time is printed once per grid.  A whole chunk is
-    never joined, so memory stays at one table of E doubles; a sort
-    buffer of an eighth of its rows, or of ``GF_SORT_KEYS`` entries,
-    during the distinct test only; at most ``E / GF_DISTINCT_RATIO``
-    words; one pass of the formatter (``BLOCK`` doubles, 4,096, at most
-    76 B each with its word) and the words of one block of rows
-    formatted in place (``BLOCK`` doubles, or one row); one lookup
-    block's index arrays; one row's pieces and text; and the grid's
-    propagators.  Raises ``FloatingPointError`` when a table is not
-    finite, after the rows before it.
+    Components come in config order, each evaluated by
+    :func:`component_table` in chunks of at most ``GF_ROW_CHUNK`` rows of
+    the time grid against all of its times, with ``t_ref`` the grid's
+    initial time, as a library call evaluates them.  Each call computes
+    the propagators of its chunk's times and of the grid's, and frees
+    them when it returns; the tables that read W read the system's
+    ``keldysh_weight``, computed once per system.  Nothing is kept from
+    one chunk to the next.  A chunk's table has shape ``(rows, N + 1, d,
+    d)`` and is written by :func:`_write_chunk`, which frees all it
+    holds, and the table is freed before the next is evaluated.  Each
+    time is printed once per grid.  A whole chunk is never joined, so
+    memory stays at one table of E doubles; a sort buffer of an eighth
+    of its rows, or of ``GF_SORT_KEYS`` entries, during the distinct
+    test only; at most ``E / GF_DISTINCT_RATIO`` words; one pass of the
+    formatter (``BLOCK`` doubles, 4,096, at most 76 B each with its
+    word) and the words of one block of rows formatted in place
+    (``BLOCK`` doubles, or one row); one lookup block's index arrays;
+    and one row's pieces and text.  Raises ``FloatingPointError`` when a
+    table is not finite, after the rows before it.
     """
     # Imported by the one command that prints doubles, not with the CLI.
     from ._doubles import format_doubles
@@ -707,12 +707,11 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
     stamps = format_doubles(times, fmt.number).tolist()
     system = config.system
     d = system.dimension
-    stack = propagator_stack(system, times - grid.t_initial)
     write = _byte_writer(handle)
     write(fmt.header)
     separator = b""
     starts = range(0, times.size, GF_ROW_CHUNK)
-    for number, name in enumerate(config.components, start=1):
+    for name in config.components:
         # Built after the component's first table, not beside it.
         tails = None
         for start in starts:
@@ -723,11 +722,7 @@ def _write_gf(config: RunConfig, grid: TimeGrid, handle) -> None:
                 times,
                 COMPONENT_NAMES[name],
                 grid.t_initial,
-                stacks=(stack[rows], stack),
             )
-            if number == len(config.components) and start == starts[-1]:
-                # Not held while the last table is written.
-                del stack
             if not np.isfinite(table).all():
                 raise FloatingPointError(
                     f"component {name} is not finite on rows from t = {times[start]:.17g}"

@@ -54,9 +54,6 @@ __all__ = [
     "KeldyshComponent",
     "component_table",
     "fix_constants",
-    "regularized_step",
-    "rotated_block_layout",
-    "thermal_nbar",
 ]
 
 class KeldyshComponent(enum.Enum):
@@ -114,39 +111,31 @@ def component_table(
     t_prime_values,
     component,
     t_ref: float,
-    *,
-    stacks=None,
 ) -> np.ndarray:
-    """Tabulate one component over all pairs from two time arrays.
+    """Tabulate one component over all pairs from two sets of times.
 
     Parameters
     ----------
     system : LevelSystem
         Propagators come from its stored energy eigensystem, and the
         Keldysh and branch components read its ``keldysh_weight``.
-    t_values, t_prime_values : 1-d arrays
-        Row and column times.
+    t_values, t_prime_values : array_like of float
+        Row and column times, each read flattened in C order: a scalar is
+        one time, and a 2-d array its rows one after another.
     component : KeldyshComponent or ContourComponent
         Which component to evaluate.
     t_ref : float
-        Reference (initial) time entering the Keldysh component.
-    stacks : pair of arrays, optional
-        The propagators over ``t_values - t_ref`` and ``t_prime_values -
-        t_ref`` (:func:`~contourgf.core.propagator_stack`) when the caller
-        has them, as ``gf`` does, which computes its grid's once; they are
-        computed here otherwise.
+        Reference (initial) time entering the Keldysh component: every
+        propagator is over ``t - t_ref``.
 
     Returns
     -------
-    Array of shape ``(len(t_values), len(t_prime_values), d, d)``.
+    Array of shape ``(n, m, d, d)``, ``n`` and ``m`` the sizes of
+    ``t_values`` and ``t_prime_values``.
     """
     if not isinstance(component, (KeldyshComponent, ContourComponent)):
         raise TypeError(f"unsupported component {component!r}")
-    times = (t_values, t_prime_values)
-    if stacks is None:
-        row, col = (_side(system, t, t_ref) for t in times)
-    else:
-        row, col = ((np.asarray(t, dtype=float).reshape(-1), p) for t, p in zip(times, stacks))
+    row, col = (_side(system, t, t_ref) for t in (t_values, t_prime_values))
     # The one table is the only reader of the pair's products.
     return _tabulate(_Pair(system, row, col, shared=False), component)
 
@@ -264,8 +253,8 @@ def _branch(signs, kel, ret, adv, out=None, term=None) -> np.ndarray:
 
 
 def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``P_n Q_m^dag`` for every pair from two stacks, as a C-contiguous
-    (n, m, d, d) table.
+    """``P_n Q_m^dag`` for every pair from two arrays of d x d matrices,
+    as a C-contiguous (n, m, d, d) table.
 
     Each entry sums over b in order, exactly as ``einsum("nab,mcb->nmac")``
     does, so the table is the same to the bit, signs of zeros included;

@@ -89,7 +89,7 @@ from .core import (
     max_abs,
 )
 
-__all__ = ["contour_times"]
+__all__ = []
 
 # A' is singular when, each row scaled to the largest of the terms it is
 # computed from, its smallest singular value is at most this many
@@ -170,7 +170,7 @@ def _contour_blocks(
     system: LevelSystem, grids: list[TimeGrid]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The distinct blocks of D' on each of ``grids``: forward h and
-    backward hbar as ``(G, d, d)`` stacks over the G grids, and the first
+    backward hbar as ``(G, d, d)`` arrays over the G grids, and the first
     block row's pair, ``1 + zeta nbar^T`` on the diagonal and the corner
     ``-zeta nbar^T``, which no grid changes.
 
@@ -383,8 +383,8 @@ def _factor(system: LevelSystem, grids: list[TimeGrid]) -> list[_Factorization]:
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(-zeta * log_det)
         parts = np.ldexp([z.real, z.imag], -zeta * exponent)
-    # Each grid's arrays are copied out of the stacks, so that a caller
-    # done with one grid frees its memory.
+    # Each grid's arrays are copied out of those of all grids, so that a
+    # caller done with one grid frees its memory.
     factorizations = []
     for index, grid in enumerate(grids):
         if singular[index]:

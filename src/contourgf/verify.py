@@ -73,9 +73,6 @@ from .discrete import (
 __all__ = [
     "CheckResult",
     "ConvergenceReport",
-    "assemble_report",
-    "oracle_checks",
-    "oracle_error_bound",
     "run_oracle_suite",
     "run_structure_suite",
 ]
@@ -211,7 +208,7 @@ def run_structure_suite(
         results.append(CheckResult(name, observed, threshold, details))
 
     # Row by column times: R, A and K, then the two checks that compare
-    # them with other tables over the same stacks, while the pair's
+    # them with other tables over the same sides, while the pair's
     # products are alive.
     pair = _Pair(system, row_side, col_side)
     forward = {c: _tabulate(pair, c) for c in (ret, adv, kel)}

@@ -19,9 +19,9 @@ from contourgf import (
     component_table,
     run_oracle_suite,
     run_structure_suite,
-    thermal_nbar,
 )
 from contourgf.cli import build_run_config, main
+from contourgf.continuum import thermal_nbar
 from contourgf.discrete import _factor
 
 from conftest import random_system, taylor_propagator

@@ -279,7 +279,7 @@ EDGE_DOUBLES = [
 ]
 
 
-def _edge_table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+def _edge_table(system, t_values, t_prime_values, component, t_ref):
     d = system.dimension
     shape = (len(t_values), len(t_prime_values), d, d, 2)
     return np.resize(np.array(EDGE_DOUBLES), shape).view(complex)[..., 0]
@@ -376,7 +376,7 @@ def test_gf_non_finite_table_is_numerical_error(
 ):
     # json.dumps would print NaN or Infinity, %.17g and repr nan or inf:
     # neither is a Green's function.
-    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+    def table(system, t_values, t_prime_values, component, t_ref):
         out = np.zeros((len(t_values), len(t_prime_values), 1, 1), dtype=complex)
         out[-1, 0] = complex(0.0, bad)
         return out
@@ -400,36 +400,71 @@ def test_gf_overflowing_phase_is_numerical_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_gf_builds_one_propagator_stack_and_one_weight(
+def test_gf_builds_stacks_over_t_minus_t_initial_and_one_weight(
     tmp_path, capsys, monkeypatch, weight_computations, output_format
 ):
-    """One ``gf`` call computes the grid's propagators once and W at most
-    once, for every component and chunk (here 8 components in 3 chunks),
-    and W not at all when no table reads it; the bytes are the
+    """Every propagator stack one ``gf`` call computes is over ``t -
+    t_initial``, for the times of a chunk's rows or for all of the grid's
+    (here 8 components in 3 chunks, on a span from 0.5); W is computed at
+    most once, and not at all when no table reads it; the bytes are the
     reference's."""
-    stacks = []
+    scales = []
 
-    def counted_stack(system, scales):
-        stacks.append(len(scales))
-        return propagator_stack(system, scales)
+    def recorded_stack(system, s):
+        scales.append(np.array(s))
+        return propagator_stack(system, s)
 
-    for module in (cli, continuum):
-        monkeypatch.setattr(module, "propagator_stack", counted_stack)
+    monkeypatch.setattr(continuum, "propagator_stack", recorded_stack)
     monkeypatch.setattr(cli, "GF_ROW_CHUNK", 7)
     every = ["R", "A", "K", "qq", "++", "+-", "-+", "--"]
     for components, weight_calls in ((every, 1), (["R", "A", "qq"], 0)):
         overrides = {
+            "grid.t_initial": 0.5,
             "grid.n_slices": 20,
             "output.format": output_format,
             "output.components": components,
         }
         config = _matrix_config(tmp_path, 2, overrides)
-        stacks.clear()
+        (grid,) = load_config(config, []).grids
+        offsets = grid.times - grid.t_initial
+        spans = [offsets] + [offsets[start : start + 7] for start in range(0, 21, 7)]
+        scales.clear()
         weight_computations.clear()
         out = _gf_output(config, capsys, "stdout", tmp_path)
-        assert stacks == [21]
+        assert scales
+        for s in scales:
+            assert any(s.tobytes() == span.tobytes() for span in spans), s
         assert len(weight_computations) == weight_calls
         assert out == gf_text(load_config(config, []))
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_gf_reads_the_reference_time_of_component_table(
+    tmp_path, capsys, monkeypatch, output_format
+):
+    """``gf`` prints the tables of the one evaluator: a side over ``t +
+    t_ref`` instead of ``t - t_ref`` changes its bytes on a span from
+    0.5, where the Keldysh and branch tables of a two-level boson depend
+    on the reference time."""
+    config = _matrix_config(
+        tmp_path,
+        2,
+        {
+            "grid.t_initial": 0.5,
+            "grid.t_final": 1.5,
+            "grid.n_slices": 8,
+            "output.format": output_format,
+            "output.components": ["R", "K", "+-"],
+        },
+    )
+    shipped = _gf_output(config, capsys, "stdout", tmp_path)
+
+    def shifted_side(system, times, t_ref):
+        times = np.asarray(times, dtype=float).reshape(-1)
+        return times, propagator_stack(system, times + t_ref)
+
+    monkeypatch.setattr(continuum, "_side", shifted_side)
+    assert _gf_output(config, capsys, "stdout", tmp_path) != shipped
 
 
 def test_commands_compute_the_keldysh_weight_once(
@@ -458,7 +493,7 @@ def test_gf_writer_peak_is_one_table(tmp_path, monkeypatch):
     n_slices = 120
     table_bytes = min(GF_ROW_CHUNK, n_slices + 1) * (n_slices + 1) * 16
 
-    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+    def table(system, t_values, t_prime_values, component, t_ref):
         return np.full((len(t_values), len(t_prime_values), 1, 1), 0.25 - 0.5j)
 
     monkeypatch.setattr(cli, "component_table", table)
@@ -515,7 +550,7 @@ def test_gf_writer_peak_at_the_distinct_limit(tmp_path, monkeypatch, output_form
     table_bytes = entries * 8
     distinct = entries // cli.GF_DISTINCT_RATIO
 
-    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+    def table(system, t_values, t_prime_values, component, t_ref):
         # One table and nothing more: the values repeat in place.
         values = 1.0 / 3.0 + np.arange(distinct) / 7.0
         out = np.empty((len(t_values), len(t_prime_values), 1, 1, 2))
@@ -563,7 +598,7 @@ def test_gf_chunks_switch_between_distinct_and_in_place(
     per-entry reference."""
     monkeypatch.setattr(cli, "GF_ROW_CHUNK", 12)
 
-    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+    def table(system, t_values, t_prime_values, component, t_ref):
         shape = (len(t_values), len(t_prime_values), dimension, dimension, 2)
         few = np.resize(np.array([-0.0, 0.0, 0.5, -1.25, 0.0]), shape)
         many = np.arange(np.prod(shape)).reshape(shape) / 7.0 + 1e-3
@@ -604,7 +639,7 @@ def test_gf_distinct_pieces_refused_by_their_union(
     limit = 2 * rows * cols // cli.GF_DISTINCT_RATIO
     assert 201 <= limit < 394
 
-    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+    def table(system, t_values, t_prime_values, component, t_ref):
         parts = np.arange(len(t_values) * 2 * len(t_prime_values)) % 200 / 7.0
         parts = parts.reshape(len(t_values), -1)
         unsampled = np.arange(len(t_values)) % 8 != 0
@@ -686,7 +721,7 @@ def test_gf_row_assemblies_match_reference(
     width = 2 * (n_slices + 1) * dimension**2
     table_seed = data.draw(st.integers(0, 2**32 - 1))
 
-    def table(system, t_values, t_prime_values, component, t_ref, **precomputed):
+    def table(system, t_values, t_prime_values, component, t_ref):
         chunk = chunk_of[t_values[0]]
         rng = np.random.default_rng([table_seed, chunk, components.index(component)])
         shape = (len(t_values), len(t_prime_values), dimension, dimension, 2)
@@ -2077,8 +2112,8 @@ def test_failed_gf_leaves_the_output_path_as_it_was(data):
             calls = iter(range(chunks))
             component_table = cli.component_table
 
-            def stub(*args, **precomputed):
-                table = component_table(*args, **precomputed)
+            def stub(*args):
+                table = component_table(*args)
                 if next(calls) == failing:
                     table[-1, -1, 0, 0] = value
                 return table

@@ -19,12 +19,10 @@ from contourgf import (
     TimeGrid,
     component_table,
     fix_constants,
-    regularized_step,
-    rotated_block_layout,
-    thermal_nbar,
 )
 
 from contourgf import continuum
+from contourgf.continuum import regularized_step, rotated_block_layout, thermal_nbar
 from contourgf.core import propagator_stack
 from contourgf.discrete import _factor
 
@@ -421,6 +419,24 @@ def test_component_table_shape_and_consistency():
     assert table.shape == (3, 2, 2, 2)
     single = point(system, KeldyshComponent.RETARDED, 0.5, 0.0)
     np.testing.assert_allclose(table[1, 0], single, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "component", [KeldyshComponent.KELDYSH, ContourComponent.PLUS_MINUS]
+)
+def test_component_table_reads_times_flattened(component):
+    # A scalar is one time and a 2-d array its rows in C order: the table
+    # is that of the flat times, to the bit.
+    system = random_system(np.random.default_rng(7), Statistics.BOSON, 2)
+    grid = np.array([[0.1, 0.4, 0.7], [1.0, 1.3, 1.6]])
+    table = component_table(system, 0.8, grid, component, 0.25)
+    flat = component_table(system, [0.8], grid.ravel(), component, 0.25)
+    assert table.shape == (1, 6, 2, 2)
+    np.testing.assert_array_equal(table.view(np.int64), flat.view(np.int64))
+    table = component_table(system, grid, 0.8, component, 0.25)
+    flat = component_table(system, grid.ravel(), [0.8], component, 0.25)
+    assert table.shape == (6, 1, 2, 2)
+    np.testing.assert_array_equal(table.view(np.int64), flat.view(np.int64))
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))

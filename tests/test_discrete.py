@@ -20,12 +20,11 @@ from contourgf import (
     Statistics,
     TimeGrid,
     component_table,
-    contour_times,
-    oracle_error_bound,
     run_oracle_suite,
 )
 from contourgf.core import max_abs
-from contourgf.discrete import _factor, _green_operands, _row_kernel
+from contourgf.discrete import _factor, _green_operands, _row_kernel, contour_times
+from contourgf.verify import oracle_error_bound
 
 from conftest import (
     EPSILON_RANGE,

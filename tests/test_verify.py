@@ -23,17 +23,18 @@ from contourgf import (
     SingularMatrixError,
     Statistics,
     TimeGrid,
-    assemble_report,
-    contour_times,
-    oracle_checks,
-    oracle_error_bound,
     run_oracle_suite,
     run_structure_suite,
 )
 from contourgf import cli, continuum, discrete, verify
 from contourgf.core import propagator_stack
-from contourgf.discrete import _factor
-from contourgf.verify import chebyshev_interior
+from contourgf.discrete import _factor, contour_times
+from contourgf.verify import (
+    assemble_report,
+    chebyshev_interior,
+    oracle_checks,
+    oracle_error_bound,
+)
 
 from conftest import random_hermitian, random_system, random_unitary
 from dense_contour import dense_green, dense_inverse, kernel_rows
