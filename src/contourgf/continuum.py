@@ -208,7 +208,10 @@ def _tabulate(pair: _Pair, what) -> np.ndarray:
         else:
             out = np.zeros(shape, dtype=complex)
         if _has_step(pair.system.statistics, row, col):
-            out += pair.step[:, :, None, None] * (-1j * pair.free)
+            # theta * (-1j * free) in one scratch table, to the bit.
+            term = np.multiply(-1j, pair.free)
+            np.multiply(pair.step[:, :, None, None], term, out=term)
+            out += term
         return out
     # R = -1j theta free, A = 1j (1 - theta) free and a branch component
     # from them, each operation as in those expressions, one block of

@@ -788,15 +788,16 @@ def _grid_error(n: int, d: int, rows, workspace) -> float:
     so no tile-sized array is allocated, and their magnitudes through
     its slab, with numpy's ufunc buffers at ``STREAM_BUFFER`` items.
     They stream latest rows first: the first-order error of G grows
-    along the contour, so the largest entries come first.  A tile whose
-    rows all lie on the forward branch then skips its magnitudes when
-    ``sqrt(2) max(|Re|, |Im|)`` over its entries, with a margin for
-    roundoff, is below the largest entry so far: it cannot hold the
-    maximum, so the result is the plain maximum, bit for bit.  The test
-    costs about a third of the magnitudes, so the backward tiles, which
-    hold the largest entries, do not take it.  A NaN or an infinity
-    fails it, so no such tile is skipped; the result is NaN when any
-    entry is NaN.
+    along the contour, so the largest entries come first.  Then a tile
+    whose rows all lie on the forward branch, and the backward columns
+    of any other tile, after its forward columns, skip their magnitudes
+    when ``sqrt(2) max(|Re|, |Im|)`` over their entries, with a margin
+    for roundoff, is below the largest entry so far: they cannot hold
+    the maximum, so the result is the plain maximum, bit for bit.  The
+    test costs about a third of the magnitudes, so the backward rows'
+    forward columns, which hold the largest entries, do not take it.  A
+    NaN or an infinity fails it, so no such part is skipped; the result
+    is NaN when any entry is NaN.
     """
     size = 2 * n
     height, width = _tile(n, d)
@@ -812,16 +813,22 @@ def _grid_error(n: int, d: int, rows, workspace) -> float:
                 shape = ((last - first) * d, (stop - start) * d)
                 out = buffer[: shape[0] * shape[1]].reshape(shape)
                 tile = rows(start, stop, out, (first, last))
-                if stop <= n:
-                    parts = tile.view(float)
-                    bound = max(parts.max(), -parts.min())
-                    if SQRT2 * bound * (1.0 + 1e-15) < largest:
-                        continue
-                entries = tile.reshape(-1)
-                for at in range(0, entries.size, slab.size):
-                    part = entries[at : at + slab.size]
-                    error = float(np.abs(part, out=slab[: part.size]).max())
-                    if math.isnan(error):
-                        return error
-                    largest = max(largest, error)
+                # The tile's rows from ``split`` on, its columns from the
+                # turn on unless every row is forward, take the test.
+                split = 0 if stop <= n else min(max(n - first, 0), last - first) * d
+                for block, tested in ((tile[:split], False), (tile[split:], True)):
+                    if tested:
+                        parts = block.view(float)
+                        if not parts.size:
+                            continue
+                        bound = max(parts.max(), -parts.min())
+                        if SQRT2 * bound * (1.0 + 1e-15) < largest:
+                            continue
+                    entries = block.reshape(-1)
+                    for at in range(0, entries.size, slab.size):
+                        part = entries[at : at + slab.size]
+                        error = float(np.abs(part, out=slab[: part.size]).max())
+                        if math.isnan(error):
+                            return error
+                        largest = max(largest, error)
     return largest

@@ -7,18 +7,19 @@ anti-Hermiticity, the vanishing rotated block, thermal proportionality
 where defined, the contour boundary conditions, and consistency of the
 solved constants), each on one table per component and orientation.
 Every table comes from a pair of sides, times and their propagator
-stack, as ``gf``'s do, and the suite computes the step, the free and the
-Keldysh product of each pair once (row by column, column by row, and
-row by row times): every table over that pair reads them.  The branch
-components come from the suite's R, A and K by the combination ``gf``
-applies, and a solved constant block that is exactly zero takes no
-product.  The row-by-column pair is
-released before the column-by-row one is built, so at most one pair's
-products are alive.
+stack, as ``gf``'s do, and the suite computes each product of a pair
+once, which every table over that pair reads: the free and the Keldysh
+product over row by column and over column by row times, and the free
+product over row by row times.  The branch components come from the
+suite's R, A and K by the combination ``gf`` applies, and a solved
+constant block that is exactly zero takes no product.  Each table is
+built as late as its checks allow and released once they ran, so one
+pair's products are alive at a time, and at most seven tables over row
+by column times.
 A suite call reads the Keldysh weight W that its system computes once,
 and computes the statistics' layout once; each check's
-deviations are reduced one at a time through one buffer of a table's
-magnitudes, and no deviation is alive beside the next.
+deviations are reduced one at a time through one scratch table, and no
+deviation is alive beside the next.
 The oracle suite compares the closed forms against the independently
 built discrete contour inverse on a sequence of grids and fits the
 convergence order.  Along a contour row the closed forms are a rank-d
@@ -141,32 +142,42 @@ def run_structure_suite(
     comes from one row and one column side through the evaluator of
     ``component_table``, which reads the step, the free and the Keldysh
     product of a pair of sides, each computed once per pair, as ``gf``'s.
-    In order: over row by column times R, A and K, then the four branch
-    components one at a time, formed from those three tables by
-    :func:`~contourgf.continuum._branch`, the combination ``gf`` applies,
-    which ``zero_block`` compares with R, A and K; then, while that
-    pair's products are alive, the solutions from the solved constants,
-    which ``constant_fixing`` compares with the tables at their
-    positions, a constant block that is exactly zero taking no product;
-    then that pair is released, and R and A
-    at equal times (row by row), then A and K over column by row times,
-    each come from a pair of their own.  The layout is computed once, and
-    W is the system's, computed once.  Each check reports the
-    largest entry of its deviations, 0 for none and NaN when one holds
-    a NaN, reduced one deviation at a time through one buffer of a
-    table's magnitudes; no deviation is alive beside the next, and the
-    adjoint checks are formed in the backward tables' layout, so that no
-    operand is strided.  It compares with
+    Each table is built as late as its checks allow and released once
+    they ran.  In order: R and A at equal times (row by row); over row
+    by column times R and K, then, while that pair's free product is
+    alive, the solutions from the solved constants, which
+    ``constant_fixing`` compares with the tables at their positions, A
+    tabulated at its own, a constant block that is exactly zero taking
+    no product; then that pair is released, and the four branch
+    components are formed one at a time in one buffer from R, A and K
+    by :func:`~contourgf.continuum._branch`, the combination ``gf``
+    applies, which ``zero_block`` compares with R, A and K; then the
+    checks that read the forward tables alone, after which A is
+    released; then over column by row times A, which ``conjugation``
+    compares with R, and once that A and R are released, K.  So at most
+    seven tables of ``35 d^2`` complex entries are alive at once, 3920
+    bytes per ``d^2``, beside the two propagator stacks: R, A, K, the
+    ``++`` branch, the zero block's running total, a branch table and
+    the scratch, or, at A's position, R, K, the free product, the
+    position, its step term, numpy's buffer for the step's broadcast
+    and the scratch.  The layout is computed once, and W is the
+    system's, computed once.  Each check reports the largest entry of
+    its deviations, 0 for none and NaN when one holds a NaN, reduced
+    one deviation at a time through the magnitudes in one scratch
+    table, which between two branch components holds the term of the
+    next; no deviation is alive beside the next, and the adjoint checks
+    are formed in the backward tables' layout, so that no operand is
+    strided.  It compares with
     ``threshold * max(1, max|W|)``, ``W = 1 + 2 zeta nbar^T`` the Keldysh
     weight, reported as its threshold: the roundoff of the checks that
     multiply by W grows with it.  The sampled times are offsets from
     ``t_initial``, so the checks do not depend on where the span lies on
     the time axis; a span that is not finite and positive raises
     ``ValueError``, as a :class:`~contourgf.core.TimeGrid` on it would.
-    Results are sorted by check name.  ``corrupt_keldysh``
-    is a test hook that flips the sign of K for t > t' after
-    ``zero_block`` and ``constant_fixing`` ran and before the other
-    checks, so those two compare with the uncorrupted tables.
+    Results are sorted by check name.  ``corrupt_keldysh`` is a test
+    hook that flips the sign of K for t > t' once ``zero_block`` and
+    ``constant_fixing`` ran, so those two compare with the uncorrupted
+    tables: the forward K then, the backward K when it is formed.
     """
     ret, adv, kel, zero = KeldyshComponent  # in definition order
     # The span, checked as a grid's; the layout, once per suite.
@@ -185,9 +196,11 @@ def run_structure_suite(
     d = system.dimension
     delta = t_row[:, None] - t_col[None, :]
     row_side, col_side = _side(system, t_row, 0.0), _side(system, t_col, 0.0)
-    # The magnitudes of one deviation at a time; none is larger than a
-    # table over row by column times.
-    magnitudes = np.empty(delta.size * d * d)
+    # One table over row by column times of scratch: read as floats, the
+    # magnitudes of one deviation at a time, none larger than such a
+    # table; between two deviations, the term of a branch table.
+    scratch = np.empty(delta.shape + (d, d), dtype=complex)
+    magnitudes = scratch.reshape(-1).view(float)
     results = []
 
     def check(name, deviations, details=""):
@@ -207,79 +220,70 @@ def run_structure_suite(
             del deviation
         results.append(CheckResult(name, observed, threshold, details))
 
-    # Row by column times: R, A and K, then the two checks that compare
-    # them with other tables over the same sides, while the pair's
-    # products are alive.
+    # Equal-time jump: R(t,t) - A(t,t) = -i, over row by row times, before
+    # any table of the other two pairs is alive.  The forward products go
+    # first.
+    pair = _Pair(system, row_side, row_side)
+    jump = np.diagonal(_tabulate(pair, ret) - _tabulate(pair, adv))
+    check("equal_time_jump", [jump + 1j * np.eye(d)[..., None]])
+    del jump
+
+    # Row by column times: R and K, then the solved constants, which
+    # reproduce the closed forms at every position, while the pair's free
+    # product, which their step terms read, is alive.  A is tabulated at
+    # its own position, after the position's table, so it is not alive
+    # beside the positions before it.  The zero block broadcasts against
+    # any table or row.
     pair = _Pair(system, row_side, col_side)
-    forward = {c: _tabulate(pair, c) for c in (ret, adv, kel)}
-    forward[zero] = np.zeros((1, 1, d, d))  # broadcasts against any table or row
+    forward = {c: _tabulate(pair, c) for c in (ret, kel)}
+    forward[zero] = np.zeros((1, 1, d, d))
 
-    # Branch components from R, A and K by the combination gf applies,
-    # one table at a time: ++ - +- = R, ++ - -+ = A, ++ + -- = K and the
-    # rotated zero block ++ + -- - +- - -+ = 0.  Each branch table takes
-    # its sign in place, each difference goes into one new table, and
-    # none is held while the next branch is formed.
-    def rotation():
-        pp, *others = ContourComponent
-        rotated = forward[kel], forward[ret], forward[adv]
-        plus = total = _branch(pp.signs, *rotated)
-        for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
-            other = _branch(branch.signs, *rotated)
-            np.multiply(sign, other, out=other)
-            deviation = plus - other
-            deviation -= forward[c]
-            yield deviation
-            total = total - other
-            del deviation, other
-        yield total
-
-    check("zero_block", rotation())
-
-    # Solved constants reproduce the closed forms at every position.
     def positions(constants):
         for row in range(2):
             for col in range(2):
                 deviation = _tabulate(pair, (constants, row, col))
+                if layout[row][col] is adv:
+                    forward[adv] = _tabulate(pair, adv)
                 deviation -= forward[layout[row][col]]
                 yield deviation
                 del deviation
 
     check("constant_fixing", positions(fix_constants(system)))
+    if adv not in forward:
+        # A NaN ended the check before A's position.
+        forward[adv] = _tabulate(pair, adv)
+    # The free product has no later reader; K is the table forward[kel].
+    del pair
 
-    # Equal-time jump: R(t,t) - A(t,t) = -i.  The forward products go
-    # first.
-    pair = _Pair(system, row_side, row_side)
-    jump = np.diagonal(_tabulate(pair, ret) - _tabulate(pair, adv))
-    check("equal_time_jump", [jump + 1j * np.eye(d)[..., None]])
+    # Branch components from R, A and K by the combination gf applies:
+    # ++ - +- = R, ++ - -+ = A, ++ + -- = K and the rotated zero block
+    # ++ + -- - +- - -+ = 0, each operation as in those expressions.  Each
+    # branch table is formed in one reused buffer, with its term in the
+    # scratch, which the check reads only between branches; it takes its
+    # sign in place, enters the running total, and then becomes its
+    # deviation in place.  So four tables are alive beside R, A and K.
+    def rotation():
+        pp, *others = ContourComponent
+        rotated = forward[kel], forward[ret], forward[adv]
+        plus = _branch(pp.signs, *rotated, term=scratch)
+        total, other = plus.copy(), np.empty_like(plus)
+        for branch, sign, c in zip(others, (1, 1, -1), (ret, adv, kel)):
+            other = _branch(branch.signs, *rotated, out=other, term=scratch)
+            np.multiply(sign, other, out=other)
+            total -= other
+            np.subtract(plus, other, out=other)
+            other -= forward[c]
+            yield other
+        yield total
 
-    # backward[c][i, j] is component c at (t_col[j], t_row[i]); A is the
-    # one reader of the free product.
-    pair = _Pair(system, col_side, row_side, shared=False)
-    backward = {c: _tabulate(pair, c).transpose(1, 0, 2, 3) for c in (adv, kel)}
+    check("zero_block", rotation())
     if corrupt_keldysh:
-        # Flip the sign of K(t, t') for t > t' in both orientations.
-        for table, later in ((forward, delta > 0), (backward, delta < 0)):
-            table[kel] = np.where(later[:, :, None, None], -table[kel], table[kel])
+        # Flip the sign of K(t, t') for t > t'.
+        later = (delta > 0)[:, :, None, None]
+        forward[kel] = np.where(later, -forward[kel], forward[kel])
 
     # Causality: retarded vanishes for t < t', advanced for t > t'.
     check("causality", (forward[ret][delta < 0], forward[adv][delta > 0]))
-
-    # Conjugation: R(t,t')^dag = A(t',t), and Keldysh anti-Hermiticity:
-    # K(t,t')^dag = -K(t',t).  Each is formed over column by row times,
-    # the layout the backward tables were computed in, in one table that
-    # takes the forward table's transpose by a copy and is conjugated in
-    # place: no ufunc reads a strided operand, for which numpy would
-    # allocate a buffer as large as the table per operand.
-    adjoint = np.empty((t_col.size, t_row.size, d, d), dtype=complex)
-    adjoint[...] = forward[ret].transpose(1, 0, 3, 2)
-    np.conjugate(adjoint, out=adjoint)
-    adjoint -= backward[adv].transpose(1, 0, 2, 3)
-    check("conjugation", [adjoint])
-    adjoint[...] = forward[kel].transpose(1, 0, 3, 2)
-    np.conjugate(adjoint, out=adjoint)
-    adjoint += backward[kel].transpose(1, 0, 2, 3)
-    check("keldysh_antihermiticity", [adjoint])
-    del adjoint
 
     # Thermal proportionality K = (R - A) (1 + 2 zeta nbar^T), defined
     # only when the occupation commutes with the energy matrix (the
@@ -290,6 +294,7 @@ def run_structure_suite(
     if comm <= 1e-12 and comm_t <= 1e-12:
         diff = forward[kel] - (forward[ret] - forward[adv]) @ weight
         check("fdt_proportionality", [diff[delta != 0]])
+        del diff
     else:
         check(
             "fdt_proportionality",
@@ -304,6 +309,31 @@ def run_structure_suite(
     first, second = ([forward[c] for c in row] for row in layout)
     check("boundary_final", (table[-1] for table in second))
     check("boundary_initial", (a[0] + weight @ b[0] for a, b in zip(first, second)))
+    # A has no later reader.
+    del first, second, forward[adv]
+
+    # Conjugation: R(t,t')^dag = A(t',t), and Keldysh anti-Hermiticity:
+    # K(t,t')^dag = -K(t',t), over column by row times: A, the one reader
+    # of its pair's free product, and then K each come from a pair of
+    # their own, released with the table, so A is released before K is
+    # formed.  Each check is formed in one table that takes the forward
+    # table's transpose by a copy and is conjugated in place, in the
+    # backward tables' layout: no ufunc reads a strided operand, for which
+    # numpy would allocate a buffer as large as the table per operand.  R
+    # has no later reader than its copy.
+    adjoint = np.empty((t_col.size, t_row.size, d, d), dtype=complex)
+    adjoint[...] = forward.pop(ret).transpose(1, 0, 3, 2)
+    np.conjugate(adjoint, out=adjoint)
+    adjoint -= _tabulate(_Pair(system, col_side, row_side, shared=False), adv)
+    check("conjugation", [adjoint])
+    keldysh = _tabulate(_Pair(system, col_side, row_side), kel)
+    if corrupt_keldysh:
+        later = (delta.T < 0)[:, :, None, None]
+        keldysh = np.where(later, -keldysh, keldysh)
+    adjoint[...] = forward[kel].transpose(1, 0, 3, 2)
+    np.conjugate(adjoint, out=adjoint)
+    adjoint += keldysh
+    check("keldysh_antihermiticity", [adjoint])
 
     return sorted(results, key=lambda r: r.name)
 

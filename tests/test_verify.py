@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from contourgf import (
@@ -36,7 +36,7 @@ from contourgf.verify import (
     oracle_error_bound,
 )
 
-from conftest import random_hermitian, random_system, random_unitary
+from conftest import random_system, random_unitary
 from dense_contour import dense_green, dense_inverse, kernel_rows
 
 # Agreement of the row kernel with the einsum reference, relative to max|G|.
@@ -313,20 +313,23 @@ def test_structure_suite_computes_each_product_once(
 
 
 def test_structure_suite_memory_peak():
-    # The products of one pair of stacks at a time: the row-column pair
-    # is released before the column-row pair is built.
-    rng = np.random.default_rng(10)
-    epsilon = random_hermitian(rng, 10, -1.0, 1.0)
-    nbar = random_hermitian(rng, 10, 0.0, 3.0)
-    system = LevelSystem(epsilon, nbar, Statistics.BOSON)
-    run_structure_suite(system)
-    tracemalloc.start()
-    try:
-        run_structure_suite(system)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 700 * 2**10
+    # At most seven tables of 35 d^2 complex entries are alive at once,
+    # beside the two propagator stacks of 12 d^2; 32 KiB of slack hold
+    # the steps, the times and the interpreter's objects.  With every
+    # table of a pair built up front, about ten were alive.
+    for statistics in Statistics:
+        for dimension in (10, 16):
+            system = random_system(np.random.default_rng(10), statistics, dimension)
+            run_structure_suite(system)
+            tracemalloc.start()
+            try:
+                run_structure_suite(system)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            entry = np.dtype(complex).itemsize * dimension**2
+            bound = (7 * 35 + 12) * entry + 32 * 2**10
+            assert peak <= bound, (statistics, dimension, peak, bound)
 
 
 def _evaluator_with(replacements):
@@ -840,11 +843,16 @@ def plain_max(difference):
 @seed(31)
 @settings(max_examples=160, deadline=None)
 @given(case=planted_entries())
+# The maximum planted in the backward columns of the first backward row,
+# the last backward tile to stream, in tiles of whole rows and in tiles
+# of 6 columns, one of which straddles the turn, through an uneven slab.
+@example(case=(8, 2, (2**16, 1, 2**14), 1.0, 16, 31, (2.0, 0.5)))
+@example(case=(8, 2, (48, 2, 40), 1.0, 16, 19, (2.0, 2.5)))
 def test_grid_error_is_the_plain_max(case):
     # The error is the plain max of |G - C| over every entry, equal times
-    # included, bit for bit, though tiles that cannot hold the maximum
-    # skip their magnitudes and the rest reach it through the slab; a NaN
-    # or an infinity anywhere reaches it.
+    # included, bit for bit, though parts of tiles that cannot hold the
+    # maximum skip their magnitudes and the rest reach it through the
+    # slab; a NaN or an infinity anywhere reaches it.
     n_slices, dimension, sizes, damp, row, column, value = case
     rng = np.random.default_rng(dimension)
     system = random_system(rng, Statistics.BOSON, dimension)
@@ -873,11 +881,13 @@ def test_grid_error_is_the_plain_max(case):
 
 
 def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
-    # Tiles of one whole row at d = 1: the slab's first row holds the
-    # magnitudes of the last tile whose magnitudes were taken.  With the
-    # forward rows damped, that is the first backward row: every forward
-    # tile was skipped.  With the first row's largest entry planted past
-    # the others, it is the first row.
+    # Tiles of one whole row at d = 1, latest row first; ``taken`` counts
+    # per row the entries whose magnitudes were taken.  With the forward
+    # rows damped, each backward row's forward columns hold its largest
+    # entries and its backward columns at most half of them: every
+    # forward tile and every backward row's backward columns are
+    # skipped.  With the first row's largest entry planted past the
+    # others, that row's tile takes its magnitudes.
     monkeypatch.setattr(discrete, "ORACLE_BLOCK_ENTRIES", 16)
     monkeypatch.setattr(discrete, "TILE_ROWS", 1)
     system = LevelSystem(1.0, 0.3, Statistics.BOSON)
@@ -885,10 +895,24 @@ def test_grid_error_skips_the_forward_blocks_below_the_max(monkeypatch):
     difference, difference_rows = dense_difference_rows(system, grid)
     difference[:8] *= 1e-3
     workspace = discrete._workspace([8], 1)
-    for last in (8, 0):
-        error = discrete._grid_error(8, 1, difference_rows, workspace)
+    taken, tile = {}, []
+    absolute = np.abs
+
+    def rows(start, stop, out, span):
+        tile[:] = [start]
+        return difference_rows(start, stop, out, span)
+
+    def counted(part, out):
+        taken[tile[0]] = taken.get(tile[0], 0) + part.size
+        return absolute(part, out=out)
+
+    for planted in ({}, {0: 16}):
+        taken.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "abs", counted)
+            error = discrete._grid_error(8, 1, rows, workspace)
         assert error == plain_max(difference)
-        np.testing.assert_array_equal(workspace[1][:16], np.abs(difference[last]))
+        assert taken == {**{row: 8 for row in range(8, 16)}, **planted}
         difference[0, 5] = 2 * error
 
 
